@@ -10,13 +10,16 @@ is ever performed.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field as dc_field
+import math
+from dataclasses import dataclass
+from fractions import Fraction
 
-from .errors import NonSplitForm, WrongDimension
-from .fields import GF, QQ, Field, PrimeField
+from .errors import ExactDivisionError, NonSplitForm, WrongDimension
+from .fields import GF
 from .poly import (
     BiHomPoly,
     MultiPoly,
+    content,
     exact_div,
     gcd,
     squarefree_in_vars,
@@ -70,13 +73,6 @@ class S1Verdict:
         }
 
 
-def _content_in(F: MultiPoly, group: tuple) -> MultiPoly:
-    cont = MultiPoly.zero(F.field, F.vars)
-    for coeff in F.coeffs_in(group).values():
-        cont = gcd(cont, coeff)
-    return cont
-
-
 def _check_p1(F: BiHomPoly):
     if tuple(F.xvars) != XVARS or tuple(F.yvars) != YVARS:
         raise WrongDimension("s=1 classification needs variables x0,x1,y0,y1")
@@ -85,9 +81,9 @@ def _check_p1(F: BiHomPoly):
 def _split_contents(F: BiHomPoly):
     """F = f(x̄) g(ȳ) core, with core free of one-group factors."""
     poly = F.poly
-    f = _content_in(poly, YVARS)  # gcd of coefficients as a poly in ȳ
+    f = content(list(poly.coeffs_in(YVARS).values()))  # as a poly in ȳ
     rest = exact_div(poly, f)
-    g = _content_in(rest, XVARS)
+    g = content(list(rest.coeffs_in(XVARS).values()))
     core = exact_div(rest, g)
     return f, g, core
 
@@ -112,13 +108,13 @@ def _binary_roots(form: MultiPoly, vars2: tuple):
     """
     fld = form.field
     v0, v1 = vars2
-    if isinstance(fld, PrimeField):
+    if fld.characteristic:
         roots = []
         for pt in proj_points(fld, 1):
             coords = {v0: pt.coords[0], v1: pt.coords[1]}
-            full = [coords.get(v, fld.one) for v in form.vars]
+            full = [coords.get(v, 1) for v in form.vars]
             if form.evaluate(full).is_zero():
-                roots.append(ProjPoint(fld, list(pt.coords)))
+                roots.append(pt)
         return roots, MultiPoly.constant(fld, form.vars, 1)
     # rationals: peel monomial factors, then rational-root peeling
     roots = []
@@ -138,20 +134,14 @@ def _binary_roots(form: MultiPoly, vars2: tuple):
         return roots, MultiPoly.constant(fld, form.vars, 1)
     # q(t) = work(1, t): nonzero constant term and degree d by construction
     i1 = form.vars.index(v1)
-    coeffs = {}
-    for e, c in work.terms.items():
-        coeffs[e[i1]] = c.val
-    denom_lcm = 1
-    for c in coeffs.values():
-        denom_lcm = denom_lcm * c.denominator // _gcd_int(denom_lcm, c.denominator)
+    coeffs = {e[i1]: c for e, c in work.terms.items()}
+    denom_lcm = math.lcm(*(c.denominator for c in coeffs.values()))
     q = [int(coeffs.get(k, 0) * denom_lcm) for k in range(d + 1)]
     for num in _divisors(q[0]):
         for den in _divisors(q[-1]):
             if q[-1] == 0:
                 break
             for sign in (1, -1):
-                from fractions import Fraction
-
                 r = Fraction(sign * num, den)
                 while len(q) > 1 and _poly_eval(q, r) == 0:
                     q = _synth_div(q, r)
@@ -168,14 +158,8 @@ def _binary_roots(form: MultiPoly, vars2: tuple):
             e = [0] * len(form.vars)
             e[i1] = k
             e[i0] = deg - k
-            terms[tuple(e)] = fld.elem(c)
+            terms[tuple(e)] = c
     return roots, MultiPoly(fld, form.vars, terms).monic()
-
-
-def _gcd_int(a, b):
-    while b:
-        a, b = b, a % b
-    return a
 
 
 def _poly_eval(q, r):
@@ -192,13 +176,9 @@ def _synth_div(q, r):
     for k in range(len(q) - 2, -1, -1):
         out[k] = acc
         acc = q[k] + acc * r
-    assert acc == 0
-    from fractions import Fraction
-
-    lcm = 1
-    for c in out:
-        f = Fraction(c)
-        lcm = lcm * f.denominator // _gcd_int(lcm, f.denominator)
+    if acc != 0:
+        raise ExactDivisionError(f"t - {r} does not divide the root polynomial")
+    lcm = math.lcm(*(Fraction(c).denominator for c in out))
     return [int(Fraction(c) * lcm) for c in out]
 
 
@@ -223,7 +203,6 @@ def s1_classify(
     _check_p1(F)
     X = X or OpenSet.full(1)
     Y = Y or OpenSet.full(1)
-    fld = F.poly.field
     f, g, core = _split_contents(F)
     if core.degree() > 0:
         sqcore = squarefree_in_vars(core, YVARS)
@@ -294,18 +273,6 @@ def s1_reduce(
             )
             result = result * lin
     return BiHomPoly(result.monic(), XVARS, YVARS)
-
-
-def s1_bruteforce_oracle(
-    F: BiHomPoly,
-    X: OpenSet | None = None,
-    Y: OpenSet | None = None,
-    t: int = 2,
-    p: int = 5,
-) -> bool:
-    """Direct check over P^1(F_p): (1,t)-grid-free iff no X-vertex has t or
-    more neighbors inside Y."""
-    return s1_max_row(F, X, Y, p) < t
 
 
 def s1_max_row(

@@ -69,6 +69,14 @@ def _load_hypersurface(path: str) -> Hypersurface:
     return Hypersurface.from_json(_load_json(path))
 
 
+def _load_section_source(path: str):
+    """A hypersurface file (it has a "poly" key) or a plain polynomial file."""
+    data = _load_json(path)
+    if "poly" in data:
+        return Hypersurface.from_json(data)
+    return MultiPoly.from_json(data)
+
+
 def _load_open_set(path: str | None, dim: int) -> OpenSet:
     if path is None:
         return OpenSet.full(dim)
@@ -169,14 +177,8 @@ def cmd_curves(args) -> int:
         )
         return 0
     if args.action == "common":
-        h1 = MultiPoly.from_json(_load_json(args.h1))
-        h2 = MultiPoly.from_json(_load_json(args.h2))
-        if len(h1.vars) > 3:
-            h1 = Hypersurface.from_json(_load_json(args.h1))
-        if len(h2.vars) > 3:
-            h2 = Hypersurface.from_json(_load_json(args.h2))
-        field = h1.field if isinstance(h1, Hypersurface) else h1.field
-        u = ProjPoint.parse(field, args.u)
+        h1, h2 = (_load_section_source(path) for path in (args.h1, args.h2))
+        u = ProjPoint.parse(h1.field, args.u)
         report = common_component_rank_test(h1, h2, u)
         _emit(report.to_json(), args.pretty)
         return 0
@@ -263,13 +265,10 @@ def _check_1d(p: int) -> dict:
 def _check_norm_poly(p: int) -> dict:
     np2 = norm_poly(p, 2)
     K = GF(p, 2)
-    Fp = GF(p)
     bad = 0
     for a0 in range(p):
         for a1 in range(p):
-            alpha = pi_s(K, (Fp.elem(a0), Fp.elem(a1)))
-            via_poly = np2.evaluate([Fp.elem(a0), Fp.elem(a1)])
-            if norm(alpha).val != via_poly.val:
+            if norm(pi_s(K, (a0, a1))) != np2.evaluate([a0, a1]):
                 bad += 1
     return {"pass": bad == 0, "mismatches": bad, "inputs": p * p}
 
@@ -359,9 +358,6 @@ def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--pretty", action="store_true", help="indented JSON output")
     common.add_argument("--seed", type=int, default=0)
-    common.add_argument(
-        "--threads", type=int, default=1, help="accepted; scans run serially"
-    )
     ap = argparse.ArgumentParser(prog="gridlab", parents=[common])
     sub = ap.add_subparsers(dest="command", required=True)
 

@@ -12,7 +12,7 @@ from .errors import (
     ZeroPullback,
 )
 from .fields import GF, Field, FieldElem
-from .poly import BiHomPoly, MultiPoly, exact_div, gcd, group_degree
+from .poly import BiHomPoly, MultiPoly, content, exact_div, group_degree
 from .hypersurfaces import (
     Hypersurface,
     ProjPoint,
@@ -32,9 +32,7 @@ class RationalMap:
             raise ZeroPullback("rational map needs a nonzero component")
         field = components[0].field
         vars = components[0].vars
-        cont = MultiPoly.zero(field, vars)
-        for c in components:
-            cont = gcd(cont, c)
+        cont = content(components)
         if cont.degree() > 0:
             components = [exact_div(c, cont) for c in components]
         degs = {group_degree(c, vars) for c in components if not c.is_zero()}
@@ -85,8 +83,8 @@ def example_line_map(field: Field, d: int, f_coeffs: list, vars: tuple = YV):
     with f given by its coefficient list (low degree first, deg f <= d)."""
     if d < 1:
         raise DegreeTooHigh("d must be positive")
-    coeffs = [field.elem(c) for c in f_coeffs]
-    while coeffs and coeffs[-1].is_zero():
+    coeffs = [field.coerce(c) for c in f_coeffs]
+    while coeffs and field._is_zero(coeffs[-1]):
         coeffs.pop()
     if len(coeffs) - 1 > d:
         raise DegreeTooHigh(f"deg f = {len(coeffs) - 1} exceeds d = {d}")
@@ -126,26 +124,16 @@ def apply_with_contents(sigma_x, sigma_y, H: Hypersurface):
     pulled = form.poly.substitute(mapping, new_vars=form.poly.vars)
     if pulled.is_zero():
         raise ZeroPullback("the hypersurface contains the image of the map")
-    cx = _group_content(pulled, form.xvars)
-    if cx.degree() > 0:
-        pulled = exact_div(pulled, cx)
-    cy = _group_content(pulled, form.yvars)
-    if cy.degree() > 0:
-        pulled = exact_div(pulled, cy)
-    return (
-        Hypersurface(BiHomPoly(pulled, form.xvars, form.yvars)),
-        cx.monic(),
-        cy.monic(),
-    )
-
-
-def _group_content(F: MultiPoly, group: tuple) -> MultiPoly:
-    """The common factor of F living purely in `group`'s variables."""
-    other = tuple(v for v in F.vars if v not in group)
-    cont = MultiPoly.zero(F.field, F.vars)
-    for coeff in F.coeffs_in(other).values():
-        cont = gcd(cont, coeff)
-    return cont
+    contents = []
+    for group in (form.xvars, form.yvars):
+        # the factor living purely in `group`: the content in the other variables
+        other = tuple(v for v in pulled.vars if v not in group)
+        cont = content(list(pulled.coeffs_in(other).values()))
+        if cont.degree() > 0:
+            pulled = exact_div(pulled, cont)
+        contents.append(cont)
+    cx, cy = contents
+    return Hypersurface(BiHomPoly(pulled, form.xvars, form.yvars)), cx, cy
 
 
 # -- affine automorphisms ----------------------------------------------------------
@@ -164,8 +152,7 @@ class AffineAutomorphism:
         self.kind = kind
 
     def apply_point(self, point) -> tuple:
-        vals = [self.field.elem(c) for c in point]
-        return tuple(c.evaluate(vals) for c in self.components)
+        return tuple(c.evaluate(point) for c in self.components)
 
     def apply_poly(self, F: MultiPoly) -> MultiPoly:
         return F.substitute(dict(zip(self.vars, self.components)), new_vars=F.vars)
@@ -194,16 +181,15 @@ def elementary(i: int, c: FieldElem, f: MultiPoly) -> AffineAutomorphism:
     f free of x_i."""
     field = f.field
     vars = f.vars
-    if not isinstance(c, FieldElem):
-        c = field.elem(c)
-    if c.is_zero():
+    c = field.coerce(c)
+    if field._is_zero(c):
         raise NotInvertibleShape("the scale factor must be nonzero")
     name = vars[i - 1]
     if f.degree_in(name) > 0:
         raise NotInvertibleShape(f"f must not involve {name}")
     comps = []
     inv_comps = []
-    cinv = c.inv()
+    cinv = field._inv(c)
     for v in vars:
         xv = MultiPoly.variable(field, vars, v)
         if v == name:
@@ -268,7 +254,7 @@ def grid_transport_check(
             continue
         if cy.degree() > 0:
             vals = [
-                v.coords[sig.vars.index(n)] if n in sig.vars else Fp.one
+                v.coords[sig.vars.index(n)] if n in sig.vars else 1
                 for n in cy.vars
             ]
             if cy.evaluate(vals).is_zero():
@@ -277,12 +263,12 @@ def grid_transport_check(
     for w, vs in seen.items():
         if len(vs) == 1:
             pairs.append((vs[0], w))
-    pairs.sort(key=lambda vw: tuple(c.val for c in vw[0].coords))
+    pairs.sort(key=lambda vw: vw[0].raw)
     if len(pairs) < t:
         raise SampleTooSmall(f"only {len(pairs)} usable sample points")
-    left = [tuple(c.val for c in u.coords) for u in pts]
-    right_orig = [tuple(c.val for c in w.coords) for _, w in pairs]
-    right_pull = [tuple(c.val for c in v.coords) for v, _ in pairs]
+    left = [u.raw for u in pts]
+    right_orig = [w.raw for _, w in pairs]
+    right_pull = [v.raw for v, _ in pairs]
     rows_orig = _adjacency_rows(_terms_int(Hp, p), left, right_orig, p)
     rows_pull = _adjacency_rows(_terms_int(Hpulled, p), left, right_pull, p)
     adjacency_match = rows_orig == rows_pull

@@ -13,12 +13,13 @@ from .errors import (
     BadCharacteristic,
     CharacteristicTwo,
     DegreeTooHigh,
+    DimensionMismatch,
     MixedFields,
     NonTermination,
     PointNotRational,
     ZeroSection,
 )
-from .fields import Field, FieldElem
+from .fields import Field
 from .poly import (
     BiHomPoly,
     MultiPoly,
@@ -64,23 +65,20 @@ def moura_max(d1: int, d2: int) -> int:
     return d1 * d2 - (d1 * d1 - 3 * d1 + 2) // 2
 
 
-def _magnitude(c: FieldElem):
-    v = c.val
-    if isinstance(v, Fraction):
-        return abs(v)
-    return v
+def _magnitude(v):
+    return abs(v) if isinstance(v, Fraction) else v
 
 
 def _embed_poly(F: MultiPoly, field: Field) -> MultiPoly:
     if F.field == field:
         return F
     try:
-        terms = {e: field.elem(c) for e, c in F.terms.items()}
+        field.coerce(F.field.one)  # only F_p embeds, into F_{p^s}
     except MixedFields:
         raise PointNotRational(
             f"curve over {F.field} cannot follow a point into {field}"
         ) from None
-    return MultiPoly(field, F.vars, terms)
+    return MultiPoly(field, F.vars, F.terms)
 
 
 def _local_pair(F: PlaneCurve, G: PlaneCurve, v: ProjPoint):
@@ -89,22 +87,18 @@ def _local_pair(F: PlaneCurve, G: PlaneCurve, v: ProjPoint):
     field = v.field
     f = _embed_poly(F.form, field)
     g = _embed_poly(G.form, field)
-    coords = list(v.coords)
-    chart = 0
-    best = None
-    for i, c in enumerate(coords):
-        if c.is_zero():
-            continue
-        m = _magnitude(c)
-        if best is None or m > best:
-            best, chart = m, i
+    coords = v.raw
+    chart = max(
+        (i for i, c in enumerate(coords) if not field._is_zero(c)),
+        key=lambda i: _magnitude(coords[i]),
+    )
     vars3 = f.vars
-    inv = coords[chart].inv()
-    aff = [c * inv for c in coords]
+    inv = field._inv(coords[chart])
+    aff = [field._mul(c, inv) for c in coords]
     keep = [v_ for i, v_ in enumerate(vars3) if i != chart]
     avar, bvar = keep
-    f = f.substitute({vars3[chart]: field.one}, new_vars=vars3)
-    g = g.substitute({vars3[chart]: field.one}, new_vars=vars3)
+    f = f.substitute({vars3[chart]: 1}, new_vars=vars3)
+    g = g.substitute({vars3[chart]: 1}, new_vars=vars3)
     a = MultiPoly.variable(field, vars3, avar)
     b = MultiPoly.variable(field, vars3, bvar)
     wa = aff[vars3.index(avar)]
@@ -116,7 +110,7 @@ def _local_pair(F: PlaneCurve, G: PlaneCurve, v: ProjPoint):
 
 def _univariate_consts(F: MultiPoly, var: str, other: str) -> list:
     """F with `other` set to 0, as a trimmed list of constant coefficients."""
-    restricted = F.substitute({other: F.field.zero}, new_vars=F.vars)
+    restricted = F.substitute({other: 0}, new_vars=F.vars)
     coeffs = [c.constant_value() for c in restricted.univariate(var)]
     while coeffs and coeffs[-1].is_zero():
         coeffs.pop()
@@ -153,15 +147,12 @@ def intersection_multiplicity(F: PlaneCurve, G: PlaneCurve, v: ProjPoint):
 
 def _fulton(f: MultiPoly, g: MultiPoly, avar: str, bvar: str, fuel: list) -> int:
     field = f.field
-    origin = {avar: field.zero, bvar: field.zero}
     total = 0
     while True:
         fuel[0] -= 1
         if fuel[0] < 0:
             raise NonTermination("multiplicity recursion exceeded its cap")
-        zero_assign = [
-            field.zero if v_ in (avar, bvar) else field.one for v_ in f.vars
-        ]
+        zero_assign = [0 if v_ in (avar, bvar) else 1 for v_ in f.vars]
         if not f.evaluate(zero_assign).is_zero() or not g.evaluate(
             zero_assign
         ).is_zero():
@@ -222,26 +213,28 @@ def _monomials(nvars: int, degree: int):
 
 
 def matrix_rank(rows: list, field: Field) -> int:
-    """Exact rank by Gaussian elimination over the coefficient field."""
-    m = [row[:] for row in rows]
+    """Exact rank by Gaussian elimination over the coefficient field; the
+    entries are field elements or anything `field.coerce` accepts."""
+    m = [[field.coerce(c) for c in row] for row in rows]
     if not m:
         return 0
+    is_zero, mul, sub = field._is_zero, field._mul, field._sub
     ncols = len(m[0])
     rank = 0
     row = 0
     for col in range(ncols):
         pivot = next(
-            (i for i in range(row, len(m)) if not m[i][col].is_zero()), None
+            (i for i in range(row, len(m)) if not is_zero(m[i][col])), None
         )
         if pivot is None:
             continue
         m[row], m[pivot] = m[pivot], m[row]
-        inv = m[row][col].inv()
-        m[row] = [c * inv for c in m[row]]
+        inv = field._inv(m[row][col])
+        m[row] = [mul(c, inv) for c in m[row]]
         for i in range(len(m)):
-            if i != row and not m[i][col].is_zero():
+            if i != row and not is_zero(m[i][col]):
                 factor = m[i][col]
-                m[i] = [c - factor * d for c, d in zip(m[i], m[row])]
+                m[i] = [sub(c, mul(factor, d)) for c, d in zip(m[i], m[row])]
         rank += 1
         row += 1
         if row == len(m):
@@ -268,16 +261,18 @@ def common_component_rank_test(
     N = comb(d1 + 1, 2) + comb(d2 + 1, 2)
     row_monos = list(_monomials(3, d1 + d2 - 1))
     row_index = {m: i for i, m in enumerate(row_monos)}
-    assert len(row_monos) == M
+    if len(row_monos) != M:
+        raise DimensionMismatch(f"{len(row_monos)} row monomials, expected {M}")
     columns = []
     for sec, dg in ((s1, d2 - 1), (s2, d1 - 1)):
         for mono in _monomials(3, dg):
-            shifted = MultiPoly(field, yvars, {mono: field.one}) * sec
-            col = [field.zero] * M
+            shifted = MultiPoly(field, yvars, {mono: 1}) * sec
+            col = [field._zero()] * M
             for e, c in shifted.terms.items():
                 col[row_index[e]] = c
             columns.append(col)
-    assert len(columns) == N
+    if len(columns) != N:
+        raise DimensionMismatch(f"{len(columns)} cofactor columns, expected {N}")
     rows = [[columns[j][i] for j in range(N)] for i in range(M)]
     rank = matrix_rank(rows, field)
     return RankTestReport(d1, d2, M, N, rank, rank < N)
@@ -327,8 +322,8 @@ def conic_classify(C: PlaneCurve) -> ConicClass:
     field = C.form.field
     if field.characteristic == 2:
         raise CharacteristicTwo("symmetric-matrix route needs characteristic != 2")
-    half = field.elem(2).inv()
-    rows = [[field.zero] * 3 for _ in range(3)]
+    half = field._inv(field.coerce(2))
+    rows = [[field._zero()] * 3 for _ in range(3)]
     for e, c in C.form.terms.items():
         support = [i for i, k in enumerate(e) if k]
         if len(support) == 1:
@@ -336,8 +331,7 @@ def conic_classify(C: PlaneCurve) -> ConicClass:
             rows[i][i] = c
         else:
             i, j = support
-            rows[i][j] = c * half
-            rows[j][i] = c * half
+            rows[i][j] = rows[j][i] = field._mul(c, half)
     rank = matrix_rank(rows, field)
     if rank == 3:
         return ConicClass("irreducible-conic")

@@ -79,6 +79,10 @@ class ParameterOutOfRange(GridlabError):
     pass
 
 
+class InvalidWitness(GridlabError):
+    """A grid witness failed re-verification against the adjacency rows."""
+
+
 # -- curves -------------------------------------------------------------------
 
 class PointNotRational(GridlabError):

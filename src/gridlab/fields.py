@@ -150,8 +150,9 @@ class Field:
         raise NotImplementedError
 
     def __eq__(self, other):
-        return isinstance(other, Field) and self.descriptor_key() == (
-            other.descriptor_key()
+        return self is other or (
+            isinstance(other, Field)
+            and self.descriptor_key() == other.descriptor_key()
         )
 
     def __hash__(self):
@@ -355,14 +356,12 @@ class ExtensionField(Field):
                 raise UnsupportedParameters("modulus is reducible")
         self.modulus = modulus
         # reduction table: b^(s+k) expressed in the power basis, k = 0..s-2
-        red = [None] * s
         head = tuple((-c) % p for c in modulus[:-1])  # b^s
         cur = list(head)
         self._red = [tuple(cur)]
         for _ in range(s - 2 + 1):
             cur = self._shift_reduce(cur)
             self._red.append(tuple(cur))
-        del red
 
     def _shift_reduce(self, vec: list) -> list:
         # multiply by b and reduce once using b^s = head
@@ -563,7 +562,9 @@ def norm_poly(p: int, s: int, modulus: tuple | None = None):
     Fp = GF(p)
     out_terms = {}
     for exps, coeff in prod_poly.terms.items():
-        if not E.in_prime_subfield(coeff):
-            raise CoefficientNotInPrimeField(f"coefficient {coeff!r} at {exps}")
-        out_terms[exps] = Fp.elem(coeff.val[0])
+        if any(coeff[1:]):
+            raise CoefficientNotInPrimeField(
+                f"coefficient {E.coeff_str(coeff)} at {exps}"
+            )
+        out_terms[exps] = coeff[0]
     return MultiPoly(Fp, zvars, out_terms)

@@ -16,6 +16,7 @@ from math import comb
 from .errors import (
     BudgetExceeded,
     EmptySide,
+    InvalidWitness,
     ParameterOutOfRange,
 )
 from .fields import GF
@@ -46,7 +47,8 @@ class GridWitness:
         S, T = sorted(S), sorted(T)
         for i in S:
             for j in T:
-                assert rows[i] >> j & 1, f"witness edge ({i},{j}) missing"
+                if not rows[i] >> j & 1:
+                    raise InvalidWitness(f"witness edge ({i},{j}) missing")
         return cls(S, T)
 
     def to_json(self) -> dict:
@@ -72,28 +74,12 @@ class BipartiteGraph:
     def degree(self, i: int) -> int:
         return self.rows[i].bit_count()
 
-    def column_mask(self, j: int) -> int:
-        mask = 0
-        for i, r in enumerate(self.rows):
-            if r >> j & 1:
-                mask |= 1 << i
-        return mask
-
 
 def _terms_int(H: Hypersurface, p: int):
     """The form's terms as (coeff, x-exps, y-exps) integer triples mod p."""
     Hp = reduce_hypersurface_mod(H, p)
     nx = len(Hp.form.xvars)
-    terms = []
-    for e, c in Hp.form.poly.terms.items():
-        terms.append((c.val, e[:nx], e[nx:]))
-    return terms
-
-
-def _point_key(pt) -> tuple:
-    if isinstance(pt, ProjPoint):
-        return tuple(c.val for c in pt.coords)
-    return pt
+    return [(c, e[:nx], e[nx:]) for e, c in Hp.form.poly.terms.items()]
 
 
 def _adjacency_rows(terms, left_coords, right_coords, p):
@@ -149,7 +135,7 @@ def build_graph(
         proj = [ProjPoint(Fp, c) for c in pts]
     elif chart == "projective":
         proj = list(proj_points(Fp, s))
-        pts = [tuple(c.val for c in q.coords) for q in proj]
+        pts = [q.raw for q in proj]
     else:
         raise ParameterOutOfRange(f"unknown chart {chart!r}")
     Xp = X.reduce_mod(p)

@@ -14,7 +14,7 @@ from .errors import (
     EmptySample,
     UnsupportedParameters,
 )
-from .fields import GF, QQ, Field, FieldElem, PrimeField
+from .fields import GF, QQ, Field, FieldElem
 from .poly import BiHomPoly, MultiPoly, bihomogenize
 
 
@@ -24,13 +24,18 @@ class ProjPoint:
     __slots__ = ("field", "coords")
 
     def __init__(self, field: Field, coords):
-        coords = [c if isinstance(c, FieldElem) else field.elem(c) for c in coords]
-        pivot = next((c for c in coords if not c.is_zero()), None)
+        raw = [field.coerce(c) for c in coords]
+        pivot = next((c for c in raw if not field._is_zero(c)), None)
         if pivot is None:
             raise DimensionMismatch("projective point needs a nonzero coordinate")
-        inv = pivot.inv()
+        inv = field._inv(pivot)
         self.field = field
-        self.coords = tuple(c * inv for c in coords)
+        self.coords = tuple(FieldElem(field, field._mul(c, inv)) for c in raw)
+
+    @property
+    def raw(self) -> tuple:
+        """The coordinates as the field's raw values."""
+        return tuple(c.val for c in self.coords)
 
     @property
     def dim(self) -> int:
@@ -48,21 +53,23 @@ class ProjPoint:
         )
 
     def __hash__(self):
-        return hash(tuple(c.val for c in self.coords))
+        return hash(self.raw)
 
     def __iter__(self):
         return iter(self.coords)
 
     def __repr__(self):
-        return "(" + ":".join(self.field.coeff_str(c.val) for c in self.coords) + ")"
+        return "(" + ":".join(self.field.coeff_str(c) for c in self.raw) + ")"
 
 
-def proj_points(field: PrimeField, s: int):
-    """All points of P^s(F_p) in canonical representatives, lexicographic."""
+def proj_points(field: Field, s: int):
+    """All points of P^s over a finite field in canonical representatives,
+    lexicographic in the order of `field.elements()`."""
+    elems = list(field.elements())
+    zero, one = field.zero, field.one
     for lead in range(s + 1):
-        for tail in product(range(field.p), repeat=s - lead):
-            coords = [0] * lead + [1] + list(tail)
-            yield ProjPoint(field, coords)
+        for tail in product(elems, repeat=s - lead):
+            yield ProjPoint(field, [zero] * lead + [one, *tail])
 
 
 class OpenSet:
@@ -178,13 +185,10 @@ def reduce_poly_mod(F: MultiPoly, p: int) -> MultiPoly:
         return F
     if F.field != QQ:
         raise BadReduction(f"cannot reduce {F.field} mod {p}")
-    terms = {}
-    for e, c in F.terms.items():
-        try:
-            terms[e] = Fp.elem(c.val)
-        except DivisionByZero:
-            raise BadReduction(f"denominator of {c.val} divisible by {p}") from None
-    return MultiPoly(Fp, F.vars, terms)
+    try:
+        return MultiPoly(Fp, F.vars, F.terms)
+    except DivisionByZero:
+        raise BadReduction(f"a denominator is divisible by {p}") from None
 
 
 def reduce_hypersurface_mod(H: Hypersurface, p: int) -> Hypersurface:

@@ -13,6 +13,7 @@ from __future__ import annotations
 from .errors import (
     BadCharacteristic,
     DegreeZero,
+    DivisionByZero,
     ExactDivisionError,
     MixedFields,
     NotHomogeneous,
@@ -28,7 +29,13 @@ def _order_key(exps: tuple) -> tuple:
 
 
 class MultiPoly:
-    """Map from exponent vectors to nonzero coefficients, plus a var tuple."""
+    """Map from exponent vectors to nonzero coefficients, plus a var tuple.
+
+    Coefficients are stored as the field's raw values (see `Field.coerce`)
+    and combined with the field's `_add`/`_mul`/... primitives; `FieldElem`
+    appears only at the public boundary (`evaluate`, `constant_value`,
+    `leading`, and as accepted input).
+    """
 
     __slots__ = ("field", "vars", "terms")
 
@@ -36,17 +43,23 @@ class MultiPoly:
         self.field = field
         self.vars = tuple(vars)
         nv = len(self.vars)
+        coerce, is_zero = field.coerce, field._is_zero
         clean = {}
         for exps, c in terms.items():
             if len(exps) != nv:
                 raise UnknownVariable(f"exponent vector {exps} vs vars {self.vars}")
-            if not isinstance(c, FieldElem):
-                c = field.elem(c)
-            elif c.field != field:
-                raise MixedFields("coefficient from a different field")
-            if not c.is_zero():
+            c = coerce(c)
+            if not is_zero(c):
                 clean[tuple(exps)] = c
         self.terms = clean
+
+    @classmethod
+    def _raw(cls, field: Field, vars: tuple, terms: dict) -> "MultiPoly":
+        """Adopt `terms` as is: raw, nonzero coefficients keyed by exponent
+        tuples matching `vars`.  For results of internal arithmetic."""
+        poly = cls.__new__(cls)
+        poly.field, poly.vars, poly.terms = field, vars, terms
+        return poly
 
     # -- constructors ----------------------------------------------------------
 
@@ -56,14 +69,14 @@ class MultiPoly:
 
     @classmethod
     def constant(cls, field: Field, vars: tuple, c) -> "MultiPoly":
-        return cls(field, vars, {(0,) * len(vars): field.elem(c)})
+        return cls(field, vars, {(0,) * len(vars): c})
 
     @classmethod
     def variable(cls, field: Field, vars: tuple, name: str) -> "MultiPoly":
         if name not in vars:
             raise UnknownVariable(name)
         exps = tuple(1 if v == name else 0 for v in vars)
-        return cls(field, vars, {exps: field.one})
+        return cls._raw(field, tuple(vars), {exps: field._one()})
 
     @classmethod
     def parse(cls, field: Field, vars: tuple, expr: str) -> "MultiPoly":
@@ -100,27 +113,34 @@ class MultiPoly:
         return all(sum(e) == 0 for e in self.terms)
 
     def constant_value(self) -> FieldElem:
-        if self.is_zero():
-            return self.field.zero
-        return self.terms[(0,) * len(self.vars)]
+        c = self.terms.get((0,) * len(self.vars), self.field._zero())
+        return FieldElem(self.field, c)
 
-    def leading(self) -> tuple:
-        """(exponents, coefficient) of the leading term."""
+    def _lead(self) -> tuple:
         if self.is_zero():
             raise ZeroPolynomial("zero polynomial has no leading term")
         exps = max(self.terms, key=_order_key)
         return exps, self.terms[exps]
 
+    def leading(self) -> tuple:
+        """(exponents, coefficient) of the leading term."""
+        exps, c = self._lead()
+        return exps, FieldElem(self.field, c)
+
+    def _scale(self, c) -> "MultiPoly":
+        # c is a raw nonzero field value, so no product vanishes
+        mul = self.field._mul
+        return MultiPoly._raw(
+            self.field, self.vars, {e: mul(k, c) for e, k in self.terms.items()}
+        )
+
     def monic(self) -> "MultiPoly":
         if self.is_zero():
             return self
-        _, lc = self.leading()
-        if lc.is_one():
+        _, lc = self._lead()
+        if lc == self.field._one():
             return self
-        inv = lc.inv()
-        return MultiPoly(
-            self.field, self.vars, {e: c * inv for e, c in self.terms.items()}
-        )
+        return self._scale(self.field._inv(lc))
 
     def degree(self) -> int:
         """Total degree; -1 for the zero polynomial."""
@@ -161,21 +181,25 @@ class MultiPoly:
 
     def __add__(self, other):
         other = self._coerce_operand(other)
+        add, is_zero = self.field._add, self.field._is_zero
         terms = dict(self.terms)
-        zero = self.field.zero
         for e, c in other.terms.items():
-            s = terms.get(e, zero) + c
-            if s.is_zero():
-                terms.pop(e, None)
+            if e in terms:
+                s = add(terms[e], c)
+                if is_zero(s):
+                    del terms[e]
+                else:
+                    terms[e] = s
             else:
-                terms[e] = s
-        return MultiPoly(self.field, self.vars, terms)
+                terms[e] = c
+        return MultiPoly._raw(self.field, self.vars, terms)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return MultiPoly(
-            self.field, self.vars, {e: -c for e, c in self.terms.items()}
+        neg = self.field._neg
+        return MultiPoly._raw(
+            self.field, self.vars, {e: neg(c) for e, c in self.terms.items()}
         )
 
     def __sub__(self, other):
@@ -185,25 +209,23 @@ class MultiPoly:
         return self._coerce_operand(other) - self
 
     def __mul__(self, other):
-        if isinstance(other, (FieldElem, int)) or not isinstance(other, MultiPoly):
-            c = other if isinstance(other, FieldElem) else self.field.elem(other)
-            if c.is_zero():
-                return MultiPoly.zero(self.field, self.vars)
-            return MultiPoly(
-                self.field, self.vars, {e: k * c for e, k in self.terms.items()}
-            )
+        field = self.field
+        if not isinstance(other, MultiPoly):
+            c = field.coerce(other)
+            if field._is_zero(c):
+                return MultiPoly.zero(field, self.vars)
+            return self._scale(c)
         other = self._coerce_operand(other)
+        add, mul, is_zero = field._add, field._mul, field._is_zero
         out: dict = {}
-        zero = self.field.zero
         for e1, c1 in self.terms.items():
             for e2, c2 in other.terms.items():
                 e = tuple(a + b for a, b in zip(e1, e2))
-                s = out.get(e, zero) + c1 * c2
-                if s.is_zero():
-                    out.pop(e, None)
-                else:
-                    out[e] = s
-        return MultiPoly(self.field, self.vars, out)
+                c = mul(c1, c2)
+                out[e] = add(out[e], c) if e in out else c
+        return MultiPoly._raw(
+            field, self.vars, {e: c for e, c in out.items() if not is_zero(c)}
+        )
 
     __rmul__ = __mul__
 
@@ -213,14 +235,15 @@ class MultiPoly:
             if not other.is_constant():
                 raise ExactDivisionError("use exact_div for nonconstant divisors")
             other = other.constant_value()
-        if not isinstance(other, FieldElem):
-            other = self.field.elem(other)
-        return self * other.inv()
+        c = self.field.coerce(other)
+        if self.field._is_zero(c):
+            raise DivisionByZero("inverse of zero")
+        return self._scale(self.field._inv(c))
 
     def __pow__(self, n):
         if isinstance(n, MultiPoly) and n.is_constant():
-            n = n.constant_value().val
-        if isinstance(n, FieldElem):
+            n = n.terms.get((0,) * len(n.vars), 0)
+        elif isinstance(n, FieldElem):
             n = n.val
         if n != int(n):
             raise ValueError("polynomial powers must be integers")
@@ -246,42 +269,43 @@ class MultiPoly:
         )
 
     def __hash__(self):
-        return hash(
-            (self.vars, frozenset((e, c.val) for e, c in self.terms.items()))
-        )
+        return hash((self.vars, frozenset(self.terms.items())))
 
     # -- calculus and evaluation -------------------------------------------------
 
     def derivative(self, var: str) -> "MultiPoly":
         i = self._vidx(var)
+        field = self.field
         out = {}
         for e, c in self.terms.items():
             if e[i] == 0:
                 continue
-            k = c * self.field.elem(e[i])
-            if k.is_zero():
+            k = field._mul(c, field.coerce(e[i]))
+            if field._is_zero(k):
                 continue
             ne = list(e)
             ne[i] -= 1
             out[tuple(ne)] = k
-        return MultiPoly(self.field, self.vars, out)
+        return MultiPoly._raw(field, self.vars, out)
 
     def evaluate(self, point) -> FieldElem:
         """Evaluate at a full assignment (dict var->value or sequence)."""
+        field = self.field
         if isinstance(point, dict):
-            vals = [self.field.elem(point[v]) for v in self.vars]
+            vals = [field.coerce(point[v]) for v in self.vars]
         else:
-            vals = [self.field.elem(v) for v in point]
+            vals = [field.coerce(v) for v in point]
             if len(vals) != len(self.vars):
                 raise UnknownVariable("point length does not match variables")
-        total = self.field.zero
+        add, mul = field._add, field._mul
+        total = field._zero()
         for e, c in self.terms.items():
             t = c
             for val, k in zip(vals, e):
-                if k:
-                    t = t * val**k
-            total = total + t
-        return total
+                for _ in range(k):
+                    t = mul(t, val)
+            total = add(total, t)
+        return FieldElem(field, total)
 
     def substitute(self, mapping: dict, new_vars: tuple | None = None) -> "MultiPoly":
         """Replace variables by polynomials or field elements.
@@ -314,8 +338,9 @@ class MultiPoly:
             for v in self.vars
             if v not in mapping and v in new_vars
         }
+        const = (0,) * len(new_vars)
         for e, c in self.terms.items():
-            term = MultiPoly.constant(self.field, new_vars, c)
+            term = MultiPoly._raw(self.field, new_vars, {const: c})
             for v, k in zip(self.vars, e):
                 if k == 0:
                     continue
@@ -345,7 +370,7 @@ class MultiPoly:
                     raise UnknownVariable(f"{self.vars[i]} not in target variables")
                 ne[pos[i]] = k
             out[tuple(ne)] = c
-        return MultiPoly(self.field, new_vars, out)
+        return MultiPoly._raw(self.field, new_vars, out)
 
     # -- views --------------------------------------------------------------------
 
@@ -360,7 +385,8 @@ class MultiPoly:
             rest = tuple(0 if i in idx_set else k for i, k in enumerate(e))
             buckets.setdefault(key, {})[rest] = c
         return {
-            key: MultiPoly(self.field, self.vars, t) for key, t in buckets.items()
+            key: MultiPoly._raw(self.field, self.vars, t)
+            for key, t in buckets.items()
         }
 
     def univariate(self, var: str) -> list:
@@ -374,7 +400,7 @@ class MultiPoly:
             k = rest[i]
             rest[i] = 0
             coeffs[k][tuple(rest)] = c
-        return [MultiPoly(self.field, self.vars, t) for t in coeffs]
+        return [MultiPoly._raw(self.field, self.vars, t) for t in coeffs]
 
     @staticmethod
     def from_univariate(coeffs: list, var: str) -> "MultiPoly":
@@ -388,7 +414,7 @@ class MultiPoly:
                 ne = list(e)
                 ne[i] += k
                 terms[tuple(ne)] = coef
-        return MultiPoly(base.field, base.vars, terms)
+        return MultiPoly._raw(base.field, base.vars, terms)
 
     # -- serialization --------------------------------------------------------------
 
@@ -398,7 +424,7 @@ class MultiPoly:
             "field": self.field.descriptor(),
             "vars": list(self.vars),
             "terms": [
-                {"e": list(e), "c": self.field.coeff_str(self.terms[e].val)}
+                {"e": list(e), "c": self.field.coeff_str(self.terms[e])}
                 for e in order
             ],
         }
@@ -407,10 +433,7 @@ class MultiPoly:
     def from_json(cls, data: dict) -> "MultiPoly":
         field = field_from_descriptor(data["field"])
         vars = tuple(data["vars"])
-        terms = {
-            tuple(t["e"]): FieldElem(field, field.coeff_from_str(t["c"]))
-            for t in data["terms"]
-        }
+        terms = {tuple(t["e"]): field.coeff_from_str(t["c"]) for t in data["terms"]}
         return cls(field, vars, terms)
 
     def __repr__(self):
@@ -422,7 +445,7 @@ class MultiPoly:
             mono = "*".join(
                 v if k == 1 else f"{v}^{k}" for v, k in zip(self.vars, e) if k
             )
-            cs = self.field.coeff_str(c.val)
+            cs = self.field.coeff_str(c)
             if not mono:
                 parts.append(cs)
             elif cs == "1":
@@ -439,20 +462,28 @@ def exact_div(a: MultiPoly, b: MultiPoly) -> MultiPoly:
     """Quotient a/b when b divides a exactly; raises ExactDivisionError."""
     if b.is_zero():
         raise ZeroPolynomial("division by the zero polynomial")
-    field, vars = a.field, a.vars
+    field = a._coerce_operand(b).field
+    sub, mul, is_zero = field._sub, field._mul, field._is_zero
+    zero = field._zero()
     quotient: dict = {}
-    rem = a
-    eb, cb = b.leading()
-    cb_inv = cb.inv()
-    while not rem.is_zero():
-        ea, ca = rem.leading()
+    rem = dict(a.terms)
+    eb, cb = b._lead()
+    cb_inv = field._inv(cb)
+    while rem:
+        ea = max(rem, key=_order_key)
         qe = tuple(x - y for x, y in zip(ea, eb))
         if any(k < 0 for k in qe):
             raise ExactDivisionError("leading term not divisible")
-        qc = ca * cb_inv
+        qc = mul(rem[ea], cb_inv)
         quotient[qe] = qc
-        rem = rem - MultiPoly(field, vars, {qe: qc}) * b
-    return MultiPoly(field, vars, quotient)
+        for e2, c2 in b.terms.items():
+            e = tuple(x + y for x, y in zip(qe, e2))
+            s = sub(rem.get(e, zero), mul(qc, c2))
+            if is_zero(s):
+                rem.pop(e, None)
+            else:
+                rem[e] = s
+    return MultiPoly._raw(field, a.vars, quotient)
 
 
 def divides(b: MultiPoly, a: MultiPoly) -> bool:
@@ -490,13 +521,22 @@ def _prem(f: list, g: list) -> list:
     return f
 
 
+def content(polys: list) -> MultiPoly:
+    """Monic gcd of a nonempty list of polynomials; zero when all are zero."""
+    if not polys:
+        raise ZeroPolynomial("content of an empty list")
+    cont = polys[0].monic()
+    for c in polys[1:]:
+        if cont.degree() == 0:
+            break  # gcd(1, c) = 1
+        cont = gcd(cont, c)
+    return cont
+
+
 def _content_and_pp(a: MultiPoly, var: str):
     coeffs = _trim(a.univariate(var))
-    cont = MultiPoly.zero(a.field, a.vars)
-    for c in coeffs:
-        cont = gcd(cont, c)
-    pp = [exact_div(c, cont) for c in coeffs]
-    return cont, pp
+    cont = content(coeffs)
+    return cont, [exact_div(c, cont) for c in coeffs]
 
 
 def gcd(a: MultiPoly, b: MultiPoly) -> MultiPoly:
@@ -522,9 +562,7 @@ def gcd(a: MultiPoly, b: MultiPoly) -> MultiPoly:
         r = _prem(fa, fb)
         _trim(r)
         if r:
-            rc = MultiPoly.zero(a.field, a.vars)
-            for c in r:
-                rc = gcd(rc, c)
+            rc = content(r)
             r = [exact_div(c, rc) for c in r]
         fa, fb = fb, r
     g = cont * MultiPoly.from_univariate(fa, main)
@@ -635,12 +673,12 @@ def homogenize(
         ne = list(e)
         ne[h] += target - d
         out[tuple(ne)] = c
-    return MultiPoly(F.field, F.vars, out)
+    return MultiPoly._raw(F.field, F.vars, out)
 
 
 def dehomogenize(F: MultiPoly, hvar: str) -> MultiPoly:
     """Set `hvar` = 1."""
-    return F.substitute({hvar: F.field.one}, new_vars=F.vars)
+    return F.substitute({hvar: 1}, new_vars=F.vars)
 
 
 def group_degree(F: MultiPoly, group: tuple):

@@ -116,6 +116,27 @@ def test_curves_common(capsys, tmp_path):
     assert data["M"] == 10 and data["N"] == 6
 
 
+def test_curves_common_on_hypersurfaces(capsys, tmp_path):
+    from gridlab.fields import QQ
+    from gridlab.poly import BiHomPoly, MultiPoly
+    from gridlab.hypersurfaces import Hypersurface
+
+    vars = ("x0", "x1", "x2", "y0", "y1", "y2")
+    paths = []
+    for name, expr in (("a", "x0*y0 + x1*y1 + x2*y2"), ("b", "x0*y0*y1 + x1*y2**2")):
+        H = Hypersurface(BiHomPoly(MultiPoly.parse(QQ, vars, expr), vars[:3], vars[3:]))
+        paths.append(tmp_path / f"{name}.json")
+        paths[-1].write_text(json.dumps(H.to_json()))
+    # at u = (1:0:0) the sections are y0 and y0*y1
+    code, data = run_json(
+        capsys, "curves", "common", "--h1", str(paths[0]), "--h2", str(paths[1]),
+        "--u", "1:0:0",
+    )
+    assert code == 0
+    assert data["shares_component"] is True
+    assert (data["d1"], data["d2"]) == (1, 2)
+
+
 def test_s1_classify_and_reduce(capsys, tmp_path):
     from gridlab.fields import QQ
     from gridlab.poly import MultiPoly
@@ -223,8 +244,6 @@ def test_usage_error_exit_2(capsys):
 def test_byte_identical_output(capsys, h1a):
     _, out1 = run(capsys, "edges", "--input", h1a, "--p", "5", "--s", "2", "--t", "2")
     _, out2 = run(
-        capsys,
-        "--threads", "4",
-        "edges", "--input", h1a, "--p", "5", "--s", "2", "--t", "2",
+        capsys, "edges", "--input", h1a, "--p", "5", "--s", "2", "--t", "2"
     )
     assert out1 == out2

@@ -1,5 +1,9 @@
+import os
 import random
+import subprocess
+import sys
 from itertools import combinations
+from pathlib import Path
 
 import pytest
 
@@ -192,3 +196,20 @@ def test_edge_report_exact_power():
     G = BipartiteGraph([(0,), (1,)], [(0,)], rows)
     rep = edge_report(G, 1, 2)  # n = 3, s = 1: n^(2-1/s) = n exactly
     assert rep["n_power_exact"] == "3"
+
+
+def test_witness_check_survives_python_O():
+    # the re-verification must not rely on assert, which -O strips
+    code = (
+        "from gridlab.errors import InvalidWitness\n"
+        "from gridlab.gridcheck import GridWitness\n"
+        "try:\n"
+        "    GridWitness.checked([0, 1], [0, 1], [0b11, 0b01])\n"
+        "except InvalidWitness:\n"
+        "    raise SystemExit(0)\n"
+        "raise SystemExit(1)\n"
+    )
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=src)
+    res = subprocess.run([sys.executable, "-O", "-c", code], env=env, timeout=60)
+    assert res.returncode == 0

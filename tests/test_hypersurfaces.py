@@ -60,6 +60,10 @@ def test_proj_points_count():
         expected = sum(p**k for k in range(s + 1))
         assert len(pts) == expected
         assert len(set(pts)) == expected
+    for K in (GF(3, 2), GF(2, 3)):
+        pts = list(proj_points(K, 1))
+        assert len(set(pts)) == len(pts) == K.p**K.s + 1
+    assert [q.raw for q in proj_points(GF(3), 1)] == [(1, 0), (1, 1), (1, 2), (0, 1)]
 
 
 # -- open sets -----------------------------------------------------------------------

@@ -309,3 +309,58 @@ def test_json_roundtrip():
         MultiPoly.parse(GF(3, 2), XY, "x*y + 2"),
     ):
         assert MultiPoly.from_json(f.to_json()) == f
+
+
+# -- properties over F_7 and F_{5^2} in two and three variables ---------------------
+
+
+@st.composite
+def finite_field_polys(draw, count):
+    """`count` polynomials over one of GF(7), GF(5, 2), in 2 or 3 variables,
+    plus a point of affine space over the same field."""
+    field = draw(st.sampled_from([GF(7), GF(5, 2)]))
+    vars = draw(st.sampled_from([XY, XYZ]))
+    if field.kind == "extension":
+        coeff = st.tuples(*[st.integers(0, field.p - 1)] * field.s)
+    else:
+        coeff = st.integers(0, field.p - 1)
+    exps = st.tuples(*[st.integers(0, 2)] * len(vars))
+    polys = [
+        MultiPoly(field, vars, draw(st.dictionaries(exps, coeff, max_size=4)))
+        for _ in range(count)
+    ]
+    point = [draw(coeff) for _ in vars]
+    return polys, point
+
+
+@settings(max_examples=60, deadline=None)
+@given(finite_field_polys(2))
+def test_evaluate_is_ring_homomorphism(case):
+    (a, b), pt = case
+    ea, eb = a.evaluate(pt), b.evaluate(pt)
+    assert (a + b).evaluate(pt) == ea + eb
+    assert (a - b).evaluate(pt) == ea - eb
+    assert (a * b).evaluate(pt) == ea * eb
+
+
+@settings(max_examples=60, deadline=None)
+@given(finite_field_polys(2))
+def test_exact_div_inverts_mul(case):
+    (a, b), _ = case
+    if not b.is_zero():
+        assert exact_div(a * b, b) == a
+
+
+@settings(max_examples=40, deadline=None)
+@given(finite_field_polys(3))
+def test_gcd_keeps_common_factor_finite_fields(case):
+    (a, b, c), _ = case
+    if not c.is_zero():
+        assert divides(c, gcd(a * c, b * c))
+
+
+@settings(max_examples=60, deadline=None)
+@given(finite_field_polys(1))
+def test_json_roundtrip_finite_fields(case):
+    (a,), _ = case
+    assert MultiPoly.from_json(a.to_json()) == a
