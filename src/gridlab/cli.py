@@ -72,7 +72,7 @@ def _load_hypersurface(path: str) -> Hypersurface:
 def _load_section_source(path: str):
     """A hypersurface file (it has a "poly" key) or a plain polynomial file."""
     data = _load_json(path)
-    if "poly" in data:
+    if isinstance(data, dict) and "poly" in data:
         return Hypersurface.from_json(data)
     return MultiPoly.from_json(data)
 
@@ -109,7 +109,7 @@ def cmd_gridcheck(args) -> int:
     H = _load_hypersurface(args.input)
     X = _load_open_set(args.exclude_x, H.s)
     Y = _load_open_set(args.exclude_y, H.s)
-    G = build_graph(H, args.p, X, Y, chart=args.chart)
+    G = build_graph(H, args.p, X, Y, chart=args.chart, scan_s=args.s)
     witness = find_grid(G, args.s, args.t)
     if witness is None:
         _emit({"grid_free": True, "s": args.s, "t": args.t, "p": args.p}, args.pretty)
@@ -238,8 +238,8 @@ def _check_1b(p: int) -> dict:
     if p % 4 == 1:
         return {"pass": True, "skipped": "sphere check restricted to p = 3 mod 4"}
     c = construct("1b", p)
-    G = build_graph(c.hypersurface, p)
     try:
+        G = build_graph(c.hypersurface, p, scan_s=3)
         best, arg = max_common_neighborhood(G, 3)
     except BudgetExceeded as exc:
         return {"pass": True, "skipped": f"budget: {exc}"}

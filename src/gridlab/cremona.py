@@ -10,6 +10,7 @@ from .errors import (
     NotInvertibleShape,
     SampleTooSmall,
     ZeroPullback,
+    json_field,
 )
 from .fields import GF, Field, FieldElem
 from .poly import BiHomPoly, MultiPoly, content, exact_div, group_degree
@@ -18,7 +19,7 @@ from .hypersurfaces import (
     ProjPoint,
     proj_points,
     reduce_hypersurface_mod,
-    reduce_poly_mod,
+    reduce_polys_mod,
 )
 
 
@@ -51,14 +52,15 @@ class RationalMap:
         return ProjPoint(self.field, coords)
 
     def reduce_mod(self, p: int) -> "RationalMap":
-        return RationalMap([reduce_poly_mod(c, p) for c in self.components])
+        return RationalMap(reduce_polys_mod(self.components, p))
 
     def to_json(self) -> dict:
         return {"components": [c.to_json() for c in self.components]}
 
     @classmethod
     def from_json(cls, data: dict) -> "RationalMap":
-        return cls([MultiPoly.from_json(c) for c in data["components"]])
+        components = json_field(data, "components", list, "rational map")
+        return cls([MultiPoly.from_json(c) for c in components])
 
     def __repr__(self):
         return f"RationalMap(deg {self.degree}){[repr(c) for c in self.components]}"

@@ -1,4 +1,5 @@
-"""Exception hierarchy shared by all gridlab modules."""
+"""Exception hierarchy shared by all gridlab modules, and the JSON shape
+check that raises one of them."""
 
 
 class GridlabError(Exception):
@@ -127,6 +128,30 @@ class ZeroPullback(GridlabError):
 
 class SampleTooSmall(GridlabError):
     pass
+
+
+# -- input --------------------------------------------------------------------
+
+class MalformedJSON(GridlabError):
+    """Input JSON lacks a key or holds a value of the wrong type."""
+
+
+_JSON_TYPES = {dict: "an object", list: "an array", str: "a string", int: "an integer"}
+
+
+def json_value(value, kind: type, what: str):
+    """`value` if it is a `kind` (dict, list, str or int), else MalformedJSON."""
+    if not isinstance(value, kind) or isinstance(value, bool):
+        raise MalformedJSON(f"{what} must be {_JSON_TYPES[kind]}")
+    return value
+
+
+def json_field(data, key: str, kind: type, what: str):
+    """data[key], checked to be a `kind`; `what` names `data` in messages."""
+    json_value(data, dict, what)
+    if key not in data:
+        raise MalformedJSON(f"{what} lacks {key!r}")
+    return json_value(data[key], kind, f"{what}.{key}")
 
 
 # -- cli ----------------------------------------------------------------------

@@ -20,6 +20,8 @@ from .errors import (
     MixedFields,
     UnsupportedParameters,
     WrongField,
+    json_field,
+    json_value,
 )
 
 
@@ -486,13 +488,20 @@ def GF(p: int, s: int = 1, modulus: tuple | None = None) -> Field:
 
 
 def field_from_descriptor(d: dict) -> Field:
-    kind = d.get("kind")
+    kind = json_field(d, "kind", str, "field")
     if kind == "rationals":
         return QQ
     if kind == "prime":
-        return GF(d["p"])
+        return GF(json_field(d, "p", int, "field"))
     if kind == "extension":
-        return GF(d["p"], d["s"], tuple(d["modulus"]) if "modulus" in d else None)
+        modulus = None
+        if "modulus" in d:
+            modulus = tuple(
+                json_value(c, int, "field.modulus entry")
+                for c in json_field(d, "modulus", list, "field")
+            )
+        p, s = (json_field(d, key, int, "field") for key in ("p", "s"))
+        return GF(p, s, modulus)
     raise UnsupportedParameters(f"unknown field kind {kind!r}")
 
 

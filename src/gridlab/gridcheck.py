@@ -2,6 +2,15 @@
 detection with bitset adjacency rows, and edge-count reporting against the
 Kővári–Sós–Turán/Füredi leading term.
 
+Adjacency rows come from a lane-packed kernel (`_adjacency_rows`): each
+y-monomial's values over all right vertices are packed into one Python int,
+one byte-aligned lane per vertex, so a left vertex's row takes a few big-int
+multiplies and adds, one Barrett reduction of every lane at once and a
+zero-lane test, instead of a Python loop over the right side.  A caller that
+names the scan's subset size (`build_graph(..., scan_s=s)`) is refused by
+the enumeration budget once the vertices are counted, before any row is
+built.
+
 The subset scans iterate in lexicographic order; that order is part of the
 contract so reports are byte-identical across runs.
 """
@@ -82,38 +91,80 @@ def _terms_int(H: Hypersurface, p: int):
     return [(c, e[:nx], e[nx:]) for e, c in Hp.form.poly.terms.items()]
 
 
-def _adjacency_rows(terms, left_coords, right_coords, p):
-    yexps = sorted({ye for _, _, ye in terms})
-    yindex = {ye: i for i, ye in enumerate(yexps)}
-    right_vals = []
-    for v in right_coords:
-        vals = []
-        for ye in yexps:
+# flag byte of a lane after the zero test -> ASCII binary digit
+_FLAG_DIGITS = bytes.maketrans(b"\x00\x80", b"01")
+
+
+def _monomial_values(points, exps, p):
+    """values[i][j] = the monomial exps[i] at points[j], mod p."""
+    # powers[k][a] = a^k mod p; chart coordinates are residues in [0, p)
+    powers = {k: [pow(a, k, p) for a in range(p)] for e in exps for k in e if k}
+    values = []
+    for e in exps:
+        cols = [(k, powers[ek]) for k, ek in enumerate(e) if ek]
+        row = []
+        for pt in points:
             m = 1
-            for cv, e in zip(v, ye):
-                if e:
-                    m = m * pow(cv, e, p) % p
-            vals.append(m)
-        right_vals.append(vals)
+            for k, pw in cols:
+                m = m * pw[pt[k]] % p
+            row.append(m)
+        values.append(row)
+    return values
+
+
+def _adjacency_rows(terms, left_coords, right_coords, p):
+    """Row i has bit j set iff the form vanishes at (left i, right j) mod p.
+
+    Lane-packed: for each y-monomial, its values over all right vertices
+    sit in one int, vertex j in the byte-aligned `width`-bit lane j.  A left
+    vertex u costs a few big-int operations: the lane sums
+    S = sum_i c_i(u) P_i, one Barrett reduction of every lane at once, a
+    SWAR zero-lane test and a byte compaction of the lane flags.
+    Coordinates are residues in [0, p).
+    """
+    nr = len(right_coords)
+    if not nr:
+        return [0] * len(left_coords)
+    yexps = sorted({ye for _, _, ye in terms})
+    xexps = sorted({xe for _, xe, _ in terms})
+    yindex = {ye: i for i, ye in enumerate(yexps)}
+    xindex = {xe: a for a, xe in enumerate(xexps)}
+    plan = [(c, xindex[xe], yindex[ye]) for c, xe, ye in terms]
+    # A lane sum is below `bound`.  With m = ceil(2^r / p) and
+    # 2^r > 2p * bound, (x * m) >> r is exactly x // p for every lane value
+    # x, and x * m < 2^(r + bits(bound)) stays inside its lane.
+    bound = len(yexps) * (p - 1) ** 2 + 1
+    r = bound.bit_length() + p.bit_length() + 1
+    m = -(-(1 << r) // p)
+    nbytes = -(-(r + bound.bit_length()) // 8)
+    width = 8 * nbytes
+
+    def packed(lane: int) -> int:
+        return int.from_bytes(lane.to_bytes(nbytes, "little") * nr, "little")
+
+    qmask = packed((1 << (width - r)) - 1)
+    high = packed(1 << (width - 1))
+    lane_bytes = [v.to_bytes(nbytes, "little") for v in range(p)]
+    lanes = [
+        int.from_bytes(b"".join([lane_bytes[v] for v in vals]), "little")
+        for vals in _monomial_values(right_coords, yexps, p)
+    ]
+    xvals = _monomial_values(left_coords, xexps, p)
+    size = nbytes * nr
     rows = []
-    for u in left_coords:
+    for u in range(len(left_coords)):
         coeff = [0] * len(yexps)
-        for c, xe, ye in terms:
-            m = c
-            for cu, e in zip(u, xe):
-                if e:
-                    m = m * pow(cu, e, p) % p
-            i = yindex[ye]
-            coeff[i] = (coeff[i] + m) % p
-        nz = [(i, cf) for i, cf in enumerate(coeff) if cf]
-        mask = 0
-        for j, vals in enumerate(right_vals):
-            tot = 0
-            for i, cf in nz:
-                tot += cf * vals[i]
-            if tot % p == 0:
-                mask |= 1 << j
-        rows.append(mask)
+        for c, a, i in plan:
+            coeff[i] += c * xvals[a][u]
+        S = 0
+        for cf, P in zip(coeff, lanes):
+            cf %= p
+            if cf:
+                S += cf * P
+        R = S - ((S * m >> r) & qmask) * p
+        # a lane's top bit survives high - R iff the lane of R is zero
+        flags = ((high - R) & high).to_bytes(size, "little")[nbytes - 1 :: nbytes]
+        rows.append(int(flags.translate(_FLAG_DIGITS)[::-1], 2))
     return rows
 
 
@@ -123,9 +174,14 @@ def build_graph(
     X: OpenSet | None = None,
     Y: OpenSet | None = None,
     chart: str = "affine",
+    scan_s: int | None = None,
 ) -> BipartiteGraph:
     """Vertices are the F_p-points of the chosen chart inside X and Y;
-    edges by exact evaluation of the defining form."""
+    edges by exact evaluation of the defining form.
+
+    `scan_s` names the subset size of the scan that will follow: if
+    C(|left|, scan_s) exceeds the enumeration budget, BudgetExceeded is
+    raised once the vertices are known, before any adjacency row is built."""
     s = H.s
     Fp = GF(p)
     X = X or OpenSet.full(s)
@@ -144,6 +200,8 @@ def build_graph(
     right = [c for c, q in zip(pts, proj) if Yp.contains(q)]
     if not left or not right:
         raise EmptySide("open-set filters removed a whole side")
+    if scan_s is not None and scan_s >= 1:
+        _check_budget(len(left), scan_s, None)
     terms = _terms_int(H, p)
     rows = _adjacency_rows(terms, left, right, p)
     display = left if chart == "projective" else [u[1:] for u in left]

@@ -4,15 +4,18 @@ constructions over prime fields."""
 from __future__ import annotations
 
 from dataclasses import dataclass
+from fractions import Fraction
 from itertools import product
+from math import gcd, lcm
 
 from .errors import (
     BadCharacteristic,
     BadReduction,
     DimensionMismatch,
-    DivisionByZero,
     EmptySample,
+    MalformedJSON,
     UnsupportedParameters,
+    json_field,
 )
 from .fields import GF, QQ, Field, FieldElem
 from .poly import BiHomPoly, MultiPoly, bihomogenize
@@ -72,6 +75,13 @@ def proj_points(field: Field, s: int):
             yield ProjPoint(field, [zero] * lead + [one, *tail])
 
 
+def _json_dim(data, key: str, what: str) -> int:
+    dim = json_field(data, key, int, what)
+    if dim < 0:
+        raise MalformedJSON(f"{what}.{key} must be nonnegative")
+    return dim
+
+
 class OpenSet:
     """P^s minus the union of zero sets of the excluded homogeneous forms."""
 
@@ -116,7 +126,9 @@ class OpenSet:
 
     @classmethod
     def from_json(cls, data: dict) -> "OpenSet":
-        return cls(data["dim"], [MultiPoly.from_json(f) for f in data["excluded"]])
+        dim = _json_dim(data, "dim", "open set")
+        excluded = json_field(data, "excluded", list, "open set")
+        return cls(dim, [MultiPoly.from_json(f) for f in excluded])
 
 
 class Hypersurface:
@@ -168,8 +180,9 @@ class Hypersurface:
 
     @classmethod
     def from_json(cls, data: dict) -> "Hypersurface":
-        poly = MultiPoly.from_json(data["poly"])
-        sx, sy = data["sx"], data["sy"]
+        poly = MultiPoly.from_json(json_field(data, "poly", dict, "hypersurface"))
+        sx = _json_dim(data, "sx", "hypersurface")
+        sy = _json_dim(data, "sy", "hypersurface")
         xg = tuple(f"x{i}" for i in range(sx + 1))
         yg = tuple(f"y{i}" for i in range(sy + 1))
         return cls(BiHomPoly(poly, xg, yg))
@@ -178,23 +191,40 @@ class Hypersurface:
         return f"Hypersurface{self.bidegree}[{self.form.poly!r}]"
 
 
-def reduce_poly_mod(F: MultiPoly, p: int) -> MultiPoly:
-    """Reduce a polynomial over Q or F_p to F_p coefficients."""
+def reduce_polys_mod(polys: list, p: int) -> list:
+    """Reduce polynomials over Q or F_p to F_p coefficients.
+
+    Over Q the whole list is first scaled to its primitive integral model:
+    every coefficient is multiplied by the lcm of the denominators and
+    divided by the gcd of the numerators, taken over all the polynomials.
+    One common factor keeps each zero set and the map that a list of
+    components defines; whenever plain coefficient reduction works, the
+    factor is a unit mod p."""
     Fp = GF(p)
-    if F.field == Fp:
-        return F
-    if F.field != QQ:
-        raise BadReduction(f"cannot reduce {F.field} mod {p}")
-    try:
-        return MultiPoly(Fp, F.vars, F.terms)
-    except DivisionByZero:
-        raise BadReduction(f"a denominator is divisible by {p}") from None
+    for F in polys:
+        if F.field != Fp and F.field != QQ:
+            raise BadReduction(f"cannot reduce {F.field} mod {p}")
+    coeffs = [c for F in polys if F.field == QQ for c in F.terms.values()]
+    scale = Fraction(
+        lcm(*(c.denominator for c in coeffs)),
+        gcd(*(c.numerator for c in coeffs)) or 1,
+    )
+    return [
+        F
+        if F.field == Fp
+        else MultiPoly(Fp, F.vars, {e: c * scale for e, c in F.terms.items()})
+        for F in polys
+    ]
+
+
+def reduce_poly_mod(F: MultiPoly, p: int) -> MultiPoly:
+    """Reduce one polynomial over Q or F_p, through its primitive integral
+    model, to F_p coefficients."""
+    return reduce_polys_mod([F], p)[0]
 
 
 def reduce_hypersurface_mod(H: Hypersurface, p: int) -> Hypersurface:
     poly = reduce_poly_mod(H.form.poly, p)
-    if poly.is_zero():
-        raise BadReduction("form vanishes mod p")
     return Hypersurface(BiHomPoly(poly, H.form.xvars, H.form.yvars))
 
 

@@ -15,10 +15,13 @@ from .errors import (
     DegreeZero,
     DivisionByZero,
     ExactDivisionError,
+    MalformedJSON,
     MixedFields,
     NotHomogeneous,
     UnknownVariable,
     ZeroPolynomial,
+    json_field,
+    json_value,
 )
 from .fields import Field, FieldElem, field_from_descriptor
 
@@ -431,9 +434,20 @@ class MultiPoly:
 
     @classmethod
     def from_json(cls, data: dict) -> "MultiPoly":
-        field = field_from_descriptor(data["field"])
-        vars = tuple(data["vars"])
-        terms = {tuple(t["e"]): field.coeff_from_str(t["c"]) for t in data["terms"]}
+        field = field_from_descriptor(json_field(data, "field", dict, "poly"))
+        vars = tuple(
+            json_value(v, str, "poly.vars entry")
+            for v in json_field(data, "vars", list, "poly")
+        )
+        terms = {}
+        for t in json_field(data, "terms", list, "poly"):
+            e = tuple(
+                json_value(k, int, "poly.terms exponent")
+                for k in json_field(t, "e", list, "poly.terms entry")
+            )
+            if min(e, default=0) < 0:
+                raise MalformedJSON("poly.terms exponent must be nonnegative")
+            terms[e] = field.coeff_from_str(json_field(t, "c", str, "poly.terms entry"))
         return cls(field, vars, terms)
 
     def __repr__(self):

@@ -1,0 +1,187 @@
+"""The lane-packed adjacency kernel against the per-pair reference loop."""
+
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from gridlab.errors import EmptySide
+from gridlab.fields import GF
+from gridlab.gridcheck import _adjacency_rows, _terms_int, build_graph
+from gridlab.hypersurfaces import Hypersurface, OpenSet, construct
+from gridlab.poly import BiHomPoly, MultiPoly, xy_vars
+
+
+def reference_rows(terms, left_coords, right_coords, p):
+    """Bit j of row i is set iff sum_terms c * u^xe * v^ye == 0 mod p,
+    evaluated one (u, v) pair at a time."""
+    yexps = sorted({ye for _, _, ye in terms})
+    yindex = {ye: i for i, ye in enumerate(yexps)}
+    right_vals = []
+    for v in right_coords:
+        vals = []
+        for ye in yexps:
+            m = 1
+            for cv, e in zip(v, ye):
+                if e:
+                    m = m * pow(cv, e, p) % p
+            vals.append(m)
+        right_vals.append(vals)
+    rows = []
+    for u in left_coords:
+        coeff = [0] * len(yexps)
+        for c, xe, ye in terms:
+            m = c
+            for cu, e in zip(u, xe):
+                if e:
+                    m = m * pow(cu, e, p) % p
+            i = yindex[ye]
+            coeff[i] = (coeff[i] + m) % p
+        nz = [(i, cf) for i, cf in enumerate(coeff) if cf]
+        mask = 0
+        for j, vals in enumerate(right_vals):
+            tot = 0
+            for i, cf in nz:
+                tot += cf * vals[i]
+            if tot % p == 0:
+                mask |= 1 << j
+        rows.append(mask)
+    return rows
+
+
+def chart_coords(G):
+    """The chart coordinates build_graph evaluated at, per side."""
+    if G.meta["chart"] == "projective":
+        return G.left, G.right
+    return [(1,) + u for u in G.left], [(1,) + v for v in G.right]
+
+
+def assert_matches_reference(H, p, X=None, Y=None, chart="affine"):
+    G = build_graph(H, p, X, Y, chart=chart)
+    left, right = chart_coords(G)
+    assert G.rows == reference_rows(_terms_int(H, p), left, right, p)
+
+
+def exponents(nvars, degree):
+    """Exponent vectors of total `degree` in `nvars` variables."""
+    return st.lists(
+        st.integers(0, nvars - 1), min_size=degree, max_size=degree
+    ).map(lambda picks: tuple(picks.count(k) for k in range(nvars)))
+
+
+@st.composite
+def bihomogeneous_forms(draw, primes, max_s=2, max_deg=3):
+    p = draw(st.sampled_from(primes))
+    s = draw(st.integers(1, max_s))
+    dx = draw(st.integers(0, max_deg))
+    dy = draw(st.integers(0, max_deg))
+    monomial = st.tuples(exponents(s + 1, dx), exponents(s + 1, dy))
+    terms = draw(
+        st.dictionaries(monomial, st.integers(1, p - 1), min_size=1, max_size=6)
+    )
+    vars = xy_vars(s)
+    poly = MultiPoly(GF(p), vars, {xe + ye: c for (xe, ye), c in terms.items()})
+    return p, Hypersurface(BiHomPoly(poly, vars[: s + 1], vars[s + 1 :]))
+
+
+@st.composite
+def open_sets(draw, p, s, name):
+    vars = tuple(f"{name}{i}" for i in range(s + 1))
+    excluded = []
+    for _ in range(draw(st.integers(0, 2))):
+        deg = draw(st.integers(1, 2))
+        terms = draw(
+            st.dictionaries(
+                exponents(s + 1, deg), st.integers(1, p - 1), min_size=1, max_size=3
+            )
+        )
+        excluded.append(MultiPoly(GF(p), vars, terms))
+    return OpenSet(s, excluded)
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    st.data(),
+    bihomogeneous_forms([2, 3, 5, 7, 13]),
+    st.sampled_from(["affine", "projective"]),
+)
+def test_rows_match_reference_small_primes(data, form, chart):
+    p, H = form
+    X = data.draw(open_sets(p, H.s, "x"))
+    Y = data.draw(open_sets(p, H.s, "y"))
+    try:
+        G = build_graph(H, p, X, Y, chart=chart)
+    except EmptySide:  # the open sets removed a whole side
+        return
+    left, right = chart_coords(G)
+    assert G.rows == reference_rows(_terms_int(H, p), left, right, p)
+
+
+@settings(max_examples=25, deadline=None)
+@given(
+    bihomogeneous_forms([101, 257], max_s=1, max_deg=4),
+    st.sampled_from(["affine", "projective"]),
+)
+def test_rows_match_reference_wide_lanes(form, chart):
+    p, H = form
+    assert_matches_reference(H, p, chart=chart)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data(), st.sampled_from([2, 3, 5, 13, 101, 257]))
+def test_kernel_matches_reference_on_raw_terms(data, p):
+    # any residue coordinates, not only chart points; repeated monomials
+    # and many y-monomials push the lane sums toward their bound
+    nx, ny = data.draw(st.integers(1, 3)), data.draw(st.integers(1, 3))
+    residue = st.integers(0, p - 1)
+    term = st.tuples(
+        residue,
+        st.tuples(*[st.integers(0, 3)] * nx),
+        st.tuples(*[st.integers(0, 3)] * ny),
+    )
+    terms = data.draw(st.lists(term, min_size=1, max_size=12))
+    left = data.draw(st.lists(st.tuples(*[residue] * nx), min_size=1, max_size=8))
+    right = data.draw(st.lists(st.tuples(*[residue] * ny), min_size=1, max_size=40))
+    assert _adjacency_rows(terms, left, right, p) == reference_rows(
+        terms, left, right, p
+    )
+
+
+@pytest.mark.parametrize(
+    "family,p,s,chart",
+    [
+        ("1a", 13, None, "affine"),
+        ("1b", 7, None, "affine"),
+        ("1c", 5, 3, "affine"),
+        ("1d", 11, 2, "projective"),
+    ],
+)
+def test_constructions_match_reference(family, p, s, chart):
+    assert_matches_reference(construct(family, p, s).hypersurface, p, chart=chart)
+
+
+def test_single_y_monomial():
+    vars = xy_vars(1)
+    poly = MultiPoly.parse(GF(7), vars, "x0*y0**2 + 3*x1*y0**2")
+    H = Hypersurface(BiHomPoly(poly, vars[:2], vars[2:]))
+    assert len({ye for _, _, ye in _terms_int(H, 7)}) == 1
+    assert_matches_reference(H, 7, chart="projective")
+
+
+def test_zero_coefficient_vector_gives_full_row():
+    # x1*(y0 + y1): every coefficient vanishes at x1 = 0
+    vars = xy_vars(1)
+    poly = MultiPoly.parse(GF(5), vars, "x1*y0 + x1*y1")
+    H = Hypersurface(BiHomPoly(poly, vars[:2], vars[2:]))
+    G = build_graph(H, 5)
+    assert G.rows[0] == (1 << len(G.right)) - 1  # left vertex x1 = 0
+    assert_matches_reference(H, 5)
+
+
+@pytest.mark.parametrize("p", [2, 3, 257])
+def test_one_vertex_right_side(p):
+    terms = [(1, (1, 0), (0, 1)), (p - 1, (0, 1), (1, 0))]  # x0*y1 - x1*y0
+    left = [(1, a) for a in range(p)] + [(0, 1)]
+    for v in [(1, 0), (1, p - 1), (0, 1)]:
+        rows = _adjacency_rows(terms, left, [v], p)
+        assert rows == reference_rows(terms, left, [v], p)
+        assert sum(rows) == 1  # the one left point equal to v
+

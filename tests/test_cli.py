@@ -1,6 +1,11 @@
+import contextlib
+import io
 import json
+import os
+import tempfile
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from gridlab.cli import main, run_sweep
 from gridlab.errors import UnknownSuite
@@ -234,6 +239,92 @@ def test_malformed_json_exit_2(capsys, tmp_path):
         capsys, "gridcheck", "--input", str(bad), "--p", "5", "--s", "2", "--t", "2"
     )
     assert code == 2
+
+
+def _gridcheck_file(capsys, path):
+    code = main(["gridcheck", "--input", str(path), "--p", "5", "--s", "2", "--t", "2"])
+    return code, capsys.readouterr().err
+
+
+def test_terms_not_a_list_exit_2(capsys, h1a, tmp_path):
+    data = json.loads(open(h1a).read())
+    data["poly"]["terms"] = 5
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(data))
+    code, err = _gridcheck_file(capsys, bad)
+    assert code == 2
+    assert err.startswith("error: MalformedJSON:")
+
+
+def test_top_level_list_exit_2(capsys, tmp_path):
+    bad = tmp_path / "bad.json"
+    bad.write_text("[1, 2]")
+    code, err = _gridcheck_file(capsys, bad)
+    assert code == 2
+    assert err.startswith("error: MalformedJSON:")
+    for argv in (
+        ["curves", "common", "--h1", str(bad), "--h2", str(bad), "--u", "1:0:0"],
+        ["s1", "classify", "--poly", str(bad)],
+    ):
+        assert main(argv) == 2
+        assert capsys.readouterr().err.startswith("error: MalformedJSON:")
+
+
+_JSON = st.recursive(
+    st.none() | st.booleans() | st.integers(-3, 40) | st.text(max_size=3),
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(st.sampled_from(["p", "e", "c", "kind"]), inner, max_size=3),
+    max_leaves=6,
+)
+
+
+def _paths(node, prefix=()):
+    yield prefix
+    if isinstance(node, dict):
+        for k, v in node.items():
+            yield from _paths(v, prefix + (k,))
+    elif isinstance(node, list):
+        for i, v in enumerate(node):
+            yield from _paths(v, prefix + (i,))
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_mangled_hypersurface_never_crashes(data):
+    # one subtree of a valid file replaced by arbitrary JSON: the CLI
+    # answers (exit 0 or 1) or refuses with exit 2 and an error line
+    doc = {
+        "poly": {
+            "field": {"kind": "prime", "p": 5},
+            "vars": ["x0", "x1", "y0", "y1"],
+            "terms": [{"e": [1, 0, 0, 1], "c": "1"}, {"e": [0, 1, 1, 0], "c": "4"}],
+        },
+        "sx": 1,
+        "sy": 1,
+        "bidegree": [1, 1],
+    }
+    path = data.draw(st.sampled_from(list(_paths(doc))))
+    value = data.draw(_JSON)
+    if path:
+        node = doc
+        for key in path[:-1]:
+            node = node[key]
+        node[path[-1]] = value
+    else:
+        doc = value
+    fd, name = tempfile.mkstemp(suffix=".json")
+    err = io.StringIO()
+    try:
+        with os.fdopen(fd, "w") as fh:
+            json.dump(doc, fh)
+        argv = ["gridcheck", "--input", name, "--p", "5", "--s", "1", "--t", "2"]
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+            code = main(argv)
+    finally:
+        os.unlink(name)
+    assert code in (0, 1, 2)
+    if code == 2:
+        assert err.getvalue().startswith("error:")
 
 
 def test_usage_error_exit_2(capsys):

@@ -3,6 +3,7 @@ import random
 import subprocess
 import sys
 from itertools import combinations
+from math import comb
 from pathlib import Path
 
 import pytest
@@ -213,3 +214,42 @@ def test_witness_check_survives_python_O():
     env = dict(os.environ, PYTHONPATH=src)
     res = subprocess.run([sys.executable, "-O", "-c", code], env=env, timeout=60)
     assert res.returncode == 0
+
+
+def test_budget_refusal_comes_before_adjacency(monkeypatch, tmp_path, capsys):
+    # 1b at p = 11 has 1331 left vertices; C(1331, 3) exceeds the default budget
+    from gridlab import cli, gridcheck
+
+    def never(*args):
+        raise AssertionError("adjacency rows built for a refused scan")
+
+    monkeypatch.setattr(gridcheck, "_adjacency_rows", never)
+    monkeypatch.delenv("GRIDLAB_BUDGET", raising=False)
+    res = cli._check_1b(11)
+    assert res["pass"] is True
+    assert res["skipped"] == (
+        f"budget: C(1331,3) = {comb(1331, 3)} subset iterations exceed budget 100000000"
+    )
+    with pytest.raises(BudgetExceeded):
+        build_graph(construct("1b", 11).hypersurface, 11, scan_s=3)
+    path = tmp_path / "h1b.json"
+    construct_argv = ["construct", "--family", "1b", "--p", "11", "--out", str(path)]
+    assert cli.main(construct_argv) == 0
+    argv = ["gridcheck", "--input", str(path), "--p", "11", "--s", "3", "--t", "3"]
+    capsys.readouterr()
+    assert cli.main(argv) == 2
+    assert capsys.readouterr().err.startswith("error: BudgetExceeded: C(1331,3)")
+
+
+def test_reduction_follows_primitive_model():
+    # stored monic, the form holds 1/3; its primitive model is x0*y0 mod 3
+    vars = ("x0", "x1", "x2", "y0", "y1", "y2")
+
+    def graph(field, text):
+        poly = MultiPoly.parse(field, vars, text)
+        return build_graph(Hypersurface(BiHomPoly(poly, vars[:3], vars[3:])), 3)
+
+    G = graph(QQ, "x0*y0 + 3*x1*y1")
+    G3 = graph(GF(3), "x0*y0")
+    assert G.rows == G3.rows
+    assert (G.left, G.right) == (G3.left, G3.right)

@@ -18,6 +18,7 @@ from gridlab.hypersurfaces import (
     proj_points,
     reduce_hypersurface_mod,
     reduce_poly_mod,
+    reduce_polys_mod,
     smallest_nonresidue,
 )
 
@@ -129,18 +130,30 @@ def test_hypersurface_json_roundtrip():
     assert h2.bidegree == h.bidegree
 
 
-def test_reduce_mod():
-    f = MultiPoly.parse(QQ, ("x",), "1/3*x + 5")
-    r = reduce_poly_mod(f, 7)
-    assert r == MultiPoly.parse(GF(7), ("x",), "5*x + 5")
+def test_reduce_mod_primitive_model():
+    f = MultiPoly.parse(QQ, ("x",), "1/3*x + 5")  # primitive model: x + 15
+    assert reduce_poly_mod(f, 7) == MultiPoly.parse(GF(7), ("x",), "x + 1")
+    assert reduce_poly_mod(f, 3) == MultiPoly.parse(GF(3), ("x",), "x")
+    g = MultiPoly.parse(QQ, ("x", "y"), "6*x + 10*y")  # content 2
+    assert reduce_poly_mod(g, 2) == MultiPoly.parse(GF(2), ("x", "y"), "x + y")
     with pytest.raises(BadReduction):
-        reduce_poly_mod(f, 3)  # denominator 3 vanishes
+        reduce_poly_mod(MultiPoly.parse(GF(5), ("x",), "x"), 7)
 
 
-def test_reduce_hypersurface_bad_denominator():
-    h = H("x0*y1 + 1/5*x0*y0")  # non-leading coefficient keeps its denominator
-    with pytest.raises(BadReduction):
-        reduce_hypersurface_mod(h, 5)
+def test_reduce_polys_mod_shares_one_factor():
+    # the components of a map are scaled together, so the map is kept
+    a = MultiPoly.parse(QQ, ("x", "y"), "1/3*x")
+    b = MultiPoly.parse(QQ, ("x", "y"), "y")
+    assert reduce_polys_mod([a, b], 7) == [
+        MultiPoly.parse(GF(7), ("x", "y"), "x"),
+        MultiPoly.parse(GF(7), ("x", "y"), "3*y"),
+    ]
+
+
+def test_reduce_hypersurface_clears_denominator():
+    h = H("x0*y1 + 1/5*x0*y0")  # primitive model 5*x0*y1 + x0*y0
+    assert reduce_hypersurface_mod(h, 5).form == H("x0*y0", GF(5)).form
+    assert reduce_hypersurface_mod(h, 7).form == H("x0*y1 + 3*x0*y0", GF(7)).form
 
 
 # -- constructions -------------------------------------------------------------------
