@@ -14,8 +14,8 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import ExactDivisionError, NonSplitForm, WrongDimension
-from .fields import GF
+from .errors import EmptySide, ExactDivisionError, NonSplitForm, WrongDimension
+from .gridcheck import build_graph
 from .poly import (
     BiHomPoly,
     MultiPoly,
@@ -24,12 +24,7 @@ from .poly import (
     gcd,
     squarefree_in_vars,
 )
-from .hypersurfaces import (
-    OpenSet,
-    ProjPoint,
-    proj_points,
-    reduce_poly_mod,
-)
+from .hypersurfaces import Hypersurface, OpenSet, ProjPoint, proj_points
 
 XVARS = ("x0", "x1")
 YVARS = ("y0", "y1")
@@ -280,21 +275,8 @@ def s1_max_row(
 ) -> int:
     """Largest neighborhood size over left vertices of the F_p sample."""
     _check_p1(F)
-    X = X or OpenSet.full(1)
-    Y = Y or OpenSet.full(1)
-    Fp = GF(p)
-    poly = reduce_poly_mod(F.poly, p)
-    Xp = X.reduce_mod(p)
-    Yp = Y.reduce_mod(p)
-    left = [u for u in proj_points(Fp, 1) if Xp.contains(u)]
-    right = [v for v in proj_points(Fp, 1) if Yp.contains(v)]
-    worst = 0
-    for u in left:
-        sec = poly.substitute(
-            {"x0": u.coords[0], "x1": u.coords[1]}, new_vars=YVARS
-        )
-        count = sum(
-            1 for v in right if sec.evaluate(list(v.coords)).is_zero()
-        )
-        worst = max(worst, count)
-    return worst
+    try:
+        G = build_graph(Hypersurface(F), p, X, Y, chart="projective")
+    except EmptySide:
+        return 0
+    return max(row.bit_count() for row in G.rows)

@@ -11,8 +11,14 @@ names the scan's subset size (`build_graph(..., scan_s=s)`) is refused by
 the enumeration budget once the vertices are counted, before any row is
 built.
 
-The subset scans iterate in lexicographic order; that order is part of the
-contract so reports are byte-identical across runs.
+`find_grid` and `max_common_neighborhood` share one subset scan (`_scan`):
+a depth-first walk of the left s-subsets in lexicographic order that
+prunes a prefix once its common neighborhood has no more than a floor of
+members, since deeper intersections only shrink.  `find_grid` fixes the
+floor at t-1 and stops at the first hit; `max_common_neighborhood` starts
+it at -1 and raises it to each new maximum.  The lexicographic order is
+part of the contract, so witnesses, argmaxes and reports are
+byte-identical across runs.
 """
 
 from __future__ import annotations
@@ -222,6 +228,35 @@ def _check_budget(n: int, s: int, budget: int | None):
         )
 
 
+def _scan(G: BipartiteGraph, s: int, floor: int, first: bool, budget: int | None):
+    """(S, common neighborhood bitset) for the lexicographically first
+    s-subset with more than `floor` common neighbours, or with `first` false
+    the first one of maximum size (each hit raises `floor`, so ties keep the
+    earlier subset); None when no subset beats `floor`."""
+    n = len(G.rows)
+    _check_budget(n, s, budget)
+    rows = G.rows
+    hit = None
+
+    def rec(start, depth, inter, chosen):
+        nonlocal floor, hit
+        for i in range(start, n - (s - depth) + 1):
+            ni = inter & rows[i]
+            if ni.bit_count() <= floor:
+                continue
+            if depth + 1 == s:
+                hit = chosen + [i], ni
+                if first:
+                    return True
+                floor = ni.bit_count()
+            elif rec(i + 1, depth + 1, ni, chosen + [i]):
+                return True
+        return False
+
+    rec(0, 0, (1 << len(G.right)) - 1, [])
+    return hit
+
+
 def find_grid(
     G: BipartiteGraph, s: int, t: int, budget: int | None = None
 ) -> GridWitness | None:
@@ -230,23 +265,7 @@ def find_grid(
     n = len(G.rows)
     if s < 1 or s > n or t < 1:
         raise ParameterOutOfRange(f"(s,t)=({s},{t}) with |left|={n}")
-    _check_budget(n, s, budget)
-    rows = G.rows
-    full = (1 << len(G.right)) - 1
-
-    def rec(start, depth, inter, chosen):
-        for i in range(start, n - (s - depth) + 1):
-            ni = inter & rows[i]
-            if ni.bit_count() < t:
-                continue
-            if depth + 1 == s:
-                return chosen + [i], ni
-            hit = rec(i + 1, depth + 1, ni, chosen + [i])
-            if hit:
-                return hit
-        return None
-
-    hit = rec(0, 0, full, [])
+    hit = _scan(G, s, t - 1, True, budget)
     if hit is None:
         return None
     S, common = hit
@@ -256,7 +275,7 @@ def find_grid(
         if common >> j & 1:
             T.append(j)
         j += 1
-    return GridWitness.checked(S, T, rows)
+    return GridWitness.checked(S, T, G.rows)
 
 
 def max_common_neighborhood(
@@ -266,28 +285,8 @@ def max_common_neighborhood(
     n = len(G.rows)
     if s < 1 or s > n:
         raise ParameterOutOfRange(f"s={s} with |left|={n}")
-    _check_budget(n, s, budget)
-    rows = G.rows
-    full = (1 << len(G.right)) - 1
-    best = -1
-    arg = None
-
-    def rec(start, depth, inter, chosen):
-        nonlocal best, arg
-        for i in range(start, n - (s - depth) + 1):
-            ni = inter & rows[i]
-            c = ni.bit_count()
-            # deeper intersections only shrink; <= best cannot strictly win,
-            # and equal ties keep the earlier (lex-smaller) argmax
-            if c <= best:
-                continue
-            if depth + 1 == s:
-                best, arg = c, chosen + [i]
-            else:
-                rec(i + 1, depth + 1, ni, chosen + [i])
-
-    rec(0, 0, full, [])
-    return best, arg
+    S, common = _scan(G, s, -1, False, budget)
+    return common.bit_count(), S
 
 
 def _nth_root_floor(a: int, n: int) -> int:

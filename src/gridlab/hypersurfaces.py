@@ -13,6 +13,7 @@ from .errors import (
     BadReduction,
     DimensionMismatch,
     EmptySample,
+    EmptySide,
     MalformedJSON,
     UnsupportedParameters,
     json_field,
@@ -318,30 +319,23 @@ def almost_equal_sampled(
     """Sampled necessary check for V1 = V2 on X x Y: over each prime's
     rational points the two forms must vanish together.  Returns
     (equal, witness); witness is a (p, u, v) triple when they differ."""
+    from .gridcheck import build_graph
+
     if H1.s != H2.s or X.dim != H1.s or Y.dim != H1.s:
         raise DimensionMismatch("ambient dimensions differ")
-    s = H1.s
     sampled = False
     for p in primes:
-        Fp = GF(p)
-        G1 = reduce_hypersurface_mod(H1, p)
-        G2 = reduce_hypersurface_mod(H2, p)
-        Xp = X.reduce_mod(p)
-        Yp = Y.reduce_mod(p)
-        us = [u for u in proj_points(Fp, s) if Xp.contains(u)]
-        vs = [v for v in proj_points(Fp, s) if Yp.contains(v)]
-        if not us or not vs:
+        try:
+            G1 = build_graph(H1, p, X, Y, chart="projective")
+            G2 = build_graph(H2, p, X, Y, chart="projective")
+        except EmptySide:
             continue
         sampled = True
-        for u in us:
-            s1 = G1.section(u)
-            s2 = G2.section(u)
-            for v in vs:
-                coords = list(v.coords)
-                z1 = s1.evaluate(coords).is_zero()
-                z2 = s2.evaluate(coords).is_zero()
-                if z1 != z2:
-                    return False, (p, u, v)
+        for u, r1, r2 in zip(G1.left, G1.rows, G2.rows):
+            diff = r1 ^ r2
+            if diff:
+                v = G1.right[(diff & -diff).bit_length() - 1]
+                return False, (p, ProjPoint(GF(p), u), ProjPoint(GF(p), v))
     if not sampled:
         raise EmptySample("no rational points in X x Y for the given primes")
     return True, None

@@ -85,6 +85,64 @@ def test_oracle_max_row_example():
     assert s1_max_row(F("y0*(x0*y1 - x1*y0)**2"), None, None, 7) == 2
 
 
+def reference_max_row(F, X, Y, p):
+    """Per-pair loop: the largest number of v in Y(F_p) with F(u, v) = 0
+    over u in X(F_p), each section substituted and evaluated in turn."""
+    X = X or OpenSet.full(1)
+    Y = Y or OpenSet.full(1)
+    Fp = GF(p)
+    poly = reduce_poly_mod(F.poly, p)
+    Xp = X.reduce_mod(p)
+    Yp = Y.reduce_mod(p)
+    left = [u for u in proj_points(Fp, 1) if Xp.contains(u)]
+    right = [v for v in proj_points(Fp, 1) if Yp.contains(v)]
+    worst = 0
+    for u in left:
+        sec = poly.substitute(
+            {"x0": u.coords[0], "x1": u.coords[1]}, new_vars=YVARS
+        )
+        count = sum(
+            1 for v in right if sec.evaluate(list(v.coords)).is_zero()
+        )
+        worst = max(worst, count)
+    return worst
+
+
+def _excluding(vars, *points):
+    return OpenSet.complement_of_points(
+        [ProjPoint(QQ, pt) for pt in points], vars
+    )
+
+
+# t0^3 t1 - t0 t1^3 vanishes on all of P^1(F_3): these empty a side at p = 3
+EMPTY_AT_3 = [
+    (None, OpenSet(1, [MultiPoly.parse(QQ, YVARS, "y0**3*y1 - y0*y1**3")])),
+    (OpenSet(1, [MultiPoly.parse(QQ, XVARS, "x0**3*x1 - x0*x1**3")]), None),
+]
+OPEN_SETS = [
+    (None, None),
+    (_excluding(XVARS, (0, 1), (1, 1)), None),
+    (None, _excluding(YVARS, (1, 0), (1, -1), (1, 2))),
+    (_excluding(XVARS, (1, 3)), _excluding(YVARS, (0, 1), (2, 1))),
+    (OpenSet(1, [MultiPoly.parse(QQ, XVARS, "x0**2 + x1**2")]), None),
+] + EMPTY_AT_3
+
+
+@pytest.mark.parametrize("expr", CORPUS)
+@pytest.mark.parametrize("p", (3, 5, 7, 11))
+def test_max_row_matches_reference(expr, p):
+    form = F(expr)
+    for X, Y in OPEN_SETS:
+        assert s1_max_row(form, X, Y, p) == reference_max_row(form, X, Y, p), (X, Y)
+
+
+def test_max_row_empty_side_is_zero():
+    form = F("y0*(x0*y1 - x1*y0)**2")
+    for X, Y in EMPTY_AT_3:
+        assert s1_max_row(form, X, Y, 3) == 0
+        assert s1_max_row(form, X, Y, 5) == reference_max_row(form, X, Y, 5) > 0
+
+
 def test_open_sets_change_the_verdict():
     form = F("y0*(x0*y1 - x1*y0)**2")
     Y = OpenSet.complement_of_points([ProjPoint(QQ, [0, 1])], YVARS)

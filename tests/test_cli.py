@@ -3,6 +3,7 @@ import io
 import json
 import os
 import tempfile
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -338,3 +339,12 @@ def test_byte_identical_output(capsys, h1a):
         capsys, "edges", "--input", h1a, "--p", "5", "--s", "2", "--t", "2"
     )
     assert out1 == out2
+
+
+def test_default_sweep_golden(capsys):
+    # the recorded stdout of the default sweep: any change to an answer,
+    # a witness or the output format shows here
+    golden = Path(__file__).parent / "data" / "sweep_default.json"
+    code, out = run(capsys, "sweep", "--primes", "5,7,11,13")
+    assert code == 0
+    assert out.encode() == golden.read_bytes()

@@ -1,5 +1,10 @@
-import pytest
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
+
+import pytest
 
 from gridlab.errors import (
     BadCharacteristic,
@@ -14,6 +19,7 @@ from gridlab.fields import (
     ExtensionField,
     canonical_modulus,
     field_from_descriptor,
+    is_prime,
     norm,
     norm_poly,
     pi_s,
@@ -65,6 +71,47 @@ def test_gf_requires_prime():
 
     with pytest.raises(UnsupportedParameters):
         GF(6)
+
+
+def test_is_prime_matches_sieve():
+    n = 10**5
+    sieve = [False, False] + [True] * (n - 2)
+    for q in range(2, int(n**0.5) + 1):
+        if sieve[q]:
+            sieve[q * q :: q] = [False] * len(range(q * q, n, q))
+    assert [k for k in range(-3, n) if is_prime(k)] == [
+        k for k in range(n) if sieve[k]
+    ]
+
+
+def test_is_prime_rejects_strong_pseudoprime():
+    # 3215031751 = 151 * 751 * 28351 is a strong pseudoprime to bases 2, 3, 5, 7
+    assert not is_prime(3215031751)
+    assert is_prime(1000000000000000003)
+
+
+def _cli(*argv):
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=src)
+    return subprocess.run(
+        [sys.executable, "-m", "gridlab.cli", *argv],
+        env=env,
+        capture_output=True,
+        text=True,
+        timeout=30,
+    )
+
+
+def test_large_prime_field_answers():
+    res = _cli("construct", "--family", "1a", "--p", "1000000000000000003")
+    assert res.returncode == 0
+    assert '"p": 1000000000000000003' in res.stdout
+
+
+def test_prime_beyond_proven_range_exit_2():
+    res = _cli("construct", "--family", "1a", "--p", str(2**127 - 1))
+    assert res.returncode == 2
+    assert res.stderr.startswith("error: UnsupportedParameters")
 
 
 def test_canonical_modulus_f9():

@@ -23,24 +23,24 @@ from gridlab.poly import BiHomPoly, MultiPoly
 from gridlab.hypersurfaces import Hypersurface
 
 
+def _common(rows, n_right, S):
+    common = (1 << n_right) - 1
+    for i in S:
+        common &= rows[i]
+    return common
+
+
 def naive_has_grid(rows, n_right, s, t):
-    n = len(rows)
-    for S in combinations(range(n), s):
-        common = (1 << n_right) - 1
-        for i in S:
-            common &= rows[i]
-        if common.bit_count() >= t:
-            return True
-    return False
+    return any(
+        _common(rows, n_right, S).bit_count() >= t
+        for S in combinations(range(len(rows)), s)
+    )
 
 
 def naive_max_common(rows, n_right, s):
     best, arg = -1, None
     for S in combinations(range(len(rows)), s):
-        common = (1 << n_right) - 1
-        for i in S:
-            common &= rows[i]
-        c = common.bit_count()
+        c = _common(rows, n_right, S).bit_count()
         if c > best:
             best, arg = c, list(S)
     return best, arg
@@ -75,6 +75,15 @@ def test_find_grid_matches_oracle(seed):
                 for i in witness.S:
                     for j in witness.T:
                         assert G.rows[i] >> j & 1
+                # the first S in combinations order, and T its t smallest
+                # common neighbours
+                first, common = next(
+                    (list(S), c)
+                    for S in combinations(range(nl), s)
+                    if (c := _common(G.rows, nr, S)).bit_count() >= t
+                )
+                assert witness.S == first
+                assert witness.T == [j for j in range(nr) if common >> j & 1][:t]
 
 
 @pytest.mark.parametrize("seed", range(12))

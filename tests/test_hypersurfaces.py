@@ -9,6 +9,7 @@ from gridlab.errors import (
 )
 from gridlab.fields import GF, QQ
 from gridlab.poly import BiHomPoly, MultiPoly, bihomogenize
+from test_classify_s1 import CORPUS, EMPTY_AT_3, OPEN_SETS
 from gridlab.hypersurfaces import (
     Hypersurface,
     OpenSet,
@@ -226,3 +227,68 @@ def test_almost_equal_sampled_empty():
     X = OpenSet.full(1)
     with pytest.raises(EmptySample):
         almost_equal_sampled(h1, h1, X, X, [])
+
+
+def reference_almost_equal(H1, H2, X, Y, primes):
+    """Per-pair loop: u outer, v inner, each section evaluated in turn."""
+    s = H1.s
+    sampled = False
+    for p in primes:
+        Fp = GF(p)
+        G1 = reduce_hypersurface_mod(H1, p)
+        G2 = reduce_hypersurface_mod(H2, p)
+        Xp = X.reduce_mod(p)
+        Yp = Y.reduce_mod(p)
+        us = [u for u in proj_points(Fp, s) if Xp.contains(u)]
+        vs = [v for v in proj_points(Fp, s) if Yp.contains(v)]
+        if not us or not vs:
+            continue
+        sampled = True
+        for u in us:
+            s1 = G1.section(u)
+            s2 = G2.section(u)
+            for v in vs:
+                coords = list(v.coords)
+                z1 = s1.evaluate(coords).is_zero()
+                z2 = s2.evaluate(coords).is_zero()
+                if z1 != z2:
+                    return False, (p, u, v)
+    if not sampled:
+        raise EmptySample("no rational points in X x Y for the given primes")
+    return True, None
+
+
+@pytest.mark.parametrize("k", range(len(CORPUS)))
+def test_almost_equal_matches_reference(k):
+    h1 = H(CORPUS[k])
+    # the next form differs; the form times a power of x0 agrees off x0 = 0
+    others = [H(CORPUS[(k + 1) % len(CORPUS)]), H(f"x0*({CORPUS[k]})")]
+    for X, Y in OPEN_SETS:
+        X = X or OpenSet.full(1)
+        Y = Y or OpenSet.full(1)
+        for h2 in others:
+            for primes in ([3, 5, 7, 11], [11, 7]):
+                got = almost_equal_sampled(h1, h2, X, Y, primes)
+                assert got == reference_almost_equal(h1, h2, X, Y, primes)
+
+
+def test_almost_equal_on_p2_matches_reference():
+    V6 = ("x0", "x1", "x2", "y0", "y1", "y2")
+    h1 = H("x0*y0 + x1*y1 + x2*y2", vars=V6)
+    h2 = H("x0*y0 + x1*y1 - x2*y2", vars=V6)
+    X = OpenSet(2, [MultiPoly.parse(QQ, V6[:3], "x0 + x1 + x2")])
+    Y = OpenSet.full(2)
+    for a, b in ((h1, h2), (h1, h1), (h2, h1)):
+        got = almost_equal_sampled(a, b, X, Y, [2, 3, 5])
+        assert got == reference_almost_equal(a, b, X, Y, [2, 3, 5])
+    assert not got[0]
+
+
+def test_almost_equal_skips_prime_with_empty_side():
+    X, _ = EMPTY_AT_3[1]
+    h1 = H("x0*y1 - x1*y0")
+    h2 = H("x0*y0 + x1*y1")
+    with pytest.raises(EmptySample):
+        almost_equal_sampled(h1, h2, X, OpenSet.full(1), [3])
+    eq, (p, u, v) = almost_equal_sampled(h1, h2, X, OpenSet.full(1), [3, 7])
+    assert not eq and p == 7
