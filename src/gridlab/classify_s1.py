@@ -6,6 +6,21 @@ F = f(x̄) g(ȳ) h_1^{r_1} ... h_n^{r_n} and d_i = deg_ȳ h_i, the sum of the
 d_i equals the ȳ-degree of the squarefree part of the content-free core,
 because the h_i are distinct irreducibles.  No factorization into the h_i
 is ever performed.
+
+The binary forms f and g enter only through their roots.  `_binary_roots`
+tests candidate points in one fixed order, which is the printed order of
+`g_roots_in_Y`.  Over F_q the candidates are the points of `proj_points`.
+Over Q, with z the integer coefficient list of form(1,t)/t^lo, they are
+(0:1) when form(1,t) has lower degree than the form, (1:0) when lo > 0,
+and then (1 : a/den) for num | z[0] and den | z[-1], both ascending, with
+a = +num before -num.  Those divisors come from trial division, which the
+enumeration budget refuses up front when isqrt|z[0]| + isqrt|z[-1]|
+exceeds it.
+
+What is left over Q once every rational root is divided out has its roots
+in the algebraic closure; those not excluded by the open set are counted
+as `closure_roots`.  Over F_q none are counted: the graph's vertices are
+the F_q-points, and a factor without F_q-roots adds no vertex to any row.
 """
 
 from __future__ import annotations
@@ -14,12 +29,13 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import EmptySide, ExactDivisionError, NonSplitForm, WrongDimension
-from .gridcheck import build_graph
+from .errors import BudgetExceeded, EmptySide, NonSplitForm, WrongDimension
+from .gridcheck import build_graph, enumeration_budget
 from .poly import (
     BiHomPoly,
     MultiPoly,
     content,
+    divides,
     exact_div,
     gcd,
     squarefree_in_vars,
@@ -83,149 +99,105 @@ def _split_contents(F: BiHomPoly):
     return f, g, core
 
 
-def _divisors(n: int):
+def _divisors(n: int) -> list:
     n = abs(n)
-    out = []
-    d = 1
-    while d * d <= n:
-        if n % d == 0:
-            out.append(d)
-            out.append(n // d)
-        d += 1
-    return sorted(set(out))
+    small = [d for d in range(1, math.isqrt(n) + 1) if n % d == 0]
+    return sorted({*small, *(n // d for d in small)})
+
+
+def _linear_form(pt: ProjPoint, vars2: tuple) -> MultiPoly:
+    """The linear form in `vars2` that vanishes exactly at `pt`."""
+    c0, c1 = pt.coords
+    return MultiPoly(pt.field, vars2, {(1, 0): c1, (0, 1): -c0})
+
+
+def _rational_roots(fld, z: list) -> list:
+    """The points (1 : a/den) with sum z_k a^k den^(n-k) = 0, in candidate
+    order; a fraction not in lowest terms was already tested reduced."""
+    n = len(z) - 1
+    if n == 0:
+        return []
+    need = math.isqrt(abs(z[0])) + math.isqrt(abs(z[-1]))
+    limit = enumeration_budget()
+    if need > limit:
+        raise BudgetExceeded(
+            f"rational-root test needs {need} trial divisions, over budget {limit}"
+        )
+    roots = []
+    for num in _divisors(z[0]):
+        for den in _divisors(z[-1]):
+            if math.gcd(num, den) > 1:
+                continue
+            for a in (num, -num):
+                if sum(c * a**k * den ** (n - k) for k, c in enumerate(z)) == 0:
+                    roots.append(ProjPoint(fld, [1, Fraction(a, den)]))
+    return roots
 
 
 def _binary_roots(form: MultiPoly, vars2: tuple):
-    """Distinct projective roots of a nonzero binary form in `vars2`.
-
-    Returns (roots, nonsplit) where `nonsplit` is the rootless remainder
-    (constant over finite fields, possibly nonconstant over Q).
-    """
+    """(roots, rest) for a nonzero binary form in `vars2`: its distinct
+    projective roots in candidate order, and the form over `vars2` with each
+    root's linear form divided out to full multiplicity, made monic (1 when
+    nothing nonconstant is left, and always 1 over F_q)."""
     fld = form.field
-    v0, v1 = vars2
+    binary = form.with_vars(vars2)
+    one = MultiPoly.constant(fld, vars2, 1)
     if fld.characteristic:
-        roots = []
-        for pt in proj_points(fld, 1):
-            coords = {v0: pt.coords[0], v1: pt.coords[1]}
-            full = [coords.get(v, 1) for v in form.vars]
-            if form.evaluate(full).is_zero():
-                roots.append(pt)
-        return roots, MultiPoly.constant(fld, form.vars, 1)
-    # rationals: peel monomial factors, then rational-root peeling
+        pts = proj_points(fld, 1)
+        return [pt for pt in pts if binary.evaluate(pt.coords).is_zero()], one
+    # binary(1, t) = t^lo * z(t) / scale, with z integral and z(0) != 0
+    coeffs = {e[1]: c for e, c in binary.terms.items()}
+    lo, hi = min(coeffs), max(coeffs)
+    scale = math.lcm(*(c.denominator for c in coeffs.values()))
+    z = [int(coeffs.get(k, 0) * scale) for k in range(lo, hi + 1)]
     roots = []
-    work = form
-    w0 = MultiPoly.variable(fld, form.vars, v0)
-    w1 = MultiPoly.variable(fld, form.vars, v1)
-    if work.degree_in(v0) > 0 and gcd(work, w0).degree() > 0:
+    if hi < binary.degree():
         roots.append(ProjPoint(fld, [0, 1]))
-        while gcd(work, w0).degree() > 0:
-            work = exact_div(work, w0)
-    if work.degree_in(v1) > 0 and gcd(work, w1).degree() > 0:
+    if lo > 0:
         roots.append(ProjPoint(fld, [1, 0]))
-        while gcd(work, w1).degree() > 0:
-            work = exact_div(work, w1)
-    d = work.degree_in(v1)
-    if d == 0:
-        return roots, MultiPoly.constant(fld, form.vars, 1)
-    # q(t) = work(1, t): nonzero constant term and degree d by construction
-    i1 = form.vars.index(v1)
-    coeffs = {e[i1]: c for e, c in work.terms.items()}
-    denom_lcm = math.lcm(*(c.denominator for c in coeffs.values()))
-    q = [int(coeffs.get(k, 0) * denom_lcm) for k in range(d + 1)]
-    for num in _divisors(q[0]):
-        for den in _divisors(q[-1]):
-            if q[-1] == 0:
-                break
-            for sign in (1, -1):
-                r = Fraction(sign * num, den)
-                while len(q) > 1 and _poly_eval(q, r) == 0:
-                    q = _synth_div(q, r)
-                    if ProjPoint(fld, [1, r]) not in roots:
-                        roots.append(ProjPoint(fld, [1, r]))
-    if len(q) - 1 == 0:
-        return roots, MultiPoly.constant(fld, form.vars, 1)
-    # rebuild the non-split remainder as a binary form
-    i0 = form.vars.index(v0)
-    deg = len(q) - 1
-    terms = {}
-    for k, c in enumerate(q):
-        if c:
-            e = [0] * len(form.vars)
-            e[i1] = k
-            e[i0] = deg - k
-            terms[tuple(e)] = c
-    return roots, MultiPoly(fld, form.vars, terms).monic()
+    roots += _rational_roots(fld, z)
+    rest = binary
+    for pt in roots:
+        lin = _linear_form(pt, vars2)
+        while divides(lin, rest):
+            rest = exact_div(rest, lin)
+    return roots, rest.monic() if rest.degree() > 0 else one
 
 
-def _poly_eval(q, r):
-    acc = 0
-    for c in reversed(q):
-        acc = acc * r + c
-    return acc
+def _roots_in(form: MultiPoly, open_set: OpenSet, vars2: tuple):
+    """(roots of the binary form inside `open_set`, number of closure roots
+    of its rootless rest that no excluded form of `open_set` covers)."""
+    if form.degree() <= 0:
+        return [], 0
+    roots, rest = _binary_roots(form, vars2)
+    inside = [v for v in roots if open_set.contains(v)]
+    if rest.degree() > 0:
+        rest = squarefree_in_vars(rest, vars2)
+        for excl in open_set.excluded:
+            e = excl.with_vars(vars2)
+            while (common := gcd(rest, e)).degree() > 0:
+                rest = exact_div(rest, common)
+    return inside, rest.degree()
 
 
-def _synth_div(q, r):
-    # divide by (t - r), exact; keep integer scaling afterwards
-    out = [0] * (len(q) - 1)
-    acc = q[-1]
-    for k in range(len(q) - 2, -1, -1):
-        out[k] = acc
-        acc = q[k] + acc * r
-    if acc != 0:
-        raise ExactDivisionError(f"t - {r} does not divide the root polynomial")
-    lcm = math.lcm(*(Fraction(c).denominator for c in out))
-    return [int(Fraction(c) * lcm) for c in out]
-
-
-def _remove_excluded_roots(form: MultiPoly, open_set: OpenSet, vars2: tuple):
-    """Strip from a rootless (over Q) binary form the closure roots that the
-    open set's excluded forms cover; returns the remaining form."""
-    work = form
-    for excl in open_set.excluded:
-        e = excl.with_vars(form.vars)
-        while True:
-            g = gcd(work, e)
-            if g.degree() == 0:
-                break
-            work = exact_div(work, g)
-    return work
+def _analyse(F: BiHomPoly, Y: OpenSet | None):
+    """(f, squarefree core, g-roots inside Y, closure roots of g in Y); the
+    verdict also needs f's roots in X, the reduced form does not."""
+    _check_p1(F)
+    f, g, core = _split_contents(F)
+    sqcore = squarefree_in_vars(core, YVARS)
+    g_roots, closure = _roots_in(g, Y or OpenSet.full(1), YVARS)
+    return f, sqcore, g_roots, closure
 
 
 def s1_classify(
     F: BiHomPoly, X: OpenSet | None = None, Y: OpenSet | None = None
 ) -> S1Verdict:
     """Classify (1,t)-grid-freeness data of F on X x Y in P^1 x P^1."""
-    _check_p1(F)
-    X = X or OpenSet.full(1)
-    Y = Y or OpenSet.full(1)
-    f, g, core = _split_contents(F)
-    if core.degree() > 0:
-        sqcore = squarefree_in_vars(core, YVARS)
-    else:
-        sqcore = core
-    sum_di = max(sqcore.degree_in_vars(YVARS), 0) if not sqcore.is_constant() else 0
-    # g-roots inside Y
-    g_roots = []
-    closure = 0
-    if g.degree() > 0:
-        roots, nonsplit = _binary_roots(g, YVARS)
-        g_roots = [v for v in roots if Y.contains(v)]
-        if nonsplit.degree() > 0:
-            remaining = _remove_excluded_roots(
-                squarefree_in_vars(nonsplit, YVARS), Y, YVARS
-            )
-            closure = remaining.degree_in_vars(YVARS)
-    # does {f = 0} meet X?
-    f_meets = False
-    if f.degree() > 0:
-        roots, nonsplit = _binary_roots(f, XVARS)
-        f_meets = any(X.contains(u) for u in roots)
-        if not f_meets and nonsplit.degree() > 0:
-            remaining = _remove_excluded_roots(
-                squarefree_in_vars(nonsplit, XVARS), X, XVARS
-            )
-            f_meets = remaining.degree_in_vars(XVARS) > 0
-    return S1Verdict(f_meets, g_roots, closure, sum_di)
+    f, sqcore, g_roots, closure = _analyse(F, Y)
+    f_roots, f_closure = _roots_in(f, X or OpenSet.full(1), XVARS)
+    f_meets = bool(f_roots) or f_closure > 0
+    return S1Verdict(f_meets, g_roots, closure, sqcore.degree_in_vars(YVARS))
 
 
 def s1_reduce(
@@ -233,40 +205,14 @@ def s1_reduce(
 ) -> BiHomPoly:
     """The degree-reduced form with the same zero set on X x Y: the product
     of the linear forms at g-roots inside Y with the squarefree core."""
-    _check_p1(F)
-    X = X or OpenSet.full(1)
-    Y = Y or OpenSet.full(1)
-    fld = F.poly.field
-    f, g, core = _split_contents(F)
-    if core.degree() > 0:
-        sqcore = squarefree_in_vars(core, YVARS)
-    else:
-        sqcore = MultiPoly.constant(fld, F.poly.vars, 1)
-    result = sqcore
-    if g.degree() > 0:
-        roots, nonsplit = _binary_roots(g, YVARS)
-        if nonsplit.degree() > 0:
-            remaining = _remove_excluded_roots(
-                squarefree_in_vars(nonsplit, YVARS), Y, YVARS
-            )
-            if remaining.degree() > 0:
-                raise NonSplitForm(
-                    "g has a rootless factor with points inside Y; its roots "
-                    "cannot be realized as rational linear forms"
-                )
-        for v in roots:
-            if not Y.contains(v):
-                continue
-            v0, v1 = v.coords
-            lin = MultiPoly(
-                fld,
-                F.poly.vars,
-                {
-                    (0, 0, 1, 0): v1,
-                    (0, 0, 0, 1): -v0,
-                },
-            )
-            result = result * lin
+    _, result, g_roots, closure = _analyse(F, Y)
+    if closure > 0:
+        raise NonSplitForm(
+            "g has a rootless factor with points inside Y; its roots "
+            "cannot be realized as rational linear forms"
+        )
+    for v in g_roots:
+        result = result * _linear_form(v, YVARS).with_vars(F.poly.vars)
     return BiHomPoly(result.monic(), XVARS, YVARS)
 
 

@@ -398,16 +398,22 @@ def build_parser() -> argparse.ArgumentParser:
     s1.set_defaults(fn=cmd_s1)
 
     cv = add_parser("curves")
-    cv.add_argument("action", choices=["imult", "common", "moura", "conic"])
-    cv.add_argument("--f", default=None)
-    cv.add_argument("--g", default=None)
-    cv.add_argument("--h1", default=None)
-    cv.add_argument("--h2", default=None)
-    cv.add_argument("--point", default=None)
-    cv.add_argument("--u", default=None)
-    cv.add_argument("--d1", type=int, default=None)
-    cv.add_argument("--d2", type=int, default=None)
     cv.set_defaults(fn=cmd_curves)
+    actions = cv.add_subparsers(dest="action", required=True)
+    # options given after the action; SUPPRESS keeps them from resetting
+    # values given before it
+    late = argparse.ArgumentParser(add_help=False)
+    late.add_argument("--pretty", action="store_true", default=argparse.SUPPRESS)
+    late.add_argument("--seed", type=int, default=argparse.SUPPRESS)
+    for action, flags, kind in (
+        ("imult", ("--f", "--g", "--point"), str),
+        ("common", ("--h1", "--h2", "--u"), str),
+        ("moura", ("--d1", "--d2"), int),
+        ("conic", ("--f",), str),
+    ):
+        a = actions.add_parser(action, parents=[late])
+        for flag in flags:
+            a.add_argument(flag, required=True, type=kind)
 
     cr = add_parser("cremona")
     cr.add_argument("action", choices=["apply"])

@@ -34,6 +34,10 @@ class UnknownVariable(GridlabError):
     pass
 
 
+class MalformedExpression(GridlabError):
+    """A polynomial expression string does not parse."""
+
+
 class ZeroPolynomial(GridlabError):
     pass
 

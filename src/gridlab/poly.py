@@ -10,11 +10,14 @@ order is normalized to 1 wherever a canonical representative is needed.
 
 from __future__ import annotations
 
+import re
+
 from .errors import (
     BadCharacteristic,
     DegreeZero,
     DivisionByZero,
     ExactDivisionError,
+    MalformedExpression,
     MalformedJSON,
     MixedFields,
     NotHomogeneous,
@@ -83,29 +86,55 @@ class MultiPoly:
 
     @classmethod
     def parse(cls, field: Field, vars: tuple, expr: str) -> "MultiPoly":
-        """Build a polynomial from a Python arithmetic expression string."""
-        # wrap integer literals as constant polynomials so 1/3 stays exact
-        import io
-        import tokenize
+        """Build a polynomial from an expression in `+ - * / ** ( )`,
+        integers and the names in `vars`, with Python's precedence; `/`
+        divides by a constant and an exponent is an integer literal."""
+        toks = re.findall(r"\w+|\*\*|\S", expr)[::-1]
 
-        pieces = []
-        prev_op = None
-        toks = tokenize.generate_tokens(io.StringIO(expr).readline)
-        for tok in toks:
-            if tok.type == tokenize.NUMBER:
-                # exponents stay plain integers (mod-p wrapping would corrupt them)
-                if prev_op == "**":
-                    pieces.append(tok.string)
-                else:
-                    pieces.append(f"__c({tok.string})")
-                prev_op = None
-            elif tok.type in (tokenize.NAME, tokenize.OP):
-                pieces.append(tok.string)
-                prev_op = tok.string if tok.type == tokenize.OP else None
-        env = {v: cls.variable(field, vars, v) for v in vars}
-        env["__c"] = lambda n: cls.constant(field, vars, n)
-        env["__builtins__"] = {}
-        return cls.constant(field, vars, 0) + eval(" ".join(pieces), env)  # noqa: S307
+        def take(*ops):
+            return toks.pop() if toks and toks[-1] in ops else None
+
+        def sum_():
+            acc = product()
+            while op := take("+", "-"):
+                acc = acc + product() if op == "+" else acc - product()
+            return acc
+
+        def product():
+            acc = signed()
+            while op := take("*", "/"):
+                acc = acc * signed() if op == "*" else acc / signed()
+            return acc
+
+        def signed():
+            if op := take("+", "-"):
+                return signed() if op == "+" else -signed()
+            base = atom()
+            if not take("**"):
+                return base
+            if not (toks and toks[-1].isdecimal()):
+                raise MalformedExpression("an exponent must be an integer literal")
+            return base ** int(toks.pop())
+
+        def atom():
+            tok = toks.pop() if toks else "end of input"
+            if tok == "(":
+                inner = sum_()
+                if not take(")"):
+                    raise MalformedExpression(f"unbalanced '(' in {expr!r}")
+                return inner
+            if tok.isdecimal():
+                return cls.constant(field, vars, int(tok))
+            if tok in vars:
+                return cls.variable(field, vars, tok)
+            if tok.isidentifier():
+                raise UnknownVariable(tok)
+            raise MalformedExpression(f"unexpected {tok!r} in {expr!r}")
+
+        poly = sum_()
+        if toks:
+            raise MalformedExpression(f"unexpected {toks[-1]!r} in {expr!r}")
+        return poly
 
     # -- basic structure -------------------------------------------------------
 

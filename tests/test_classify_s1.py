@@ -1,8 +1,23 @@
-import pytest
+import json
+import math
+import os
+import subprocess
+import sys
+from fractions import Fraction
+from pathlib import Path
 
-from gridlab.errors import NonSplitForm, WrongDimension
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from gridlab import classify_s1
+from gridlab.errors import (
+    BudgetExceeded,
+    ExactDivisionError,
+    NonSplitForm,
+    WrongDimension,
+)
 from gridlab.fields import GF, QQ
-from gridlab.poly import BiHomPoly, MultiPoly
+from gridlab.poly import BiHomPoly, MultiPoly, exact_div, gcd
 from gridlab.hypersurfaces import OpenSet, ProjPoint, proj_points, reduce_poly_mod
 from gridlab.classify_s1 import (
     P1_VARS,
@@ -223,6 +238,13 @@ def test_closure_roots_counted():
     assert v.M == 3
 
 
+def test_f_closure_roots_meet_X():
+    form = F("(x0**2 + x1**2)*(x0*y1 - x1*y0)")
+    assert s1_classify(form).f_meets_X
+    X = OpenSet(1, [MultiPoly.parse(QQ, XVARS, "x0**2 + x1**2")])
+    assert not s1_classify(form, X, None).f_meets_X
+
+
 def test_wrong_dimension():
     vars = ("x0", "x1", "x2", "y0", "y1", "y2")
     poly = MultiPoly.parse(QQ, vars, "x0*y0 + x1*y1 + x2*y2")
@@ -266,3 +288,177 @@ def test_classifier_over_extension_field(expr):
     red = s1_reduce(form)
     assert red.bidegree[1] == verdict.M
     assert _max_row_over(K, red) == verdict.M
+
+
+# -- root finder against the reference -----------------------------------------------
+
+
+def _divisors(n: int):
+    n = abs(n)
+    out = []
+    d = 1
+    while d * d <= n:
+        if n % d == 0:
+            out.append(d)
+            out.append(n // d)
+        d += 1
+    return sorted(set(out))
+
+
+def _poly_eval(q, r):
+    acc = 0
+    for c in reversed(q):
+        acc = acc * r + c
+    return acc
+
+
+def _synth_div(q, r):
+    # divide by (t - r), exact; keep integer scaling afterwards
+    out = [0] * (len(q) - 1)
+    acc = q[-1]
+    for k in range(len(q) - 2, -1, -1):
+        out[k] = acc
+        acc = q[k] + acc * r
+    if acc != 0:
+        raise ExactDivisionError(f"t - {r} does not divide the root polynomial")
+    lcm = math.lcm(*(Fraction(c).denominator for c in out))
+    return [int(Fraction(c) * lcm) for c in out]
+
+
+def reference_binary_roots(form: MultiPoly, vars2: tuple):
+    """Distinct projective roots of a nonzero binary form in `vars2`, and
+    the rootless remainder over `form.vars`: over F_q by evaluation at every
+    point; over Q by peeling v0 and v1 with repeated gcds, then
+    rational-root peeling of an integer coefficient list by synthetic
+    division, and the remainder rebuilt from that list."""
+    fld = form.field
+    v0, v1 = vars2
+    if fld.characteristic:
+        roots = []
+        for pt in proj_points(fld, 1):
+            coords = {v0: pt.coords[0], v1: pt.coords[1]}
+            full = [coords.get(v, 1) for v in form.vars]
+            if form.evaluate(full).is_zero():
+                roots.append(pt)
+        return roots, MultiPoly.constant(fld, form.vars, 1)
+    roots = []
+    work = form
+    w0 = MultiPoly.variable(fld, form.vars, v0)
+    w1 = MultiPoly.variable(fld, form.vars, v1)
+    if work.degree_in(v0) > 0 and gcd(work, w0).degree() > 0:
+        roots.append(ProjPoint(fld, [0, 1]))
+        while gcd(work, w0).degree() > 0:
+            work = exact_div(work, w0)
+    if work.degree_in(v1) > 0 and gcd(work, w1).degree() > 0:
+        roots.append(ProjPoint(fld, [1, 0]))
+        while gcd(work, w1).degree() > 0:
+            work = exact_div(work, w1)
+    d = work.degree_in(v1)
+    if d == 0:
+        return roots, MultiPoly.constant(fld, form.vars, 1)
+    # q(t) = work(1, t): nonzero constant term and degree d by construction
+    i1 = form.vars.index(v1)
+    coeffs = {e[i1]: c for e, c in work.terms.items()}
+    denom_lcm = math.lcm(*(c.denominator for c in coeffs.values()))
+    q = [int(coeffs.get(k, 0) * denom_lcm) for k in range(d + 1)]
+    for num in _divisors(q[0]):
+        for den in _divisors(q[-1]):
+            for sign in (1, -1):
+                r = Fraction(sign * num, den)
+                while len(q) > 1 and _poly_eval(q, r) == 0:
+                    q = _synth_div(q, r)
+                    if ProjPoint(fld, [1, r]) not in roots:
+                        roots.append(ProjPoint(fld, [1, r]))
+    if len(q) - 1 == 0:
+        return roots, MultiPoly.constant(fld, form.vars, 1)
+    i0 = form.vars.index(v0)
+    deg = len(q) - 1
+    terms = {}
+    for k, c in enumerate(q):
+        if c:
+            e = [0] * len(form.vars)
+            e[i1] = k
+            e[i0] = deg - k
+            terms[tuple(e)] = c
+    return roots, MultiPoly(fld, form.vars, terms).monic()
+
+
+ROOT_FIELDS = (QQ, GF(2), GF(5), GF(7), GF(5, 2))
+
+linear_factors = st.lists(
+    st.tuples(st.integers(-4, 4), st.integers(-4, 4), st.integers(1, 3)),
+    min_size=0,
+    max_size=4,
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    st.sampled_from(ROOT_FIELDS),
+    st.sampled_from((XVARS, YVARS)),
+    linear_factors,
+    st.one_of(st.none(), st.sampled_from((1, 2, 3, 5, 6, 7))),
+    st.sampled_from((1, 2, -3, Fraction(1, 6))),
+)
+def test_binary_roots_match_reference(field, vars2, factors, quadratic, scale):
+    """Products of linear forms (a t0 + b t1)^k, optionally times
+    t0^2 + c t1^2 (irreducible over Q), and a constant."""
+    t0, t1 = (MultiPoly.variable(field, P1_VARS, v) for v in vars2)
+    form = MultiPoly.constant(field, P1_VARS, 1) * (
+        scale if field is QQ else scale.numerator
+    )
+    for a, b, k in factors:
+        form = form * (t0 * a + t1 * b) ** k
+    if quadratic is not None:
+        form = form * (t0 * t0 + t1 * t1 * quadratic)
+    if form.is_zero() or form.degree() == 0:
+        return
+    roots, rest = classify_s1._binary_roots(form, vars2)
+    ref_roots, ref_rest = reference_binary_roots(form, vars2)
+    assert roots == ref_roots
+    assert rest.with_vars(P1_VARS) == ref_rest
+
+
+def test_binary_roots_order_over_q():
+    form = MultiPoly.parse(QQ, P1_VARS, "y1*(2*y0 - y1)*(y0 + y1)**2*y0*(y0 - 3*y1)")
+    roots, rest = classify_s1._binary_roots(form, YVARS)
+    assert [repr(r) for r in roots] == ["(0:1)", "(1:0)", "(1:-1)", "(1:1/3)", "(1:2)"]
+    assert roots == reference_binary_roots(form, YVARS)[0]
+    assert rest.is_constant()
+
+
+# -- the rational-root test and the enumeration budget -------------------------------
+
+
+def test_rational_root_test_refused_before_trial_division(monkeypatch):
+    monkeypatch.setenv("GRIDLAB_BUDGET", "1000")
+    small = F("x0*(y0 - 3*y1)*(y0 + y1)")
+    assert [repr(r) for r in s1_classify(small).g_roots_in_Y] == ["(1:-1)", "(1:1/3)"]
+
+    def no_trial_division(n):
+        raise AssertionError("trial division ran after the budget refused it")
+
+    monkeypatch.setattr(classify_s1, "_divisors", no_trial_division)
+    large = F(f"x0*(y0 - {10**8 + 1}*y1)*(y0 + y1)")
+    with pytest.raises(BudgetExceeded, match="over budget 1000"):
+        s1_classify(large)
+    with pytest.raises(BudgetExceeded):
+        s1_reduce(large)
+
+
+def test_huge_coefficient_exits_2(tmp_path):
+    path = tmp_path / "f.json"
+    poly = MultiPoly.parse(QQ, P1_VARS, f"x0*(y0 - {10**30 + 1}*y1)*(y0 + y1)")
+    path.write_text(json.dumps(poly.to_json()))
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
+    env.pop("GRIDLAB_BUDGET", None)
+    res = subprocess.run(
+        [sys.executable, "-m", "gridlab.cli", "s1", "classify", "--poly", str(path)],
+        env=env,
+        capture_output=True,
+        text=True,
+        timeout=30,
+    )
+    assert res.returncode == 2
+    assert res.stdout == ""
+    assert res.stderr.startswith("error: BudgetExceeded")

@@ -143,6 +143,28 @@ def test_curves_common_on_hypersurfaces(capsys, tmp_path):
     assert (data["d1"], data["d2"]) == (1, 2)
 
 
+CURVES_FLAGS = {
+    "imult": {"--f": "f.json", "--g": "g.json", "--point": "1:0:0"},
+    "common": {"--h1": "a.json", "--h2": "b.json", "--u": "1:0:0"},
+    "moura": {"--d1": "3", "--d2": "2"},
+    "conic": {"--f": "f.json"},
+}
+
+
+@pytest.mark.parametrize("action", CURVES_FLAGS)
+def test_curves_missing_flag_is_usage_error(capsys, action):
+    flags = CURVES_FLAGS[action]
+    for missing in flags:
+        argv = ["curves", action]
+        for flag, value in flags.items():
+            if flag != missing:
+                argv += [flag, value]
+        assert main(argv) == 2, argv
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert f"required: {missing}" in err
+
+
 def test_s1_classify_and_reduce(capsys, tmp_path):
     from gridlab.fields import QQ
     from gridlab.poly import MultiPoly

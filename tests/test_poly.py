@@ -8,7 +8,9 @@ from gridlab.errors import (
     BadCharacteristic,
     DegreeZero,
     ExactDivisionError,
+    MalformedExpression,
     NotHomogeneous,
+    UnknownVariable,
     ZeroPolynomial,
 )
 from gridlab.fields import GF, QQ
@@ -364,3 +366,79 @@ def test_gcd_keeps_common_factor_finite_fields(case):
 def test_json_roundtrip_finite_fields(case):
     (a,), _ = case
     assert MultiPoly.from_json(a.to_json()) == a
+
+
+# -- the expression parser against the eval-based reference -------------------------
+
+
+def reference_parse(field, vars: tuple, expr: str) -> MultiPoly:
+    """Evaluate `expr` as Python with the names in `vars` bound to variables
+    and every integer literal, except an exponent, wrapped as a constant."""
+    import io
+    import tokenize
+
+    pieces = []
+    prev_op = None
+    toks = tokenize.generate_tokens(io.StringIO(expr).readline)
+    for tok in toks:
+        if tok.type == tokenize.NUMBER:
+            # exponents stay plain integers (mod-p wrapping would corrupt them)
+            if prev_op == "**":
+                pieces.append(tok.string)
+            else:
+                pieces.append(f"__c({tok.string})")
+            prev_op = None
+        elif tok.type in (tokenize.NAME, tokenize.OP):
+            pieces.append(tok.string)
+            prev_op = tok.string if tok.type == tokenize.OP else None
+    env = {v: MultiPoly.variable(field, vars, v) for v in vars}
+    env["__c"] = lambda n: MultiPoly.constant(field, vars, n)
+    env["__builtins__"] = {}
+    return MultiPoly.constant(field, vars, 0) + eval(" ".join(pieces), env)  # noqa: S307
+
+
+def _expressions(names):
+    leaves = st.one_of(
+        st.integers(0, 12).map(str),
+        st.sampled_from(names),
+        st.tuples(st.sampled_from(names), st.integers(0, 3)).map(
+            lambda t: f"{t[0]}**{t[1]}"
+        ),
+    )
+
+    def extend(child):
+        return st.one_of(
+            st.tuples(child, st.sampled_from(["+", "-", "*"]), child).map(
+                lambda t: f"{t[0]} {t[1]} {t[2]}"
+            ),
+            st.tuples(child, st.integers(0, 2)).map(lambda t: f"({t[0]})**{t[1]}"),
+            st.tuples(child, st.integers(1, 9)).map(lambda t: f"{t[0]} / {t[1]}"),
+            st.tuples(child, child).map(lambda t: f"{t[0]}/({t[1]})"),
+            child.map(lambda c: f"-{c}"),
+            child.map(lambda c: f"({c})"),
+        )
+
+    return st.recursive(leaves, extend, max_leaves=8)
+
+
+def _outcome(parse, field, vars, expr):
+    try:
+        return parse(field, vars, expr)
+    except (ExactDivisionError, ZeroDivisionError) as exc:
+        return type(exc)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.sampled_from([QQ, GF(7), GF(5, 2)]), _expressions(XYZ))
+def test_parse_matches_reference(field, expr):
+    assert _outcome(MultiPoly.parse, field, XYZ, expr) == _outcome(
+        reference_parse, field, XYZ, expr
+    )
+
+
+def test_parse_rejects():
+    with pytest.raises(UnknownVariable):
+        P("x + w")
+    for bad in ("", "x +", "2x", "(x", "x)", "x ^ 2", "x**y", "1.5*x", "x**(2)"):
+        with pytest.raises(MalformedExpression):
+            P(bad)
