@@ -15,7 +15,7 @@ Over Q, with z the integer coefficient list of form(1,t)/t^lo, they are
 and then (1 : a/den) for num | z[0] and den | z[-1], both ascending, with
 a = +num before -num.  Those divisors come from trial division, which the
 enumeration budget refuses up front when isqrt|z[0]| + isqrt|z[-1]|
-exceeds it.
+exceeds it; over F_q it refuses up front when the q + 1 points exceed it.
 
 What is left over Q once every rational root is divided out has its roots
 in the algebraic closure; those not excluded by the open set are counted
@@ -143,6 +143,12 @@ def _binary_roots(form: MultiPoly, vars2: tuple):
     binary = form.with_vars(vars2)
     one = MultiPoly.constant(fld, vars2, 1)
     if fld.characteristic:
+        points = fld.characteristic ** getattr(fld, "s", 1) + 1
+        limit = enumeration_budget()
+        if points > limit:
+            raise BudgetExceeded(
+                f"root search tests {points} points of P^1, over budget {limit}"
+            )
         pts = proj_points(fld, 1)
         return [pt for pt in pts if binary.evaluate(pt.coords).is_zero()], one
     # binary(1, t) = t^lo * z(t) / scale, with z integral and z(0) != 0

@@ -355,14 +355,20 @@ def cmd_sweep(args) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--pretty", action="store_true", help="indented JSON output")
-    common.add_argument("--seed", type=int, default=0)
-    ap = argparse.ArgumentParser(prog="gridlab", parents=[common])
+    ap = argparse.ArgumentParser(prog="gridlab")
+    ap.add_argument("--pretty", action="store_true", help="indented JSON output")
+    ap.add_argument("--seed", type=int, default=0)
+    # the copies every subcommand (and curves action) accepts after its
+    # name; SUPPRESS keeps them from resetting values given before it
+    late = argparse.ArgumentParser(add_help=False)
+    late.add_argument(
+        "--pretty", action="store_true", default=argparse.SUPPRESS, help="indented JSON output"
+    )
+    late.add_argument("--seed", type=int, default=argparse.SUPPRESS)
     sub = ap.add_subparsers(dest="command", required=True)
 
     def add_parser(name):
-        return sub.add_parser(name, parents=[common])
+        return sub.add_parser(name, parents=[late])
 
     c = add_parser("construct")
     c.add_argument("--family", required=True, choices=["1a", "1b", "1c", "1d"])
@@ -400,11 +406,6 @@ def build_parser() -> argparse.ArgumentParser:
     cv = add_parser("curves")
     cv.set_defaults(fn=cmd_curves)
     actions = cv.add_subparsers(dest="action", required=True)
-    # options given after the action; SUPPRESS keeps them from resetting
-    # values given before it
-    late = argparse.ArgumentParser(add_help=False)
-    late.add_argument("--pretty", action="store_true", default=argparse.SUPPRESS)
-    late.add_argument("--seed", type=int, default=argparse.SUPPRESS)
     for action, flags, kind in (
         ("imult", ("--f", "--g", "--point"), str),
         ("common", ("--h1", "--h2", "--u"), str),

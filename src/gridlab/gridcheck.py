@@ -19,6 +19,16 @@ floor at t-1 and stops at the first hit; `max_common_neighborhood` starts
 it at -1 and raises it to each new maximum.  The lexicographic order is
 part of the contract, so witnesses, argmaxes and reports are
 byte-identical across runs.
+
+The last depth of the scan counts by columns instead of trying each
+remaining candidate: the scan transposes the rows once into column bitsets
+(the left vertices adjacent to each right vertex), and a prefix with common
+neighborhood `inter` adds the columns of the members of `inter` into a
+bit-sliced counter, one plane per bit of every candidate's count
+|inter & N(i)|.  A prefix then costs |inter| column adds of a few big-int
+operations each, not one intersection per remaining candidate.  The counts
+pick the lowest candidate that the candidate loop would have reported, so
+the lexicographic order is kept.
 """
 
 from __future__ import annotations
@@ -228,28 +238,95 @@ def _check_budget(n: int, s: int, budget: int | None):
         )
 
 
+def _columns(rows: list, n_right: int) -> list:
+    """cols[j] = bitset of the left vertices adjacent to right vertex j."""
+    cols = [0] * n_right
+    for i, row in enumerate(rows):
+        bit = 1 << i
+        while row:
+            low = row & -row
+            cols[low.bit_length() - 1] |= bit
+            row ^= low
+    return cols
+
+
 def _scan(G: BipartiteGraph, s: int, floor: int, first: bool, budget: int | None):
     """(S, common neighborhood bitset) for the lexicographically first
     s-subset with more than `floor` common neighbours, or with `first` false
     the first one of maximum size (each hit raises `floor`, so ties keep the
-    earlier subset); None when no subset beats `floor`."""
+    earlier subset); None when no subset beats `floor`.
+
+    Depths above the last try each candidate vertex in turn, since they
+    recurse into every survivor anyway.  The last depth counts instead: for
+    a prefix with common neighborhood `inter`, it adds the column
+    cols[v] >> start of every v in `inter` into a bit-sliced counter, where
+    bit j of planes[k] is bit k of |inter & N(start + j)|; the shift drops
+    the candidates below `start`.  A plane-wise comparison with floor + 1
+    gives every candidate that beats the floor at once, and the lowest of
+    them is the one the candidate loop would stop at.  With `first` false
+    the survivors are narrowed from the top plane down to those of maximum
+    count; the lowest of those is the last hit the loop would have kept,
+    since it replaced its hit only on a strictly larger count.  So S, T and
+    the argmax are those of the plain lexicographic scan."""
     n = len(G.rows)
     _check_budget(n, s, budget)
     rows = G.rows
+    cols = _columns(rows, len(G.right))
     hit = None
 
-    def rec(start, depth, inter, chosen):
+    def last(start, inter, chosen):
         nonlocal floor, hit
+        planes = []
+        x = inter
+        while x:
+            low = x & -x
+            x ^= low
+            carry = cols[low.bit_length() - 1] >> start
+            for k, plane in enumerate(planes):
+                planes[k] = plane ^ carry
+                carry &= plane
+                if not carry:
+                    break
+            else:
+                planes.append(carry)
+        alive = (1 << (n - start)) - 1
+        need = floor + 1
+        if need > 0:
+            if need >> len(planes):  # every count is below 2^len(planes)
+                return False
+            # from the top bit down, `alive` keeps the candidates whose count
+            # matches `need` so far; one with a 1 where `need` has a 0
+            # exceeds it and stays in `above`
+            above = 0
+            for k in range(len(planes) - 1, -1, -1):
+                if need >> k & 1:
+                    alive &= planes[k]
+                else:
+                    above |= alive & planes[k]
+            alive |= above
+            if not alive:
+                return False
+        if not first:
+            for plane in reversed(planes):
+                top = alive & plane
+                if top:
+                    alive = top
+        i = start + (alive & -alive).bit_length() - 1
+        ni = inter & rows[i]
+        hit = chosen + [i], ni
+        if first:
+            return True
+        floor = ni.bit_count()
+        return False
+
+    def rec(start, depth, inter, chosen):
+        if depth + 1 == s:
+            return last(start, inter, chosen)
         for i in range(start, n - (s - depth) + 1):
             ni = inter & rows[i]
             if ni.bit_count() <= floor:
                 continue
-            if depth + 1 == s:
-                hit = chosen + [i], ni
-                if first:
-                    return True
-                floor = ni.bit_count()
-            elif rec(i + 1, depth + 1, ni, chosen + [i]):
+            if rec(i + 1, depth + 1, ni, chosen + [i]):
                 return True
         return False
 
@@ -269,12 +346,7 @@ def find_grid(
     if hit is None:
         return None
     S, common = hit
-    T = []
-    j = 0
-    while len(T) < t:
-        if common >> j & 1:
-            T.append(j)
-        j += 1
+    T = [j for j in range(len(G.right)) if common >> j & 1][:t]
     return GridWitness.checked(S, T, G.rows)
 
 

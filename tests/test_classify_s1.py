@@ -446,19 +446,43 @@ def test_rational_root_test_refused_before_trial_division(monkeypatch):
         s1_reduce(large)
 
 
-def test_huge_coefficient_exits_2(tmp_path):
+def test_root_search_over_F_q_refused_before_enumeration(monkeypatch):
+    # P^1(F_q) has q + 1 points
+    monkeypatch.setenv("GRIDLAB_BUDGET", "25")
+    form = "y0*(x0*y1 - x1*y0)"
+    assert [repr(r) for r in s1_classify(F(form, GF(23))).g_roots_in_Y] == ["(0:1)"]
+    monkeypatch.setattr(classify_s1, "proj_points", None)
+    with pytest.raises(BudgetExceeded, match=r"26 points of P\^1, over budget 25"):
+        s1_classify(F(form, GF(5, 2)))
+    with pytest.raises(BudgetExceeded):
+        s1_reduce(F(form, GF(29)))
+
+
+def _classify_in_subprocess(tmp_path, poly):
     path = tmp_path / "f.json"
-    poly = MultiPoly.parse(QQ, P1_VARS, f"x0*(y0 - {10**30 + 1}*y1)*(y0 + y1)")
     path.write_text(json.dumps(poly.to_json()))
     env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
     env.pop("GRIDLAB_BUDGET", None)
-    res = subprocess.run(
+    return subprocess.run(
         [sys.executable, "-m", "gridlab.cli", "s1", "classify", "--poly", str(path)],
         env=env,
         capture_output=True,
         text=True,
         timeout=30,
     )
+
+
+def test_huge_coefficient_exits_2(tmp_path):
+    poly = MultiPoly.parse(QQ, P1_VARS, f"x0*(y0 - {10**30 + 1}*y1)*(y0 + y1)")
+    res = _classify_in_subprocess(tmp_path, poly)
     assert res.returncode == 2
     assert res.stdout == ""
     assert res.stderr.startswith("error: BudgetExceeded")
+
+
+def test_huge_field_exits_2(tmp_path):
+    poly = MultiPoly.parse(GF(10**9 + 7), P1_VARS, "y0*(x0*y1 - x1*y0)")
+    res = _classify_in_subprocess(tmp_path, poly)
+    assert res.returncode == 2
+    assert res.stdout == ""
+    assert res.stderr.startswith("error: BudgetExceeded: root search tests 1000000008")

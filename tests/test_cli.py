@@ -238,6 +238,37 @@ def test_sweep_empty_primes(capsys):
     assert data["results"] == []
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["--pretty", "construct", "--family", "1a", "--p", "3"],
+        ["construct", "--family", "1a", "--p", "3", "--pretty"],
+        ["--pretty", "curves", "moura", "--d1", "3", "--d2", "2"],
+        ["curves", "--pretty", "moura", "--d1", "3", "--d2", "2"],
+        ["curves", "moura", "--d1", "3", "--d2", "2", "--pretty"],
+    ],
+)
+def test_pretty_before_or_after_subcommand(capsys, argv):
+    code, out = run(capsys, *argv)
+    assert code == 0
+    assert out == json.dumps(json.loads(out), indent=2) + "\n"
+
+
+@pytest.mark.parametrize(
+    "argv,seed",
+    [
+        (["sweep", "--primes", ""], 0),
+        (["--seed", "5", "sweep", "--primes", ""], 5),
+        (["sweep", "--primes", "", "--seed", "6"], 6),
+        (["--seed", "5", "sweep", "--primes", "", "--seed", "7"], 7),
+    ],
+)
+def test_seed_before_or_after_subcommand(capsys, argv, seed):
+    code, data = run_json(capsys, *argv)
+    assert code == 0
+    assert data["seed"] == seed
+
+
 def test_sweep_records_bad_characteristic():
     report = run_sweep("default", [2])
     by_name = {r["check"]: r for r in report["results"]}

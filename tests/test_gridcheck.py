@@ -1,17 +1,23 @@
+import contextlib
+import io
+import json
 import os
 import random
 import subprocess
 import sys
+import tempfile
 from itertools import combinations
 from math import comb
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from gridlab.errors import BudgetExceeded, EmptySide, ParameterOutOfRange
 from gridlab.fields import GF, QQ
 from gridlab.gridcheck import (
     BipartiteGraph,
+    _check_budget,
     build_graph,
     edge_report,
     enumeration_budget,
@@ -44,6 +50,58 @@ def naive_max_common(rows, n_right, s):
         if c > best:
             best, arg = c, list(S)
     return best, arg
+
+
+def reference_scan(G, s, floor, first, budget):
+    """The per-candidate subset scan that the column-counting last level of
+    `gridcheck._scan` replaced: every depth, the last included, tries each
+    candidate vertex in turn.  Same contract as `_scan`."""
+    n = len(G.rows)
+    _check_budget(n, s, budget)
+    rows = G.rows
+    hit = None
+
+    def rec(start, depth, inter, chosen):
+        nonlocal floor, hit
+        for i in range(start, n - (s - depth) + 1):
+            ni = inter & rows[i]
+            if ni.bit_count() <= floor:
+                continue
+            if depth + 1 == s:
+                hit = chosen + [i], ni
+                if first:
+                    return True
+                floor = ni.bit_count()
+            elif rec(i + 1, depth + 1, ni, chosen + [i]):
+                return True
+        return False
+
+    rec(0, 0, (1 << len(G.right)) - 1, [])
+    return hit
+
+
+def reference_find_grid(G, s, t):
+    """(S, T) as `find_grid` reports them, from `reference_scan`."""
+    hit = reference_scan(G, s, t - 1, True, None)
+    if hit is None:
+        return None
+    S, common = hit
+    return S, [j for j in range(len(G.right)) if common >> j & 1][:t]
+
+
+def reference_max_common(G, s):
+    S, common = reference_scan(G, s, -1, False, None)
+    return common.bit_count(), S
+
+
+def assert_scans_agree(G, s, ts):
+    nl = len(G.left)
+    if 1 <= s <= nl:
+        assert max_common_neighborhood(G, s) == reference_max_common(G, s)
+        for t in ts:
+            w = find_grid(G, s, t)
+            got = None if w is None else (w.S, w.T)
+            assert got == reference_find_grid(G, s, t)
 
 
 def random_graph(rng, nl, nr, density=0.4):
@@ -98,6 +156,68 @@ def test_max_common_matches_oracle(seed):
         ebest, earg = naive_max_common(G.rows, nr, s)
         assert best == ebest
         assert arg == earg  # lexicographically first argmax
+
+
+@st.composite
+def scan_graphs(draw):
+    """Small graphs rich in ties: rows drawn from a short pool (repeated rows
+    tie), with the empty and the full row among the choices."""
+    nl = draw(st.integers(1, 9))
+    nr = draw(st.integers(1, 9))
+    full = (1 << nr) - 1
+    pool = draw(st.lists(st.integers(0, full), min_size=1, max_size=4))
+    rows = draw(st.lists(st.sampled_from(pool + [0, full]), min_size=nl, max_size=nl))
+    return BipartiteGraph([(i,) for i in range(nl)], [(j,) for j in range(nr)], rows)
+
+
+@settings(max_examples=300, deadline=None)
+@given(scan_graphs(), st.data())
+def test_scan_matches_reference(G, data):
+    # s = 1 and s = |left| included; t up to |right| + 2 covers t > |right|
+    nl, nr = len(G.left), len(G.right)
+    s = data.draw(st.sampled_from(sorted({1, nl, min(2, nl), min(3, nl)})))
+    assert_scans_agree(G, s, range(1, nr + 3))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(2, 40), st.integers(1, 40), st.randoms(use_true_random=False))
+def test_scan_matches_reference_wide(nl, nr, rng):
+    # wide enough that the bit-sliced counter needs several planes
+    G = random_graph(rng, nl, nr, density=rng.choice([0.2, 0.5, 0.9]))
+    for s in (1, 2, 3):
+        assert_scans_agree(G, s, (1, 2, 3, 5, nr, nr + 1))
+
+
+def test_scan_one_right_vertex():
+    G = BipartiteGraph([(i,) for i in range(5)], [(0,)], [0, 1, 1, 0, 1])
+    for s in range(1, 6):
+        assert_scans_agree(G, s, (1, 2))
+
+
+@pytest.mark.parametrize(
+    "family,p,dim,s,ts",
+    [
+        ("1a", 5, None, 2, (1, 2)),
+        ("1a", 11, None, 2, (2,)),
+        ("1b", 3, None, 3, (2, 3)),
+        ("1b", 7, None, 2, (2, 3, 8)),
+        ("1c", 5, 2, 2, (2, 3)),
+        ("1c", 11, 2, 2, (3,)),
+        ("1c", 5, 3, 3, (3, 7)),
+        ("1d", 7, 2, 2, (1, 2)),
+        ("1d", 11, 2, 2, (2,)),
+        ("1d", 5, 3, 2, (3,)),
+    ],
+)
+def test_scan_matches_reference_on_constructions(family, p, dim, s, ts):
+    G = build_graph(construct(family, p, dim).hypersurface, p)
+    assert_scans_agree(G, s, ts)
+
+
+def test_max_common_1b_p11_with_raised_budget():
+    # C(1331, 3) subsets: refused by the default budget (criterion 02)
+    G = build_graph(construct("1b", 11).hypersurface, 11)
+    assert max_common_neighborhood(G, 3, budget=comb(1331, 3)) == (2, [0, 1, 13])
 
 
 def test_find_grid_lex_first_witness():
@@ -262,3 +382,41 @@ def test_reduction_follows_primitive_model():
     G3 = graph(GF(3), "x0*y0")
     assert G.rows == G3.rows
     assert (G.left, G.right) == (G3.left, G3.right)
+
+
+# -- recorded gridcheck outputs -------------------------------------------------------
+
+WITNESSES = Path(__file__).resolve().parent / "data" / "gridcheck_witnesses.json"
+
+
+def golden_witness_mismatches() -> list:
+    """Cases of `data/gridcheck_witnesses.json` whose `gridlab gridcheck`
+    stdout or exit code differs from the recorded one, run in-process on
+    the output of the recorded `gridlab construct` call."""
+    from gridlab import cli
+
+    bad = []
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "h.json")
+        for case in json.loads(WITNESSES.read_text()):
+            with contextlib.redirect_stdout(io.StringIO()):
+                cli.main(case["construct"] + ["--out", path])
+            out = io.StringIO()
+            with contextlib.redirect_stdout(out):
+                code = cli.main(["gridcheck", "--input", path] + case["gridcheck"])
+            if (out.getvalue(), code) != (case["stdout"], case["exit"]):
+                bad.append({**case, "got_stdout": out.getvalue(), "got_exit": code})
+    return bad
+
+
+def test_gridcheck_matches_recorded_witnesses():
+    assert golden_witness_mismatches() == []
+
+
+if __name__ == "__main__":
+    # PYTHONPATH=src python -O tests/test_gridcheck.py: the same comparison
+    # with asserts stripped from gridlab
+    mismatches = golden_witness_mismatches()
+    for case in mismatches:
+        print(json.dumps(case), file=sys.stderr)
+    sys.exit(1 if mismatches else 0)
