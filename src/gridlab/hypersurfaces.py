@@ -4,9 +4,7 @@ constructions over prime fields."""
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from itertools import product
-from math import gcd, lcm
 
 from .errors import (
     BadCharacteristic,
@@ -19,7 +17,7 @@ from .errors import (
     json_field,
 )
 from .fields import GF, QQ, Field, FieldElem
-from .poly import BiHomPoly, MultiPoly, bihomogenize
+from .poly import BiHomPoly, MultiPoly, bihomogenize, primitive_integral_model
 
 
 class ProjPoint:
@@ -195,9 +193,8 @@ class Hypersurface:
 def reduce_polys_mod(polys: list, p: int) -> list:
     """Reduce polynomials over Q or F_p to F_p coefficients.
 
-    Over Q the whole list is first scaled to its primitive integral model:
-    every coefficient is multiplied by the lcm of the denominators and
-    divided by the gcd of the numerators, taken over all the polynomials.
+    Over Q the whole list is first scaled to its primitive integral model
+    (`poly.primitive_integral_model`), one factor for all the polynomials.
     One common factor keeps each zero set and the map that a list of
     components defines; whenever plain coefficient reduction works, the
     factor is a unit mod p."""
@@ -205,17 +202,8 @@ def reduce_polys_mod(polys: list, p: int) -> list:
     for F in polys:
         if F.field != Fp and F.field != QQ:
             raise BadReduction(f"cannot reduce {F.field} mod {p}")
-    coeffs = [c for F in polys if F.field == QQ for c in F.terms.values()]
-    scale = Fraction(
-        lcm(*(c.denominator for c in coeffs)),
-        gcd(*(c.numerator for c in coeffs)) or 1,
-    )
-    return [
-        F
-        if F.field == Fp
-        else MultiPoly(Fp, F.vars, {e: c * scale for e, c in F.terms.items()})
-        for F in polys
-    ]
+    models = iter(primitive_integral_model([F for F in polys if F.field == QQ]))
+    return [F if F.field == Fp else MultiPoly(Fp, F.vars, next(models)) for F in polys]
 
 
 def reduce_poly_mod(F: MultiPoly, p: int) -> MultiPoly:

@@ -1,16 +1,21 @@
 """Sparse exact multivariate polynomials over the fields in `gridlab.fields`.
 
 Provides exactly the primitives the grid-free machinery needs: ring
-arithmetic, substitution, derivatives, per-variable-group contents, GCD by
-primitive-part subresultant PRS, squarefree parts, Sylvester resultants and
-(bi)homogenization.  The monomial order is graded lex with the variable
-tuple's later entries more significant; the leading coefficient in that
-order is normalized to 1 wherever a canonical representative is needed.
+arithmetic, substitution, derivatives, per-variable-group contents, GCDs,
+squarefree parts, Sylvester resultants and (bi)homogenization.  A GCD over
+a finite field runs a primitive PRS; over Q it is assembled from such
+images modulo word-size primes by CRT and rational reconstruction, and
+certified by exact division.  The monomial order is graded lex with the
+variable tuple's later entries more significant; the leading coefficient
+in that order is normalized to 1 wherever a canonical representative is
+needed.
 """
 
 from __future__ import annotations
 
+import math
 import re
+from fractions import Fraction
 
 from .errors import (
     BadCharacteristic,
@@ -22,11 +27,12 @@ from .errors import (
     MixedFields,
     NotHomogeneous,
     UnknownVariable,
+    UnsupportedParameters,
     ZeroPolynomial,
     json_field,
     json_value,
 )
-from .fields import Field, FieldElem, field_from_descriptor
+from .fields import GF, QQ, Field, FieldElem, field_from_descriptor, is_prime
 
 
 def _order_key(exps: tuple) -> tuple:
@@ -583,8 +589,17 @@ def _content_and_pp(a: MultiPoly, var: str):
 
 
 def gcd(a: MultiPoly, b: MultiPoly) -> MultiPoly:
-    """GCD over a field, normalized monic; primitive-part PRS one variable
-    at a time, recursing into the coefficients for contents."""
+    """GCD over a field, normalized monic: the primitive PRS over a finite
+    field, the modular gcd over Q."""
+    b = a._coerce_operand(b)
+    if a.field.characteristic or a.is_zero() or b.is_zero():
+        return _prs_gcd(a, b)
+    return _modular_gcd(a, b)
+
+
+def _prs_gcd(a: MultiPoly, b: MultiPoly) -> MultiPoly:
+    """Monic GCD by primitive-part PRS, one variable at a time, recursing
+    into the coefficients for contents."""
     if a.is_zero():
         return b.monic()
     if b.is_zero():
@@ -598,7 +613,7 @@ def gcd(a: MultiPoly, b: MultiPoly) -> MultiPoly:
         return MultiPoly.constant(a.field, a.vars, 1)
     ca, fa = _content_and_pp(a, main)
     cb, fb = _content_and_pp(b, main)
-    cont = gcd(ca, cb)
+    cont = _prs_gcd(ca, cb)
     if len(fa) < len(fb):
         fa, fb = fb, fa
     while fb:
@@ -610,6 +625,95 @@ def gcd(a: MultiPoly, b: MultiPoly) -> MultiPoly:
         fa, fb = fb, r
     g = cont * MultiPoly.from_univariate(fa, main)
     return g.monic()
+
+
+def primitive_integral_model(polys: list) -> list:
+    """Integer term dicts of c*F for every F over Q in `polys`: one positive
+    rational c for the whole list, chosen so that all the coefficients
+    together are coprime integers."""
+    coeffs = [c for F in polys for c in F.terms.values()]
+    den = math.lcm(*(c.denominator for c in coeffs))
+    num = math.gcd(*(c.numerator for c in coeffs)) or 1
+    return [
+        {e: c.numerator // num * (den // c.denominator) for e, c in F.terms.items()}
+        for F in polys
+    ]
+
+
+def _word_primes():
+    """Primes below 2^31, largest first: the moduli of the Q gcd's images."""
+    p = 2**31 - 1
+    while p > 2:
+        if is_prime(p):
+            yield p
+        p -= 2
+
+
+def _rational(u: int, m: int):
+    """The fraction r/s with r = s*u (mod m) and |r|, s <= sqrt(m/2), or None
+    when there is none; it is unique since 2*sqrt(m/2)^2 < m for odd m
+    (Wang's rational reconstruction, the half-extended Euclid)."""
+    bound = math.isqrt(m // 2)
+    r0, r1, s0, s1 = m, u % m, 0, 1
+    while r1 > bound:
+        q = r0 // r1
+        r0, r1, s0, s1 = r1, r0 - q * r1, s1, s0 - q * s1
+    if abs(s1) > bound or math.gcd(r1, s1) != 1:
+        return None
+    return Fraction(r1, s1)
+
+
+def _modular_gcd(a: MultiPoly, b: MultiPoly) -> MultiPoly:
+    """Monic GCD of nonzero polynomials over Q from monic images over GF(p)
+    (Brown 1971).
+
+    Take primes p dividing neither leading coefficient of the primitive
+    integral models.  The gcd's leading monomial then divides the image's,
+    with equality exactly when p is lucky: an image with a larger leading
+    monomial is dropped, a smaller one restarts the accumulation, and an
+    image of degree 0 proves the gcd is 1.  Images of one leading monomial
+    are combined coefficientwise by CRT and lifted to Q by rational
+    reconstruction.  A lift that divides both inputs is the gcd, because
+    its leading monomial is no smaller than the gcd's.
+    """
+    A, B = (primitive_integral_model([f])[0] for f in (a, b))
+    la, lb = A[max(A, key=_order_key)], B[max(B, key=_order_key)]
+    best, acc, modulus = (math.inf,), {}, 1
+    for p in _word_primes():
+        if la % p == 0 or lb % p == 0:
+            continue
+        Fp = GF(p)
+        a_p, b_p = (
+            MultiPoly._raw(Fp, a.vars, {e: r for e, c in M.items() if (r := c % p)})
+            for M in (A, B)
+        )
+        image = _prs_gcd(a_p, b_p)
+        exps, _ = image._lead()
+        if sum(exps) == 0:
+            return MultiPoly.constant(QQ, a.vars, 1)
+        key = _order_key(exps)
+        if key > best:
+            continue  # p is unlucky
+        if key < best:  # every earlier prime was unlucky
+            best, acc, modulus = key, {}, 1
+        inv = pow(modulus, -1, p)
+        acc = {
+            e: (u := acc.get(e, 0))
+            + modulus * ((image.terms.get(e, 0) - u) * inv % p)
+            for e in acc.keys() | image.terms.keys()
+        }
+        modulus *= p
+        lifted = {}
+        for e, u in acc.items():
+            if (c := _rational(u, modulus)) is None:
+                break
+            if c:
+                lifted[e] = c
+        else:
+            g = MultiPoly._raw(QQ, a.vars, lifted)
+            if divides(g, a) and divides(g, b):
+                return g
+    raise UnsupportedParameters("ran out of word-size primes")
 
 
 def squarefree_part(a: MultiPoly, var: str) -> MultiPoly:
@@ -632,7 +736,13 @@ def squarefree_part(a: MultiPoly, var: str) -> MultiPoly:
 
 
 def squarefree_in_vars(a: MultiPoly, group: tuple) -> MultiPoly:
-    """Iterated per-variable squarefree pass over a variable group."""
+    """Iterated per-variable squarefree pass over a variable group.
+
+    The pass in v divides by gcd(a, da/dv), which holds every factor free
+    of v whole, so each factor free of some variable of the group is
+    dropped: on y0*y1*h over (y0, y1) the result is h.  This is no
+    squarefree part of a binary form; callers must not have such factors
+    or must split them off first."""
     out = a
     for v in group:
         if out.degree_in(v) > 0:

@@ -149,6 +149,13 @@ def test_reduce_polys_mod_shares_one_factor():
         MultiPoly.parse(GF(7), ("x", "y"), "x"),
         MultiPoly.parse(GF(7), ("x", "y"), "3*y"),
     ]
+    # a form already over F_7 stays as it is, in its place in the list
+    c = MultiPoly.parse(GF(7), ("x", "y"), "x + y")
+    assert reduce_polys_mod([a, c, b], 7) == [
+        MultiPoly.parse(GF(7), ("x", "y"), "x"),
+        c,
+        MultiPoly.parse(GF(7), ("x", "y"), "3*y"),
+    ]
 
 
 def test_reduce_hypersurface_clears_denominator():

@@ -1,14 +1,19 @@
+import math
 import random
+import signal
+from contextlib import contextmanager
+from fractions import Fraction
 
 import pytest
 import sympy
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from gridlab.errors import (
     BadCharacteristic,
     DegreeZero,
     ExactDivisionError,
     MalformedExpression,
+    MixedFields,
     NotHomogeneous,
     UnknownVariable,
     ZeroPolynomial,
@@ -17,6 +22,9 @@ from gridlab.fields import GF, QQ
 from gridlab.poly import (
     BiHomPoly,
     MultiPoly,
+    _prs_gcd,
+    _rational,
+    _word_primes,
     bihomogenize,
     dehomogenize,
     divides,
@@ -105,6 +113,16 @@ def test_gcd_examples():
     assert gcd(P("3"), a).is_constant()
 
 
+def test_gcd_rejects_operands_of_another_ring():
+    for a, b in [(P("x + 1"), P("x + 1", GF(5))), (P("x + 1", GF(5)), P("x + 1"))]:
+        with pytest.raises(MixedFields):
+            gcd(a, b)
+        with pytest.raises(MixedFields):
+            gcd(a, b - b)
+    with pytest.raises(UnknownVariable):
+        gcd(P("x + 1"), P("x + 1", QQ, XYZ))
+
+
 def test_gcd_monic_normalization():
     g = gcd(P("2*x + 2*y"), P("4*x + 4*y"))
     assert g == P("x + y")
@@ -133,6 +151,193 @@ def test_squarefree_in_vars():
     # the pass divides by gcd(f, df/dy), which also swallows the x-content
     f = P("x**2*(y - 1)**2", QQ, XY)
     assert squarefree_in_vars(f, ("y",)) == P("y - 1").monic()
+
+
+def test_squarefree_in_vars_drops_factors_free_of_a_group_variable():
+    # y0 is free of y1 and y1 of y0, so each pass swallows one of them whole
+    Y = ("y0", "y1")
+    h = MultiPoly.parse(QQ, Y, "y0**2 + 3*y0*y1 - 2*y1**2")
+    y0y1h = MultiPoly.parse(QQ, Y, "y0*y1") * h
+    assert squarefree_in_vars(y0y1h, Y) == h.monic()
+    assert squarefree_in_vars(y0y1h**2, Y) == h.monic()
+
+
+# -- the modular gcd over Q ------------------------------------------------------------
+
+
+@contextmanager
+def _time_limit(seconds):
+    # a prime loop that never certifies must fail the test, not hang it
+    def expire(signum, frame):
+        raise TimeoutError(f"gcd did not finish within {seconds} s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.alarm(seconds)
+    try:
+        yield
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+
+
+def test_word_primes_walk_down_from_the_mersenne_prime():
+    first = [p for _, p in zip(range(4), _word_primes())]
+    assert first[0] == 2**31 - 1
+    assert first == sorted(first, reverse=True)
+    assert all(sympy.isprime(p) for p in first)
+    assert list(sympy.primerange(first[-1], first[0] + 1)) == first[::-1]
+
+
+@pytest.mark.parametrize("m", [105, 143, 315, 1155])
+def test_rational_reconstruction_matches_brute_force(m):
+    n = math.isqrt(m // 2)
+    for u in range(m):
+        fits = {
+            Fraction(r, s)
+            for s in range(1, n + 1)
+            for r in range(-n, n + 1)
+            if (r - s * u) % m == 0 and math.gcd(s, m) == 1
+        }
+        assert len(fits) <= 1
+        assert _rational(u, m) == (fits.pop() if fits else None), (u, m)
+
+
+def test_gcd_unlucky_first_prime_gives_one():
+    p0 = next(_word_primes())
+    x = ("x",)
+    a = MultiPoly.parse(QQ, x, f"x*(x + {p0 + 1})")
+    b = MultiPoly.parse(QQ, x, "(x + 1)*(x + 2)")
+    with _time_limit(20):
+        assert gcd(a, b) == MultiPoly.constant(QQ, x, 1)
+
+
+def test_gcd_drops_an_unlucky_prime_after_a_lucky_one():
+    # p1 makes (x + 1) a false common factor; the planted one needs 3 primes
+    p1 = [p for _, p in zip(range(2), _word_primes())][1]
+    x = ("x",)
+    common = MultiPoly.parse(QQ, x, f"x + {2**70 + 12345}")
+    a = common * MultiPoly.parse(QQ, x, f"x*(x + {p1 + 1})")
+    b = common * MultiPoly.parse(QQ, x, "(x + 1)*(x + 2)")
+    with _time_limit(20):
+        assert gcd(a, b) == common
+
+
+QQHARD = (
+    "2*y1**2*y2**4 - 3*y0*y1*y2**4 - 9*y0**2*y2**4 - 1*y1**3*y2**3"
+    " - 12*y0*y1**2*y2**3 + 10*y0**2*y1*y2**3 + 6*y0**3*y2**3 - 5*y1**4*y2**2"
+    " + 5*y0*y1**3*y2**2 + 6*y0**2*y1**2*y2**2 - 12*y0**3*y1*y2**2"
+    " - 1*y0**4*y2**2 - 4*y1**5*y2 + 5*y0*y1**4*y2 + 3*y0**2*y1**3*y2"
+    " + 9*y0**3*y1**2*y2 + 3*y0**4*y1*y2 + 4*y1**6 + 2*y0*y1**5 - 6*y0**2*y1**4"
+    " - 5*y0**3*y1**3 - 1*y0**4*y1**2",
+    "y1*y2**5 - 3*y0*y2**5 - 5*y0*y1*y2**4 + 4*y0**2*y2**4 - 4*y1**3*y2**3"
+    " + 5*y0*y1**2*y2**3 + 8*y0**3*y2**3 + y1**4*y2**2 - 3*y0*y1**3*y2**2"
+    " + 13*y0**2*y1**2*y2**2 - 19*y0**3*y1*y2**2 + 6*y0**4*y2**2 - 1*y1**5*y2"
+    " - 3*y0**2*y1**3*y2 + 22*y0**3*y1**2*y2 - 12*y0**4*y1*y2 - 3*y0**5*y2"
+    " - 2*y1**6 + 8*y0*y1**5 + y0**2*y1**4 - 15*y0**3*y1**3 + 3*y0**4*y1**2"
+    " + 3*y0**5*y1",
+)
+PLANE = ("y0", "y1", "y2")
+
+
+def test_gcd_of_the_hard_sextic_pair_matches_sympy():
+    # two plane sextics through one conic, whose Fraction PRS took 0.4-0.7 s
+    a, b = (MultiPoly.parse(QQ, PLANE, f) for f in QQHARD)
+    with _time_limit(60):
+        g = gcd(a, b)
+    assert g == _sympy_gcd(a, b)
+    conic = "y1*y2 - 3*y0*y2 - 2*y1**2 + 2*y0*y1 + y0**2"
+    assert g == MultiPoly.parse(QQ, PLANE, conic)
+
+
+def test_squarefree_of_a_degree_16_binary_resultant_matches_sympy():
+    # f and g = f + l^2 q meet doubly along l, so Res_y2(f, g) =
+    # Res(f, l)^2 Res(f, q) up to sign, a binary form of degree 16
+    rng = random.Random("quartics")
+
+    def form(degree):
+        return MultiPoly(
+            QQ,
+            PLANE,
+            {
+                (i, j, degree - i - j): rng.randint(-9, 9)
+                for i in range(degree + 1)
+                for j in range(degree + 1 - i)
+            },
+        )
+
+    f = form(4)
+    line = MultiPoly.parse(QQ, PLANE, "y2 - y0 - 2*y1")
+    g = f + line**2 * form(2)
+    r = resultant(f, g, "y2")
+    assert r.degree() == 16 and r.degree_in("y2") == 0
+    with _time_limit(60):
+        sqf = squarefree_in_vars(r, ("y0", "y1"))
+    syms = sympy.symbols(PLANE)
+    want = sympy.sqf_part(_to_sympy(r, syms))
+    assert sqf == _to_multipoly(want.as_expr(), syms, PLANE).monic()
+    assert sqf.degree() == 12
+
+
+def _qq_coefficients():
+    huge = st.builds(
+        lambda sign, k: sign * (2**70 + k),
+        st.sampled_from((-1, 1)),
+        st.integers(0, 2**80),
+    )
+    return st.one_of(
+        st.integers(-9, 9),
+        st.builds(Fraction, st.integers(-9, 9), st.integers(1, 12)),
+        huge,
+        st.builds(Fraction, huge, st.integers(2, 2**20)),
+    )
+
+
+@st.composite
+def _qq_polys(draw, vars, max_degree, coefficients):
+    terms = draw(
+        st.lists(
+            st.tuples(
+                st.tuples(*[st.integers(0, max_degree)] * len(vars)), coefficients
+            ),
+            min_size=1,
+            max_size=4,
+        )
+    )
+    return MultiPoly(QQ, vars, {e: c for e, c in terms if sum(e) <= max_degree})
+
+
+@st.composite
+def _planted_gcd_pairs(draw, max_degree, coefficients):
+    vars = XYZ[: draw(st.integers(1, 3))]
+    common, u, v = (
+        draw(_qq_polys(vars, max_degree, coefficients)) for _ in range(3)
+    )
+    return common * u, common * v
+
+
+@settings(max_examples=80, deadline=None)
+@given(_planted_gcd_pairs(4, _qq_coefficients()))
+def test_gcd_over_qq_matches_sympy(pair):
+    a, b = pair
+    assume(not a.is_zero() and not b.is_zero())
+    with _time_limit(60):
+        got = gcd(a, b)
+    assert got == _sympy_gcd(a, b)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    _planted_gcd_pairs(
+        3,
+        st.one_of(
+            st.integers(-9, 9),
+            st.builds(Fraction, st.integers(-9, 9), st.integers(1, 5)),
+        ),
+    )
+)
+def test_gcd_over_qq_matches_the_prs(pair):
+    a, b = pair
+    assert gcd(a, b) == _prs_gcd(a, b)
 
 
 # -- resultants --------------------------------------------------------------------
@@ -177,8 +382,22 @@ def _to_multipoly(expr, syms, vars):
     poly = sympy.Poly(expr, *syms)
     terms = {}
     for mono, coeff in poly.terms():
-        terms[tuple(int(e) for e in mono)] = QQ.elem(int(coeff))
+        terms[tuple(int(e) for e in mono)] = Fraction(int(coeff.p), int(coeff.q))
     return MultiPoly(QQ, vars, terms)
+
+
+def _to_sympy(f, syms):
+    return sympy.Poly.from_dict(
+        {e: sympy.Rational(c.numerator, c.denominator) for e, c in f.terms.items()},
+        *syms,
+        domain="QQ",
+    )
+
+
+def _sympy_gcd(a, b):
+    syms = sympy.symbols(a.vars)
+    g = sympy.gcd(_to_sympy(a, syms), _to_sympy(b, syms))
+    return _to_multipoly(g.as_expr(), syms, a.vars).monic()
 
 
 @pytest.mark.parametrize("seed", range(8))
