@@ -25,6 +25,7 @@ from .hypersurfaces import (
     OpenSet,
     ProjPoint,
     construct,
+    family_symmetries,
     proj_points,
 )
 from .gridcheck import (
@@ -106,10 +107,14 @@ def cmd_construct(args) -> int:
 
 
 def cmd_gridcheck(args) -> int:
-    H = _load_hypersurface(args.input)
+    data = _load_json(args.input)
+    H = Hypersurface.from_json(data)
     X = _load_open_set(args.exclude_x, H.s)
     Y = _load_open_set(args.exclude_y, H.s)
-    G = build_graph(H, args.p, X, Y, chart=args.chart, scan_s=args.s)
+    # a `construct` output names its family: its symmetries are candidates
+    # that build_graph verifies on the form, so they speed the scan up only
+    symmetries = family_symmetries(data.get("family"), args.p, H.s)
+    G = build_graph(H, args.p, X, Y, chart=args.chart, scan_s=args.s, symmetries=symmetries)
     witness = find_grid(G, args.s, args.t)
     if witness is None:
         _emit({"grid_free": True, "s": args.s, "t": args.t, "p": args.p}, args.pretty)
@@ -220,9 +225,15 @@ def cmd_cremona(args) -> int:
 # -- sweep harness ------------------------------------------------------------------
 
 
+def _family_graph(c, scan_s: int | None = None):
+    """The affine graph of a construction, with its verified symmetries."""
+    symmetries = family_symmetries(c.family, c.p, c.s)
+    return build_graph(c.hypersurface, c.p, scan_s=scan_s, symmetries=symmetries)
+
+
 def _check_1a(p: int) -> dict:
     c = construct("1a", p)
-    G = build_graph(c.hypersurface, p)
+    G = _family_graph(c)
     expected = p**3 - p
     witness = find_grid(G, 2, 2)
     ok = G.edge_count() == expected and witness is None
@@ -239,7 +250,7 @@ def _check_1b(p: int) -> dict:
         return {"pass": True, "skipped": "sphere check restricted to p = 3 mod 4"}
     c = construct("1b", p)
     try:
-        G = build_graph(c.hypersurface, p, scan_s=3)
+        G = _family_graph(c, scan_s=3)
         best, arg = max_common_neighborhood(G, 3)
     except BudgetExceeded as exc:
         return {"pass": True, "skipped": f"budget: {exc}"}
@@ -248,7 +259,7 @@ def _check_1b(p: int) -> dict:
 
 def _check_1c(p: int) -> dict:
     c = construct("1c", p, 2)
-    G = build_graph(c.hypersurface, p)
+    G = _family_graph(c)
     degs = {G.degree(i) for i in range(len(G.left))}
     best, _ = max_common_neighborhood(G, 2)
     ok = degs == {p + 1} and best <= 2
@@ -257,7 +268,7 @@ def _check_1c(p: int) -> dict:
 
 def _check_1d(p: int) -> dict:
     c = construct("1d", p, 2)
-    G = build_graph(c.hypersurface, p)
+    G = _family_graph(c)
     best, _ = max_common_neighborhood(G, 2)
     return {"pass": best <= 1, "max_common": best}
 

@@ -29,6 +29,33 @@ bit-sliced counter, one plane per bit of every candidate's count
 operations each, not one intersection per remaining candidate.  The counts
 pick the lowest candidate that the candidate loop would have reported, so
 the lexicographic order is kept.
+
+A graph may carry verified symmetries, and the scan then visits only orbit
+minima at its first two depths.  Let g be an automorphism of the graph that
+maps left vertices to left vertices, and let S = (v0 < v1 < ...) be the
+answer: the first subset, in lexicographic order, with more than t-1
+common neighbours, or the first of maximum count.  g(S) has as many common
+neighbours as S, so it is no earlier than S.  If g(v0) < v0, g(S) would
+start lower, so v0 is the smallest vertex of its orbit.  If g fixes v0 and
+g(v1) < v1, then g(S) holds v0 and a vertex below v1, so it would come
+first.  So v1 is the smallest of its orbit under any group of maps that fix
+v0.  The scan therefore tries at depth 0 only the orbit minima of the group
+the symmetries generate.  When s >= 3, depth 1 then tries only the minima
+under those generators that fix the first vertex.  The last level is
+unchanged.  The scan still meets S, and it meets every subset it visits in
+the same order as before, so S, T and the argmax are byte-identical.  The
+budget still counts C(|left|, s), as for the plain graph.
+
+The symmetries come from `build_graph(..., symmetries=...)` as candidate
+affine maps (x, y) -> (A_x x + b_x, A_y y + b_y) of the chart coordinates
+(`hypersurfaces.family_symmetries`).  A candidate is kept only when all of
+these hold:
+- the chart is affine and X and Y are full, so both sides are all of F_p^s;
+- A_x and A_y are invertible mod p, so the map is a bijection of each side;
+- substituting the map into the form mod p gives λ times the form, λ != 0.
+Then the map sends edges to edges and non-edges to non-edges.  A wrong
+candidate is dropped, and a missing one costs only speed.  No family label
+is trusted.
 """
 
 from __future__ import annotations
@@ -83,7 +110,14 @@ class GridWitness:
 class BipartiteGraph:
     """Two indexed point lists plus adjacency bitset rows (row i = left i)."""
 
-    def __init__(self, left: list, right: list, rows: list, meta: dict | None = None):
+    def __init__(
+        self,
+        left: list,
+        right: list,
+        rows: list,
+        meta: dict | None = None,
+        symmetries: list | None = None,
+    ):
         if not left or not right:
             raise EmptySide("both sides need at least one vertex")
         if len(rows) != len(left):
@@ -92,6 +126,9 @@ class BipartiteGraph:
         self.right = right
         self.rows = rows
         self.meta = meta or {}
+        # left-index permutations of verified graph automorphisms (each
+        # maps right vertices to right vertices too); the scan prunes by them
+        self.symmetries = symmetries or []
 
     def edge_count(self) -> int:
         return sum(r.bit_count() for r in self.rows)
@@ -184,6 +221,91 @@ def _adjacency_rows(terms, left_coords, right_coords, p):
     return rows
 
 
+def _pmul(a: dict, b: dict, p: int) -> dict:
+    """The product of two {exponents: coeff} polynomials mod p."""
+    out = {}
+    for ea, ca in a.items():
+        for eb, cb in b.items():
+            e = tuple(i + j for i, j in zip(ea, eb))
+            out[e] = (out.get(e, 0) + ca * cb) % p
+    return out
+
+
+def _compose(f: dict, images: list, p: int) -> dict:
+    """f mod p with its variable k replaced by the polynomial images[k]."""
+    one = (0,) * len(images)
+    powers = [[{one: 1}] for _ in images]  # powers[k][e] = images[k]^e
+    out = {}
+    for e, c in f.items():
+        term = {one: c}
+        for k, ek in enumerate(e):
+            if ek:
+                pw = powers[k]
+                while len(pw) <= ek:
+                    pw.append(_pmul(pw[-1], images[k], p))
+                term = _pmul(term, pw[ek], p)
+        for m, v in term.items():
+            out[m] = (out.get(m, 0) + v) % p
+    return {m: v for m, v in out.items() if v}
+
+
+def _invertible(A: list, p: int) -> bool:
+    """Whether the square integer matrix A is invertible mod p."""
+    rows = [[a % p for a in row] for row in A]
+    n = len(rows)
+    for col in range(n):
+        pivot = next((r for r in range(col, n) if rows[r][col]), None)
+        if pivot is None:
+            return False
+        rows[col], rows[pivot] = rows[pivot], rows[col]
+        inv = pow(rows[col][col], p - 2, p)
+        for r in range(col + 1, n):
+            f = rows[r][col] * inv % p
+            if f:
+                rows[r] = [(a - f * b) % p for a, b in zip(rows[r], rows[col])]
+    return True
+
+
+def _is_automorphism(f: dict, m, s: int, p: int) -> bool:
+    """Whether the ChartMap m is a bijection of F_p^s on each side and
+    carries the affine form f (in x1..xs, y1..ys) to a nonzero multiple of
+    itself; then it maps edges to edges and non-edges to non-edges."""
+    sides = ((m.ax, m.bx), (m.ay, m.by))
+    for A, b in sides:
+        if len(A) != s or len(b) != s or any(len(row) != s for row in A):
+            return False
+        if not _invertible(A, p):
+            return False
+    if not f:
+        return True
+    unit = [tuple(int(i == k) for i in range(2 * s)) for k in range(2 * s)]
+    images = []
+    for side, (A, b) in enumerate(sides):
+        for row, c in zip(A, b):
+            image = {(0,) * (2 * s): c % p}
+            for j, a in enumerate(row):
+                image[unit[side * s + j]] = a % p
+            images.append({e: a for e, a in image.items() if a})
+    g = _compose(f, images, p)
+    e0, c0 = next(iter(f.items()))
+    lam = g.get(e0, 0) * pow(c0, p - 2, p) % p
+    return lam != 0 and g == {e: c * lam % p for e, c in f.items()}
+
+
+def _left_permutation(A: tuple, b: tuple, points: list, p: int) -> list:
+    """perm[i] = the index of A points[i] + b in `points`, which lists all
+    of F_p^s in lexicographic order."""
+    coords = list(zip(*points))
+    perm = [0] * len(points)
+    for row, c in zip(A, b):
+        image = [c] * len(points)
+        for a, col in zip(row, coords):
+            if a % p:
+                image = [u + a * v for u, v in zip(image, col)]
+        perm = [q * p + u % p for q, u in zip(perm, image)]
+    return perm
+
+
 def build_graph(
     H: Hypersurface,
     p: int,
@@ -191,13 +313,21 @@ def build_graph(
     Y: OpenSet | None = None,
     chart: str = "affine",
     scan_s: int | None = None,
+    symmetries: list | None = None,
 ) -> BipartiteGraph:
     """Vertices are the F_p-points of the chosen chart inside X and Y;
     edges by exact evaluation of the defining form.
 
     `scan_s` names the subset size of the scan that will follow: if
     C(|left|, scan_s) exceeds the enumeration budget, BudgetExceeded is
-    raised once the vertices are known, before any adjacency row is built."""
+    raised once the vertices are known, before any adjacency row is built.
+
+    `symmetries` lists candidate ChartMaps (`hypersurfaces.family_symmetries`).
+    On the affine chart with X and Y full, a candidate is kept when both its
+    matrices are invertible mod p and it carries the form mod p to a nonzero
+    multiple of itself; the kept maps become left-index permutations in
+    `symmetries` of the graph, which the scan prunes by.  Elsewhere none is
+    kept."""
     s = H.s
     Fp = GF(p)
     X = X or OpenSet.full(s)
@@ -222,11 +352,23 @@ def build_graph(
     rows = _adjacency_rows(terms, left, right, p)
     display = left if chart == "projective" else [u[1:] for u in left]
     display_r = right if chart == "projective" else [v[1:] for v in right]
+    kept = []
+    if symmetries and chart == "affine" and not X.excluded and not Y.excluded:
+        # the form on the chart x0 = y0 = 1, in x1..xs, y1..ys
+        f = {}
+        for c, xe, ye in terms:
+            f[xe[1:] + ye[1:]] = c
+        kept = [
+            _left_permutation(m.ax, m.bx, display, p)
+            for m in symmetries
+            if _is_automorphism(f, m, s, p)
+        ]
     return BipartiteGraph(
         display,
         display_r,
         rows,
         meta={"p": p, "s": s, "chart": chart, "hypersurface": H.to_json()},
+        symmetries=kept,
     )
 
 
@@ -250,6 +392,24 @@ def _columns(rows: list, n_right: int) -> list:
     return cols
 
 
+def _orbit_labels(n: int, perms: list) -> list:
+    """labels[i] = the smallest index in the orbit of i under the group that
+    the permutations `perms` of range(n) generate."""
+    labels = [-1] * n
+    for i in range(n):
+        if labels[i] < 0:
+            labels[i] = i
+            stack = [i]
+            while stack:
+                v = stack.pop()
+                for g in perms:
+                    w = g[v]
+                    if labels[w] < 0:
+                        labels[w] = i
+                        stack.append(w)
+    return labels
+
+
 def _scan(G: BipartiteGraph, s: int, floor: int, first: bool, budget: int | None):
     """(S, common neighborhood bitset) for the lexicographically first
     s-subset with more than `floor` common neighbours, or with `first` false
@@ -267,12 +427,29 @@ def _scan(G: BipartiteGraph, s: int, floor: int, first: bool, budget: int | None
     the survivors are narrowed from the top plane down to those of maximum
     count; the lowest of those is the last hit the loop would have kept,
     since it replaced its hit only on a strictly larger count.  So S, T and
-    the argmax are those of the plain lexicographic scan."""
+    the argmax are those of the plain lexicographic scan.
+
+    With `G.symmetries`, depth 0 tries only the smallest vertex of each orbit
+    of the group they generate, and when s >= 3 depth 1 only the smallest of
+    each orbit under the generators that fix the first vertex.  The answer's
+    vertex at each depth is such a minimum (module docstring), so S, T and
+    the argmax do not change."""
     n = len(G.rows)
     _check_budget(n, s, budget)
     rows = G.rows
     cols = _columns(rows, len(G.right))
     hit = None
+    gens = G.symmetries
+    stabilisers = {}
+
+    def stabiliser_labels(v):
+        """Orbit labels under the generators that fix v; None if none does."""
+        fixing = tuple(k for k, g in enumerate(gens) if g[v] == v)
+        if not fixing:
+            return None
+        if fixing not in stabilisers:
+            stabilisers[fixing] = _orbit_labels(n, [gens[k] for k in fixing])
+        return stabilisers[fixing]
 
     def last(start, inter, chosen):
         nonlocal floor, hit
@@ -319,18 +496,22 @@ def _scan(G: BipartiteGraph, s: int, floor: int, first: bool, budget: int | None
         floor = ni.bit_count()
         return False
 
-    def rec(start, depth, inter, chosen):
+    def rec(start, depth, inter, chosen, labels):
+        # labels: orbit labels that this depth's vertex must be minimal in
         if depth + 1 == s:
             return last(start, inter, chosen)
         for i in range(start, n - (s - depth) + 1):
+            if labels is not None and labels[i] != i:
+                continue
             ni = inter & rows[i]
             if ni.bit_count() <= floor:
                 continue
-            if rec(i + 1, depth + 1, ni, chosen + [i]):
+            below = stabiliser_labels(i) if depth == 0 and s > 2 else None
+            if rec(i + 1, depth + 1, ni, chosen + [i], below):
                 return True
         return False
 
-    rec(0, 0, (1 << len(G.right)) - 1, [])
+    rec(0, 0, (1 << len(G.right)) - 1, [], _orbit_labels(n, gens) if gens else None)
     return hit
 
 
@@ -381,6 +562,8 @@ def _fmt_scaled(scaled: int, prec: int) -> str:
 
 def edge_report(G: BipartiteGraph, s: int, t: int, prec: int = 12) -> dict:
     """Edge count versus the Füredi leading term (1/2)(t-s+1)^(1/s) n^(2-1/s)."""
+    if s < 1 or t < 1:
+        raise ParameterOutOfRange(f"(s,t)=({s},{t}): both must be at least 1")
     n = len(G.left) + len(G.right)
     m = G.edge_count()
     power = n ** (2 * s - 1)

@@ -5,6 +5,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import product
+from typing import NamedTuple
 
 from .errors import (
     BadCharacteristic,
@@ -16,7 +17,7 @@ from .errors import (
     UnsupportedParameters,
     json_field,
 )
-from .fields import GF, QQ, Field, FieldElem
+from .fields import GF, QQ, Field, FieldElem, is_prime
 from .poly import BiHomPoly, MultiPoly, bihomogenize, primitive_integral_model
 
 
@@ -292,6 +293,98 @@ def construct(family: str, p: int, s: int | None = None) -> Construction:
     else:
         raise UnsupportedParameters(f"unknown family {family!r}")
     return Construction(family, p, s, affine, Hypersurface(bihomogenize(affine, s)))
+
+
+class ChartMap(NamedTuple):
+    """(x, y) -> (ax x + bx, ay y + by) on the affine chart coordinates
+    x1..xs and y1..ys, as integers mod p; matrices are tuples of rows."""
+
+    ax: tuple
+    bx: tuple
+    ay: tuple
+    by: tuple
+
+
+def _primitive_root(p: int) -> int:
+    """The smallest generator of F_p^*, p prime."""
+    m, factors, q = p - 1, [], 2
+    while q * q <= m:
+        if m % q == 0:
+            factors.append(q)
+            while m % q == 0:
+                m //= q
+        q += 1
+    if m > 1:
+        factors.append(m)
+    return next(g for g in range(1, p) if all(pow(g, (p - 1) // q, p) != 1 for q in factors))
+
+
+def _norm_one_matrix(p: int, k: int) -> tuple:
+    """Multiplication by b^(p-1) on F_p^k = F_{p^k} (the basis of `pi_s`):
+    N(b^(p-1)) = N(b)^(p-1) = 1, so the norm form is kept."""
+    E = GF(p, k)
+    b = E.generator
+    alpha = b ** (p - 1)
+    cols = [(alpha * b**j).val for j in range(k)]
+    return tuple(tuple(col[i] for col in cols) for i in range(k))
+
+
+def family_symmetries(family, p: int, s: int) -> list:
+    """Candidate affine symmetries of construction `family` over F_p in
+    dimension s, as ChartMaps that should carry its affine form to a nonzero
+    multiple of itself.
+
+    '1a': x -> A x, y -> A^-T y for the elementary transvections A, which
+          generate SL(s, p) and keep x . y;
+    '1b': the translations (x + e_k, y + e_k), and the coordinate sign flip
+          and swaps applied to x and y alike, which keep |x - y|^2;
+    '1c': the translations (x + e_k, y - e_k) and multiplication of x and y
+          by a norm-1 element of F_{p^s}, which keep N(x + y);
+    '1d': the same in coordinates 2..s, and x1 -> g x1, y1 -> y1 / g.
+
+    These are candidates only: `build_graph(..., symmetries=...)` keeps the
+    maps it verifies on the graph's own form, so a wrong family, p or s
+    costs speed, never correctness.  Anything else gives []."""
+    if s < 1 or not is_prime(p):
+        return []
+    ident = tuple(tuple(int(i == j) for j in range(s)) for i in range(s))
+    zero = (0,) * s
+
+    def unit(k, a):
+        return tuple(a % p if i == k else 0 for i in range(s))
+
+    def matrix(entries):
+        """The identity with entries {(i, j): a} replaced, mod p."""
+        return tuple(
+            tuple(entries.get((i, j), ident[i][j]) % p for j in range(s)) for i in range(s)
+        )
+
+    def block(M):
+        """diag(1, M) when M acts on the last len(M) coordinates."""
+        off = s - len(M)
+        return matrix({(off + i, off + j): a for i, row in enumerate(M) for j, a in enumerate(row)})
+
+    maps = []
+    if family == "1a":
+        for i in range(s - 1):
+            for a, b in ((i, i + 1), (i + 1, i)):
+                maps.append(ChartMap(matrix({(a, b): 1}), zero, matrix({(b, a): -1}), zero))
+    elif family == "1b":
+        maps += [ChartMap(ident, unit(k, 1), ident, unit(k, 1)) for k in range(s)]
+        linear = [matrix({(0, 0): -1})]
+        linear += [matrix({(i, i): 0, (i, i + 1): 1, (i + 1, i): 1, (i + 1, i + 1): 0})
+                   for i in range(s - 1)]
+        maps += [ChartMap(M, zero, M, zero) for M in linear]
+    elif family in ("1c", "1d"):
+        first = 0 if family == "1c" else 1
+        maps += [ChartMap(ident, unit(k, 1), ident, unit(k, -1)) for k in range(first, s)]
+        if s - first >= 2:
+            M = block(_norm_one_matrix(p, s - first))
+            maps.append(ChartMap(M, zero, M, zero))
+        g = _primitive_root(p) if family == "1d" else 1
+        if g != 1:
+            maps.append(ChartMap(matrix({(0, 0): g}), zero, matrix({(0, 0): pow(g, p - 2, p)}), zero))
+    return maps
 
 
 # -- sampled almost-equality ------------------------------------------------------

@@ -208,7 +208,8 @@ class MultiPoly:
 
     def _coerce_operand(self, other):
         if isinstance(other, MultiPoly):
-            if other.field != self.field:
+            # identity first: the Python-level Field.__ne__ is the slow path
+            if other.field is not self.field and other.field != self.field:
                 raise MixedFields("polynomials over different fields")
             if other.vars != self.vars:
                 raise UnknownVariable(

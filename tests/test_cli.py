@@ -69,6 +69,15 @@ def test_gridcheck_witness_exit_1(capsys, tmp_path):
     assert len(data["witness"]["T"]) == 2
 
 
+@pytest.mark.parametrize("s,t", [(0, 2), (-1, 2), (2, 0), (2, -3)])
+def test_edges_parameters_below_one_exit_2(capsys, h1a, s, t):
+    code = main(["edges", "--input", h1a, "--p", "5", "--s", str(s), "--t", str(t)])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err.startswith("error: ParameterOutOfRange:")
+
+
 def test_edges_report(capsys, h1a):
     code, data = run_json(
         capsys, "edges", "--input", h1a, "--p", "5", "--s", "2", "--t", "2"
@@ -401,3 +410,46 @@ def test_default_sweep_golden(capsys):
     code, out = run(capsys, "sweep", "--primes", "5,7,11,13")
     assert code == 0
     assert out.encode() == golden.read_bytes()
+
+
+def _construct_outputs():
+    """(family, p, s) of `construct` outputs at p <= 11, s = 2, 3 for 1c/1d."""
+    out = []
+    for p in (2, 3, 5, 7, 11):
+        out.append(("1a", p, None))
+        if p > 2:
+            out.append(("1b", p, None))
+        out += [(family, p, s) for family in ("1c", "1d") for s in (2, 3)]
+    return out
+
+
+@pytest.mark.parametrize("family,p,s", _construct_outputs())
+def test_gridcheck_same_with_and_without_family(capsys, tmp_path, family, p, s):
+    # the "family" key only adds candidate symmetries; unverified ones are
+    # dropped, so every answer is the plain scan's, byte for byte
+    from gridlab.gridcheck import build_graph
+    from gridlab.hypersurfaces import Hypersurface, family_symmetries
+
+    path = tmp_path / "h.json"
+    argv = ["construct", "--family", family, "--p", str(p), "--out", str(path)]
+    if s is not None:
+        argv += ["--s", str(s)]
+    assert run(capsys, *argv)[0] == 0
+    data = json.loads(path.read_text())
+    # 1a's maps are no symmetry of any other family; the other families'
+    # maps include some genuine symmetries of x.y - 1 (1b's swap, say)
+    wrong = "1c" if family == "1a" else "1a"
+    variants = {"family": data, "plain": {k: v for k, v in data.items() if k != "family"},
+                "wrong": {**data, "family": wrong}}
+    if family != "1a":
+        H = Hypersurface.from_json(data)
+        G = build_graph(H, p, symmetries=family_symmetries(wrong, p, H.s))
+        assert G.symmetries == []
+    for scan_s, t in ((2, 2), (3, 3)):
+        seen = {}
+        for name, doc in variants.items():
+            f = tmp_path / f"{name}.json"
+            f.write_text(json.dumps(doc))
+            seen[name] = run(capsys, "gridcheck", "--input", str(f), "--p", str(p),
+                             "--s", str(scan_s), "--t", str(t))
+        assert seen["family"] == seen["plain"] == seen["wrong"]

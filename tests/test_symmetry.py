@@ -1,0 +1,318 @@
+"""Orbit pruning of the subset scan: candidate symmetries are verified on
+the form, and the pruned scan gives the unpruned scan's S, T and argmax."""
+
+import random
+from itertools import combinations, product
+from math import comb
+
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from gridlab.errors import BudgetExceeded
+from gridlab.fields import GF
+from gridlab.gridcheck import (
+    _left_permutation,
+    _orbit_labels,
+    build_graph,
+    find_grid,
+    max_common_neighborhood,
+)
+from gridlab.hypersurfaces import (
+    ChartMap,
+    Hypersurface,
+    OpenSet,
+    construct,
+    family_symmetries,
+)
+from gridlab.poly import MultiPoly, bihomogenize
+
+
+def identity(d):
+    return tuple(tuple(int(i == j) for j in range(d)) for i in range(d))
+
+
+def unit(d, k, a):
+    return tuple(a if i == k else 0 for i in range(d))
+
+
+def translation(d, k, a, b):
+    """(x + a e_k, y + b e_k)."""
+    return ChartMap(identity(d), unit(d, k, a), identity(d), unit(d, k, b))
+
+
+def linear(M):
+    """(x, y) -> (M x, M y)."""
+    return ChartMap(M, (0,) * len(M), M, (0,) * len(M))
+
+
+def xy(d):
+    return tuple(f"x{i}" for i in range(1, d + 1)) + tuple(f"y{i}" for i in range(1, d + 1))
+
+
+def hypersurface(affine: MultiPoly, d: int) -> Hypersurface:
+    return Hypersurface(bihomogenize(affine, d))
+
+
+def answers(G, sizes, ts):
+    """Every answer the scan gives on G: argmaxes and witnesses."""
+    out = []
+    for s in sizes:
+        if s > len(G.left):
+            continue
+        out.append(max_common_neighborhood(G, s))
+        for t in ts:
+            w = find_grid(G, s, t)
+            out.append(None if w is None else (w.S, w.T))
+    return out
+
+
+def assert_automorphisms(G):
+    """Each kept permutation keeps the size of every common neighbourhood
+    of one and of two left vertices, as an automorphism must."""
+    rows = G.rows
+    for g in G.symmetries:
+        assert sorted(g) == list(range(len(rows)))
+        for i in range(len(rows)):
+            assert rows[g[i]].bit_count() == rows[i].bit_count()
+        for i, j in combinations(range(len(rows)), 2):
+            assert (rows[g[i]] & rows[g[j]]).bit_count() == (rows[i] & rows[j]).bit_count()
+
+
+# -- random forms P(x + y) and P(x - y) --------------------------------------------
+
+
+def oracle_keeps(affine: MultiPoly, d: int, p: int, m: ChartMap) -> bool:
+    """Whether m is a bijection on each side that carries `affine` to a
+    nonzero multiple of itself, decided by brute force and MultiPoly."""
+    points = list(product(range(p), repeat=d))
+    for A, b in ((m.ax, m.bx), (m.ay, m.by)):
+        images = {tuple((sum(a * x for a, x in zip(row, pt)) + c) % p for row, c in zip(A, b))
+                  for pt in points}
+        if len(images) != len(points):
+            return False
+    Fp = GF(p)
+    vars = xy(d)
+    sub = {}
+    for side, (A, b) in enumerate(((m.ax, m.bx), (m.ay, m.by))):
+        for k, (row, c) in enumerate(zip(A, b)):
+            image = MultiPoly.constant(Fp, vars, c)
+            for j, a in enumerate(row):
+                image = image + a * MultiPoly.variable(Fp, vars, vars[side * d + j])
+            sub[vars[side * d + k]] = image
+    moved = affine.substitute(sub, new_vars=vars)
+    return any(moved == lam * affine for lam in range(1, p))
+
+
+@st.composite
+def invariant_forms(draw):
+    """(p, d, affine, good, other): `affine` is P(x + sign y) for a random P
+    over GF(p) in d variables, sometimes made symmetric under swapping z1, z2
+    or even under z -> -z; `good` are maps it has by construction, `other`
+    the opposite translations and random affine maps, which it may lack."""
+    p = draw(st.sampled_from([3, 5, 7]))
+    d = draw(st.sampled_from([1, 2, 3] if p == 3 else [1, 2]))
+    sign = draw(st.sampled_from([1, -1]))
+    Fp = GF(p)
+    z = tuple(f"z{k}" for k in range(1, d + 1))
+    monomials = [e for e in product(range(4), repeat=d) if 0 < sum(e) <= 3]
+    terms = draw(
+        st.dictionaries(st.sampled_from(monomials), st.integers(1, p - 1), min_size=1, max_size=5)
+    )
+    terms[(0,) * d] = draw(st.integers(0, p - 1))
+    P = MultiPoly(Fp, z, terms)
+    good = [translation(d, k, a, -sign * a) for k in range(d) for a in (1, p - 1)]
+    if d >= 2 and draw(st.booleans()):
+        P = P + P.substitute({"z1": MultiPoly.variable(Fp, z, "z2"),
+                              "z2": MultiPoly.variable(Fp, z, "z1")}, new_vars=z)
+        swap = [list(row) for row in identity(d)]
+        swap[0], swap[1] = swap[1], swap[0]
+        good.append(linear(tuple(map(tuple, swap))))
+    if draw(st.booleans()):
+        P = P + P.substitute({v: -MultiPoly.variable(Fp, z, v) for v in z}, new_vars=z)
+        good.append(linear(tuple(tuple(-a % p for a in row) for row in identity(d))))
+    vars = xy(d)
+    sub = {
+        f"z{k}": MultiPoly.parse(Fp, vars, f"x{k} + {sign} * y{k}") for k in range(1, d + 1)
+    }
+    affine = P.substitute(sub, new_vars=vars)
+    if affine.is_zero():
+        affine = MultiPoly.constant(Fp, vars, 1)
+    other = [translation(d, k, 1, sign) for k in range(d)]
+    entry = st.integers(0, p - 1)
+    matrices = st.lists(st.lists(entry, min_size=d, max_size=d).map(tuple), min_size=d,
+                        max_size=d).map(tuple)
+    vectors = st.lists(entry, min_size=d, max_size=d).map(tuple)
+    other += draw(st.lists(st.builds(ChartMap, matrices, vectors, matrices, vectors), max_size=2))
+    return p, d, affine, good, other
+
+
+@settings(max_examples=120, deadline=None)
+@given(invariant_forms(), st.randoms(use_true_random=False))
+def test_pruned_scan_matches_unpruned_on_invariant_forms(form, rng):
+    p, d, affine, good, other = form
+    H = hypersurface(affine, d)
+    candidates = good + other
+    rng.shuffle(candidates)
+    plain = build_graph(H, p)
+    G = build_graph(H, p, symmetries=candidates)
+    assert G.rows == plain.rows
+    # kept: every map of the construction, and exactly the others that the
+    # brute-force oracle accepts
+    expected = [m for m in candidates if m in good or oracle_keeps(affine, d, p, m)]
+    assert G.symmetries == [_left_permutation(m.ax, m.bx, G.left, p) for m in expected]
+    assert_automorphisms(G)
+    ts = (1, 2, 3, p, p + 1)
+    assert answers(G, (1, 2, 3), ts) == answers(plain, (1, 2, 3), ts)
+
+
+@settings(max_examples=40, deadline=None)
+@given(invariant_forms())
+def test_empty_generator_list_is_the_plain_scan(form):
+    p, d, affine, good, other = form
+    H = hypersurface(affine, d)
+    G = build_graph(H, p, symmetries=[])
+    assert G.symmetries == []
+    assert answers(G, (2, 3), (1, 2)) == answers(build_graph(H, p), (2, 3), (1, 2))
+
+
+# -- the constructions --------------------------------------------------------------
+
+
+@pytest.mark.parametrize(
+    "family,p,dim,sizes,ts",
+    [
+        ("1a", 2, 2, (2, 3), (1, 2)),
+        ("1a", 5, 2, (2, 3), (1, 2)),
+        ("1a", 11, 2, (2, 3), (1, 2)),
+        ("1b", 3, 3, (2, 3), (2, 3, 4)),
+        ("1b", 5, 3, (2, 3), (2, 3)),
+        ("1b", 7, 3, (2, 3), (2, 3)),
+        ("1b", 11, 3, (2,), (2, 3)),
+        ("1c", 3, 2, (2, 3), (2, 3)),
+        ("1c", 11, 2, (2, 3), (2, 3)),
+        ("1c", 3, 3, (2, 3), (3, 7)),
+        ("1c", 7, 3, (2, 3), (3, 7)),
+        ("1c", 11, 3, (2,), (3,)),
+        ("1d", 2, 2, (2, 3), (1, 2)),
+        ("1d", 7, 2, (2, 3), (1, 2)),
+        ("1d", 11, 2, (2, 3), (2,)),
+        ("1d", 5, 3, (2, 3), (2, 3)),
+        ("1d", 7, 3, (2, 3), (2, 3)),
+        ("1c", 3, 4, (2, 3), (7, 25)),
+        ("1d", 3, 4, (2, 3), (3, 7)),
+    ],
+)
+def test_pruned_scan_matches_unpruned_on_constructions(family, p, dim, sizes, ts):
+    c = construct(family, p, dim)
+    candidates = family_symmetries(family, p, c.s)
+    G = build_graph(c.hypersurface, p, symmetries=candidates)
+    # the candidates are genuine symmetries of their own family
+    assert len(G.symmetries) == len(candidates) > 0
+    assert answers(G, sizes, ts) == answers(build_graph(c.hypersurface, p), sizes, ts)
+
+
+def test_family_symmetries_are_automorphisms():
+    for family, p, dim in (("1a", 5, 2), ("1b", 3, 3), ("1c", 5, 2), ("1d", 3, 3)):
+        c = construct(family, p, dim)
+        assert_automorphisms(build_graph(c.hypersurface, p, symmetries=family_symmetries(family, p, c.s)))
+
+
+def test_pruned_1b_p11_with_raised_budget():
+    # the unpruned answer, from test_gridcheck's full scan at this budget
+    c = construct("1b", 11)
+    G = build_graph(c.hypersurface, 11, symmetries=family_symmetries("1b", 11, 3))
+    assert max_common_neighborhood(G, 3, budget=comb(1331, 3)) == (2, [0, 1, 13])
+
+
+def test_budget_counts_the_plain_subsets():
+    c = construct("1b", 11)
+    for symmetries in ([], family_symmetries("1b", 11, 3)):
+        G = build_graph(c.hypersurface, 11, symmetries=symmetries)
+        with pytest.raises(BudgetExceeded):
+            max_common_neighborhood(G, 3)
+        with pytest.raises(BudgetExceeded):
+            build_graph(c.hypersurface, 11, scan_s=3, symmetries=symmetries)
+
+
+def test_family_symmetries_degenerate_inputs():
+    assert family_symmetries("1e", 5, 2) == []
+    assert family_symmetries(["1a"], 5, 2) == []
+    assert family_symmetries(None, 5, 2) == []
+    assert family_symmetries("1a", 4, 2) == []
+    assert family_symmetries("1a", 1, 2) == []
+    assert family_symmetries("1a", -7, 2) == []
+    assert family_symmetries("1c", 5, 0) == []
+
+
+# -- rejection ----------------------------------------------------------------------
+
+
+def test_non_automorphism_is_dropped():
+    c = construct("1a", 7)
+    bad = [translation(2, 0, 1, -1), translation(2, 1, 3, 3), linear(((1, 1), (0, 1)))]
+    G = build_graph(c.hypersurface, 7, symmetries=bad)
+    assert G.symmetries == []
+    good = family_symmetries("1a", 7, 2)
+    G = build_graph(c.hypersurface, 7, symmetries=bad + good)
+    assert len(G.symmetries) == len(good)
+
+
+def test_singular_map_is_dropped():
+    # x2 -> 0 keeps x1*y1 - 1 exactly, but is no bijection of F_p^2
+    Fp = GF(5)
+    H = hypersurface(MultiPoly.parse(Fp, xy(2), "x1*y1 - 1"), 2)
+    singular = ChartMap(((1, 0), (0, 0)), (0, 0), ((1, 0), (0, 5)), (0, 0))
+    assert build_graph(H, 5, symmetries=[singular]).symmetries == []
+    # the same form with y2 -> 2 y2: a genuine symmetry, kept
+    scaling = ChartMap(((1, 0), (0, 1)), (0, 0), ((1, 0), (0, 2)), (0, 0))
+    assert len(build_graph(H, 5, symmetries=[scaling]).symmetries) == 1
+
+
+def test_scaled_form_is_kept():
+    # F(2x, y) = 2 F(x, y): lambda = 2 is a nonzero multiple
+    Fp = GF(7)
+    H = hypersurface(MultiPoly.parse(Fp, xy(2), "x1*y1 + x2*y2"), 2)
+    m = ChartMap(((2, 0), (0, 2)), (0, 0), ((1, 0), (0, 1)), (0, 0))
+    assert len(build_graph(H, 7, symmetries=[m]).symmetries) == 1
+
+
+def test_wrong_shape_is_dropped():
+    c = construct("1a", 5)
+    m3 = family_symmetries("1b", 5, 3)
+    assert build_graph(c.hypersurface, 5, symmetries=m3).symmetries == []
+
+
+def test_nothing_kept_off_the_full_affine_chart():
+    c = construct("1c", 5, 2)
+    candidates = family_symmetries("1c", 5, 2)
+    assert build_graph(c.hypersurface, 5, chart="projective", symmetries=candidates).symmetries == []
+    Fp = GF(5)
+    line = MultiPoly.parse(Fp, ("x0", "x1", "x2"), "x1")
+    X = OpenSet(2, [line])
+    assert build_graph(c.hypersurface, 5, X=X, symmetries=candidates).symmetries == []
+    assert len(build_graph(c.hypersurface, 5, symmetries=candidates).symmetries) == len(candidates)
+
+
+def test_wrong_map_would_change_the_answer():
+    # the reason verification exists: trusting a non-automorphism prunes the
+    # true first witness of this graph away
+    c = construct("1a", 5)
+    G = build_graph(c.hypersurface, 5)
+    assert max_common_neighborhood(G, 2) == (1, [1, 5])
+    bad = translation(2, 1, 1, 1)
+    assert build_graph(c.hypersurface, 5, symmetries=[bad]).symmetries == []
+    G.symmetries = [_left_permutation(bad.ax, bad.bx, G.left, 5)]
+    assert max_common_neighborhood(G, 2) == (1, [5, 6])
+
+
+def test_orbit_labels():
+    # a 3-cycle and a transposition on disjoint points, one fixed point
+    perms = [[1, 2, 0, 3, 4, 5], [0, 1, 2, 4, 3, 5]]
+    assert _orbit_labels(6, perms) == [0, 0, 0, 3, 3, 5]
+    assert _orbit_labels(4, []) == [0, 1, 2, 3]
+    rng = random.Random(3)
+    perm = list(range(30))
+    rng.shuffle(perm)
+    labels = _orbit_labels(30, [perm])
+    for i in range(30):
+        assert labels[perm[i]] == labels[i] <= i
