@@ -239,7 +239,7 @@ def grid_transport_check(
     """Verify on P^s(F_p) that applying (id, sigma_y) transports grids:
     off the base and exceptional loci, the pulled-back graph must coincide
     with the original graph under v -> sigma_y(v)."""
-    from .gridcheck import BipartiteGraph, _adjacency_rows, _terms_int, find_grid
+    from .gridcheck import BipartiteGraph, _AdjacencyRows, _terms_int, find_grid
 
     Fp = GF(p)
     Hp = reduce_hypersurface_mod(H, p)
@@ -271,8 +271,8 @@ def grid_transport_check(
     left = [u.raw for u in pts]
     right_orig = [w.raw for _, w in pairs]
     right_pull = [v.raw for v, _ in pairs]
-    rows_orig = _adjacency_rows(_terms_int(Hp, p), left, right_orig, p)
-    rows_pull = _adjacency_rows(_terms_int(Hpulled, p), left, right_pull, p)
+    rows_orig = list(_AdjacencyRows(_terms_int(Hp, p), left, right_orig, p))
+    rows_pull = list(_AdjacencyRows(_terms_int(Hpulled, p), left, right_pull, p))
     adjacency_match = rows_orig == rows_pull
     G1 = BipartiteGraph(left, right_orig, rows_orig)
     G2 = BipartiteGraph(left, right_pull, rows_pull)

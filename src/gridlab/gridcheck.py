@@ -2,14 +2,18 @@
 detection with bitset adjacency rows, and edge-count reporting against the
 Kővári–Sós–Turán/Füredi leading term.
 
-Adjacency rows come from a lane-packed kernel (`_adjacency_rows`): each
+Adjacency rows come from a lane-packed kernel (`_lane_kernel`): each
 y-monomial's values over all right vertices are packed into one Python int,
 one byte-aligned lane per vertex, so a left vertex's row takes a few big-int
 multiplies and adds, one Barrett reduction of every lane at once and a
-zero-lane test, instead of a Python loop over the right side.  A caller that
-names the scan's subset size (`build_graph(..., scan_s=s)`) is refused by
-the enumeration budget once the vertices are counted, before any row is
-built.
+zero-lane test, instead of a Python loop over the right side.  The rows of a
+`build_graph` graph are computed on demand (`_AdjacencyRows`): the kernel is
+set up on the first request, and each row is computed when it is first read
+and then cached.  Its columns come from the same kernel with the x and y
+roles swapped, so the scan never transposes and a pruned scan pays only for
+the rows and columns it reads.  A caller that names the scan's subset size
+(`build_graph(..., scan_s=s)`) is refused by the enumeration budget once the
+vertices are counted, before the form is reduced mod p.
 
 `find_grid` and `max_common_neighborhood` share one subset scan (`_scan`):
 a depth-first walk of the left s-subsets in lexicographic order that
@@ -21,14 +25,13 @@ part of the contract, so witnesses, argmaxes and reports are
 byte-identical across runs.
 
 The last depth of the scan counts by columns instead of trying each
-remaining candidate: the scan transposes the rows once into column bitsets
-(the left vertices adjacent to each right vertex), and a prefix with common
-neighborhood `inter` adds the columns of the members of `inter` into a
-bit-sliced counter, one plane per bit of every candidate's count
-|inter & N(i)|.  A prefix then costs |inter| column adds of a few big-int
-operations each, not one intersection per remaining candidate.  The counts
-pick the lowest candidate that the candidate loop would have reported, so
-the lexicographic order is kept.
+remaining candidate: a prefix with common neighborhood `inter` adds the
+columns (the left vertices adjacent to each right vertex) of the members
+of `inter` into a bit-sliced counter, one plane per bit of every
+candidate's count |inter & N(i)|.  A prefix then costs |inter| column
+adds of a few big-int operations each, not one intersection per remaining
+candidate.  The counts pick the lowest candidate that the candidate loop
+would have reported, so the lexicographic order is kept.
 
 A graph may carry verified symmetries, and the scan then visits only orbit
 minima at its first two depths.  Let g be an automorphism of the graph that
@@ -61,6 +64,7 @@ is trusted.
 from __future__ import annotations
 
 import os
+from collections.abc import Sequence
 from dataclasses import dataclass
 from itertools import product
 from math import comb
@@ -108,27 +112,42 @@ class GridWitness:
 
 
 class BipartiteGraph:
-    """Two indexed point lists plus adjacency bitset rows (row i = left i)."""
+    """Two indexed point lists plus adjacency bitsets: rows[i] over the right
+    side for left i, cols[j] over the left side for right j.
+
+    `rows` is any int sequence: a list, or the on-demand `_AdjacencyRows` of
+    `build_graph`.  `cols` likewise; when it is not given, the rows are
+    transposed on the first column request."""
 
     def __init__(
         self,
         left: list,
         right: list,
-        rows: list,
+        rows: Sequence,
         meta: dict | None = None,
         symmetries: list | None = None,
+        cols: Sequence | None = None,
     ):
         if not left or not right:
             raise EmptySide("both sides need at least one vertex")
         if len(rows) != len(left):
             raise ParameterOutOfRange("adjacency rows do not match left side")
+        if cols is not None and len(cols) != len(right):
+            raise ParameterOutOfRange("adjacency columns do not match right side")
         self.left = left
         self.right = right
         self.rows = rows
+        self._cols = cols
         self.meta = meta or {}
         # left-index permutations of verified graph automorphisms (each
         # maps right vertices to right vertices too); the scan prunes by them
         self.symmetries = symmetries or []
+
+    @property
+    def cols(self) -> Sequence:
+        if self._cols is None:
+            self._cols = _columns(self.rows, len(self.right))
+        return self._cols
 
     def edge_count(self) -> int:
         return sum(r.bit_count() for r in self.rows)
@@ -165,19 +184,20 @@ def _monomial_values(points, exps, p):
     return values
 
 
-def _adjacency_rows(terms, left_coords, right_coords, p):
-    """Row i has bit j set iff the form vanishes at (left i, right j) mod p.
+def _lane_kernel(terms, left_coords, right_coords, p):
+    """row(u): bit j set iff the form vanishes at (left u, right j) mod p.
 
     Lane-packed: for each y-monomial, its values over all right vertices
-    sit in one int, vertex j in the byte-aligned `width`-bit lane j.  A left
-    vertex u costs a few big-int operations: the lane sums
+    sit in one int, vertex j in the byte-aligned `width`-bit lane j.  The
+    set-up packs those lanes and the x-monomial values of every left vertex
+    once; a row then costs a few big-int operations: the lane sums
     S = sum_i c_i(u) P_i, one Barrett reduction of every lane at once, a
     SWAR zero-lane test and a byte compaction of the lane flags.
     Coordinates are residues in [0, p).
     """
     nr = len(right_coords)
     if not nr:
-        return [0] * len(left_coords)
+        return lambda u: 0
     yexps = sorted({ye for _, _, ye in terms})
     xexps = sorted({xe for _, xe, _ in terms})
     yindex = {ye: i for i, ye in enumerate(yexps)}
@@ -204,9 +224,10 @@ def _adjacency_rows(terms, left_coords, right_coords, p):
     ]
     xvals = _monomial_values(left_coords, xexps, p)
     size = nbytes * nr
-    rows = []
-    for u in range(len(left_coords)):
-        coeff = [0] * len(yexps)
+    ny = len(yexps)
+
+    def row(u: int) -> int:
+        coeff = [0] * ny
         for c, a, i in plan:
             coeff[i] += c * xvals[a][u]
         S = 0
@@ -215,10 +236,49 @@ def _adjacency_rows(terms, left_coords, right_coords, p):
             if cf:
                 S += cf * P
         R = S - ((S * m >> r) & qmask) * p
-        # a lane's top bit survives high - R iff the lane of R is zero
-        flags = ((high - R) & high).to_bytes(size, "little")[nbytes - 1 :: nbytes]
-        rows.append(int(flags.translate(_FLAG_DIGITS)[::-1], 2))
-    return rows
+        # a lane's top bit survives high - R iff the lane of R is zero; the
+        # big-endian bytes hold the lanes' top bytes from lane nr-1 down
+        flags = ((high - R) & high).to_bytes(size, "big")[::nbytes]
+        return int(flags.translate(_FLAG_DIGITS), 2)
+
+    return row
+
+
+class _AdjacencyRows(Sequence):
+    """The adjacency bitsets of a form between two point lists, on demand:
+    entry u has bit j set iff the form vanishes at (left u, right j) mod p.
+
+    The lane kernel (`_lane_kernel`) is set up on the first request; each
+    entry is computed on its first request and cached, so a scan that reads
+    a few rows pays for those alone.  `transpose()` gives the columns from
+    the same kernel with the x and y roles swapped."""
+
+    __slots__ = ("_args", "_kernel", "_known")
+
+    def __init__(self, terms, left_coords, right_coords, p):
+        self._args = (terms, left_coords, right_coords, p)
+        self._kernel = None
+        self._known = [None] * len(left_coords)
+
+    def __len__(self) -> int:
+        return len(self._known)
+
+    def __getitem__(self, u: int) -> int:
+        bits = self._known[u]
+        if bits is None:
+            if self._kernel is None:
+                self._kernel = _lane_kernel(*self._args)
+            bits = self._known[u] = self._kernel(u)
+        return bits
+
+    def __iter__(self):
+        return map(self.__getitem__, range(len(self._known)))
+
+    def transpose(self) -> "_AdjacencyRows":
+        """Entry j: the bitset of the left vertices adjacent to right j."""
+        terms, left_coords, right_coords, p = self._args
+        swapped = [(c, ye, xe) for c, xe, ye in terms]
+        return _AdjacencyRows(swapped, right_coords, left_coords, p)
 
 
 def _pmul(a: dict, b: dict, p: int) -> dict:
@@ -318,9 +378,11 @@ def build_graph(
     """Vertices are the F_p-points of the chosen chart inside X and Y;
     edges by exact evaluation of the defining form.
 
-    `scan_s` names the subset size of the scan that will follow: if
-    C(|left|, scan_s) exceeds the enumeration budget, BudgetExceeded is
-    raised once the vertices are known, before any adjacency row is built.
+    No adjacency is computed here: the graph's rows and columns are
+    computed on first read (`_AdjacencyRows`).  `scan_s` names the subset
+    size of the scan that will follow: if C(|left|, scan_s) exceeds the
+    enumeration budget, BudgetExceeded is raised once the vertices are
+    known, before the form is reduced mod p.
 
     `symmetries` lists candidate ChartMaps (`hypersurfaces.family_symmetries`).
     On the affine chart with X and Y full, a candidate is kept when both its
@@ -332,28 +394,33 @@ def build_graph(
     Fp = GF(p)
     X = X or OpenSet.full(s)
     Y = Y or OpenSet.full(s)
+    full = not X.excluded and not Y.excluded
     if chart == "affine":
         pts = [(1,) + tail for tail in product(range(p), repeat=s)]
-        proj = [ProjPoint(Fp, c) for c in pts]
     elif chart == "projective":
         proj = list(proj_points(Fp, s))
         pts = [q.raw for q in proj]
     else:
         raise ParameterOutOfRange(f"unknown chart {chart!r}")
-    Xp = X.reduce_mod(p)
-    Yp = Y.reduce_mod(p)
-    left = [c for c, q in zip(pts, proj) if Xp.contains(q)]
-    right = [c for c, q in zip(pts, proj) if Yp.contains(q)]
-    if not left or not right:
-        raise EmptySide("open-set filters removed a whole side")
+    if full:  # every point of the chart lies in X and in Y
+        left, right = pts, list(pts)
+    else:
+        if chart == "affine":
+            proj = [ProjPoint(Fp, c) for c in pts]
+        Xp = X.reduce_mod(p)
+        Yp = Y.reduce_mod(p)
+        left = [c for c, q in zip(pts, proj) if Xp.contains(q)]
+        right = [c for c, q in zip(pts, proj) if Yp.contains(q)]
+        if not left or not right:
+            raise EmptySide("open-set filters removed a whole side")
     if scan_s is not None and scan_s >= 1:
         _check_budget(len(left), scan_s, None)
     terms = _terms_int(H, p)
-    rows = _adjacency_rows(terms, left, right, p)
+    rows = _AdjacencyRows(terms, left, right, p)
     display = left if chart == "projective" else [u[1:] for u in left]
     display_r = right if chart == "projective" else [v[1:] for v in right]
     kept = []
-    if symmetries and chart == "affine" and not X.excluded and not Y.excluded:
+    if symmetries and chart == "affine" and full:
         # the form on the chart x0 = y0 = 1, in x1..xs, y1..ys
         f = {}
         for c, xe, ye in terms:
@@ -369,6 +436,7 @@ def build_graph(
         rows,
         meta={"p": p, "s": s, "chart": chart, "hypersurface": H.to_json()},
         symmetries=kept,
+        cols=rows.transpose(),
     )
 
 
@@ -436,8 +504,7 @@ def _scan(G: BipartiteGraph, s: int, floor: int, first: bool, budget: int | None
     the argmax do not change."""
     n = len(G.rows)
     _check_budget(n, s, budget)
-    rows = G.rows
-    cols = _columns(rows, len(G.right))
+    rows, cols = G.rows, G.cols
     hit = None
     gens = G.symmetries
     stabilisers = {}

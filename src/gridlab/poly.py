@@ -371,24 +371,37 @@ class MultiPoly:
                 lifted[v] = val.with_vars(new_vars)
             else:
                 lifted[v] = MultiPoly.constant(self.field, new_vars, val)
-        result = MultiPoly.zero(self.field, new_vars)
         var_polys = {
             v: MultiPoly.variable(self.field, new_vars, v)
             for v in self.vars
             if v not in mapping and v in new_vars
         }
+        add, is_zero = self.field._add, self.field._is_zero
+        powers = {}  # (v, k) -> the image of v to the k-th power
         const = (0,) * len(new_vars)
+        out = {}
         for e, c in self.terms.items():
             term = MultiPoly._raw(self.field, new_vars, {const: c})
             for v, k in zip(self.vars, e):
                 if k == 0:
                     continue
-                base = lifted.get(v) or var_polys.get(v)
-                if base is None:
-                    raise UnknownVariable(f"{v} not in target variables")
-                term = term * base**k
-            result = result + term
-        return result
+                power = powers.get((v, k))
+                if power is None:
+                    base = lifted.get(v) or var_polys.get(v)
+                    if base is None:
+                        raise UnknownVariable(f"{v} not in target variables")
+                    power = powers[v, k] = base**k
+                term = term * power
+            # add in place, dropping a cancelled monomial at once, so the
+            # terms come out in the order that `+` would give them
+            for m, a in term.terms.items():
+                if m in out:
+                    a = add(out[m], a)
+                    if is_zero(a):
+                        del out[m]
+                        continue
+                out[m] = a
+        return MultiPoly._raw(self.field, new_vars, out)
 
     def with_vars(self, new_vars: tuple) -> "MultiPoly":
         """Re-express over a different variable tuple (superset of support)."""

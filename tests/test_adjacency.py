@@ -5,8 +5,15 @@ from hypothesis import given, settings, strategies as st
 
 from gridlab.errors import EmptySide
 from gridlab.fields import GF
-from gridlab.gridcheck import _adjacency_rows, _terms_int, build_graph
-from gridlab.hypersurfaces import Hypersurface, OpenSet, construct
+from gridlab.gridcheck import (
+    BipartiteGraph,
+    _AdjacencyRows,
+    _terms_int,
+    build_graph,
+    find_grid,
+    max_common_neighborhood,
+)
+from gridlab.hypersurfaces import Hypersurface, OpenSet, construct, family_symmetries
 from gridlab.poly import BiHomPoly, MultiPoly, xy_vars
 
 
@@ -47,6 +54,10 @@ def reference_rows(terms, left_coords, right_coords, p):
     return rows
 
 
+def transpose(rows, n_right):
+    return [sum((row >> j & 1) << i for i, row in enumerate(rows)) for j in range(n_right)]
+
+
 def chart_coords(G):
     """The chart coordinates build_graph evaluated at, per side."""
     if G.meta["chart"] == "projective":
@@ -57,7 +68,7 @@ def chart_coords(G):
 def assert_matches_reference(H, p, X=None, Y=None, chart="affine"):
     G = build_graph(H, p, X, Y, chart=chart)
     left, right = chart_coords(G)
-    assert G.rows == reference_rows(_terms_int(H, p), left, right, p)
+    assert list(G.rows) == reference_rows(_terms_int(H, p), left, right, p)
 
 
 def exponents(nvars, degree):
@@ -97,22 +108,85 @@ def open_sets(draw, p, s, name):
     return OpenSet(s, excluded)
 
 
-@settings(max_examples=80, deadline=None)
+@settings(max_examples=100, deadline=None)
 @given(
     st.data(),
     bihomogeneous_forms([2, 3, 5, 7, 13]),
     st.sampled_from(["affine", "projective"]),
+    st.booleans(),
 )
-def test_rows_match_reference_small_primes(data, form, chart):
+def test_rows_match_reference_small_primes(data, form, chart, opens):
+    # rows and columns are computed one at a time on first read, by two
+    # kernels; read them in a random order, the columns first or last
     p, H = form
-    X = data.draw(open_sets(p, H.s, "x"))
-    Y = data.draw(open_sets(p, H.s, "y"))
+    X = data.draw(open_sets(p, H.s, "x")) if opens else None
+    Y = data.draw(open_sets(p, H.s, "y")) if opens else None
     try:
         G = build_graph(H, p, X, Y, chart=chart)
     except EmptySide:  # the open sets removed a whole side
         return
     left, right = chart_coords(G)
-    assert G.rows == reference_rows(_terms_int(H, p), left, right, p)
+    expected = reference_rows(_terms_int(H, p), left, right, p)
+    columns = transpose(expected, len(right))
+    if data.draw(st.booleans()):
+        assert list(G.cols) == columns
+    order = data.draw(st.permutations(range(len(left))))
+    assert [G.rows[i] for i in order] == [expected[i] for i in order]
+    assert list(G.rows) == expected
+    assert list(G.cols) == columns
+
+
+def scan_answers(G, s, ts):
+    out = []
+    for t in ts:
+        w = find_grid(G, s, t)
+        out.append(None if w is None else (w.S, w.T))
+    return out + [max_common_neighborhood(G, s)]
+
+
+def explicit(G, symmetries):
+    """G's graph with its rows given as a list: columns by transposition."""
+    return BipartiteGraph(G.left, G.right, list(G.rows), symmetries=symmetries)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    bihomogeneous_forms([3, 5, 7]),
+    st.sampled_from(["affine", "projective"]),
+    st.integers(1, 3),
+)
+def test_scans_on_demand_match_explicit_rows(form, chart, s):
+    p, H = form
+    G = build_graph(H, p, chart=chart)
+    if s > len(G.left):
+        return
+    ts = (1, 2, 3, len(G.right))
+    expected = scan_answers(explicit(G, []), s, ts)
+    assert scan_answers(build_graph(H, p, chart=chart), s, ts) == expected
+
+
+@pytest.mark.parametrize(
+    "family,p,dim,s,ts",
+    [
+        ("1a", 7, None, 2, (2,)),
+        ("1b", 3, None, 3, (2, 3)),
+        ("1c", 5, 2, 2, (2, 3)),
+        ("1c", 3, 3, 3, (3, 7)),
+        ("1d", 5, 3, 3, (2, 3)),
+    ],
+)
+def test_pruned_scans_on_demand_match_explicit_rows(family, p, dim, s, ts):
+    c = construct(family, p, dim)
+    symmetries = family_symmetries(family, p, c.s)
+
+    def graph():
+        return build_graph(c.hypersurface, p, symmetries=symmetries)
+
+    G = graph()
+    assert G.symmetries
+    expected = scan_answers(explicit(G, []), s, ts)
+    assert scan_answers(explicit(G, G.symmetries), s, ts) == expected
+    assert scan_answers(graph(), s, ts) == expected
 
 
 @settings(max_examples=25, deadline=None)
@@ -140,7 +214,7 @@ def test_kernel_matches_reference_on_raw_terms(data, p):
     terms = data.draw(st.lists(term, min_size=1, max_size=12))
     left = data.draw(st.lists(st.tuples(*[residue] * nx), min_size=1, max_size=8))
     right = data.draw(st.lists(st.tuples(*[residue] * ny), min_size=1, max_size=40))
-    assert _adjacency_rows(terms, left, right, p) == reference_rows(
+    assert list(_AdjacencyRows(terms, left, right, p)) == reference_rows(
         terms, left, right, p
     )
 
@@ -181,7 +255,7 @@ def test_one_vertex_right_side(p):
     terms = [(1, (1, 0), (0, 1)), (p - 1, (0, 1), (1, 0))]  # x0*y1 - x1*y0
     left = [(1, a) for a in range(p)] + [(0, 1)]
     for v in [(1, 0), (1, p - 1), (0, 1)]:
-        rows = _adjacency_rows(terms, left, [v], p)
+        rows = list(_AdjacencyRows(terms, left, [v], p))
         assert rows == reference_rows(terms, left, [v], p)
         assert sum(rows) == 1  # the one left point equal to v
 

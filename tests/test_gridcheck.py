@@ -6,7 +6,7 @@ import random
 import subprocess
 import sys
 import tempfile
-from itertools import combinations
+from itertools import combinations, product
 from math import comb
 from pathlib import Path
 
@@ -24,8 +24,8 @@ from gridlab.gridcheck import (
     find_grid,
     max_common_neighborhood,
 )
-from gridlab.hypersurfaces import OpenSet, construct
-from gridlab.poly import BiHomPoly, MultiPoly
+from gridlab.hypersurfaces import OpenSet, construct, family_symmetries
+from gridlab.poly import BiHomPoly, MultiPoly, xy_vars
 from gridlab.hypersurfaces import Hypersurface
 
 
@@ -300,6 +300,23 @@ def test_adjacency_agrees_with_direct_evaluation():
             assert bool(G.rows[i] >> j & 1) == direct
 
 
+@pytest.mark.parametrize("p", [2, 3, 5, 7])
+@pytest.mark.parametrize("s", [1, 2, 3])
+def test_affine_enumeration_matches_open_set_path(p, s):
+    # x0 = y0 = 1 on the affine chart, so excluding x0 = 0 and y0 = 0 keeps
+    # every point but sends build_graph through the per-point membership test
+    vars = xy_vars(s)
+    form = " + ".join(f"{k + 1}*x{k}*y{s - k}" for k in range(s + 1))
+    F = MultiPoly.parse(QQ, vars, form)
+    H = Hypersurface(BiHomPoly(F, vars[: s + 1], vars[s + 1 :]))
+    X = OpenSet(s, [MultiPoly.parse(QQ, vars[: s + 1], "x0")])
+    Y = OpenSet(s, [MultiPoly.parse(QQ, vars[s + 1 :], "y0")])
+    fast, filtered = build_graph(H, p), build_graph(H, p, X, Y)
+    assert fast.left == filtered.left == [u for u in product(range(p), repeat=s)]
+    assert fast.right == filtered.right == fast.left
+    assert list(fast.rows) == list(filtered.rows)
+
+
 def test_open_set_filtering():
     c = construct("1a", 3)
     # drop the hyperplane x1 = 0 from the left side (affine coords x1, x2)
@@ -350,9 +367,9 @@ def test_budget_refusal_comes_before_adjacency(monkeypatch, tmp_path, capsys):
     from gridlab import cli, gridcheck
 
     def never(*args):
-        raise AssertionError("adjacency rows built for a refused scan")
+        raise AssertionError("adjacency kernel made for a refused scan")
 
-    monkeypatch.setattr(gridcheck, "_adjacency_rows", never)
+    monkeypatch.setattr(gridcheck, "_AdjacencyRows", never)
     monkeypatch.delenv("GRIDLAB_BUDGET", raising=False)
     res = cli._check_1b(11)
     assert res["pass"] is True
@@ -380,7 +397,7 @@ def test_reduction_follows_primitive_model():
 
     G = graph(QQ, "x0*y0 + 3*x1*y1")
     G3 = graph(GF(3), "x0*y0")
-    assert G.rows == G3.rows
+    assert list(G.rows) == list(G3.rows)
     assert (G.left, G.right) == (G3.left, G3.right)
 
 
@@ -413,10 +430,48 @@ def test_gridcheck_matches_recorded_witnesses():
     assert golden_witness_mismatches() == []
 
 
+# -- on-demand adjacency ------------------------------------------------------------
+
+
+def laziness_faults() -> list:
+    """Where the on-demand adjacency computes more than it must: build_graph
+    computes no row or column, the pruned find_grid(G, 2, 2) on 1a at
+    p = 53 at most 2 rows and 53 columns, and edge_count every row."""
+
+    def computed(bitsets):
+        return sum(b is not None for b in bitsets._known)
+
+    def counts(G):
+        return f"{computed(G.rows)} rows and {computed(G.cols)} columns"
+
+    p = 53
+    c = construct("1a", p)
+    symmetries = family_symmetries("1a", p, c.s)
+    G = build_graph(c.hypersurface, p, scan_s=2, symmetries=symmetries)
+    faults = []
+    if computed(G.rows) or computed(G.cols):
+        faults.append(f"build_graph computed {counts(G)}")
+    if find_grid(G, 2, 2) is not None:
+        faults.append("find_grid(G, 2, 2) found a grid in family 1a")
+    if computed(G.rows) > 2 or computed(G.cols) > p:
+        faults.append(f"the pruned find_grid(G, 2, 2) computed {counts(G)}")
+    G.edge_count()
+    if computed(G.rows) != len(G.rows):
+        faults.append(f"edge_count() computed {computed(G.rows)} of {len(G.rows)} rows")
+    return faults
+
+
+def test_adjacency_is_computed_on_demand():
+    assert laziness_faults() == []
+
+
 if __name__ == "__main__":
-    # PYTHONPATH=src python -O tests/test_gridcheck.py: the same comparison
-    # with asserts stripped from gridlab
+    # PYTHONPATH=src python -O tests/test_gridcheck.py: the recorded outputs
+    # and the on-demand adjacency, checked with asserts stripped from gridlab
     mismatches = golden_witness_mismatches()
     for case in mismatches:
         print(json.dumps(case), file=sys.stderr)
-    sys.exit(1 if mismatches else 0)
+    faults = laziness_faults()
+    for fault in faults:
+        print(fault, file=sys.stderr)
+    sys.exit(1 if mismatches or faults else 0)

@@ -6,7 +6,7 @@ from fractions import Fraction
 
 import pytest
 import sympy
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from gridlab.errors import (
     BadCharacteristic,
@@ -585,6 +585,110 @@ def test_gcd_keeps_common_factor_finite_fields(case):
 def test_json_roundtrip_finite_fields(case):
     (a,), _ = case
     assert MultiPoly.from_json(a.to_json()) == a
+
+
+# -- substitution against the per-term reference ------------------------------------
+
+
+def reference_substitute(f, mapping: dict, new_vars: tuple | None = None):
+    """`MultiPoly.substitute` as one polynomial sum per term: every term
+    raises each image to its power afresh and is added to the result."""
+    for v in mapping:
+        if v not in f.vars:
+            raise UnknownVariable(v)
+    if new_vars is None:
+        seen = [v for v in f.vars if v not in mapping]
+        for val in mapping.values():
+            if isinstance(val, MultiPoly):
+                for v in val.vars:
+                    if v not in seen:
+                        seen.append(v)
+        new_vars = tuple(seen)
+    lifted = {}
+    for v, val in mapping.items():
+        if isinstance(val, MultiPoly):
+            lifted[v] = val.with_vars(new_vars)
+        else:
+            lifted[v] = MultiPoly.constant(f.field, new_vars, val)
+    result = MultiPoly.zero(f.field, new_vars)
+    var_polys = {
+        v: MultiPoly.variable(f.field, new_vars, v)
+        for v in f.vars
+        if v not in mapping and v in new_vars
+    }
+    const = (0,) * len(new_vars)
+    for e, c in f.terms.items():
+        term = MultiPoly._raw(f.field, new_vars, {const: c})
+        for v, k in zip(f.vars, e):
+            if k == 0:
+                continue
+            base = lifted.get(v) or var_polys.get(v)
+            if base is None:
+                raise UnknownVariable(f"{v} not in target variables")
+            term = term * base**k
+        result = result + term
+    return result
+
+
+XYZW = ("x", "y", "z", "w")
+
+
+@st.composite
+def substitutions(draw):
+    """A polynomial in x, y, z over Q, F_7 or F_{5^2}; a mapping of some of
+    its variables to polynomials or scalars; and a target variable tuple,
+    None to let `substitute` choose it."""
+    field = draw(st.sampled_from([QQ, GF(7), GF(5, 2)]))
+    if field is QQ:
+        coeff = st.one_of(
+            st.integers(-9, 9),
+            st.builds(Fraction, st.integers(-9, 9), st.integers(1, 5)),
+        )
+    elif field.kind == "extension":
+        coeff = st.tuples(*[st.integers(0, field.p - 1)] * field.s)
+    else:
+        coeff = st.integers(0, field.p - 1)
+
+    def poly(vars, min_size, max_size):
+        exps = st.tuples(*[st.integers(0, 3)] * len(vars))
+        terms = draw(st.dictionaries(exps, coeff, min_size=min_size, max_size=max_size))
+        return MultiPoly(field, vars, terms)
+
+    f = poly(XYZ, 1, 8)
+    assume(not f.is_zero())
+    image_vars = draw(st.sampled_from([XY, ("z", "w"), XYZW]))
+    mapping = {
+        v: poly(image_vars, 1, 3) if draw(st.booleans()) else draw(coeff)
+        for v in draw(st.lists(st.sampled_from(XYZ), unique=True))
+    }
+    new_vars = draw(st.sampled_from([None, image_vars, XYZW]))
+    return f, mapping, new_vars
+
+
+def _substitution(substitute, f, mapping, new_vars):
+    try:
+        g = substitute(f, mapping, new_vars)
+    except UnknownVariable:
+        return UnknownVariable
+    return g, list(g.terms)
+
+
+@settings(max_examples=200, deadline=None)
+@given(substitutions())
+# terms of f that cancel in the result, once for good and once to reappear
+@example((P("x**2 - y**2", vars=XYZ), {"x": P("y", vars=XYZ)}, None))
+@example(
+    (
+        MultiPoly(GF(7), XYZ, {(2, 0, 0): 1, (0, 0, 0): 1, (0, 2, 0): 6, (0, 1, 1): 3}),
+        {"x": P("y", GF(7), XY), "z": P("y", GF(7), XY)},
+        XYZW,
+    )
+)
+def test_substitute_matches_reference(case):
+    # the term order too, so that code iterating the terms sees no change
+    assert _substitution(MultiPoly.substitute, *case) == _substitution(
+        reference_substitute, *case
+    )
 
 
 # -- the expression parser against the eval-based reference -------------------------
