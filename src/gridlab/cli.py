@@ -329,7 +329,7 @@ _SUITES = {
 }
 
 
-def run_sweep(suite: str, primes: list, seed: int = 0) -> dict:
+def run_sweep(suite: str, primes: list) -> dict:
     """Run the named check suite over each prime; failures carry witnesses
     and per-check errors are recorded rather than raised."""
     if suite not in _SUITES:
@@ -349,7 +349,6 @@ def run_sweep(suite: str, primes: list, seed: int = 0) -> dict:
     return {
         "suite": suite,
         "primes": primes,
-        "seed": seed,
         "results": results,
         "all_pass": all_pass,
     }
@@ -357,7 +356,7 @@ def run_sweep(suite: str, primes: list, seed: int = 0) -> dict:
 
 def cmd_sweep(args) -> int:
     primes = [int(x) for x in args.primes.split(",")] if args.primes else []
-    report = run_sweep(args.suite, primes, args.seed)
+    report = run_sweep(args.suite, primes)
     _emit(report, args.pretty)
     return 0 if report["all_pass"] else 1
 
@@ -368,14 +367,12 @@ def cmd_sweep(args) -> int:
 def build_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(prog="gridlab")
     ap.add_argument("--pretty", action="store_true", help="indented JSON output")
-    ap.add_argument("--seed", type=int, default=0)
-    # the copies every subcommand (and curves action) accepts after its
-    # name; SUPPRESS keeps them from resetting values given before it
+    # the copy every subcommand (and curves action) accepts after its
+    # name; SUPPRESS keeps it from resetting a value given before it
     late = argparse.ArgumentParser(add_help=False)
     late.add_argument(
         "--pretty", action="store_true", default=argparse.SUPPRESS, help="indented JSON output"
     )
-    late.add_argument("--seed", type=int, default=argparse.SUPPRESS)
     sub = ap.add_subparsers(dest="command", required=True)
 
     def add_parser(name):

@@ -15,6 +15,12 @@ the rows and columns it reads.  A caller that names the scan's subset size
 (`build_graph(..., scan_s=s)`) is refused by the enumeration budget once the
 vertices are counted, before the form is reduced mod p.
 
+The vertices come from one path.  `build_graph` lists the chart's residue
+tuples and keeps, on each side, those where no excluded form of the open
+set vanishes.  The test is the same kernel: an excluded form reduced mod p
+is a form with one left vertex, (), and the chart points on its right, so
+one kernel row marks every point on its zero set at once.
+
 `find_grid` and `max_common_neighborhood` share one subset scan (`_scan`):
 a depth-first walk of the left s-subsets in lexicographic order that
 prunes a prefix once its common neighborhood has no more than a floor of
@@ -53,7 +59,8 @@ The symmetries come from `build_graph(..., symmetries=...)` as candidate
 affine maps (x, y) -> (A_x x + b_x, A_y y + b_y) of the chart coordinates
 (`hypersurfaces.family_symmetries`).  A candidate is kept only when all of
 these hold:
-- the chart is affine and X and Y are full, so both sides are all of F_p^s;
+- the chart is affine and both sides hold all p^s of its points, so both
+  are all of F_p^s;
 - A_x and A_y are invertible mod p, so the map is a bijection of each side;
 - substituting the map into the form mod p gives λ times the form, λ != 0.
 Then the map sends edges to edges and non-edges to non-edges.  A wrong
@@ -69,17 +76,18 @@ from dataclasses import dataclass
 from itertools import product
 from math import comb
 
+from .curves import matrix_rank
 from .errors import (
     BudgetExceeded,
     EmptySide,
     InvalidWitness,
     ParameterOutOfRange,
+    UnknownVariable,
 )
 from .fields import GF
 from .hypersurfaces import (
     Hypersurface,
     OpenSet,
-    ProjPoint,
     proj_points,
     reduce_hypersurface_mod,
 )
@@ -124,7 +132,6 @@ class BipartiteGraph:
         left: list,
         right: list,
         rows: Sequence,
-        meta: dict | None = None,
         symmetries: list | None = None,
         cols: Sequence | None = None,
     ):
@@ -138,7 +145,6 @@ class BipartiteGraph:
         self.right = right
         self.rows = rows
         self._cols = cols
-        self.meta = meta or {}
         # left-index permutations of verified graph automorphisms (each
         # maps right vertices to right vertices too); the scan prunes by them
         self.symmetries = symmetries or []
@@ -309,23 +315,6 @@ def _compose(f: dict, images: list, p: int) -> dict:
     return {m: v for m, v in out.items() if v}
 
 
-def _invertible(A: list, p: int) -> bool:
-    """Whether the square integer matrix A is invertible mod p."""
-    rows = [[a % p for a in row] for row in A]
-    n = len(rows)
-    for col in range(n):
-        pivot = next((r for r in range(col, n) if rows[r][col]), None)
-        if pivot is None:
-            return False
-        rows[col], rows[pivot] = rows[pivot], rows[col]
-        inv = pow(rows[col][col], p - 2, p)
-        for r in range(col + 1, n):
-            f = rows[r][col] * inv % p
-            if f:
-                rows[r] = [(a - f * b) % p for a, b in zip(rows[r], rows[col])]
-    return True
-
-
 def _is_automorphism(f: dict, m, s: int, p: int) -> bool:
     """Whether the ChartMap m is a bijection of F_p^s on each side and
     carries the affine form f (in x1..xs, y1..ys) to a nonzero multiple of
@@ -334,7 +323,7 @@ def _is_automorphism(f: dict, m, s: int, p: int) -> bool:
     for A, b in sides:
         if len(A) != s or len(b) != s or any(len(row) != s for row in A):
             return False
-        if not _invertible(A, p):
+        if matrix_rank(A, GF(p)) < s:
             return False
     if not f:
         return True
@@ -366,6 +355,17 @@ def _left_permutation(A: tuple, b: tuple, points: list, p: int) -> list:
     return perm
 
 
+def _open_points(U: OpenSet, pts: list, p: int) -> list:
+    """The points of `pts` (residue tuples) where no excluded form of U, a
+    form over F_p, vanishes: each form is one `_lane_kernel` row, with the
+    one left vertex () and `pts` on the right."""
+    on = 0
+    for f in U.excluded:
+        on |= _lane_kernel([(c, (), e) for e, c in f.terms.items()], [()], pts, p)(0)
+    flags = format(on, f"0{len(pts)}b")[::-1]  # flags[j]: bit j of `on`
+    return [pt for pt, flag in zip(pts, flags) if flag == "0"]
+
+
 def build_graph(
     H: Hypersurface,
     p: int,
@@ -378,6 +378,11 @@ def build_graph(
     """Vertices are the F_p-points of the chosen chart inside X and Y;
     edges by exact evaluation of the defining form.
 
+    Each side keeps the chart's residue tuples (affine, or the raw
+    coordinates of `proj_points`) where no excluded form of its open set,
+    reduced mod p, vanishes (`_open_points`); EmptySide is raised when a
+    side is left with no point.
+
     No adjacency is computed here: the graph's rows and columns are
     computed on first read (`_AdjacencyRows`).  `scan_s` names the subset
     size of the scan that will follow: if C(|left|, scan_s) exceeds the
@@ -385,34 +390,27 @@ def build_graph(
     known, before the form is reduced mod p.
 
     `symmetries` lists candidate ChartMaps (`hypersurfaces.family_symmetries`).
-    On the affine chart with X and Y full, a candidate is kept when both its
-    matrices are invertible mod p and it carries the form mod p to a nonzero
-    multiple of itself; the kept maps become left-index permutations in
+    On the affine chart with all p^s points on each side, a candidate is
+    kept when both its matrices are invertible mod p and it carries the form
+    mod p to a nonzero multiple of itself; the kept maps become left-index permutations in
     `symmetries` of the graph, which the scan prunes by.  Elsewhere none is
     kept."""
     s = H.s
     Fp = GF(p)
-    X = X or OpenSet.full(s)
-    Y = Y or OpenSet.full(s)
-    full = not X.excluded and not Y.excluded
     if chart == "affine":
         pts = [(1,) + tail for tail in product(range(p), repeat=s)]
     elif chart == "projective":
-        proj = list(proj_points(Fp, s))
-        pts = [q.raw for q in proj]
+        pts = [q.raw for q in proj_points(Fp, s)]
     else:
         raise ParameterOutOfRange(f"unknown chart {chart!r}")
-    if full:  # every point of the chart lies in X and in Y
-        left, right = pts, list(pts)
-    else:
-        if chart == "affine":
-            proj = [ProjPoint(Fp, c) for c in pts]
-        Xp = X.reduce_mod(p)
-        Yp = Y.reduce_mod(p)
-        left = [c for c, q in zip(pts, proj) if Xp.contains(q)]
-        right = [c for c, q in zip(pts, proj) if Yp.contains(q)]
-        if not left or not right:
-            raise EmptySide("open-set filters removed a whole side")
+    Xp = (X or OpenSet.full(s)).reduce_mod(p)
+    Yp = (Y or OpenSet.full(s)).reduce_mod(p)
+    for f in Xp.excluded + Yp.excluded:
+        if len(f.vars) != len(pts[0]):
+            raise UnknownVariable("point length does not match variables")
+    left, right = _open_points(Xp, pts, p), _open_points(Yp, pts, p)
+    if not left or not right:
+        raise EmptySide("open-set filters removed a whole side")
     if scan_s is not None and scan_s >= 1:
         _check_budget(len(left), scan_s, None)
     terms = _terms_int(H, p)
@@ -420,7 +418,7 @@ def build_graph(
     display = left if chart == "projective" else [u[1:] for u in left]
     display_r = right if chart == "projective" else [v[1:] for v in right]
     kept = []
-    if symmetries and chart == "affine" and full:
+    if symmetries and chart == "affine" and len(left) == len(right) == p**s:
         # the form on the chart x0 = y0 = 1, in x1..xs, y1..ys
         f = {}
         for c, xe, ye in terms:
@@ -434,7 +432,6 @@ def build_graph(
         display,
         display_r,
         rows,
-        meta={"p": p, "s": s, "chart": chart, "hypersurface": H.to_json()},
         symmetries=kept,
         cols=rows.transpose(),
     )

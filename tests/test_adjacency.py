@@ -1,10 +1,14 @@
-"""The lane-packed adjacency kernel against the per-pair reference loop."""
+"""The lane-packed adjacency kernel against the per-pair reference loop, and
+the open-set filter of build_graph against per-point membership."""
+
+from fractions import Fraction
+from itertools import product
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from gridlab.errors import EmptySide
-from gridlab.fields import GF
+from gridlab.fields import GF, QQ
 from gridlab.gridcheck import (
     BipartiteGraph,
     _AdjacencyRows,
@@ -13,7 +17,14 @@ from gridlab.gridcheck import (
     find_grid,
     max_common_neighborhood,
 )
-from gridlab.hypersurfaces import Hypersurface, OpenSet, construct, family_symmetries
+from gridlab.hypersurfaces import (
+    Hypersurface,
+    OpenSet,
+    ProjPoint,
+    construct,
+    family_symmetries,
+    proj_points,
+)
 from gridlab.poly import BiHomPoly, MultiPoly, xy_vars
 
 
@@ -58,16 +69,16 @@ def transpose(rows, n_right):
     return [sum((row >> j & 1) << i for i, row in enumerate(rows)) for j in range(n_right)]
 
 
-def chart_coords(G):
+def chart_coords(G, chart):
     """The chart coordinates build_graph evaluated at, per side."""
-    if G.meta["chart"] == "projective":
+    if chart == "projective":
         return G.left, G.right
     return [(1,) + u for u in G.left], [(1,) + v for v in G.right]
 
 
 def assert_matches_reference(H, p, X=None, Y=None, chart="affine"):
     G = build_graph(H, p, X, Y, chart=chart)
-    left, right = chart_coords(G)
+    left, right = chart_coords(G, chart)
     assert list(G.rows) == reference_rows(_terms_int(H, p), left, right, p)
 
 
@@ -125,7 +136,7 @@ def test_rows_match_reference_small_primes(data, form, chart, opens):
         G = build_graph(H, p, X, Y, chart=chart)
     except EmptySide:  # the open sets removed a whole side
         return
-    left, right = chart_coords(G)
+    left, right = chart_coords(G, chart)
     expected = reference_rows(_terms_int(H, p), left, right, p)
     columns = transpose(expected, len(right))
     if data.draw(st.booleans()):
@@ -134,6 +145,60 @@ def test_rows_match_reference_small_primes(data, form, chart, opens):
     assert [G.rows[i] for i in order] == [expected[i] for i in order]
     assert list(G.rows) == expected
     assert list(G.cols) == columns
+
+
+@st.composite
+def excluded_forms(draw, p, s, name):
+    """Forms of degree 1-3 in name0..names: over F_p, or over Q with
+    denominators and with coefficients that p divides."""
+    vars = tuple(f"{name}{i}" for i in range(s + 1))
+    if draw(st.booleans()):
+        field = GF(p)
+        coeff = st.integers(1, p - 1)
+    else:
+        field = QQ
+        numerator = st.integers(-3, 3).filter(bool).flatmap(
+            lambda a: st.sampled_from([a, a * p])
+        )
+        coeff = st.builds(Fraction, numerator, st.integers(1, 2 * p))
+    deg = draw(st.integers(1, 3))
+    terms = draw(st.dictionaries(exponents(s + 1, deg), coeff, min_size=1, max_size=4))
+    return MultiPoly(field, vars, terms)
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    st.data(),
+    st.sampled_from([2, 3, 5, 7, 13]),
+    st.integers(1, 2),
+    st.sampled_from(["affine", "projective"]),
+)
+def test_vertices_match_point_membership(data, p, s, chart):
+    vars = xy_vars(s)
+    poly = MultiPoly.parse(QQ, vars, "x0*y0")
+    H = Hypersurface(BiHomPoly(poly, vars[: s + 1], vars[s + 1 :]))
+    X, Y = (
+        OpenSet(s, data.draw(st.lists(excluded_forms(p, s, name), max_size=2)))
+        for name in "xy"
+    )
+    if chart == "affine":
+        pts = [(1,) + tail for tail in product(range(p), repeat=s)]
+    else:
+        pts = [q.raw for q in proj_points(GF(p), s)]
+
+    def inside(U):
+        Up = U.reduce_mod(p)
+        kept = [pt for pt in pts if Up.contains(ProjPoint(GF(p), pt))]
+        return kept if chart == "projective" else [pt[1:] for pt in kept]
+
+    left, right = inside(X), inside(Y)
+    if not left or not right:
+        with pytest.raises(EmptySide):
+            build_graph(H, p, X, Y, chart=chart)
+        return
+    G = build_graph(H, p, X, Y, chart=chart)
+    assert G.left == left
+    assert G.right == right
 
 
 def scan_answers(G, s, ts):

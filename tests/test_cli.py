@@ -48,6 +48,24 @@ def test_gridcheck_grid_free(capsys, h1a):
     assert data["grid_free"] is True
 
 
+@pytest.mark.parametrize("side", ["--exclude-x", "--exclude-y"])
+@pytest.mark.parametrize("chart", ["affine", "projective"])
+@pytest.mark.parametrize("nvars", [2, 4])
+def test_gridcheck_open_set_with_wrong_variable_count_exit_2(
+    capsys, tmp_path, h1a, side, chart, nvars
+):
+    # family 1a has s = 2: its points have 3 coordinates
+    from gridlab.fields import QQ
+    from gridlab.poly import MultiPoly
+
+    vars = tuple(f"z{i}" for i in range(nvars))
+    form = MultiPoly.parse(QQ, vars, " + ".join(vars))
+    path = tmp_path / "open.json"
+    path.write_text(json.dumps({"dim": 2, "excluded": [form.to_json()]}))
+    argv = ["gridcheck", "--input", h1a, "--p", "5", "--s", "2", "--t", "2"]
+    assert run(capsys, *argv, "--chart", chart, side, str(path)) == (2, "")
+
+
 def test_gridcheck_witness_exit_1(capsys, tmp_path):
     # a rank-2 bilinear form on P^2 x P^2 has (2,2)-grids
     from gridlab.fields import QQ
@@ -264,18 +282,18 @@ def test_pretty_before_or_after_subcommand(capsys, argv):
 
 
 @pytest.mark.parametrize(
-    "argv,seed",
+    "argv",
     [
-        (["sweep", "--primes", ""], 0),
-        (["--seed", "5", "sweep", "--primes", ""], 5),
-        (["sweep", "--primes", "", "--seed", "6"], 6),
-        (["--seed", "5", "sweep", "--primes", "", "--seed", "7"], 7),
+        ["--seed", "5", "sweep", "--primes", ""],
+        ["sweep", "--primes", "", "--seed", "6"],
     ],
 )
-def test_seed_before_or_after_subcommand(capsys, argv, seed):
-    code, data = run_json(capsys, *argv)
+def test_seed_is_a_usage_error(capsys, argv):
+    # --seed had no effect and is gone, with the sweep's "seed" key
+    assert run(capsys, *argv) == (2, "")
+    code, data = run_json(capsys, "sweep", "--primes", "")
     assert code == 0
-    assert data["seed"] == seed
+    assert "seed" not in data
 
 
 def test_sweep_records_bad_characteristic():

@@ -304,7 +304,7 @@ def test_adjacency_agrees_with_direct_evaluation():
 @pytest.mark.parametrize("s", [1, 2, 3])
 def test_affine_enumeration_matches_open_set_path(p, s):
     # x0 = y0 = 1 on the affine chart, so excluding x0 = 0 and y0 = 0 keeps
-    # every point but sends build_graph through the per-point membership test
+    # every point: the filtered graph is the graph without open sets
     vars = xy_vars(s)
     form = " + ".join(f"{k + 1}*x{k}*y{s - k}" for k in range(s + 1))
     F = MultiPoly.parse(QQ, vars, form)
@@ -409,7 +409,9 @@ WITNESSES = Path(__file__).resolve().parent / "data" / "gridcheck_witnesses.json
 def golden_witness_mismatches() -> list:
     """Cases of `data/gridcheck_witnesses.json` whose `gridlab gridcheck`
     stdout or exit code differs from the recorded one, run in-process on
-    the output of the recorded `gridlab construct` call."""
+    the output of the recorded `gridlab construct` call.  A case's optional
+    `exclude_x`/`exclude_y` open sets are written to files and passed as
+    `--exclude-x`/`--exclude-y`."""
     from gridlab import cli
 
     bad = []
@@ -418,9 +420,16 @@ def golden_witness_mismatches() -> list:
         for case in json.loads(WITNESSES.read_text()):
             with contextlib.redirect_stdout(io.StringIO()):
                 cli.main(case["construct"] + ["--out", path])
+            argv = ["gridcheck", "--input", path] + case["gridcheck"]
+            for key in ("exclude_x", "exclude_y"):
+                if key in case:
+                    open_set = os.path.join(tmp, key + ".json")
+                    with open(open_set, "w") as fh:
+                        json.dump(case[key], fh)
+                    argv += ["--" + key.replace("_", "-"), open_set]
             out = io.StringIO()
-            with contextlib.redirect_stdout(out):
-                code = cli.main(["gridcheck", "--input", path] + case["gridcheck"])
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+                code = cli.main(argv)
             if (out.getvalue(), code) != (case["stdout"], case["exit"]):
                 bad.append({**case, "got_stdout": out.getvalue(), "got_exit": code})
     return bad
