@@ -88,7 +88,6 @@ from .fields import GF
 from .hypersurfaces import (
     Hypersurface,
     OpenSet,
-    proj_points,
     reduce_hypersurface_mod,
 )
 
@@ -396,11 +395,15 @@ def build_graph(
     `symmetries` of the graph, which the scan prunes by.  Elsewhere none is
     kept."""
     s = H.s
-    Fp = GF(p)
     if chart == "affine":
         pts = [(1,) + tail for tail in product(range(p), repeat=s)]
     elif chart == "projective":
-        pts = [q.raw for q in proj_points(Fp, s)]
+        # the canonical representatives in the order of `proj_points`
+        pts = [
+            (0,) * lead + (1,) + tail
+            for lead in range(s + 1)
+            for tail in product(range(p), repeat=s - lead)
+        ]
     else:
         raise ParameterOutOfRange(f"unknown chart {chart!r}")
     Xp = (X or OpenSet.full(s)).reduce_mod(p)

@@ -159,17 +159,6 @@ class Hypersurface:
         mapping = {v: c for v, c in zip(self.form.xvars, u.coords)}
         return self.form.poly.substitute(mapping, new_vars=self.form.yvars)
 
-    def section_x(self, v: ProjPoint) -> MultiPoly:
-        """F(x̄, v), the transposed section."""
-        if len(v.coords) != len(self.form.yvars):
-            raise DimensionMismatch("point does not match the y-group")
-        mapping = {w: c for w, c in zip(self.form.yvars, v.coords)}
-        return self.form.poly.substitute(mapping, new_vars=self.form.xvars)
-
-    def contains_fiber(self, v: ProjPoint) -> bool:
-        """True iff P^s x {v} is contained in H, i.e. F(x̄, v) == 0."""
-        return self.section_x(v).is_zero()
-
     def to_json(self) -> dict:
         return {
             "poly": self.form.poly.to_json(),

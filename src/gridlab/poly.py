@@ -2,10 +2,17 @@
 
 Provides exactly the primitives the grid-free machinery needs: ring
 arithmetic, substitution, derivatives, per-variable-group contents, GCDs,
-squarefree parts, Sylvester resultants and (bi)homogenization.  A GCD over
-a finite field runs a primitive PRS; over Q it is assembled from such
-images modulo word-size primes by CRT and rational reconstruction, and
-certified by exact division.  The monomial order is graded lex with the
+squarefree parts, Sylvester resultants and (bi)homogenization.
+
+A GCD over a finite field is Brown's dense evaluation/interpolation scheme
+(`_DenseGcd`): the last variable is evaluated at field points taken one at
+a time, the images' gcds come from the same scheme in one variable fewer
+down to univariate Euclid, Newton interpolation combines them, and the
+candidate is certified by exact division of both inputs.  A field with too
+few points for the degrees falls back to the primitive PRS (`_prs_gcd`)
+for that call.  Over Q the GCD is assembled from the dense scheme's images
+modulo word-size primes by CRT and rational reconstruction, and certified
+by exact division as well.  The monomial order is graded lex with the
 variable tuple's later entries more significant; the leading coefficient
 in that order is normalized to 1 wherever a canonical representative is
 needed.
@@ -521,31 +528,40 @@ class MultiPoly:
 # -- exact division and gcd -------------------------------------------------------
 
 
-def exact_div(a: MultiPoly, b: MultiPoly) -> MultiPoly:
-    """Quotient a/b when b divides a exactly; raises ExactDivisionError."""
-    if b.is_zero():
-        raise ZeroPolynomial("division by the zero polynomial")
-    field = a._coerce_operand(b).field
+def _quotient(field: Field, a: dict, b: dict):
+    """Quotient of raw term dicts a / b (b nonzero) when b divides a
+    exactly, else None."""
     sub, mul, is_zero = field._sub, field._mul, field._is_zero
     zero = field._zero()
     quotient: dict = {}
-    rem = dict(a.terms)
-    eb, cb = b._lead()
-    cb_inv = field._inv(cb)
+    rem = dict(a)
+    eb = max(b, key=_order_key)
+    cb_inv = field._inv(b[eb])
     while rem:
         ea = max(rem, key=_order_key)
         qe = tuple(x - y for x, y in zip(ea, eb))
         if any(k < 0 for k in qe):
-            raise ExactDivisionError("leading term not divisible")
+            return None
         qc = mul(rem[ea], cb_inv)
         quotient[qe] = qc
-        for e2, c2 in b.terms.items():
+        for e2, c2 in b.items():
             e = tuple(x + y for x, y in zip(qe, e2))
             s = sub(rem.get(e, zero), mul(qc, c2))
             if is_zero(s):
                 rem.pop(e, None)
             else:
                 rem[e] = s
+    return quotient
+
+
+def exact_div(a: MultiPoly, b: MultiPoly) -> MultiPoly:
+    """Quotient a/b when b divides a exactly; raises ExactDivisionError."""
+    if b.is_zero():
+        raise ZeroPolynomial("division by the zero polynomial")
+    field = a._coerce_operand(b).field
+    quotient = _quotient(field, a.terms, b.terms)
+    if quotient is None:
+        raise ExactDivisionError("leading term not divisible")
     return MultiPoly._raw(field, a.vars, quotient)
 
 
@@ -584,36 +600,258 @@ def _prem(f: list, g: list) -> list:
     return f
 
 
-def content(polys: list) -> MultiPoly:
-    """Monic gcd of a nonempty list of polynomials; zero when all are zero."""
-    if not polys:
-        raise ZeroPolynomial("content of an empty list")
+def _fold_gcd(gcd2, polys: list) -> MultiPoly:
     cont = polys[0].monic()
     for c in polys[1:]:
         if cont.degree() == 0:
             break  # gcd(1, c) = 1
-        cont = gcd(cont, c)
+        cont = gcd2(cont, c)
     return cont
 
 
-def _content_and_pp(a: MultiPoly, var: str):
-    coeffs = _trim(a.univariate(var))
-    cont = content(coeffs)
-    return cont, [exact_div(c, cont) for c in coeffs]
+def content(polys: list) -> MultiPoly:
+    """Monic gcd of a nonempty list of polynomials; zero when all are zero."""
+    if not polys:
+        raise ZeroPolynomial("content of an empty list")
+    return _fold_gcd(gcd, polys)
 
 
 def gcd(a: MultiPoly, b: MultiPoly) -> MultiPoly:
-    """GCD over a field, normalized monic: the primitive PRS over a finite
-    field, the modular gcd over Q."""
+    """GCD over a field, normalized monic: the dense evaluation/interpolation
+    gcd over a finite field, the modular gcd over Q."""
     b = a._coerce_operand(b)
-    if a.field.characteristic or a.is_zero() or b.is_zero():
+    if a.is_zero() or b.is_zero():
+        return (a + b).monic()
+    if not a.field.characteristic:
+        return _modular_gcd(a, b)
+    return _field_gcd(a, b)
+
+
+def _field_gcd(a: MultiPoly, b: MultiPoly) -> MultiPoly:
+    """Monic gcd of nonzero polynomials over a finite field by the dense
+    scheme, on the variables that occur in a or b; the PRS when the field
+    runs out of evaluation points."""
+    used = [
+        i
+        for i in range(len(a.vars))
+        if any(e[i] for e in a.terms) or any(e[i] for e in b.terms)
+    ]
+    if not used:
+        return MultiPoly.constant(a.field, a.vars, 1)
+    g = _DenseGcd(a.field).gcd(
+        *({tuple(e[i] for i in used): c for e, c in f.terms.items()} for f in (a, b)),
+        len(used),
+    )
+    if g is None:
         return _prs_gcd(a, b)
-    return _modular_gcd(a, b)
+    terms = {}
+    for e, c in g.items():
+        full = [0] * len(a.vars)
+        for i, k in zip(used, e):
+            full[i] = k
+        terms[tuple(full)] = c
+    return MultiPoly._raw(a.field, a.vars, terms)
+
+
+class _DenseGcd:
+    """Brown's dense modular gcd over one finite field (algorithm PGCD of
+    Geddes, Czapor and Labahn, Algorithms for Computer Algebra, ch. 7), on
+    raw coefficient values through the field's primitives.
+
+    Polynomials in n variables are term dicts keyed by n-tuples; `group`
+    views one as a map from its first n-1 exponents to a dense list in the
+    last variable, low degree first, with no trailing zero.  The last
+    variable is evaluated at field points, the images' gcds come from the
+    recursion, and univariate Euclid ends it.  A candidate is tested by
+    exact division once degree bound + 1 points agree, or earlier when a
+    point leaves the interpolant unchanged; one that divides both inputs is
+    the gcd, since its leading monomial is no smaller than the gcd's.
+    """
+
+    def __init__(self, field: Field):
+        self.field = field
+        self.add, self.sub, self.mul = field._add, field._sub, field._mul
+        self.inv, self.is_zero = field._inv, field._is_zero
+        self.zero, self.one = field._zero(), field._one()
+
+    def points(self):
+        """The field's elements as raw values, lazily."""
+        if self.field.kind == "prime":
+            return iter(range(self.field.p))
+        return (x.val for x in self.field.elements())
+
+    # -- dense univariate lists --------------------------------------------------
+
+    def trim(self, f: list) -> list:
+        is_zero = self.is_zero
+        while f and is_zero(f[-1]):
+            f.pop()
+        return f
+
+    def value(self, f: list, x):
+        """f(x) by Horner."""
+        add, mul = self.add, self.mul
+        acc = self.zero
+        for c in reversed(f):
+            acc = add(mul(acc, x), c)
+        return acc
+
+    def scale(self, f: list, c) -> list:
+        mul = self.mul
+        return [mul(k, c) for k in f]
+
+    def plus(self, f: list, g: list) -> list:
+        if len(f) < len(g):
+            f, g = g, f
+        add = self.add
+        out = f[:]
+        for i, c in enumerate(g):
+            out[i] = add(out[i], c)
+        return self.trim(out)
+
+    def product(self, f: list, g: list) -> list:
+        if not f or not g:
+            return []
+        add, mul = self.add, self.mul
+        out = [self.zero] * (len(f) + len(g) - 1)
+        for i, fi in enumerate(f):
+            for j, gj in enumerate(g):
+                out[i + j] = add(out[i + j], mul(fi, gj))
+        return self.trim(out)
+
+    def divmod(self, f: list, g: list) -> tuple:
+        """Quotient and remainder of f by a nonzero g."""
+        sub, mul, is_zero = self.sub, self.mul, self.is_zero
+        r = f[:]
+        dg = len(g) - 1
+        if len(r) <= dg:
+            return [], r
+        lead_inv = self.inv(g[-1])
+        q = [self.zero] * (len(r) - dg)
+        for i in range(len(q) - 1, -1, -1):
+            c = r[i + dg]
+            if is_zero(c):
+                continue
+            c = q[i] = mul(c, lead_inv)
+            for j in range(dg):
+                r[i + j] = sub(r[i + j], mul(c, g[j]))
+        del r[dg:]
+        return q, self.trim(r)
+
+    def monic(self, f: list) -> list:
+        if not f or f[-1] == self.one:
+            return f
+        return self.scale(f, self.inv(f[-1]))
+
+    def ugcd(self, f: list, g: list) -> list:
+        """Monic gcd of two lists by Euclid; [] only when both are zero."""
+        while g:
+            f, g = g, self.divmod(f, g)[1]
+        return self.monic(f)
+
+    # -- the recursion -------------------------------------------------------
+
+    def group(self, terms: dict) -> dict:
+        out: dict = {}
+        zero = self.zero
+        for e, c in terms.items():
+            row = out.setdefault(e[:-1], [])
+            k = e[-1]
+            if len(row) <= k:
+                row.extend([zero] * (k + 1 - len(row)))
+            row[k] = c
+        return out
+
+    def primitive(self, f: dict) -> tuple:
+        """(content, primitive part) of a grouped polynomial, the content
+        being the monic gcd of its lists."""
+        cont = []
+        for row in f.values():
+            cont = self.ugcd(cont, row)
+            if len(cont) == 1:
+                return cont, f
+        return cont, {k: self.divmod(row, cont)[0] for k, row in f.items()}
+
+    def flat(self, f: dict) -> dict:
+        is_zero = self.is_zero
+        return {
+            k + (i,): c
+            for k, row in f.items()
+            for i, c in enumerate(row)
+            if not is_zero(c)
+        }
+
+    def divides(self, f: dict, g: dict) -> bool:
+        return _quotient(self.field, self.flat(g), self.flat(f)) is not None
+
+    def times_content(self, f: dict, cont: list) -> dict:
+        """The monic flat form of f times the univariate content."""
+        terms = self.flat({k: self.product(row, cont) for k, row in f.items()})
+        lead_inv = self.inv(terms[max(terms, key=_order_key)])
+        return {e: self.mul(c, lead_inv) for e, c in terms.items()}
+
+    def gcd(self, a: dict, b: dict, n: int):
+        """Monic gcd (graded lex on the n variables) of nonzero term dicts
+        keyed by n-tuples; None when the field runs out of points."""
+        is_zero, mul, sub = self.is_zero, self.mul, self.sub
+        if n == 1:
+            g = self.ugcd(self.group(a)[()], self.group(b)[()])
+            return {(i,): c for i, c in enumerate(g) if not is_zero(c)}
+        ca, a = self.primitive(self.group(a))
+        cb, b = self.primitive(self.group(b))
+        cont = self.ugcd(ca, cb)
+        lc_gcd = self.ugcd(a[max(a, key=_order_key)], b[max(b, key=_order_key)])
+        # bounds the last-variable degree of lc_gcd/lc(G) * G, G = gcd(a, b)
+        bound = min(max(map(len, a.values())), max(map(len, b.values()))) - 2
+        bound += len(lc_gcd)
+        best = ceiling = (math.inf,)
+        value = self.value
+        for x in self.points():
+            gx = value(lc_gcd, x)
+            if is_zero(gx):
+                continue
+            ax, bx = (
+                {k: v for k, row in f.items() if not is_zero(v := value(row, x))}
+                for f in (a, b)
+            )
+            image = self.gcd(ax, bx, n - 1)
+            if image is None:
+                return None
+            lead = max(image, key=_order_key)
+            if not any(lead):  # the primitive parts are coprime
+                return self.times_content({(0,) * (n - 1): [self.one]}, cont)
+            key = _order_key(lead)
+            if key >= ceiling or key > best:
+                continue  # x is unlucky
+            if key < best:  # every earlier point was unlucky
+                best, modulus, changed = key, [self.one], True
+                h = {k: [mul(gx, c)] for k, c in image.items()}
+            else:  # Newton: h += (gx * image - h(x)) * modulus / modulus(x)
+                inv_mx = self.inv(value(modulus, x))
+                changed = False
+                for k in image.keys() | h.keys():
+                    row = h.get(k, [])
+                    d = sub(mul(gx, image.get(k, self.zero)), value(row, x))
+                    if not is_zero(d):
+                        changed = True
+                        h[k] = self.plus(row, self.scale(modulus, mul(d, inv_mx)))
+            modulus = self.product(modulus, [sub(self.zero, x), self.one])
+            complete = len(modulus) - 1 > bound
+            if changed and not complete:
+                continue
+            # test once the interpolant is complete or stopped changing
+            _, candidate = self.primitive(h)
+            if self.divides(candidate, a) and self.divides(candidate, b):
+                return self.times_content(candidate, cont)
+            if complete:  # images of this leading monomial are all unlucky
+                best, ceiling = (math.inf,), best
+        return None
 
 
 def _prs_gcd(a: MultiPoly, b: MultiPoly) -> MultiPoly:
     """Monic GCD by primitive-part PRS, one variable at a time, recursing
-    into the coefficients for contents."""
+    into the coefficients for contents.  The fallback of `gcd` over fields
+    too small for the dense gcd's evaluation points."""
     if a.is_zero():
         return b.monic()
     if b.is_zero():
@@ -634,11 +872,17 @@ def _prs_gcd(a: MultiPoly, b: MultiPoly) -> MultiPoly:
         r = _prem(fa, fb)
         _trim(r)
         if r:
-            rc = content(r)
+            rc = _fold_gcd(_prs_gcd, r)
             r = [exact_div(c, rc) for c in r]
         fa, fb = fb, r
     g = cont * MultiPoly.from_univariate(fa, main)
     return g.monic()
+
+
+def _content_and_pp(a: MultiPoly, var: str):
+    coeffs = _trim(a.univariate(var))
+    cont = _fold_gcd(_prs_gcd, coeffs)
+    return cont, [exact_div(c, cont) for c in coeffs]
 
 
 def primitive_integral_model(polys: list) -> list:
@@ -701,7 +945,7 @@ def _modular_gcd(a: MultiPoly, b: MultiPoly) -> MultiPoly:
             MultiPoly._raw(Fp, a.vars, {e: r for e, c in M.items() if (r := c % p)})
             for M in (A, B)
         )
-        image = _prs_gcd(a_p, b_p)
+        image = _field_gcd(a_p, b_p)
         exps, _ = image._lead()
         if sum(exps) == 0:
             return MultiPoly.constant(QQ, a.vars, 1)

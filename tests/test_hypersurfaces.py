@@ -118,12 +118,6 @@ def test_section_degree_drop_visible():
     assert h.section(u) == MultiPoly.parse(QQ, ("y0", "y1"), "y1**2")
 
 
-def test_contains_fiber():
-    h = H("x0*y1 - x1*y1")  # vanishes on all of P^1 x {(1:0)}
-    assert h.contains_fiber(ProjPoint(QQ, [1, 0]))
-    assert not h.contains_fiber(ProjPoint(QQ, [1, 1]))
-
-
 def test_hypersurface_json_roundtrip():
     h = H("x0*y1**2 - x1*y0**2 + 3*x0*y0*y1")
     h2 = Hypersurface.from_json(h.to_json())

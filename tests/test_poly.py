@@ -1,8 +1,11 @@
+import json
 import math
 import random
 import signal
+import sys
 from contextlib import contextmanager
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 import sympy
@@ -19,6 +22,7 @@ from gridlab.errors import (
     ZeroPolynomial,
 )
 from gridlab.fields import GF, QQ
+import gridlab.poly
 from gridlab.poly import (
     BiHomPoly,
     MultiPoly,
@@ -580,6 +584,115 @@ def test_gcd_keeps_common_factor_finite_fields(case):
         assert divides(c, gcd(a * c, b * c))
 
 
+# -- the dense gcd over finite fields against the PRS --------------------------------
+
+
+GCD_FIELDS = [GF(101), GF(2**31 - 1), GF(5, 2), GF(3, 2), GF(2), GF(3)]
+WXYZ = ("w", "x", "y", "z")
+
+
+@st.composite
+def _field_polys(draw, field, vars, max_terms):
+    if field.kind == "extension":
+        coeff = st.tuples(*[st.integers(0, field.p - 1)] * field.s)
+    else:
+        coeff = st.integers(0, field.p - 1)
+    exps = st.tuples(*[st.integers(0, 2)] * len(vars))
+    terms = draw(st.dictionaries(exps, coeff, max_size=max_terms))
+    return MultiPoly(field, vars, terms)
+
+
+@st.composite
+def _dense_gcd_pairs(draw):
+    """A pair over one of GCD_FIELDS in 2-4 variables: with a planted common
+    factor, as drawn (mostly coprime), or with a zero or constant operand."""
+    field = draw(st.sampled_from(GCD_FIELDS))
+    vars = WXYZ[: draw(st.integers(2, 4))]
+    u, v, common = (draw(_field_polys(field, vars, 4)) for _ in range(3))
+    shape = draw(st.sampled_from(["planted", "drawn", "zero", "constant"]))
+    if shape == "planted":
+        return common * u, common * v
+    if shape == "zero":
+        return MultiPoly.zero(field, vars), u
+    if shape == "constant":
+        c = MultiPoly.constant(field, vars, draw(st.integers(1, field.p - 1)))
+        return u, c
+    return u, v
+
+
+@settings(max_examples=300, deadline=None)
+@given(_dense_gcd_pairs())
+def test_dense_gcd_matches_the_prs(pair):
+    a, b = pair
+    assert gcd(a, b) == _prs_gcd(a, b)
+    assert gcd(b, a) == _prs_gcd(a, b)
+
+
+def _counting_prs(monkeypatch):
+    calls = []
+
+    def counted(a, b, prs=_prs_gcd):
+        calls.append((a, b))
+        return prs(a, b)
+
+    monkeypatch.setattr(gridlab.poly, "_prs_gcd", counted)
+    return calls
+
+
+def test_dense_gcd_falls_back_to_the_prs_when_the_field_runs_out_of_points(
+    monkeypatch,
+):
+    # degree 4 and 5 in y need 5 points of y; GF(2) has 2
+    factor = "x + y**3 + y + 1"
+    a = MultiPoly.parse(GF(2), XY, f"({factor})*(x*y + 1)")
+    b = MultiPoly.parse(GF(2), XY, f"({factor})*(x + y**2 + 1)")
+    calls = _counting_prs(monkeypatch)
+    assert gcd(a, b) == MultiPoly.parse(GF(2), XY, factor)
+    assert calls and calls[0] == (a, b)
+
+
+def test_dense_gcd_over_a_large_field_never_takes_the_prs(monkeypatch):
+    factor = "x + y**3 + y + 1"
+    a = MultiPoly.parse(GF(101), XY, f"({factor})*(x*y + 1)")
+    b = MultiPoly.parse(GF(101), XY, f"({factor})*(x + y**2 + 1)")
+    calls = _counting_prs(monkeypatch)
+    assert gcd(a, b) == MultiPoly.parse(GF(101), XY, factor)
+    assert calls == []
+
+
+@pytest.mark.parametrize("field", [GF(101), QQ])
+def test_gcd_of_a_squared_quartic_with_its_derivative(field):
+    # bidegree (3, 7): a single gcd like this one did not finish in 300 s
+    # with the recursive PRS images
+    V = ("x0", "x1", "x2", "y0", "y1", "y2")
+    quartic = MultiPoly.parse(field, V, "x0*y0**3 + x1*y1**3 + x2*y2**3 + x0*y0*y1*y2")
+    H = quartic**2 * MultiPoly.parse(field, V, "x0*y0 + 2*x1*y1 - x2*y2")
+    assert gcd(H, H.derivative("y0")) == quartic
+
+
+GCD_GOLDEN = Path(__file__).parent / "data" / "gcd_golden.json"
+
+
+def golden_gcd_mismatches() -> list:
+    """Names of the cases in `data/gcd_golden.json` whose gcd differs from
+    the recorded one, compared as JSON, or takes more than 20 s."""
+    bad = []
+    for case in json.loads(GCD_GOLDEN.read_text())["cases"]:
+        a, b = (MultiPoly.from_json(case[k]) for k in ("a", "b"))
+        try:
+            with _time_limit(20):
+                got = gcd(a, b)
+        except TimeoutError:
+            got = None
+        if got is None or got.to_json() != case["gcd"]:
+            bad.append(case["name"])
+    return bad
+
+
+def test_gcd_matches_the_golden_outputs():
+    assert golden_gcd_mismatches() == []
+
+
 @settings(max_examples=60, deadline=None)
 @given(finite_field_polys(1))
 def test_json_roundtrip_finite_fields(case):
@@ -765,3 +878,12 @@ def test_parse_rejects():
     for bad in ("", "x +", "2x", "(x", "x)", "x ^ 2", "x**y", "1.5*x", "x**(2)"):
         with pytest.raises(MalformedExpression):
             P(bad)
+
+
+if __name__ == "__main__":
+    # PYTHONPATH=src python -O tests/test_poly.py: the recorded gcds, checked
+    # with asserts stripped from gridlab
+    mismatches = golden_gcd_mismatches()
+    for name in mismatches:
+        print(f"gcd differs from tests/data/gcd_golden.json: {name}", file=sys.stderr)
+    sys.exit(1 if mismatches else 0)
