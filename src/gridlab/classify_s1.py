@@ -34,10 +34,10 @@ from .gridcheck import build_graph, enumeration_budget
 from .poly import (
     BiHomPoly,
     MultiPoly,
-    content,
     divides,
     exact_div,
     gcd,
+    split_group_contents,
     squarefree_in_vars,
 )
 from .hypersurfaces import Hypersurface, OpenSet, ProjPoint, proj_points
@@ -87,16 +87,6 @@ class S1Verdict:
 def _check_p1(F: BiHomPoly):
     if tuple(F.xvars) != XVARS or tuple(F.yvars) != YVARS:
         raise WrongDimension("s=1 classification needs variables x0,x1,y0,y1")
-
-
-def _split_contents(F: BiHomPoly):
-    """F = f(x̄) g(ȳ) core, with core free of one-group factors."""
-    poly = F.poly
-    f = content(list(poly.coeffs_in(YVARS).values()))  # as a poly in ȳ
-    rest = exact_div(poly, f)
-    g = content(list(rest.coeffs_in(XVARS).values()))
-    core = exact_div(rest, g)
-    return f, g, core
 
 
 def _divisors(n: int) -> list:
@@ -190,7 +180,7 @@ def _analyse(F: BiHomPoly, Y: OpenSet | None):
     """(f, squarefree core, g-roots inside Y, closure roots of g in Y); the
     verdict also needs f's roots in X, the reduced form does not."""
     _check_p1(F)
-    f, g, core = _split_contents(F)
+    f, g, core = split_group_contents(F.poly, XVARS, YVARS)
     sqcore = squarefree_in_vars(core, YVARS)
     g_roots, closure = _roots_in(g, Y or OpenSet.full(1), YVARS)
     return f, sqcore, g_roots, closure

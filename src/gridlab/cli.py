@@ -187,11 +187,10 @@ def cmd_curves(args) -> int:
         report = common_component_rank_test(h1, h2, u)
         _emit(report.to_json(), args.pretty)
         return 0
-    if args.action == "conic":
-        c = PlaneCurve(MultiPoly.from_json(_load_json(args.f)))
-        _emit(conic_classify(c).to_json(), args.pretty)
-        return 0
-    raise UnknownSuite(f"unknown curves action {args.action!r}")
+    # conic: the parser accepts no other action
+    c = PlaneCurve(MultiPoly.from_json(_load_json(args.f)))
+    _emit(conic_classify(c).to_json(), args.pretty)
+    return 0
 
 
 def _parse_sigma(spec: str, field):
@@ -316,29 +315,24 @@ def _check_transport(p: int) -> dict:
     return {"pass": rep["consistent"], "report": rep}
 
 
-_SUITES = {
-    "default": (
-        ("family-1a", _check_1a),
-        ("family-1b", _check_1b),
-        ("family-1c", _check_1c),
-        ("family-1d", _check_1d),
-        ("norm-poly", _check_norm_poly),
-        ("s1-agreement", _check_s1),
-        ("cremona-transport", _check_transport),
-    ),
-}
+_CHECKS = (
+    ("family-1a", _check_1a),
+    ("family-1b", _check_1b),
+    ("family-1c", _check_1c),
+    ("family-1d", _check_1d),
+    ("norm-poly", _check_norm_poly),
+    ("s1-agreement", _check_s1),
+    ("cremona-transport", _check_transport),
+)
 
 
-def run_sweep(suite: str, primes: list) -> dict:
-    """Run the named check suite over each prime; failures carry witnesses
+def run_sweep(primes: list) -> dict:
+    """Run the built-in checks over each prime; failures carry witnesses
     and per-check errors are recorded rather than raised."""
-    if suite not in _SUITES:
-        raise UnknownSuite(f"unknown suite {suite!r}")
-    checks = _SUITES[suite]
     results = []
     all_pass = True
     for p in primes:
-        for name, fn in checks:
+        for name, fn in _CHECKS:
             try:
                 res = fn(p)
             except GridlabError as exc:
@@ -347,7 +341,7 @@ def run_sweep(suite: str, primes: list) -> dict:
             all_pass = all_pass and res["pass"]
             results.append(res)
     return {
-        "suite": suite,
+        "suite": "default",
         "primes": primes,
         "results": results,
         "all_pass": all_pass,
@@ -356,7 +350,7 @@ def run_sweep(suite: str, primes: list) -> dict:
 
 def cmd_sweep(args) -> int:
     primes = [int(x) for x in args.primes.split(",")] if args.primes else []
-    report = run_sweep(args.suite, primes)
+    report = run_sweep(primes)
     _emit(report, args.pretty)
     return 0 if report["all_pass"] else 1
 
@@ -431,7 +425,6 @@ def build_parser() -> argparse.ArgumentParser:
     cr.set_defaults(fn=cmd_cremona)
 
     sw = add_parser("sweep")
-    sw.add_argument("--suite", default="default")
     sw.add_argument("--primes", default="5,7,11,13")
     sw.set_defaults(fn=cmd_sweep)
 

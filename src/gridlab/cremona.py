@@ -13,7 +13,14 @@ from .errors import (
     json_field,
 )
 from .fields import GF, Field, FieldElem
-from .poly import BiHomPoly, MultiPoly, content, exact_div, group_degree
+from .poly import (
+    BiHomPoly,
+    MultiPoly,
+    content,
+    exact_div,
+    group_degree,
+    split_group_contents,
+)
 from .hypersurfaces import (
     Hypersurface,
     ProjPoint,
@@ -126,15 +133,7 @@ def apply_with_contents(sigma_x, sigma_y, H: Hypersurface):
     pulled = form.poly.substitute(mapping, new_vars=form.poly.vars)
     if pulled.is_zero():
         raise ZeroPullback("the hypersurface contains the image of the map")
-    contents = []
-    for group in (form.xvars, form.yvars):
-        # the factor living purely in `group`: the content in the other variables
-        other = tuple(v for v in pulled.vars if v not in group)
-        cont = content(list(pulled.coeffs_in(other).values()))
-        if cont.degree() > 0:
-            pulled = exact_div(pulled, cont)
-        contents.append(cont)
-    cx, cy = contents
+    cx, cy, pulled = split_group_contents(pulled, form.xvars, form.yvars)
     return Hypersurface(BiHomPoly(pulled, form.xvars, form.yvars)), cx, cy
 
 
@@ -271,8 +270,8 @@ def grid_transport_check(
     left = [u.raw for u in pts]
     right_orig = [w.raw for _, w in pairs]
     right_pull = [v.raw for v, _ in pairs]
-    rows_orig = list(_AdjacencyRows(_terms_int(Hp, p), left, right_orig, p))
-    rows_pull = list(_AdjacencyRows(_terms_int(Hpulled, p), left, right_pull, p))
+    rows_orig = list(_AdjacencyRows(_terms_int(Hp), left, right_orig, p))
+    rows_pull = list(_AdjacencyRows(_terms_int(Hpulled), left, right_pull, p))
     adjacency_match = rows_orig == rows_pull
     G1 = BipartiteGraph(left, right_orig, rows_orig)
     G2 = BipartiteGraph(left, right_pull, rows_pull)

@@ -213,31 +213,29 @@ def _monomials(nvars: int, degree: int):
 
 
 def matrix_rank(rows: list, field: Field) -> int:
-    """Exact rank by Gaussian elimination over the coefficient field; the
+    """Exact rank by forward elimination over the coefficient field; the
     entries are field elements or anything `field.coerce` accepts."""
     m = [[field.coerce(c) for c in row] for row in rows]
-    if not m:
-        return 0
     is_zero, mul, sub = field._is_zero, field._mul, field._sub
-    ncols = len(m[0])
     rank = 0
-    row = 0
-    for col in range(ncols):
+    for col in range(len(m[0]) if m else 0):
         pivot = next(
-            (i for i in range(row, len(m)) if not is_zero(m[i][col])), None
+            (i for i in range(rank, len(m)) if not is_zero(m[i][col])), None
         )
         if pivot is None:
             continue
-        m[row], m[pivot] = m[pivot], m[row]
-        inv = field._inv(m[row][col])
-        m[row] = [mul(c, inv) for c in m[row]]
-        for i in range(len(m)):
-            if i != row and not is_zero(m[i][col]):
-                factor = m[i][col]
-                m[i] = [sub(c, mul(factor, d)) for c, d in zip(m[i], m[row])]
+        m[rank], m[pivot] = m[pivot], m[rank]
+        top = m[rank]
+        inv = field._inv(top[col])
+        for row in m[rank + 1 :]:
+            # entries left of `col` are already zero below the pivot
+            if not is_zero(row[col]):
+                factor = mul(row[col], inv)
+                row[col:] = [
+                    sub(c, mul(factor, d)) for c, d in zip(row[col:], top[col:])
+                ]
         rank += 1
-        row += 1
-        if row == len(m):
+        if rank == len(m):
             break
     return rank
 

@@ -62,10 +62,13 @@ these hold:
 - the chart is affine and both sides hold all p^s of its points, so both
   are all of F_p^s;
 - A_x and A_y are invertible mod p, so the map is a bijection of each side;
-- substituting the map into the form mod p gives λ times the form, λ != 0.
-Then the map sends edges to edges and non-edges to non-edges.  A wrong
-candidate is dropped, and a missing one costs only speed.  No family label
-is trusted.
+- the map carries the form mod p to λ times the form, λ != 0.
+Then the map sends edges to edges and non-edges to non-edges.  The last
+test is one `MultiPoly.substitute` into the reduced bihomogeneous form, of
+the map homogenised with x0 and y0 fixed: x_i -> b_i x0 + sum_j A_ij x_j,
+and likewise on y.  A form of fixed bidegree is determined by its values on
+the chart x0 = y0 = 1, so this is the affine test.  A wrong candidate is
+dropped, and a missing one costs only speed.  No family label is trusted.
 """
 
 from __future__ import annotations
@@ -84,12 +87,12 @@ from .errors import (
     ParameterOutOfRange,
     UnknownVariable,
 )
-from .fields import GF
 from .hypersurfaces import (
     Hypersurface,
     OpenSet,
     reduce_hypersurface_mod,
 )
+from .poly import MultiPoly
 
 DEFAULT_BUDGET = 10**8
 
@@ -161,9 +164,9 @@ class BipartiteGraph:
         return self.rows[i].bit_count()
 
 
-def _terms_int(H: Hypersurface, p: int):
-    """The form's terms as (coeff, x-exps, y-exps) integer triples mod p."""
-    Hp = reduce_hypersurface_mod(H, p)
+def _terms_int(Hp: Hypersurface):
+    """The terms of a form over F_p as (coeff, x-exps, y-exps) integer
+    triples."""
     nx = len(Hp.form.xvars)
     return [(c, e[:nx], e[nx:]) for e, c in Hp.form.poly.terms.items()]
 
@@ -286,58 +289,28 @@ class _AdjacencyRows(Sequence):
         return _AdjacencyRows(swapped, right_coords, left_coords, p)
 
 
-def _pmul(a: dict, b: dict, p: int) -> dict:
-    """The product of two {exponents: coeff} polynomials mod p."""
-    out = {}
-    for ea, ca in a.items():
-        for eb, cb in b.items():
-            e = tuple(i + j for i, j in zip(ea, eb))
-            out[e] = (out.get(e, 0) + ca * cb) % p
-    return out
-
-
-def _compose(f: dict, images: list, p: int) -> dict:
-    """f mod p with its variable k replaced by the polynomial images[k]."""
-    one = (0,) * len(images)
-    powers = [[{one: 1}] for _ in images]  # powers[k][e] = images[k]^e
-    out = {}
-    for e, c in f.items():
-        term = {one: c}
-        for k, ek in enumerate(e):
-            if ek:
-                pw = powers[k]
-                while len(pw) <= ek:
-                    pw.append(_pmul(pw[-1], images[k], p))
-                term = _pmul(term, pw[ek], p)
-        for m, v in term.items():
-            out[m] = (out.get(m, 0) + v) % p
-    return {m: v for m, v in out.items() if v}
-
-
-def _is_automorphism(f: dict, m, s: int, p: int) -> bool:
-    """Whether the ChartMap m is a bijection of F_p^s on each side and
-    carries the affine form f (in x1..xs, y1..ys) to a nonzero multiple of
-    itself; then it maps edges to edges and non-edges to non-edges."""
+def _is_automorphism(form: MultiPoly, m, s: int) -> bool:
+    """Whether the ChartMap m is a bijection of F_p^s on each side and,
+    homogenised with x0 and y0 fixed, carries `form`, the monic reduced
+    form in (x0..xs, y0..ys), to a nonzero multiple of itself; then it maps
+    edges to edges and non-edges to non-edges."""
     sides = ((m.ax, m.bx), (m.ay, m.by))
     for A, b in sides:
         if len(A) != s or len(b) != s or any(len(row) != s for row in A):
             return False
-        if matrix_rank(A, GF(p)) < s:
+        if matrix_rank(A, form.field) < s:
             return False
-    if not f:
-        return True
-    unit = [tuple(int(i == k) for i in range(2 * s)) for k in range(2 * s)]
-    images = []
+    vars = form.vars
+    unit = [tuple(int(i == k) for i in range(len(vars))) for k in range(len(vars))]
+    images = {}
     for side, (A, b) in enumerate(sides):
-        for row, c in zip(A, b):
-            image = {(0,) * (2 * s): c % p}
-            for j, a in enumerate(row):
-                image[unit[side * s + j]] = a % p
-            images.append({e: a for e, a in image.items() if a})
-    g = _compose(f, images, p)
-    e0, c0 = next(iter(f.items()))
-    lam = g.get(e0, 0) * pow(c0, p - 2, p) % p
-    return lam != 0 and g == {e: c * lam % p for e, c in f.items()}
+        h = side * (s + 1)  # the index of x0, or of y0
+        for i, (row, c) in enumerate(zip(A, b)):
+            terms = {unit[h]: c, **{unit[h + 1 + j]: a for j, a in enumerate(row)}}
+            images[vars[h + 1 + i]] = MultiPoly(form.field, vars, terms)
+    g = form.substitute(images, new_vars=vars)
+    # the form is monic, so this is g = λ·form with λ != 0
+    return not g.is_zero() and g.monic() == form
 
 
 def _left_permutation(A: tuple, b: tuple, points: list, p: int) -> list:
@@ -391,9 +364,10 @@ def build_graph(
     `symmetries` lists candidate ChartMaps (`hypersurfaces.family_symmetries`).
     On the affine chart with all p^s points on each side, a candidate is
     kept when both its matrices are invertible mod p and it carries the form
-    mod p to a nonzero multiple of itself; the kept maps become left-index permutations in
-    `symmetries` of the graph, which the scan prunes by.  Elsewhere none is
-    kept."""
+    mod p to a nonzero multiple of itself (`_is_automorphism`); the kept maps
+    become left-index permutations in `symmetries` of the graph, which the
+    scan prunes by.  Elsewhere none is kept.  The adjacency kernel and the
+    symmetry test share one reduction of H mod p."""
     s = H.s
     if chart == "affine":
         pts = [(1,) + tail for tail in product(range(p), repeat=s)]
@@ -416,20 +390,16 @@ def build_graph(
         raise EmptySide("open-set filters removed a whole side")
     if scan_s is not None and scan_s >= 1:
         _check_budget(len(left), scan_s, None)
-    terms = _terms_int(H, p)
-    rows = _AdjacencyRows(terms, left, right, p)
+    Hp = reduce_hypersurface_mod(H, p)
+    rows = _AdjacencyRows(_terms_int(Hp), left, right, p)
     display = left if chart == "projective" else [u[1:] for u in left]
     display_r = right if chart == "projective" else [v[1:] for v in right]
     kept = []
     if symmetries and chart == "affine" and len(left) == len(right) == p**s:
-        # the form on the chart x0 = y0 = 1, in x1..xs, y1..ys
-        f = {}
-        for c, xe, ye in terms:
-            f[xe[1:] + ye[1:]] = c
         kept = [
             _left_permutation(m.ax, m.bx, display, p)
             for m in symmetries
-            if _is_automorphism(f, m, s, p)
+            if _is_automorphism(Hp.form.poly, m, s)
         ]
     return BipartiteGraph(
         display,

@@ -616,6 +616,21 @@ def content(polys: list) -> MultiPoly:
     return _fold_gcd(gcd, polys)
 
 
+def split_group_contents(F: MultiPoly, xvars: tuple, yvars: tuple) -> tuple:
+    """(f, g, core) with F = f g core: f is the content of F's coefficients
+    in ȳ, a factor in x̄ only; g is the content of the coefficients in x̄ of
+    F / f, a factor in ȳ only; core is free of one-group factors.  A content
+    of 1 is not divided out, since exact division costs time quadratic in
+    the number of terms."""
+    contents = []
+    for group in (yvars, xvars):
+        cont = content(list(F.coeffs_in(group).values()))
+        if cont.degree() > 0:
+            F = exact_div(F, cont)
+        contents.append(cont)
+    return (*contents, F)
+
+
 def gcd(a: MultiPoly, b: MultiPoly) -> MultiPoly:
     """GCD over a field, normalized monic: the dense evaluation/interpolation
     gcd over a finite field, the modular gcd over Q."""

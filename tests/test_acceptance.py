@@ -326,6 +326,6 @@ def test_criterion_10_cremona_reproductions():
 
 def test_criterion_11_default_sweep():
     start = time.monotonic()
-    report = run_sweep("default", [5, 7, 11, 13])
+    report = run_sweep([5, 7, 11, 13])
     assert report["all_pass"]
     assert time.monotonic() - start < 900.0

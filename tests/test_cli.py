@@ -2,6 +2,7 @@ import contextlib
 import io
 import json
 import os
+import sys
 import tempfile
 from pathlib import Path
 
@@ -9,7 +10,6 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from gridlab.cli import main, run_sweep
-from gridlab.errors import UnknownSuite
 
 
 def run(capsys, *argv):
@@ -297,15 +297,10 @@ def test_seed_is_a_usage_error(capsys, argv):
 
 
 def test_sweep_records_bad_characteristic():
-    report = run_sweep("default", [2])
+    report = run_sweep([2])
     by_name = {r["check"]: r for r in report["results"]}
     assert "BadCharacteristic" in by_name["family-1b"].get("error", "")
     assert not report["all_pass"]
-
-
-def test_sweep_unknown_suite():
-    with pytest.raises(UnknownSuite):
-        run_sweep("nope", [5])
 
 
 def test_sweep_unknown_suite_exit_2(capsys):
@@ -471,3 +466,42 @@ def test_gridcheck_same_with_and_without_family(capsys, tmp_path, family, p, s):
             seen[name] = run(capsys, "gridcheck", "--input", str(f), "--p", str(p),
                              "--s", str(scan_s), "--t", str(t))
         assert seen["family"] == seen["plain"] == seen["wrong"]
+
+
+# -- recorded algebra outputs ---------------------------------------------------------
+
+ALGEBRA = Path(__file__).resolve().parent / "data" / "algebra_golden.json"
+
+
+def golden_algebra_mismatches() -> list:
+    """Names of the cases of `data/algebra_golden.json` (`s1`, `curves
+    common` and `cremona apply` calls) whose stdout or exit code differs
+    from the recorded one, run in-process.  A case's input documents are
+    written to files, and an argument equal to a document's name becomes
+    that file's path."""
+    bad = []
+    with tempfile.TemporaryDirectory() as tmp:
+        for case in json.loads(ALGEBRA.read_text()):
+            for name, doc in case["files"].items():
+                with open(os.path.join(tmp, name), "w") as fh:
+                    json.dump(doc, fh)
+            argv = [os.path.join(tmp, a) if a in case["files"] else a for a in case["argv"]]
+            out = io.StringIO()
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+                code = main(argv)
+            if (out.getvalue(), code) != (case["stdout"], case["exit"]):
+                bad.append(case["name"])
+    return bad
+
+
+def test_algebra_commands_match_recorded_outputs():
+    assert golden_algebra_mismatches() == []
+
+
+if __name__ == "__main__":
+    # PYTHONPATH=src python -O tests/test_cli.py: the recorded algebra
+    # outputs, checked with asserts stripped from gridlab
+    mismatches = golden_algebra_mismatches()
+    for name in mismatches:
+        print(f"output differs from tests/data/algebra_golden.json: {name}", file=sys.stderr)
+    sys.exit(1 if mismatches else 0)

@@ -1,7 +1,9 @@
 import random
+from fractions import Fraction
 
 import pytest
 import sympy
+from hypothesis import given, settings, strategies as st
 
 from gridlab.errors import (
     CharacteristicTwo,
@@ -9,7 +11,7 @@ from gridlab.errors import (
     PointNotRational,
     ZeroSection,
 )
-from gridlab.fields import GF, QQ
+from gridlab.fields import GF, QQ, FieldElem
 from gridlab.poly import BiHomPoly, MultiPoly
 from gridlab.hypersurfaces import Hypersurface, ProjPoint
 from gridlab.curves import (
@@ -236,6 +238,68 @@ def test_matrix_rank():
     ]
     assert matrix_rank(rows, F) == 2
     assert matrix_rank([], F) == 0
+
+
+def reference_rank(rows: list, field) -> int:
+    """Rank by Gauss-Jordan elimination: each pivot row is rescaled and
+    every other row is cleared, above the pivot too."""
+    m = [[field.coerce(c) for c in row] for row in rows]
+    if not m:
+        return 0
+    is_zero, mul, sub = field._is_zero, field._mul, field._sub
+    ncols = len(m[0])
+    rank = 0
+    row = 0
+    for col in range(ncols):
+        pivot = next(
+            (i for i in range(row, len(m)) if not is_zero(m[i][col])), None
+        )
+        if pivot is None:
+            continue
+        m[row], m[pivot] = m[pivot], m[row]
+        inv = field._inv(m[row][col])
+        m[row] = [mul(c, inv) for c in m[row]]
+        for i in range(len(m)):
+            if i != row and not is_zero(m[i][col]):
+                factor = m[i][col]
+                m[i] = [sub(c, mul(factor, d)) for c, d in zip(m[i], m[row])]
+        rank += 1
+        row += 1
+        if row == len(m):
+            break
+    return rank
+
+
+RANK_FIELDS = (
+    (QQ, st.builds(Fraction, st.integers(-3, 3), st.integers(1, 3))),
+    (GF(101), st.integers(0, 100)),
+    (GF(5, 2), st.tuples(st.integers(0, 4), st.integers(0, 4))),
+)
+
+
+@st.composite
+def low_rank_matrices(draw):
+    """(field, M, r): M = A B for a random k x r matrix A and r x n matrix
+    B, so M has rank at most r; small r gives rank-deficient matrices."""
+    field, entries = draw(st.sampled_from(RANK_FIELDS))
+    k, r, n = (draw(st.integers(0, 6)) for _ in range(3))
+
+    def matrix(rows, cols):
+        return [[FieldElem(field, field.coerce(draw(entries))) for _ in range(cols)]
+                for _ in range(rows)]
+
+    A, B = matrix(k, r), matrix(r, n)
+    M = [[sum((a * b for a, b in zip(row, col)), field.zero) for col in zip(*B)]
+         if r else [field.zero] * n for row in A]
+    return field, M, r
+
+
+@settings(max_examples=300, deadline=None)
+@given(low_rank_matrices())
+def test_matrix_rank_matches_gauss_jordan(case):
+    field, M, r = case
+    rank = matrix_rank(M, field)
+    assert rank == reference_rank(M, field) <= r
 
 
 # -- squarefree sections and conics ---------------------------------------------------
