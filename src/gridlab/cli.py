@@ -106,15 +106,22 @@ def cmd_construct(args) -> int:
     return 0
 
 
-def cmd_gridcheck(args) -> int:
+def _input_graph(args, exclude_x=None, exclude_y=None, scan_s=None):
+    """The graph of the hypersurface file `args.input` at `args.p` on
+    `args.chart`, between the open sets in the files `exclude_x` and
+    `exclude_y`.  A `construct` output names its family: its symmetries are
+    candidates that build_graph verifies on the form, so they speed the scan
+    and the edge count up only."""
     data = _load_json(args.input)
     H = Hypersurface.from_json(data)
-    X = _load_open_set(args.exclude_x, H.s)
-    Y = _load_open_set(args.exclude_y, H.s)
-    # a `construct` output names its family: its symmetries are candidates
-    # that build_graph verifies on the form, so they speed the scan up only
+    X = _load_open_set(exclude_x, H.s)
+    Y = _load_open_set(exclude_y, H.s)
     symmetries = family_symmetries(data.get("family"), args.p, H.s)
-    G = build_graph(H, args.p, X, Y, chart=args.chart, scan_s=args.s, symmetries=symmetries)
+    return build_graph(H, args.p, X, Y, chart=args.chart, scan_s=scan_s, symmetries=symmetries)
+
+
+def cmd_gridcheck(args) -> int:
+    G = _input_graph(args, args.exclude_x, args.exclude_y, scan_s=args.s)
     witness = find_grid(G, args.s, args.t)
     if witness is None:
         _emit({"grid_free": True, "s": args.s, "t": args.t, "p": args.p}, args.pretty)
@@ -135,8 +142,7 @@ def cmd_gridcheck(args) -> int:
 
 
 def cmd_edges(args) -> int:
-    H = _load_hypersurface(args.input)
-    G = build_graph(H, args.p, chart=args.chart)
+    G = _input_graph(args)
     _emit(edge_report(G, args.s, args.t), args.pretty)
     return 0
 

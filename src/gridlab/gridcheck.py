@@ -55,6 +55,14 @@ unchanged.  The scan still meets S, and it meets every subset it visits in
 the same order as before, so S, T and the argmax are byte-identical.  The
 budget still counts C(|left|, s), as for the plain graph.
 
+The edge count reads one row per orbit.  g maps N(v) onto N(g(v)), so the
+degree is constant on each orbit of left vertices, and by the
+orbit-stabiliser count |E| = sum over the orbits O of |O| * deg(min O).
+`BipartiteGraph` computes the orbit labels once, for this count, `degree`
+and the scan's first depth.  Family 1a's maps act on F_p^2 with two
+orbits, so its count reads 2 rows of p^2.  A graph without symmetries sums
+every row.
+
 The symmetries come from `build_graph(..., symmetries=...)` as candidate
 affine maps (x, y) -> (A_x x + b_x, A_y y + b_y) of the chart coordinates
 (`hypersurfaces.family_symmetries`).  A candidate is kept only when all of
@@ -74,6 +82,7 @@ dropped, and a missing one costs only speed.  No family label is trusted.
 from __future__ import annotations
 
 import os
+from collections import Counter
 from collections.abc import Sequence
 from dataclasses import dataclass
 from itertools import product
@@ -147,9 +156,7 @@ class BipartiteGraph:
         self.right = right
         self.rows = rows
         self._cols = cols
-        # left-index permutations of verified graph automorphisms (each
-        # maps right vertices to right vertices too); the scan prunes by them
-        self.symmetries = symmetries or []
+        self.symmetries = symmetries
 
     @property
     def cols(self) -> Sequence:
@@ -157,11 +164,41 @@ class BipartiteGraph:
             self._cols = _columns(self.rows, len(self.right))
         return self._cols
 
+    @property
+    def symmetries(self) -> list:
+        """Left-index permutations of verified graph automorphisms (each maps
+        right vertices to right vertices too); the scan prunes by them and
+        the edge count reads one row per orbit."""
+        return self._symmetries
+
+    @symmetries.setter
+    def symmetries(self, perms: list | None):
+        self._symmetries = perms or []
+        self._labels = None
+
+    @property
+    def orbit_labels(self) -> list | None:
+        """labels[i] = the smallest left index in the orbit of i under the
+        group that `symmetries` generate, computed once; None without
+        symmetries."""
+        if self._labels is None and self._symmetries:
+            self._labels = _orbit_labels(len(self.rows), self._symmetries)
+        return self._labels
+
     def edge_count(self) -> int:
-        return sum(r.bit_count() for r in self.rows)
+        """|E|.  With symmetries, one row per orbit: an automorphism g maps
+        N(i) onto N(g(i)), so the degree is constant on each orbit O of left
+        vertices and |E| = sum over the orbits of |O| * deg(min O)."""
+        labels = self.orbit_labels
+        if labels is None:
+            return sum(r.bit_count() for r in self.rows)
+        return sum(size * self.rows[v].bit_count() for v, size in Counter(labels).items())
 
     def degree(self, i: int) -> int:
-        return self.rows[i].bit_count()
+        """The degree of left vertex i, read from the row of its orbit's
+        smallest vertex when the graph has symmetries."""
+        labels = self.orbit_labels
+        return self.rows[i if labels is None else labels[i]].bit_count()
 
 
 def _terms_int(Hp: Hypersurface):
@@ -307,7 +344,11 @@ def _is_automorphism(form: MultiPoly, m, s: int) -> bool:
         h = side * (s + 1)  # the index of x0, or of y0
         for i, (row, c) in enumerate(zip(A, b)):
             terms = {unit[h]: c, **{unit[h + 1 + j]: a for j, a in enumerate(row)}}
-            images[vars[h + 1 + i]] = MultiPoly(form.field, vars, terms)
+            v = vars[h + 1 + i]
+            image = MultiPoly(form.field, vars, terms)
+            # a variable the map fixes is left out, so substitute skips it
+            if image != MultiPoly.variable(form.field, vars, v):
+                images[v] = image
     g = form.substitute(images, new_vars=vars)
     # the form is monic, so this is g = λ·form with λ != 0
     return not g.is_zero() and g.monic() == form
@@ -548,7 +589,7 @@ def _scan(G: BipartiteGraph, s: int, floor: int, first: bool, budget: int | None
                 return True
         return False
 
-    rec(0, 0, (1 << len(G.right)) - 1, [], _orbit_labels(n, gens) if gens else None)
+    rec(0, 0, (1 << len(G.right)) - 1, [], G.orbit_labels)
     return hit
 
 

@@ -378,26 +378,36 @@ class MultiPoly:
                 lifted[v] = val.with_vars(new_vars)
             else:
                 lifted[v] = MultiPoly.constant(self.field, new_vars, val)
-        var_polys = {
-            v: MultiPoly.variable(self.field, new_vars, v)
-            for v in self.vars
-            if v not in mapping and v in new_vars
-        }
+        # a term starts at the monomial of its unmapped variables' exponents
+        # and is multiplied by the powers of the mapped ones only; a monomial
+        # factor shifts exponents injectively, so the terms and their order
+        # are those of multiplying by every variable's power in turn
+        mapped, kept, missing = [], [], []
+        for i, v in enumerate(self.vars):
+            if v in lifted:
+                mapped.append((i, v))
+            elif v in new_vars:
+                kept.append((i, new_vars.index(v)))
+            else:
+                missing.append((i, v))
         add, is_zero = self.field._add, self.field._is_zero
         powers = {}  # (v, k) -> the image of v to the k-th power
-        const = (0,) * len(new_vars)
         out = {}
         for e, c in self.terms.items():
-            term = MultiPoly._raw(self.field, new_vars, {const: c})
-            for v, k in zip(self.vars, e):
+            for i, v in missing:
+                if e[i]:
+                    raise UnknownVariable(f"{v} not in target variables")
+            start = [0] * len(new_vars)
+            for i, j in kept:
+                start[j] = e[i]
+            term = MultiPoly._raw(self.field, new_vars, {tuple(start): c})
+            for i, v in mapped:
+                k = e[i]
                 if k == 0:
                     continue
                 power = powers.get((v, k))
                 if power is None:
-                    base = lifted.get(v) or var_polys.get(v)
-                    if base is None:
-                        raise UnknownVariable(f"{v} not in target variables")
-                    power = powers[v, k] = base**k
+                    power = powers[v, k] = lifted[v] ** k
                 term = term * power
             # add in place, dropping a cancelled monomial at once, so the
             # terms come out in the order that `+` would give them

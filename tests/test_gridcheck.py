@@ -401,26 +401,37 @@ def test_reduction_follows_primitive_model():
     assert (G.left, G.right) == (G3.left, G3.right)
 
 
-# -- recorded gridcheck outputs -------------------------------------------------------
+# -- recorded gridcheck and edges outputs -------------------------------------------
 
-WITNESSES = Path(__file__).resolve().parent / "data" / "gridcheck_witnesses.json"
+DATA = Path(__file__).resolve().parent / "data"
+WITNESSES = DATA / "gridcheck_witnesses.json"
+EDGES = DATA / "edges_golden.json"
 
 
-def golden_witness_mismatches() -> list:
-    """Cases of `data/gridcheck_witnesses.json` whose `gridlab gridcheck`
-    stdout or exit code differs from the recorded one, run in-process on
-    the output of the recorded `gridlab construct` call.  A case's optional
-    `exclude_x`/`exclude_y` open sets are written to files and passed as
-    `--exclude-x`/`--exclude-y`."""
+def recorded_mismatches(path: Path, command: str) -> list:
+    """Cases of the file `path` whose `gridlab <command>` stdout or exit code
+    differs from the recorded one, run in-process on the output of the
+    recorded `gridlab construct` call.  A case's `"family"` key, when
+    present, replaces the family that output names (null removes it); its
+    optional `exclude_x`/`exclude_y` open sets are written to files and
+    passed as `--exclude-x`/`--exclude-y`."""
     from gridlab import cli
 
     bad = []
     with tempfile.TemporaryDirectory() as tmp:
-        path = os.path.join(tmp, "h.json")
-        for case in json.loads(WITNESSES.read_text()):
+        path_h = os.path.join(tmp, "h.json")
+        for case in json.loads(path.read_text()):
             with contextlib.redirect_stdout(io.StringIO()):
-                cli.main(case["construct"] + ["--out", path])
-            argv = ["gridcheck", "--input", path] + case["gridcheck"]
+                cli.main(case["construct"] + ["--out", path_h])
+            if "family" in case:
+                with open(path_h) as fh:
+                    data = json.load(fh)
+                data.pop("family")
+                if case["family"] is not None:
+                    data["family"] = case["family"]
+                with open(path_h, "w") as fh:
+                    json.dump(data, fh)
+            argv = [command, "--input", path_h] + case[command]
             for key in ("exclude_x", "exclude_y"):
                 if key in case:
                     open_set = os.path.join(tmp, key + ".json")
@@ -436,16 +447,24 @@ def golden_witness_mismatches() -> list:
 
 
 def test_gridcheck_matches_recorded_witnesses():
-    assert golden_witness_mismatches() == []
+    assert recorded_mismatches(WITNESSES, "gridcheck") == []
+
+
+def test_edges_match_recorded_outputs():
+    # 1a-1d with and without their family named, and with a wrong one, in
+    # both charts: the orbit-weighted count gives the full count's report
+    assert recorded_mismatches(EDGES, "edges") == []
 
 
 # -- on-demand adjacency ------------------------------------------------------------
 
 
 def laziness_faults() -> list:
-    """Where the on-demand adjacency computes more than it must: build_graph
-    computes no row or column, the pruned find_grid(G, 2, 2) on 1a at
-    p = 53 at most 2 rows and 53 columns, and edge_count every row."""
+    """Where the on-demand adjacency computes more than it must, or the
+    edge count less: build_graph computes no row or column, the pruned
+    find_grid(G, 2, 2) on 1a at p = 53 at most 2 rows and 53 columns, and
+    edge_count() at most 2 rows with the symmetries (one per orbit) and
+    every row without them."""
 
     def computed(bitsets):
         return sum(b is not None for b in bitsets._known)
@@ -464,9 +483,11 @@ def laziness_faults() -> list:
         faults.append("find_grid(G, 2, 2) found a grid in family 1a")
     if computed(G.rows) > 2 or computed(G.cols) > p:
         faults.append(f"the pruned find_grid(G, 2, 2) computed {counts(G)}")
-    G.edge_count()
-    if computed(G.rows) != len(G.rows):
-        faults.append(f"edge_count() computed {computed(G.rows)} of {len(G.rows)} rows")
+    if G.edge_count() != p**3 - p or computed(G.rows) > 2:
+        faults.append(f"the orbit-weighted edge_count() computed {counts(G)}")
+    plain = build_graph(c.hypersurface, p)
+    if plain.edge_count() != p**3 - p or computed(plain.rows) != len(plain.rows):
+        faults.append(f"edge_count() without symmetries computed {counts(plain)}")
     return faults
 
 
@@ -477,7 +498,7 @@ def test_adjacency_is_computed_on_demand():
 if __name__ == "__main__":
     # PYTHONPATH=src python -O tests/test_gridcheck.py: the recorded outputs
     # and the on-demand adjacency, checked with asserts stripped from gridlab
-    mismatches = golden_witness_mismatches()
+    mismatches = recorded_mismatches(WITNESSES, "gridcheck") + recorded_mismatches(EDGES, "edges")
     for case in mismatches:
         print(json.dumps(case), file=sys.stderr)
     faults = laziness_faults()

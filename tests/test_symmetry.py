@@ -316,3 +316,54 @@ def test_orbit_labels():
     labels = _orbit_labels(30, [perm])
     for i in range(30):
         assert labels[perm[i]] == labels[i] <= i
+
+
+def test_graph_orbit_labels_follow_its_symmetries():
+    # 1a's maps act on F_p^2 with two orbits, {0} and the rest; labels
+    # cached for one list of symmetries are not kept for the next
+    c = construct("1a", 5)
+    G = build_graph(c.hypersurface, 5, symmetries=family_symmetries("1a", 5, 2))
+    assert G.orbit_labels == [0] + [1] * 24
+    G.symmetries = []
+    assert G.orbit_labels is None
+
+
+# -- orbit-weighted edge counts -----------------------------------------------------
+
+
+def assert_counts_match(G, plain):
+    """edge_count() and every degree(i) of G equal the full row sums of
+    `plain`, the same form built without symmetries."""
+    sums = [row.bit_count() for row in plain.rows]
+    assert G.edge_count() == sum(sums)
+    assert [G.degree(i) for i in range(len(G.left))] == sums
+
+
+@pytest.mark.parametrize(
+    "family,p,dim",
+    [(f, p, s) for f, sizes in (("1a", (2,)), ("1b", (3,)), ("1c", (2, 3)), ("1d", (2, 3)))
+     for s in sizes for p in (2, 3, 5, 7, 11, 13) if not (f == "1b" and p == 2)],
+)
+def test_orbit_weighted_counts_on_constructions(family, p, dim):
+    c = construct(family, p, dim)
+    G = build_graph(c.hypersurface, p, symmetries=family_symmetries(family, p, c.s))
+    assert G.symmetries
+    assert_counts_match(G, build_graph(c.hypersurface, p))
+
+
+@settings(max_examples=60, deadline=None)
+@given(invariant_forms())
+def test_orbit_weighted_counts_on_invariant_forms(form):
+    p, d, affine, good, other = form
+    H = hypersurface(affine, d)
+    G = build_graph(H, p, symmetries=good + other)
+    assert_counts_match(G, build_graph(H, p))
+
+
+def test_counts_fall_back_when_no_candidate_is_kept():
+    c = construct("1a", 7)
+    bad = [translation(2, 0, 1, -1), translation(2, 1, 3, 3), linear(((1, 1), (0, 1)))]
+    G = build_graph(c.hypersurface, 7, symmetries=bad)
+    assert G.symmetries == [] and G.orbit_labels is None
+    assert_counts_match(G, build_graph(c.hypersurface, 7))
+    assert G.edge_count() == 7**3 - 7
