@@ -12,12 +12,7 @@ import argparse
 import json
 import sys
 
-from .errors import (
-    BadCharacteristic,
-    BudgetExceeded,
-    GridlabError,
-    UnknownSuite,
-)
+from .errors import BudgetExceeded, GridlabError, UnknownSuite
 from .fields import GF, QQ, norm, norm_poly, pi_s
 from .poly import BiHomPoly, MultiPoly
 from .hypersurfaces import (
@@ -26,7 +21,6 @@ from .hypersurfaces import (
     ProjPoint,
     construct,
     family_symmetries,
-    proj_points,
 )
 from .gridcheck import (
     build_graph,
@@ -241,10 +235,10 @@ def _check_1a(p: int) -> dict:
     G = _family_graph(c)
     expected = p**3 - p
     witness = find_grid(G, 2, 2)
-    ok = G.edge_count() == expected and witness is None
+    edges = G.edge_count()
     return {
-        "pass": ok,
-        "edges": G.edge_count(),
+        "pass": edges == expected and witness is None,
+        "edges": edges,
         "expected_edges": expected,
         "witness": witness.to_json() if witness else None,
     }

@@ -273,13 +273,12 @@ def grid_transport_check(
     rows_orig = list(_AdjacencyRows(_terms_int(Hp), left, right_orig, p))
     rows_pull = list(_AdjacencyRows(_terms_int(Hpulled), left, right_pull, p))
     adjacency_match = rows_orig == rows_pull
-    G1 = BipartiteGraph(left, right_orig, rows_orig)
-    G2 = BipartiteGraph(left, right_pull, rows_pull)
-    w1 = find_grid(G1, s, t)
-    w2 = find_grid(G2, s, t)
-    consistent = adjacency_match and (
-        (w1 is None) == (w2 is None)
-    ) and (w1 is None or (w1.S == w2.S and w1.T == w2.T))
+    w1 = find_grid(BipartiteGraph(left, right_orig, rows_orig), s, t)
+    # equal rows give an equal scan, so the pulled graph is scanned only
+    # when the rows differ
+    w2 = w1
+    if not adjacency_match:
+        w2 = find_grid(BipartiteGraph(left, right_pull, rows_pull), s, t)
     return {
         "p": p,
         "s": s,
@@ -288,5 +287,5 @@ def grid_transport_check(
         "adjacency_match": adjacency_match,
         "grid_original": w1.to_json() if w1 else None,
         "grid_pulled": w2.to_json() if w2 else None,
-        "consistent": consistent,
+        "consistent": adjacency_match,
     }

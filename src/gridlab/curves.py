@@ -141,17 +141,13 @@ def intersection_multiplicity(F: PlaneCurve, G: PlaneCurve, v: ProjPoint):
     f, g, avar, bvar = _local_pair(
         PlaneCurve(f_form), PlaneCurve(g_form), v
     )
-    fuel = [_ITERATION_CAP]
-    return _fulton(f, g, avar, bvar, fuel)
+    return _fulton(f, g, avar, bvar)
 
 
-def _fulton(f: MultiPoly, g: MultiPoly, avar: str, bvar: str, fuel: list) -> int:
+def _fulton(f: MultiPoly, g: MultiPoly, avar: str, bvar: str) -> int:
     field = f.field
     total = 0
-    while True:
-        fuel[0] -= 1
-        if fuel[0] < 0:
-            raise NonTermination("multiplicity recursion exceeded its cap")
+    for _ in range(_ITERATION_CAP):
         zero_assign = [0 if v_ in (avar, bvar) else 1 for v_ in f.vars]
         if not f.evaluate(zero_assign).is_zero() or not g.evaluate(
             zero_assign
@@ -178,7 +174,7 @@ def _fulton(f: MultiPoly, g: MultiPoly, avar: str, bvar: str, fuel: list) -> int
         lf, lg = f0[-1], g0[-1]
         a = MultiPoly.variable(field, f.vars, avar)
         g = g * lf - f * a ** (s - r) * lg
-    # not reached
+    raise NonTermination("multiplicity recursion exceeded its cap")
 
 
 @dataclass

@@ -430,7 +430,7 @@ def build_graph(
     if not left or not right:
         raise EmptySide("open-set filters removed a whole side")
     if scan_s is not None and scan_s >= 1:
-        _check_budget(len(left), scan_s, None)
+        _check_budget(len(left), scan_s)
     Hp = reduce_hypersurface_mod(H, p)
     rows = _AdjacencyRows(_terms_int(Hp), left, right, p)
     display = left if chart == "projective" else [u[1:] for u in left]
@@ -451,8 +451,8 @@ def build_graph(
     )
 
 
-def _check_budget(n: int, s: int, budget: int | None):
-    limit = budget if budget is not None else enumeration_budget()
+def _check_budget(n: int, s: int):
+    limit = enumeration_budget()
     if comb(n, s) > limit:
         raise BudgetExceeded(
             f"C({n},{s}) = {comb(n, s)} subset iterations exceed budget {limit}"
@@ -489,7 +489,7 @@ def _orbit_labels(n: int, perms: list) -> list:
     return labels
 
 
-def _scan(G: BipartiteGraph, s: int, floor: int, first: bool, budget: int | None):
+def _scan(G: BipartiteGraph, s: int, floor: int, first: bool):
     """(S, common neighborhood bitset) for the lexicographically first
     s-subset with more than `floor` common neighbours, or with `first` false
     the first one of maximum size (each hit raises `floor`, so ties keep the
@@ -514,7 +514,7 @@ def _scan(G: BipartiteGraph, s: int, floor: int, first: bool, budget: int | None
     vertex at each depth is such a minimum (module docstring), so S, T and
     the argmax do not change."""
     n = len(G.rows)
-    _check_budget(n, s, budget)
+    _check_budget(n, s)
     rows, cols = G.rows, G.cols
     hit = None
     gens = G.symmetries
@@ -593,15 +593,13 @@ def _scan(G: BipartiteGraph, s: int, floor: int, first: bool, budget: int | None
     return hit
 
 
-def find_grid(
-    G: BipartiteGraph, s: int, t: int, budget: int | None = None
-) -> GridWitness | None:
+def find_grid(G: BipartiteGraph, s: int, t: int) -> GridWitness | None:
     """First s-subset of left (lexicographic) whose common neighborhood has
     size >= t; T is its t smallest members.  None when grid-free."""
     n = len(G.rows)
     if s < 1 or s > n or t < 1:
         raise ParameterOutOfRange(f"(s,t)=({s},{t}) with |left|={n}")
-    hit = _scan(G, s, t - 1, True, budget)
+    hit = _scan(G, s, t - 1, True)
     if hit is None:
         return None
     S, common = hit
@@ -609,14 +607,12 @@ def find_grid(
     return GridWitness.checked(S, T, G.rows)
 
 
-def max_common_neighborhood(
-    G: BipartiteGraph, s: int, budget: int | None = None
-) -> tuple:
+def max_common_neighborhood(G: BipartiteGraph, s: int) -> tuple:
     """(max size, lexicographically first attaining s-subset of left)."""
     n = len(G.rows)
     if s < 1 or s > n:
         raise ParameterOutOfRange(f"s={s} with |left|={n}")
-    S, common = _scan(G, s, -1, False, budget)
+    S, common = _scan(G, s, -1, False)
     return common.bit_count(), S
 
 
@@ -633,12 +629,15 @@ def _nth_root_floor(a: int, n: int) -> int:
         x = y
 
 
-def _fmt_scaled(scaled: int, prec: int) -> str:
-    digits = str(scaled).rjust(prec + 1, "0")
-    return digits[:-prec] + "." + digits[-prec:]
+_PREC = 12  # decimal digits of the edge report's fixed-point values
 
 
-def edge_report(G: BipartiteGraph, s: int, t: int, prec: int = 12) -> dict:
+def _fmt_scaled(scaled: int) -> str:
+    digits = str(scaled).rjust(_PREC + 1, "0")
+    return digits[:-_PREC] + "." + digits[-_PREC:]
+
+
+def edge_report(G: BipartiteGraph, s: int, t: int) -> dict:
     """Edge count versus the Füredi leading term (1/2)(t-s+1)^(1/s) n^(2-1/s)."""
     if s < 1 or t < 1:
         raise ParameterOutOfRange(f"(s,t)=({s},{t}): both must be at least 1")
@@ -647,7 +646,7 @@ def edge_report(G: BipartiteGraph, s: int, t: int, prec: int = 12) -> dict:
     power = n ** (2 * s - 1)
     root = _nth_root_floor(power, s)
     exact_power = root**s == power
-    scale = 10**prec
+    scale = 10**_PREC
     n_pow_scaled = (
         root * scale if exact_power else _nth_root_floor(power * scale**s, s)
     )
@@ -665,9 +664,9 @@ def edge_report(G: BipartiteGraph, s: int, t: int, prec: int = 12) -> dict:
         "s": s,
         "t": t,
         "n_power_exact": str(root) if exact_power else None,
-        "n_power": _fmt_scaled(n_pow_scaled, prec),
-        "furedi_leading": _fmt_scaled(furedi_scaled, prec),
-        "ratio": _fmt_scaled(ratio_scaled, prec),
-        "precision": prec,
+        "n_power": _fmt_scaled(n_pow_scaled),
+        "furedi_leading": _fmt_scaled(furedi_scaled),
+        "ratio": _fmt_scaled(ratio_scaled),
+        "precision": _PREC,
     }
     return report

@@ -17,7 +17,7 @@ from .errors import (
     UnsupportedParameters,
     json_field,
 )
-from .fields import GF, QQ, Field, FieldElem, is_prime
+from .fields import GF, QQ, Field, FieldElem, is_prime, norm_poly
 from .poly import BiHomPoly, MultiPoly, bihomogenize, primitive_integral_model
 
 
@@ -235,8 +235,6 @@ def construct(family: str, p: int, s: int | None = None) -> Construction:
     '1c': (N_s . pi_s)(x1+y1, ..., xs+ys) = 1, for t >= s! + 1.
     '1d': (N_{s-1} . pi_{s-1})(x2+y2, ..., xs+ys) = x1 y1, for t >= (s-1)! + 1.
     """
-    from .fields import norm_poly
-
     Fp = GF(p)
     if family == "1a":
         if s not in (None, 2):

@@ -8,14 +8,15 @@ A GCD over a finite field is Brown's dense evaluation/interpolation scheme
 (`_DenseGcd`): the last variable is evaluated at field points taken one at
 a time, the images' gcds come from the same scheme in one variable fewer
 down to univariate Euclid, Newton interpolation combines them, and the
-candidate is certified by exact division of both inputs.  A field with too
-few points for the degrees falls back to the primitive PRS (`_prs_gcd`)
-for that call.  Over Q the GCD is assembled from the dense scheme's images
-modulo word-size primes by CRT and rational reconstruction, and certified
-by exact division as well.  The monomial order is graded lex with the
-variable tuple's later entries more significant; the leading coefficient
-in that order is normalized to 1 wherever a canonical representative is
-needed.
+candidate is certified by exact division of both inputs.  A field F_q with
+too few points for the degrees runs the same scheme over F_{q^k}, for the
+least k = 2, 3, ... that has enough, and maps the monic gcd back: it does
+not change under field extension.  Over Q the GCD is assembled from the
+dense scheme's images modulo word-size primes by CRT and rational
+reconstruction, and certified by exact division as well.  The monomial
+order is graded lex with the variable tuple's later entries more
+significant; the leading coefficient in that order is normalized to 1
+wherever a canonical representative is needed.
 """
 
 from __future__ import annotations
@@ -471,20 +472,6 @@ class MultiPoly:
             coeffs[k][tuple(rest)] = c
         return [MultiPoly._raw(self.field, self.vars, t) for t in coeffs]
 
-    @staticmethod
-    def from_univariate(coeffs: list, var: str) -> "MultiPoly":
-        if not coeffs:
-            raise ZeroPolynomial("empty coefficient list")
-        base = coeffs[0]
-        i = base._vidx(var)
-        terms = {}
-        for k, c in enumerate(coeffs):
-            for e, coef in c.terms.items():
-                ne = list(e)
-                ne[i] += k
-                terms[tuple(ne)] = coef
-        return MultiPoly._raw(base.field, base.vars, terms)
-
     # -- serialization --------------------------------------------------------------
 
     def to_json(self) -> dict:
@@ -587,43 +574,16 @@ def divides(b: MultiPoly, a: MultiPoly) -> bool:
         return False
 
 
-def _trim(coeffs: list) -> list:
-    while coeffs and coeffs[-1].is_zero():
-        coeffs.pop()
-    return coeffs
-
-
-def _prem(f: list, g: list) -> list:
-    """Pseudo-remainder of coefficient lists (low-first); unit factors are
-    irrelevant because the caller takes primitive parts."""
-    f = f[:]
-    dg = len(g) - 1
-    lg = g[-1]
-    while _trim(f) and len(f) - 1 >= dg:
-        lf = f[-1]
-        shift = len(f) - 1 - dg
-        f = [c * lg for c in f]
-        for i, gi in enumerate(g):
-            f[shift + i] = f[shift + i] - lf * gi
-        f.pop()
-        _trim(f)
-    return f
-
-
-def _fold_gcd(gcd2, polys: list) -> MultiPoly:
-    cont = polys[0].monic()
-    for c in polys[1:]:
-        if cont.degree() == 0:
-            break  # gcd(1, c) = 1
-        cont = gcd2(cont, c)
-    return cont
-
-
 def content(polys: list) -> MultiPoly:
     """Monic gcd of a nonempty list of polynomials; zero when all are zero."""
     if not polys:
         raise ZeroPolynomial("content of an empty list")
-    return _fold_gcd(gcd, polys)
+    cont = polys[0].monic()
+    for c in polys[1:]:
+        if cont.degree() == 0:
+            break  # gcd(1, c) = 1
+        cont = gcd(cont, c)
+    return cont
 
 
 def split_group_contents(F: MultiPoly, xvars: tuple, yvars: tuple) -> tuple:
@@ -653,9 +613,11 @@ def gcd(a: MultiPoly, b: MultiPoly) -> MultiPoly:
 
 
 def _field_gcd(a: MultiPoly, b: MultiPoly) -> MultiPoly:
-    """Monic gcd of nonzero polynomials over a finite field by the dense
-    scheme, on the variables that occur in a or b; the PRS when the field
-    runs out of evaluation points."""
+    """Monic gcd of nonzero polynomials over a finite field F_q by the dense
+    scheme, on the variables that occur in a or b.  When F_q runs out of
+    evaluation points, the same scheme runs over F_{q^k} for k = 2, 3, ...
+    until one has enough: the monic gcd does not change under field
+    extension, so its coefficients lie in the image of F_q and map back."""
     used = [
         i
         for i in range(len(a.vars))
@@ -663,17 +625,22 @@ def _field_gcd(a: MultiPoly, b: MultiPoly) -> MultiPoly:
     ]
     if not used:
         return MultiPoly.constant(a.field, a.vars, 1)
-    g = _DenseGcd(a.field).gcd(
-        *({tuple(e[i] for i in used): c for e, c in f.terms.items()} for f in (a, b)),
-        len(used),
-    )
-    if g is None:
-        return _prs_gcd(a, b)
+    small = _DenseGcd(a.field)
+    pair = [{tuple(e[i] for i in used): c for e, c in f.terms.items()} for f in (a, b)]
+    g = small.gcd(*pair, len(used))
+    k = 1
+    while g is None:
+        k += 1
+        big, embed = small.lift(k)
+        g = big.gcd(*({e: embed(c) for e, c in f.items()} for f in pair), len(used))
+        if g is not None:
+            back = {embed(c): c for c in small.points()}
+            g = {e: back[c] for e, c in g.items()}
     terms = {}
     for e, c in g.items():
         full = [0] * len(a.vars)
-        for i, k in zip(used, e):
-            full[i] = k
+        for i, d in zip(used, e):
+            full[i] = d
         terms[tuple(full)] = c
     return MultiPoly._raw(a.field, a.vars, terms)
 
@@ -704,6 +671,20 @@ class _DenseGcd:
         if self.field.kind == "prime":
             return iter(range(self.field.p))
         return (x.val for x in self.field.elements())
+
+    def lift(self, k: int) -> tuple:
+        """(the engine over the degree-k extension E of the field, the
+        embedding of the field's raw values into E's)."""
+        field = self.field
+        if field.kind == "prime":
+            big = _DenseGcd(GF(field.p, k))
+            return big, big.field.coerce
+        big = _DenseGcd(GF(field.p, field.s * k))
+        coerce = big.field.coerce
+        # the field is F_p[b]/(modulus): b goes to a root of the modulus in E
+        modulus = [coerce(c) for c in field.modulus]
+        root = next(x for x in big.points() if big.is_zero(big.value(modulus, x)))
+        return big, lambda c: big.value([coerce(ci) for ci in c], root)
 
     # -- dense univariate lists --------------------------------------------------
 
@@ -871,43 +852,6 @@ class _DenseGcd:
             if complete:  # images of this leading monomial are all unlucky
                 best, ceiling = (math.inf,), best
         return None
-
-
-def _prs_gcd(a: MultiPoly, b: MultiPoly) -> MultiPoly:
-    """Monic GCD by primitive-part PRS, one variable at a time, recursing
-    into the coefficients for contents.  The fallback of `gcd` over fields
-    too small for the dense gcd's evaluation points."""
-    if a.is_zero():
-        return b.monic()
-    if b.is_zero():
-        return a.monic()
-    main = None
-    for v in reversed(a.vars):
-        if a.degree_in(v) > 0 or b.degree_in(v) > 0:
-            main = v
-            break
-    if main is None:
-        return MultiPoly.constant(a.field, a.vars, 1)
-    ca, fa = _content_and_pp(a, main)
-    cb, fb = _content_and_pp(b, main)
-    cont = _prs_gcd(ca, cb)
-    if len(fa) < len(fb):
-        fa, fb = fb, fa
-    while fb:
-        r = _prem(fa, fb)
-        _trim(r)
-        if r:
-            rc = _fold_gcd(_prs_gcd, r)
-            r = [exact_div(c, rc) for c in r]
-        fa, fb = fb, r
-    g = cont * MultiPoly.from_univariate(fa, main)
-    return g.monic()
-
-
-def _content_and_pp(a: MultiPoly, var: str):
-    coeffs = _trim(a.univariate(var))
-    cont = _fold_gcd(_prs_gcd, coeffs)
-    return cont, [exact_div(c, cont) for c in coeffs]
 
 
 def primitive_integral_model(polys: list) -> list:
@@ -1088,21 +1032,16 @@ def _det_bareiss(m: list) -> MultiPoly:
 # -- homogenization -----------------------------------------------------------------
 
 
-def homogenize(
-    F: MultiPoly, group: tuple, hvar: str, target: int | None = None
-) -> MultiPoly:
-    """Homogenize within a variable group using `hvar` (a member of it)."""
+def homogenize(F: MultiPoly, group: tuple, hvar: str) -> MultiPoly:
+    """Homogenize within a variable group using `hvar` (a member of it), to
+    the largest degree in the group among F's terms."""
     idx = [F._vidx(v) for v in group]
     h = F._vidx(hvar)
     if h not in idx:
         raise UnknownVariable(f"{hvar} must belong to the group")
     if F.is_zero():
         return F
-    maxdeg = max(sum(e[i] for i in idx) for e in F.terms)
-    if target is None:
-        target = maxdeg
-    elif target < maxdeg:
-        raise NotHomogeneous(f"target {target} below max group degree {maxdeg}")
+    target = max(sum(e[i] for i in idx) for e in F.terms)
     out = {}
     for e, c in F.terms.items():
         d = sum(e[i] for i in idx)

@@ -12,7 +12,6 @@ from gridlab.fields import GF, QQ
 from gridlab.poly import BiHomPoly, MultiPoly
 from gridlab.hypersurfaces import Hypersurface, ProjPoint
 from gridlab.cremona import (
-    AffineAutomorphism,
     RationalMap,
     affine_vars,
     apply_map,

@@ -1,4 +1,3 @@
-import random
 from fractions import Fraction
 
 import pytest
@@ -16,7 +15,6 @@ from gridlab.poly import BiHomPoly, MultiPoly
 from gridlab.hypersurfaces import Hypersurface, ProjPoint
 from gridlab.curves import (
     INFINITE,
-    ConicClass,
     PlaneCurve,
     common_component_rank_test,
     conic_classify,

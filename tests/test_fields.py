@@ -7,8 +7,6 @@ from pathlib import Path
 import pytest
 
 from gridlab.errors import (
-    BadCharacteristic,
-    CoefficientNotInPrimeField,
     DivisionByZero,
     MixedFields,
     WrongField,
@@ -16,7 +14,6 @@ from gridlab.errors import (
 from gridlab.fields import (
     GF,
     QQ,
-    ExtensionField,
     canonical_modulus,
     field_from_descriptor,
     is_prime,

@@ -52,12 +52,12 @@ def naive_max_common(rows, n_right, s):
     return best, arg
 
 
-def reference_scan(G, s, floor, first, budget):
+def reference_scan(G, s, floor, first):
     """The per-candidate subset scan that the column-counting last level of
     `gridcheck._scan` replaced: every depth, the last included, tries each
     candidate vertex in turn.  Same contract as `_scan`."""
     n = len(G.rows)
-    _check_budget(n, s, budget)
+    _check_budget(n, s)
     rows = G.rows
     hit = None
 
@@ -82,7 +82,7 @@ def reference_scan(G, s, floor, first, budget):
 
 def reference_find_grid(G, s, t):
     """(S, T) as `find_grid` reports them, from `reference_scan`."""
-    hit = reference_scan(G, s, t - 1, True, None)
+    hit = reference_scan(G, s, t - 1, True)
     if hit is None:
         return None
     S, common = hit
@@ -90,7 +90,7 @@ def reference_find_grid(G, s, t):
 
 
 def reference_max_common(G, s):
-    S, common = reference_scan(G, s, -1, False, None)
+    S, common = reference_scan(G, s, -1, False)
     return common.bit_count(), S
 
 
@@ -214,10 +214,11 @@ def test_scan_matches_reference_on_constructions(family, p, dim, s, ts):
     assert_scans_agree(G, s, ts)
 
 
-def test_max_common_1b_p11_with_raised_budget():
+def test_max_common_1b_p11_with_raised_budget(monkeypatch):
     # C(1331, 3) subsets: refused by the default budget (criterion 02)
     G = build_graph(construct("1b", 11).hypersurface, 11)
-    assert max_common_neighborhood(G, 3, budget=comb(1331, 3)) == (2, [0, 1, 13])
+    monkeypatch.setenv("GRIDLAB_BUDGET", str(comb(1331, 3)))
+    assert max_common_neighborhood(G, 3) == (2, [0, 1, 13])
 
 
 def test_find_grid_lex_first_witness():
@@ -238,12 +239,13 @@ def test_parameter_guards():
         max_common_neighborhood(G, 0)
 
 
-def test_budget_guard():
+def test_budget_guard(monkeypatch):
     G = random_graph(random.Random(1), 12, 5)
+    monkeypatch.setenv("GRIDLAB_BUDGET", "10")
     with pytest.raises(BudgetExceeded):
-        find_grid(G, 4, 1, budget=10)
+        find_grid(G, 4, 1)
     with pytest.raises(BudgetExceeded):
-        max_common_neighborhood(G, 4, budget=10)
+        max_common_neighborhood(G, 4)
 
 
 def test_budget_env(monkeypatch):

@@ -8,7 +8,7 @@ from gridlab.errors import (
     UnsupportedParameters,
 )
 from gridlab.fields import GF, QQ
-from gridlab.poly import BiHomPoly, MultiPoly, bihomogenize
+from gridlab.poly import BiHomPoly, MultiPoly
 from test_classify_s1 import CORPUS, EMPTY_AT_3, OPEN_SETS
 from gridlab.hypersurfaces import (
     Hypersurface,

@@ -19,14 +19,13 @@ from gridlab.errors import (
     MixedFields,
     NotHomogeneous,
     UnknownVariable,
-    ZeroPolynomial,
 )
 from gridlab.fields import GF, QQ
 import gridlab.poly
 from gridlab.poly import (
     BiHomPoly,
     MultiPoly,
-    _prs_gcd,
+    _DenseGcd,
     _rational,
     _word_primes,
     bihomogenize,
@@ -104,6 +103,68 @@ def test_exact_div():
         exact_div(P("x**2 + y"), P("x + 1"))
     assert divides(P("x + y"), a)
     assert not divides(P("x + 1"), P("x**2 + y"))
+
+
+# -- the reference gcd: the recursive primitive PRS --------------------------------
+
+
+def _trim(coeffs):
+    while coeffs and coeffs[-1].is_zero():
+        coeffs.pop()
+    return coeffs
+
+
+def _prem(f, g):
+    """Pseudo-remainder of coefficient lists (low degree first); unit
+    factors are irrelevant because the caller takes primitive parts."""
+    f = f[:]
+    dg = len(g) - 1
+    lg = g[-1]
+    while _trim(f) and len(f) - 1 >= dg:
+        lf = f[-1]
+        shift = len(f) - 1 - dg
+        f = [c * lg for c in f]
+        for i, gi in enumerate(g):
+            f[shift + i] = f[shift + i] - lf * gi
+        f.pop()
+    return f
+
+
+def _prs_content(coeffs):
+    cont = coeffs[0].monic()
+    for c in coeffs[1:]:
+        if cont.degree() == 0:
+            break
+        cont = _prs_gcd(cont, c)
+    return cont
+
+
+def _prs_gcd(a, b):
+    """Monic gcd by the primitive PRS in the last variable that occurs,
+    recursing into the coefficients for contents: the reference that
+    `gcd` is checked against, over Q and over finite fields of any size."""
+    if a.is_zero() or b.is_zero():
+        return (a + b).monic()
+    used = [v for v in a.vars if a.degree_in(v) > 0 or b.degree_in(v) > 0]
+    if not used:
+        return MultiPoly.constant(a.field, a.vars, 1)
+    main = used[-1]
+    fa, fb = (_trim(f.univariate(main)) for f in (a, b))
+    ca, cb = _prs_content(fa), _prs_content(fb)
+    fa, fb = [exact_div(c, ca) for c in fa], [exact_div(c, cb) for c in fb]
+    if len(fa) < len(fb):
+        fa, fb = fb, fa
+    while fb:
+        r = _trim(_prem(fa, fb))
+        if r:
+            rc = _prs_content(r)
+            r = [exact_div(c, rc) for c in r]
+        fa, fb = fb, r
+    x = MultiPoly.variable(a.field, a.vars, main)
+    g = MultiPoly.zero(a.field, a.vars)
+    for c in reversed(fa):
+        g = g * x + c
+    return (_prs_gcd(ca, cb) * g).monic()
 
 
 # -- gcd / squarefree --------------------------------------------------------------
@@ -587,7 +648,7 @@ def test_gcd_keeps_common_factor_finite_fields(case):
 # -- the dense gcd over finite fields against the PRS --------------------------------
 
 
-GCD_FIELDS = [GF(101), GF(2**31 - 1), GF(5, 2), GF(3, 2), GF(2), GF(3)]
+GCD_FIELDS = [GF(101), GF(2**31 - 1), GF(5, 2), GF(3, 2), GF(2, 2), GF(2), GF(3)]
 WXYZ = ("w", "x", "y", "z")
 
 
@@ -628,36 +689,59 @@ def test_dense_gcd_matches_the_prs(pair):
     assert gcd(b, a) == _prs_gcd(a, b)
 
 
-def _counting_prs(monkeypatch):
-    calls = []
+def _counting_lifts(monkeypatch):
+    degrees = []
 
-    def counted(a, b, prs=_prs_gcd):
-        calls.append((a, b))
-        return prs(a, b)
+    def counted(self, k, lift=_DenseGcd.lift):
+        degrees.append(k)
+        return lift(self, k)
 
-    monkeypatch.setattr(gridlab.poly, "_prs_gcd", counted)
-    return calls
+    monkeypatch.setattr(_DenseGcd, "lift", counted)
+    return degrees
 
 
-def test_dense_gcd_falls_back_to_the_prs_when_the_field_runs_out_of_points(
-    monkeypatch,
+def _unlucky_everywhere_pair(field, vanishing):
+    """(a, b, g) with gcd(a, b) = g, monic: the cofactors x + c*w and x + y*w,
+    w = `vanishing`, are coprime, but both are x at every root of w, so
+    every such point of y is unlucky.  g has the field's generator as a
+    coefficient when there is one, so mapping the gcd back from an
+    extension must undo the embedding of F_{p^s}."""
+    c = field.generator if field.kind == "extension" else 1
+    g = MultiPoly(field, XY, {(1, 0): 1, (0, 2): c, (0, 1): 1, (0, 0): 1})
+    w = MultiPoly.parse(field, XY, vanishing)
+    x, y = (MultiPoly.variable(field, XY, v) for v in XY)
+    return g * (x + w * MultiPoly.constant(field, XY, c)), g * (x + y * w), g.monic()
+
+
+@pytest.mark.parametrize(
+    "field, vanishing, lifts",
+    [
+        # F_4 has two lucky points, too few for g's degree 2 in y
+        (GF(2), "y**2 - y", [2, 3]),
+        (GF(3), "y**3 - y", [2]),
+        (GF(2, 2), "y**4 - y", [2]),
+        (GF(3, 2), "y**9 - y", [2]),
+    ],
+    ids=["GF2", "GF3", "GF4", "GF9"],
+)
+def test_dense_gcd_lifts_a_field_that_runs_out_of_points(
+    monkeypatch, field, vanishing, lifts
 ):
-    # degree 4 and 5 in y need 5 points of y; GF(2) has 2
-    factor = "x + y**3 + y + 1"
-    a = MultiPoly.parse(GF(2), XY, f"({factor})*(x*y + 1)")
-    b = MultiPoly.parse(GF(2), XY, f"({factor})*(x + y**2 + 1)")
-    calls = _counting_prs(monkeypatch)
-    assert gcd(a, b) == MultiPoly.parse(GF(2), XY, factor)
-    assert calls and calls[0] == (a, b)
+    # every point of F_q is a root of y^q - y
+    a, b, g = _unlucky_everywhere_pair(field, vanishing)
+    assert _DenseGcd(field).gcd(a.terms, b.terms, 2) is None
+    degrees = _counting_lifts(monkeypatch)
+    assert gcd(a, b) == _prs_gcd(a, b) == g
+    assert degrees == lifts
+    assert gcd(b, a) == _prs_gcd(a, b)
 
 
-def test_dense_gcd_over_a_large_field_never_takes_the_prs(monkeypatch):
-    factor = "x + y**3 + y + 1"
-    a = MultiPoly.parse(GF(101), XY, f"({factor})*(x*y + 1)")
-    b = MultiPoly.parse(GF(101), XY, f"({factor})*(x + y**2 + 1)")
-    calls = _counting_prs(monkeypatch)
-    assert gcd(a, b) == MultiPoly.parse(GF(101), XY, factor)
-    assert calls == []
+def test_dense_gcd_over_a_large_field_never_lifts(monkeypatch):
+    a, b, g = _unlucky_everywhere_pair(GF(101), "y**2 - y")
+    degrees = _counting_lifts(monkeypatch)
+    assert gcd(a, b) == g
+    assert gcd(b, a) == g
+    assert degrees == []
 
 
 @pytest.mark.parametrize("field", [GF(101), QQ])

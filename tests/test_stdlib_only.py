@@ -1,4 +1,5 @@
-"""The runtime depends on the standard library only."""
+"""The runtime depends on the standard library only, and imports nothing
+it does not use."""
 
 import ast
 import sys
@@ -25,3 +26,28 @@ def test_runtime_imports_only_stdlib():
                 if name.split(".")[0] not in sys.stdlib_module_names
             ]
     assert outside == []
+
+
+def test_runtime_has_no_unused_imports():
+    # __init__.py imports only to re-export, and `from __future__ import
+    # annotations` binds no name that the code reads
+    unused = []
+    for path in sorted(SRC.glob("*.py")):
+        if path.name == "__init__.py":
+            continue
+        tree = ast.parse(path.read_text(), str(path))
+        bound = {}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                for alias in node.names:
+                    bound[alias.asname or alias.name.split(".")[0]] = node.lineno
+            elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+                for alias in node.names:
+                    bound[alias.asname or alias.name] = node.lineno
+        read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        unused += [
+            f"{path.name}:{line}: {name}"
+            for name, line in sorted(bound.items())
+            if name not in read
+        ]
+    assert unused == []

@@ -217,11 +217,12 @@ def test_family_symmetries_are_automorphisms():
         assert_automorphisms(build_graph(c.hypersurface, p, symmetries=family_symmetries(family, p, c.s)))
 
 
-def test_pruned_1b_p11_with_raised_budget():
+def test_pruned_1b_p11_with_raised_budget(monkeypatch):
     # the unpruned answer, from test_gridcheck's full scan at this budget
     c = construct("1b", 11)
     G = build_graph(c.hypersurface, 11, symmetries=family_symmetries("1b", 11, 3))
-    assert max_common_neighborhood(G, 3, budget=comb(1331, 3)) == (2, [0, 1, 13])
+    monkeypatch.setenv("GRIDLAB_BUDGET", str(comb(1331, 3)))
+    assert max_common_neighborhood(G, 3) == (2, [0, 1, 13])
 
 
 def test_budget_counts_the_plain_subsets():
