@@ -26,7 +26,6 @@ the F_q-points, and a factor without F_q-roots adds no vertex to any row.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import BudgetExceeded, EmptySide, NonSplitForm, WrongDimension
@@ -47,7 +46,6 @@ YVARS = ("y0", "y1")
 P1_VARS = XVARS + YVARS
 
 
-@dataclass
 class S1Verdict:
     """Everything Theorem-style (1,t) classification produces.
 
@@ -57,10 +55,13 @@ class S1Verdict:
     but carry no coordinates, hence `closure_roots`.
     """
 
-    f_meets_X: bool
-    g_roots_in_Y: list
-    closure_roots: int
-    sum_di: int
+    __slots__ = ("f_meets_X", "g_roots_in_Y", "closure_roots", "sum_di")
+
+    def __init__(self, f_meets_X: bool, g_roots_in_Y: list, closure_roots: int, sum_di: int):
+        self.f_meets_X = f_meets_X
+        self.g_roots_in_Y = g_roots_in_Y
+        self.closure_roots = closure_roots
+        self.sum_di = sum_di
 
     @property
     def m(self) -> int:

@@ -5,7 +5,6 @@ sections, squarefree-section testing and conic classification."""
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from math import comb
 
@@ -177,16 +176,18 @@ def _fulton(f: MultiPoly, g: MultiPoly, avar: str, bvar: str) -> int:
     raise NonTermination("multiplicity recursion exceeded its cap")
 
 
-@dataclass
 class RankTestReport:
     """Outcome of the section common-component linear-system rank test."""
 
-    d1: int
-    d2: int
-    M: int
-    N: int
-    rank: int
-    shares_component: bool
+    __slots__ = ("d1", "d2", "M", "N", "rank", "shares_component")
+
+    def __init__(self, d1: int, d2: int, M: int, N: int, rank: int, shares_component: bool):
+        self.d1 = d1
+        self.d2 = d2
+        self.M = M
+        self.N = N
+        self.rank = rank
+        self.shares_component = shares_component
 
     def to_json(self) -> dict:
         return {
@@ -298,10 +299,12 @@ def is_squarefree_section(h, u: ProjPoint) -> bool:
     return gcd(sec, sec.derivative(var)).degree() == 0
 
 
-@dataclass
 class ConicClass:
-    kind: str  # line | irreducible-conic | degenerate-conic
-    rank: int | None = None
+    __slots__ = ("kind", "rank")
+
+    def __init__(self, kind: str, rank: int | None = None):
+        self.kind = kind  # line | irreducible-conic | degenerate-conic
+        self.rank = rank
 
     def to_json(self) -> dict:
         return {"kind": self.kind, "rank": self.rank}

@@ -84,7 +84,6 @@ from __future__ import annotations
 import os
 from collections import Counter
 from collections.abc import Sequence
-from dataclasses import dataclass
 from itertools import product
 from math import comb
 
@@ -110,12 +109,14 @@ def enumeration_budget() -> int:
     return int(os.environ.get("GRIDLAB_BUDGET", DEFAULT_BUDGET))
 
 
-@dataclass
 class GridWitness:
     """Index sets certifying an (s,t)-grid; re-verified on construction."""
 
-    S: list
-    T: list
+    __slots__ = ("S", "T")
+
+    def __init__(self, S: list, T: list):
+        self.S = S
+        self.T = T
 
     @classmethod
     def checked(cls, S, T, rows) -> "GridWitness":
@@ -212,13 +213,18 @@ def _terms_int(Hp: Hypersurface):
 _FLAG_DIGITS = bytes.maketrans(b"\x00\x80", b"01")
 
 
+def _monomial_tables(exps, p):
+    """tables[i] = (k, powers) pairs, one per variable k in the monomial
+    exps[i], with powers[a] = a^(exps[i][k]) mod p: the monomial's value at
+    a point of residues in [0, p) is the product of powers[pt[k]] mod p."""
+    powers = {k: [pow(a, k, p) for a in range(p)] for e in exps for k in e if k}
+    return [[(k, powers[ek]) for k, ek in enumerate(e) if ek] for e in exps]
+
+
 def _monomial_values(points, exps, p):
     """values[i][j] = the monomial exps[i] at points[j], mod p."""
-    # powers[k][a] = a^k mod p; chart coordinates are residues in [0, p)
-    powers = {k: [pow(a, k, p) for a in range(p)] for e in exps for k in e if k}
     values = []
-    for e in exps:
-        cols = [(k, powers[ek]) for k, ek in enumerate(e) if ek]
+    for cols in _monomial_tables(exps, p):
         row = []
         for pt in points:
             m = 1
@@ -234,11 +240,11 @@ def _lane_kernel(terms, left_coords, right_coords, p):
 
     Lane-packed: for each y-monomial, its values over all right vertices
     sit in one int, vertex j in the byte-aligned `width`-bit lane j.  The
-    set-up packs those lanes and the x-monomial values of every left vertex
-    once; a row then costs a few big-int operations: the lane sums
-    S = sum_i c_i(u) P_i, one Barrett reduction of every lane at once, a
-    SWAR zero-lane test and a byte compaction of the lane flags.
-    Coordinates are residues in [0, p).
+    set-up packs those lanes once, and tables of the powers of F_p that the
+    x-exponents use; a row evaluates u's x-monomials from those tables, then
+    costs a few big-int operations: the lane sums S = sum_i c_i(u) P_i, one
+    Barrett reduction of every lane at once, a SWAR zero-lane test and a
+    byte compaction of the lane flags.  Coordinates are residues in [0, p).
     """
     nr = len(right_coords)
     if not nr:
@@ -267,14 +273,21 @@ def _lane_kernel(terms, left_coords, right_coords, p):
         int.from_bytes(b"".join([lane_bytes[v] for v in vals]), "little")
         for vals in _monomial_values(right_coords, yexps, p)
     ]
-    xvals = _monomial_values(left_coords, xexps, p)
+    xtables = _monomial_tables(xexps, p)
     size = nbytes * nr
     ny = len(yexps)
 
     def row(u: int) -> int:
+        pt = left_coords[u]
+        xvals = []
+        for cols in xtables:
+            xv = 1
+            for k, pw in cols:
+                xv = xv * pw[pt[k]] % p
+            xvals.append(xv)
         coeff = [0] * ny
         for c, a, i in plan:
-            coeff[i] += c * xvals[a][u]
+            coeff[i] += c * xvals[a]
         S = 0
         for cf, P in zip(coeff, lanes):
             cf %= p

@@ -3,9 +3,8 @@ constructions over prime fields."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from itertools import product
-from typing import NamedTuple
 
 from .errors import (
     BadCharacteristic,
@@ -210,13 +209,17 @@ def reduce_hypersurface_mod(H: Hypersurface, p: int) -> Hypersurface:
 # -- the four constructions ------------------------------------------------------
 
 
-@dataclass
 class Construction:
-    family: str
-    p: int
-    s: int
-    affine: MultiPoly  # in x1..xs, y1..ys over F_p
-    hypersurface: Hypersurface  # its bihomogenization
+    __slots__ = ("family", "p", "s", "affine", "hypersurface")
+
+    def __init__(
+        self, family: str, p: int, s: int, affine: MultiPoly, hypersurface: Hypersurface
+    ):
+        self.family = family
+        self.p = p
+        self.s = s
+        self.affine = affine  # in x1..xs, y1..ys over F_p
+        self.hypersurface = hypersurface  # its bihomogenization
 
 
 def smallest_nonresidue(p: int) -> int:
@@ -282,14 +285,11 @@ def construct(family: str, p: int, s: int | None = None) -> Construction:
     return Construction(family, p, s, affine, Hypersurface(bihomogenize(affine, s)))
 
 
-class ChartMap(NamedTuple):
+class ChartMap(namedtuple("ChartMap", "ax bx ay by")):
     """(x, y) -> (ax x + bx, ay y + by) on the affine chart coordinates
     x1..xs and y1..ys, as integers mod p; matrices are tuples of rows."""
 
-    ax: tuple
-    bx: tuple
-    ay: tuple
-    by: tuple
+    __slots__ = ()
 
 
 def _primitive_root(p: int) -> int:

@@ -22,6 +22,7 @@ wherever a canonical representative is needed.
 from __future__ import annotations
 
 import math
+import operator
 import re
 from fractions import Fraction
 
@@ -265,9 +266,10 @@ class MultiPoly:
         other = self._coerce_operand(other)
         add, mul, is_zero = field._add, field._mul, field._is_zero
         out: dict = {}
+        right = other.terms.items()
         for e1, c1 in self.terms.items():
-            for e2, c2 in other.terms.items():
-                e = tuple(a + b for a, b in zip(e1, e2))
+            for e2, c2 in right:
+                e = tuple(map(operator.add, e1, e2))
                 c = mul(c1, c2)
                 out[e] = add(out[e], c) if e in out else c
         return MultiPoly._raw(

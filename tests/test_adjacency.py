@@ -280,9 +280,18 @@ def test_kernel_matches_reference_on_raw_terms(data, p):
     terms = data.draw(st.lists(term, min_size=1, max_size=12))
     left = data.draw(st.lists(st.tuples(*[residue] * nx), min_size=1, max_size=8))
     right = data.draw(st.lists(st.tuples(*[residue] * ny), min_size=1, max_size=40))
-    assert list(_AdjacencyRows(terms, left, right, p)) == reference_rows(
-        terms, left, right, p
-    )
+    rows = _AdjacencyRows(terms, left, right, p)
+    cols = rows.transpose()
+    expected = reference_rows(terms, left, right, p)
+    columns = transpose(expected, len(right))
+    # each entry is computed on its first read: a random subset of rows and
+    # of columns, read in a random order, must not depend on earlier reads
+    picked = data.draw(st.lists(st.integers(0, len(left) - 1), unique=True))
+    assert [rows[u] for u in picked] == [expected[u] for u in picked]
+    picked = data.draw(st.lists(st.integers(0, len(right) - 1), unique=True))
+    assert [cols[j] for j in picked] == [columns[j] for j in picked]
+    assert list(rows) == expected
+    assert list(cols) == columns
 
 
 @pytest.mark.parametrize(

@@ -1,7 +1,9 @@
-"""The runtime depends on the standard library only, and imports nothing
-it does not use."""
+"""The runtime depends on the standard library only, imports nothing it
+does not use, and keeps the start-up of a CLI process cheap."""
 
 import ast
+import os
+import subprocess
 import sys
 from pathlib import Path
 
@@ -51,3 +53,20 @@ def test_runtime_has_no_unused_imports():
             if name not in read
         ]
     assert unused == []
+
+
+def test_cli_import_loads_every_module_and_no_costly_stdlib():
+    # `dataclasses` pulls in `inspect`, `ast`, `dis` and `tokenize`, which
+    # every CLI process would pay for; `-S` keeps site-packages from
+    # importing anything on its own.  `gridlab.cli` imports every gridlab
+    # module on purpose: the benchmark's traced run takes the modules it
+    # instruments from `sys.modules` right after `import gridlab.cli`.
+    code = "import sys, gridlab.cli; print(*sorted(sys.modules), sep='\\n')"
+    env = dict(os.environ, PYTHONPATH=str(SRC.parent))
+    proc = subprocess.run(
+        [sys.executable, "-S", "-c", code], env=env, capture_output=True, text=True, check=True
+    )
+    loaded = set(proc.stdout.split())
+    assert {"dataclasses", "inspect", "typing"} & loaded == set()
+    package = {"gridlab"} | {f"gridlab.{p.stem}" for p in SRC.glob("*.py") if p.stem != "__init__"}
+    assert {name for name in loaded if name.split(".")[0] == "gridlab"} == package
