@@ -12,8 +12,8 @@ import argparse
 import json
 import sys
 
-from .errors import BudgetExceeded, GridlabError, UnknownSuite
-from .fields import GF, QQ, norm, norm_poly, pi_s
+from .errors import BudgetExceeded, GridlabError, UnknownSuite, UnsupportedParameters
+from .fields import GF, QQ, is_prime, norm, norm_poly, pi_s
 from .poly import BiHomPoly, MultiPoly
 from .hypersurfaces import (
     Hypersurface,
@@ -292,12 +292,10 @@ _S1_SWEEP_FORMS = (
 )
 
 
-def _check_s1(p: int) -> dict:
+def _check_s1(p: int, verdicts: list) -> dict:
+    """verdicts: (text, F, s1_classify(F)) for each form of _S1_SWEEP_FORMS."""
     disagreements = []
-    for text in _S1_SWEEP_FORMS:
-        poly = MultiPoly.parse(QQ, P1_VARS, text)
-        F = BiHomPoly(poly, XVARS, YVARS)
-        verdict = s1_classify(F)
+    for text, F, verdict in verdicts:
         worst = s1_max_row(F, None, None, p)
         for t in range(1, 6):
             lhs = verdict.grid_free_for(t)
@@ -307,32 +305,41 @@ def _check_s1(p: int) -> dict:
     return {"pass": not disagreements, "disagreements": disagreements}
 
 
-def _check_transport(p: int) -> dict:
-    vars = ("x0", "x1", "x2", "y0", "y1", "y2")
-    F0 = MultiPoly.parse(QQ, vars, "x0*y0 + x1*y1 + x2*y2")
-    H0 = Hypersurface(BiHomPoly(F0, vars[:3], vars[3:]))
-    rep = cremona.grid_transport_check(H0, cremona.standard_quadratic(QQ), p, 2, 2)
+def _check_transport(p: int, H0: Hypersurface, sigma) -> dict:
+    rep = cremona.grid_transport_check(H0, sigma, p, 2, 2)
     return {"pass": rep["consistent"], "report": rep}
-
-
-_CHECKS = (
-    ("family-1a", _check_1a),
-    ("family-1b", _check_1b),
-    ("family-1c", _check_1c),
-    ("family-1d", _check_1d),
-    ("norm-poly", _check_norm_poly),
-    ("s1-agreement", _check_s1),
-    ("cremona-transport", _check_transport),
-)
 
 
 def run_sweep(primes: list) -> dict:
     """Run the built-in checks over each prime; failures carry witnesses
-    and per-check errors are recorded rather than raised."""
+    and per-check errors are recorded rather than raised.  A non-prime
+    entry is refused (UnsupportedParameters) before any check runs.  The
+    checks' prime-independent inputs, the s = 1 verdicts over Q and the
+    transport's form and map, are built once per call."""
+    bad = [p for p in primes if not is_prime(p)]
+    if bad:
+        raise UnsupportedParameters(f"sweep primes must be prime, got {bad}")
+    verdicts = []
+    for text in _S1_SWEEP_FORMS:
+        F = BiHomPoly(MultiPoly.parse(QQ, P1_VARS, text), XVARS, YVARS)
+        verdicts.append((text, F, s1_classify(F)))
+    vars = ("x0", "x1", "x2", "y0", "y1", "y2")
+    F0 = MultiPoly.parse(QQ, vars, "x0*y0 + x1*y1 + x2*y2")
+    H0 = Hypersurface(BiHomPoly(F0, vars[:3], vars[3:]))
+    sigma = cremona.standard_quadratic(QQ)
+    checks = (
+        ("family-1a", _check_1a),
+        ("family-1b", _check_1b),
+        ("family-1c", _check_1c),
+        ("family-1d", _check_1d),
+        ("norm-poly", _check_norm_poly),
+        ("s1-agreement", lambda p: _check_s1(p, verdicts)),
+        ("cremona-transport", lambda p: _check_transport(p, H0, sigma)),
+    )
     results = []
     all_pass = True
     for p in primes:
-        for name, fn in _CHECKS:
+        for name, fn in checks:
             try:
                 res = fn(p)
             except GridlabError as exc:

@@ -12,7 +12,7 @@ from .errors import (
     ZeroPullback,
     json_field,
 )
-from .fields import GF, Field, FieldElem
+from .fields import Field, FieldElem
 from .poly import (
     BiHomPoly,
     MultiPoly,
@@ -24,9 +24,16 @@ from .poly import (
 from .hypersurfaces import (
     Hypersurface,
     ProjPoint,
-    proj_points,
     reduce_hypersurface_mod,
     reduce_polys_mod,
+)
+from .gridcheck import (
+    BipartiteGraph,
+    _AdjacencyRows,
+    _monomial_values,
+    _terms_int,
+    find_grid,
+    proj_residues,
 )
 
 
@@ -171,12 +178,6 @@ def affine_vars(s: int) -> tuple:
     return tuple(f"x{i}" for i in range(1, s + 1))
 
 
-def identity_auto(field: Field, s: int) -> AffineAutomorphism:
-    vars = affine_vars(s)
-    comps = [MultiPoly.variable(field, vars, v) for v in vars]
-    return AffineAutomorphism(comps, list(comps), "identity")
-
-
 def elementary(i: int, c: FieldElem, f: MultiPoly) -> AffineAutomorphism:
     """Replace the i-th coordinate (1-based) by c*x_i + f, with c != 0 and
     f free of x_i."""
@@ -202,17 +203,6 @@ def elementary(i: int, c: FieldElem, f: MultiPoly) -> AffineAutomorphism:
     return AffineAutomorphism(comps, inv_comps, "elementary")
 
 
-def compose(a: AffineAutomorphism, b: AffineAutomorphism) -> AffineAutomorphism:
-    """(a . b)(x) = a(b(x))."""
-    sub = dict(zip(a.vars, b.components))
-    comps = [c.substitute(sub, new_vars=a.vars) for c in a.components]
-    inv = None
-    if a.inverse_components is not None and b.inverse_components is not None:
-        sub_inv = dict(zip(a.vars, a.inverse_components))
-        inv = [c.substitute(sub_inv, new_vars=a.vars) for c in b.inverse_components]
-    return AffineAutomorphism(comps, inv, "composed")
-
-
 def nagata(field: Field) -> AffineAutomorphism:
     """Nagata's wild automorphism of affine 3-space; it fixes x^2 - yz."""
     vars = affine_vars(3)
@@ -223,13 +213,15 @@ def nagata(field: Field) -> AffineAutomorphism:
     return AffineAutomorphism(comps, inv, "nagata")
 
 
-def nagata_invariant(field: Field) -> MultiPoly:
-    vars = affine_vars(3)
-    x, y, z = (MultiPoly.variable(field, vars, v) for v in vars)
-    return x * x - y * z
-
-
 # -- sampled grid transport ---------------------------------------------------------
+
+
+def _values_mod(f: MultiPoly, pts: list, p: int) -> list:
+    """f, a form over F_p, at each residue tuple of pts, mod p."""
+    vals = [0] * len(pts)
+    for c, row in zip(f.terms.values(), _monomial_values(pts, list(f.terms), p)):
+        vals = [v + c * m for v, m in zip(vals, row)]
+    return [v % p for v in vals]
 
 
 def grid_transport_check(
@@ -237,48 +229,38 @@ def grid_transport_check(
 ) -> dict:
     """Verify on P^s(F_p) that applying (id, sigma_y) transports grids:
     off the base and exceptional loci, the pulled-back graph must coincide
-    with the original graph under v -> sigma_y(v)."""
-    from .gridcheck import BipartiteGraph, _AdjacencyRows, _terms_int, find_grid
+    with the original graph under v -> sigma_y(v).
 
-    Fp = GF(p)
+    Points are residue tuples: sigma_y's components and the removed
+    y-content are evaluated at every point at once, and each image is
+    scaled to its first nonzero coordinate 1, as `ProjPoint` does."""
     Hp = reduce_hypersurface_mod(H, p)
     sig = sigma_y.reduce_mod(p)
     Hpulled, _, cy = apply_with_contents(None, sig, Hp)
-    pts = list(proj_points(Fp, Hp.s))
+    pts = proj_residues(p, Hp.s)
+    images = zip(*[_values_mod(c, pts, p) for c in sig.components])
     # keep v where sigma is defined, injective on the sample, and off the
     # exceptional locus of the content removal
-    pairs = []
     seen = {}
-    for v in pts:
-        w = sig.apply_point(v)
-        if w is None:
-            continue
-        if cy.degree() > 0:
-            vals = [
-                v.coords[sig.vars.index(n)] if n in sig.vars else 1
-                for n in cy.vars
-            ]
-            if cy.evaluate(vals).is_zero():
-                continue
-        seen.setdefault(w, []).append(v)
-    for w, vs in seen.items():
-        if len(vs) == 1:
-            pairs.append((vs[0], w))
-    pairs.sort(key=lambda vw: vw[0].raw)
+    for v, w, off in zip(pts, images, _values_mod(cy.with_vars(sig.vars), pts, p)):
+        pivot = next((c for c in w if c), 0)
+        if pivot and off:
+            inv = pow(pivot, -1, p)
+            seen.setdefault(tuple(c * inv % p for c in w), []).append(v)
+    pairs = sorted((vs[0], w) for w, vs in seen.items() if len(vs) == 1)
     if len(pairs) < t:
         raise SampleTooSmall(f"only {len(pairs)} usable sample points")
-    left = [u.raw for u in pts]
-    right_orig = [w.raw for _, w in pairs]
-    right_pull = [v.raw for v, _ in pairs]
-    rows_orig = list(_AdjacencyRows(_terms_int(Hp), left, right_orig, p))
-    rows_pull = list(_AdjacencyRows(_terms_int(Hpulled), left, right_pull, p))
+    right_orig = [w for _, w in pairs]
+    right_pull = [v for v, _ in pairs]
+    rows_orig = list(_AdjacencyRows(_terms_int(Hp), pts, right_orig, p))
+    rows_pull = list(_AdjacencyRows(_terms_int(Hpulled), pts, right_pull, p))
     adjacency_match = rows_orig == rows_pull
-    w1 = find_grid(BipartiteGraph(left, right_orig, rows_orig), s, t)
+    w1 = find_grid(BipartiteGraph(pts, right_orig, rows_orig), s, t)
     # equal rows give an equal scan, so the pulled graph is scanned only
     # when the rows differ
     w2 = w1
     if not adjacency_match:
-        w2 = find_grid(BipartiteGraph(left, right_pull, rows_pull), s, t)
+        w2 = find_grid(BipartiteGraph(pts, right_pull, rows_pull), s, t)
     return {
         "p": p,
         "s": s,

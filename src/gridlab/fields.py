@@ -114,22 +114,21 @@ class FieldElem:
         return FieldElem(self.field, self.field._inv(self.val))
 
     def __pow__(self, e: int) -> "FieldElem":
+        """Square-and-multiply on the raw values, wrapped once at the end."""
         if e < 0:
             return self.inv() ** (-e)
-        result = self.field.one
-        base = self
-        while e:
+        field, base = self.field, self.val
+        mul, result = field._mul, field._one()
+        while True:
             if e & 1:
-                result = result * base
-            base = base * base
+                result = mul(result, base)
             e >>= 1
-        return result
+            if not e:
+                return FieldElem(field, result)
+            base = mul(base, base)
 
     def is_zero(self) -> bool:
         return self.field._is_zero(self.val)
-
-    def is_one(self) -> bool:
-        return self.val == self.field.one.val
 
     def __eq__(self, other):
         if not isinstance(other, FieldElem):
@@ -470,9 +469,6 @@ class ExtensionField(Field):
 
     def prime_subfield(self) -> PrimeField:
         return GF(self.p)
-
-    def in_prime_subfield(self, a: FieldElem) -> bool:
-        return all(c == 0 for c in a.val[1:])
 
     def coeff_str(self, a: tuple) -> str:
         return ",".join(str(c) for c in a)

@@ -381,6 +381,16 @@ def _left_permutation(A: tuple, b: tuple, points: list, p: int) -> list:
     return perm
 
 
+def proj_residues(p: int, s: int) -> list:
+    """The points of P^s(F_p) as residue tuples, in the canonical
+    representatives and the order of `proj_points`."""
+    return [
+        (0,) * lead + (1,) + tail
+        for lead in range(s + 1)
+        for tail in product(range(p), repeat=s - lead)
+    ]
+
+
 def _open_points(U: OpenSet, pts: list, p: int) -> list:
     """The points of `pts` (residue tuples) where no excluded form of U, a
     form over F_p, vanishes: each form is one `_lane_kernel` row, with the
@@ -426,12 +436,7 @@ def build_graph(
     if chart == "affine":
         pts = [(1,) + tail for tail in product(range(p), repeat=s)]
     elif chart == "projective":
-        # the canonical representatives in the order of `proj_points`
-        pts = [
-            (0,) * lead + (1,) + tail
-            for lead in range(s + 1)
-            for tail in product(range(p), repeat=s - lead)
-        ]
+        pts = proj_residues(p, s)
     else:
         raise ParameterOutOfRange(f"unknown chart {chart!r}")
     Xp = (X or OpenSet.full(s)).reduce_mod(p)

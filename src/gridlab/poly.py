@@ -1053,11 +1053,6 @@ def homogenize(F: MultiPoly, group: tuple, hvar: str) -> MultiPoly:
     return MultiPoly._raw(F.field, F.vars, out)
 
 
-def dehomogenize(F: MultiPoly, hvar: str) -> MultiPoly:
-    """Set `hvar` = 1."""
-    return F.substitute({hvar: 1}, new_vars=F.vars)
-
-
 def group_degree(F: MultiPoly, group: tuple):
     """Degree in the group if F is homogeneous there, else raises."""
     idx = [F._vidx(v) for v in group]

@@ -32,10 +32,10 @@ from gridlab.cremona import (
     example_line_map,
     grid_transport_check,
     nagata,
-    nagata_invariant,
     standard_quadratic,
 )
 from gridlab.cli import run_sweep
+from test_cremona import nagata_invariant
 
 V6 = ("x0", "x1", "x2", "y0", "y1", "y2")
 Y3 = ("y0", "y1", "y2")

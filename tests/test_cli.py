@@ -10,6 +10,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from gridlab.cli import main, run_sweep
+from gridlab.errors import UnsupportedParameters
 
 
 def run(capsys, *argv):
@@ -303,6 +304,16 @@ def test_sweep_records_bad_characteristic():
     assert not report["all_pass"]
 
 
+@pytest.mark.parametrize("primes", ["0", "1", "4", "-5", "5,9"])
+def test_sweep_refuses_non_prime_exit_2(capsys, primes):
+    # a non-prime is a usage error, refused before any check runs; exit 1
+    # would claim a failing sweep
+    code, out = run(capsys, "sweep", "--primes", primes)
+    assert (code, out) == (2, "")
+    with pytest.raises(UnsupportedParameters):
+        run_sweep([int(x) for x in primes.split(",")])
+
+
 def test_sweep_unknown_suite_exit_2(capsys):
     code, _ = run(capsys, "sweep", "--suite", "nope", "--primes", "5")
     assert code == 2
@@ -421,6 +432,15 @@ def test_default_sweep_golden(capsys):
     # a witness or the output format shows here
     golden = Path(__file__).parent / "data" / "sweep_default.json"
     code, out = run(capsys, "sweep", "--primes", "5,7,11,13")
+    assert code == 0
+    assert out.encode() == golden.read_bytes()
+
+
+def test_benchmark_sweep_golden(capsys):
+    # the recorded stdout of the sweep at the benchmark's primes, where the
+    # transport and norm checks cost most
+    golden = Path(__file__).parent / "data" / "sweep_bench.json"
+    code, out = run(capsys, "sweep", "--primes", "5,7,11,13,17,19")
     assert code == 0
     assert out.encode() == golden.read_bytes()
 

@@ -10,24 +10,55 @@ from gridlab.errors import (
 )
 from gridlab.fields import GF, QQ
 from gridlab.poly import BiHomPoly, MultiPoly
-from gridlab.hypersurfaces import Hypersurface, ProjPoint
+from gridlab.hypersurfaces import (
+    Hypersurface,
+    ProjPoint,
+    proj_points,
+    reduce_hypersurface_mod,
+)
+from gridlab.gridcheck import BipartiteGraph, _AdjacencyRows, _terms_int, find_grid
 from gridlab.cremona import (
+    AffineAutomorphism,
     RationalMap,
     affine_vars,
     apply_map,
     apply_with_contents,
-    compose,
     elementary,
     example_line_map,
     grid_transport_check,
-    identity_auto,
     identity_map,
     nagata,
-    nagata_invariant,
     standard_quadratic,
 )
 
 V6 = ("x0", "x1", "x2", "y0", "y1", "y2")
+
+
+# -- helpers that only the tests use ---------------------------------------------------
+
+
+def identity_auto(field, s: int) -> AffineAutomorphism:
+    vars = affine_vars(s)
+    comps = [MultiPoly.variable(field, vars, v) for v in vars]
+    return AffineAutomorphism(comps, list(comps), "identity")
+
+
+def compose(a: AffineAutomorphism, b: AffineAutomorphism) -> AffineAutomorphism:
+    """(a . b)(x) = a(b(x))."""
+    sub = dict(zip(a.vars, b.components))
+    comps = [c.substitute(sub, new_vars=a.vars) for c in a.components]
+    inv = None
+    if a.inverse_components is not None and b.inverse_components is not None:
+        sub_inv = dict(zip(a.vars, a.inverse_components))
+        inv = [c.substitute(sub_inv, new_vars=a.vars) for c in b.inverse_components]
+    return AffineAutomorphism(comps, inv, "composed")
+
+
+def nagata_invariant(field) -> MultiPoly:
+    """x^2 - yz, the invariant that Nagata's automorphism fixes."""
+    vars = affine_vars(3)
+    x, y, z = (MultiPoly.variable(field, vars, v) for v in vars)
+    return x * x - y * z
 
 
 def H(expr):
@@ -261,3 +292,106 @@ def test_grid_transport_linear_map_transports_witness():
 def test_grid_transport_sample_too_small():
     with pytest.raises(SampleTooSmall):
         grid_transport_check(H(H0), standard_quadratic(QQ), 2, 2, 5)
+
+
+# -- the transport against a ProjPoint oracle ------------------------------------------
+
+
+def reference_transport(H, sigma_y, p, s, t):
+    """grid_transport_check computed point by point with ProjPoint and
+    FieldElem: images by RationalMap.apply_point, the exceptional locus by
+    MultiPoly.evaluate of the removed y-content."""
+    Fp = GF(p)
+    Hp = reduce_hypersurface_mod(H, p)
+    sig = sigma_y.reduce_mod(p)
+    Hpulled, _, cy = apply_with_contents(None, sig, Hp)
+    pts = list(proj_points(Fp, Hp.s))
+    seen = {}
+    for v in pts:
+        w = sig.apply_point(v)
+        if w is None:
+            continue
+        if cy.degree() > 0:
+            vals = [v.coords[sig.vars.index(n)] if n in sig.vars else 1 for n in cy.vars]
+            if cy.evaluate(vals).is_zero():
+                continue
+        seen.setdefault(w, []).append(v)
+    pairs = sorted(((vs[0], w) for w, vs in seen.items() if len(vs) == 1),
+                   key=lambda vw: vw[0].raw)
+    if len(pairs) < t:
+        raise SampleTooSmall(f"only {len(pairs)} usable sample points")
+    left = [u.raw for u in pts]
+    right_orig = [w.raw for _, w in pairs]
+    right_pull = [v.raw for v, _ in pairs]
+    rows_orig = list(_AdjacencyRows(_terms_int(Hp), left, right_orig, p))
+    rows_pull = list(_AdjacencyRows(_terms_int(Hpulled), left, right_pull, p))
+    w1 = find_grid(BipartiteGraph(left, right_orig, rows_orig), s, t)
+    w2 = find_grid(BipartiteGraph(left, right_pull, rows_pull), s, t)
+    return {
+        "p": p,
+        "s": s,
+        "t": t,
+        "sample_size": len(pairs),
+        "adjacency_match": rows_orig == rows_pull,
+        "grid_original": w1.to_json() if w1 else None,
+        "grid_pulled": w2.to_json() if w2 else None,
+        "consistent": rows_orig == rows_pull,
+    }
+
+
+Y3 = ("y0", "y1", "y2")
+
+
+def _swap(field):
+    y0, y1, y2 = (MultiPoly.variable(field, Y3, v) for v in Y3)
+    return RationalMap([y1, y0, y2])
+
+
+Y0_TIMES = "y0*(x0*y1 + x1*y2 + x2*y0)"  # a form with the y-content y0
+TRANSPORT_MAPS = {
+    "quadratic": standard_quadratic,
+    "identity": identity_map,
+    "swap": _swap,
+    "line-1-[0,1]": lambda F: example_line_map(F, 1, [0, 1]),
+    "line-2-[0,0,1]": lambda F: example_line_map(F, 2, [0, 0, 1]),
+    "line-3-[1,0,2]": lambda F: example_line_map(F, 3, [1, 0, 2]),
+}
+TRANSPORT_FORMS = (
+    H0,
+    "x0*y0 + x1*y1",
+    H2,  # its quadratic pullback has the y-content y0*y1*y2
+    "x0*y0**2 + x1*y1**2 + x2*y0*y2",
+    Y0_TIMES,
+)
+
+
+@pytest.mark.parametrize("p", (2, 3, 5, 7, 11))
+@pytest.mark.parametrize("name", sorted(TRANSPORT_MAPS))
+def test_grid_transport_matches_reference(name, p):
+    sigma = TRANSPORT_MAPS[name](QQ)
+    for form in TRANSPORT_FORMS:
+        h = H(form)
+        try:
+            want = reference_transport(h, sigma, p, 2, 2)
+        except SampleTooSmall:
+            with pytest.raises(SampleTooSmall):
+                grid_transport_check(h, sigma, p, 2, 2)
+            continue
+        assert grid_transport_check(h, sigma, p, 2, 2) == want
+
+
+def test_grid_transport_reference_exercises_every_filter():
+    p = 5
+    full = p * p + p + 1
+    # identity map, a form with the y-content y0: the content filter alone
+    # drops the line y0 = 0
+    rep = reference_transport(H(Y0_TIMES), identity_map(QQ), p, 2, 2)
+    assert rep["sample_size"] == p * p
+    # the quadratic map is not injective on the coordinate triangle, which
+    # holds its base points; the removed y-content y0*y1*y2 of H2's
+    # pullback vanishes there too
+    _, _, cy = apply_with_contents(None, standard_quadratic(QQ), H(H2))
+    assert cy.degree() == 3
+    for form in (H0, H2):
+        rep = reference_transport(H(form), standard_quadratic(QQ), p, 2, 2)
+        assert rep["sample_size"] == (p - 1) ** 2 < full

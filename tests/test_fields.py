@@ -5,6 +5,7 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from gridlab.errors import (
     DivisionByZero,
@@ -53,7 +54,7 @@ def test_prime_field_fermat():
     for p in (2, 3, 5, 7, 11, 13):
         F = GF(p)
         for a in range(1, p):
-            assert (F.elem(a) ** (p - 1)).is_one()
+            assert F.elem(a) ** (p - 1) == F.one
 
 
 def test_mixed_fields_rejected():
@@ -133,8 +134,8 @@ def test_extension_field_f9():
     # every nonzero element has order dividing 8
     for a in F9.elements():
         if not a.is_zero():
-            assert (a ** 8).is_one()
-            assert (a * a.inv()).is_one()
+            assert a ** 8 == F9.one
+            assert a * a.inv() == F9.one
 
 
 def test_extension_field_f8():
@@ -142,7 +143,7 @@ def test_extension_field_f8():
     elems = [a for a in F8.elements() if not a.is_zero()]
     assert len(elems) == 7
     for a in elems:
-        assert (a ** 7).is_one()
+        assert a ** 7 == F8.one
 
 
 def test_norm_values_f9():
@@ -162,7 +163,9 @@ def test_norm_lands_in_prime_field():
         Fp = GF(p)
         for a in K.elements():
             assert norm(a).field == Fp
-            assert K.in_prime_subfield(K.elem(norm(a).val))
+            if not a.is_zero():
+                power = a ** ((p**s - 1) // (p - 1))
+                assert power.val[1:] == (0,) * (s - 1)
 
 
 def test_norm_wrong_field():
@@ -218,3 +221,53 @@ def test_coeff_str_roundtrip():
     a = w * 2 + 1
     assert F9.coeff_from_str(F9.coeff_str(a.val)) == a.val
     assert QQ.coeff_from_str("-3/4") == Fraction(-3, 4)
+
+
+# -- powers ------------------------------------------------------------------------
+
+
+def _repeated_power(a, e):
+    """a**e by |e| multiplications, then one inverse when e < 0."""
+    result = a.field.one
+    for _ in range(abs(e)):
+        result = result * a
+    return result.inv() if e < 0 else result
+
+
+POW_FIELDS = (GF(2), GF(7), GF(101), GF(2, 3), GF(3, 2), GF(5, 2), QQ)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    field=st.sampled_from(POW_FIELDS),
+    raw=st.integers(-50, 50),
+    den=st.integers(1, 9),
+    e=st.integers(-40, 40),
+)
+def test_pow_matches_repeated_multiplication(field, raw, den, e):
+    if field is QQ:
+        a = QQ.elem(Fraction(raw, den))
+    elif field.kind == "extension":
+        a = field.elem([raw * (i + 1) + den * i for i in range(field.s)])
+    else:
+        a = field.elem(raw)
+    if a.is_zero() and e < 0:
+        with pytest.raises(DivisionByZero):
+            a**e
+        return
+    got = a**e
+    assert got.field is field
+    assert got == _repeated_power(a, e)
+
+
+@pytest.mark.parametrize("field", POW_FIELDS)
+def test_pow_edge_exponents(field):
+    zero, one = field.zero, field.one
+    assert zero**0 == one and one**0 == one
+    assert zero**1 == zero and zero**5 == zero
+    with pytest.raises(DivisionByZero):
+        zero**-1
+    a = field.elem(3) if field.characteristic != 3 else field.elem(2)
+    assert a**0 == one
+    assert a**-1 == a.inv()
+    assert a**-3 * a**3 == one
