@@ -23,6 +23,7 @@ from .hypersurfaces import (
     family_symmetries,
 )
 from .gridcheck import (
+    _values_mod,
     build_graph,
     edge_report,
     find_grid,
@@ -273,13 +274,12 @@ def _check_1d(p: int) -> dict:
 
 
 def _check_norm_poly(p: int) -> dict:
-    np2 = norm_poly(p, 2)
+    """norm_poly(p, 2), evaluated at every residue pair at once, against the
+    field norm of pi_s of each pair."""
     K = GF(p, 2)
-    bad = 0
-    for a0 in range(p):
-        for a1 in range(p):
-            if norm(pi_s(K, (a0, a1))) != np2.evaluate([a0, a1]):
-                bad += 1
+    pairs = [(a0, a1) for a0 in range(p) for a1 in range(p)]
+    want = _values_mod(norm_poly(p, 2), pairs, p)
+    bad = sum(norm(pi_s(K, a)).val != w for a, w in zip(pairs, want))
     return {"pass": bad == 0, "mismatches": bad, "inputs": p * p}
 
 

@@ -23,15 +23,14 @@ from .poly import (
 )
 from .hypersurfaces import (
     Hypersurface,
-    ProjPoint,
     reduce_hypersurface_mod,
     reduce_polys_mod,
 )
 from .gridcheck import (
     BipartiteGraph,
     _AdjacencyRows,
-    _monomial_values,
     _terms_int,
+    _values_mod,
     find_grid,
     proj_residues,
 )
@@ -58,13 +57,6 @@ class RationalMap:
         self.components = components
         self.degree = degs.pop()
 
-    def apply_point(self, v: ProjPoint) -> ProjPoint | None:
-        """Image point, or None when v lies in the base locus."""
-        coords = [c.evaluate(list(v.coords)) for c in self.components]
-        if all(c.is_zero() for c in coords):
-            return None
-        return ProjPoint(self.field, coords)
-
     def reduce_mod(self, p: int) -> "RationalMap":
         return RationalMap(reduce_polys_mod(self.components, p))
 
@@ -81,10 +73,6 @@ class RationalMap:
 
 
 YV = ("y0", "y1", "y2")
-
-
-def identity_map(field: Field, vars: tuple = YV) -> RationalMap:
-    return RationalMap([MultiPoly.variable(field, vars, v) for v in vars])
 
 
 def standard_quadratic(field: Field, vars: tuple = YV) -> RationalMap:
@@ -159,9 +147,6 @@ class AffineAutomorphism:
         self.inverse_components = inverse_components
         self.kind = kind
 
-    def apply_point(self, point) -> tuple:
-        return tuple(c.evaluate(point) for c in self.components)
-
     def apply_poly(self, F: MultiPoly) -> MultiPoly:
         return F.substitute(dict(zip(self.vars, self.components)), new_vars=F.vars)
 
@@ -214,14 +199,6 @@ def nagata(field: Field) -> AffineAutomorphism:
 
 
 # -- sampled grid transport ---------------------------------------------------------
-
-
-def _values_mod(f: MultiPoly, pts: list, p: int) -> list:
-    """f, a form over F_p, at each residue tuple of pts, mod p."""
-    vals = [0] * len(pts)
-    for c, row in zip(f.terms.values(), _monomial_values(pts, list(f.terms), p)):
-        vals = [v + c * m for v, m in zip(vals, row)]
-    return [v % p for v in vals]
 
 
 def grid_transport_check(

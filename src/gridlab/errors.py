@@ -25,7 +25,7 @@ class DimensionMismatch(GridlabError):
 
 
 class CoefficientNotInPrimeField(GridlabError):
-    """norm_poly produced a coefficient outside F_p; signals a bug."""
+    """norm_poly or norm produced a value outside F_p; signals a bug."""
 
 
 # -- polynomials --------------------------------------------------------------

@@ -5,6 +5,10 @@ default the canonical one: the lexicographically smallest monic irreducible
 polynomial of degree s over F_p, coefficients compared low-degree-first.
 Elements are coefficient vectors in the basis 1, b, ..., b^(s-1), which is
 exactly the basis the linear isomorphism pi_s uses.
+Each extension field keeps the matrix of the F_p-linear Frobenius map
+a -> a^p: the norm is the product of the conjugates a, a^p, ..., a^(p^(s-1))
+(the power formula's value) and an inverse is the product of all but a over
+the norm, at s-1 matrix applications each instead of ~2 s log2(p) products.
 """
 
 from __future__ import annotations
@@ -12,6 +16,7 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import lru_cache
 from itertools import product
+from operator import mul as _times
 
 from .errors import (
     CoefficientNotInPrimeField,
@@ -109,8 +114,6 @@ class FieldElem:
         return self._check(other) / self
 
     def inv(self) -> "FieldElem":
-        if self.is_zero():
-            raise DivisionByZero("inverse of zero")
         return FieldElem(self.field, self.field._inv(self.val))
 
     def __pow__(self, e: int) -> "FieldElem":
@@ -212,6 +215,8 @@ class Rationals(Field):
         return -a
 
     def _inv(self, a):
+        if not a:
+            raise DivisionByZero("inverse of zero")
         return 1 / a
 
     def _is_zero(self, a):
@@ -274,6 +279,8 @@ class PrimeField(Field):
         return -a % self.p
 
     def _inv(self, a):
+        if not a:
+            raise DivisionByZero("inverse of zero")
         return pow(a, -1, self.p)
 
     def _is_zero(self, a):
@@ -375,25 +382,18 @@ class ExtensionField(Field):
             if not _is_irreducible(modulus, p):
                 raise UnsupportedParameters("modulus is reducible")
         self.modulus = modulus
-        # reduction table: b^(s+k) expressed in the power basis, k = 0..s-2
-        head = tuple((-c) % p for c in modulus[:-1])  # b^s
-        cur = list(head)
-        self._red = [tuple(cur)]
-        for _ in range(s - 2 + 1):
-            cur = self._shift_reduce(cur)
-            self._red.append(tuple(cur))
-
-    def _shift_reduce(self, vec: list) -> list:
-        # multiply by b and reduce once using b^s = head
-        p, s = self.p, self.s
-        out = [0] + vec[: s - 1]
-        top = vec[s - 1]
-        if top:
-            head = self._red[0]
-            out = [(out[i] + top * head[i]) % p for i in range(s)]
-        else:
-            out = [c % p for c in out]
-        return out
+        # reduction table: _red[k] = b^(s+k) in the power basis, k = 0..s-2
+        self._red = []
+        for k in range(s - 1):
+            r = _upoly_mod((0,) * (s + k) + (1,), modulus, p)
+            self._red.append(r + (0,) * (s - len(r)))
+        # the Frobenius matrix by columns: _frob[k][j] = coordinate k of
+        # (b^j)^p = (b^p)^j
+        bp = (self.generator ** p).val
+        rows = [self._one()]
+        for _ in range(s - 1):
+            rows.append(self._mul(rows[-1], bp))
+        self._frob = tuple(zip(*rows))
 
     def coerce(self, x) -> tuple:
         if isinstance(x, FieldElem):
@@ -448,17 +448,23 @@ class ExtensionField(Field):
                     out[i] = (out[i] + c * red[i]) % p
         return tuple(out)
 
+    def _conjugates(self, a):
+        """Frob(a) * Frob^2(a) * ... * Frob^(s-1)(a), the conjugates of a
+        other than a itself (one when s = 1); a times it is the norm of a."""
+        p, frob = self.p, self._frob
+        prod = None
+        for _ in range(self.s - 1):
+            a = tuple([sum(map(_times, a, col)) % p for col in frob])
+            prod = a if prod is None else self._mul(prod, a)
+        return self._one() if prod is None else prod
+
     def _inv(self, a):
-        order = self.p**self.s
-        e = order - 2
-        result = self._one()
-        base = a
-        while e:
-            if e & 1:
-                result = self._mul(result, base)
-            base = self._mul(base, base)
-            e >>= 1
-        return result
+        rest = self._conjugates(a)
+        n = self._mul(a, rest)[0]
+        if not n:
+            raise DivisionByZero("inverse of zero")
+        n = pow(n, -1, self.p)
+        return tuple([c * n % self.p for c in rest])
 
     def _is_zero(self, a):
         return all(c == 0 for c in a)
@@ -523,28 +529,27 @@ def field_from_descriptor(d: dict) -> Field:
 # -- norm and pi_s -------------------------------------------------------------
 
 def norm(alpha: FieldElem) -> FieldElem:
-    """Field norm F_{p^s} -> F_p via the power formula a^((p^s-1)/(p-1))."""
+    """Field norm F_{p^s} -> F_p: the product of the Frobenius conjugates
+    alpha, alpha^p, ..., alpha^(p^(s-1)), which is the value of the power
+    formula alpha^((p^s-1)/(p-1))."""
     F = alpha.field
     if not isinstance(F, ExtensionField):
         raise WrongField("norm needs an extension-field element")
-    if alpha.is_zero():
-        return F.prime_subfield().zero
-    e = (F.p**F.s - 1) // (F.p - 1)
-    val = (alpha**e).val
-    if any(c != 0 for c in val[1:]):
+    val = F._mul(alpha.val, F._conjugates(alpha.val))
+    if any(val[1:]):
         raise CoefficientNotInPrimeField("norm left the prime subfield")
-    return F.prime_subfield().elem(val[0])
+    return FieldElem(F.prime_subfield(), val[0])
 
 
 def pi_s(F: ExtensionField, u) -> FieldElem:
     """The F_p-linear isomorphism F_p^s -> F_{p^s}, u -> sum u_i b^(i-1)."""
     if not isinstance(F, ExtensionField):
         raise WrongField("pi_s needs an extension field")
-    u = list(u)
-    if len(u) != F.s:
+    p = F.p
+    coords = tuple((c.val if isinstance(c, FieldElem) else int(c)) % p for c in u)
+    if len(coords) != F.s:
         raise DimensionMismatch(f"need {F.s} coordinates")
-    coords = [c.val if isinstance(c, FieldElem) else int(c) % F.p for c in u]
-    return FieldElem(F, tuple(c % F.p for c in coords))
+    return FieldElem(F, coords)
 
 
 def pi_s_inv(alpha: FieldElem) -> list:

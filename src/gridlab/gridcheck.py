@@ -217,22 +217,38 @@ def _monomial_tables(exps, p):
     """tables[i] = (k, powers) pairs, one per variable k in the monomial
     exps[i], with powers[a] = a^(exps[i][k]) mod p: the monomial's value at
     a point of residues in [0, p) is the product of powers[pt[k]] mod p."""
-    powers = {k: [pow(a, k, p) for a in range(p)] for e in exps for k in e if k}
+    used = {ek for e in exps for ek in e if ek}
+    powers = {k: [pow(a, k, p) for a in range(p)] for k in used}
     return [[(k, powers[ek]) for k, ek in enumerate(e) if ek] for e in exps]
 
 
 def _monomial_values(points, exps, p):
-    """values[i][j] = the monomial exps[i] at points[j], mod p."""
+    """values[i][j] = the monomial exps[i] at points[j], mod p.
+
+    Column-wise: one residue column per (variable, exponent) by lookup in
+    `_monomial_tables`, a monomial's column the product of its columns."""
+    if not points:
+        return [[] for _ in exps]
+    coords = list(zip(*points))
+    columns = {}  # (variable, exponent) -> its residue column
     values = []
-    for cols in _monomial_tables(exps, p):
-        row = []
-        for pt in points:
-            m = 1
-            for k, pw in cols:
-                m = m * pw[pt[k]] % p
-            row.append(m)
-        values.append(row)
+    for e, cols in zip(exps, _monomial_tables(exps, p)):
+        row = None
+        for k, pw in cols:
+            col = columns.get((k, e[k]))
+            if col is None:
+                col = columns[k, e[k]] = list(map(pw.__getitem__, coords[k]))
+            row = col if row is None else [x * y % p for x, y in zip(row, col)]
+        values.append([1] * len(points) if row is None else row)
     return values
+
+
+def _values_mod(f, points, p):
+    """f, a polynomial over F_p, at each residue tuple of points, mod p."""
+    vals = [0] * len(points)
+    for c, row in zip(f.terms.values(), _monomial_values(points, list(f.terms), p)):
+        vals = [v + c * m for v, m in zip(vals, row)]
+    return [v % p for v in vals]
 
 
 def _lane_kernel(terms, left_coords, right_coords, p):

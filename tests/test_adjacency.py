@@ -12,7 +12,9 @@ from gridlab.fields import GF, QQ
 from gridlab.gridcheck import (
     BipartiteGraph,
     _AdjacencyRows,
+    _monomial_values,
     _terms_int,
+    _values_mod,
     build_graph,
     find_grid,
     max_common_neighborhood,
@@ -334,3 +336,45 @@ def test_one_vertex_right_side(p):
         assert rows == reference_rows(terms, left, [v], p)
         assert sum(rows) == 1  # the one left point equal to v
 
+
+
+# -- monomial columns against the per-point loop --------------------------------------
+
+
+def reference_monomial_values(points, exps, p):
+    """values[i][j] = the monomial exps[i] at points[j], mod p, one point
+    at a time."""
+    values = []
+    for e in exps:
+        row = []
+        for pt in points:
+            m = 1
+            for c, k in zip(pt, e):
+                m = m * pow(c, k, p) % p
+            row.append(m)
+        values.append(row)
+    return values
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data(), st.sampled_from([2, 3, 5, 7, 13]), st.integers(1, 3))
+def test_monomial_values_match_per_point_loop(data, p, nvars):
+    # exponents reach past p, points may be empty, and the constant
+    # monomial and repeated monomials are drawn too
+    exps = data.draw(st.lists(st.tuples(*[st.integers(0, 2 * p + 1)] * nvars), max_size=6))
+    exps.append((0,) * nvars)
+    points = data.draw(st.lists(st.tuples(*[st.integers(0, p - 1)] * nvars), max_size=20))
+    assert _monomial_values(points, exps, p) == reference_monomial_values(points, exps, p)
+    f = MultiPoly(GF(p), tuple(f"z{k}" for k in range(nvars)),
+                  {e: data.draw(st.integers(1, p - 1)) for e in exps})
+    want = [f.evaluate(list(pt)).val for pt in points]
+    assert _values_mod(f, points, p) == want
+
+
+def test_monomial_values_edge_cases():
+    assert _monomial_values([], [(0, 0), (2, 1)], 5) == [[], []]
+    assert _monomial_values([(1, 2), (3, 4)], [], 5) == []
+    assert _monomial_values([(1, 2), (3, 4)], [(0, 0)], 5) == [[1, 1]]
+    # x^7 = x^3 on F_5 (exponent >= p), and 0^0 = 1
+    pts = [(a, 0) for a in range(5)]
+    assert _monomial_values(pts, [(7, 0), (3, 0)], 5) == [[0, 1, 3, 2, 4]] * 2

@@ -9,8 +9,10 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from gridlab import cli
 from gridlab.cli import main, run_sweep
 from gridlab.errors import UnsupportedParameters
+from gridlab.fields import GF, norm_poly, pi_s
 
 
 def run(capsys, *argv):
@@ -443,6 +445,28 @@ def test_benchmark_sweep_golden(capsys):
     code, out = run(capsys, "sweep", "--primes", "5,7,11,13,17,19")
     assert code == 0
     assert out.encode() == golden.read_bytes()
+
+
+def reference_check_norm_poly(p: int) -> dict:
+    """The sweep's norm-poly check one pair at a time: norm_poly(p, 2)
+    evaluated with FieldElems, against the power formula a^(p+1)."""
+    np2 = norm_poly(p, 2)
+    K = GF(p, 2)
+    bad = 0
+    for a0 in range(p):
+        for a1 in range(p):
+            if (pi_s(K, (a0, a1)) ** (p + 1)).val[0] != np2.evaluate([a0, a1]).val:
+                bad += 1
+    return {"pass": bad == 0, "mismatches": bad, "inputs": p * p}
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 7])
+def test_check_norm_poly_matches_element_loop(p, monkeypatch):
+    assert cli._check_norm_poly(p) == reference_check_norm_poly(p)
+    # a wrong polynomial is caught at every pair with a nonzero norm
+    monkeypatch.setattr(cli, "norm_poly", lambda p, s: norm_poly(p, s) * 2)
+    got = cli._check_norm_poly(p)
+    assert got["mismatches"] == p * p - 1 and got["inputs"] == p * p
 
 
 def _construct_outputs():

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from gridlab.errors import (
+    CoefficientNotInPrimeField,
     DivisionByZero,
     MixedFields,
     WrongField,
@@ -15,6 +16,8 @@ from gridlab.errors import (
 from gridlab.fields import (
     GF,
     QQ,
+    ExtensionField,
+    FieldElem,
     canonical_modulus,
     field_from_descriptor,
     is_prime,
@@ -271,3 +274,98 @@ def test_pow_edge_exponents(field):
     assert a**0 == one
     assert a**-1 == a.inv()
     assert a**-3 * a**3 == one
+
+
+# -- norms and inverses through the Frobenius map -----------------------------------
+
+
+def _raw_power(F, a, e):
+    """a^e on raw values by square-and-multiply."""
+    result = F._one()
+    while e:
+        if e & 1:
+            result = F._mul(result, a)
+        a = F._mul(a, a)
+        e >>= 1
+    return result
+
+
+def reference_norm(F, a) -> int:
+    """The norm of the raw value a by the power formula a^((p^s-1)/(p-1))."""
+    val = _raw_power(F, a, (F.p**F.s - 1) // (F.p - 1))
+    assert val[1:] == (0,) * (F.s - 1)
+    return val[0]
+
+
+def reference_inv(F, a) -> tuple:
+    """Fermat's inverse a^(p^s-2) of a nonzero raw value a."""
+    return _raw_power(F, a, F.p**F.s - 2)
+
+
+NONCANONICAL_F25 = ExtensionField(5, 2, (3, 0, 1))  # z^2 + 3
+DIRECT_F7 = ExtensionField(7, 1)  # built directly; GF(7) is the prime field
+FROBENIUS_FIELDS = (
+    GF(2, 2), GF(2, 3), GF(2, 5), GF(3, 2), GF(5, 2), GF(7, 3), GF(101, 2),
+    NONCANONICAL_F25, DIRECT_F7,
+)
+
+
+def test_frobenius_fields_cover_the_edge_cases():
+    assert NONCANONICAL_F25.modulus != canonical_modulus(5, 2)
+    assert DIRECT_F7.s == 1 and DIRECT_F7._conjugates((3,)) == (1,)
+
+
+@settings(max_examples=300, deadline=None)
+@given(field=st.sampled_from(FROBENIUS_FIELDS), data=st.data())
+def test_norm_and_inverse_match_power_formulas(field, data):
+    a = tuple(data.draw(st.lists(st.integers(0, field.p - 1),
+                                 min_size=field.s, max_size=field.s)))
+    alpha = FieldElem(field, a)
+    n = norm(alpha)
+    assert n.field == GF(field.p)
+    if not any(a):
+        assert n.val == 0
+        with pytest.raises(DivisionByZero):
+            field._inv(a)
+        return
+    assert n.val == reference_norm(field, a)
+    inv = field._inv(a)
+    assert inv == reference_inv(field, a)
+    assert field._mul(a, inv) == field._one()
+
+
+@pytest.mark.parametrize("field", FROBENIUS_FIELDS)
+def test_frobenius_matrix_is_the_p_th_power(field):
+    # the first conjugate of a, from the matrix, is a^p, for every basis vector
+    if field.s == 1:
+        return
+    for j in range(field.s):
+        b = tuple(int(i == j) for i in range(field.s))
+        conj = tuple(field._frob[k][j] for k in range(field.s))
+        assert conj == _raw_power(field, b, field.p)
+
+
+@pytest.mark.parametrize("field", (GF(2, 3), GF(3, 2), NONCANONICAL_F25, DIRECT_F7))
+def test_norm_and_inverse_exhaustive(field):
+    for alpha in field.elements():
+        if alpha.is_zero():
+            continue
+        assert norm(alpha).val == reference_norm(field, alpha.val)
+        assert alpha.inv().val == reference_inv(field, alpha.val)
+
+
+def test_norm_outside_prime_subfield_raises():
+    # a corrupted Frobenius matrix (the identity) gives a^2, not the norm,
+    # and (1 + b)^2 = 2b in F_3[b]/(b^2 + 1)
+    F = ExtensionField(3, 2)
+    F._frob = ((1, 0), (0, 1))
+    with pytest.raises(CoefficientNotInPrimeField):
+        norm(F.elem((1, 1)))
+
+
+@pytest.mark.parametrize("field", (QQ, GF(7), GF(101), GF(5, 2), GF(2, 3), DIRECT_F7))
+def test_inverse_of_zero_is_a_typed_error(field):
+    with pytest.raises(DivisionByZero):
+        field._inv(field._zero())
+    with pytest.raises(DivisionByZero):
+        field.zero.inv()
