@@ -13,10 +13,11 @@ import json
 import sys
 
 from .errors import BudgetExceeded, GridlabError, UnknownSuite, UnsupportedParameters
-from .fields import GF, QQ, is_prime, norm, norm_poly, pi_s
+from .fields import GF, QQ, is_prime, norm, norm_poly, pi_s, primitive_root
 from .poly import BiHomPoly, MultiPoly
 from .hypersurfaces import (
     Hypersurface,
+    MatrixPair,
     OpenSet,
     ProjPoint,
     construct,
@@ -306,7 +307,21 @@ def _check_s1(p: int, verdicts: list) -> dict:
 
 
 def _check_transport(p: int, H0: Hypersurface, sigma) -> dict:
-    rep = cremona.grid_transport_check(H0, sigma, p, 2, 2)
+    """The transport of x0*y0 + x1*y1 + x2*y2 by the standard quadratic map,
+    pruned by the diagonal torus: sigma(D y) = det D * D^-1 sigma(y), so
+    (D, D^-1) keeps the original form and (D, D) the pulled one, for
+    D = diag(1, g, 1) and diag(1, 1, g) with g a primitive root."""
+
+    def diag(k, a):
+        """The 3 x 3 identity with a at (k, k)."""
+        return tuple(tuple(a if i == j == k else int(i == j) for j in range(3)) for i in range(3))
+
+    g = primitive_root(p)
+    pairs = []
+    for k in (1, 2):
+        D = diag(k, g)
+        pairs.append((MatrixPair(D, diag(k, pow(g, -1, p))), MatrixPair(D, D)))
+    rep = cremona.grid_transport_check(H0, sigma, p, 2, 2, symmetries=pairs)
     return {"pass": rep["consistent"], "report": rep}
 
 

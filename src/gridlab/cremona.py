@@ -5,6 +5,8 @@ automorphisms and Nagata's automorphism."""
 
 from __future__ import annotations
 
+from collections import Counter
+
 from .errors import (
     DegreeTooHigh,
     NotInvertibleShape,
@@ -29,10 +31,13 @@ from .hypersurfaces import (
 from .gridcheck import (
     BipartiteGraph,
     _AdjacencyRows,
+    _chart_codes,
+    _inverses,
     _terms_int,
     _values_mod,
     find_grid,
     proj_residues,
+    symmetry_permutations,
 )
 
 
@@ -202,42 +207,64 @@ def nagata(field: Field) -> AffineAutomorphism:
 
 
 def grid_transport_check(
-    H: Hypersurface, sigma_y: RationalMap, p: int, s: int, t: int
+    H: Hypersurface, sigma_y: RationalMap, p: int, s: int, t: int, symmetries: list | None = None
 ) -> dict:
     """Verify on P^s(F_p) that applying (id, sigma_y) transports grids:
     off the base and exceptional loci, the pulled-back graph must coincide
     with the original graph under v -> sigma_y(v).
 
-    Points are residue tuples: sigma_y's components and the removed
-    y-content are evaluated at every point at once, and each image is
-    scaled to its first nonzero coordinate 1, as `ProjPoint` does."""
+    Points are residue tuples.  sigma_y's components and the removed
+    y-content are evaluated at every point at once; each image is scaled to
+    first nonzero coordinate 1 and indexed in the order of `proj_residues`
+    (`gridcheck._chart_codes`), and the sample keeps the points v where
+    sigma_y is defined, off the exceptional locus, whose image w is hit
+    once.  The original graph joins P^s to the images w, the pulled one to
+    the points v, in the order of v.
+
+    `symmetries` lists candidate pairs (g, h) of MatrixPairs, g for the
+    original graph and h for the pulled one, as `build_graph` takes
+    `symmetries=`.  A pair is kept only when both maps are verified
+    automorphisms of their graphs (`gridcheck.symmetry_permutations`) and
+    give the same left and the same right index permutation, (π, ρ).  Then
+    rows_orig[π(u)] is rows_orig[u] with its bits moved by ρ, and so is
+    rows_pull[π(u)] with rows_pull[u]: rows that agree at u agree at every
+    vertex of u's orbit, and the rows are compared only at the smallest
+    vertex of each orbit of the group the kept pairs generate.  Both scans
+    are pruned by the same permutations, on on-demand rows and kernel
+    columns.  A wrong or missing candidate costs speed only."""
     Hp = reduce_hypersurface_mod(H, p)
     sig = sigma_y.reduce_mod(p)
     Hpulled, _, cy = apply_with_contents(None, sig, Hp)
     pts = proj_residues(p, Hp.s)
-    images = zip(*[_values_mod(c, pts, p) for c in sig.components])
+    codes = _chart_codes([_values_mod(c, pts, p) for c in sig.components], p, _inverses(p))
+    off = _values_mod(cy.with_vars(sig.vars), pts, p)
     # keep v where sigma is defined, injective on the sample, and off the
     # exceptional locus of the content removal
-    seen = {}
-    for v, w, off in zip(pts, images, _values_mod(cy.with_vars(sig.vars), pts, p)):
-        pivot = next((c for c in w if c), 0)
-        if pivot and off:
-            inv = pow(pivot, -1, p)
-            seen.setdefault(tuple(c * inv % p for c in w), []).append(v)
-    pairs = sorted((vs[0], w) for w, vs in seen.items() if len(vs) == 1)
+    usable = [(v, w) for v, w, o in zip(pts, codes, off) if w >= 0 and o]
+    hits = Counter(w for _, w in usable)
+    pairs = sorted((v, pts[w]) for v, w in usable if hits[w] == 1)
     if len(pairs) < t:
         raise SampleTooSmall(f"only {len(pairs)} usable sample points")
     right_orig = [w for _, w in pairs]
     right_pull = [v for v, _ in pairs]
-    rows_orig = list(_AdjacencyRows(_terms_int(Hp), pts, right_orig, p))
-    rows_pull = list(_AdjacencyRows(_terms_int(Hpulled), pts, right_pull, p))
-    adjacency_match = rows_orig == rows_pull
-    w1 = find_grid(BipartiteGraph(pts, right_orig, rows_orig), s, t)
+    rows_orig = _AdjacencyRows(_terms_int(Hp), pts, right_orig, p)
+    rows_pull = _AdjacencyRows(_terms_int(Hpulled), pts, right_pull, p)
+    perms = []
+    if symmetries:
+        orig = symmetry_permutations(Hp.form, [g for g, _ in symmetries], pts, right_orig, p, False)
+        pull = symmetry_permutations(Hpulled.form, [h for _, h in symmetries], pts, right_pull, p, False)
+        perms = [a[0] for a, b in zip(orig, pull) if a is not None and a == b]
+    G1 = BipartiteGraph(pts, right_orig, rows_orig, perms, rows_orig.transpose())
+    labels = G1.orbit_labels
+    minima = range(len(pts)) if labels is None else [u for u, m in enumerate(labels) if u == m]
+    adjacency_match = all(rows_orig[u] == rows_pull[u] for u in minima)
+    w1 = find_grid(G1, s, t)
     # equal rows give an equal scan, so the pulled graph is scanned only
     # when the rows differ
     w2 = w1
     if not adjacency_match:
-        w2 = find_grid(BipartiteGraph(pts, right_pull, rows_pull), s, t)
+        G2 = BipartiteGraph(pts, right_pull, rows_pull, perms, rows_pull.transpose())
+        w2 = find_grid(G2, s, t)
     return {
         "p": p,
         "s": s,

@@ -18,7 +18,7 @@ from .errors import (
     PointNotRational,
     ZeroSection,
 )
-from .fields import Field
+from .fields import Field, matrix_rank
 from .poly import (
     BiHomPoly,
     MultiPoly,
@@ -207,34 +207,6 @@ def _monomials(nvars: int, degree: int):
     for k in range(degree, -1, -1):
         for rest in _monomials(nvars - 1, degree - k):
             yield (k,) + rest
-
-
-def matrix_rank(rows: list, field: Field) -> int:
-    """Exact rank by forward elimination over the coefficient field; the
-    entries are field elements or anything `field.coerce` accepts."""
-    m = [[field.coerce(c) for c in row] for row in rows]
-    is_zero, mul, sub = field._is_zero, field._mul, field._sub
-    rank = 0
-    for col in range(len(m[0]) if m else 0):
-        pivot = next(
-            (i for i in range(rank, len(m)) if not is_zero(m[i][col])), None
-        )
-        if pivot is None:
-            continue
-        m[rank], m[pivot] = m[pivot], m[rank]
-        top = m[rank]
-        inv = field._inv(top[col])
-        for row in m[rank + 1 :]:
-            # entries left of `col` are already zero below the pivot
-            if not is_zero(row[col]):
-                factor = mul(row[col], inv)
-                row[col:] = [
-                    sub(c, mul(factor, d)) for c, d in zip(row[col:], top[col:])
-                ]
-        rank += 1
-        if rank == len(m):
-            break
-    return rank
 
 
 def common_component_rank_test(

@@ -526,6 +526,50 @@ def field_from_descriptor(d: dict) -> Field:
     raise UnsupportedParameters(f"unknown field kind {kind!r}")
 
 
+# -- linear algebra over a field -----------------------------------------------
+
+def matrix_rank(rows: list, field: Field) -> int:
+    """Exact rank by forward elimination over the coefficient field; the
+    entries are field elements or anything `field.coerce` accepts."""
+    m = [[field.coerce(c) for c in row] for row in rows]
+    is_zero, mul, sub = field._is_zero, field._mul, field._sub
+    rank = 0
+    for col in range(len(m[0]) if m else 0):
+        pivot = next(
+            (i for i in range(rank, len(m)) if not is_zero(m[i][col])), None
+        )
+        if pivot is None:
+            continue
+        m[rank], m[pivot] = m[pivot], m[rank]
+        top = m[rank]
+        inv = field._inv(top[col])
+        for row in m[rank + 1 :]:
+            # entries left of `col` are already zero below the pivot
+            if not is_zero(row[col]):
+                factor = mul(row[col], inv)
+                row[col:] = [
+                    sub(c, mul(factor, d)) for c, d in zip(row[col:], top[col:])
+                ]
+        rank += 1
+        if rank == len(m):
+            break
+    return rank
+
+
+def primitive_root(p: int) -> int:
+    """The smallest generator of F_p^*, p prime."""
+    m, factors, q = p - 1, [], 2
+    while q * q <= m:
+        if m % q == 0:
+            factors.append(q)
+            while m % q == 0:
+                m //= q
+        q += 1
+    if m > 1:
+        factors.append(m)
+    return next(g for g in range(1, p) if all(pow(g, (p - 1) // q, p) != 1 for q in factors))
+
+
 # -- norm and pi_s -------------------------------------------------------------
 
 def norm(alpha: FieldElem) -> FieldElem:

@@ -60,23 +60,30 @@ degree is constant on each orbit of left vertices, and by the
 orbit-stabiliser count |E| = sum over the orbits O of |O| * deg(min O).
 `BipartiteGraph` computes the orbit labels once, for this count, `degree`
 and the scan's first depth.  Family 1a's maps act on F_p^2 with two
-orbits, so its count reads 2 rows of p^2.  A graph without symmetries sums
-every row.
+orbits, and on P^2(F_p) with one, so its count reads 2 rows, or 1.  A
+graph without symmetries sums every row.
 
 The symmetries come from `build_graph(..., symmetries=...)` as candidate
-affine maps (x, y) -> (A_x x + b_x, A_y y + b_y) of the chart coordinates
-(`hypersurfaces.family_symmetries`).  A candidate is kept only when all of
-these hold:
-- the chart is affine and both sides hold all p^s of its points, so both
-  are all of F_p^s;
-- A_x and A_y are invertible mod p, so the map is a bijection of each side;
-- the map carries the form mod p to λ times the form, λ != 0.
-Then the map sends edges to edges and non-edges to non-edges.  The last
-test is one `MultiPoly.substitute` into the reduced bihomogeneous form, of
-the map homogenised with x0 and y0 fixed: x_i -> b_i x0 + sum_j A_ij x_j,
-and likewise on y.  A form of fixed bidegree is determined by its values on
-the chart x0 = y0 = 1, so this is the affine test.  A wrong candidate is
-dropped, and a missing one costs only speed.  No family label is trusted.
+matrix pairs (M_x, M_y) mod p acting on homogeneous coordinates,
+(x, y) -> (M_x x, M_y y) (`hypersurfaces.MatrixPair`,
+`hypersurfaces.family_symmetries`); an affine map x -> A x + b of the
+chart x0 = 1 is [[1, 0], [b, A]].  `symmetry_permutations` keeps a
+candidate only when all of these hold:
+- both matrices are (s+1) x (s+1) and invertible mod p, and on the affine
+  chart the rows of x0 and y0 are (1, 0, ..., 0), so the map is an affine
+  map [[1, 0], [b, A]] of the chart;
+- the map carries the form mod p to λ times the form, λ != 0: one
+  `MultiPoly.substitute` of x_i -> sum_j (M_x)_ij x_j, and likewise on y,
+  into the reduced bihomogeneous form;
+- M_x maps the left vertex list onto itself and M_y the right one.
+Then the map sends edges to edges and non-edges to non-edges, on either
+chart and between any open sets: the last test is made on the vertex lists
+themselves, so no reasoning about the excluded forms is needed.  It maps
+all vertices at once, column by column, scales each image to first
+nonzero coordinate 1 and computes its index in the chart's order
+arithmetically (`_chart_codes`); a side with an open set is indexed
+through a position table.  A wrong candidate is dropped, and a missing one
+costs only speed.  No family label is trusted.
 """
 
 from __future__ import annotations
@@ -87,7 +94,6 @@ from collections.abc import Sequence
 from itertools import product
 from math import comb
 
-from .curves import matrix_rank
 from .errors import (
     BudgetExceeded,
     EmptySide,
@@ -95,6 +101,7 @@ from .errors import (
     ParameterOutOfRange,
     UnknownVariable,
 )
+from .fields import matrix_rank
 from .hypersurfaces import (
     Hypersurface,
     OpenSet,
@@ -355,46 +362,171 @@ class _AdjacencyRows(Sequence):
         return _AdjacencyRows(swapped, right_coords, left_coords, p)
 
 
-def _is_automorphism(form: MultiPoly, m, s: int) -> bool:
-    """Whether the ChartMap m is a bijection of F_p^s on each side and,
-    homogenised with x0 and y0 fixed, carries `form`, the monic reduced
-    form in (x0..xs, y0..ys), to a nonzero multiple of itself; then it maps
-    edges to edges and non-edges to non-edges."""
-    sides = ((m.ax, m.bx), (m.ay, m.by))
-    for A, b in sides:
-        if len(A) != s or len(b) != s or any(len(row) != s for row in A):
-            return False
-        if matrix_rank(A, form.field) < s:
-            return False
-    vars = form.vars
+def _carries_form(form, m) -> bool:
+    """Whether x -> M_x x and y -> M_y y carry `form`, a monic bihomogeneous
+    form over F_p, to λ·form with λ != 0: then the map sends edges to edges
+    and non-edges to non-edges.  One `MultiPoly.substitute`; a variable
+    that the map fixes is left out, so substitute skips it."""
+    poly = form.poly
+    vars = poly.vars
     unit = [tuple(int(i == k) for i in range(len(vars))) for k in range(len(vars))]
+    p = poly.field.characteristic
     images = {}
-    for side, (A, b) in enumerate(sides):
-        h = side * (s + 1)  # the index of x0, or of y0
-        for i, (row, c) in enumerate(zip(A, b)):
-            terms = {unit[h]: c, **{unit[h + 1 + j]: a for j, a in enumerate(row)}}
-            v = vars[h + 1 + i]
-            image = MultiPoly(form.field, vars, terms)
-            # a variable the map fixes is left out, so substitute skips it
-            if image != MultiPoly.variable(form.field, vars, v):
-                images[v] = image
-    g = form.substitute(images, new_vars=vars)
+    for group, M in zip((form.xvars, form.yvars), m):
+        at = [vars.index(v) for v in group]
+        for i, row in enumerate(M):
+            if any(a % p != (i == j) for j, a in enumerate(row)):
+                terms = {unit[at[j]]: a for j, a in enumerate(row)}
+                images[group[i]] = MultiPoly(poly.field, vars, terms)
+    g = poly.substitute(images, new_vars=vars)
     # the form is monic, so this is g = λ·form with λ != 0
-    return not g.is_zero() and g.monic() == form
+    return not g.is_zero() and g.monic() == poly
 
 
-def _left_permutation(A: tuple, b: tuple, points: list, p: int) -> list:
-    """perm[i] = the index of A points[i] + b in `points`, which lists all
-    of F_p^s in lexicographic order."""
-    coords = list(zip(*points))
-    perm = [0] * len(points)
-    for row, c in zip(A, b):
-        image = [c] * len(points)
-        for a, col in zip(row, coords):
-            if a % p:
-                image = [u + a * v for u, v in zip(image, col)]
-        perm = [q * p + u % p for q, u in zip(perm, image)]
-    return perm
+def _image(M, coords, p) -> list:
+    """The coordinate columns of M applied to the points whose coordinate
+    columns are `coords`, mod p; a unit row reuses its column."""
+    image = []
+    for row in M:
+        terms = [(a % p, col) for a, col in zip(row, coords) if a % p]
+        if len(terms) == 1 and terms[0][0] == 1:
+            image.append(terms[0][1])
+            continue
+        (a, col), *more = terms
+        acc = col if a == 1 else [a * v for v in col]
+        for a, col in more:
+            acc = [u + a * v for u, v in zip(acc, col)]
+        image.append([u % p for u in acc])
+    return image
+
+
+def _inverses(p: int) -> list:
+    """inv[a] = a^-1 mod p, with inv[0] = 0."""
+    return [0] + [pow(a, -1, p) for a in range(1, p)]
+
+
+def _chart_codes(cols, p: int, inv: list) -> list:
+    """codes[k] = the index, in the order of `proj_residues`, of the point
+    whose coordinates are (cols[0][k], ..., cols[s][k]), residues mod p,
+    once it is scaled to first nonzero coordinate 1; -1 for the zero
+    vector.  `inv` lists the inverses mod p (`_inverses`).
+
+    That order lists (1, t) for t in F_p^s lexicographically, then (0, q)
+    for q in P^(s-1): a point with a nonzero first coordinate a has the
+    code of t = a^-1 (u1, ..., us) in base p, and one with first coordinate
+    0 has p^s plus its code in P^(s-1).  The affine chart's points are
+    therefore the first p^s of that order, in the affine chart's order."""
+    first, rest = cols[0], cols[1:]
+    if first.count(1) == len(first):
+        # affine chart points, or their images under an affine map: no
+        # scaling, which cuts the affine 1a graph's build by about a third
+        codes = list(rest[0]) if rest else [0] * len(first)
+        for col in rest[1:]:
+            codes = [c * p + u for c, u in zip(codes, col)]
+        return codes
+    scale = [inv[a] for a in first]
+    codes = [0] * len(first)
+    for col in rest:
+        codes = [c * p + u * w % p for c, u, w in zip(codes, col, scale)]
+    at_infinity = [k for k, a in enumerate(first) if not a]
+    if at_infinity:
+        if not rest:
+            tail = [-1] * len(at_infinity)
+        else:
+            tail = _chart_codes([[col[k] for k in at_infinity] for col in rest], p, inv)
+        size = p ** len(rest)
+        for k, c in zip(at_infinity, tail):
+            codes[k] = size + c if c >= 0 else -1
+    return codes
+
+
+def symmetry_permutations(
+    form, maps: list, left: list, right: list, p: int, affine: bool, right_perm: bool = True
+) -> list:
+    """For each candidate MatrixPair (M_x, M_y) of `maps`, the pair (left
+    permutation, right permutation) of vertex indices by which it acts on
+    the graph of `form` between the vertex lists `left` and `right`, or
+    None when it is not verified to be an automorphism of that graph.
+
+    The vertices are residue tuples of P^s in the canonical representatives
+    of `proj_residues` (the affine chart when `affine`).  A candidate is
+    kept when all of these hold:
+    - both matrices are (s+1) x (s+1); on the affine chart the row of x0 in
+      M_x, and of y0 in M_y, is (1, 0, ..., 0), so that the map is an
+      affine map of the chart (an arithmetic test, made before any point
+      is mapped);
+    - both matrices are invertible mod p (`fields.matrix_rank`);
+    - it carries the form mod p to λ·form, λ != 0 (`_carries_form`);
+    - M_x maps `left` onto itself and M_y maps `right` onto itself.
+    The last test maps every vertex at once, column by column, scales each
+    image to first nonzero coordinate 1 and indexes it arithmetically
+    (`_chart_codes`); a side that is not the whole chart is then indexed
+    through a position table, and a vertex whose image is not on it
+    rejects the map.  An invertible map is injective, so onto follows.  A
+    right side that is the whole chart is mapped onto itself by every map
+    that passes the first two tests; with `right_perm` false such a side is
+    not mapped, and its permutation is given as None."""
+    n = len(left[0])
+    field = form.poly.field
+    inv = _inverses(p)
+    size = p ** (n - 1) if affine else (p**n - 1) // (p - 1)
+
+    sides = {}
+
+    def side(k):
+        """(coordinate columns, position table) of left (k = 0) or right
+        (k = 1), made on first use; the table is None for the whole chart
+        in chart order, where a code is its own index."""
+        if k not in sides:
+            coords = list(zip(*(left, right)[k]))
+            codes = _chart_codes(coords, p, inv)
+            position = None
+            if codes != list(range(size)):
+                position = [-1] * size
+                for i, c in enumerate(codes):
+                    position[c] = i
+            sides[k] = coords, position
+        return sides[k]
+
+    # a map that passes the chart and rank tests maps the whole chart onto
+    # itself, so such a right side needs no mapping unless its permutation
+    # is asked for
+    skip_right = not right_perm and len(right) == size
+    out = []
+    for m in maps:
+        pair = None
+        if _invertible_on_chart(m, n, p, field, affine) and _carries_form(form, m):
+            lp = _permutation(m[0], side(0), p, inv)
+            if lp is not None:
+                rp = None if skip_right else _permutation(m[1], side(1), p, inv)
+                if skip_right or rp is not None:
+                    pair = (lp, rp)
+        out.append(pair)
+    return out
+
+
+def _permutation(M, side, p: int, inv: list) -> list | None:
+    """perm[k] = the index in a vertex list of M times its vertex k, from
+    the list's `side` (coordinate columns, position table); None when an
+    image is not in the list."""
+    coords, position = side
+    codes = _chart_codes(_image(M, coords, p), p, inv)
+    if position is None:
+        return codes
+    perm = list(map(position.__getitem__, codes))
+    return None if -1 in perm else perm
+
+
+def _invertible_on_chart(m, n: int, p: int, field, affine: bool) -> bool:
+    """Whether both matrices of m are invertible n x n matrices mod p and,
+    on the affine chart, affine maps of it: row 0 is (1, 0, ..., 0)."""
+    x0 = (1,) + (0,) * (n - 1)
+    for M in m:
+        if len(M) != n or any(len(row) != n for row in M):
+            return False
+        if affine and tuple(a % p for a in M[0]) != x0:
+            return False
+    return all(matrix_rank(M, field) == n for M in m)
 
 
 def proj_residues(p: int, s: int) -> list:
@@ -441,13 +573,13 @@ def build_graph(
     enumeration budget, BudgetExceeded is raised once the vertices are
     known, before the form is reduced mod p.
 
-    `symmetries` lists candidate ChartMaps (`hypersurfaces.family_symmetries`).
-    On the affine chart with all p^s points on each side, a candidate is
-    kept when both its matrices are invertible mod p and it carries the form
-    mod p to a nonzero multiple of itself (`_is_automorphism`); the kept maps
-    become left-index permutations in `symmetries` of the graph, which the
-    scan prunes by.  Elsewhere none is kept.  The adjacency kernel and the
-    symmetry test share one reduction of H mod p."""
+    `symmetries` lists candidate MatrixPairs
+    (`hypersurfaces.family_symmetries`).  The kept maps, those that
+    `symmetry_permutations` verifies on the form mod p and on both vertex
+    lists, on either chart and under any open sets, become left-index
+    permutations in `symmetries` of the graph, which the scan and the edge
+    count prune by.  The adjacency kernel and the symmetry test share one
+    reduction of H mod p."""
     s = H.s
     if chart == "affine":
         pts = [(1,) + tail for tail in product(range(p), repeat=s)]
@@ -470,12 +602,11 @@ def build_graph(
     display = left if chart == "projective" else [u[1:] for u in left]
     display_r = right if chart == "projective" else [v[1:] for v in right]
     kept = []
-    if symmetries and chart == "affine" and len(left) == len(right) == p**s:
-        kept = [
-            _left_permutation(m.ax, m.bx, display, p)
-            for m in symmetries
-            if _is_automorphism(Hp.form.poly, m, s)
-        ]
+    if symmetries:
+        verified = symmetry_permutations(
+            Hp.form, symmetries, left, right, p, chart == "affine", right_perm=False
+        )
+        kept = [perms[0] for perms in verified if perms]
     return BipartiteGraph(
         display,
         display_r,
@@ -675,6 +806,8 @@ def edge_report(G: BipartiteGraph, s: int, t: int) -> dict:
     """Edge count versus the Füredi leading term (1/2)(t-s+1)^(1/s) n^(2-1/s)."""
     if s < 1 or t < 1:
         raise ParameterOutOfRange(f"(s,t)=({s},{t}): both must be at least 1")
+    if t - s + 1 < 0:
+        raise ParameterOutOfRange(f"(s,t)=({s},{t}): the leading term needs t >= s - 1")
     n = len(G.left) + len(G.right)
     m = G.edge_count()
     power = n ** (2 * s - 1)

@@ -16,7 +16,7 @@ from .errors import (
     UnsupportedParameters,
     json_field,
 )
-from .fields import GF, QQ, Field, FieldElem, is_prime, norm_poly
+from .fields import GF, QQ, Field, FieldElem, is_prime, norm_poly, primitive_root
 from .poly import BiHomPoly, MultiPoly, bihomogenize, primitive_integral_model
 
 
@@ -285,25 +285,13 @@ def construct(family: str, p: int, s: int | None = None) -> Construction:
     return Construction(family, p, s, affine, Hypersurface(bihomogenize(affine, s)))
 
 
-class ChartMap(namedtuple("ChartMap", "ax bx ay by")):
-    """(x, y) -> (ax x + bx, ay y + by) on the affine chart coordinates
-    x1..xs and y1..ys, as integers mod p; matrices are tuples of rows."""
+class MatrixPair(namedtuple("MatrixPair", "mx my")):
+    """(x, y) -> (M_x x, M_y y) on the homogeneous coordinates x0..xs and
+    y0..ys: two (s+1) x (s+1) matrices of integers mod p, tuples of rows.
+    The affine map x -> A x + b of the chart x0 = 1 is the matrix
+    [[1, 0], [b, A]]."""
 
     __slots__ = ()
-
-
-def _primitive_root(p: int) -> int:
-    """The smallest generator of F_p^*, p prime."""
-    m, factors, q = p - 1, [], 2
-    while q * q <= m:
-        if m % q == 0:
-            factors.append(q)
-            while m % q == 0:
-                m //= q
-        q += 1
-    if m > 1:
-        factors.append(m)
-    return next(g for g in range(1, p) if all(pow(g, (p - 1) // q, p) != 1 for q in factors))
 
 
 def _norm_one_matrix(p: int, k: int) -> tuple:
@@ -317,60 +305,67 @@ def _norm_one_matrix(p: int, k: int) -> tuple:
 
 
 def family_symmetries(family, p: int, s: int) -> list:
-    """Candidate affine symmetries of construction `family` over F_p in
-    dimension s, as ChartMaps that should carry its affine form to a nonzero
-    multiple of itself.
+    """Candidate symmetries of construction `family` over F_p in dimension
+    s, as MatrixPairs on homogeneous coordinates that should carry its
+    bihomogeneous form to a nonzero multiple of itself.
 
-    '1a': x -> A x, y -> A^-T y for the elementary transvections A, which
-          generate SL(s, p) and keep x . y;
-    '1b': the translations (x + e_k, y + e_k), and the coordinate sign flip
-          and swaps applied to x and y alike, which keep |x - y|^2;
-    '1c': the translations (x + e_k, y - e_k) and multiplication of x and y
-          by a norm-1 element of F_{p^s}, which keep N(x + y);
+    '1a': (A, J A^-T J) with J = diag(-1, 1, ..., 1) for the elementary
+          transvections A = I + e_a e_b^T of all s+1 coordinates, which
+          generate SL(s+1, p) and keep x^T J y = x1 y1 + ... - x0 y0;
+    '1b': the translations (x + e_k x0, y + e_k y0), and the coordinate sign
+          flip and swaps applied to x and y alike, which keep |x - y|^2;
+    '1c': the translations (x + e_k x0, y - e_k y0) and multiplication of x
+          and y by a norm-1 element of F_{p^s}, which keep N(x + y);
     '1d': the same in coordinates 2..s, and x1 -> g x1, y1 -> y1 / g.
 
-    These are candidates only: `build_graph(..., symmetries=...)` keeps the
-    maps it verifies on the graph's own form, so a wrong family, p or s
-    costs speed, never correctness.  Anything else gives []."""
+    1a's transvections that move x0 or y0 are not affine maps of
+    x1..xs and y1..ys, and act on the projective chart only; the other maps
+    are affine maps of the chart.  These are candidates only:
+    `build_graph(..., symmetries=...)` keeps the maps it verifies on the
+    graph's own form and vertex lists, so a wrong family, p or s costs
+    speed, never correctness.  Anything else gives []."""
     if s < 1 or not is_prime(p):
         return []
-    ident = tuple(tuple(int(i == j) for j in range(s)) for i in range(s))
-    zero = (0,) * s
-
-    def unit(k, a):
-        return tuple(a % p if i == k else 0 for i in range(s))
+    n = s + 1
 
     def matrix(entries):
         """The identity with entries {(i, j): a} replaced, mod p."""
         return tuple(
-            tuple(entries.get((i, j), ident[i][j]) % p for j in range(s)) for i in range(s)
+            tuple(entries.get((i, j), int(i == j)) % p for j in range(n)) for i in range(n)
         )
 
+    def translation(k, a):
+        """x_k -> x_k + a x0."""
+        return matrix({(k, 0): a})
+
     def block(M):
-        """diag(1, M) when M acts on the last len(M) coordinates."""
-        off = s - len(M)
+        """diag(1, ..., 1, M) when M acts on the last len(M) coordinates."""
+        off = n - len(M)
         return matrix({(off + i, off + j): a for i, row in enumerate(M) for j, a in enumerate(row)})
 
     maps = []
     if family == "1a":
-        for i in range(s - 1):
-            for a, b in ((i, i + 1), (i + 1, i)):
-                maps.append(ChartMap(matrix({(a, b): 1}), zero, matrix({(b, a): -1}), zero))
+        # J A^-T J = I - j_a j_b e_b e_a^T, with j_0 = -1 and j_i = 1 otherwise
+        sign = [-1] + [1] * s
+        for a in range(n):
+            for b in range(n):
+                if a != b:
+                    maps.append(MatrixPair(matrix({(a, b): 1}), matrix({(b, a): -sign[a] * sign[b]})))
     elif family == "1b":
-        maps += [ChartMap(ident, unit(k, 1), ident, unit(k, 1)) for k in range(s)]
-        linear = [matrix({(0, 0): -1})]
+        maps += [MatrixPair(translation(k, 1), translation(k, 1)) for k in range(1, n)]
+        linear = [matrix({(1, 1): -1})]
         linear += [matrix({(i, i): 0, (i, i + 1): 1, (i + 1, i): 1, (i + 1, i + 1): 0})
-                   for i in range(s - 1)]
-        maps += [ChartMap(M, zero, M, zero) for M in linear]
+                   for i in range(1, s)]
+        maps += [MatrixPair(M, M) for M in linear]
     elif family in ("1c", "1d"):
-        first = 0 if family == "1c" else 1
-        maps += [ChartMap(ident, unit(k, 1), ident, unit(k, -1)) for k in range(first, s)]
-        if s - first >= 2:
-            M = block(_norm_one_matrix(p, s - first))
-            maps.append(ChartMap(M, zero, M, zero))
-        g = _primitive_root(p) if family == "1d" else 1
+        first = 1 if family == "1c" else 2
+        maps += [MatrixPair(translation(k, 1), translation(k, -1)) for k in range(first, n)]
+        if n - first >= 2:
+            M = block(_norm_one_matrix(p, n - first))
+            maps.append(MatrixPair(M, M))
+        g = primitive_root(p) if family == "1d" else 1
         if g != 1:
-            maps.append(ChartMap(matrix({(0, 0): g}), zero, matrix({(0, 0): pow(g, p - 2, p)}), zero))
+            maps.append(MatrixPair(matrix({(1, 1): g}), matrix({(1, 1): pow(g, -1, p)})))
     return maps
 
 

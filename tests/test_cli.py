@@ -99,6 +99,27 @@ def test_edges_parameters_below_one_exit_2(capsys, h1a, s, t):
     assert captured.err.startswith("error: ParameterOutOfRange:")
 
 
+@pytest.mark.parametrize("s,t", [(99, 2), (4, 2)])
+def test_edges_negative_leading_base_exit_2(capsys, h1a, s, t):
+    # t - s + 1 < 0 has no real s-th root in the Füredi term: refused up
+    # front, with a message that names (s, t)
+    code = main(["edges", "--input", h1a, "--p", "5", "--s", str(s), "--t", str(t)])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err == (
+        f"error: ParameterOutOfRange: (s,t)=({s},{t}): the leading term needs t >= s - 1\n"
+    )
+
+
+def test_edges_zero_leading_base(capsys, h1a):
+    # t = s - 1 is still reported, with a leading term of 0
+    code, data = run_json(capsys, "edges", "--input", h1a, "--p", "5", "--s", "3", "--t", "2")
+    assert code == 0
+    assert data["furedi_leading"] == "0.000000000000"
+    assert data["m"] == 120
+
+
 def test_edges_report(capsys, h1a):
     code, data = run_json(
         capsys, "edges", "--input", h1a, "--p", "5", "--s", "2", "--t", "2"

@@ -12,11 +12,20 @@ from gridlab.fields import GF, QQ
 from gridlab.poly import BiHomPoly, MultiPoly
 from gridlab.hypersurfaces import (
     Hypersurface,
+    MatrixPair,
     ProjPoint,
     proj_points,
     reduce_hypersurface_mod,
 )
-from gridlab.gridcheck import BipartiteGraph, _AdjacencyRows, _terms_int, find_grid
+from gridlab import cli, cremona
+from gridlab.gridcheck import (
+    BipartiteGraph,
+    _AdjacencyRows,
+    _terms_int,
+    find_grid,
+    proj_residues,
+    symmetry_permutations,
+)
 from gridlab.cremona import (
     AffineAutomorphism,
     RationalMap,
@@ -381,9 +390,25 @@ TRANSPORT_FORMS = (
 )
 
 
-@pytest.mark.parametrize("p", (2, 3, 5, 7, 11))
+def diag(entries) -> tuple:
+    return tuple(tuple(a if i == j else 0 for j in range(len(entries))) for i, a in enumerate(entries))
+
+
+def torus(p):
+    """The sweep's transport candidates: (D, D^-1) on the original graph and
+    (D, D) on the pulled one, for D = diag(1, g, 1) and diag(1, 1, g) with
+    g a generator of F_p^*, found by brute force."""
+    g = next(g for g in range(1, p) if len({pow(g, k, p) for k in range(p - 1)}) == p - 1)
+    h = pow(g, -1, p)
+    return [(MatrixPair(diag(D), diag(Dinv)), MatrixPair(diag(D), diag(D)))
+            for D, Dinv in (((1, g, 1), (1, h, 1)), ((1, 1, g), (1, 1, h)))]
+
+
+@pytest.mark.parametrize("p", (2, 3, 5, 7, 11, 13, 17, 19))
 @pytest.mark.parametrize("name", sorted(TRANSPORT_MAPS))
 def test_grid_transport_matches_reference(name, p):
+    # the torus candidates are verified on every form and map: kept where
+    # they are symmetries of both graphs, dropped elsewhere
     sigma = TRANSPORT_MAPS[name](QQ)
     for form in TRANSPORT_FORMS:
         h = H(form)
@@ -394,6 +419,71 @@ def test_grid_transport_matches_reference(name, p):
                 grid_transport_check(h, sigma, p, 2, 2)
             continue
         assert grid_transport_check(h, sigma, p, 2, 2) == want
+        assert grid_transport_check(h, sigma, p, 2, 2, symmetries=torus(p)) == want
+
+
+def rows_computed(monkeypatch, run) -> list:
+    """How many rows of each transport graph `run()` computes: the filled
+    entries of each `_AdjacencyRows` that `grid_transport_check` makes."""
+    made = []
+
+    class Recorded(_AdjacencyRows):
+        __slots__ = ()
+
+        def __init__(self, *args):
+            super().__init__(*args)
+            made.append(self)
+
+    monkeypatch.setattr(cremona, "_AdjacencyRows", Recorded)
+    run()
+    return [sum(bits is not None for bits in rows._known) for rows in made]
+
+
+def test_sweep_transport_reads_one_row_per_torus_orbit(monkeypatch):
+    # the torus has 7 orbits on P^2(F_19), one per support pattern; the
+    # rows are compared at their minima and the scan starts only there
+    sigma = standard_quadratic(QQ)
+    rep = {}
+    assert rows_computed(monkeypatch, lambda: rep.update(cli._check_transport(19, H(H0), sigma))) == [7, 7]
+    assert rep["report"] == reference_transport(H(H0), sigma, 19, 2, 2)
+
+
+def test_mismatched_transport_pair_is_dropped(monkeypatch):
+    # (D, D) does not keep x0*y0 + x1*y1 + x2*y2 (D^2 != 1), so the pair is
+    # dropped although (D, D) keeps the pulled form; the maps of the second
+    # pair are symmetries of their own graphs but act by different
+    # permutations (diag(1, g, 1) against diag(1, 1, g)).  Either pair is
+    # dropped, and every row is compared
+    p = 19
+    sigma = standard_quadratic(QQ)
+    (orig_1, pulled_1), (_, pulled_2) = torus(p)
+    for pairs in ([(pulled_1, pulled_1)], [(orig_1, pulled_2)]):
+        rep = {}
+        run = lambda: rep.update(grid_transport_check(H(H0), sigma, p, 2, 2, symmetries=pairs))
+        assert rows_computed(monkeypatch, run) == [381, 381]
+        assert rep == reference_transport(H(H0), sigma, p, 2, 2)
+
+
+def test_map_that_moves_the_right_sample_is_dropped(monkeypatch):
+    # x0 -> x0 + x1 with its inverse transpose y1 -> y1 - y0 keeps the form
+    # x.y on all of P^2, but the transport's right sample is the set of
+    # points off the coordinate triangle, and the map sends its points with
+    # y1 = y0 onto the side y1 = 0: the pair is dropped, every row compared
+    p = 7
+    sigma = standard_quadratic(QQ)
+    A = ((1, 1, 0), (0, 1, 0), (0, 0, 1))
+    A_inv_T = ((1, 0, 0), (p - 1, 1, 0), (0, 0, 1))
+    shear = MatrixPair(A, A_inv_T)
+    Hp = reduce_hypersurface_mod(H(H0), p)
+    pts = proj_residues(p, 2)
+    off_triangle = [v for v in pts if all(v)]
+    assert symmetry_permutations(Hp.form, [shear], pts, pts, p, False)[0] is not None
+    assert symmetry_permutations(Hp.form, [shear], pts, off_triangle, p, False) == [None]
+    (_, pulled), _ = torus(p)
+    rep = {}
+    run = lambda: rep.update(grid_transport_check(H(H0), sigma, p, 2, 2, symmetries=[(shear, pulled)]))
+    assert rows_computed(monkeypatch, run) == [len(pts), len(pts)]
+    assert rep == reference_transport(H(H0), sigma, p, 2, 2)
 
 
 def test_grid_transport_reference_exercises_every_filter():

@@ -10,7 +10,7 @@ from gridlab.errors import (
     PointNotRational,
     ZeroSection,
 )
-from gridlab.fields import GF, QQ, FieldElem
+from gridlab.fields import GF, QQ, FieldElem, matrix_rank
 from gridlab.poly import BiHomPoly, MultiPoly
 from gridlab.hypersurfaces import Hypersurface, ProjPoint
 from gridlab.curves import (
@@ -20,7 +20,6 @@ from gridlab.curves import (
     conic_classify,
     intersection_multiplicity,
     is_squarefree_section,
-    matrix_rank,
     moura_max,
 )
 

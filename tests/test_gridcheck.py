@@ -408,12 +408,13 @@ def test_reduction_follows_primitive_model():
 DATA = Path(__file__).resolve().parent / "data"
 WITNESSES = DATA / "gridcheck_witnesses.json"
 EDGES = DATA / "edges_golden.json"
+PROJECTIVE = DATA / "projective_golden.json"
 
 
 def recorded_mismatches(path: Path, command: str) -> list:
-    """Cases of the file `path` whose `gridlab <command>` stdout or exit code
-    differs from the recorded one, run in-process on the output of the
-    recorded `gridlab construct` call.  A case's `"family"` key, when
+    """Cases of the file `path` with a `<command>` key whose `gridlab
+    <command>` stdout or exit code differs from the recorded one, run
+    in-process on the output of the recorded `gridlab construct` call.  A case's `"family"` key, when
     present, replaces the family that output names (null removes it); its
     optional `exclude_x`/`exclude_y` open sets are written to files and
     passed as `--exclude-x`/`--exclude-y`."""
@@ -423,6 +424,8 @@ def recorded_mismatches(path: Path, command: str) -> list:
     with tempfile.TemporaryDirectory() as tmp:
         path_h = os.path.join(tmp, "h.json")
         for case in json.loads(path.read_text()):
+            if command not in case:
+                continue
             with contextlib.redirect_stdout(io.StringIO()):
                 cli.main(case["construct"] + ["--out", path_h])
             if "family" in case:
@@ -446,6 +449,38 @@ def recorded_mismatches(path: Path, command: str) -> list:
             if (out.getvalue(), code) != (case["stdout"], case["exit"]):
                 bad.append({**case, "got_stdout": out.getvalue(), "got_exit": code})
     return bad
+
+
+def recorded_sweep_mismatches(path: Path) -> list:
+    """Cases of the file `path` with a `"sweep"` key whose `"check"` entries
+    of `gridlab sweep <args>`, each printed as one JSON line, differ from
+    the recorded stdout."""
+    from gridlab import cli
+
+    bad = []
+    for case in json.loads(path.read_text()):
+        if "sweep" not in case:
+            continue
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            cli.main(["sweep"] + case["sweep"])
+        results = json.loads(out.getvalue())["results"]
+        got = "".join(json.dumps(r) + "\n" for r in results if r["check"] == case["check"])
+        if got != case["stdout"]:
+            bad.append({**case, "got_stdout": got})
+    return bad
+
+
+def projective_mismatches() -> list:
+    """The cases of `data/projective_golden.json` that differ: gridcheck
+    and edges on the projective chart, with and without open sets and
+    family symmetries, and the sweep's transport report at p = 19."""
+    return (recorded_mismatches(PROJECTIVE, "gridcheck") + recorded_mismatches(PROJECTIVE, "edges")
+            + recorded_sweep_mismatches(PROJECTIVE))
+
+
+def test_projective_outputs_match_recorded_outputs():
+    assert projective_mismatches() == []
 
 
 def test_gridcheck_matches_recorded_witnesses():
@@ -499,7 +534,13 @@ def test_adjacency_is_computed_on_demand():
 
 if __name__ == "__main__":
     # PYTHONPATH=src python -O tests/test_gridcheck.py: the recorded outputs
-    # and the on-demand adjacency, checked with asserts stripped from gridlab
+    # and the on-demand adjacency, checked with asserts stripped from gridlab;
+    # with the argument `projective`, data/projective_golden.json alone
+    if sys.argv[1:] == ["projective"]:
+        mismatches = projective_mismatches()
+        for case in mismatches:
+            print(json.dumps(case), file=sys.stderr)
+        sys.exit(1 if mismatches else 0)
     mismatches = recorded_mismatches(WITNESSES, "gridcheck") + recorded_mismatches(EDGES, "edges")
     for case in mismatches:
         print(json.dumps(case), file=sys.stderr)

@@ -1,30 +1,35 @@
 """Orbit pruning of the subset scan: candidate symmetries are verified on
-the form, and the pruned scan gives the unpruned scan's S, T and argmax."""
+the form and on the vertex lists, on either chart and under open sets, and
+the pruned scan gives the unpruned scan's S, T and argmax."""
 
 import random
 from itertools import combinations, product
 from math import comb
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
-from gridlab.errors import BudgetExceeded
+from gridlab.errors import BudgetExceeded, EmptySide
 from gridlab.fields import GF
 from gridlab.gridcheck import (
-    _left_permutation,
     _orbit_labels,
     build_graph,
     find_grid,
     max_common_neighborhood,
+    proj_residues,
+    symmetry_permutations,
 )
 from gridlab.hypersurfaces import (
-    ChartMap,
     Hypersurface,
+    MatrixPair,
     OpenSet,
     construct,
     family_symmetries,
+    reduce_hypersurface_mod,
+    reduce_poly_mod,
 )
 from gridlab.poly import MultiPoly, bihomogenize
+from test_gridcheck import reference_find_grid, reference_max_common
 
 
 def identity(d):
@@ -35,14 +40,36 @@ def unit(d, k, a):
     return tuple(a if i == k else 0 for i in range(d))
 
 
+def homogenised(A, b):
+    """[[1, 0], [b, A]]: the affine map x -> A x + b on homogeneous
+    coordinates."""
+    return ((1,) + (0,) * len(b),) + tuple((c,) + tuple(row) for row, c in zip(A, b))
+
+
+def affine_pair(ax, bx, ay, by):
+    """(x, y) -> (ax x + bx, ay y + by) on the chart coordinates."""
+    return MatrixPair(homogenised(ax, bx), homogenised(ay, by))
+
+
+def affine_parts(M):
+    """(A, b) of a homogenised affine map [[1, 0], [b, A]]."""
+    return tuple(row[1:] for row in M[1:]), tuple(row[0] for row in M[1:])
+
+
 def translation(d, k, a, b):
     """(x + a e_k, y + b e_k)."""
-    return ChartMap(identity(d), unit(d, k, a), identity(d), unit(d, k, b))
+    return affine_pair(identity(d), unit(d, k, a), identity(d), unit(d, k, b))
 
 
 def linear(M):
     """(x, y) -> (M x, M y)."""
-    return ChartMap(M, (0,) * len(M), M, (0,) * len(M))
+    return affine_pair(M, (0,) * len(M), M, (0,) * len(M))
+
+
+def keeps_affine_chart(m, p):
+    """Whether both matrices of m are affine maps of the chart x0 = 1: row 0
+    is (1, 0, ..., 0)."""
+    return all(tuple(a % p for a in M[0]) == (1,) + (0,) * (len(M) - 1) for M in m)
 
 
 def xy(d):
@@ -51,6 +78,36 @@ def xy(d):
 
 def hypersurface(affine: MultiPoly, d: int) -> Hypersurface:
     return Hypersurface(bihomogenize(affine, d))
+
+
+def normalised(v, p):
+    """v scaled to first nonzero coordinate 1, mod p."""
+    lead = next(c for c in v if c % p)
+    inv = pow(lead, -1, p)
+    return tuple(c * inv % p for c in v)
+
+
+def reference_permutation(M, points, p):
+    """perm[i] = the index in `points` (homogeneous residue tuples) of
+    M points[i], found through a dict; None when an image is missing."""
+    index = {pt: i for i, pt in enumerate(points)}
+    perm = []
+    for pt in points:
+        image = tuple(sum(a * c for a, c in zip(row, pt)) % p for row in M)
+        if not any(image):
+            return None
+        j = index.get(normalised(image, p))
+        if j is None:
+            return None
+        perm.append(j)
+    return perm
+
+
+def full_points(G, chart):
+    """G's vertex lists as homogeneous residue tuples."""
+    if chart == "projective":
+        return G.left, G.right
+    return [(1,) + u for u in G.left], [(1,) + v for v in G.right]
 
 
 def answers(G, sizes, ts):
@@ -63,6 +120,17 @@ def answers(G, sizes, ts):
         for t in ts:
             w = find_grid(G, s, t)
             out.append(None if w is None else (w.S, w.T))
+    return out
+
+
+def reference_answers(G, sizes, ts):
+    """`answers` from the per-candidate reference scan."""
+    out = []
+    for s in sizes:
+        if s > len(G.left):
+            continue
+        out.append(reference_max_common(G, s))
+        out += [reference_find_grid(G, s, t) for t in ts]
     return out
 
 
@@ -81,11 +149,13 @@ def assert_automorphisms(G):
 # -- random forms P(x + y) and P(x - y) --------------------------------------------
 
 
-def oracle_keeps(affine: MultiPoly, d: int, p: int, m: ChartMap) -> bool:
-    """Whether m is a bijection on each side that carries `affine` to a
-    nonzero multiple of itself, decided by brute force and MultiPoly."""
+def oracle_keeps(affine: MultiPoly, d: int, p: int, m: MatrixPair) -> bool:
+    """Whether the affine map m is a bijection on each side that carries
+    `affine` to a nonzero multiple of itself, decided by brute force and
+    MultiPoly."""
+    sides = [affine_parts(M) for M in m]
     points = list(product(range(p), repeat=d))
-    for A, b in ((m.ax, m.bx), (m.ay, m.by)):
+    for A, b in sides:
         images = {tuple((sum(a * x for a, x in zip(row, pt)) + c) % p for row, c in zip(A, b))
                   for pt in points}
         if len(images) != len(points):
@@ -93,7 +163,7 @@ def oracle_keeps(affine: MultiPoly, d: int, p: int, m: ChartMap) -> bool:
     Fp = GF(p)
     vars = xy(d)
     sub = {}
-    for side, (A, b) in enumerate(((m.ax, m.bx), (m.ay, m.by))):
+    for side, (A, b) in enumerate(sides):
         for k, (row, c) in enumerate(zip(A, b)):
             image = MultiPoly.constant(Fp, vars, c)
             for j, a in enumerate(row):
@@ -101,6 +171,26 @@ def oracle_keeps(affine: MultiPoly, d: int, p: int, m: ChartMap) -> bool:
             sub[vars[side * d + k]] = image
     moved = affine.substitute(sub, new_vars=vars)
     return any(moved == lam * affine for lam in range(1, p))
+
+
+def oracle_carries(H: Hypersurface, p: int, m: MatrixPair) -> bool:
+    """Whether m is a pair of bijections of P^s(F_p) that carries the
+    bihomogeneous form of H mod p to a nonzero multiple of itself: the
+    images are parsed from text, each side's bijection found by brute
+    force."""
+    Fp = GF(p)
+    form = reduce_poly_mod(H.form.poly, p)
+    n = len(H.form.xvars)
+    pts = proj_residues(p, n - 1)
+    sub = {}
+    for group, M in zip((H.form.xvars, H.form.yvars), m):
+        if len(M) != n or reference_permutation(M, pts, p) is None:
+            return False
+        for v, row in zip(group, M):
+            text = " + ".join(f"{a} * {w}" for a, w in zip(row, group))
+            sub[v] = MultiPoly.parse(Fp, form.vars, text)
+    moved = form.substitute(sub, new_vars=form.vars)
+    return any(moved == lam * form for lam in range(1, p))
 
 
 @st.composite
@@ -142,7 +232,7 @@ def invariant_forms(draw):
     matrices = st.lists(st.lists(entry, min_size=d, max_size=d).map(tuple), min_size=d,
                         max_size=d).map(tuple)
     vectors = st.lists(entry, min_size=d, max_size=d).map(tuple)
-    other += draw(st.lists(st.builds(ChartMap, matrices, vectors, matrices, vectors), max_size=2))
+    other += draw(st.lists(st.builds(affine_pair, matrices, vectors, matrices, vectors), max_size=2))
     return p, d, affine, good, other
 
 
@@ -159,10 +249,68 @@ def test_pruned_scan_matches_unpruned_on_invariant_forms(form, rng):
     # kept: every map of the construction, and exactly the others that the
     # brute-force oracle accepts
     expected = [m for m in candidates if m in good or oracle_keeps(affine, d, p, m)]
-    assert G.symmetries == [_left_permutation(m.ax, m.bx, G.left, p) for m in expected]
+    left, _ = full_points(G, "affine")
+    assert G.symmetries == [reference_permutation(m.mx, left, p) for m in expected]
     assert_automorphisms(G)
     ts = (1, 2, 3, p, p + 1)
     assert answers(G, (1, 2, 3), ts) == answers(plain, (1, 2, 3), ts)
+
+
+@st.composite
+def open_sets(draw, p, d, var):
+    """P^d minus up to two random forms over GF(p) in var0..vard: a single
+    coordinate, or a random linear or quadratic form."""
+    vars = tuple(f"{var}{i}" for i in range(d + 1))
+    forms = []
+    for _ in range(draw(st.integers(0, 2))):
+        if draw(st.booleans()):
+            k = draw(st.integers(0, d))
+            terms = {tuple(int(i == k) for i in range(d + 1)): 1}
+        else:
+            deg = draw(st.sampled_from([1, 2]))
+            monomials = [e for e in product(range(deg + 1), repeat=d + 1) if sum(e) == deg]
+            terms = draw(st.dictionaries(st.sampled_from(monomials), st.integers(1, p - 1),
+                                         min_size=1, max_size=3))
+        forms.append(MultiPoly(GF(p), vars, terms))
+    return OpenSet(d, forms)
+
+
+def square_matrices(n, p):
+    entry = st.integers(0, p - 1)
+    return st.lists(st.lists(entry, min_size=n, max_size=n).map(tuple), min_size=n,
+                    max_size=n).map(tuple)
+
+
+@settings(max_examples=120, deadline=None)
+@given(invariant_forms(), st.sampled_from(["affine", "projective"]), st.data())
+def test_pruned_scans_match_reference_on_charts_and_open_sets(form, chart, data):
+    p, d, affine, good, other = form
+    X = data.draw(open_sets(p, d, "x"))
+    Y = data.draw(open_sets(p, d, "y"))
+    general = square_matrices(d + 1, p)
+    other += data.draw(st.lists(st.builds(MatrixPair, general, general), max_size=2))
+    H = hypersurface(affine, d)
+    try:
+        plain = build_graph(H, p, X, Y, chart=chart)
+    except EmptySide:
+        assume(False)
+    candidates = good + other
+    G = build_graph(H, p, X, Y, chart=chart, symmetries=candidates)
+    # kept: exactly the maps that keep the chart, carry the form to a
+    # multiple of itself and map each vertex list onto itself
+    left, right = full_points(G, chart)
+    expected = [
+        m for m in candidates
+        if (chart == "projective" or keeps_affine_chart(m, p))
+        and oracle_carries(H, p, m)
+        and reference_permutation(m.mx, left, p) is not None
+        and reference_permutation(m.my, right, p) is not None
+    ]
+    assert G.symmetries == [reference_permutation(m.mx, left, p) for m in expected]
+    assert_automorphisms(G)
+    ts = (1, 2, p)
+    assert answers(G, (1, 2, 3), ts) == reference_answers(plain, (1, 2, 3), ts)
+    assert_counts_match(G, plain)
 
 
 @settings(max_examples=40, deadline=None)
@@ -206,9 +354,45 @@ def test_pruned_scan_matches_unpruned_on_constructions(family, p, dim, sizes, ts
     c = construct(family, p, dim)
     candidates = family_symmetries(family, p, c.s)
     G = build_graph(c.hypersurface, p, symmetries=candidates)
-    # the candidates are genuine symmetries of their own family
-    assert len(G.symmetries) == len(candidates) > 0
+    # the candidates are genuine symmetries of their own family; on the
+    # affine chart, those that keep it
+    assert len(G.symmetries) == sum(keeps_affine_chart(m, p) for m in candidates) > 0
     assert answers(G, sizes, ts) == answers(build_graph(c.hypersurface, p), sizes, ts)
+
+
+@pytest.mark.parametrize(
+    "family,p,dim,sizes,ts",
+    [
+        ("1a", 2, 2, (2, 3), (1, 2)),
+        ("1a", 5, 2, (2, 3), (1, 2)),
+        ("1a", 13, 2, (2, 3), (1, 2)),
+        ("1b", 3, 3, (2, 3), (2, 3, 4)),
+        ("1b", 5, 3, (2,), (2, 3)),
+        ("1c", 5, 2, (2, 3), (2, 3)),
+        ("1c", 3, 3, (2, 3), (3, 7)),
+        ("1d", 7, 2, (2, 3), (1, 2)),
+        ("1d", 5, 3, (2,), (2, 3)),
+    ],
+)
+def test_pruned_scan_matches_unpruned_on_the_projective_chart(family, p, dim, sizes, ts):
+    c = construct(family, p, dim)
+    candidates = family_symmetries(family, p, c.s)
+    G = build_graph(c.hypersurface, p, chart="projective", symmetries=candidates)
+    # every candidate of the family maps P^s onto itself
+    assert len(G.symmetries) == len(candidates) > 0
+    plain = build_graph(c.hypersurface, p, chart="projective")
+    assert answers(G, sizes, ts) == answers(plain, sizes, ts)
+    assert_counts_match(G, plain)
+
+
+def test_1a_is_one_orbit_on_the_projective_plane():
+    # the transvections generate SL(3, p), which is transitive on P^2(F_p):
+    # the edge count reads one row, and the scan tries one first vertex
+    c = construct("1a", 31)
+    G = build_graph(c.hypersurface, 31, chart="projective", symmetries=family_symmetries("1a", 31, 2))
+    assert set(G.orbit_labels) == {0}
+    assert G.edge_count() == (31**2 + 31 + 1) * 32
+    assert sum(r is not None for r in G.rows._known) == 1
 
 
 def test_family_symmetries_are_automorphisms():
@@ -253,19 +437,19 @@ def test_non_automorphism_is_dropped():
     bad = [translation(2, 0, 1, -1), translation(2, 1, 3, 3), linear(((1, 1), (0, 1)))]
     G = build_graph(c.hypersurface, 7, symmetries=bad)
     assert G.symmetries == []
-    good = family_symmetries("1a", 7, 2)
+    good = [m for m in family_symmetries("1a", 7, 2) if keeps_affine_chart(m, 7)]
     G = build_graph(c.hypersurface, 7, symmetries=bad + good)
-    assert len(G.symmetries) == len(good)
+    assert len(G.symmetries) == len(good) == 2
 
 
 def test_singular_map_is_dropped():
     # x2 -> 0 keeps x1*y1 - 1 exactly, but is no bijection of F_p^2
     Fp = GF(5)
     H = hypersurface(MultiPoly.parse(Fp, xy(2), "x1*y1 - 1"), 2)
-    singular = ChartMap(((1, 0), (0, 0)), (0, 0), ((1, 0), (0, 5)), (0, 0))
+    singular = affine_pair(((1, 0), (0, 0)), (0, 0), ((1, 0), (0, 5)), (0, 0))
     assert build_graph(H, 5, symmetries=[singular]).symmetries == []
     # the same form with y2 -> 2 y2: a genuine symmetry, kept
-    scaling = ChartMap(((1, 0), (0, 1)), (0, 0), ((1, 0), (0, 2)), (0, 0))
+    scaling = affine_pair(((1, 0), (0, 1)), (0, 0), ((1, 0), (0, 2)), (0, 0))
     assert len(build_graph(H, 5, symmetries=[scaling]).symmetries) == 1
 
 
@@ -273,7 +457,7 @@ def test_scaled_form_is_kept():
     # F(2x, y) = 2 F(x, y): lambda = 2 is a nonzero multiple
     Fp = GF(7)
     H = hypersurface(MultiPoly.parse(Fp, xy(2), "x1*y1 + x2*y2"), 2)
-    m = ChartMap(((2, 0), (0, 2)), (0, 0), ((1, 0), (0, 1)), (0, 0))
+    m = affine_pair(((2, 0), (0, 2)), (0, 0), ((1, 0), (0, 1)), (0, 0))
     assert len(build_graph(H, 7, symmetries=[m]).symmetries) == 1
 
 
@@ -283,15 +467,54 @@ def test_wrong_shape_is_dropped():
     assert build_graph(c.hypersurface, 5, symmetries=m3).symmetries == []
 
 
-def test_nothing_kept_off_the_full_affine_chart():
+def test_map_that_moves_an_open_set_is_dropped():
+    # 1c at p = 5 with s = 2 keeps its three maps on either whole chart;
+    # X = {x1 != 0} is moved by x1 -> x1 + x0 and by the norm-1
+    # multiplication, which are dropped, and kept by x2 -> x2 + x0
     c = construct("1c", 5, 2)
     candidates = family_symmetries("1c", 5, 2)
-    assert build_graph(c.hypersurface, 5, chart="projective", symmetries=candidates).symmetries == []
-    Fp = GF(5)
-    line = MultiPoly.parse(Fp, ("x0", "x1", "x2"), "x1")
-    X = OpenSet(2, [line])
-    assert build_graph(c.hypersurface, 5, X=X, symmetries=candidates).symmetries == []
-    assert len(build_graph(c.hypersurface, 5, symmetries=candidates).symmetries) == len(candidates)
+    X = OpenSet(2, [MultiPoly.parse(GF(5), ("x0", "x1", "x2"), "x1")])
+    for chart in ("affine", "projective"):
+        G = build_graph(c.hypersurface, 5, chart=chart, symmetries=candidates)
+        assert len(G.symmetries) == len(candidates) == 3
+        G = build_graph(c.hypersurface, 5, X=X, chart=chart, symmetries=candidates)
+        left, _ = full_points(G, chart)
+        assert G.symmetries == [reference_permutation(candidates[1].mx, left, 5)]
+        plain = build_graph(c.hypersurface, 5, X=X, chart=chart)
+        assert answers(G, (2, 3), (2, 3)) == answers(plain, (2, 3), (2, 3))
+        assert_counts_match(G, plain)
+
+
+@pytest.mark.parametrize("chart", ["affine", "projective"])
+def test_permutations_follow_the_order_of_the_vertex_lists(chart):
+    # the transport's right sample can hold every point in another order:
+    # each permutation indexes the lists as given, not the chart's order
+    p = 5
+    c = construct("1a", p)
+    Hp = reduce_hypersurface_mod(c.hypersurface, p)
+    pts = proj_residues(p, 2)
+    if chart == "affine":
+        pts = pts[: p * p]
+    shuffled = pts[:]
+    random.Random(4).shuffle(shuffled)
+    maps = family_symmetries("1a", p, 2)
+    for left, right in ((pts, shuffled), (shuffled, pts), (shuffled, shuffled[::-1])):
+        got = symmetry_permutations(Hp.form, maps, left, right, p, chart == "affine")
+        want = [None if chart == "affine" and not keeps_affine_chart(m, p)
+                else (reference_permutation(m.mx, left, p), reference_permutation(m.my, right, p))
+                for m in maps]
+        assert got == want
+
+
+def test_map_off_the_affine_chart_is_dropped_there():
+    # 1a's transvections that move x0 or y0 are symmetries of P^2, and no
+    # affine maps of the chart
+    c = construct("1a", 5)
+    moving = [m for m in family_symmetries("1a", 5, 2) if not keeps_affine_chart(m, 5)]
+    assert len(moving) == 4
+    assert build_graph(c.hypersurface, 5, symmetries=moving).symmetries == []
+    G = build_graph(c.hypersurface, 5, chart="projective", symmetries=moving)
+    assert len(G.symmetries) == 4
 
 
 def test_wrong_map_would_change_the_answer():
@@ -302,7 +525,7 @@ def test_wrong_map_would_change_the_answer():
     assert max_common_neighborhood(G, 2) == (1, [1, 5])
     bad = translation(2, 1, 1, 1)
     assert build_graph(c.hypersurface, 5, symmetries=[bad]).symmetries == []
-    G.symmetries = [_left_permutation(bad.ax, bad.bx, G.left, 5)]
+    G.symmetries = [reference_permutation(bad.mx, full_points(G, "affine")[0], 5)]
     assert max_common_neighborhood(G, 2) == (1, [5, 6])
 
 
