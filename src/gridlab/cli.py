@@ -102,7 +102,7 @@ def cmd_construct(args) -> int:
     return 0
 
 
-def _input_graph(args, exclude_x=None, exclude_y=None, scan_s=None):
+def _input_graph(args, exclude_x=None, exclude_y=None):
     """The graph of the hypersurface file `args.input` at `args.p` on
     `args.chart`, between the open sets in the files `exclude_x` and
     `exclude_y`.  A `construct` output names its family: its symmetries are
@@ -113,11 +113,11 @@ def _input_graph(args, exclude_x=None, exclude_y=None, scan_s=None):
     X = _load_open_set(exclude_x, H.s)
     Y = _load_open_set(exclude_y, H.s)
     symmetries = family_symmetries(data.get("family"), args.p, H.s)
-    return build_graph(H, args.p, X, Y, chart=args.chart, scan_s=scan_s, symmetries=symmetries)
+    return build_graph(H, args.p, X, Y, chart=args.chart, symmetries=symmetries)
 
 
 def cmd_gridcheck(args) -> int:
-    G = _input_graph(args, args.exclude_x, args.exclude_y, scan_s=args.s)
+    G = _input_graph(args, args.exclude_x, args.exclude_y)
     witness = find_grid(G, args.s, args.t)
     if witness is None:
         _emit({"grid_free": True, "s": args.s, "t": args.t, "p": args.p}, args.pretty)
@@ -218,7 +218,7 @@ def cmd_cremona(args) -> int:
         return 0
     H = _load_hypersurface(args.input)
     sigma = _parse_sigma(args.sigma, H.field)
-    H2 = cremona.apply_map(None, sigma, H)
+    H2 = cremona.apply_map(sigma, H)
     _emit(H2.to_json(), args.pretty)
     return 0
 
@@ -226,10 +226,10 @@ def cmd_cremona(args) -> int:
 # -- sweep harness ------------------------------------------------------------------
 
 
-def _family_graph(c, scan_s: int | None = None):
-    """The affine graph of a construction, with its verified symmetries."""
-    symmetries = family_symmetries(c.family, c.p, c.s)
-    return build_graph(c.hypersurface, c.p, scan_s=scan_s, symmetries=symmetries)
+def _family_graph(c):
+    """The affine graph of a construction, with its candidate symmetries,
+    verified on first use."""
+    return build_graph(c.hypersurface, c.p, symmetries=family_symmetries(c.family, c.p, c.s))
 
 
 def _check_1a(p: int) -> dict:
@@ -251,7 +251,7 @@ def _check_1b(p: int) -> dict:
         return {"pass": True, "skipped": "sphere check restricted to p = 3 mod 4"}
     c = construct("1b", p)
     try:
-        G = _family_graph(c, scan_s=3)
+        G = _family_graph(c)
         best, arg = max_common_neighborhood(G, 3)
     except BudgetExceeded as exc:
         return {"pass": True, "skipped": f"budget: {exc}"}

@@ -104,33 +104,21 @@ def example_line_map(field: Field, d: int, f_coeffs: list, vars: tuple = YV):
     return RationalMap([y0**d, y0 ** (d - 1) * y1, third])
 
 
-def apply_map(
-    sigma_x: RationalMap | None,
-    sigma_y: RationalMap | None,
-    H: Hypersurface,
-) -> Hypersurface:
-    """Pull back the defining form through (sigma_x, sigma_y) and strip the
+def apply_map(sigma_y: RationalMap, H: Hypersurface) -> Hypersurface:
+    """Pull back the defining form through (id, sigma_y) and strip the
     per-group contents arising from the base locus."""
-    H2, _, _ = apply_with_contents(sigma_x, sigma_y, H)
+    H2, _, _ = apply_with_contents(sigma_y, H)
     return H2
 
 
-def apply_with_contents(sigma_x, sigma_y, H: Hypersurface):
+def apply_with_contents(sigma_y, H: Hypersurface):
     """Like apply_map but also returns the removed x- and y-group contents
     (needed to recognize the exceptional locus of the substitution)."""
     form = H.form
-    mapping = {}
-    if sigma_x is not None:
-        if len(sigma_x.components) != len(form.xvars):
-            raise NotInvertibleShape("x-map does not match the x-group")
-        comps = [c.with_vars(form.poly.vars) for c in sigma_x.components]
-        mapping.update(dict(zip(form.xvars, comps)))
-    if sigma_y is not None:
-        if len(sigma_y.components) != len(form.yvars):
-            raise NotInvertibleShape("y-map does not match the y-group")
-        comps = [c.with_vars(form.poly.vars) for c in sigma_y.components]
-        mapping.update(dict(zip(form.yvars, comps)))
-    pulled = form.poly.substitute(mapping, new_vars=form.poly.vars)
+    if len(sigma_y.components) != len(form.yvars):
+        raise NotInvertibleShape("y-map does not match the y-group")
+    comps = [c.with_vars(form.poly.vars) for c in sigma_y.components]
+    pulled = form.poly.substitute(dict(zip(form.yvars, comps)), new_vars=form.poly.vars)
     if pulled.is_zero():
         raise ZeroPullback("the hypersurface contains the image of the map")
     cx, cy, pulled = split_group_contents(pulled, form.xvars, form.yvars)
@@ -234,7 +222,7 @@ def grid_transport_check(
     columns.  A wrong or missing candidate costs speed only."""
     Hp = reduce_hypersurface_mod(H, p)
     sig = sigma_y.reduce_mod(p)
-    Hpulled, _, cy = apply_with_contents(None, sig, Hp)
+    Hpulled, _, cy = apply_with_contents(sig, Hp)
     pts = proj_residues(p, Hp.s)
     codes = _chart_codes([_values_mod(c, pts, p) for c in sig.components], p, _inverses(p))
     off = _values_mod(cy.with_vars(sig.vars), pts, p)

@@ -1,6 +1,6 @@
 """Plane projective curve toolkit: local intersection multiplicity, the
 Moura maximal-multiplicity formula, the common-component rank test on
-sections, squarefree-section testing and conic classification."""
+sections and conic classification."""
 
 from __future__ import annotations
 
@@ -9,7 +9,6 @@ from fractions import Fraction
 from math import comb
 
 from .errors import (
-    BadCharacteristic,
     CharacteristicTwo,
     DegreeTooHigh,
     DimensionMismatch,
@@ -255,20 +254,6 @@ def _as_section(h, u: ProjPoint) -> MultiPoly:
     if sec.is_zero():
         raise ZeroSection("section vanished identically")
     return sec
-
-
-def is_squarefree_section(h, u: ProjPoint) -> bool:
-    """True iff the section h(u, ȳ) is squarefree, tested by the GCD with
-    its derivative in a variable of maximal section degree."""
-    sec = _as_section(h, u)
-    degs = [(sec.degree_in(v), v) for v in sec.vars]
-    dmax, var = max(degs)
-    if dmax <= 0:
-        return True
-    char = sec.field.characteristic
-    if char and group_degree(sec, sec.vars) >= char:
-        raise BadCharacteristic("characteristic too small for the derivative test")
-    return gcd(sec, sec.derivative(var)).degree() == 0
 
 
 class ConicClass:

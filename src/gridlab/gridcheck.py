@@ -11,13 +11,14 @@ zero-lane test, instead of a Python loop over the right side.  The rows of a
 set up on the first request, and each row is computed when it is first read
 and then cached.  Its columns come from the same kernel with the x and y
 roles swapped, so the scan never transposes and a pruned scan pays only for
-the rows and columns it reads.  A caller that names the scan's subset size
-(`build_graph(..., scan_s=s)`) is refused by the enumeration budget once the
-vertices are counted, before the form is reduced mod p.
+the rows and columns it reads.  A `build_graph` graph is a description:
+it verifies its symmetries on first use too (below), so the scan's budget
+check (`_check_budget`) comes before any row, column or map is computed.
 
 The vertices come from one path.  `build_graph` lists the chart's residue
-tuples and keeps, on each side, those where no excluded form of the open
-set vanishes.  The test is the same kernel: an excluded form reduced mod p
+tuples, once they are counted and found within the enumeration budget, and
+keeps, on each side, those where no excluded form of the open set
+vanishes.  The test is the same kernel: an excluded form reduced mod p
 is a form with one left vertex, (), and the chart points on its right, so
 one kernel row marks every point on its zero set at once.
 
@@ -67,8 +68,9 @@ The symmetries come from `build_graph(..., symmetries=...)` as candidate
 matrix pairs (M_x, M_y) mod p acting on homogeneous coordinates,
 (x, y) -> (M_x x, M_y y) (`hypersurfaces.MatrixPair`,
 `hypersurfaces.family_symmetries`); an affine map x -> A x + b of the
-chart x0 = 1 is [[1, 0], [b, A]].  `symmetry_permutations` keeps a
-candidate only when all of these hold:
+chart x0 = 1 is [[1, 0], [b, A]].  They are verified on the first read of
+the graph's `symmetries` or `orbit_labels`, once.  `symmetry_permutations`
+keeps a candidate only when all of these hold:
 - both matrices are (s+1) x (s+1) and invertible mod p, and on the affine
   chart the rows of x0 and y0 are (1, 0, ..., 0), so the map is an affine
   map [[1, 0], [b, A]] of the chart;
@@ -176,11 +178,15 @@ class BipartiteGraph:
     def symmetries(self) -> list:
         """Left-index permutations of verified graph automorphisms (each maps
         right vertices to right vertices too); the scan prunes by them and
-        the edge count reads one row per orbit."""
+        the edge count reads one row per orbit.  They may be given as a
+        function that returns them, as `build_graph` does: it is called on
+        the first read, and its list is kept."""
+        if callable(self._symmetries):
+            self._symmetries = self._symmetries()
         return self._symmetries
 
     @symmetries.setter
-    def symmetries(self, perms: list | None):
+    def symmetries(self, perms):
         self._symmetries = perms or []
         self._labels = None
 
@@ -189,7 +195,7 @@ class BipartiteGraph:
         """labels[i] = the smallest left index in the orbit of i under the
         group that `symmetries` generate, computed once; None without
         symmetries."""
-        if self._labels is None and self._symmetries:
+        if self._labels is None and self.symmetries:
             self._labels = _orbit_labels(len(self.rows), self._symmetries)
         return self._labels
 
@@ -531,12 +537,30 @@ def _invertible_on_chart(m, n: int, p: int, field, affine: bool) -> bool:
 
 def proj_residues(p: int, s: int) -> list:
     """The points of P^s(F_p) as residue tuples, in the canonical
-    representatives and the order of `proj_points`."""
-    return [
-        (0,) * lead + (1,) + tail
-        for lead in range(s + 1)
-        for tail in product(range(p), repeat=s - lead)
-    ]
+    representatives and the order of `proj_points` (`_chart_residues`)."""
+    return _chart_residues(p, s, "projective")
+
+
+def _chart_residues(p: int, s: int, chart: str) -> list:
+    """The F_p-points of P^s (chart "projective") as residue tuples, in the
+    canonical representatives and the order of `proj_points`, or of its
+    affine chart x0 = 1, the first p^s of them.  Counted first: more points
+    than the enumeration budget raise BudgetExceeded before any is listed,
+    the rule the `s1` root search applies to P^1(F_q)."""
+    if chart not in ("affine", "projective"):
+        raise ParameterOutOfRange(f"unknown chart {chart!r}")
+    leads = range(1 if chart == "affine" else s + 1)
+    count = sum(p ** (s - lead) for lead in leads)
+    limit = enumeration_budget()
+    if count > limit:
+        raise BudgetExceeded(
+            f"the {chart} chart of P^{s}(F_{p}) has {count} points, over budget {limit}"
+        )
+    pts = []
+    for lead in leads:
+        head = (0,) * lead + (1,)
+        pts += [head + tail for tail in product(range(p), repeat=s - lead)]
+    return pts
 
 
 def _open_points(U: OpenSet, pts: list, p: int) -> list:
@@ -556,7 +580,6 @@ def build_graph(
     X: OpenSet | None = None,
     Y: OpenSet | None = None,
     chart: str = "affine",
-    scan_s: int | None = None,
     symmetries: list | None = None,
 ) -> BipartiteGraph:
     """Vertices are the F_p-points of the chosen chart inside X and Y;
@@ -565,28 +588,21 @@ def build_graph(
     Each side keeps the chart's residue tuples (affine, or the raw
     coordinates of `proj_points`) where no excluded form of its open set,
     reduced mod p, vanishes (`_open_points`); EmptySide is raised when a
-    side is left with no point.
+    side is left with no point.  A chart with more points than the
+    enumeration budget is refused before it is listed (`_chart_residues`).
 
-    No adjacency is computed here: the graph's rows and columns are
-    computed on first read (`_AdjacencyRows`).  `scan_s` names the subset
-    size of the scan that will follow: if C(|left|, scan_s) exceeds the
-    enumeration budget, BudgetExceeded is raised once the vertices are
-    known, before the form is reduced mod p.
-
-    `symmetries` lists candidate MatrixPairs
-    (`hypersurfaces.family_symmetries`).  The kept maps, those that
+    The graph is a description: nothing that a scan may not need is
+    computed here.  Its rows and columns are computed on first read
+    (`_AdjacencyRows`), and so are its symmetries: `symmetries` lists
+    candidate MatrixPairs (`hypersurfaces.family_symmetries`), and on the
+    first read of the graph's `symmetries` or `orbit_labels` the maps that
     `symmetry_permutations` verifies on the form mod p and on both vertex
-    lists, on either chart and under any open sets, become left-index
-    permutations in `symmetries` of the graph, which the scan and the edge
-    count prune by.  The adjacency kernel and the symmetry test share one
-    reduction of H mod p."""
+    lists, on either chart and under any open sets, become the left-index
+    permutations that the scan and the edge count prune by.  So a scan
+    that the budget refuses costs the point listing alone.  The adjacency
+    kernel and the symmetry test share one reduction of H mod p."""
     s = H.s
-    if chart == "affine":
-        pts = [(1,) + tail for tail in product(range(p), repeat=s)]
-    elif chart == "projective":
-        pts = proj_residues(p, s)
-    else:
-        raise ParameterOutOfRange(f"unknown chart {chart!r}")
+    pts = _chart_residues(p, s, chart)
     Xp = (X or OpenSet.full(s)).reduce_mod(p)
     Yp = (Y or OpenSet.full(s)).reduce_mod(p)
     for f in Xp.excluded + Yp.excluded:
@@ -595,23 +611,22 @@ def build_graph(
     left, right = _open_points(Xp, pts, p), _open_points(Yp, pts, p)
     if not left or not right:
         raise EmptySide("open-set filters removed a whole side")
-    if scan_s is not None and scan_s >= 1:
-        _check_budget(len(left), scan_s)
     Hp = reduce_hypersurface_mod(H, p)
     rows = _AdjacencyRows(_terms_int(Hp), left, right, p)
     display = left if chart == "projective" else [u[1:] for u in left]
     display_r = right if chart == "projective" else [v[1:] for v in right]
-    kept = []
-    if symmetries:
+
+    def kept():
         verified = symmetry_permutations(
             Hp.form, symmetries, left, right, p, chart == "affine", right_perm=False
         )
-        kept = [perms[0] for perms in verified if perms]
+        return [perms[0] for perms in verified if perms]
+
     return BipartiteGraph(
         display,
         display_r,
         rows,
-        symmetries=kept,
+        symmetries=kept if symmetries else None,
         cols=rows.transpose(),
     )
 

@@ -299,14 +299,14 @@ def test_criterion_10_cremona_reproductions():
             MultiPoly.parse(QQ, V6, "x0*y0 + x1*y1 + x2*y2"), V6[:3], V6[3:]
         )
     )
-    got = apply_map(None, standard_quadratic(QQ), H0)
+    got = apply_map(standard_quadratic(QQ), H0)
     assert got.form.poly == MultiPoly.parse(
         QQ, V6, "x0*y1*y2 + x1*y0*y2 + x2*y0*y1"
     ).monic()
 
     for d in range(2, 7):
         lm = example_line_map(QQ, d, [0] * d + [1])  # f(w) = w^d
-        moved = apply_map(None, lm, H0)
+        moved = apply_map(lm, H0)
         assert moved.bidegree == (1, d)
         expected = MultiPoly.parse(
             QQ,

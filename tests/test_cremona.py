@@ -161,21 +161,20 @@ def test_rational_map_json_roundtrip():
 
 
 def test_apply_quadratic_reproduces_h2():
-    got = apply_map(None, standard_quadratic(QQ), H(H0))
+    got = apply_map(standard_quadratic(QQ), H(H0))
     assert got.form.poly == MultiPoly.parse(QQ, V6, H2).monic()
     assert got.bidegree == (1, 2)
 
 
 def test_apply_identity_fixed_point():
     h = H(H2)
-    assert apply_map(None, identity_map(QQ), h).form.poly == h.form.poly
-    assert apply_map(None, None, h).form.poly == h.form.poly
+    assert apply_map(identity_map(QQ), h).form.poly == h.form.poly
 
 
 def test_apply_twice_returns_h0():
     sq = standard_quadratic(QQ)
-    once = apply_map(None, sq, H(H0))
-    twice = apply_map(None, sq, once)
+    once = apply_map(sq, H(H0))
+    twice = apply_map(sq, once)
     assert twice.form.poly == H(H0).form.poly
 
 
@@ -183,7 +182,7 @@ def test_apply_twice_returns_h0():
 def test_line_map_raises_y_degree(d):
     # f(w) = w^d: x0*y0^d + x1*y0^(d-1)*y1 + x2*(y0^(d-1)*y2 + y1^d)
     lm = example_line_map(QQ, d, [0] * d + [1])
-    got = apply_map(None, lm, H(H0))
+    got = apply_map(lm, H(H0))
     assert got.bidegree == (1, d)
     expected = MultiPoly.parse(
         QQ,
@@ -195,7 +194,7 @@ def test_line_map_raises_y_degree(d):
 
 def test_apply_content_removed():
     # the y-content y0*y1*y2 of the pullback of H2 is stripped
-    _, cx, cy = apply_with_contents(None, standard_quadratic(QQ), H(H2))
+    _, cx, cy = apply_with_contents(standard_quadratic(QQ), H(H2))
     assert cx.is_constant()
     assert cy == MultiPoly.parse(QQ, V6, "y0*y1*y2").monic()
 
@@ -210,7 +209,7 @@ def test_zero_pullback():
         ]
     )
     with pytest.raises(ZeroPullback):
-        apply_map(None, bad, h)
+        apply_map(bad, h)
 
 
 # -- affine automorphisms --------------------------------------------------------------
@@ -329,7 +328,7 @@ def reference_transport(H, sigma_y, p, s, t):
     Fp = GF(p)
     Hp = reduce_hypersurface_mod(H, p)
     sig = sigma_y.reduce_mod(p)
-    Hpulled, _, cy = apply_with_contents(None, sig, Hp)
+    Hpulled, _, cy = apply_with_contents(sig, Hp)
     pts = list(proj_points(Fp, Hp.s))
     seen = {}
     for v in pts:
@@ -496,7 +495,7 @@ def test_grid_transport_reference_exercises_every_filter():
     # the quadratic map is not injective on the coordinate triangle, which
     # holds its base points; the removed y-content y0*y1*y2 of H2's
     # pullback vanishes there too
-    _, _, cy = apply_with_contents(None, standard_quadratic(QQ), H(H2))
+    _, _, cy = apply_with_contents(standard_quadratic(QQ), H(H2))
     assert cy.degree() == 3
     for form in (H0, H2):
         rep = reference_transport(H(form), standard_quadratic(QQ), p, 2, 2)

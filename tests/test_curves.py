@@ -19,7 +19,6 @@ from gridlab.curves import (
     common_component_rank_test,
     conic_classify,
     intersection_multiplicity,
-    is_squarefree_section,
     moura_max,
 )
 
@@ -299,14 +298,7 @@ def test_matrix_rank_matches_gauss_jordan(case):
     assert rank == reference_rank(M, field) <= r
 
 
-# -- squarefree sections and conics ---------------------------------------------------
-
-
-def test_is_squarefree_section():
-    sf = MultiPoly.parse(QQ, Y3, "y0*y1 - y2**2")
-    assert is_squarefree_section(sf, pt(1, 0, 0))
-    sq = MultiPoly.parse(QQ, Y3, "(y0 + y1)**2")
-    assert not is_squarefree_section(sq, pt(1, 0, 0))
+# -- conics --------------------------------------------------------------------------
 
 
 def test_conic_classification():

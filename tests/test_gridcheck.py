@@ -285,6 +285,60 @@ def test_projective_chart_sizes():
     assert len(G.right) == 13
 
 
+HUGE_PRIME = 1000000000000000003
+
+
+def test_chart_over_budget_is_refused_before_listing(monkeypatch):
+    # the affine chart of P^2(F_5) has 25 points and P^2(F_5) has 31
+    from gridlab import cremona, gridcheck
+
+    c = construct("1a", 5)
+    monkeypatch.setenv("GRIDLAB_BUDGET", "31")
+    assert len(build_graph(c.hypersurface, 5, chart="projective").left) == 31
+    monkeypatch.setenv("GRIDLAB_BUDGET", "30")
+    assert len(build_graph(c.hypersurface, 5).left) == 25
+
+    def no_listing(*args, **kwargs):
+        raise AssertionError("chart listed after the budget refused it")
+
+    monkeypatch.setattr(gridcheck, "product", no_listing)
+    with pytest.raises(BudgetExceeded, match=r"P\^2\(F_5\) has 31 points, over budget 30"):
+        build_graph(c.hypersurface, 5, chart="projective")
+    monkeypatch.delenv("GRIDLAB_BUDGET")
+    sizes = (("affine", HUGE_PRIME**2), ("projective", HUGE_PRIME**2 + HUGE_PRIME + 1))
+    for chart, count in sizes:
+        with pytest.raises(BudgetExceeded, match=f"the {chart} chart .* has {count} points"):
+            build_graph(c.hypersurface, HUGE_PRIME, chart=chart)
+    with pytest.raises(BudgetExceeded):
+        gridcheck.proj_residues(HUGE_PRIME, 1)
+    vars = xy_vars(2)
+    H0 = Hypersurface(BiHomPoly(MultiPoly.parse(QQ, vars, "x0*y0 + x1*y1 + x2*y2"), vars[:3], vars[3:]))
+    with pytest.raises(BudgetExceeded):
+        cremona.grid_transport_check(H0, cremona.standard_quadratic(QQ), HUGE_PRIME, 2, 2)
+
+
+def test_gridcheck_at_a_huge_prime_exits_2(tmp_path):
+    # every chart point used to be listed first: MemoryError and exit 1
+    from gridlab import cli
+
+    path = tmp_path / "h1d5.json"
+    assert cli.main(["construct", "--family", "1d", "--p", "5", "--s", "2", "--out", str(path)]) == 0
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
+    env.pop("GRIDLAB_BUDGET", None)
+    argv = ["gridcheck", "--input", str(path), "--p", str(HUGE_PRIME), "--s", "2", "--t", "2"]
+    res = subprocess.run(
+        [sys.executable, "-m", "gridlab.cli", *argv],
+        env=env,
+        capture_output=True,
+        text=True,
+        timeout=30,
+    )
+    assert res.returncode == 2
+    assert res.stdout == ""
+    assert res.stderr.startswith("error: BudgetExceeded: the affine chart of P^2")
+    assert "Traceback" not in res.stderr
+
+
 def test_adjacency_agrees_with_direct_evaluation():
     vars = ("x0", "x1", "y0", "y1")
     F = MultiPoly.parse(QQ, vars, "x0*y1**2 - x1*y0**2 + x1*y0*y1")
@@ -365,21 +419,28 @@ def test_witness_check_survives_python_O():
 
 
 def test_budget_refusal_comes_before_adjacency(monkeypatch, tmp_path, capsys):
-    # 1b at p = 11 has 1331 left vertices; C(1331, 3) exceeds the default budget
+    # 1b at p = 11 has 1331 left vertices; C(1331, 3) exceeds the default
+    # budget, and the scan refuses before it sets up a kernel or verifies a map
     from gridlab import cli, gridcheck
 
-    def never(*args):
-        raise AssertionError("adjacency kernel made for a refused scan")
+    def never(what):
+        def fail(*args, **kwargs):
+            raise AssertionError(f"{what} for a refused scan")
 
-    monkeypatch.setattr(gridcheck, "_AdjacencyRows", never)
+        return fail
+
+    monkeypatch.setattr(gridcheck, "_lane_kernel", never("adjacency kernel set up"))
+    monkeypatch.setattr(gridcheck, "symmetry_permutations", never("symmetry verified"))
     monkeypatch.delenv("GRIDLAB_BUDGET", raising=False)
     res = cli._check_1b(11)
     assert res["pass"] is True
     assert res["skipped"] == (
         f"budget: C(1331,3) = {comb(1331, 3)} subset iterations exceed budget 100000000"
     )
+    c = construct("1b", 11)
+    G = build_graph(c.hypersurface, 11, symmetries=family_symmetries("1b", 11, 3))
     with pytest.raises(BudgetExceeded):
-        build_graph(construct("1b", 11).hypersurface, 11, scan_s=3)
+        max_common_neighborhood(G, 3)
     path = tmp_path / "h1b.json"
     construct_argv = ["construct", "--family", "1b", "--p", "11", "--out", str(path)]
     assert cli.main(construct_argv) == 0
@@ -497,11 +558,13 @@ def test_edges_match_recorded_outputs():
 
 
 def laziness_faults() -> list:
-    """Where the on-demand adjacency computes more than it must, or the
-    edge count less: build_graph computes no row or column, the pruned
-    find_grid(G, 2, 2) on 1a at p = 53 at most 2 rows and 53 columns, and
-    edge_count() at most 2 rows with the symmetries (one per orbit) and
-    every row without them."""
+    """Where the on-demand graph computes more than it must, or the edge
+    count less: build_graph computes no row or column and verifies no map,
+    find_grid, edge_count() and degree() verify the maps exactly once
+    between them, the pruned find_grid(G, 2, 2) on 1a at p = 53 computes
+    at most 2 rows and 53 columns, and edge_count() at most 2 rows with the
+    symmetries (one per orbit) and every row without them."""
+    from gridlab import gridcheck
 
     def computed(bitsets):
         return sum(b is not None for b in bitsets._known)
@@ -509,19 +572,38 @@ def laziness_faults() -> list:
     def counts(G):
         return f"{computed(G.rows)} rows and {computed(G.cols)} columns"
 
+    verified = []
+    original = gridcheck.symmetry_permutations
+
+    def counting(form, maps, *args, **kwargs):
+        verified.append(len(maps))
+        return original(form, maps, *args, **kwargs)
+
     p = 53
     c = construct("1a", p)
     symmetries = family_symmetries("1a", p, c.s)
-    G = build_graph(c.hypersurface, p, scan_s=2, symmetries=symmetries)
     faults = []
-    if computed(G.rows) or computed(G.cols):
-        faults.append(f"build_graph computed {counts(G)}")
-    if find_grid(G, 2, 2) is not None:
-        faults.append("find_grid(G, 2, 2) found a grid in family 1a")
-    if computed(G.rows) > 2 or computed(G.cols) > p:
-        faults.append(f"the pruned find_grid(G, 2, 2) computed {counts(G)}")
-    if G.edge_count() != p**3 - p or computed(G.rows) > 2:
-        faults.append(f"the orbit-weighted edge_count() computed {counts(G)}")
+    gridcheck.symmetry_permutations = counting
+    try:
+        G = build_graph(c.hypersurface, p, symmetries=symmetries)
+        if verified:
+            faults.append("build_graph verified a map")
+        if computed(G.rows) or computed(G.cols):
+            faults.append(f"build_graph computed {counts(G)}")
+        if find_grid(G, 2, 2) is not None:
+            faults.append("find_grid(G, 2, 2) found a grid in family 1a")
+        if computed(G.rows) > 2 or computed(G.cols) > p:
+            faults.append(f"the pruned find_grid(G, 2, 2) computed {counts(G)}")
+        if G.edge_count() != p**3 - p or computed(G.rows) > 2:
+            faults.append(f"the orbit-weighted edge_count() computed {counts(G)}")
+        if G.degree(p * p - 1) != p or computed(G.rows) > 2:
+            faults.append(f"degree() of the last vertex computed {counts(G)}")
+    finally:
+        gridcheck.symmetry_permutations = original
+    if verified != [len(symmetries)]:
+        faults.append(
+            "find_grid, edge_count and degree did not verify the maps exactly once between them"
+        )
     plain = build_graph(c.hypersurface, p)
     if plain.edge_count() != p**3 - p or computed(plain.rows) != len(plain.rows):
         faults.append(f"edge_count() without symmetries computed {counts(plain)}")

@@ -410,13 +410,16 @@ def test_pruned_1b_p11_with_raised_budget(monkeypatch):
 
 
 def test_budget_counts_the_plain_subsets():
+    # the scan refuses C(1331, 3) subsets with and without symmetries, and
+    # before it verifies any map
     c = construct("1b", 11)
     for symmetries in ([], family_symmetries("1b", 11, 3)):
         G = build_graph(c.hypersurface, 11, symmetries=symmetries)
-        with pytest.raises(BudgetExceeded):
+        with pytest.raises(BudgetExceeded, match=r"C\(1331,3\)"):
             max_common_neighborhood(G, 3)
-        with pytest.raises(BudgetExceeded):
-            build_graph(c.hypersurface, 11, scan_s=3, symmetries=symmetries)
+        with pytest.raises(BudgetExceeded, match=r"C\(1331,3\)"):
+            find_grid(G, 3, 3)
+        assert callable(G._symmetries) == bool(symmetries)
 
 
 def test_family_symmetries_degenerate_inputs():
