@@ -29,7 +29,8 @@ import math
 from fractions import Fraction
 
 from .errors import BudgetExceeded, EmptySide, NonSplitForm, WrongDimension
-from .gridcheck import build_graph, enumeration_budget
+from .fields import enumeration_budget
+from .gridcheck import build_graph
 from .poly import (
     BiHomPoly,
     MultiPoly,
@@ -39,7 +40,7 @@ from .poly import (
     split_group_contents,
     squarefree_in_vars,
 )
-from .hypersurfaces import Hypersurface, OpenSet, ProjPoint, proj_points
+from .hypersurfaces import Hypersurface, OpenSet, ProjPoint, linear_form, proj_points
 
 XVARS = ("x0", "x1")
 YVARS = ("y0", "y1")
@@ -96,12 +97,6 @@ def _divisors(n: int) -> list:
     return sorted({*small, *(n // d for d in small)})
 
 
-def _linear_form(pt: ProjPoint, vars2: tuple) -> MultiPoly:
-    """The linear form in `vars2` that vanishes exactly at `pt`."""
-    c0, c1 = pt.coords
-    return MultiPoly(pt.field, vars2, {(1, 0): c1, (0, 1): -c0})
-
-
 def _rational_roots(fld, z: list) -> list:
     """The points (1 : a/den) with sum z_k a^k den^(n-k) = 0, in candidate
     order; a fraction not in lowest terms was already tested reduced."""
@@ -155,7 +150,7 @@ def _binary_roots(form: MultiPoly, vars2: tuple):
     roots += _rational_roots(fld, z)
     rest = binary
     for pt in roots:
-        lin = _linear_form(pt, vars2)
+        lin = linear_form(pt, vars2)
         while divides(lin, rest):
             rest = exact_div(rest, lin)
     return roots, rest.monic() if rest.degree() > 0 else one
@@ -197,11 +192,10 @@ def s1_classify(
     return S1Verdict(f_meets, g_roots, closure, sqcore.degree_in_vars(YVARS))
 
 
-def s1_reduce(
-    F: BiHomPoly, X: OpenSet | None = None, Y: OpenSet | None = None
-) -> BiHomPoly:
-    """The degree-reduced form with the same zero set on X x Y: the product
-    of the linear forms at g-roots inside Y with the squarefree core."""
+def s1_reduce(F: BiHomPoly, Y: OpenSet | None = None) -> BiHomPoly:
+    """The degree-reduced form: the product of the linear forms at g's roots
+    inside Y with the squarefree core.  f, the x̄-only factor, is dropped,
+    so X plays no part."""
     _, result, g_roots, closure = _analyse(F, Y)
     if closure > 0:
         raise NonSplitForm(
@@ -209,7 +203,7 @@ def s1_reduce(
             "cannot be realized as rational linear forms"
         )
     for v in g_roots:
-        result = result * _linear_form(v, YVARS).with_vars(F.poly.vars)
+        result = result * linear_form(v, YVARS).with_vars(F.poly.vars)
     return BiHomPoly(result.monic(), XVARS, YVARS)
 
 

@@ -158,7 +158,7 @@ def cmd_s1(args) -> int:
             payload["grid_free"] = verdict.grid_free_for(args.t)
         _emit(payload, args.pretty)
         return 0
-    reduced = s1_reduce(F, X, Y)
+    reduced = s1_reduce(F, Y)
     _emit(
         {
             "poly": reduced.poly.to_json(),

@@ -80,14 +80,14 @@ class RationalMap:
 YV = ("y0", "y1", "y2")
 
 
-def standard_quadratic(field: Field, vars: tuple = YV) -> RationalMap:
+def standard_quadratic(field: Field) -> RationalMap:
     """(y0:y1:y2) -> (y1 y2 : y0 y2 : y0 y1); an involution off the
     coordinate triangle."""
-    v0, v1, v2 = (MultiPoly.variable(field, vars, v) for v in vars)
+    v0, v1, v2 = (MultiPoly.variable(field, YV, v) for v in YV)
     return RationalMap([v1 * v2, v0 * v2, v0 * v1])
 
 
-def example_line_map(field: Field, d: int, f_coeffs: list, vars: tuple = YV):
+def example_line_map(field: Field, d: int, f_coeffs: list):
     """(y0:y1:y2) -> (y0^d : y0^(d-1) y1 : y0^(d-1) y2 + y0^d f(y1/y0)),
     with f given by its coefficient list (low degree first, deg f <= d)."""
     if d < 1:
@@ -97,7 +97,7 @@ def example_line_map(field: Field, d: int, f_coeffs: list, vars: tuple = YV):
         coeffs.pop()
     if len(coeffs) - 1 > d:
         raise DegreeTooHigh(f"deg f = {len(coeffs) - 1} exceeds d = {d}")
-    y0, y1, y2 = (MultiPoly.variable(field, vars, v) for v in vars)
+    y0, y1, y2 = (MultiPoly.variable(field, YV, v) for v in YV)
     third = y0 ** (d - 1) * y2
     for k, c in enumerate(coeffs):
         third = third + y0 ** (d - k) * y1**k * c
@@ -242,7 +242,7 @@ def grid_transport_check(
         orig = symmetry_permutations(Hp.form, [g for g, _ in symmetries], pts, right_orig, p, False)
         pull = symmetry_permutations(Hpulled.form, [h for _, h in symmetries], pts, right_pull, p, False)
         perms = [a[0] for a, b in zip(orig, pull) if a is not None and a == b]
-    G1 = BipartiteGraph(pts, right_orig, rows_orig, perms, rows_orig.transpose())
+    G1 = BipartiteGraph(pts, right_orig, rows_orig, rows_orig.transpose(), perms)
     labels = G1.orbit_labels
     minima = range(len(pts)) if labels is None else [u for u, m in enumerate(labels) if u == m]
     adjacency_match = all(rows_orig[u] == rows_pull[u] for u in minima)
@@ -251,7 +251,7 @@ def grid_transport_check(
     # when the rows differ
     w2 = w1
     if not adjacency_match:
-        G2 = BipartiteGraph(pts, right_pull, rows_pull, perms, rows_pull.transpose())
+        G2 = BipartiteGraph(pts, right_pull, rows_pull, rows_pull.transpose(), perms)
         w2 = find_grid(G2, s, t)
     return {
         "p": p,

@@ -18,13 +18,7 @@ from .errors import (
     ZeroSection,
 )
 from .fields import Field, matrix_rank
-from .poly import (
-    BiHomPoly,
-    MultiPoly,
-    exact_div,
-    gcd,
-    group_degree,
-)
+from .poly import MultiPoly, exact_div, gcd, group_degree
 from .hypersurfaces import Hypersurface, ProjPoint
 
 INFINITE = math.inf
@@ -245,12 +239,7 @@ def common_component_rank_test(
 
 
 def _as_section(h, u: ProjPoint) -> MultiPoly:
-    if isinstance(h, Hypersurface):
-        sec = h.section(u)
-    elif isinstance(h, BiHomPoly):
-        sec = Hypersurface(h).section(u)
-    else:
-        sec = h
+    sec = h.section(u) if isinstance(h, Hypersurface) else h
     if sec.is_zero():
         raise ZeroSection("section vanished identically")
     return sec

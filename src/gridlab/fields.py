@@ -13,12 +13,14 @@ the norm, at s-1 matrix applications each instead of ~2 s log2(p) products.
 
 from __future__ import annotations
 
+import os
 from fractions import Fraction
 from functools import lru_cache
 from itertools import product
 from operator import mul as _times
 
 from .errors import (
+    BudgetExceeded,
     CoefficientNotInPrimeField,
     DimensionMismatch,
     DivisionByZero,
@@ -28,6 +30,19 @@ from .errors import (
     json_field,
     json_value,
 )
+
+
+DEFAULT_BUDGET = 10**8
+
+
+def enumeration_budget() -> int:
+    return int(os.environ.get("GRIDLAB_BUDGET", DEFAULT_BUDGET))
+
+
+def _check_candidates(count: int, what: str):
+    limit = enumeration_budget()
+    if count > limit:
+        raise BudgetExceeded(f"{what} tries {count} candidates, over budget {limit}")
 
 
 # Miller-Rabin to the first 13 prime bases proves primality below this bound
@@ -335,10 +350,12 @@ def _upoly_divides(d: tuple, a: tuple, p: int) -> bool:
 
 
 def _is_irreducible(m: tuple, p: int) -> bool:
-    """Trial division by every monic polynomial of degree 1..deg(m)//2."""
+    """Trial division by every monic polynomial of degree 1..deg(m)//2,
+    refused up front when there are more of them than the budget allows."""
     deg = len(m) - 1
     if deg <= 0:
         return False
+    _check_candidates(sum(p**d for d in range(1, deg // 2 + 1)), "the irreducibility test")
     for d in range(1, deg // 2 + 1):
         for tail in product(range(p), repeat=d):
             divisor = tuple(tail) + (1,)
@@ -351,8 +368,11 @@ def canonical_modulus(p: int, s: int) -> tuple:
     """Lexicographically smallest monic irreducible of degree s over F_p.
 
     Coefficient tuples are compared low-degree-first, so the search order of
-    itertools.product matches the comparison order.
+    itertools.product matches the comparison order.  That order first
+    visits the p^(s-1) candidates with constant term 0, so more of them
+    than the budget allows refuse the search before it starts.
     """
+    _check_candidates(p ** (s - 1), f"the modulus search for F_{p}^{s}")
     for tail in product(range(p), repeat=s):
         m = tuple(tail) + (1,)
         if _is_irreducible(m, p):
@@ -368,8 +388,8 @@ class ExtensionField(Field):
     def __init__(self, p: int, s: int, modulus: tuple | None = None):
         if not is_prime(p):
             raise UnsupportedParameters(f"{p} is not prime")
-        if s < 1:
-            raise UnsupportedParameters("s must be positive")
+        if s < 2:
+            raise UnsupportedParameters("s must be at least 2; GF(p) is the prime field")
         self.p = p
         self.s = s
         self.characteristic = p
@@ -410,8 +430,6 @@ class ExtensionField(Field):
 
     @property
     def generator(self) -> FieldElem:
-        if self.s == 1:
-            return FieldElem(self, self.coerce(self.modulus[0] and -self.modulus[0]))
         return FieldElem(self, (0, 1) + (0,) * (self.s - 2))
 
     def _zero(self):
@@ -450,13 +468,13 @@ class ExtensionField(Field):
 
     def _conjugates(self, a):
         """Frob(a) * Frob^2(a) * ... * Frob^(s-1)(a), the conjugates of a
-        other than a itself (one when s = 1); a times it is the norm of a."""
+        other than a itself; a times it is the norm of a."""
         p, frob = self.p, self._frob
         prod = None
         for _ in range(self.s - 1):
             a = tuple([sum(map(_times, a, col)) % p for col in frob])
             prod = a if prod is None else self._mul(prod, a)
-        return self._one() if prod is None else prod
+        return prod
 
     def _inv(self, a):
         rest = self._conjugates(a)
@@ -605,7 +623,7 @@ def pi_s_inv(alpha: FieldElem) -> list:
     return [Fp.elem(c) for c in alpha.val]
 
 
-def norm_poly(p: int, s: int, modulus: tuple | None = None):
+def norm_poly(p: int, s: int):
     """The norm form N_s(pi_s(z)) as an F_p-polynomial in z_1..z_s.
 
     Expanded symbolically as the product of Frobenius conjugates
@@ -617,7 +635,7 @@ def norm_poly(p: int, s: int, modulus: tuple | None = None):
     if s == 1:
         Fp = GF(p)
         return MultiPoly.variable(Fp, ("z1",), "z1")
-    E = GF(p, s, modulus)
+    E = GF(p, s)
     zvars = tuple(f"z{j}" for j in range(1, s + 1))
     basis = [E.generator**j for j in range(s)]
     factors = []

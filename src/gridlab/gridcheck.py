@@ -90,7 +90,6 @@ costs only speed.  No family label is trusted.
 
 from __future__ import annotations
 
-import os
 from collections import Counter
 from collections.abc import Sequence
 from itertools import product
@@ -103,20 +102,13 @@ from .errors import (
     ParameterOutOfRange,
     UnknownVariable,
 )
-from .fields import matrix_rank
+from .fields import enumeration_budget, matrix_rank
 from .hypersurfaces import (
     Hypersurface,
     OpenSet,
     reduce_hypersurface_mod,
 )
 from .poly import MultiPoly
-
-DEFAULT_BUDGET = 10**8
-
-
-def enumeration_budget() -> int:
-    return int(os.environ.get("GRIDLAB_BUDGET", DEFAULT_BUDGET))
-
 
 class GridWitness:
     """Index sets certifying an (s,t)-grid; re-verified on construction."""
@@ -144,35 +136,30 @@ class BipartiteGraph:
     """Two indexed point lists plus adjacency bitsets: rows[i] over the right
     side for left i, cols[j] over the left side for right j.
 
-    `rows` is any int sequence: a list, or the on-demand `_AdjacencyRows` of
-    `build_graph`.  `cols` likewise; when it is not given, the rows are
-    transposed on the first column request."""
+    `rows` and `cols` are int sequences: lists, or the on-demand
+    `_AdjacencyRows` of `build_graph` and its `transpose()`.  Both are
+    given; the graph never transposes its rows itself."""
 
     def __init__(
         self,
         left: list,
         right: list,
         rows: Sequence,
+        cols: Sequence,
         symmetries: list | None = None,
-        cols: Sequence | None = None,
     ):
         if not left or not right:
             raise EmptySide("both sides need at least one vertex")
         if len(rows) != len(left):
             raise ParameterOutOfRange("adjacency rows do not match left side")
-        if cols is not None and len(cols) != len(right):
+        if len(cols) != len(right):
             raise ParameterOutOfRange("adjacency columns do not match right side")
         self.left = left
         self.right = right
         self.rows = rows
-        self._cols = cols
-        self.symmetries = symmetries
-
-    @property
-    def cols(self) -> Sequence:
-        if self._cols is None:
-            self._cols = _columns(self.rows, len(self.right))
-        return self._cols
+        self.cols = cols
+        self._symmetries = symmetries or []
+        self._labels = None
 
     @property
     def symmetries(self) -> list:
@@ -184,11 +171,6 @@ class BipartiteGraph:
         if callable(self._symmetries):
             self._symmetries = self._symmetries()
         return self._symmetries
-
-    @symmetries.setter
-    def symmetries(self, perms):
-        self._symmetries = perms or []
-        self._labels = None
 
     @property
     def orbit_labels(self) -> list | None:
@@ -626,8 +608,8 @@ def build_graph(
         display,
         display_r,
         rows,
-        symmetries=kept if symmetries else None,
-        cols=rows.transpose(),
+        rows.transpose(),
+        kept if symmetries else None,
     )
 
 
@@ -637,18 +619,6 @@ def _check_budget(n: int, s: int):
         raise BudgetExceeded(
             f"C({n},{s}) = {comb(n, s)} subset iterations exceed budget {limit}"
         )
-
-
-def _columns(rows: list, n_right: int) -> list:
-    """cols[j] = bitset of the left vertices adjacent to right vertex j."""
-    cols = [0] * n_right
-    for i, row in enumerate(rows):
-        bit = 1 << i
-        while row:
-            low = row & -row
-            cols[low.bit_length() - 1] |= bit
-            row ^= low
-    return cols
 
 
 def _orbit_labels(n: int, perms: list) -> list:

@@ -74,6 +74,12 @@ def proj_points(field: Field, s: int):
             yield ProjPoint(field, [zero] * lead + [one, *tail])
 
 
+def linear_form(pt: ProjPoint, vars2: tuple) -> MultiPoly:
+    """The linear form in `vars2` that vanishes exactly at `pt` in P^1."""
+    c0, c1 = pt.coords
+    return MultiPoly(pt.field, vars2, {(1, 0): c1, (0, 1): -c0})
+
+
 def _json_dim(data, key: str, what: str) -> int:
     dim = json_field(data, key, int, what)
     if dim < 0:
@@ -100,15 +106,7 @@ class OpenSet:
     @classmethod
     def complement_of_points(cls, points: list, vars: tuple) -> "OpenSet":
         """P^1 minus a finite point list; each point becomes a linear form."""
-        forms = []
-        for pt in points:
-            v0, v1 = pt.coords
-            field = pt.field
-            forms.append(
-                MultiPoly(field, vars, {(1, 0): v1, (0, 1): -v0})
-            )
-        dim = 1
-        return cls(dim, forms)
+        return cls(1, [linear_form(pt, vars) for pt in points])
 
     def contains(self, point: ProjPoint) -> bool:
         coords = [c for c in point.coords]

@@ -289,14 +289,8 @@ class MultiPoly:
             raise DivisionByZero("inverse of zero")
         return self._scale(self.field._inv(c))
 
-    def __pow__(self, n):
-        if isinstance(n, MultiPoly) and n.is_constant():
-            n = n.terms.get((0,) * len(n.vars), 0)
-        elif isinstance(n, FieldElem):
-            n = n.val
-        if n != int(n):
-            raise ValueError("polynomial powers must be integers")
-        n = int(n)
+    def __pow__(self, n: int):
+        """Square-and-multiply for a nonnegative int exponent."""
         if n < 0:
             raise ValueError("negative power")
         result = MultiPoly.constant(self.field, self.vars, 1)
@@ -338,14 +332,11 @@ class MultiPoly:
         return MultiPoly._raw(field, self.vars, out)
 
     def evaluate(self, point) -> FieldElem:
-        """Evaluate at a full assignment (dict var->value or sequence)."""
+        """Evaluate at a sequence of values, one per variable in order."""
         field = self.field
-        if isinstance(point, dict):
-            vals = [field.coerce(point[v]) for v in self.vars]
-        else:
-            vals = [field.coerce(v) for v in point]
-            if len(vals) != len(self.vars):
-                raise UnknownVariable("point length does not match variables")
+        vals = [field.coerce(v) for v in point]
+        if len(vals) != len(self.vars):
+            raise UnknownVariable("point length does not match variables")
         add, mul = field._add, field._mul
         total = field._zero()
         for e, c in self.terms.items():
@@ -356,25 +347,17 @@ class MultiPoly:
             total = add(total, t)
         return FieldElem(field, total)
 
-    def substitute(self, mapping: dict, new_vars: tuple | None = None) -> "MultiPoly":
+    def substitute(self, mapping: dict, new_vars: tuple) -> "MultiPoly":
         """Replace variables by polynomials or field elements.
 
         `mapping` maps variable names to MultiPoly (or coercible scalars);
-        unreplaced variables stay.  The result lives in `new_vars` when given,
-        otherwise in the untouched variables followed by any new ones coming
-        from the substituted polynomials, in first-seen order.
+        unreplaced variables stay.  The result lives in `new_vars`; a
+        variable that occurs in it, unreplaced or in a substituted
+        polynomial, but is not in `new_vars` raises UnknownVariable.
         """
         for v in mapping:
             if v not in self.vars:
                 raise UnknownVariable(v)
-        if new_vars is None:
-            seen = [v for v in self.vars if v not in mapping]
-            for val in mapping.values():
-                if isinstance(val, MultiPoly):
-                    for v in val.vars:
-                        if v not in seen:
-                            seen.append(v)
-            new_vars = tuple(seen)
         lifted = {}
         for v, val in mapping.items():
             if isinstance(val, MultiPoly):

@@ -213,8 +213,9 @@ def scan_answers(G, s, ts):
 
 
 def explicit(G, symmetries):
-    """G's graph with its rows given as a list: columns by transposition."""
-    return BipartiteGraph(G.left, G.right, list(G.rows), symmetries=symmetries)
+    """G's graph with its rows given as a list and its columns by `transpose`."""
+    rows = list(G.rows)
+    return BipartiteGraph(G.left, G.right, rows, transpose(rows, len(G.right)), symmetries)
 
 
 @settings(max_examples=60, deadline=None)

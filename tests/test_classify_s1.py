@@ -186,7 +186,7 @@ def test_reduce_drops_multiplicity():
 def test_reduce_respects_open_set():
     form = F("y0*(x0*y1 - x1*y0)**2")
     Y = OpenSet.complement_of_points([ProjPoint(QQ, [0, 1])], YVARS)
-    red = s1_reduce(form, None, Y)
+    red = s1_reduce(form, Y)
     assert red.bidegree == (1, 1)
     assert red.poly == MultiPoly.parse(QQ, P1_VARS, "x0*y1 - x1*y0").monic()
 
@@ -227,7 +227,7 @@ def test_reduce_nonsplit_raises():
 def test_reduce_nonsplit_excludable():
     form = F("(y0**2 + y1**2)*(x0*y1 - x1*y0)")
     Y = OpenSet(1, [MultiPoly.parse(QQ, YVARS, "y0**2 + y1**2")])
-    red = s1_reduce(form, None, Y)
+    red = s1_reduce(form, Y)
     assert red.bidegree == (1, 1)
 
 

@@ -38,6 +38,7 @@ from gridlab.cremona import (
     nagata,
     standard_quadratic,
 )
+from test_adjacency import transpose
 
 V6 = ("x0", "x1", "x2", "y0", "y1", "y2")
 
@@ -349,8 +350,8 @@ def reference_transport(H, sigma_y, p, s, t):
     right_pull = [v.raw for v, _ in pairs]
     rows_orig = list(_AdjacencyRows(_terms_int(Hp), left, right_orig, p))
     rows_pull = list(_AdjacencyRows(_terms_int(Hpulled), left, right_pull, p))
-    w1 = find_grid(BipartiteGraph(left, right_orig, rows_orig), s, t)
-    w2 = find_grid(BipartiteGraph(left, right_pull, rows_pull), s, t)
+    w1 = find_grid(BipartiteGraph(left, right_orig, rows_orig, transpose(rows_orig, len(pairs))), s, t)
+    w2 = find_grid(BipartiteGraph(left, right_pull, rows_pull, transpose(rows_pull, len(pairs))), s, t)
     return {
         "p": p,
         "s": s,

@@ -1,3 +1,4 @@
+import json
 import os
 import subprocess
 import sys
@@ -7,10 +8,13 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from gridlab import fields
 from gridlab.errors import (
+    BudgetExceeded,
     CoefficientNotInPrimeField,
     DivisionByZero,
     MixedFields,
+    UnsupportedParameters,
     WrongField,
 )
 from gridlab.fields import (
@@ -303,16 +307,22 @@ def reference_inv(F, a) -> tuple:
 
 
 NONCANONICAL_F25 = ExtensionField(5, 2, (3, 0, 1))  # z^2 + 3
-DIRECT_F7 = ExtensionField(7, 1)  # built directly; GF(7) is the prime field
 FROBENIUS_FIELDS = (
     GF(2, 2), GF(2, 3), GF(2, 5), GF(3, 2), GF(5, 2), GF(7, 3), GF(101, 2),
-    NONCANONICAL_F25, DIRECT_F7,
+    NONCANONICAL_F25,
 )
 
 
 def test_frobenius_fields_cover_the_edge_cases():
     assert NONCANONICAL_F25.modulus != canonical_modulus(5, 2)
-    assert DIRECT_F7.s == 1 and DIRECT_F7._conjugates((3,)) == (1,)
+
+
+def test_extension_field_of_degree_one_is_refused():
+    # GF(7) is the prime field; an extension field needs s >= 2
+    assert GF(7, 1) == GF(7)
+    for s in (1, 0, -1):
+        with pytest.raises(UnsupportedParameters):
+            ExtensionField(7, s)
 
 
 @settings(max_examples=300, deadline=None)
@@ -337,15 +347,13 @@ def test_norm_and_inverse_match_power_formulas(field, data):
 @pytest.mark.parametrize("field", FROBENIUS_FIELDS)
 def test_frobenius_matrix_is_the_p_th_power(field):
     # the first conjugate of a, from the matrix, is a^p, for every basis vector
-    if field.s == 1:
-        return
     for j in range(field.s):
         b = tuple(int(i == j) for i in range(field.s))
         conj = tuple(field._frob[k][j] for k in range(field.s))
         assert conj == _raw_power(field, b, field.p)
 
 
-@pytest.mark.parametrize("field", (GF(2, 3), GF(3, 2), NONCANONICAL_F25, DIRECT_F7))
+@pytest.mark.parametrize("field", (GF(2, 3), GF(3, 2), NONCANONICAL_F25))
 def test_norm_and_inverse_exhaustive(field):
     for alpha in field.elements():
         if alpha.is_zero():
@@ -363,9 +371,71 @@ def test_norm_outside_prime_subfield_raises():
         norm(F.elem((1, 1)))
 
 
-@pytest.mark.parametrize("field", (QQ, GF(7), GF(101), GF(5, 2), GF(2, 3), DIRECT_F7))
+@pytest.mark.parametrize("field", (QQ, GF(7), GF(101), GF(5, 2), GF(2, 3)))
 def test_inverse_of_zero_is_a_typed_error(field):
     with pytest.raises(DivisionByZero):
         field._inv(field._zero())
     with pytest.raises(DivisionByZero):
         field.zero.inv()
+
+
+# -- extension fields too large to search -------------------------------------------
+
+
+def test_oversized_extension_fields_are_refused_before_enumerating(monkeypatch):
+    def enumerate_anyway(*args, **kwargs):
+        raise AssertionError("enumerated before the budget check")
+
+    monkeypatch.setattr(fields, "product", enumerate_anyway)
+    with pytest.raises(BudgetExceeded):
+        canonical_modulus(10**18 + 3, 2)
+    # a given modulus is still tested for irreducibility: p divisors here
+    with pytest.raises(BudgetExceeded):
+        ExtensionField(10**9 + 7, 2, (5, 0, 1))
+
+
+def test_extension_field_budget_boundary(monkeypatch):
+    # degree 3 over F_7: the modulus search first visits the 7^2 = 49
+    # candidates with constant term 0, and an irreducibility test tries the
+    # 7 monic linear divisors (GF is cached, so the field is built directly)
+    canonical = canonical_modulus(7, 3)
+    monkeypatch.setenv("GRIDLAB_BUDGET", "48")
+    with pytest.raises(BudgetExceeded):
+        canonical_modulus(7, 3)
+    with pytest.raises(BudgetExceeded):
+        ExtensionField(7, 3)
+    assert ExtensionField(7, 3, canonical).modulus == canonical
+    monkeypatch.setenv("GRIDLAB_BUDGET", "49")
+    assert canonical_modulus(7, 3) == canonical
+    assert ExtensionField(7, 3).modulus == canonical
+    monkeypatch.setenv("GRIDLAB_BUDGET", "6")
+    with pytest.raises(BudgetExceeded):
+        ExtensionField(7, 3, canonical)
+    monkeypatch.setenv("GRIDLAB_BUDGET", "7")
+    assert ExtensionField(7, 3, canonical).modulus == canonical
+
+
+def _assert_budget_refusal(res):
+    assert res.returncode == 2
+    assert res.stderr.startswith("error: BudgetExceeded")
+    assert "Traceback" not in res.stderr
+    assert res.stdout == ""
+
+
+def test_huge_field_1c_gridcheck_exits_2(tmp_path):
+    # the 1c symmetry candidates need F_{p^2}, whose modulus search is refused
+    h1c = tmp_path / "h1c5.json"
+    assert _cli("construct", "--family", "1c", "--p", "5", "--s", "2", "--out", str(h1c)).returncode == 0
+    _assert_budget_refusal(
+        _cli("gridcheck", "--input", str(h1c), "--p", str(10**18 + 3), "--s", "2", "--t", "2")
+    )
+
+
+def test_huge_field_s1_classify_exits_2(tmp_path):
+    form = tmp_path / "form.json"
+    form.write_text(json.dumps({
+        "field": {"kind": "extension", "p": 10**18 + 3, "s": 2, "modulus": [5, 0, 1]},
+        "vars": ["x0", "x1", "y0", "y1"],
+        "terms": [{"e": [1, 0, 1, 0], "c": "1,0"}],
+    }))
+    _assert_budget_refusal(_cli("s1", "classify", "--poly", str(form)))

@@ -27,6 +27,7 @@ from gridlab.gridcheck import (
 from gridlab.hypersurfaces import OpenSet, construct, family_symmetries
 from gridlab.poly import BiHomPoly, MultiPoly, xy_vars
 from gridlab.hypersurfaces import Hypersurface
+from test_adjacency import transpose
 
 
 def _common(rows, n_right, S):
@@ -114,7 +115,7 @@ def random_graph(rng, nl, nr, density=0.4):
         rows.append(mask)
     left = [(i,) for i in range(nl)]
     right = [(j,) for j in range(nr)]
-    return BipartiteGraph(left, right, rows)
+    return BipartiteGraph(left, right, rows, transpose(rows, nr))
 
 
 @pytest.mark.parametrize("seed", range(12))
@@ -167,7 +168,9 @@ def scan_graphs(draw):
     full = (1 << nr) - 1
     pool = draw(st.lists(st.integers(0, full), min_size=1, max_size=4))
     rows = draw(st.lists(st.sampled_from(pool + [0, full]), min_size=nl, max_size=nl))
-    return BipartiteGraph([(i,) for i in range(nl)], [(j,) for j in range(nr)], rows)
+    return BipartiteGraph(
+        [(i,) for i in range(nl)], [(j,) for j in range(nr)], rows, transpose(rows, nr)
+    )
 
 
 @settings(max_examples=300, deadline=None)
@@ -189,7 +192,8 @@ def test_scan_matches_reference_wide(nl, nr, rng):
 
 
 def test_scan_one_right_vertex():
-    G = BipartiteGraph([(i,) for i in range(5)], [(0,)], [0, 1, 1, 0, 1])
+    rows = [0, 1, 1, 0, 1]
+    G = BipartiteGraph([(i,) for i in range(5)], [(0,)], rows, transpose(rows, 1))
     for s in range(1, 6):
         assert_scans_agree(G, s, (1, 2))
 
@@ -223,7 +227,7 @@ def test_max_common_1b_p11_with_raised_budget(monkeypatch):
 
 def test_find_grid_lex_first_witness():
     rows = [0b111, 0b111, 0b011]
-    G = BipartiteGraph([(0,), (1,), (2,)], [(0,), (1,), (2,)], rows)
+    G = BipartiteGraph([(0,), (1,), (2,)], [(0,), (1,), (2,)], rows, transpose(rows, 3))
     w = find_grid(G, 2, 2)
     assert w.S == [0, 1]
     assert w.T == [0, 1]
@@ -257,7 +261,7 @@ def test_budget_env(monkeypatch):
 
 def test_empty_side():
     with pytest.raises(EmptySide):
-        BipartiteGraph([], [(0,)], [])
+        BipartiteGraph([], [(0,)], [], [0])
 
 
 # -- graphs from hypersurfaces ------------------------------------------------------
@@ -396,7 +400,7 @@ def test_edge_report_fields():
 
 def test_edge_report_exact_power():
     rows = [1] * 2
-    G = BipartiteGraph([(0,), (1,)], [(0,)], rows)
+    G = BipartiteGraph([(0,), (1,)], [(0,)], rows, transpose(rows, 1))
     rep = edge_report(G, 1, 2)  # n = 3, s = 1: n^(2-1/s) = n exactly
     assert rep["n_power_exact"] == "3"
 

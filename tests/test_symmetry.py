@@ -12,6 +12,7 @@ from hypothesis import assume, given, settings, strategies as st
 from gridlab.errors import BudgetExceeded, EmptySide
 from gridlab.fields import GF
 from gridlab.gridcheck import (
+    BipartiteGraph,
     _orbit_labels,
     build_graph,
     find_grid,
@@ -528,7 +529,8 @@ def test_wrong_map_would_change_the_answer():
     assert max_common_neighborhood(G, 2) == (1, [1, 5])
     bad = translation(2, 1, 1, 1)
     assert build_graph(c.hypersurface, 5, symmetries=[bad]).symmetries == []
-    G.symmetries = [reference_permutation(bad.mx, full_points(G, "affine")[0], 5)]
+    trusted = [reference_permutation(bad.mx, full_points(G, "affine")[0], 5)]
+    G = BipartiteGraph(G.left, G.right, G.rows, G.cols, trusted)
     assert max_common_neighborhood(G, 2) == (1, [5, 6])
 
 
@@ -546,13 +548,12 @@ def test_orbit_labels():
 
 
 def test_graph_orbit_labels_follow_its_symmetries():
-    # 1a's maps act on F_p^2 with two orbits, {0} and the rest; labels
-    # cached for one list of symmetries are not kept for the next
+    # 1a's maps act on F_p^2 with two orbits, {0} and the rest; the same
+    # rows and columns without symmetries have no labels
     c = construct("1a", 5)
     G = build_graph(c.hypersurface, 5, symmetries=family_symmetries("1a", 5, 2))
     assert G.orbit_labels == [0] + [1] * 24
-    G.symmetries = []
-    assert G.orbit_labels is None
+    assert BipartiteGraph(G.left, G.right, G.rows, G.cols, []).orbit_labels is None
 
 
 # -- orbit-weighted edge counts -----------------------------------------------------
