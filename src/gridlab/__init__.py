@@ -1,6 +1,6 @@
 """Exact computational algebra for grid-free hypersurfaces over finite fields."""
 
-from .fields import GF, QQ, canonical_modulus, norm, norm_poly, pi_s, pi_s_inv
+from .fields import GF, QQ, canonical_modulus, norm, norm_poly, pi_s
 from .poly import (
     BiHomPoly,
     MultiPoly,
@@ -29,7 +29,6 @@ from .classify_s1 import s1_classify, s1_reduce
 from .cremona import (
     RationalMap,
     apply_map,
-    elementary,
     example_line_map,
     grid_transport_check,
     nagata,

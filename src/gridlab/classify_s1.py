@@ -9,13 +9,16 @@ is ever performed.
 
 The binary forms f and g enter only through their roots.  `_binary_roots`
 tests candidate points in one fixed order, which is the printed order of
-`g_roots_in_Y`.  Over F_q the candidates are the points of `proj_points`.
+`g_roots_in_Y`.  Over F_q the candidates are the points of P^1(F_q) in the
+order of `hypersurfaces.chart_points`, and a point is made a `ProjPoint`
+only when it is a root.
 Over Q, with z the integer coefficient list of form(1,t)/t^lo, they are
 (0:1) when form(1,t) has lower degree than the form, (1:0) when lo > 0,
 and then (1 : a/den) for num | z[0] and den | z[-1], both ascending, with
 a = +num before -num.  Those divisors come from trial division, which the
 enumeration budget refuses up front when isqrt|z[0]| + isqrt|z[-1]|
-exceeds it; over F_q it refuses up front when the q + 1 points exceed it.
+exceeds it; over F_q the listing refuses up front when the q + 1 points
+exceed it, with the chart's message.
 
 What is left over Q once every rational root is divided out has its roots
 in the algebraic closure; those not excluded by the open set are counted
@@ -40,7 +43,7 @@ from .poly import (
     split_group_contents,
     squarefree_in_vars,
 )
-from .hypersurfaces import Hypersurface, OpenSet, ProjPoint, linear_form, proj_points
+from .hypersurfaces import Hypersurface, OpenSet, ProjPoint, chart_points, linear_form
 
 XVARS = ("x0", "x1")
 YVARS = ("y0", "y1")
@@ -129,14 +132,8 @@ def _binary_roots(form: MultiPoly, vars2: tuple):
     binary = form.with_vars(vars2)
     one = MultiPoly.constant(fld, vars2, 1)
     if fld.characteristic:
-        points = fld.characteristic ** getattr(fld, "s", 1) + 1
-        limit = enumeration_budget()
-        if points > limit:
-            raise BudgetExceeded(
-                f"root search tests {points} points of P^1, over budget {limit}"
-            )
-        pts = proj_points(fld, 1)
-        return [pt for pt in pts if binary.evaluate(pt.coords).is_zero()], one
+        pts = chart_points(fld, 1)
+        return [ProjPoint(fld, pt) for pt in pts if binary.evaluate(pt).is_zero()], one
     # binary(1, t) = t^lo * z(t) / scale, with z integral and z(0) != 0
     coeffs = {e[1]: c for e, c in binary.terms.items()}
     lo, hi = min(coeffs), max(coeffs)

@@ -1,7 +1,7 @@
 """Rational maps of P^2 and polynomial automorphisms of affine space, applied
 to hypersurfaces with exact degree tracking: the standard quadratic
-transformation, the degree-raising line-preserving maps, elementary (tame)
-automorphisms and Nagata's automorphism."""
+transformation, the degree-raising line-preserving maps and Nagata's
+automorphism."""
 
 from __future__ import annotations
 
@@ -14,7 +14,7 @@ from .errors import (
     ZeroPullback,
     json_field,
 )
-from .fields import Field, FieldElem
+from .fields import GF, Field
 from .poly import (
     BiHomPoly,
     MultiPoly,
@@ -25,18 +25,17 @@ from .poly import (
 )
 from .hypersurfaces import (
     Hypersurface,
+    chart_codes,
+    chart_points,
     reduce_hypersurface_mod,
     reduce_polys_mod,
 )
 from .gridcheck import (
     BipartiteGraph,
     _AdjacencyRows,
-    _chart_codes,
-    _inverses,
     _terms_int,
     _values_mod,
     find_grid,
-    proj_residues,
     symmetry_permutations,
 )
 
@@ -129,24 +128,18 @@ def apply_with_contents(sigma_y, H: Hypersurface):
 
 
 class AffineAutomorphism:
-    """Polynomial automorphism of affine s-space with a stored inverse."""
+    """Polynomial automorphism of affine s-space, given by its components."""
 
-    __slots__ = ("field", "vars", "components", "inverse_components", "kind")
+    __slots__ = ("field", "vars", "components", "kind")
 
-    def __init__(self, components, inverse_components, kind: str):
+    def __init__(self, components, kind: str):
         self.field = components[0].field
         self.vars = components[0].vars
         self.components = components
-        self.inverse_components = inverse_components
         self.kind = kind
 
     def apply_poly(self, F: MultiPoly) -> MultiPoly:
         return F.substitute(dict(zip(self.vars, self.components)), new_vars=F.vars)
-
-    def inverse(self) -> "AffineAutomorphism":
-        if self.inverse_components is None:
-            raise NotInvertibleShape(f"no closed-form inverse for kind {self.kind}")
-        return AffineAutomorphism(self.inverse_components, self.components, self.kind)
 
     def __repr__(self):
         return f"AffineAutomorphism[{self.kind}]{[repr(c) for c in self.components]}"
@@ -156,39 +149,12 @@ def affine_vars(s: int) -> tuple:
     return tuple(f"x{i}" for i in range(1, s + 1))
 
 
-def elementary(i: int, c: FieldElem, f: MultiPoly) -> AffineAutomorphism:
-    """Replace the i-th coordinate (1-based) by c*x_i + f, with c != 0 and
-    f free of x_i."""
-    field = f.field
-    vars = f.vars
-    c = field.coerce(c)
-    if field._is_zero(c):
-        raise NotInvertibleShape("the scale factor must be nonzero")
-    name = vars[i - 1]
-    if f.degree_in(name) > 0:
-        raise NotInvertibleShape(f"f must not involve {name}")
-    comps = []
-    inv_comps = []
-    cinv = field._inv(c)
-    for v in vars:
-        xv = MultiPoly.variable(field, vars, v)
-        if v == name:
-            comps.append(xv * c + f)
-            inv_comps.append((xv - f) * cinv)
-        else:
-            comps.append(xv)
-            inv_comps.append(xv)
-    return AffineAutomorphism(comps, inv_comps, "elementary")
-
-
 def nagata(field: Field) -> AffineAutomorphism:
     """Nagata's wild automorphism of affine 3-space; it fixes x^2 - yz."""
     vars = affine_vars(3)
     x, y, z = (MultiPoly.variable(field, vars, v) for v in vars)
     delta = x * x - y * z
-    comps = [x + delta * z, y + 2 * delta * x + delta * delta * z, z]
-    inv = [x - delta * z, y - 2 * delta * x + delta * delta * z, z]
-    return AffineAutomorphism(comps, inv, "nagata")
+    return AffineAutomorphism([x + delta * z, y + 2 * delta * x + delta * delta * z, z], "nagata")
 
 
 # -- sampled grid transport ---------------------------------------------------------
@@ -203,8 +169,8 @@ def grid_transport_check(
 
     Points are residue tuples.  sigma_y's components and the removed
     y-content are evaluated at every point at once; each image is scaled to
-    first nonzero coordinate 1 and indexed in the order of `proj_residues`
-    (`gridcheck._chart_codes`), and the sample keeps the points v where
+    first nonzero coordinate 1 and indexed in the order of `chart_points`
+    (`hypersurfaces.chart_codes`), and the sample keeps the points v where
     sigma_y is defined, off the exceptional locus, whose image w is hit
     once.  The original graph joins P^s to the images w, the pulled one to
     the points v, in the order of v.
@@ -223,8 +189,8 @@ def grid_transport_check(
     Hp = reduce_hypersurface_mod(H, p)
     sig = sigma_y.reduce_mod(p)
     Hpulled, _, cy = apply_with_contents(sig, Hp)
-    pts = proj_residues(p, Hp.s)
-    codes = _chart_codes([_values_mod(c, pts, p) for c in sig.components], p, _inverses(p))
+    pts = chart_points(GF(p), Hp.s)
+    codes = chart_codes([_values_mod(c, pts, p) for c in sig.components], p)
     off = _values_mod(cy.with_vars(sig.vars), pts, p)
     # keep v where sigma is defined, injective on the sample, and off the
     # exceptional locus of the content removal

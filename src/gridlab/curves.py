@@ -39,9 +39,6 @@ class PlaneCurve:
         self.degree = group_degree(form, form.vars)
         self.form = form.monic()
 
-    def contains(self, v: ProjPoint) -> bool:
-        return self.form.evaluate(list(v.coords)).is_zero()
-
     def __repr__(self):
         return f"PlaneCurve(deg {self.degree})[{self.form!r}]"
 

@@ -17,6 +17,7 @@ import os
 from fractions import Fraction
 from functools import lru_cache
 from itertools import product
+from math import gcd
 from operator import mul as _times
 
 from .errors import (
@@ -37,12 +38,6 @@ DEFAULT_BUDGET = 10**8
 
 def enumeration_budget() -> int:
     return int(os.environ.get("GRIDLAB_BUDGET", DEFAULT_BUDGET))
-
-
-def _check_candidates(count: int, what: str):
-    limit = enumeration_budget()
-    if count > limit:
-        raise BudgetExceeded(f"{what} tries {count} candidates, over budget {limit}")
 
 
 # Miller-Rabin to the first 13 prime bases proves primality below this bound
@@ -321,45 +316,102 @@ class PrimeField(Field):
         return f"F{self.p}"
 
 
-# -- univariate helpers over F_p (dense, low-degree-first int tuples) ---------
+class DenseUnivariate:
+    """Dense univariate polynomials over `field`: lists of its raw values,
+    low degree first, with no trailing zero."""
 
-def _upoly_trim(c: list) -> tuple:
-    while c and c[-1] == 0:
-        c.pop()
-    return tuple(c)
+    def __init__(self, field: Field):
+        self.field = field
+        self.add, self.sub, self.mul = field._add, field._sub, field._mul
+        self.inv, self.is_zero = field._inv, field._is_zero
+        self.zero, self.one = field._zero(), field._one()
+
+    def trim(self, f: list) -> list:
+        is_zero = self.is_zero
+        while f and is_zero(f[-1]):
+            f.pop()
+        return f
+
+    def value(self, f: list, x):
+        """f(x) by Horner."""
+        add, mul = self.add, self.mul
+        acc = self.zero
+        for c in reversed(f):
+            acc = add(mul(acc, x), c)
+        return acc
+
+    def scale(self, f: list, c) -> list:
+        mul = self.mul
+        return [mul(k, c) for k in f]
+
+    def plus(self, f: list, g: list) -> list:
+        if len(f) < len(g):
+            f, g = g, f
+        add = self.add
+        out = f[:]
+        for i, c in enumerate(g):
+            out[i] = add(out[i], c)
+        return self.trim(out)
+
+    def product(self, f: list, g: list) -> list:
+        if not f or not g:
+            return []
+        add, mul = self.add, self.mul
+        out = [self.zero] * (len(f) + len(g) - 1)
+        for i, fi in enumerate(f):
+            for j, gj in enumerate(g):
+                out[i + j] = add(out[i + j], mul(fi, gj))
+        return self.trim(out)
+
+    def divmod(self, f: list, g: list) -> tuple:
+        """Quotient and remainder of f by a nonzero g."""
+        sub, mul, is_zero = self.sub, self.mul, self.is_zero
+        r = f[:]
+        dg = len(g) - 1
+        if len(r) <= dg:
+            return [], r
+        lead_inv = self.inv(g[-1])
+        q = [self.zero] * (len(r) - dg)
+        for i in range(len(q) - 1, -1, -1):
+            c = r[i + dg]
+            if is_zero(c):
+                continue
+            c = q[i] = mul(c, lead_inv)
+            for j in range(dg):
+                r[i + j] = sub(r[i + j], mul(c, g[j]))
+        del r[dg:]
+        return q, self.trim(r)
+
+    def monic(self, f: list) -> list:
+        if not f or f[-1] == self.one:
+            return f
+        return self.scale(f, self.inv(f[-1]))
+
+    def ugcd(self, f: list, g: list) -> list:
+        """Monic gcd of two lists by Euclid; [] only when both are zero."""
+        while g:
+            f, g = g, self.divmod(f, g)[1]
+        return self.monic(f)
 
 
-def _upoly_mod(a: tuple, m: tuple, p: int) -> tuple:
-    a = list(a)
-    dm = len(m) - 1
-    inv_lead = pow(m[-1], -1, p)
-    while len(a) - 1 >= dm and a:
-        if a[-1] == 0:
-            a.pop()
-            continue
-        factor = a[-1] * inv_lead % p
-        shift = len(a) - 1 - dm
-        for i, mi in enumerate(m):
-            a[shift + i] = (a[shift + i] - factor * mi) % p
-        a.pop()
-    return _upoly_trim(a)
-
-
-def _upoly_divides(d: tuple, a: tuple, p: int) -> bool:
-    return len(_upoly_mod(a, d, p)) == 0
+def _check_irreducibility_test(p: int, deg: int, what: str):
+    """Refuse `what` when its trial division by the p + ... + p^(deg//2)
+    monic polynomials of degree 1..deg//2 is larger than the budget."""
+    count, limit = sum(p**d for d in range(1, deg // 2 + 1)), enumeration_budget()
+    if count > limit:
+        raise BudgetExceeded(f"{what} tries {count} candidates, over budget {limit}")
 
 
 def _is_irreducible(m: tuple, p: int) -> bool:
-    """Trial division by every monic polynomial of degree 1..deg(m)//2,
-    refused up front when there are more of them than the budget allows."""
+    """Trial division of m, of degree at least 2, by every monic polynomial
+    of degree 1..deg(m)//2, refused up front when there are more of them
+    than the budget allows."""
     deg = len(m) - 1
-    if deg <= 0:
-        return False
-    _check_candidates(sum(p**d for d in range(1, deg // 2 + 1)), "the irreducibility test")
+    _check_irreducibility_test(p, deg, "the irreducibility test")
+    ring, m = DenseUnivariate(GF(p)), list(m)
     for d in range(1, deg // 2 + 1):
         for tail in product(range(p), repeat=d):
-            divisor = tuple(tail) + (1,)
-            if _upoly_divides(divisor, m, p):
+            if not ring.divmod(m, [*tail, 1])[1]:
                 return False
     return True
 
@@ -368,12 +420,15 @@ def canonical_modulus(p: int, s: int) -> tuple:
     """Lexicographically smallest monic irreducible of degree s over F_p.
 
     Coefficient tuples are compared low-degree-first, so the search order of
-    itertools.product matches the comparison order.  That order first
-    visits the p^(s-1) candidates with constant term 0, so more of them
-    than the budget allows refuse the search before it starts.
+    itertools.product matches the comparison order.  A candidate with
+    constant term 0 is divisible by b, so the search starts at constant
+    term 1; an irreducibility test larger than the budget refuses it
+    before any candidate is listed.
     """
-    _check_candidates(p ** (s - 1), f"the modulus search for F_{p}^{s}")
-    for tail in product(range(p), repeat=s):
+    if s < 2:
+        raise UnsupportedParameters("s must be at least 2")
+    _check_irreducibility_test(p, s, f"the modulus search for F_{p}^{s}")
+    for tail in product(range(1, p), *[range(p)] * (s - 1)):
         m = tuple(tail) + (1,)
         if _is_irreducible(m, p):
             return m
@@ -403,10 +458,10 @@ class ExtensionField(Field):
                 raise UnsupportedParameters("modulus is reducible")
         self.modulus = modulus
         # reduction table: _red[k] = b^(s+k) in the power basis, k = 0..s-2
-        self._red = []
+        ring, self._red = DenseUnivariate(GF(p)), []
         for k in range(s - 1):
-            r = _upoly_mod((0,) * (s + k) + (1,), modulus, p)
-            self._red.append(r + (0,) * (s - len(r)))
+            r = ring.divmod([0] * (s + k) + [1], list(modulus))[1]
+            self._red.append(tuple(r) + (0,) * (s - len(r)))
         # the Frobenius matrix by columns: _frob[k][j] = coordinate k of
         # (b^j)^p = (b^p)^j
         bp = (self.generator ** p).val
@@ -574,17 +629,49 @@ def matrix_rank(rows: list, field: Field) -> int:
     return rank
 
 
+def _rho_factor(n: int) -> int:
+    """A proper factor of a composite n with no factor below 100, by
+    Pollard's rho: x -> x^2 + c from x = 2, for c = 1, 2, ... until one
+    splits n."""
+    c = 0
+    while True:
+        c += 1
+        x = y = 2
+        d = 1
+        while d == 1:
+            x = (x * x + c) % n
+            y = (y * y + c) % n
+            y = (y * y + c) % n
+            d = gcd(x - y, n)
+        if d != n:
+            return d
+
+
+def _prime_factors(n: int) -> set:
+    """The prime factors of n >= 1: those below 100 by trial division, then
+    each part proved prime by `is_prime` or split by `_rho_factor`.  Rho's
+    cost grows with the square root of a part's smallest prime factor, so a
+    large prime factor costs one primality test."""
+    factors = set()
+    for q in range(2, 100):
+        if n % q == 0:
+            factors.add(q)
+            while n % q == 0:
+                n //= q
+    parts = [n] if n > 1 else []
+    while parts:
+        m = parts.pop()
+        if is_prime(m):
+            factors.add(m)
+        else:
+            d = _rho_factor(m)
+            parts += [d, m // d]
+    return factors
+
+
 def primitive_root(p: int) -> int:
     """The smallest generator of F_p^*, p prime."""
-    m, factors, q = p - 1, [], 2
-    while q * q <= m:
-        if m % q == 0:
-            factors.append(q)
-            while m % q == 0:
-                m //= q
-        q += 1
-    if m > 1:
-        factors.append(m)
+    factors = _prime_factors(p - 1)
     return next(g for g in range(1, p) if all(pow(g, (p - 1) // q, p) != 1 for q in factors))
 
 
@@ -612,15 +699,6 @@ def pi_s(F: ExtensionField, u) -> FieldElem:
     if len(coords) != F.s:
         raise DimensionMismatch(f"need {F.s} coordinates")
     return FieldElem(F, coords)
-
-
-def pi_s_inv(alpha: FieldElem) -> list:
-    """Inverse of pi_s; returns a list of prime-field elements."""
-    F = alpha.field
-    if not isinstance(F, ExtensionField):
-        raise WrongField("pi_s_inv needs an extension-field element")
-    Fp = F.prime_subfield()
-    return [Fp.elem(c) for c in alpha.val]
 
 
 def norm_poly(p: int, s: int):

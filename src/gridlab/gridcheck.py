@@ -16,9 +16,9 @@ it verifies its symmetries on first use too (below), so the scan's budget
 check (`_check_budget`) comes before any row, column or map is computed.
 
 The vertices come from one path.  `build_graph` lists the chart's residue
-tuples, once they are counted and found within the enumeration budget, and
-keeps, on each side, those where no excluded form of the open set
-vanishes.  The test is the same kernel: an excluded form reduced mod p
+tuples (`hypersurfaces.chart_points`, which counts them against the
+enumeration budget first), and keeps, on each side, those where no
+excluded form of the open set vanishes.  The test is the same kernel: an excluded form reduced mod p
 is a form with one left vertex, (), and the chart points on its right, so
 one kernel row marks every point on its zero set at once.
 
@@ -83,16 +83,15 @@ chart and between any open sets: the last test is made on the vertex lists
 themselves, so no reasoning about the excluded forms is needed.  It maps
 all vertices at once, column by column, scales each image to first
 nonzero coordinate 1 and computes its index in the chart's order
-arithmetically (`_chart_codes`); a side with an open set is indexed
-through a position table.  A wrong candidate is dropped, and a missing one
-costs only speed.  No family label is trusted.
+arithmetically (`hypersurfaces.chart_codes`); a side with an open set is
+indexed through a position table.  A wrong candidate is dropped, and a
+missing one costs only speed.  No family label is trusted.
 """
 
 from __future__ import annotations
 
 from collections import Counter
 from collections.abc import Sequence
-from itertools import product
 from math import comb
 
 from .errors import (
@@ -102,12 +101,8 @@ from .errors import (
     ParameterOutOfRange,
     UnknownVariable,
 )
-from .fields import enumeration_budget, matrix_rank
-from .hypersurfaces import (
-    Hypersurface,
-    OpenSet,
-    reduce_hypersurface_mod,
-)
+from .fields import GF, enumeration_budget, matrix_rank
+from .hypersurfaces import Hypersurface, OpenSet, chart_codes, chart_points, reduce_hypersurface_mod
 from .poly import MultiPoly
 
 class GridWitness:
@@ -388,46 +383,6 @@ def _image(M, coords, p) -> list:
     return image
 
 
-def _inverses(p: int) -> list:
-    """inv[a] = a^-1 mod p, with inv[0] = 0."""
-    return [0] + [pow(a, -1, p) for a in range(1, p)]
-
-
-def _chart_codes(cols, p: int, inv: list) -> list:
-    """codes[k] = the index, in the order of `proj_residues`, of the point
-    whose coordinates are (cols[0][k], ..., cols[s][k]), residues mod p,
-    once it is scaled to first nonzero coordinate 1; -1 for the zero
-    vector.  `inv` lists the inverses mod p (`_inverses`).
-
-    That order lists (1, t) for t in F_p^s lexicographically, then (0, q)
-    for q in P^(s-1): a point with a nonzero first coordinate a has the
-    code of t = a^-1 (u1, ..., us) in base p, and one with first coordinate
-    0 has p^s plus its code in P^(s-1).  The affine chart's points are
-    therefore the first p^s of that order, in the affine chart's order."""
-    first, rest = cols[0], cols[1:]
-    if first.count(1) == len(first):
-        # affine chart points, or their images under an affine map: no
-        # scaling, which cuts the affine 1a graph's build by about a third
-        codes = list(rest[0]) if rest else [0] * len(first)
-        for col in rest[1:]:
-            codes = [c * p + u for c, u in zip(codes, col)]
-        return codes
-    scale = [inv[a] for a in first]
-    codes = [0] * len(first)
-    for col in rest:
-        codes = [c * p + u * w % p for c, u, w in zip(codes, col, scale)]
-    at_infinity = [k for k, a in enumerate(first) if not a]
-    if at_infinity:
-        if not rest:
-            tail = [-1] * len(at_infinity)
-        else:
-            tail = _chart_codes([[col[k] for k in at_infinity] for col in rest], p, inv)
-        size = p ** len(rest)
-        for k, c in zip(at_infinity, tail):
-            codes[k] = size + c if c >= 0 else -1
-    return codes
-
-
 def symmetry_permutations(
     form, maps: list, left: list, right: list, p: int, affine: bool, right_perm: bool = True
 ) -> list:
@@ -437,7 +392,7 @@ def symmetry_permutations(
     None when it is not verified to be an automorphism of that graph.
 
     The vertices are residue tuples of P^s in the canonical representatives
-    of `proj_residues` (the affine chart when `affine`).  A candidate is
+    of `chart_points` (the affine chart when `affine`).  A candidate is
     kept when all of these hold:
     - both matrices are (s+1) x (s+1); on the affine chart the row of x0 in
       M_x, and of y0 in M_y, is (1, 0, ..., 0), so that the map is an
@@ -448,7 +403,7 @@ def symmetry_permutations(
     - M_x maps `left` onto itself and M_y maps `right` onto itself.
     The last test maps every vertex at once, column by column, scales each
     image to first nonzero coordinate 1 and indexes it arithmetically
-    (`_chart_codes`); a side that is not the whole chart is then indexed
+    (`chart_codes`); a side that is not the whole chart is then indexed
     through a position table, and a vertex whose image is not on it
     rejects the map.  An invertible map is injective, so onto follows.  A
     right side that is the whole chart is mapped onto itself by every map
@@ -456,7 +411,6 @@ def symmetry_permutations(
     not mapped, and its permutation is given as None."""
     n = len(left[0])
     field = form.poly.field
-    inv = _inverses(p)
     size = p ** (n - 1) if affine else (p**n - 1) // (p - 1)
 
     sides = {}
@@ -467,7 +421,7 @@ def symmetry_permutations(
         in chart order, where a code is its own index."""
         if k not in sides:
             coords = list(zip(*(left, right)[k]))
-            codes = _chart_codes(coords, p, inv)
+            codes = chart_codes(coords, p)
             position = None
             if codes != list(range(size)):
                 position = [-1] * size
@@ -484,21 +438,21 @@ def symmetry_permutations(
     for m in maps:
         pair = None
         if _invertible_on_chart(m, n, p, field, affine) and _carries_form(form, m):
-            lp = _permutation(m[0], side(0), p, inv)
+            lp = _permutation(m[0], side(0), p)
             if lp is not None:
-                rp = None if skip_right else _permutation(m[1], side(1), p, inv)
+                rp = None if skip_right else _permutation(m[1], side(1), p)
                 if skip_right or rp is not None:
                     pair = (lp, rp)
         out.append(pair)
     return out
 
 
-def _permutation(M, side, p: int, inv: list) -> list | None:
+def _permutation(M, side, p: int) -> list | None:
     """perm[k] = the index in a vertex list of M times its vertex k, from
     the list's `side` (coordinate columns, position table); None when an
     image is not in the list."""
     coords, position = side
-    codes = _chart_codes(_image(M, coords, p), p, inv)
+    codes = chart_codes(_image(M, coords, p), p)
     if position is None:
         return codes
     perm = list(map(position.__getitem__, codes))
@@ -515,34 +469,6 @@ def _invertible_on_chart(m, n: int, p: int, field, affine: bool) -> bool:
         if affine and tuple(a % p for a in M[0]) != x0:
             return False
     return all(matrix_rank(M, field) == n for M in m)
-
-
-def proj_residues(p: int, s: int) -> list:
-    """The points of P^s(F_p) as residue tuples, in the canonical
-    representatives and the order of `proj_points` (`_chart_residues`)."""
-    return _chart_residues(p, s, "projective")
-
-
-def _chart_residues(p: int, s: int, chart: str) -> list:
-    """The F_p-points of P^s (chart "projective") as residue tuples, in the
-    canonical representatives and the order of `proj_points`, or of its
-    affine chart x0 = 1, the first p^s of them.  Counted first: more points
-    than the enumeration budget raise BudgetExceeded before any is listed,
-    the rule the `s1` root search applies to P^1(F_q)."""
-    if chart not in ("affine", "projective"):
-        raise ParameterOutOfRange(f"unknown chart {chart!r}")
-    leads = range(1 if chart == "affine" else s + 1)
-    count = sum(p ** (s - lead) for lead in leads)
-    limit = enumeration_budget()
-    if count > limit:
-        raise BudgetExceeded(
-            f"the {chart} chart of P^{s}(F_{p}) has {count} points, over budget {limit}"
-        )
-    pts = []
-    for lead in leads:
-        head = (0,) * lead + (1,)
-        pts += [head + tail for tail in product(range(p), repeat=s - lead)]
-    return pts
 
 
 def _open_points(U: OpenSet, pts: list, p: int) -> list:
@@ -567,11 +493,11 @@ def build_graph(
     """Vertices are the F_p-points of the chosen chart inside X and Y;
     edges by exact evaluation of the defining form.
 
-    Each side keeps the chart's residue tuples (affine, or the raw
-    coordinates of `proj_points`) where no excluded form of its open set,
-    reduced mod p, vanishes (`_open_points`); EmptySide is raised when a
-    side is left with no point.  A chart with more points than the
-    enumeration budget is refused before it is listed (`_chart_residues`).
+    Each side keeps the chart's residue tuples (`chart_points`, affine or
+    projective) where no excluded form of its open set, reduced mod p,
+    vanishes (`_open_points`); EmptySide is raised when a side is left with
+    no point.  A chart with more points than the enumeration budget is
+    refused before it is listed.
 
     The graph is a description: nothing that a scan may not need is
     computed here.  Its rows and columns are computed on first read
@@ -584,7 +510,7 @@ def build_graph(
     that the budget refuses costs the point listing alone.  The adjacency
     kernel and the symmetry test share one reduction of H mod p."""
     s = H.s
-    pts = _chart_residues(p, s, chart)
+    pts = chart_points(GF(p), s, chart)
     Xp = (X or OpenSet.full(s)).reduce_mod(p)
     Yp = (Y or OpenSet.full(s)).reduce_mod(p)
     for f in Xp.excluded + Yp.excluded:

@@ -1,4 +1,5 @@
-"""Hypersurfaces in P^s x P^s, their sections, and the classical K_{s,t}-free
+"""Hypersurfaces in P^s x P^s, their sections, the budgeted listing of the
+points of P^s over a finite field, and the classical K_{s,t}-free
 constructions over prime fields."""
 
 from __future__ import annotations
@@ -9,14 +10,16 @@ from itertools import product
 from .errors import (
     BadCharacteristic,
     BadReduction,
+    BudgetExceeded,
     DimensionMismatch,
     EmptySample,
     EmptySide,
     MalformedJSON,
+    ParameterOutOfRange,
     UnsupportedParameters,
     json_field,
 )
-from .fields import GF, QQ, Field, FieldElem, is_prime, norm_poly, primitive_root
+from .fields import GF, QQ, Field, FieldElem, enumeration_budget, is_prime, norm_poly, primitive_root
 from .poly import BiHomPoly, MultiPoly, bihomogenize, primitive_integral_model
 
 
@@ -64,14 +67,69 @@ class ProjPoint:
         return "(" + ":".join(self.field.coeff_str(c) for c in self.raw) + ")"
 
 
-def proj_points(field: Field, s: int):
-    """All points of P^s over a finite field in canonical representatives,
-    lexicographic in the order of `field.elements()`."""
-    elems = list(field.elements())
-    zero, one = field.zero, field.one
-    for lead in range(s + 1):
-        for tail in product(elems, repeat=s - lead):
-            yield ProjPoint(field, [zero] * lead + [one, *tail])
+def chart_points(field: Field, s: int, chart: str = "projective") -> list:
+    """The points of P^s over a finite field (chart "projective") as tuples
+    of raw values, in canonical representatives (first nonzero coordinate
+    1) and lexicographic in the order of `field.elements()`, or of its
+    affine chart x0 = 1, the first q^s of them.  Counted first: more points
+    than the enumeration budget raise BudgetExceeded before any is listed."""
+    if chart not in ("affine", "projective"):
+        raise ParameterOutOfRange(f"unknown chart {chart!r}")
+    q = field.characteristic ** getattr(field, "s", 1)
+    leads = range(1 if chart == "affine" else s + 1)
+    count = sum(q ** (s - lead) for lead in leads)
+    limit = enumeration_budget()
+    if count > limit:
+        raise BudgetExceeded(
+            f"the {chart} chart of P^{s}(F_{q}) has {count} points, over budget {limit}"
+        )
+    elems = [x.val for x in field.elements()]
+    pts = []
+    for lead in leads:
+        head = (field._zero(),) * lead + (field._one(),)
+        pts += [head + tail for tail in product(elems, repeat=s - lead)]
+    return pts
+
+
+def chart_codes(cols, p: int) -> list:
+    """codes[k] = the index, in the order of `chart_points` over F_p, of the
+    point whose coordinates are (cols[0][k], ..., cols[s][k]), residues mod
+    p, once it is scaled to first nonzero coordinate 1; -1 for the zero
+    vector.
+
+    That order lists (1, t) for t in F_p^s lexicographically, then (0, q)
+    for q in P^(s-1): a point with a nonzero first coordinate a has the
+    code of t = a^-1 (u1, ..., us) in base p, and one with first coordinate
+    0 has p^s plus its code in P^(s-1).  The affine chart's points are
+    therefore the first p^s of that order, in the affine chart's order."""
+    first, rest = cols[0], cols[1:]
+    if first.count(1) == len(first):
+        # affine chart points, or their images under an affine map: no
+        # scaling, which cuts the affine 1a graph's build by about a third
+        codes = list(rest[0]) if rest else [0] * len(first)
+        for col in rest[1:]:
+            codes = [c * p + u for c, u in zip(codes, col)]
+        return codes
+    inv = {a: pow(a, -1, p) if a else 0 for a in set(first)}
+    scale = [inv[a] for a in first]
+    codes = [0] * len(first)
+    for col in rest:
+        codes = [c * p + u * w % p for c, u, w in zip(codes, col, scale)]
+    at_infinity = [k for k, a in enumerate(first) if not a]
+    if at_infinity:
+        if not rest:
+            tail = [-1] * len(at_infinity)
+        else:
+            tail = chart_codes([[col[k] for k in at_infinity] for col in rest], p)
+        size = p ** len(rest)
+        for k, c in zip(at_infinity, tail):
+            codes[k] = size + c if c >= 0 else -1
+    return codes
+
+
+def proj_points(field: Field, s: int) -> list:
+    """The points of `chart_points` as ProjPoints."""
+    return [ProjPoint(field, pt) for pt in chart_points(field, s)]
 
 
 def linear_form(pt: ProjPoint, vars2: tuple) -> MultiPoly:

@@ -41,7 +41,7 @@ from .errors import (
     json_field,
     json_value,
 )
-from .fields import GF, QQ, Field, FieldElem, field_from_descriptor, is_prime
+from .fields import GF, QQ, DenseUnivariate, Field, FieldElem, field_from_descriptor, is_prime
 
 
 def _order_key(exps: tuple) -> tuple:
@@ -630,7 +630,7 @@ def _field_gcd(a: MultiPoly, b: MultiPoly) -> MultiPoly:
     return MultiPoly._raw(a.field, a.vars, terms)
 
 
-class _DenseGcd:
+class _DenseGcd(DenseUnivariate):
     """Brown's dense modular gcd over one finite field (algorithm PGCD of
     Geddes, Czapor and Labahn, Algorithms for Computer Algebra, ch. 7), on
     raw coefficient values through the field's primitives.
@@ -642,14 +642,9 @@ class _DenseGcd:
     recursion, and univariate Euclid ends it.  A candidate is tested by
     exact division once degree bound + 1 points agree, or earlier when a
     point leaves the interpolant unchanged; one that divides both inputs is
-    the gcd, since its leading monomial is no smaller than the gcd's.
+    the gcd, since its leading monomial is no smaller than the gcd's.  The
+    dense-list arithmetic is `fields.DenseUnivariate`'s.
     """
-
-    def __init__(self, field: Field):
-        self.field = field
-        self.add, self.sub, self.mul = field._add, field._sub, field._mul
-        self.inv, self.is_zero = field._inv, field._is_zero
-        self.zero, self.one = field._zero(), field._one()
 
     def points(self):
         """The field's elements as raw values, lazily."""
@@ -670,75 +665,6 @@ class _DenseGcd:
         modulus = [coerce(c) for c in field.modulus]
         root = next(x for x in big.points() if big.is_zero(big.value(modulus, x)))
         return big, lambda c: big.value([coerce(ci) for ci in c], root)
-
-    # -- dense univariate lists --------------------------------------------------
-
-    def trim(self, f: list) -> list:
-        is_zero = self.is_zero
-        while f and is_zero(f[-1]):
-            f.pop()
-        return f
-
-    def value(self, f: list, x):
-        """f(x) by Horner."""
-        add, mul = self.add, self.mul
-        acc = self.zero
-        for c in reversed(f):
-            acc = add(mul(acc, x), c)
-        return acc
-
-    def scale(self, f: list, c) -> list:
-        mul = self.mul
-        return [mul(k, c) for k in f]
-
-    def plus(self, f: list, g: list) -> list:
-        if len(f) < len(g):
-            f, g = g, f
-        add = self.add
-        out = f[:]
-        for i, c in enumerate(g):
-            out[i] = add(out[i], c)
-        return self.trim(out)
-
-    def product(self, f: list, g: list) -> list:
-        if not f or not g:
-            return []
-        add, mul = self.add, self.mul
-        out = [self.zero] * (len(f) + len(g) - 1)
-        for i, fi in enumerate(f):
-            for j, gj in enumerate(g):
-                out[i + j] = add(out[i + j], mul(fi, gj))
-        return self.trim(out)
-
-    def divmod(self, f: list, g: list) -> tuple:
-        """Quotient and remainder of f by a nonzero g."""
-        sub, mul, is_zero = self.sub, self.mul, self.is_zero
-        r = f[:]
-        dg = len(g) - 1
-        if len(r) <= dg:
-            return [], r
-        lead_inv = self.inv(g[-1])
-        q = [self.zero] * (len(r) - dg)
-        for i in range(len(q) - 1, -1, -1):
-            c = r[i + dg]
-            if is_zero(c):
-                continue
-            c = q[i] = mul(c, lead_inv)
-            for j in range(dg):
-                r[i + j] = sub(r[i + j], mul(c, g[j]))
-        del r[dg:]
-        return q, self.trim(r)
-
-    def monic(self, f: list) -> list:
-        if not f or f[-1] == self.one:
-            return f
-        return self.scale(f, self.inv(f[-1]))
-
-    def ugcd(self, f: list, g: list) -> list:
-        """Monic gcd of two lists by Euclid; [] only when both are zero."""
-        while g:
-            f, g = g, self.divmod(f, g)[1]
-        return self.monic(f)
 
     # -- the recursion -------------------------------------------------------
 

@@ -9,7 +9,7 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from gridlab import classify_s1
+from gridlab import classify_s1, hypersurfaces
 from gridlab.errors import (
     BudgetExceeded,
     ExactDivisionError,
@@ -451,8 +451,8 @@ def test_root_search_over_F_q_refused_before_enumeration(monkeypatch):
     monkeypatch.setenv("GRIDLAB_BUDGET", "25")
     form = "y0*(x0*y1 - x1*y0)"
     assert [repr(r) for r in s1_classify(F(form, GF(23))).g_roots_in_Y] == ["(0:1)"]
-    monkeypatch.setattr(classify_s1, "proj_points", None)
-    with pytest.raises(BudgetExceeded, match=r"26 points of P\^1, over budget 25"):
+    monkeypatch.setattr(hypersurfaces, "product", None)
+    with pytest.raises(BudgetExceeded, match=r"P\^1\(F_25\) has 26 points, over budget 25"):
         s1_classify(F(form, GF(5, 2)))
     with pytest.raises(BudgetExceeded):
         s1_reduce(F(form, GF(29)))
@@ -485,4 +485,6 @@ def test_huge_field_exits_2(tmp_path):
     res = _classify_in_subprocess(tmp_path, poly)
     assert res.returncode == 2
     assert res.stdout == ""
-    assert res.stderr.startswith("error: BudgetExceeded: root search tests 1000000008")
+    assert res.stderr.startswith(
+        "error: BudgetExceeded: the projective chart of P^1(F_1000000007) has 1000000008 points"
+    )

@@ -4,7 +4,6 @@ import pytest
 
 from gridlab.errors import (
     DegreeTooHigh,
-    NotInvertibleShape,
     SampleTooSmall,
     ZeroPullback,
 )
@@ -14,6 +13,7 @@ from gridlab.hypersurfaces import (
     Hypersurface,
     MatrixPair,
     ProjPoint,
+    chart_points,
     proj_points,
     reduce_hypersurface_mod,
 )
@@ -23,7 +23,6 @@ from gridlab.gridcheck import (
     _AdjacencyRows,
     _terms_int,
     find_grid,
-    proj_residues,
     symmetry_permutations,
 )
 from gridlab.cremona import (
@@ -32,7 +31,6 @@ from gridlab.cremona import (
     affine_vars,
     apply_map,
     apply_with_contents,
-    elementary,
     example_line_map,
     grid_transport_check,
     nagata,
@@ -65,19 +63,22 @@ def apply_auto(a: AffineAutomorphism, point) -> tuple:
 
 def identity_auto(field, s: int) -> AffineAutomorphism:
     vars = affine_vars(s)
-    comps = [MultiPoly.variable(field, vars, v) for v in vars]
-    return AffineAutomorphism(comps, list(comps), "identity")
+    return AffineAutomorphism([MultiPoly.variable(field, vars, v) for v in vars], "identity")
 
 
 def compose(a: AffineAutomorphism, b: AffineAutomorphism) -> AffineAutomorphism:
     """(a . b)(x) = a(b(x))."""
     sub = dict(zip(a.vars, b.components))
-    comps = [c.substitute(sub, new_vars=a.vars) for c in a.components]
-    inv = None
-    if a.inverse_components is not None and b.inverse_components is not None:
-        sub_inv = dict(zip(a.vars, a.inverse_components))
-        inv = [c.substitute(sub_inv, new_vars=a.vars) for c in b.inverse_components]
-    return AffineAutomorphism(comps, inv, "composed")
+    return AffineAutomorphism([c.substitute(sub, new_vars=a.vars) for c in a.components], "composed")
+
+
+def nagata_inverse(field) -> AffineAutomorphism:
+    """The inverse of Nagata's automorphism, the oracle that it is one: with
+    delta = x^2 - yz, which it fixes, (x - delta z, y - 2 delta x + delta^2 z, z)."""
+    vars = affine_vars(3)
+    x, y, z = (MultiPoly.variable(field, vars, v) for v in vars)
+    delta = x * x - y * z
+    return AffineAutomorphism([x - delta * z, y - 2 * delta * x + delta * delta * z, z], "nagata inverse")
 
 
 def nagata_invariant(field) -> MultiPoly:
@@ -216,38 +217,6 @@ def test_zero_pullback():
 # -- affine automorphisms --------------------------------------------------------------
 
 
-def test_elementary_shape_guards():
-    vars = affine_vars(3)
-    f = MultiPoly.parse(QQ, vars, "x2**2 + x3")
-    with pytest.raises(NotInvertibleShape):
-        elementary(1, 0, f)
-    with pytest.raises(NotInvertibleShape):
-        elementary(2, 1, f)  # f involves x2
-
-
-def test_elementary_inverse_on_random_points():
-    rng = random.Random(0)
-    vars = affine_vars(3)
-    f = MultiPoly.parse(QQ, vars, "x2**2 + 3*x3 - 1")
-    e = elementary(1, 2, f)
-    ei = e.inverse()
-    for _ in range(100):
-        pt = [rng.randint(-20, 20) for _ in range(3)]
-        img = apply_auto(e, pt)
-        back = apply_auto(ei, img)
-        assert [c.val for c in back] == pt
-
-
-def test_compose_and_inverse():
-    vars = affine_vars(3)
-    e1 = elementary(1, 2, MultiPoly.parse(QQ, vars, "x2**2"))
-    e2 = elementary(3, 1, MultiPoly.parse(QQ, vars, "x1 - x2"))
-    c = compose(e1, e2)
-    cinv = c.inverse()
-    assert compose(cinv, c).components == identity_auto(QQ, 3).components
-    assert compose(c, cinv).components == identity_auto(QQ, 3).components
-
-
 def test_nagata_fixes_origin():
     na = nagata(QQ)
     assert [c.val for c in apply_auto(na, [0, 0, 0])] == [0, 0, 0]
@@ -260,13 +229,14 @@ def test_nagata_invariant_exact():
 
 
 def test_nagata_inverse():
-    na = nagata(QQ)
-    assert compose(na.inverse(), na).components == identity_auto(QQ, 3).components
+    na, na_inv = nagata(QQ), nagata_inverse(QQ)
+    assert compose(na_inv, na).components == identity_auto(QQ, 3).components
+    assert compose(na, na_inv).components == identity_auto(QQ, 3).components
     rng = random.Random(1)
     for _ in range(20):
         pt = [rng.randint(-5, 5) for _ in range(3)]
         img = apply_auto(na, pt)
-        back = apply_auto(na.inverse(), img)
+        back = apply_auto(na_inv, img)
         assert [c.val for c in back] == pt
 
 
@@ -475,7 +445,7 @@ def test_map_that_moves_the_right_sample_is_dropped(monkeypatch):
     A_inv_T = ((1, 0, 0), (p - 1, 1, 0), (0, 0, 1))
     shear = MatrixPair(A, A_inv_T)
     Hp = reduce_hypersurface_mod(H(H0), p)
-    pts = proj_residues(p, 2)
+    pts = chart_points(GF(p), 2)
     off_triangle = [v for v in pts if all(v)]
     assert symmetry_permutations(Hp.form, [shear], pts, pts, p, False)[0] is not None
     assert symmetry_permutations(Hp.form, [shear], pts, off_triangle, p, False) == [None]

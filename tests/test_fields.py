@@ -3,6 +3,7 @@ import os
 import subprocess
 import sys
 from fractions import Fraction
+from itertools import product
 from pathlib import Path
 
 import pytest
@@ -28,7 +29,7 @@ from gridlab.fields import (
     norm,
     norm_poly,
     pi_s,
-    pi_s_inv,
+    primitive_root,
 )
 
 
@@ -186,7 +187,7 @@ def test_pi_s_roundtrip():
     for a0 in range(5):
         for a1 in range(5):
             vec = (Fp.elem(a0), Fp.elem(a1))
-            assert tuple(pi_s_inv(pi_s(K, vec))) == vec
+            assert tuple(Fp.elem(c) for c in pi_s(K, vec).val) == vec
 
 
 def test_pi_s_linear():
@@ -395,24 +396,108 @@ def test_oversized_extension_fields_are_refused_before_enumerating(monkeypatch):
 
 
 def test_extension_field_budget_boundary(monkeypatch):
-    # degree 3 over F_7: the modulus search first visits the 7^2 = 49
-    # candidates with constant term 0, and an irreducibility test tries the
-    # 7 monic linear divisors (GF is cached, so the field is built directly)
+    # degree 3 over F_7: an irreducibility test tries the 7 monic linear
+    # divisors, and the modulus search, which starts at constant term 1, is
+    # refused when one test is (GF is cached, so the field is built directly)
     canonical = canonical_modulus(7, 3)
-    monkeypatch.setenv("GRIDLAB_BUDGET", "48")
+    monkeypatch.setenv("GRIDLAB_BUDGET", "6")
     with pytest.raises(BudgetExceeded):
         canonical_modulus(7, 3)
     with pytest.raises(BudgetExceeded):
         ExtensionField(7, 3)
-    assert ExtensionField(7, 3, canonical).modulus == canonical
-    monkeypatch.setenv("GRIDLAB_BUDGET", "49")
-    assert canonical_modulus(7, 3) == canonical
-    assert ExtensionField(7, 3).modulus == canonical
-    monkeypatch.setenv("GRIDLAB_BUDGET", "6")
     with pytest.raises(BudgetExceeded):
         ExtensionField(7, 3, canonical)
     monkeypatch.setenv("GRIDLAB_BUDGET", "7")
+    assert canonical_modulus(7, 3) == canonical
+    assert ExtensionField(7, 3).modulus == canonical
     assert ExtensionField(7, 3, canonical).modulus == canonical
+
+
+def reference_canonical_modulus(p: int, s: int) -> tuple:
+    """The search over every monic candidate, constant term 0 included."""
+    for tail in product(range(p), repeat=s):
+        m = tuple(tail) + (1,)
+        if fields._is_irreducible(m, p):
+            return m
+
+
+@pytest.mark.parametrize("p, s", ((2, 2), (2, 3), (2, 4), (3, 2), (3, 3), (3, 4), (5, 2), (5, 3), (7, 2)))
+def test_modulus_search_skips_constant_term_0(p, s):
+    assert canonical_modulus(p, s) == reference_canonical_modulus(p, s)
+
+
+def test_modulus_search_needs_degree_2():
+    for s in (1, 0):
+        with pytest.raises(UnsupportedParameters):
+            canonical_modulus(7, s)
+
+
+# -- dense univariate division -------------------------------------------------------
+
+
+def reference_upoly_mod(a: tuple, m: tuple, p: int) -> tuple:
+    """The remainder of a by m over F_p on int tuples, low degree first."""
+    a = list(a)
+    dm = len(m) - 1
+    inv_lead = pow(m[-1], -1, p)
+    while len(a) - 1 >= dm and a:
+        if a[-1] == 0:
+            a.pop()
+            continue
+        factor = a[-1] * inv_lead % p
+        shift = len(a) - 1 - dm
+        for i, mi in enumerate(m):
+            a[shift + i] = (a[shift + i] - factor * mi) % p
+        a.pop()
+    while a and a[-1] == 0:
+        a.pop()
+    return tuple(a)
+
+
+@settings(max_examples=300, deadline=None)
+@given(p=st.sampled_from((2, 3, 5, 7, 101)), data=st.data())
+def test_dense_division_matches_reference(p, data):
+    # the lists have no trailing zero, as `DenseUnivariate` requires
+    ring = fields.DenseUnivariate(GF(p))
+    coeffs = st.integers(0, p - 1)
+    a = ring.trim(data.draw(st.lists(coeffs, max_size=9)))
+    m = data.draw(st.lists(coeffs, max_size=5)) + [data.draw(st.integers(1, p - 1))]
+    q, r = ring.divmod(a, m)
+    assert tuple(r) == reference_upoly_mod(tuple(a), tuple(m), p)
+    assert len(r) < len(m) and ring.plus(ring.product(q, m), r) == a
+
+
+# -- primitive roots ---------------------------------------------------------------
+
+
+def reference_primitive_root(p: int) -> int:
+    """The smallest generator of F_p^*, with p - 1 factored by trial division."""
+    m, factors, q = p - 1, [], 2
+    while q * q <= m:
+        if m % q == 0:
+            factors.append(q)
+            while m % q == 0:
+                m //= q
+        q += 1
+    if m > 1:
+        factors.append(m)
+    return next(g for g in range(1, p) if all(pow(g, (p - 1) // q, p) != 1 for q in factors))
+
+
+def test_primitive_root_matches_trial_division():
+    for p in range(2, 10**4):
+        if is_prime(p):
+            assert primitive_root(p) == reference_primitive_root(p)
+
+
+def test_primitive_root_with_large_prime_factors():
+    sympy = pytest.importorskip("sympy")
+    # 1000000000000007243 - 1 = 2 * 500000000000003621, a prime; the factors
+    # of the other p - 1 exceed trial division's reach too
+    for p in (10**9 + 7, 10**18 + 3, 1000000000000007243, 2**61 - 1):
+        assert primitive_root(p) == sympy.primitive_root(p)
+    a, b = sympy.nextprime(2**20), sympy.nextprime(2**31)
+    assert fields._prime_factors(2 * 3 * a * a * b) == {2, 3, a, b}
 
 
 def _assert_budget_refusal(res):
@@ -439,3 +524,24 @@ def test_huge_field_s1_classify_exits_2(tmp_path):
         "terms": [{"e": [1, 0, 1, 0], "c": "1,0"}],
     }))
     _assert_budget_refusal(_cli("s1", "classify", "--poly", str(form)))
+
+
+SAFE_PRIME = 1000000000000007243  # p - 1 = 2 q with q prime
+
+
+def test_safe_prime_1d_gridcheck_exits_2(tmp_path):
+    # the 1d symmetry candidates need a primitive root mod p, found before
+    # the chart is counted; trial division of p - 1 used to hang here
+    h1d = tmp_path / "h1d5.json"
+    assert _cli("construct", "--family", "1d", "--p", "5", "--s", "2", "--out", str(h1d)).returncode == 0
+    res = _cli("gridcheck", "--input", str(h1d), "--p", str(SAFE_PRIME), "--s", "2", "--t", "2")
+    _assert_budget_refusal(res)
+    assert "the affine chart of P^2" in res.stderr
+
+
+def test_safe_prime_sweep_finishes():
+    res = _cli("sweep", "--primes", str(SAFE_PRIME))
+    assert res.returncode == 1
+    assert "Traceback" not in res.stderr
+    results = json.loads(res.stdout)["results"]
+    assert results and all(r.get("error") or r.get("skipped") for r in results)

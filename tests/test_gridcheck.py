@@ -294,7 +294,7 @@ HUGE_PRIME = 1000000000000000003
 
 def test_chart_over_budget_is_refused_before_listing(monkeypatch):
     # the affine chart of P^2(F_5) has 25 points and P^2(F_5) has 31
-    from gridlab import cremona, gridcheck
+    from gridlab import cremona, hypersurfaces
 
     c = construct("1a", 5)
     monkeypatch.setenv("GRIDLAB_BUDGET", "31")
@@ -305,7 +305,7 @@ def test_chart_over_budget_is_refused_before_listing(monkeypatch):
     def no_listing(*args, **kwargs):
         raise AssertionError("chart listed after the budget refused it")
 
-    monkeypatch.setattr(gridcheck, "product", no_listing)
+    monkeypatch.setattr(hypersurfaces, "product", no_listing)
     with pytest.raises(BudgetExceeded, match=r"P\^2\(F_5\) has 31 points, over budget 30"):
         build_graph(c.hypersurface, 5, chart="projective")
     monkeypatch.delenv("GRIDLAB_BUDGET")
@@ -314,7 +314,7 @@ def test_chart_over_budget_is_refused_before_listing(monkeypatch):
         with pytest.raises(BudgetExceeded, match=f"the {chart} chart .* has {count} points"):
             build_graph(c.hypersurface, HUGE_PRIME, chart=chart)
     with pytest.raises(BudgetExceeded):
-        gridcheck.proj_residues(HUGE_PRIME, 1)
+        hypersurfaces.chart_points(GF(HUGE_PRIME), 1)
     vars = xy_vars(2)
     H0 = Hypersurface(BiHomPoly(MultiPoly.parse(QQ, vars, "x0*y0 + x1*y1 + x2*y2"), vars[:3], vars[3:]))
     with pytest.raises(BudgetExceeded):

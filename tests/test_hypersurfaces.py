@@ -1,8 +1,11 @@
+from itertools import product
+
 import pytest
 
 from gridlab.errors import (
     BadCharacteristic,
     BadReduction,
+    BudgetExceeded,
     DimensionMismatch,
     EmptySample,
     UnsupportedParameters,
@@ -15,6 +18,8 @@ from gridlab.hypersurfaces import (
     OpenSet,
     ProjPoint,
     almost_equal_sampled,
+    chart_codes,
+    chart_points,
     construct,
     proj_points,
     reduce_hypersurface_mod,
@@ -66,6 +71,50 @@ def test_proj_points_count():
         pts = list(proj_points(K, 1))
         assert len(set(pts)) == len(pts) == K.p**K.s + 1
     assert [q.raw for q in proj_points(GF(3), 1)] == [(1, 0), (1, 1), (1, 2), (0, 1)]
+
+
+def reference_proj_points(field, s: int):
+    """The points of P^s over a finite field as ProjPoints, one at a time."""
+    elems = list(field.elements())
+    zero, one = field.zero, field.one
+    for lead in range(s + 1):
+        for tail in product(elems, repeat=s - lead):
+            yield ProjPoint(field, [zero] * lead + [one, *tail])
+
+
+def reference_chart_residues(p: int, s: int, chart: str) -> list:
+    """The points of P^s(F_p), or of its affine chart, as residue tuples."""
+    pts = []
+    for lead in range(1 if chart == "affine" else s + 1):
+        head = (0,) * lead + (1,)
+        pts += [head + tail for tail in product(range(p), repeat=s - lead)]
+    return pts
+
+
+@pytest.mark.parametrize("field", (GF(2), GF(3), GF(5), GF(3, 2), GF(5, 2)), ids=repr)
+def test_chart_points_match_the_references(field):
+    for s in range(4):
+        projective = list(reference_proj_points(field, s))
+        assert proj_points(field, s) == projective
+        raw = [q.raw for q in projective]
+        affine_size = (field.p ** getattr(field, "s", 1)) ** s
+        assert chart_points(field, s) == raw
+        assert chart_points(field, s, "affine") == raw[:affine_size]
+        if field.kind == "prime":
+            for chart in ("affine", "projective"):
+                pts = chart_points(field, s, chart)
+                assert pts == reference_chart_residues(field.p, s, chart)
+                # the chart index of listed point k is k
+                assert chart_codes(list(zip(*pts)), field.p) == list(range(len(pts)))
+
+
+def test_chart_points_are_counted_before_listing(monkeypatch):
+    monkeypatch.setenv("GRIDLAB_BUDGET", "25")
+    assert len(chart_points(GF(5, 2), 1, "affine")) == 25
+    with pytest.raises(BudgetExceeded, match=r"the projective chart of P\^1\(F_25\) has 26 points"):
+        chart_points(GF(5, 2), 1)
+    with pytest.raises(BudgetExceeded):
+        proj_points(GF(5, 2), 1)
 
 
 # -- open sets -----------------------------------------------------------------------

@@ -17,13 +17,13 @@ from gridlab.gridcheck import (
     build_graph,
     find_grid,
     max_common_neighborhood,
-    proj_residues,
     symmetry_permutations,
 )
 from gridlab.hypersurfaces import (
     Hypersurface,
     MatrixPair,
     OpenSet,
+    chart_points,
     construct,
     family_symmetries,
     reduce_hypersurface_mod,
@@ -182,7 +182,7 @@ def oracle_carries(H: Hypersurface, p: int, m: MatrixPair) -> bool:
     Fp = GF(p)
     form = reduce_poly_mod(H.form.poly, p)
     n = len(H.form.xvars)
-    pts = proj_residues(p, n - 1)
+    pts = chart_points(Fp, n - 1)
     sub = {}
     for group, M in zip((H.form.xvars, H.form.yvars), m):
         if len(M) != n or reference_permutation(M, pts, p) is None:
@@ -496,7 +496,7 @@ def test_permutations_follow_the_order_of_the_vertex_lists(chart):
     p = 5
     c = construct("1a", p)
     Hp = reduce_hypersurface_mod(c.hypersurface, p)
-    pts = proj_residues(p, 2)
+    pts = chart_points(GF(p), 2)
     if chart == "affine":
         pts = pts[: p * p]
     shuffled = pts[:]
