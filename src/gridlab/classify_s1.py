@@ -31,9 +31,9 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 
+from . import gridcheck
 from .errors import BudgetExceeded, EmptySide, NonSplitForm, WrongDimension
 from .fields import enumeration_budget
-from .gridcheck import build_graph
 from .poly import (
     BiHomPoly,
     MultiPoly,
@@ -210,7 +210,7 @@ def s1_max_row(
     """Largest neighborhood size over left vertices of the F_p sample."""
     _check_p1(F)
     try:
-        G = build_graph(Hypersurface(F), p, X, Y, chart="projective")
+        G = gridcheck.build_graph(Hypersurface(F), p, X, Y, chart="projective")
     except EmptySide:
         return 0
     return max(row.bit_count() for row in G.rows)

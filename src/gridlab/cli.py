@@ -12,41 +12,16 @@ import argparse
 import json
 import sys
 
+from . import classify_s1, cremona, curves, fields, gridcheck, hypersurfaces, poly
 from .errors import BudgetExceeded, GridlabError, UnknownSuite, UnsupportedParameters
-from .fields import GF, QQ, is_prime, norm, norm_poly, pi_s, primitive_root
-from .poly import BiHomPoly, MultiPoly
-from .hypersurfaces import (
-    Hypersurface,
-    MatrixPair,
-    OpenSet,
-    ProjPoint,
-    construct,
-    family_symmetries,
-)
-from .gridcheck import (
-    _values_mod,
-    build_graph,
-    edge_report,
-    find_grid,
-    max_common_neighborhood,
-)
-from .curves import (
-    PlaneCurve,
-    INFINITE,
-    common_component_rank_test,
-    conic_classify,
-    intersection_multiplicity,
-    moura_max,
-)
-from .classify_s1 import (
-    P1_VARS,
-    XVARS,
-    YVARS,
-    s1_classify,
-    s1_max_row,
-    s1_reduce,
-)
-from . import cremona
+
+
+def __getattr__(name):
+    # `cli.build_graph` is gridcheck's, as when cli imported the name;
+    # resolved on access, so importing cli runs no gridcheck
+    if name == "build_graph":
+        return gridcheck.build_graph
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 def _emit(obj, pretty: bool, out_path: str | None = None):
@@ -62,37 +37,37 @@ def _load_json(path: str) -> dict:
         return json.load(fh)
 
 
-def _load_hypersurface(path: str) -> Hypersurface:
-    return Hypersurface.from_json(_load_json(path))
+def _load_hypersurface(path: str) -> hypersurfaces.Hypersurface:
+    return hypersurfaces.Hypersurface.from_json(_load_json(path))
 
 
 def _load_section_source(path: str):
     """A hypersurface file (it has a "poly" key) or a plain polynomial file."""
     data = _load_json(path)
     if isinstance(data, dict) and "poly" in data:
-        return Hypersurface.from_json(data)
-    return MultiPoly.from_json(data)
+        return hypersurfaces.Hypersurface.from_json(data)
+    return poly.MultiPoly.from_json(data)
 
 
-def _load_open_set(path: str | None, dim: int) -> OpenSet:
+def _load_open_set(path: str | None, dim: int) -> hypersurfaces.OpenSet:
     if path is None:
-        return OpenSet.full(dim)
-    return OpenSet.from_json(_load_json(path))
+        return hypersurfaces.OpenSet.full(dim)
+    return hypersurfaces.OpenSet.from_json(_load_json(path))
 
 
-def _points_open_set(spec: str | None, field, vars) -> OpenSet:
+def _points_open_set(spec: str | None, field, vars) -> hypersurfaces.OpenSet:
     """Comma-separated "a:b" point list -> complement open set in P^1."""
     if not spec:
-        return OpenSet.full(1)
-    pts = [ProjPoint.parse(field, part) for part in spec.split(",")]
-    return OpenSet.complement_of_points(pts, vars[:2])
+        return hypersurfaces.OpenSet.full(1)
+    pts = [hypersurfaces.ProjPoint.parse(field, part) for part in spec.split(",")]
+    return hypersurfaces.OpenSet.complement_of_points(pts, vars[:2])
 
 
 # -- subcommands --------------------------------------------------------------------
 
 
 def cmd_construct(args) -> int:
-    c = construct(args.family, args.p, args.s)
+    c = hypersurfaces.construct(args.family, args.p, args.s)
     payload = c.hypersurface.to_json()
     payload["family"] = c.family
     payload["p"] = c.p
@@ -109,16 +84,16 @@ def _input_graph(args, exclude_x=None, exclude_y=None):
     candidates that build_graph verifies on the form, so they speed the scan
     and the edge count up only."""
     data = _load_json(args.input)
-    H = Hypersurface.from_json(data)
+    H = hypersurfaces.Hypersurface.from_json(data)
     X = _load_open_set(exclude_x, H.s)
     Y = _load_open_set(exclude_y, H.s)
-    symmetries = family_symmetries(data.get("family"), args.p, H.s)
-    return build_graph(H, args.p, X, Y, chart=args.chart, symmetries=symmetries)
+    symmetries = hypersurfaces.family_symmetries(data.get("family"), args.p, H.s)
+    return gridcheck.build_graph(H, args.p, X, Y, chart=args.chart, symmetries=symmetries)
 
 
 def cmd_gridcheck(args) -> int:
     G = _input_graph(args, args.exclude_x, args.exclude_y)
-    witness = find_grid(G, args.s, args.t)
+    witness = gridcheck.find_grid(G, args.s, args.t)
     if witness is None:
         _emit({"grid_free": True, "s": args.s, "t": args.t, "p": args.p}, args.pretty)
         return 0
@@ -139,26 +114,27 @@ def cmd_gridcheck(args) -> int:
 
 def cmd_edges(args) -> int:
     G = _input_graph(args)
-    _emit(edge_report(G, args.s, args.t), args.pretty)
+    _emit(gridcheck.edge_report(G, args.s, args.t), args.pretty)
     return 0
 
 
 def cmd_s1(args) -> int:
     data = _load_json(args.poly)
-    poly = MultiPoly.from_json(data)
-    F = BiHomPoly(poly.with_vars(P1_VARS), XVARS, YVARS)
-    field = poly.field
-    X = _points_open_set(args.exclude_x, field, XVARS)
-    Y = _points_open_set(args.exclude_y, field, YVARS)
+    form = poly.MultiPoly.from_json(data)
+    xvars, yvars = classify_s1.XVARS, classify_s1.YVARS
+    F = poly.BiHomPoly(form.with_vars(classify_s1.P1_VARS), xvars, yvars)
+    field = form.field
+    X = _points_open_set(args.exclude_x, field, xvars)
+    Y = _points_open_set(args.exclude_y, field, yvars)
     if args.action == "classify":
-        verdict = s1_classify(F, X, Y)
+        verdict = classify_s1.s1_classify(F, X, Y)
         payload = verdict.to_json()
         if args.t is not None:
             payload["t"] = args.t
             payload["grid_free"] = verdict.grid_free_for(args.t)
         _emit(payload, args.pretty)
         return 0
-    reduced = s1_reduce(F, Y)
+    reduced = classify_s1.s1_reduce(F, Y)
     _emit(
         {
             "poly": reduced.poly.to_json(),
@@ -171,27 +147,27 @@ def cmd_s1(args) -> int:
 
 def cmd_curves(args) -> int:
     if args.action == "moura":
-        _emit({"max": moura_max(args.d1, args.d2)}, args.pretty)
+        _emit({"max": curves.moura_max(args.d1, args.d2)}, args.pretty)
         return 0
     if args.action == "imult":
-        f = PlaneCurve(MultiPoly.from_json(_load_json(args.f)))
-        g = PlaneCurve(MultiPoly.from_json(_load_json(args.g)))
-        v = ProjPoint.parse(f.form.field, args.point)
-        m = intersection_multiplicity(f, g, v)
+        f = curves.PlaneCurve(poly.MultiPoly.from_json(_load_json(args.f)))
+        g = curves.PlaneCurve(poly.MultiPoly.from_json(_load_json(args.g)))
+        v = hypersurfaces.ProjPoint.parse(f.form.field, args.point)
+        m = curves.intersection_multiplicity(f, g, v)
         _emit(
-            {"point": args.point, "multiplicity": "inf" if m == INFINITE else m},
+            {"point": args.point, "multiplicity": "inf" if m == curves.INFINITE else m},
             args.pretty,
         )
         return 0
     if args.action == "common":
         h1, h2 = (_load_section_source(path) for path in (args.h1, args.h2))
-        u = ProjPoint.parse(h1.field, args.u)
-        report = common_component_rank_test(h1, h2, u)
+        u = hypersurfaces.ProjPoint.parse(h1.field, args.u)
+        report = curves.common_component_rank_test(h1, h2, u)
         _emit(report.to_json(), args.pretty)
         return 0
     # conic: the parser accepts no other action
-    c = PlaneCurve(MultiPoly.from_json(_load_json(args.f)))
-    _emit(conic_classify(c).to_json(), args.pretty)
+    c = curves.PlaneCurve(poly.MultiPoly.from_json(_load_json(args.f)))
+    _emit(curves.conic_classify(c).to_json(), args.pretty)
     return 0
 
 
@@ -211,9 +187,9 @@ def _parse_sigma(spec: str, field):
 def cmd_cremona(args) -> int:
     if args.sigma == "nagata":
         # affine automorphism acting on a plain polynomial in x1,x2,x3
-        poly = MultiPoly.from_json(_load_json(args.input))
-        na = cremona.nagata(poly.field)
-        moved = poly.with_vars(na.vars)
+        form = poly.MultiPoly.from_json(_load_json(args.input))
+        na = cremona.nagata(form.field)
+        moved = form.with_vars(na.vars)
         _emit(na.apply_poly(moved).to_json(), args.pretty)
         return 0
     H = _load_hypersurface(args.input)
@@ -229,14 +205,15 @@ def cmd_cremona(args) -> int:
 def _family_graph(c):
     """The affine graph of a construction, with its candidate symmetries,
     verified on first use."""
-    return build_graph(c.hypersurface, c.p, symmetries=family_symmetries(c.family, c.p, c.s))
+    symmetries = hypersurfaces.family_symmetries(c.family, c.p, c.s)
+    return gridcheck.build_graph(c.hypersurface, c.p, symmetries=symmetries)
 
 
 def _check_1a(p: int) -> dict:
-    c = construct("1a", p)
+    c = hypersurfaces.construct("1a", p)
     G = _family_graph(c)
     expected = p**3 - p
-    witness = find_grid(G, 2, 2)
+    witness = gridcheck.find_grid(G, 2, 2)
     edges = G.edge_count()
     return {
         "pass": edges == expected and witness is None,
@@ -249,38 +226,38 @@ def _check_1a(p: int) -> dict:
 def _check_1b(p: int) -> dict:
     if p % 4 == 1:
         return {"pass": True, "skipped": "sphere check restricted to p = 3 mod 4"}
-    c = construct("1b", p)
+    c = hypersurfaces.construct("1b", p)
     try:
         G = _family_graph(c)
-        best, arg = max_common_neighborhood(G, 3)
+        best, arg = gridcheck.max_common_neighborhood(G, 3)
     except BudgetExceeded as exc:
         return {"pass": True, "skipped": f"budget: {exc}"}
     return {"pass": best <= 2, "max_common": best, "argmax": arg}
 
 
 def _check_1c(p: int) -> dict:
-    c = construct("1c", p, 2)
+    c = hypersurfaces.construct("1c", p, 2)
     G = _family_graph(c)
     degs = {G.degree(i) for i in range(len(G.left))}
-    best, _ = max_common_neighborhood(G, 2)
+    best, _ = gridcheck.max_common_neighborhood(G, 2)
     ok = degs == {p + 1} and best <= 2
     return {"pass": ok, "degrees": sorted(degs), "max_common": best}
 
 
 def _check_1d(p: int) -> dict:
-    c = construct("1d", p, 2)
+    c = hypersurfaces.construct("1d", p, 2)
     G = _family_graph(c)
-    best, _ = max_common_neighborhood(G, 2)
+    best, _ = gridcheck.max_common_neighborhood(G, 2)
     return {"pass": best <= 1, "max_common": best}
 
 
 def _check_norm_poly(p: int) -> dict:
     """norm_poly(p, 2), evaluated at every residue pair at once, against the
     field norm of pi_s of each pair."""
-    K = GF(p, 2)
+    K = fields.GF(p, 2)
     pairs = [(a0, a1) for a0 in range(p) for a1 in range(p)]
-    want = _values_mod(norm_poly(p, 2), pairs, p)
-    bad = sum(norm(pi_s(K, a)).val != w for a, w in zip(pairs, want))
+    want = gridcheck._values_mod(fields.norm_poly(p, 2), pairs, p)
+    bad = sum(fields.norm(fields.pi_s(K, a)).val != w for a, w in zip(pairs, want))
     return {"pass": bad == 0, "mismatches": bad, "inputs": p * p}
 
 
@@ -297,7 +274,7 @@ def _check_s1(p: int, verdicts: list) -> dict:
     """verdicts: (text, F, s1_classify(F)) for each form of _S1_SWEEP_FORMS."""
     disagreements = []
     for text, F, verdict in verdicts:
-        worst = s1_max_row(F, None, None, p)
+        worst = classify_s1.s1_max_row(F, None, None, p)
         for t in range(1, 6):
             lhs = verdict.grid_free_for(t)
             rhs = worst < t
@@ -306,7 +283,7 @@ def _check_s1(p: int, verdicts: list) -> dict:
     return {"pass": not disagreements, "disagreements": disagreements}
 
 
-def _check_transport(p: int, H0: Hypersurface, sigma) -> dict:
+def _check_transport(p: int, H0: hypersurfaces.Hypersurface, sigma) -> dict:
     """The transport of x0*y0 + x1*y1 + x2*y2 by the standard quadratic map,
     pruned by the diagonal torus: sigma(D y) = det D * D^-1 sigma(y), so
     (D, D^-1) keeps the original form and (D, D) the pulled one, for
@@ -316,11 +293,12 @@ def _check_transport(p: int, H0: Hypersurface, sigma) -> dict:
         """The 3 x 3 identity with a at (k, k)."""
         return tuple(tuple(a if i == j == k else int(i == j) for j in range(3)) for i in range(3))
 
-    g = primitive_root(p)
+    g = fields.primitive_root(p)
     pairs = []
     for k in (1, 2):
         D = diag(k, g)
-        pairs.append((MatrixPair(D, diag(k, pow(g, -1, p))), MatrixPair(D, D)))
+        pair = hypersurfaces.MatrixPair
+        pairs.append((pair(D, diag(k, pow(g, -1, p))), pair(D, D)))
     rep = cremona.grid_transport_check(H0, sigma, p, 2, 2, symmetries=pairs)
     return {"pass": rep["consistent"], "report": rep}
 
@@ -331,16 +309,17 @@ def run_sweep(primes: list) -> dict:
     entry is refused (UnsupportedParameters) before any check runs.  The
     checks' prime-independent inputs, the s = 1 verdicts over Q and the
     transport's form and map, are built once per call."""
-    bad = [p for p in primes if not is_prime(p)]
+    bad = [p for p in primes if not fields.is_prime(p)]
     if bad:
         raise UnsupportedParameters(f"sweep primes must be prime, got {bad}")
-    verdicts = []
+    QQ, verdicts = fields.QQ, []
     for text in _S1_SWEEP_FORMS:
-        F = BiHomPoly(MultiPoly.parse(QQ, P1_VARS, text), XVARS, YVARS)
-        verdicts.append((text, F, s1_classify(F)))
+        form = poly.MultiPoly.parse(QQ, classify_s1.P1_VARS, text)
+        F = poly.BiHomPoly(form, classify_s1.XVARS, classify_s1.YVARS)
+        verdicts.append((text, F, classify_s1.s1_classify(F)))
     vars = ("x0", "x1", "x2", "y0", "y1", "y2")
-    F0 = MultiPoly.parse(QQ, vars, "x0*y0 + x1*y1 + x2*y2")
-    H0 = Hypersurface(BiHomPoly(F0, vars[:3], vars[3:]))
+    F0 = poly.MultiPoly.parse(QQ, vars, "x0*y0 + x1*y1 + x2*y2")
+    H0 = hypersurfaces.Hypersurface(poly.BiHomPoly(F0, vars[:3], vars[3:]))
     sigma = cremona.standard_quadratic(QQ)
     checks = (
         ("family-1a", _check_1a),

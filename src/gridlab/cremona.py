@@ -7,6 +7,7 @@ from __future__ import annotations
 
 from collections import Counter
 
+from . import gridcheck
 from .errors import (
     DegreeTooHigh,
     NotInvertibleShape,
@@ -29,14 +30,6 @@ from .hypersurfaces import (
     chart_points,
     reduce_hypersurface_mod,
     reduce_polys_mod,
-)
-from .gridcheck import (
-    BipartiteGraph,
-    _AdjacencyRows,
-    _terms_int,
-    _values_mod,
-    find_grid,
-    symmetry_permutations,
 )
 
 
@@ -190,8 +183,8 @@ def grid_transport_check(
     sig = sigma_y.reduce_mod(p)
     Hpulled, _, cy = apply_with_contents(sig, Hp)
     pts = chart_points(GF(p), Hp.s)
-    codes = chart_codes([_values_mod(c, pts, p) for c in sig.components], p)
-    off = _values_mod(cy.with_vars(sig.vars), pts, p)
+    codes = chart_codes([gridcheck._values_mod(c, pts, p) for c in sig.components], p)
+    off = gridcheck._values_mod(cy.with_vars(sig.vars), pts, p)
     # keep v where sigma is defined, injective on the sample, and off the
     # exceptional locus of the content removal
     usable = [(v, w) for v, w, o in zip(pts, codes, off) if w >= 0 and o]
@@ -201,24 +194,25 @@ def grid_transport_check(
         raise SampleTooSmall(f"only {len(pairs)} usable sample points")
     right_orig = [w for _, w in pairs]
     right_pull = [v for v, _ in pairs]
-    rows_orig = _AdjacencyRows(_terms_int(Hp), pts, right_orig, p)
-    rows_pull = _AdjacencyRows(_terms_int(Hpulled), pts, right_pull, p)
+    rows_orig = gridcheck._AdjacencyRows(gridcheck._terms_int(Hp), pts, right_orig, p)
+    rows_pull = gridcheck._AdjacencyRows(gridcheck._terms_int(Hpulled), pts, right_pull, p)
     perms = []
     if symmetries:
-        orig = symmetry_permutations(Hp.form, [g for g, _ in symmetries], pts, right_orig, p, False)
-        pull = symmetry_permutations(Hpulled.form, [h for _, h in symmetries], pts, right_pull, p, False)
+        verify = gridcheck.symmetry_permutations
+        orig = verify(Hp.form, [g for g, _ in symmetries], pts, right_orig, p, False)
+        pull = verify(Hpulled.form, [h for _, h in symmetries], pts, right_pull, p, False)
         perms = [a[0] for a, b in zip(orig, pull) if a is not None and a == b]
-    G1 = BipartiteGraph(pts, right_orig, rows_orig, rows_orig.transpose(), perms)
+    G1 = gridcheck.BipartiteGraph(pts, right_orig, rows_orig, rows_orig.transpose(), perms)
     labels = G1.orbit_labels
     minima = range(len(pts)) if labels is None else [u for u, m in enumerate(labels) if u == m]
     adjacency_match = all(rows_orig[u] == rows_pull[u] for u in minima)
-    w1 = find_grid(G1, s, t)
+    w1 = gridcheck.find_grid(G1, s, t)
     # equal rows give an equal scan, so the pulled graph is scanned only
     # when the rows differ
     w2 = w1
     if not adjacency_match:
-        G2 = BipartiteGraph(pts, right_pull, rows_pull, rows_pull.transpose(), perms)
-        w2 = find_grid(G2, s, t)
+        G2 = gridcheck.BipartiteGraph(pts, right_pull, rows_pull, rows_pull.transpose(), perms)
+        w2 = gridcheck.find_grid(G2, s, t)
     return {
         "p": p,
         "s": s,

@@ -20,6 +20,7 @@ from itertools import product
 from math import gcd
 from operator import mul as _times
 
+from . import poly
 from .errors import (
     BudgetExceeded,
     CoefficientNotInPrimeField,
@@ -395,25 +396,36 @@ class DenseUnivariate:
 
 
 def _check_irreducibility_test(p: int, deg: int, what: str):
-    """Refuse `what` when its trial division by the p + ... + p^(deg//2)
-    monic polynomials of degree 1..deg//2 is larger than the budget."""
+    """Refuse `what` when trial division by the p + ... + p^(deg//2) monic
+    polynomials of degree 1..deg//2 would be larger than the budget."""
     count, limit = sum(p**d for d in range(1, deg // 2 + 1)), enumeration_budget()
     if count > limit:
         raise BudgetExceeded(f"{what} tries {count} candidates, over budget {limit}")
 
 
 def _is_irreducible(m: tuple, p: int) -> bool:
-    """Trial division of m, of degree at least 2, by every monic polynomial
-    of degree 1..deg(m)//2, refused up front when there are more of them
-    than the budget allows."""
-    deg = len(m) - 1
-    _check_irreducibility_test(p, deg, "the irreducibility test")
-    ring, m = DenseUnivariate(GF(p)), list(m)
-    for d in range(1, deg // 2 + 1):
-        for tail in product(range(p), repeat=d):
-            if not ring.divmod(m, [*tail, 1])[1]:
-                return False
-    return True
+    """Rabin's test of m, of degree n >= 2: m is irreducible over F_p iff
+    x^(p^n) = x mod m and gcd(x^(p^(n/q)) - x, m) = 1 for each prime q | n,
+    at about n log2(p) products mod m.  Refused up front by the trial
+    division count of `_check_irreducibility_test`."""
+    n = len(m) - 1
+    _check_irreducibility_test(p, n, "the irreducibility test")
+    ring, m, x = DenseUnivariate(GF(p)), list(m), [0, 1]
+
+    def times(f, g):
+        return ring.divmod(ring.product(f, g), m)[1]
+
+    frob = [x]  # frob[k] = x^(p^k) mod m
+    for _ in range(n):
+        acc, base, e = [1], frob[-1], p
+        while e:
+            if e & 1:
+                acc = times(acc, base)
+            base, e = times(base, base), e >> 1
+        frob.append(acc)
+    return frob[n] == x and all(
+        len(ring.ugcd(ring.plus(frob[n // q], [0, p - 1]), m)) == 1 for q in _prime_factors(n)
+    )
 
 
 def canonical_modulus(p: int, s: int) -> tuple:
@@ -708,11 +720,9 @@ def norm_poly(p: int, s: int):
     prod_i (sum_j z_j * (b^(j-1))^(p^i)) over F_{p^s}; every coefficient of
     the expansion must land in the prime subfield.
     """
-    from .poly import MultiPoly
-
     if s == 1:
         Fp = GF(p)
-        return MultiPoly.variable(Fp, ("z1",), "z1")
+        return poly.MultiPoly.variable(Fp, ("z1",), "z1")
     E = GF(p, s)
     zvars = tuple(f"z{j}" for j in range(1, s + 1))
     basis = [E.generator**j for j in range(s)]
@@ -724,7 +734,7 @@ def norm_poly(p: int, s: int):
             exp = [0] * s
             exp[j] = 1
             terms[tuple(exp)] = basis[j] ** q
-        factors.append(MultiPoly(E, zvars, terms))
+        factors.append(poly.MultiPoly(E, zvars, terms))
     prod_poly = factors[0]
     for f in factors[1:]:
         prod_poly = prod_poly * f
@@ -736,4 +746,4 @@ def norm_poly(p: int, s: int):
                 f"coefficient {E.coeff_str(coeff)} at {exps}"
             )
         out_terms[exps] = coeff[0]
-    return MultiPoly(Fp, zvars, out_terms)
+    return poly.MultiPoly(Fp, zvars, out_terms)

@@ -7,6 +7,7 @@ from __future__ import annotations
 from collections import namedtuple
 from itertools import product
 
+from . import gridcheck
 from .errors import (
     BadCharacteristic,
     BadReduction,
@@ -438,15 +439,13 @@ def almost_equal_sampled(
     """Sampled necessary check for V1 = V2 on X x Y: over each prime's
     rational points the two forms must vanish together.  Returns
     (equal, witness); witness is a (p, u, v) triple when they differ."""
-    from .gridcheck import build_graph
-
     if H1.s != H2.s or X.dim != H1.s or Y.dim != H1.s:
         raise DimensionMismatch("ambient dimensions differ")
     sampled = False
     for p in primes:
         try:
-            G1 = build_graph(H1, p, X, Y, chart="projective")
-            G2 = build_graph(H2, p, X, Y, chart="projective")
+            G1 = gridcheck.build_graph(H1, p, X, Y, chart="projective")
+            G2 = gridcheck.build_graph(H2, p, X, Y, chart="projective")
         except EmptySide:
             continue
         sampled = True

@@ -9,7 +9,7 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from gridlab import cli
+from gridlab import cli, fields
 from gridlab.cli import main, run_sweep
 from gridlab.errors import UnsupportedParameters
 from gridlab.fields import GF, norm_poly, pi_s
@@ -485,7 +485,7 @@ def reference_check_norm_poly(p: int) -> dict:
 def test_check_norm_poly_matches_element_loop(p, monkeypatch):
     assert cli._check_norm_poly(p) == reference_check_norm_poly(p)
     # a wrong polynomial is caught at every pair with a nonzero norm
-    monkeypatch.setattr(cli, "norm_poly", lambda p, s: norm_poly(p, s) * 2)
+    monkeypatch.setattr(fields, "norm_poly", lambda p, s: norm_poly(p, s) * 2)
     got = cli._check_norm_poly(p)
     assert got["mismatches"] == p * p - 1 and got["inputs"] == p * p
 

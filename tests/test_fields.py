@@ -134,6 +134,50 @@ def test_canonical_modulus_is_irreducible():
         assert _is_irreducible(m, p)
 
 
+def reference_is_irreducible(m: tuple, p: int) -> bool:
+    """Trial division of m, of degree at least 2, by every monic polynomial
+    of degree 1..deg(m)//2."""
+    deg = len(m) - 1
+    return all(
+        reference_upoly_mod(m, tail + (1,), p)
+        for d in range(1, deg // 2 + 1)
+        for tail in product(range(p), repeat=d)
+    )
+
+
+# every monic polynomial of degree 2..6 over F_p, p <= 7, with at most 3125
+# candidates per (p, degree): the rest (5^6, 7^5 and 7^6) take minutes,
+# and the hypothesis test below samples them
+EXHAUSTIVE = [(p, n) for p in (2, 3, 5, 7) for n in range(2, 7) if p**n <= 3125]
+
+
+@pytest.mark.parametrize("p, n", EXHAUSTIVE)
+def test_irreducibility_test_matches_trial_division_exhaustively(p, n):
+    for tail in product(range(p), repeat=n):
+        m = tail + (1,)
+        assert fields._is_irreducible(m, p) == reference_is_irreducible(m, p), m
+
+
+@settings(max_examples=200, deadline=None)
+@given(p=st.sampled_from((2, 3, 5, 7, 11, 13, 101)), data=st.data())
+def test_irreducibility_test_matches_trial_division(p, data):
+    n = data.draw(st.integers(2, 6 if p <= 13 else 4))
+    m = tuple(data.draw(st.lists(st.integers(0, p - 1), min_size=n, max_size=n))) + (1,)
+    assert fields._is_irreducible(m, p) == reference_is_irreducible(m, p)
+
+
+def test_modulus_search_at_large_primes():
+    # trial division took about 5 s at p = 1009 and would take minutes at
+    # 9973; the candidates before each modulus are reducible
+    sympy = pytest.importorskip("sympy")
+    z = sympy.symbols("z")
+    for p, want in ((1009, (1, 0, 0, 1, 1)), (9973, (1, 0, 0, 5, 1))):
+        assert canonical_modulus(p, 4) == want
+        for last in range(want[3] + 1):
+            m = sympy.Poly(list(reversed((1, 0, 0, last, 1))), z, modulus=p)
+            assert m.is_irreducible == (last == want[3])
+
+
 def test_extension_field_f9():
     F9 = GF(3, 2)
     w = F9.generator

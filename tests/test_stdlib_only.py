@@ -2,10 +2,17 @@
 does not use, and keeps the start-up of a CLI process cheap."""
 
 import ast
+import json
 import os
 import subprocess
 import sys
 from pathlib import Path
+
+import pytest
+
+import gridlab
+from gridlab.fields import QQ
+from gridlab.poly import MultiPoly
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "gridlab"
 
@@ -58,9 +65,10 @@ def test_runtime_has_no_unused_imports():
 def test_cli_import_loads_every_module_and_no_costly_stdlib():
     # `dataclasses` pulls in `inspect`, `ast`, `dis` and `tokenize`, which
     # every CLI process would pay for; `-S` keeps site-packages from
-    # importing anything on its own.  `gridlab.cli` imports every gridlab
-    # module on purpose: the benchmark's traced run takes the modules it
-    # instruments from `sys.modules` right after `import gridlab.cli`.
+    # importing anything on its own.  Importing `gridlab` registers every
+    # gridlab module in `sys.modules` (lazily: each runs on first use) on
+    # purpose: the benchmark's traced run takes the modules it instruments
+    # from `sys.modules` right after `import gridlab.cli`.
     code = "import sys, gridlab.cli; print(*sorted(sys.modules), sep='\\n')"
     env = dict(os.environ, PYTHONPATH=str(SRC.parent))
     proc = subprocess.run(
@@ -70,3 +78,132 @@ def test_cli_import_loads_every_module_and_no_costly_stdlib():
     assert {"dataclasses", "inspect", "typing"} & loaded == set()
     package = {"gridlab"} | {f"gridlab.{p.stem}" for p in SRC.glob("*.py") if p.stem != "__init__"}
     assert {name for name in loaded if name.split(".")[0] == "gridlab"} == package
+
+
+def run_child(code: str, *argv, cwd=None) -> str:
+    """stdout of `code` in a fresh `python -S` process with gridlab on the path."""
+    env = dict(os.environ, PYTHONPATH=str(SRC.parent))
+    proc = subprocess.run(
+        [sys.executable, "-S", "-c", code, *argv],
+        env=env, cwd=cwd, capture_output=True, text=True, check=True,
+    )
+    assert proc.stderr == ""
+    return proc.stdout
+
+
+# the gridlab modules a command's process executes; a lazily registered
+# module is a plain ModuleType only once it has run
+EXECUTED = """
+import contextlib, io, sys, types
+import gridlab.cli
+with contextlib.redirect_stdout(io.StringIO()):
+    code = gridlab.cli.main(sys.argv[1:])
+ran = [n for n, m in sys.modules.items() if n.split(".")[0] == "gridlab" and type(m) is types.ModuleType]
+print(code, *sorted(ran))
+"""
+
+BASE = ("cli", "errors", "fields", "hypersurfaces", "poly")
+
+
+@pytest.fixture(scope="module")
+def inputs(tmp_path_factory):
+    d = tmp_path_factory.mktemp("inputs")
+    forms = {
+        "h.json": None,
+        "s1.json": (("x0", "x1", "y0", "y1"), "x0*y0 + x1*y1"),
+        "f.json": (("x0", "x1", "x2"), "x1**2 - x0*x2"),
+        "g.json": (("x0", "x1", "x2"), "x1"),
+    }
+    for name, form in forms.items():
+        if form is not None:
+            (d / name).write_text(json.dumps(MultiPoly.parse(QQ, *form).to_json()))
+    run_child(EXECUTED, "construct", "--family", "1a", "--p", "5", "--out", "h.json", cwd=d)
+    return d
+
+
+@pytest.mark.parametrize(
+    "argv, extra",
+    [
+        (["construct", "--family", "1a", "--p", "5"], ()),
+        (["s1", "classify", "--poly", "s1.json"], ("classify_s1",)),
+        (["curves", "imult", "--f", "f.json", "--g", "g.json", "--point", "1:0:0"], ("curves",)),
+        (["cremona", "apply", "--sigma", "quadratic", "--input", "h.json"], ("cremona",)),
+        (["gridcheck", "--input", "h.json", "--p", "5", "--s", "2", "--t", "2"], ("gridcheck",)),
+        (["sweep", "--primes", "5"], ("classify_s1", "cremona", "gridcheck")),
+    ],
+)
+def test_each_command_executes_only_the_modules_it_runs(inputs, argv, extra):
+    code, *ran = run_child(EXECUTED, *argv, cwd=inputs).split()
+    assert code == "0"
+    assert ran == sorted(["gridlab"] + [f"gridlab.{m}" for m in BASE + extra])
+
+
+def cross_module_functions() -> list:
+    """(module, name) of each name a gridlab module imports from another."""
+    out = set()
+    for path in SRC.glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, ast.ImportFrom) and node.level == 1 and node.module:
+                out |= {(f"gridlab.{node.module}", alias.name) for alias in node.names}
+    return sorted(out)
+
+
+# what a tracer does after `import gridlab.cli`: wrap each function in
+# every gridlab module bound to it, in sys.modules order, loading each
+# module as it is reached; then restore the recorded bindings
+WRAP_AND_RESTORE = """
+import functools, json, sys, types
+import gridlab.cli
+modules = {n: m for n, m in sys.modules.items() if n.split(".")[0] == "gridlab"}
+patches, wrappers = [], set()
+for module, attr in json.loads(sys.argv[1]):
+    original = getattr(modules[module], attr)
+    if not isinstance(original, types.FunctionType):
+        continue
+    wrapped = functools.wraps(original)(lambda *a, fn=original, **k: fn(*a, **k))
+    wrappers.add(id(wrapped))
+    for mod in modules.values():
+        for key, value in list(vars(mod).items()):
+            if value is original:
+                setattr(mod, key, wrapped)
+                patches.append((mod, key, original))
+for mod, key, original in reversed(patches):
+    setattr(mod, key, original)
+print(json.dumps([f"{n}.{k}" for n, m in modules.items() for k, v in vars(m).items()
+                  if id(v) in wrappers]))
+"""
+
+
+def test_wrapping_in_module_order_leaves_no_wrapper_behind():
+    # modules are registered importer first, so each importer runs, and
+    # binds the originals, before the functions it imports are wrapped
+    targets = cross_module_functions()
+    assert ("gridlab.poly", "gcd") in targets
+    assert json.loads(run_child(WRAP_AND_RESTORE, json.dumps(targets))) == []
+
+
+# the public names of the package, by defining module
+EXPORTS = {
+    "fields": ["GF", "QQ", "canonical_modulus", "norm", "norm_poly", "pi_s"],
+    "poly": ["BiHomPoly", "MultiPoly", "bihomogenize", "exact_div", "gcd", "resultant",
+             "squarefree_part"],
+    "hypersurfaces": ["Hypersurface", "OpenSet", "ProjPoint", "construct", "proj_points"],
+    "gridcheck": ["BipartiteGraph", "build_graph", "edge_report", "find_grid",
+                  "max_common_neighborhood"],
+    "curves": ["PlaneCurve", "common_component_rank_test", "conic_classify",
+               "intersection_multiplicity", "moura_max"],
+    "classify_s1": ["s1_classify", "s1_reduce"],
+    "cremona": ["RationalMap", "apply_map", "example_line_map", "grid_transport_check", "nagata",
+                "standard_quadratic"],
+}
+
+
+@pytest.mark.parametrize("module, name", [(m, n) for m, names in EXPORTS.items() for n in names])
+def test_public_names_resolve_to_the_defining_module(module, name):
+    defining = sys.modules[f"gridlab.{module}"]
+    assert getattr(gridlab, name) is getattr(defining, name)
+
+
+def test_unknown_package_name_is_an_attribute_error():
+    with pytest.raises(AttributeError):
+        gridlab.no_such_name
