@@ -23,10 +23,9 @@ for _name in ("cremona", "classify_s1", "curves", "gridcheck", "hypersurfaces", 
     _spec.loader.exec_module(globals()[_name])
 
 _EXPORTS = {
-    "fields": ("GF", "QQ", "canonical_modulus", "norm", "norm_poly", "pi_s"),
-    "poly": ("BiHomPoly", "MultiPoly", "bihomogenize", "exact_div", "gcd", "resultant",
-             "squarefree_part"),
-    "hypersurfaces": ("Hypersurface", "OpenSet", "ProjPoint", "construct", "proj_points"),
+    "fields": ("GF", "QQ", "canonical_modulus", "norm", "pi_s"),
+    "poly": ("BiHomPoly", "MultiPoly", "bihomogenize", "exact_div", "gcd", "squarefree_part"),
+    "hypersurfaces": ("Hypersurface", "OpenSet", "ProjPoint", "construct", "norm_poly"),
     "gridcheck": ("BipartiteGraph", "build_graph", "edge_report", "find_grid",
                   "max_common_neighborhood"),
     "curves": ("PlaneCurve", "common_component_rank_test", "conic_classify",

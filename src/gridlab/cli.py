@@ -256,7 +256,7 @@ def _check_norm_poly(p: int) -> dict:
     field norm of pi_s of each pair."""
     K = fields.GF(p, 2)
     pairs = [(a0, a1) for a0 in range(p) for a1 in range(p)]
-    want = gridcheck._values_mod(fields.norm_poly(p, 2), pairs, p)
+    want = gridcheck._values_mod(hypersurfaces.norm_poly(p, 2), pairs, p)
     bad = sum(fields.norm(fields.pi_s(K, a)).val != w for a, w in zip(pairs, want))
     return {"pass": bad == 0, "mismatches": bad, "inputs": p * p}
 

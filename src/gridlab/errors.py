@@ -50,10 +50,6 @@ class BadCharacteristic(GridlabError):
     """The field characteristic is too small for a derivative-based step."""
 
 
-class DegreeZero(GridlabError):
-    """Resultant requested in a variable where an operand has degree 0."""
-
-
 class ExactDivisionError(GridlabError):
     """Internal: exact polynomial division left a remainder."""
 
@@ -61,10 +57,6 @@ class ExactDivisionError(GridlabError):
 # -- hypersurfaces and graphs -------------------------------------------------
 
 class UnsupportedParameters(GridlabError):
-    pass
-
-
-class EmptySample(GridlabError):
     pass
 
 

@@ -20,7 +20,6 @@ from itertools import product
 from math import gcd
 from operator import mul as _times
 
-from . import poly
 from .errors import (
     BudgetExceeded,
     CoefficientNotInPrimeField,
@@ -711,39 +710,3 @@ def pi_s(F: ExtensionField, u) -> FieldElem:
     if len(coords) != F.s:
         raise DimensionMismatch(f"need {F.s} coordinates")
     return FieldElem(F, coords)
-
-
-def norm_poly(p: int, s: int):
-    """The norm form N_s(pi_s(z)) as an F_p-polynomial in z_1..z_s.
-
-    Expanded symbolically as the product of Frobenius conjugates
-    prod_i (sum_j z_j * (b^(j-1))^(p^i)) over F_{p^s}; every coefficient of
-    the expansion must land in the prime subfield.
-    """
-    if s == 1:
-        Fp = GF(p)
-        return poly.MultiPoly.variable(Fp, ("z1",), "z1")
-    E = GF(p, s)
-    zvars = tuple(f"z{j}" for j in range(1, s + 1))
-    basis = [E.generator**j for j in range(s)]
-    factors = []
-    for i in range(s):
-        q = p**i
-        terms = {}
-        for j in range(s):
-            exp = [0] * s
-            exp[j] = 1
-            terms[tuple(exp)] = basis[j] ** q
-        factors.append(poly.MultiPoly(E, zvars, terms))
-    prod_poly = factors[0]
-    for f in factors[1:]:
-        prod_poly = prod_poly * f
-    Fp = GF(p)
-    out_terms = {}
-    for exps, coeff in prod_poly.terms.items():
-        if any(coeff[1:]):
-            raise CoefficientNotInPrimeField(
-                f"coefficient {E.coeff_str(coeff)} at {exps}"
-            )
-        out_terms[exps] = coeff[0]
-    return poly.MultiPoly(Fp, zvars, out_terms)

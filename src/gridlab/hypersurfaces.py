@@ -1,26 +1,25 @@
 """Hypersurfaces in P^s x P^s, their sections, the budgeted listing of the
 points of P^s over a finite field, and the classical K_{s,t}-free
-constructions over prime fields."""
+constructions over prime fields with the norm forms they rest on."""
 
 from __future__ import annotations
 
 from collections import namedtuple
 from itertools import product
+from math import comb
 
-from . import gridcheck
 from .errors import (
     BadCharacteristic,
     BadReduction,
     BudgetExceeded,
+    CoefficientNotInPrimeField,
     DimensionMismatch,
-    EmptySample,
-    EmptySide,
     MalformedJSON,
     ParameterOutOfRange,
     UnsupportedParameters,
     json_field,
 )
-from .fields import GF, QQ, Field, FieldElem, enumeration_budget, is_prime, norm_poly, primitive_root
+from .fields import GF, QQ, Field, FieldElem, enumeration_budget, is_prime, primitive_root
 from .poly import BiHomPoly, MultiPoly, bihomogenize, primitive_integral_model
 
 
@@ -42,10 +41,6 @@ class ProjPoint:
     def raw(self) -> tuple:
         """The coordinates as the field's raw values."""
         return tuple(c.val for c in self.coords)
-
-    @property
-    def dim(self) -> int:
-        return len(self.coords) - 1
 
     @classmethod
     def parse(cls, field: Field, text: str) -> "ProjPoint":
@@ -126,11 +121,6 @@ def chart_codes(cols, p: int) -> list:
         for k, c in zip(at_infinity, tail):
             codes[k] = size + c if c >= 0 else -1
     return codes
-
-
-def proj_points(field: Field, s: int) -> list:
-    """The points of `chart_points` as ProjPoints."""
-    return [ProjPoint(field, pt) for pt in chart_points(field, s)]
 
 
 def linear_form(pt: ProjPoint, vars2: tuple) -> MultiPoly:
@@ -286,6 +276,44 @@ def smallest_nonresidue(p: int) -> int:
     raise UnsupportedParameters(f"no quadratic non-residue mod {p}")
 
 
+def norm_poly(p: int, s: int) -> MultiPoly:
+    """The norm form N_s(pi_s(z)) as an F_p-polynomial in z_1..z_s.
+
+    Expanded symbolically as the product of Frobenius conjugates
+    prod_i (sum_j z_j * (b^(j-1))^(p^i)) over F_{p^s}; every coefficient of
+    the expansion must land in the prime subfield.
+    """
+    if s == 1:
+        return MultiPoly.variable(GF(p), ("z1",), "z1")
+    E = GF(p, s)
+    zvars = tuple(f"z{j}" for j in range(1, s + 1))
+    basis = [E.generator**j for j in range(s)]
+    unit = [tuple(int(j == k) for k in range(s)) for j in range(s)]
+    factors = [MultiPoly(E, zvars, {unit[j]: basis[j] ** p**i for j in range(s)}) for i in range(s)]
+    prod_poly = factors[0]
+    for f in factors[1:]:
+        prod_poly = prod_poly * f
+    out_terms = {}
+    for exps, coeff in prod_poly.terms.items():
+        if any(coeff[1:]):
+            raise CoefficientNotInPrimeField(
+                f"coefficient {E.coeff_str(coeff)} at {exps}"
+            )
+        out_terms[exps] = coeff[0]
+    return MultiPoly(GF(p), zvars, out_terms)
+
+
+def _check_norm_expansion(family: str, k: int):
+    """Refuse a 1c or 1d construction before its norm form in k variables
+    is expanded: with z_j -> x_j + y_j substituted it is a form of degree k
+    in 2k variables, so it has at most C(3k-1, k) terms."""
+    count, limit = comb(3 * k - 1, k), enumeration_budget()
+    if count > limit:
+        raise BudgetExceeded(
+            f"family {family} expands a norm form into up to {count} terms, over budget {limit}"
+        )
+
+
 def construct(family: str, p: int, s: int | None = None) -> Construction:
     """One of the classical K_{s,t}-free hypersurface constructions over F_p.
 
@@ -321,22 +349,15 @@ def construct(family: str, p: int, s: int | None = None) -> Construction:
         vars = tuple(f"x{i}" for i in range(1, s + 1)) + tuple(
             f"y{i}" for i in range(1, s + 1)
         )
-        if family == "1c":
-            np = norm_poly(p, s)
-            sub = {
-                f"z{j}": MultiPoly.parse(Fp, vars, f"x{j} + y{j}")
-                for j in range(1, s + 1)
-            }
-            affine = np.substitute(sub, new_vars=vars) - 1
-        else:
-            np = norm_poly(p, s - 1)
-            sub = {
-                f"z{j}": MultiPoly.parse(Fp, vars, f"x{j + 1} + y{j + 1}")
-                for j in range(1, s)
-            }
-            affine = np.substitute(sub, new_vars=vars) - MultiPoly.parse(
-                Fp, vars, "x1*y1"
-            )
+        # 1c substitutes z_j -> x_j + y_j, 1d z_j -> x_(j+1) + y_(j+1)
+        k = s if family == "1c" else s - 1
+        _check_norm_expansion(family, k)
+        sub = {
+            f"z{j}": MultiPoly.parse(Fp, vars, f"x{j + s - k} + y{j + s - k}")
+            for j in range(1, k + 1)
+        }
+        affine = norm_poly(p, k).substitute(sub, new_vars=vars)
+        affine -= 1 if family == "1c" else MultiPoly.parse(Fp, vars, "x1*y1")
     else:
         raise UnsupportedParameters(f"unknown family {family!r}")
     return Construction(family, p, s, affine, Hypersurface(bihomogenize(affine, s)))
@@ -425,35 +446,3 @@ def family_symmetries(family, p: int, s: int) -> list:
             maps.append(MatrixPair(matrix({(1, 1): g}), matrix({(1, 1): pow(g, -1, p)})))
     return maps
 
-
-# -- sampled almost-equality ------------------------------------------------------
-
-
-def almost_equal_sampled(
-    H1: Hypersurface,
-    H2: Hypersurface,
-    X: OpenSet,
-    Y: OpenSet,
-    primes: list,
-):
-    """Sampled necessary check for V1 = V2 on X x Y: over each prime's
-    rational points the two forms must vanish together.  Returns
-    (equal, witness); witness is a (p, u, v) triple when they differ."""
-    if H1.s != H2.s or X.dim != H1.s or Y.dim != H1.s:
-        raise DimensionMismatch("ambient dimensions differ")
-    sampled = False
-    for p in primes:
-        try:
-            G1 = gridcheck.build_graph(H1, p, X, Y, chart="projective")
-            G2 = gridcheck.build_graph(H2, p, X, Y, chart="projective")
-        except EmptySide:
-            continue
-        sampled = True
-        for u, r1, r2 in zip(G1.left, G1.rows, G2.rows):
-            diff = r1 ^ r2
-            if diff:
-                v = G1.right[(diff & -diff).bit_length() - 1]
-                return False, (p, ProjPoint(GF(p), u), ProjPoint(GF(p), v))
-    if not sampled:
-        raise EmptySample("no rational points in X x Y for the given primes")
-    return True, None

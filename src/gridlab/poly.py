@@ -2,7 +2,7 @@
 
 Provides exactly the primitives the grid-free machinery needs: ring
 arithmetic, substitution, derivatives, per-variable-group contents, GCDs,
-squarefree parts, Sylvester resultants and (bi)homogenization.
+squarefree parts and (bi)homogenization.
 
 A GCD over a finite field is Brown's dense evaluation/interpolation scheme
 (`_DenseGcd`): the last variable is evaluated at field points taken one at
@@ -28,7 +28,6 @@ from fractions import Fraction
 
 from .errors import (
     BadCharacteristic,
-    DegreeZero,
     DivisionByZero,
     ExactDivisionError,
     MalformedExpression,
@@ -54,8 +53,8 @@ class MultiPoly:
 
     Coefficients are stored as the field's raw values (see `Field.coerce`)
     and combined with the field's `_add`/`_mul`/... primitives; `FieldElem`
-    appears only at the public boundary (`evaluate`, `constant_value`,
-    `leading`, and as accepted input).
+    appears only at the public boundary (`evaluate`, `constant_value`, and
+    as accepted input).
     """
 
     __slots__ = ("field", "vars", "terms")
@@ -168,11 +167,6 @@ class MultiPoly:
             raise ZeroPolynomial("zero polynomial has no leading term")
         exps = max(self.terms, key=_order_key)
         return exps, self.terms[exps]
-
-    def leading(self) -> tuple:
-        """(exponents, coefficient) of the leading term."""
-        exps, c = self._lead()
-        return exps, FieldElem(self.field, c)
 
     def _scale(self, c) -> "MultiPoly":
         # c is a raw nonzero field value, so no product vanishes
@@ -888,58 +882,6 @@ def squarefree_in_vars(a: MultiPoly, group: tuple) -> MultiPoly:
     return out.monic()
 
 
-def resultant(a: MultiPoly, b: MultiPoly, var: str) -> MultiPoly:
-    """Determinant of the Sylvester matrix in `var`."""
-    da, db = a.degree_in(var), b.degree_in(var)
-    if da < 1 or db < 1:
-        raise DegreeZero(f"both operands need positive degree in {var}")
-    ca = a.univariate(var)
-    cb = b.univariate(var)
-    n = da + db
-    zero = MultiPoly.zero(a.field, a.vars)
-    rows = []
-    for i in range(db):
-        row = [zero] * n
-        for j, c in enumerate(ca):
-            row[i + (da - j)] = c  # high-degree coefficients first
-        rows.append(row)
-    for i in range(da):
-        row = [zero] * n
-        for j, c in enumerate(cb):
-            row[i + (db - j)] = c
-        rows.append(row)
-    return _det_bareiss(rows)
-
-
-def _det_bareiss(m: list) -> MultiPoly:
-    """Fraction-free determinant; entries are polynomials over a field."""
-    n = len(m)
-    if n == 0:
-        raise ZeroPolynomial("empty matrix")
-    field, vars = m[0][0].field, m[0][0].vars
-    one = MultiPoly.constant(field, vars, 1)
-    sign = 1
-    prev = one
-    m = [row[:] for row in m]
-    for k in range(n - 1):
-        if m[k][k].is_zero():
-            pivot = next(
-                (i for i in range(k + 1, n) if not m[i][k].is_zero()), None
-            )
-            if pivot is None:
-                return MultiPoly.zero(field, vars)
-            m[k], m[pivot] = m[pivot], m[k]
-            sign = -sign
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                num = m[i][j] * m[k][k] - m[i][k] * m[k][j]
-                m[i][j] = exact_div(num, prev)
-            m[i][k] = MultiPoly.zero(field, vars)
-        prev = m[k][k]
-    det = m[n - 1][n - 1]
-    return det if sign == 1 else -det
-
-
 # -- homogenization -----------------------------------------------------------------
 
 
@@ -983,14 +925,6 @@ class BiHomPoly:
         dx = group_degree(poly, self.xvars)
         dy = group_degree(poly, self.yvars)
         self.bidegree = (dx, dy)
-
-    def __mul__(self, other: "BiHomPoly") -> "BiHomPoly":
-        return BiHomPoly(self.poly * other.poly, self.xvars, self.yvars)
-
-    def __add__(self, other: "BiHomPoly") -> "BiHomPoly":
-        if self.bidegree != other.bidegree:
-            raise NotHomogeneous("adding different bidegrees")
-        return BiHomPoly(self.poly + other.poly, self.xvars, self.yvars)
 
     def __eq__(self, other):
         return isinstance(other, BiHomPoly) and self.poly == other.poly

@@ -23,12 +23,17 @@ from gridlab.hypersurfaces import (
     Hypersurface,
     OpenSet,
     ProjPoint,
+    chart_points,
     construct,
     family_symmetries,
-    proj_points,
     reduce_hypersurface_mod,
 )
 from gridlab.poly import BiHomPoly, MultiPoly, xy_vars
+
+
+def proj_points(field, s: int) -> list:
+    """The points of P^s over a finite field as ProjPoints, in chart order."""
+    return [ProjPoint(field, pt) for pt in chart_points(field, s)]
 
 
 def reference_rows(terms, left_coords, right_coords, p):
@@ -187,7 +192,7 @@ def test_vertices_match_point_membership(data, p, s, chart):
     if chart == "affine":
         pts = [(1,) + tail for tail in product(range(p), repeat=s)]
     else:
-        pts = [q.raw for q in proj_points(GF(p), s)]
+        pts = chart_points(GF(p), s)
 
     def inside(U):
         Up = U.reduce_mod(p)

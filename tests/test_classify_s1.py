@@ -18,7 +18,7 @@ from gridlab.errors import (
 )
 from gridlab.fields import GF, QQ
 from gridlab.poly import BiHomPoly, MultiPoly, exact_div, gcd
-from gridlab.hypersurfaces import OpenSet, ProjPoint, proj_points, reduce_poly_mod
+from gridlab.hypersurfaces import OpenSet, ProjPoint, reduce_poly_mod
 from gridlab.classify_s1 import (
     P1_VARS,
     XVARS,
@@ -27,6 +27,7 @@ from gridlab.classify_s1 import (
     s1_max_row,
     s1_reduce,
 )
+from test_adjacency import proj_points
 
 
 def F(expr, field=QQ):

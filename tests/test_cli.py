@@ -9,10 +9,11 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from gridlab import cli, fields
+from gridlab import cli, hypersurfaces
 from gridlab.cli import main, run_sweep
 from gridlab.errors import UnsupportedParameters
-from gridlab.fields import GF, norm_poly, pi_s
+from gridlab.fields import GF, pi_s
+from gridlab.hypersurfaces import norm_poly
 
 
 def run(capsys, *argv):
@@ -485,7 +486,7 @@ def reference_check_norm_poly(p: int) -> dict:
 def test_check_norm_poly_matches_element_loop(p, monkeypatch):
     assert cli._check_norm_poly(p) == reference_check_norm_poly(p)
     # a wrong polynomial is caught at every pair with a nonzero norm
-    monkeypatch.setattr(fields, "norm_poly", lambda p, s: norm_poly(p, s) * 2)
+    monkeypatch.setattr(hypersurfaces, "norm_poly", lambda p, s: norm_poly(p, s) * 2)
     got = cli._check_norm_poly(p)
     assert got["mismatches"] == p * p - 1 and got["inputs"] == p * p
 

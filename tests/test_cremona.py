@@ -14,7 +14,6 @@ from gridlab.hypersurfaces import (
     MatrixPair,
     ProjPoint,
     chart_points,
-    proj_points,
     reduce_hypersurface_mod,
 )
 from gridlab import cli, gridcheck
@@ -36,7 +35,7 @@ from gridlab.cremona import (
     nagata,
     standard_quadratic,
 )
-from test_adjacency import transpose
+from test_adjacency import proj_points, transpose
 
 V6 = ("x0", "x1", "x2", "y0", "y1", "y2")
 

@@ -27,10 +27,10 @@ from gridlab.fields import (
     field_from_descriptor,
     is_prime,
     norm,
-    norm_poly,
     pi_s,
     primitive_root,
 )
+from gridlab.hypersurfaces import norm_poly
 
 
 def test_rationals_arithmetic():

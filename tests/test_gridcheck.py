@@ -27,7 +27,7 @@ from gridlab.gridcheck import (
 from gridlab.hypersurfaces import OpenSet, construct, family_symmetries
 from gridlab.poly import BiHomPoly, MultiPoly, xy_vars
 from gridlab.hypersurfaces import Hypersurface
-from test_adjacency import transpose
+from test_adjacency import proj_points, transpose
 
 
 def _common(rows, n_right, S):
@@ -349,7 +349,7 @@ def test_adjacency_agrees_with_direct_evaluation():
     H = Hypersurface(BiHomPoly(F, vars[:2], vars[2:]))
     p = 5
     G = build_graph(H, p, chart="projective")
-    from gridlab.hypersurfaces import proj_points, reduce_hypersurface_mod
+    from gridlab.hypersurfaces import reduce_hypersurface_mod
 
     Hp = reduce_hypersurface_mod(H, p)
     pts = list(proj_points(GF(p), 1))

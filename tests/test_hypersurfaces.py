@@ -1,27 +1,29 @@
+import os
+import subprocess
+import sys
 from itertools import product
+from pathlib import Path
 
 import pytest
 
+from gridlab import hypersurfaces
 from gridlab.errors import (
     BadCharacteristic,
     BadReduction,
     BudgetExceeded,
     DimensionMismatch,
-    EmptySample,
     UnsupportedParameters,
 )
 from gridlab.fields import GF, QQ
 from gridlab.poly import BiHomPoly, MultiPoly
-from test_classify_s1 import CORPUS, EMPTY_AT_3, OPEN_SETS
+from test_adjacency import proj_points
 from gridlab.hypersurfaces import (
     Hypersurface,
     OpenSet,
     ProjPoint,
-    almost_equal_sampled,
     chart_codes,
     chart_points,
     construct,
-    proj_points,
     reduce_hypersurface_mod,
     reduce_poly_mod,
     reduce_polys_mod,
@@ -113,8 +115,6 @@ def test_chart_points_are_counted_before_listing(monkeypatch):
     assert len(chart_points(GF(5, 2), 1, "affine")) == 25
     with pytest.raises(BudgetExceeded, match=r"the projective chart of P\^1\(F_25\) has 26 points"):
         chart_points(GF(5, 2), 1)
-    with pytest.raises(BudgetExceeded):
-        proj_points(GF(5, 2), 1)
 
 
 # -- open sets -----------------------------------------------------------------------
@@ -251,94 +251,38 @@ def test_construct_1d_shape():
     assert c.affine.degree_in("y1") == 1
 
 
-# -- sampled equality -----------------------------------------------------------------
+def test_norm_expansion_is_counted_before_the_norm_form(monkeypatch):
+    # the norm form in k = 3 variables, z_j -> x_j + y_j substituted, is a
+    # form of degree 3 in 6 variables: at most C(8, 3) = 56 terms
+    c1, d1 = construct("1c", 3, 3), construct("1d", 3, 4)
+    monkeypatch.setenv("GRIDLAB_BUDGET", "56")
+    assert construct("1c", 3, 3).affine == c1.affine
+    assert construct("1d", 3, 4).affine == d1.affine
+
+    def no_expansion(*args):
+        raise AssertionError("norm form expanded after the budget refused it")
+
+    monkeypatch.setenv("GRIDLAB_BUDGET", "55")
+    monkeypatch.setattr(hypersurfaces, "norm_poly", no_expansion)
+    with pytest.raises(BudgetExceeded, match="1c expands a norm form into up to 56 terms, over budget 55"):
+        construct("1c", 3, 3)
+    with pytest.raises(BudgetExceeded, match="1d expands a norm form into up to 56 terms"):
+        construct("1d", 3, 4)
 
 
-def test_almost_equal_sampled_same():
-    h1 = H("x0*y1 - x1*y0")
-    h2 = H("3*x0*y1 - 3*x1*y0")
-    X = OpenSet.full(1)
-    eq, witness = almost_equal_sampled(h1, h2, X, X, [5, 7])
-    assert eq and witness is None
-
-
-def test_almost_equal_sampled_differs():
-    h1 = H("x0*y1 - x1*y0")
-    h2 = H("x0*y0 + x1*y1")
-    X = OpenSet.full(1)
-    eq, witness = almost_equal_sampled(h1, h2, X, X, [5])
-    assert not eq
-    p, u, v = witness
-    assert p == 5
-
-
-def test_almost_equal_sampled_empty():
-    h1 = H("x0*y1 - x1*y0")
-    X = OpenSet.full(1)
-    with pytest.raises(EmptySample):
-        almost_equal_sampled(h1, h1, X, X, [])
-
-
-def reference_almost_equal(H1, H2, X, Y, primes):
-    """Per-pair loop: u outer, v inner, each section evaluated in turn."""
-    s = H1.s
-    sampled = False
-    for p in primes:
-        Fp = GF(p)
-        G1 = reduce_hypersurface_mod(H1, p)
-        G2 = reduce_hypersurface_mod(H2, p)
-        Xp = X.reduce_mod(p)
-        Yp = Y.reduce_mod(p)
-        us = [u for u in proj_points(Fp, s) if Xp.contains(u)]
-        vs = [v for v in proj_points(Fp, s) if Yp.contains(v)]
-        if not us or not vs:
-            continue
-        sampled = True
-        for u in us:
-            s1 = G1.section(u)
-            s2 = G2.section(u)
-            for v in vs:
-                coords = list(v.coords)
-                z1 = s1.evaluate(coords).is_zero()
-                z2 = s2.evaluate(coords).is_zero()
-                if z1 != z2:
-                    return False, (p, u, v)
-    if not sampled:
-        raise EmptySample("no rational points in X x Y for the given primes")
-    return True, None
-
-
-@pytest.mark.parametrize("k", range(len(CORPUS)))
-def test_almost_equal_matches_reference(k):
-    h1 = H(CORPUS[k])
-    # the next form differs; the form times a power of x0 agrees off x0 = 0
-    others = [H(CORPUS[(k + 1) % len(CORPUS)]), H(f"x0*({CORPUS[k]})")]
-    for X, Y in OPEN_SETS:
-        X = X or OpenSet.full(1)
-        Y = Y or OpenSet.full(1)
-        for h2 in others:
-            for primes in ([3, 5, 7, 11], [11, 7]):
-                got = almost_equal_sampled(h1, h2, X, Y, primes)
-                assert got == reference_almost_equal(h1, h2, X, Y, primes)
-
-
-def test_almost_equal_on_p2_matches_reference():
-    V6 = ("x0", "x1", "x2", "y0", "y1", "y2")
-    h1 = H("x0*y0 + x1*y1 + x2*y2", vars=V6)
-    h2 = H("x0*y0 + x1*y1 - x2*y2", vars=V6)
-    X = OpenSet(2, [MultiPoly.parse(QQ, V6[:3], "x0 + x1 + x2")])
-    Y = OpenSet.full(2)
-    for a, b in ((h1, h2), (h1, h1), (h2, h1)):
-        got = almost_equal_sampled(a, b, X, Y, [2, 3, 5])
-        assert got == reference_almost_equal(a, b, X, Y, [2, 3, 5])
-    assert not got[0]
-
-
-def test_almost_equal_skips_prime_with_empty_side():
-    X, _ = EMPTY_AT_3[1]
-    h1 = H("x0*y1 - x1*y0")
-    h2 = H("x0*y0 + x1*y1")
-    with pytest.raises(EmptySample):
-        almost_equal_sampled(h1, h2, X, OpenSet.full(1), [3])
-    eq, (p, u, v) = almost_equal_sampled(h1, h2, X, OpenSet.full(1), [3, 7])
-    assert not eq and p == 7
+def test_construct_1c_at_s_11_exits_2():
+    # the norm form alone took over a minute to expand, its substitution
+    # far longer; C(32, 11) = 129024480 terms is over the default budget
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
+    env.pop("GRIDLAB_BUDGET", None)
+    res = subprocess.run(
+        [sys.executable, "-m", "gridlab.cli", "construct", "--family", "1c", "--p", "3", "--s", "11"],
+        env=env,
+        capture_output=True,
+        text=True,
+        timeout=30,
+    )
+    assert res.returncode == 2
+    assert res.stdout == ""
+    assert res.stderr.startswith("error: BudgetExceeded: family 1c expands a norm form into up to")
+    assert "Traceback" not in res.stderr

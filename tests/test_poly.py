@@ -13,7 +13,6 @@ from hypothesis import assume, example, given, settings, strategies as st
 
 from gridlab.errors import (
     BadCharacteristic,
-    DegreeZero,
     ExactDivisionError,
     MalformedExpression,
     MixedFields,
@@ -23,7 +22,6 @@ from gridlab.errors import (
 from gridlab.fields import GF, QQ
 import gridlab.poly
 from gridlab.poly import (
-    BiHomPoly,
     MultiPoly,
     _DenseGcd,
     _rational,
@@ -34,7 +32,6 @@ from gridlab.poly import (
     gcd,
     group_degree,
     homogenize,
-    resultant,
     squarefree_in_vars,
     squarefree_part,
 )
@@ -58,9 +55,10 @@ def test_parse_and_repr():
 
 
 def test_graded_lex_leading():
-    f = P("x*y + x**3 + y**2")
-    e, c = f.leading()
-    assert e == (3, 0)
+    # monic() scales the leading term to 1: the highest total degree first,
+    # then the later variable's exponent
+    assert P("2*x*y + 4*x**3 + y**2").monic() == P("1/2*x*y + x**3 + 1/4*y**2")
+    assert P("3*x**2 + 2*y**2 + 5*x*y").monic() == P("3/2*x**2 + y**2 + 5/2*x*y")
 
 
 def test_monic_idempotent():
@@ -332,11 +330,12 @@ def test_squarefree_of_a_degree_16_binary_resultant_matches_sympy():
     f = form(4)
     line = MultiPoly.parse(QQ, PLANE, "y2 - y0 - 2*y1")
     g = f + line**2 * form(2)
-    r = resultant(f, g, "y2")
+    syms = sympy.symbols(PLANE)
+    fe, ge = (_to_sympy(h, syms).as_expr() for h in (f, g))
+    r = _to_multipoly(sympy.expand(sympy.resultant(fe, ge, syms[2])), syms, PLANE)
     assert r.degree() == 16 and r.degree_in("y2") == 0
     with _time_limit(60):
         sqf = squarefree_in_vars(r, ("y0", "y1"))
-    syms = sympy.symbols(PLANE)
     want = sympy.sqf_part(_to_sympy(r, syms))
     assert sqf == _to_multipoly(want.as_expr(), syms, PLANE).monic()
     assert sqf.degree() == 12
@@ -404,28 +403,6 @@ def test_gcd_over_qq_matches_the_prs(pair):
     assert gcd(a, b) == _prs_gcd(a, b)
 
 
-# -- resultants --------------------------------------------------------------------
-
-
-def test_resultant_example():
-    a = MultiPoly.parse(QQ, ("x0", "x1", "y0", "y1"), "x0*y1 - x1*y0")
-    b = MultiPoly.parse(QQ, ("x0", "x1", "y0", "y1"), "x0*y1 + x1*y0")
-    r = resultant(a, b, "y1")
-    assert r == MultiPoly.parse(QQ, ("x0", "x1", "y0", "y1"), "2*x0*x1*y0")
-
-
-def test_resultant_degree_zero_guard():
-    with pytest.raises(DegreeZero):
-        resultant(P("y + 1"), P("y - 1"), "x")
-
-
-def test_resultant_common_root():
-    # shared factor (x - y) forces a zero resultant
-    a = P("(x - y)*(x + 1)")
-    b = P("(x - y)*(x + 2)")
-    assert resultant(a, b, "x").is_zero()
-
-
 def _random_sympy_pair(rng, nvars=2, deg=3):
     syms = sympy.symbols(f"v0:{nvars}")
     vars = tuple(str(s) for s in syms)
@@ -477,22 +454,6 @@ def test_gcd_matches_sympy(seed):
     got = gcd(a, b)
     want = _to_multipoly(sympy.expand(expected), syms, vars).monic()
     assert got == want
-
-
-@pytest.mark.parametrize("seed", range(8))
-def test_resultant_matches_sympy(seed):
-    rng = random.Random(seed + 100)
-    syms, vars, e1, e2 = _random_sympy_pair(rng, deg=2)
-    x = syms[0]
-    if sympy.degree(e1, x) < 1 or sympy.degree(e2, x) < 1:
-        return
-    a, b = _to_multipoly(e1, syms, vars), _to_multipoly(e2, syms, vars)
-    expected = sympy.expand(sympy.resultant(e1, e2, x))
-    got = resultant(a, b, vars[0])
-    if expected == 0:
-        assert got.is_zero()
-    else:
-        assert got == _to_multipoly(expected, syms, vars)
 
 
 # -- hypothesis properties ----------------------------------------------------------
@@ -578,13 +539,6 @@ def test_bihomogenize():
         "x1*y1 + x2*y2 - x0*y0",
     )
     assert B.poly == expected
-
-
-def test_bihom_product_adds_bidegrees():
-    vars = ("x0", "x1", "y0", "y1")
-    a = BiHomPoly(MultiPoly.parse(QQ, vars, "x0*y0 + x1*y1"), vars[:2], vars[2:])
-    b = BiHomPoly(MultiPoly.parse(QQ, vars, "y0 - y1"), vars[:2], vars[2:])
-    assert (a * b).bidegree == (1, 2)
 
 
 def test_json_roundtrip():

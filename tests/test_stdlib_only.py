@@ -6,6 +6,7 @@ import json
 import os
 import subprocess
 import sys
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -138,6 +139,70 @@ def test_each_command_executes_only_the_modules_it_runs(inputs, argv, extra):
     assert ran == sorted(["gridlab"] + [f"gridlab.{m}" for m in BASE + extra])
 
 
+# gridlab's layers, lowest first; the modules of one tuple share a layer
+LAYERS = (("errors",), ("fields",), ("poly",), ("hypersurfaces",), ("gridcheck",),
+          ("classify_s1", "curves", "cremona"), ("cli",))
+LAYER = {module: rank for rank, layer in enumerate(LAYERS) for module in layer}
+
+
+def relative_imports(path: Path) -> set:
+    """The gridlab modules that the module at `path` imports from."""
+    out = set()
+    for node in ast.walk(ast.parse(path.read_text(), str(path))):
+        if isinstance(node, ast.ImportFrom) and node.level == 1:
+            out |= {node.module} if node.module else {alias.name for alias in node.names}
+    return out
+
+
+def registration_order() -> list:
+    """The modules that `gridlab/__init__.py` registers, in its order."""
+    tree = ast.parse((SRC / "__init__.py").read_text())
+    loops = [node for node in ast.walk(tree)
+             if isinstance(node, ast.For) and isinstance(node.iter, ast.Tuple)]
+    assert len(loops) == 1
+    return [elt.value for elt in loops[0].iter.elts]
+
+
+def test_every_import_points_down_the_layers():
+    imports = {path.stem: relative_imports(path) for path in SRC.glob("*.py")}
+    assert imports.pop("__init__") == set()
+    assert set(imports) == set(LAYER)
+    upward = [f"{m} -> {d}" for m in sorted(imports) for d in sorted(imports[m])
+              if LAYER[d] >= LAYER[m]]
+    assert upward == []
+    # importer first, as the comment in __init__.py says: every module is
+    # registered before each module it imports from
+    order = registration_order()
+    assert sorted(order) == sorted(set(LAYER) - {"cli"})
+    late = [f"{m} -> {d}" for m in order for d in sorted(imports[m])
+            if order.index(d) < order.index(m)]
+    assert late == []
+
+
+def test_every_function_is_called_in_src():
+    """Each function and method that gridlab defines, dunders aside, is
+    named in gridlab outside its own body, so no code exists only for the
+    tests.  The export table's strings do not count.  Names are matched,
+    not bindings: a name that several definitions share, such as `dim`
+    (OpenSet's attribute and, once, ProjPoint's property), is caught only
+    when none of them is used."""
+    defined, named, own = {}, Counter(), Counter()
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text(), str(path))
+        for node in ast.walk(tree):
+            if isinstance(node, (ast.Name, ast.Attribute)):
+                named[node.id if isinstance(node, ast.Name) else node.attr] += 1
+            elif isinstance(node, ast.FunctionDef) and not node.name.startswith("__"):
+                defined.setdefault(node.name, f"{path.name}:{node.lineno}")
+                own[node.name] += sum(
+                    isinstance(inner, ast.Name) and inner.id == node.name
+                    or isinstance(inner, ast.Attribute) and inner.attr == node.name
+                    for inner in ast.walk(node)
+                )
+    assert sorted(f"{where} {name}" for name, where in defined.items()
+                  if named[name] == own[name]) == []
+
+
 def cross_module_functions() -> list:
     """(module, name) of each name a gridlab module imports from another."""
     out = set()
@@ -184,10 +249,9 @@ def test_wrapping_in_module_order_leaves_no_wrapper_behind():
 
 # the public names of the package, by defining module
 EXPORTS = {
-    "fields": ["GF", "QQ", "canonical_modulus", "norm", "norm_poly", "pi_s"],
-    "poly": ["BiHomPoly", "MultiPoly", "bihomogenize", "exact_div", "gcd", "resultant",
-             "squarefree_part"],
-    "hypersurfaces": ["Hypersurface", "OpenSet", "ProjPoint", "construct", "proj_points"],
+    "fields": ["GF", "QQ", "canonical_modulus", "norm", "pi_s"],
+    "poly": ["BiHomPoly", "MultiPoly", "bihomogenize", "exact_div", "gcd", "squarefree_part"],
+    "hypersurfaces": ["Hypersurface", "OpenSet", "ProjPoint", "construct", "norm_poly"],
     "gridcheck": ["BipartiteGraph", "build_graph", "edge_report", "find_grid",
                   "max_common_neighborhood"],
     "curves": ["PlaneCurve", "common_component_rank_test", "conic_classify",
