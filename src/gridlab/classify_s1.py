@@ -37,7 +37,6 @@ from .fields import enumeration_budget
 from .poly import (
     BiHomPoly,
     MultiPoly,
-    divides,
     exact_div,
     gcd,
     split_group_contents,
@@ -148,7 +147,7 @@ def _binary_roots(form: MultiPoly, vars2: tuple):
     rest = binary
     for pt in roots:
         lin = linear_form(pt, vars2)
-        while divides(lin, rest):
+        while rest.evaluate(pt.raw).is_zero():
             rest = exact_div(rest, lin)
     return roots, rest.monic() if rest.degree() > 0 else one
 

@@ -253,9 +253,10 @@ def _check_1d(p: int) -> dict:
 
 def _check_norm_poly(p: int) -> dict:
     """norm_poly(p, 2), evaluated at every residue pair at once, against the
-    field norm of pi_s of each pair."""
+    field norm of pi_s of each pair.  The pairs are the affine chart of
+    P^2(F_p) without x0, so they are counted against the budget first."""
     K = fields.GF(p, 2)
-    pairs = [(a0, a1) for a0 in range(p) for a1 in range(p)]
+    pairs = [pt[1:] for pt in hypersurfaces.chart_points(fields.GF(p), 2, "affine")]
     want = gridcheck._values_mod(hypersurfaces.norm_poly(p, 2), pairs, p)
     bad = sum(fields.norm(fields.pi_s(K, a)).val != w for a, w in zip(pairs, want))
     return {"pass": bad == 0, "mismatches": bad, "inputs": p * p}

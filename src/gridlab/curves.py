@@ -11,10 +11,10 @@ from math import comb
 from .errors import (
     CharacteristicTwo,
     DegreeTooHigh,
-    DimensionMismatch,
     MixedFields,
     NonTermination,
     PointNotRational,
+    WrongDimension,
     ZeroSection,
 )
 from .fields import Field, matrix_rank
@@ -34,13 +34,19 @@ class PlaneCurve:
     def __init__(self, form: MultiPoly):
         if form.is_zero():
             raise ZeroSection("a plane curve needs a nonzero form")
-        if len(form.vars) != 3:
-            raise DegreeTooHigh("plane curves live in three homogeneous coordinates")
+        _check_plane(form)
         self.degree = group_degree(form, form.vars)
         self.form = form.monic()
 
     def __repr__(self):
         return f"PlaneCurve(deg {self.degree})[{self.form!r}]"
+
+
+def _check_plane(form: MultiPoly):
+    if len(form.vars) != 3:
+        raise WrongDimension(
+            f"a plane curve lives in three homogeneous coordinates, not {len(form.vars)}"
+        )
 
 
 def moura_max(d1: int, d2: int) -> int:
@@ -70,12 +76,10 @@ def _embed_poly(F: MultiPoly, field: Field) -> MultiPoly:
     return MultiPoly(field, F.vars, F.terms)
 
 
-def _local_pair(F: PlaneCurve, G: PlaneCurve, v: ProjPoint):
-    """Dehomogenize both curves in the chart of v's largest coordinate and
-    translate v to the origin; returns (f, g, avar, bvar)."""
+def _local_pair(f: MultiPoly, g: MultiPoly, v: ProjPoint):
+    """Dehomogenize both forms, over v's field, in the chart of v's largest
+    coordinate and translate v to the origin; returns (f, g, avar, bvar)."""
     field = v.field
-    f = _embed_poly(F.form, field)
-    g = _embed_poly(G.form, field)
     coords = v.raw
     chart = max(
         (i for i, c in enumerate(coords) if not field._is_zero(c)),
@@ -127,10 +131,7 @@ def intersection_multiplicity(F: PlaneCurve, G: PlaneCurve, v: ProjPoint):
             coords
         ).is_zero():
             return 0
-    f, g, avar, bvar = _local_pair(
-        PlaneCurve(f_form), PlaneCurve(g_form), v
-    )
-    return _fulton(f, g, avar, bvar)
+    return _fulton(*_local_pair(f_form, g_form, v))
 
 
 def _fulton(f: MultiPoly, g: MultiPoly, avar: str, bvar: str) -> int:
@@ -190,25 +191,17 @@ class RankTestReport:
         }
 
 
-def _monomials(nvars: int, degree: int):
-    if nvars == 1:
-        yield (degree,)
-        return
-    for k in range(degree, -1, -1):
-        for rest in _monomials(nvars - 1, degree - k):
-            yield (k,) + rest
-
-
-def common_component_rank_test(
-    h1, h2, u: ProjPoint
-) -> RankTestReport:
+def common_component_rank_test(h1, h2, u: ProjPoint) -> RankTestReport:
     """Decide whether the sections h1(u, ȳ) and h2(u, ȳ) share a factor by
     the rank of the linear system on cofactor coefficients: a relation
     h1(u,ȳ) g1(ȳ) + h2(u,ȳ) g2(ȳ) = 0 with deg g1 = d2-1, deg g2 = d1-1
-    exists iff the M x N coefficient matrix has rank < N."""
+    exists iff the M x N coefficient matrix has rank < N.
+
+    The rank is read off c = gcd(h1(u,ȳ), h2(u,ȳ)) of degree e: by unique
+    factorisation the relations are (g1, g2) = (q h2/c, -q h1/c) for q any
+    form of degree e-1, so the kernel has dimension C(e+1, 2)."""
     s1 = _as_section(h1, u)
     s2 = _as_section(h2, u)
-    field = s1.field
     yvars = s1.vars
     d1 = group_degree(s1, yvars)
     d2 = group_degree(s2, yvars)
@@ -216,27 +209,13 @@ def common_component_rank_test(
         raise ZeroSection("sections must have positive degree")
     M = comb(d1 + d2 + 1, 2)
     N = comb(d1 + 1, 2) + comb(d2 + 1, 2)
-    row_monos = list(_monomials(3, d1 + d2 - 1))
-    row_index = {m: i for i, m in enumerate(row_monos)}
-    if len(row_monos) != M:
-        raise DimensionMismatch(f"{len(row_monos)} row monomials, expected {M}")
-    columns = []
-    for sec, dg in ((s1, d2 - 1), (s2, d1 - 1)):
-        for mono in _monomials(3, dg):
-            shifted = MultiPoly(field, yvars, {mono: 1}) * sec
-            col = [field._zero()] * M
-            for e, c in shifted.terms.items():
-                col[row_index[e]] = c
-            columns.append(col)
-    if len(columns) != N:
-        raise DimensionMismatch(f"{len(columns)} cofactor columns, expected {N}")
-    rows = [[columns[j][i] for j in range(N)] for i in range(M)]
-    rank = matrix_rank(rows, field)
+    rank = N - comb(gcd(s1, s2).degree() + 1, 2)
     return RankTestReport(d1, d2, M, N, rank, rank < N)
 
 
 def _as_section(h, u: ProjPoint) -> MultiPoly:
     sec = h.section(u) if isinstance(h, Hypersurface) else h
+    _check_plane(sec)
     if sec.is_zero():
         raise ZeroSection("section vanished identically")
     return sec

@@ -11,7 +11,7 @@ from hypothesis import given, settings, strategies as st
 
 from gridlab import cli, hypersurfaces
 from gridlab.cli import main, run_sweep
-from gridlab.errors import UnsupportedParameters
+from gridlab.errors import BudgetExceeded, UnsupportedParameters
 from gridlab.fields import GF, pi_s
 from gridlab.hypersurfaces import norm_poly
 
@@ -193,6 +193,25 @@ def test_curves_common_on_hypersurfaces(capsys, tmp_path):
     assert code == 0
     assert data["shares_component"] is True
     assert (data["d1"], data["d2"]) == (1, 2)
+
+
+@pytest.mark.parametrize("vars", [("y0", "y1"), ("y0", "y1", "y2", "y3")])
+@pytest.mark.parametrize("action", ["conic", "imult", "common"])
+def test_curves_off_the_plane_exit_2(capsys, tmp_path, action, vars):
+    from gridlab.fields import QQ
+    from gridlab.poly import MultiPoly
+
+    f = tmp_path / "f.json"
+    f.write_text(json.dumps(MultiPoly.parse(QQ, vars, "y0*y1").to_json()))
+    flags = {
+        "conic": ["--f", str(f)],
+        "imult": ["--f", str(f), "--g", str(f), "--point", "1:0:0"],
+        "common": ["--h1", str(f), "--h2", str(f), "--u", "1:0:0"],
+    }[action]
+    assert main(["curves", action, *flags]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("error: WrongDimension: ") and "Traceback" not in err
 
 
 CURVES_FLAGS = {
@@ -489,6 +508,19 @@ def test_check_norm_poly_matches_element_loop(p, monkeypatch):
     monkeypatch.setattr(hypersurfaces, "norm_poly", lambda p, s: norm_poly(p, s) * 2)
     got = cli._check_norm_poly(p)
     assert got["mismatches"] == p * p - 1 and got["inputs"] == p * p
+
+
+def test_norm_poly_check_counts_its_pairs(monkeypatch):
+    # 101^2 pairs are over budget 1000: refused before norm_poly is built
+    def unreachable(p, s):
+        raise AssertionError("norm_poly called")
+
+    monkeypatch.setenv("GRIDLAB_BUDGET", "1000")
+    (res,) = [r for r in run_sweep([101])["results"] if r["check"] == "norm-poly"]
+    assert not res["pass"] and res["error"].startswith("BudgetExceeded: ")
+    monkeypatch.setattr(hypersurfaces, "norm_poly", unreachable)
+    with pytest.raises(BudgetExceeded):
+        cli._check_norm_poly(101)
 
 
 def _construct_outputs():

@@ -2,12 +2,16 @@ from fractions import Fraction
 
 import pytest
 import sympy
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
+from math import comb
+
+from gridlab import curves
 from gridlab.errors import (
     CharacteristicTwo,
     DegreeTooHigh,
     PointNotRational,
+    WrongDimension,
     ZeroSection,
 )
 from gridlab.fields import GF, QQ, FieldElem, matrix_rank
@@ -223,6 +227,112 @@ def test_rank_test_zero_section():
     h1 = MultiPoly.parse(QQ, Y3, "y0 + y1")
     with pytest.raises(ZeroSection):
         common_component_rank_test(h1, MultiPoly.zero(QQ, Y3), pt(1, 0, 0))
+
+
+def test_rank_test_needs_plane_sections():
+    # sections of a hypersurface in P^2 x P^1 are binary forms
+    vars = ("x0", "x1", "x2", "y0", "y1")
+    F = MultiPoly.parse(QQ, vars, "x0*y0 + x1*y1")
+    H = Hypersurface(BiHomPoly(F, vars[:3], vars[3:]))
+    with pytest.raises(WrongDimension):
+        common_component_rank_test(H, H, pt(1, 0, 0))
+
+
+def test_rank_test_eliminates_nothing(monkeypatch):
+    def refuse(rows, field):
+        raise AssertionError("matrix_rank called")
+
+    monkeypatch.setattr(curves, "matrix_rank", refuse)
+    h1 = MultiPoly.parse(QQ, Y3, "(y0 + y1)*(y1 - y2)**2")
+    h2 = MultiPoly.parse(QQ, Y3, "(y0 + y1)*(y1 - y2)*(y0 + 2*y2)")
+    rep = common_component_rank_test(h1, h2, pt(1, 0, 0))
+    assert (rep.N, rep.rank) == (12, 9)
+
+
+def _monomials(degree: int) -> list:
+    """The exponent vectors of degree `degree` in three variables."""
+    return [(i, j, degree - i - j) for i in range(degree, -1, -1)
+            for j in range(degree - i, -1, -1)]
+
+
+def reference_rank_test(h1, h2, u) -> dict:
+    """The rank test by elimination: the M x N matrix of the map
+    (g1, g2) -> h1(u,ȳ) g1 + h2(u,ȳ) g2 on forms of degrees d2-1 and d1-1,
+    with its rank from `matrix_rank`."""
+    s1, s2 = (h.section(u) if isinstance(h, Hypersurface) else h for h in (h1, h2))
+    field, yvars = s1.field, s1.vars
+    d1, d2 = s1.degree(), s2.degree()
+    M = comb(d1 + d2 + 1, 2)
+    N = comb(d1 + 1, 2) + comb(d2 + 1, 2)
+    row_index = {m: i for i, m in enumerate(_monomials(d1 + d2 - 1))}
+    columns = []
+    for sec, dg in ((s1, d2 - 1), (s2, d1 - 1)):
+        for mono in _monomials(dg):
+            col = [field._zero()] * M
+            for e, c in (MultiPoly(field, yvars, {mono: 1}) * sec).terms.items():
+                col[row_index[e]] = c
+            columns.append(col)
+    assert (len(row_index), len(columns)) == (M, N)
+    rank = matrix_rank([list(row) for row in zip(*columns)], field)
+    return {"d1": d1, "d2": d2, "M": M, "N": N, "rank": rank, "shares_component": rank < N}
+
+
+SECTION_FIELDS = (
+    (QQ, st.builds(Fraction, st.integers(-3, 3), st.integers(1, 3))),
+    (GF(2), st.integers(0, 1)),
+    (GF(3), st.integers(0, 2)),
+    (GF(7), st.integers(0, 6)),
+    (GF(5, 2), st.tuples(st.integers(0, 4), st.integers(0, 4))),
+)
+
+
+@st.composite
+def section_pairs(draw):
+    """(h1, h2, u): forms c*a and c*b, or c*a twice, or c*a and c*a*b, for
+    a planted common factor c of degree 0-3; as plain forms, or as the
+    sections at u = (1 : t : 0) of x0*h + x1*c*r."""
+    field, entries = draw(st.sampled_from(SECTION_FIELDS))
+
+    def form(degree):
+        coeffs = [draw(entries) for _ in _monomials(degree)]
+        if all(field._is_zero(field.coerce(c)) for c in coeffs):
+            coeffs[0] = 1
+        return MultiPoly(field, Y3, dict(zip(_monomials(degree), coeffs)))
+
+    e = draw(st.integers(0, 3))
+    c = form(e)
+    h1 = c * form(draw(st.integers(int(e == 0), 2)))
+    shape = draw(st.sampled_from(("coprime cofactors", "equal", "divisor")))
+    if shape == "equal":
+        h2 = h1
+    elif shape == "divisor":
+        h2 = h1 * form(draw(st.integers(0, 2)))
+    else:
+        h2 = c * form(draw(st.integers(int(e == 0), 2)))
+    if draw(st.booleans()):
+        h1, h2 = h2, h1
+    u = pt(1, 0, 0, field=field)
+    if draw(st.booleans()):
+        t = draw(entries)
+        u = pt(1, t, 0, field=field)
+        vars = ("x0", "x1", "x2") + Y3
+        x0, x1 = (MultiPoly.variable(field, vars, x) for x in vars[:2])
+
+        def hypersurface(h):
+            r = c * form(h.degree() - e)
+            F = x0 * h.with_vars(vars) + x1 * r.with_vars(vars)
+            return Hypersurface(BiHomPoly(F, vars[:3], vars[3:]))
+
+        h1, h2 = hypersurface(h1), hypersurface(h2)
+        assume(all(not h.section(u).is_zero() for h in (h1, h2)))
+    return h1, h2, u
+
+
+@settings(max_examples=300, deadline=None)
+@given(section_pairs())
+def test_rank_test_matches_elimination(case):
+    h1, h2, u = case
+    assert common_component_rank_test(h1, h2, u).to_json() == reference_rank_test(h1, h2, u)
 
 
 def test_matrix_rank():
