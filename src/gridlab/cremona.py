@@ -5,7 +5,9 @@ automorphism."""
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from collections import Counter
+from itertools import accumulate
 
 from . import gridcheck
 from .errors import (
@@ -15,7 +17,7 @@ from .errors import (
     ZeroPullback,
     json_field,
 )
-from .fields import GF, Field
+from .fields import Field
 from .poly import (
     BiHomPoly,
     MultiPoly,
@@ -27,7 +29,6 @@ from .poly import (
 from .hypersurfaces import (
     Hypersurface,
     chart_codes,
-    chart_points,
     reduce_hypersurface_mod,
     reduce_polys_mod,
 )
@@ -160,13 +161,15 @@ def grid_transport_check(
     off the base and exceptional loci, the pulled-back graph must coincide
     with the original graph under v -> sigma_y(v).
 
-    Points are residue tuples.  sigma_y's components and the removed
-    y-content are evaluated at every point at once; each image is scaled to
-    first nonzero coordinate 1 and indexed in the order of `chart_points`
-    (`hypersurfaces.chart_codes`), and the sample keeps the points v where
-    sigma_y is defined, off the exceptional locus, whose image w is hit
-    once.  The original graph joins P^s to the images w, the pulled one to
-    the points v, in the order of v.
+    Points are the indices of P^s(F_p) in the order of `chart_points`
+    (`gridcheck.ChartPoints`).  sigma_y's components and the removed
+    y-content are evaluated at every point at once, on the chart's
+    coordinate columns; each image is scaled to first nonzero coordinate 1
+    and indexed in the same order (`hypersurfaces.chart_codes`), and the
+    sample keeps the points v where sigma_y is defined, off the exceptional
+    locus, whose image w is hit once.  The original graph joins P^s to the
+    images w, the pulled one to the points v, in the order of v as
+    coordinate tuples.
 
     `symmetries` lists candidate pairs (g, h) of MatrixPairs, g for the
     original graph and h for the pulled one, as `build_graph` takes
@@ -182,36 +185,40 @@ def grid_transport_check(
     Hp = reduce_hypersurface_mod(H, p)
     sig = sigma_y.reduce_mod(p)
     Hpulled, _, cy = apply_with_contents(sig, Hp)
-    pts = chart_points(GF(p), Hp.s)
-    codes = chart_codes([gridcheck._values_mod(c, pts, p) for c in sig.components], p)
-    off = gridcheck._values_mod(cy.with_vars(sig.vars), pts, p)
+    chart = gridcheck.ChartPoints(p, Hp.s)
+    cols = chart.columns()
+    codes = chart_codes([gridcheck._values_mod(c, cols, p) for c in sig.components], p)
+    off = gridcheck._values_mod(cy.with_vars(sig.vars), cols, p)
     # keep v where sigma is defined, injective on the sample, and off the
-    # exceptional locus of the content removal
-    usable = [(v, w) for v, w, o in zip(pts, codes, off) if w >= 0 and o]
+    # exceptional locus of the content removal; v and w are chart indices
+    usable = [(v, w) for v, (w, o) in enumerate(zip(codes, off)) if w >= 0 and o]
     hits = Counter(w for _, w in usable)
-    pairs = sorted((v, pts[w]) for v, w in usable if hits[w] == 1)
+    # in the tuple order of v: a point with more leading zero coordinates
+    # comes first, and the chart order is the tuple order within the block
+    # of points with as many, which starts[lead - 1] begins
+    starts = list(accumulate(p ** (Hp.s - lead) for lead in range(Hp.s)))
+    pairs = sorted(((v, w) for v, w in usable if hits[w] == 1),
+                   key=lambda vw: -bisect_right(starts, vw[0]))
     if len(pairs) < t:
         raise SampleTooSmall(f"only {len(pairs)} usable sample points")
-    right_orig = [w for _, w in pairs]
-    right_pull = [v for v, _ in pairs]
-    rows_orig = gridcheck._AdjacencyRows(gridcheck._terms_int(Hp), pts, right_orig, p)
-    rows_pull = gridcheck._AdjacencyRows(gridcheck._terms_int(Hpulled), pts, right_pull, p)
+    right_orig = gridcheck.ChartPoints(p, Hp.s, codes=[w for _, w in pairs])
+    right_pull = gridcheck.ChartPoints(p, Hp.s, codes=[v for v, _ in pairs])
+    rows_orig = gridcheck._AdjacencyRows(gridcheck._terms_int(Hp), chart, right_orig, p)
+    rows_pull = gridcheck._AdjacencyRows(gridcheck._terms_int(Hpulled), chart, right_pull, p)
     perms = []
     if symmetries:
         verify = gridcheck.symmetry_permutations
-        orig = verify(Hp.form, [g for g, _ in symmetries], pts, right_orig, p, False)
-        pull = verify(Hpulled.form, [h for _, h in symmetries], pts, right_pull, p, False)
+        orig = verify(Hp.form, [g for g, _ in symmetries], chart, right_orig)
+        pull = verify(Hpulled.form, [h for _, h in symmetries], chart, right_pull)
         perms = [a[0] for a, b in zip(orig, pull) if a is not None and a == b]
-    G1 = gridcheck.BipartiteGraph(pts, right_orig, rows_orig, rows_orig.transpose(), perms)
-    labels = G1.orbit_labels
-    minima = range(len(pts)) if labels is None else [u for u, m in enumerate(labels) if u == m]
-    adjacency_match = all(rows_orig[u] == rows_pull[u] for u in minima)
+    G1 = gridcheck.BipartiteGraph(chart, right_orig, rows_orig, rows_orig.transpose(), perms)
+    adjacency_match = all(rows_orig[u] == rows_pull[u] for u in G1.orbit_minima)
     w1 = gridcheck.find_grid(G1, s, t)
     # equal rows give an equal scan, so the pulled graph is scanned only
     # when the rows differ
     w2 = w1
     if not adjacency_match:
-        G2 = gridcheck.BipartiteGraph(pts, right_pull, rows_pull, rows_pull.transpose(), perms)
+        G2 = gridcheck.BipartiteGraph(chart, right_pull, rows_pull, rows_pull.transpose(), perms)
         w2 = gridcheck.find_grid(G2, s, t)
     return {
         "p": p,

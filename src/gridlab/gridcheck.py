@@ -15,12 +15,17 @@ the rows and columns it reads.  A `build_graph` graph is a description:
 it verifies its symmetries on first use too (below), so the scan's budget
 check (`_check_budget`) comes before any row, column or map is computed.
 
-The vertices come from one path.  `build_graph` lists the chart's residue
-tuples (`hypersurfaces.chart_points`, which counts them against the
-enumeration budget first), and keeps, on each side, those where no
-excluded form of the open set vanishes.  The test is the same kernel: an excluded form reduced mod p
-is a form with one left vertex, (), and the chart points on its right, so
-one kernel row marks every point on its zero set at once.
+The vertices are indices.  Each side of a `build_graph` graph is a
+`ChartPoints`: the chart is counted against the enumeration
+budget, and a vertex is decoded from its index in the order of
+`hypersurfaces.chart_points` only when it is read.  The kernels read the
+chart's coordinate columns, which are built by arithmetic on ranges, and
+no list of coordinate tuples is made.  A side whose open set excludes no
+form is the whole chart.  Otherwise it keeps the sorted indices of the
+points where no excluded form vanishes.  The test is the same kernel: an
+excluded form reduced mod p is a form with one left vertex, (), and the
+chart's points on its right, so one kernel row marks every point on its
+zero set at once.
 
 `find_grid` and `max_common_neighborhood` share one subset scan (`_scan`):
 a depth-first walk of the left s-subsets in lexicographic order that
@@ -59,17 +64,20 @@ budget still counts C(|left|, s), as for the plain graph.
 The edge count reads one row per orbit.  g maps N(v) onto N(g(v)), so the
 degree is constant on each orbit of left vertices, and by the
 orbit-stabiliser count |E| = sum over the orbits O of |O| * deg(min O).
-`BipartiteGraph` computes the orbit labels once, for this count, `degree`
-and the scan's first depth.  Family 1a's maps act on F_p^2 with two
-orbits, and on P^2(F_p) with one, so its count reads 2 rows, or 1.  A
-graph without symmetries sums every row.
+`BipartiteGraph` finds the orbits once, for this count, `degree` and the
+scan's first depth, which loop over the orbit minima alone.  Most families'
+orbits are known without a walk (`_known_orbits`): translations along every
+affine axis (1b, 1c) give one orbit, and transvections that generate SL
+(1a) give one orbit on P^2(F_p) and two on F_p^2, the origin and the rest.
+So 1a's count reads 2 rows, or 1.  Other maps are walked once
+(`_orbits`).  A graph without symmetries sums every row.
 
 The symmetries come from `build_graph(..., symmetries=...)` as candidate
 matrix pairs (M_x, M_y) mod p acting on homogeneous coordinates,
 (x, y) -> (M_x x, M_y y) (`hypersurfaces.MatrixPair`,
 `hypersurfaces.family_symmetries`); an affine map x -> A x + b of the
 chart x0 = 1 is [[1, 0], [b, A]].  They are verified on the first read of
-the graph's `symmetries` or `orbit_labels`, once.  `symmetry_permutations`
+the graph's `symmetries` or orbits, once.  `symmetry_permutations`
 keeps a candidate only when all of these hold:
 - both matrices are (s+1) x (s+1) and invertible mod p, and on the affine
   chart the rows of x0 and y0 are (1, 0, ..., 0), so the map is an affine
@@ -77,21 +85,25 @@ keeps a candidate only when all of these hold:
 - the map carries the form mod p to λ times the form, λ != 0: one
   `MultiPoly.substitute` of x_i -> sum_j (M_x)_ij x_j, and likewise on y,
   into the reduced bihomogeneous form;
-- M_x maps the left vertex list onto itself and M_y the right one.
+- M_x maps the left vertices onto themselves and M_y the right ones.
 Then the map sends edges to edges and non-edges to non-edges, on either
-chart and between any open sets: the last test is made on the vertex lists
+chart and between any open sets: the last test is made on the vertices
 themselves, so no reasoning about the excluded forms is needed.  It maps
 all vertices at once, column by column, scales each image to first
 nonzero coordinate 1 and computes its index in the chart's order
-arithmetically (`hypersurfaces.chart_codes`); a side with an open set is
-indexed through a position table.  A wrong candidate is dropped, and a
+arithmetically (`hypersurfaces.chart_codes`).  That index is the vertex
+on a whole chart; a side with an open set is indexed through a position
+table.  A wrong candidate is dropped, and a
 missing one costs only speed.  No family label is trusted.
 """
 
 from __future__ import annotations
 
-from collections import Counter
+from array import array
+from collections import namedtuple
 from collections.abc import Sequence
+from functools import lru_cache
+from itertools import chain, compress, repeat
 from math import comb
 
 from .errors import (
@@ -101,9 +113,93 @@ from .errors import (
     ParameterOutOfRange,
     UnknownVariable,
 )
-from .fields import GF, enumeration_budget, matrix_rank
-from .hypersurfaces import Hypersurface, OpenSet, chart_codes, chart_points, reduce_hypersurface_mod
+from .fields import enumeration_budget, matrix_rank
+from .hypersurfaces import Hypersurface, OpenSet, chart_codes, chart_size, reduce_hypersurface_mod
 from .poly import MultiPoly
+
+# -- chart points by index ---------------------------------------------------------
+
+
+def chart_point(code: int, p: int, s: int) -> tuple:
+    """The point of P^s(F_p) with index `code` in the order of
+    `hypersurfaces.chart_points`, as a residue tuple: the inverse of
+    `hypersurfaces.chart_codes`.  The first p^s indices are (1, t) with t
+    the base-p digits of the index, the next p^(s-1) are (0, 1, t), and so
+    on."""
+    lead, block = 0, p**s
+    while code >= block:
+        code -= block
+        block //= p
+        lead += 1
+    digits = []
+    for _ in range(s - lead):
+        code, d = divmod(code, p)
+        digits.append(d)
+    return (0,) * lead + (1,) + tuple(reversed(digits))
+
+
+@lru_cache(maxsize=4)
+def chart_columns(p: int, s: int, affine: bool) -> tuple:
+    """The s+1 homogeneous coordinate columns of the affine (x0 = 1) or
+    projective chart of P^s(F_p) in the order of
+    `hypersurfaces.chart_points`, built from repeated digit runs: in a block
+    of p^k points, digit j of the index holds each residue for p^(k-1-j)
+    points in a row, p^j times over.  Tuples, kept for the last few charts,
+    which every side of a chart and every graph on it read."""
+    parts = [[] for _ in range(s + 1)]  # per column, its runs block by block
+    for lead in range(1 if affine else s + 1):
+        k = s - lead
+        for i in range(lead):
+            parts[i].append(repeat(0, p**k))
+        parts[lead].append(repeat(1, p**k))
+        for j in range(k):
+            digit = tuple(chain.from_iterable(repeat(a, p ** (k - 1 - j)) for a in range(p)))
+            parts[lead + 1 + j].append(chain.from_iterable(repeat(digit, p**j)))
+    return tuple(tuple(chain.from_iterable(runs)) for runs in parts)
+
+
+class ChartPoints(Sequence):
+    """Points of the affine or projective chart of P^s(F_p), held as their
+    indices in the order of `hypersurfaces.chart_points` and decoded when
+    read: the whole chart when `codes` is None, else the chart points with
+    indices `codes`, in that order (sorted for an open set).  The chart is
+    counted against the enumeration budget first
+    (`hypersurfaces.chart_size`); nothing is listed.
+
+    Entry i is a residue tuple: the chart coordinates x1..xs on the affine
+    chart, all of x0..xs on the projective one.  `point(i)` gives the
+    homogeneous coordinates on either chart, and `columns()` the
+    homogeneous coordinate columns of all the points, from `chart_columns`."""
+
+    __slots__ = ("p", "s", "affine", "size", "codes")
+
+    def __init__(self, p: int, s: int, chart: str = "projective", codes=None):
+        self.size = chart_size(p, s, chart)  # of the whole chart
+        self.p, self.s, self.affine, self.codes = p, s, chart == "affine", codes
+
+    def __len__(self) -> int:
+        return self.size if self.codes is None else len(self.codes)
+
+    def point(self, i: int) -> tuple:
+        """The homogeneous coordinates of vertex i, 0 <= i < len(self)."""
+        return chart_point(i if self.codes is None else self.codes[i], self.p, self.s)
+
+    def __getitem__(self, i: int) -> tuple:
+        pt = self.point(range(len(self))[i])
+        return pt[1:] if self.affine else pt
+
+    def __iter__(self):
+        return map(self.__getitem__, range(len(self)))
+
+    def columns(self) -> tuple:
+        cols = chart_columns(self.p, self.s, self.affine)
+        if self.codes is None:
+            return cols
+        return [list(map(col.__getitem__, self.codes)) for col in cols]
+
+
+# -- graphs --------------------------------------------------------------------------
+
 
 class GridWitness:
     """Index sets certifying an (s,t)-grid; re-verified on construction."""
@@ -128,17 +224,19 @@ class GridWitness:
 
 
 class BipartiteGraph:
-    """Two indexed point lists plus adjacency bitsets: rows[i] over the right
-    side for left i, cols[j] over the left side for right j.
+    """Two indexed vertex sequences plus adjacency bitsets: rows[i] over the
+    right side for left i, cols[j] over the left side for right j.
 
-    `rows` and `cols` are int sequences: lists, or the on-demand
-    `_AdjacencyRows` of `build_graph` and its `transpose()`.  Both are
-    given; the graph never transposes its rows itself."""
+    `left` and `right` are sequences of residue tuples: lists, or the
+    `ChartPoints` of `build_graph`, which decode a vertex
+    when it is read.  `rows` and `cols` are int sequences: lists, or the
+    on-demand `_AdjacencyRows` of `build_graph` and its `transpose()`.
+    Both are given; the graph never transposes its rows itself."""
 
     def __init__(
         self,
-        left: list,
-        right: list,
+        left: Sequence,
+        right: Sequence,
         rows: Sequence,
         cols: Sequence,
         symmetries: list | None = None,
@@ -154,42 +252,67 @@ class BipartiteGraph:
         self.rows = rows
         self.cols = cols
         self._symmetries = symmetries or []
-        self._labels = None
+        self._orbits = None
 
     @property
     def symmetries(self) -> list:
         """Left-index permutations of verified graph automorphisms (each maps
         right vertices to right vertices too); the scan prunes by them and
         the edge count reads one row per orbit.  They may be given as a
-        function that returns them, as `build_graph` does: it is called on
-        the first read, and its list is kept."""
+        function, as `build_graph` does: it is called on the first read and
+        returns the list together with its orbits when they are known
+        without a walk (`_Orbits`), else None."""
         if callable(self._symmetries):
-            self._symmetries = self._symmetries()
+            self._symmetries, self._orbits = self._symmetries()
         return self._symmetries
+
+    def _orbit_data(self):
+        """The `_Orbits` of the left side under the group that `symmetries`
+        generate, found once; None without symmetries."""
+        gens = self.symmetries
+        if not gens:
+            return None
+        if self._orbits is None:
+            self._orbits = _orbits(len(self.rows), gens)
+        return self._orbits
 
     @property
     def orbit_labels(self) -> list | None:
         """labels[i] = the smallest left index in the orbit of i under the
-        group that `symmetries` generate, computed once; None without
-        symmetries."""
-        if self._labels is None and self.symmetries:
-            self._labels = _orbit_labels(len(self.rows), self._symmetries)
-        return self._labels
+        group that `symmetries` generate; None without symmetries."""
+        orbits = self._orbit_data()
+        return None if orbits is None else orbits.labels
+
+    @property
+    def orbit_minima(self) -> Sequence:
+        """The smallest left index of each orbit, ascending: every left index
+        without symmetries.  A loop over all vertices of a property that the
+        automorphisms keep reads these alone."""
+        orbits = self._orbit_data()
+        return range(len(self.rows)) if orbits is None else list(orbits.sizes)
 
     def edge_count(self) -> int:
         """|E|.  With symmetries, one row per orbit: an automorphism g maps
         N(i) onto N(g(i)), so the degree is constant on each orbit O of left
         vertices and |E| = sum over the orbits of |O| * deg(min O)."""
-        labels = self.orbit_labels
-        if labels is None:
+        orbits = self._orbit_data()
+        if orbits is None:
             return sum(r.bit_count() for r in self.rows)
-        return sum(size * self.rows[v].bit_count() for v, size in Counter(labels).items())
+        return sum(size * self.rows[v].bit_count() for v, size in orbits.sizes.items())
 
     def degree(self, i: int) -> int:
         """The degree of left vertex i, read from the row of its orbit's
         smallest vertex when the graph has symmetries."""
         labels = self.orbit_labels
         return self.rows[i if labels is None else labels[i]].bit_count()
+
+
+class _Orbits(namedtuple("_Orbits", "labels sizes")):
+    """The orbits of a graph's left side: labels[i] is the smallest index in
+    the orbit of i, and `sizes` maps each such minimum to its orbit's size,
+    in ascending order of the minima."""
+
+    __slots__ = ()
 
 
 def _terms_int(Hp: Hypersurface):
@@ -212,37 +335,41 @@ def _monomial_tables(exps, p):
     return [[(k, powers[ek]) for k, ek in enumerate(e) if ek] for e in exps]
 
 
-def _monomial_values(points, exps, p):
-    """values[i][j] = the monomial exps[i] at points[j], mod p.
+def _monomial_values(columns, exps, p):
+    """values[i][j] = the monomial exps[i] at point j, mod p, for the points
+    whose coordinate columns (residues in [0, p)) are `columns`.
 
     Column-wise: one residue column per (variable, exponent) by lookup in
-    `_monomial_tables`, a monomial's column the product of its columns."""
-    if not points:
-        return [[] for _ in exps]
-    coords = list(zip(*points))
-    columns = {}  # (variable, exponent) -> its residue column
+    `_monomial_tables`, a monomial's column the product of its columns.  A
+    row may be one of `columns` itself, to be read, not changed."""
+    n = len(columns[0])
+    powers = {}  # (variable, exponent) -> its residue column
     values = []
     for e, cols in zip(exps, _monomial_tables(exps, p)):
         row = None
         for k, pw in cols:
-            col = columns.get((k, e[k]))
+            col = powers.get((k, e[k]))
             if col is None:
-                col = columns[k, e[k]] = list(map(pw.__getitem__, coords[k]))
+                # x^1 = x on residues: the coordinate column itself
+                col = columns[k] if e[k] == 1 else list(map(pw.__getitem__, columns[k]))
+                powers[k, e[k]] = col
             row = col if row is None else [x * y % p for x, y in zip(row, col)]
-        values.append([1] * len(points) if row is None else row)
+        values.append([1] * n if row is None else row)
     return values
 
 
-def _values_mod(f, points, p):
-    """f, a polynomial over F_p, at each residue tuple of points, mod p."""
-    vals = [0] * len(points)
-    for c, row in zip(f.terms.values(), _monomial_values(points, list(f.terms), p)):
+def _values_mod(f, columns, p):
+    """f, a polynomial over F_p, at each point whose coordinate columns are
+    `columns`, mod p."""
+    vals = [0] * len(columns[0])
+    for c, row in zip(f.terms.values(), _monomial_values(columns, list(f.terms), p)):
         vals = [v + c * m for v, m in zip(vals, row)]
     return [v % p for v in vals]
 
 
-def _lane_kernel(terms, left_coords, right_coords, p):
-    """row(u): bit j set iff the form vanishes at (left u, right j) mod p.
+def _lane_kernel(terms, left_point, right_columns, p):
+    """row(u): bit j set iff the form vanishes at (left_point(u), right j)
+    mod p, where the right points' coordinate columns are `right_columns`.
 
     Lane-packed: for each y-monomial, its values over all right vertices
     sit in one int, vertex j in the byte-aligned `width`-bit lane j.  The
@@ -252,7 +379,7 @@ def _lane_kernel(terms, left_coords, right_coords, p):
     Barrett reduction of every lane at once, a SWAR zero-lane test and a
     byte compaction of the lane flags.  Coordinates are residues in [0, p).
     """
-    nr = len(right_coords)
+    nr = len(right_columns[0])
     if not nr:
         return lambda u: 0
     yexps = sorted({ye for _, _, ye in terms})
@@ -268,23 +395,29 @@ def _lane_kernel(terms, left_coords, right_coords, p):
     m = -(-(1 << r) // p)
     nbytes = -(-(r + bound.bit_length()) // 8)
     width = 8 * nbytes
+    size = nbytes * nr
 
     def packed(lane: int) -> int:
         return int.from_bytes(lane.to_bytes(nbytes, "little") * nr, "little")
 
+    # a lane holds a residue below p in its low bytes, and zeros above them:
+    # byte k of every lane is one strided slice, filled from a table
+    low = [[v >> 8 * k & 255 for v in range(p)] for k in range(-(-(p - 1).bit_length() // 8))]
+
+    def lane_values(vals) -> int:
+        buf = bytearray(size)
+        for k, table in enumerate(low):
+            buf[k::nbytes] = bytes(map(table.__getitem__, vals))
+        return int.from_bytes(buf, "little")
+
     qmask = packed((1 << (width - r)) - 1)
     high = packed(1 << (width - 1))
-    lane_bytes = [v.to_bytes(nbytes, "little") for v in range(p)]
-    lanes = [
-        int.from_bytes(b"".join([lane_bytes[v] for v in vals]), "little")
-        for vals in _monomial_values(right_coords, yexps, p)
-    ]
+    lanes = [lane_values(vals) for vals in _monomial_values(right_columns, yexps, p)]
     xtables = _monomial_tables(xexps, p)
-    size = nbytes * nr
     ny = len(yexps)
 
     def row(u: int) -> int:
-        pt = left_coords[u]
+        pt = left_point(u)
         xvals = []
         for cols in xtables:
             xv = 1
@@ -309,8 +442,11 @@ def _lane_kernel(terms, left_coords, right_coords, p):
 
 
 class _AdjacencyRows(Sequence):
-    """The adjacency bitsets of a form between two point lists, on demand:
-    entry u has bit j set iff the form vanishes at (left u, right j) mod p.
+    """The adjacency bitsets of a form between two point sequences, on
+    demand: entry u has bit j set iff the form vanishes at (left u, right j)
+    mod p.  A point sequence gives its homogeneous residue tuples by
+    `point(i)` and their coordinate columns by `columns()`, as
+    `ChartPoints` does.
 
     The lane kernel (`_lane_kernel`) is set up on the first request; each
     entry is computed on its first request and cached, so a scan that reads
@@ -319,30 +455,32 @@ class _AdjacencyRows(Sequence):
 
     __slots__ = ("_args", "_kernel", "_known")
 
-    def __init__(self, terms, left_coords, right_coords, p):
-        self._args = (terms, left_coords, right_coords, p)
+    def __init__(self, terms, left, right, p):
+        self._args = (terms, left, right, p)
         self._kernel = None
-        self._known = [None] * len(left_coords)
+        self._known = {}
 
     def __len__(self) -> int:
-        return len(self._known)
+        return len(self._args[1])
 
     def __getitem__(self, u: int) -> int:
-        bits = self._known[u]
+        bits = self._known.get(u)
         if bits is None:
+            u = range(len(self))[u]
             if self._kernel is None:
-                self._kernel = _lane_kernel(*self._args)
+                terms, left, right, p = self._args
+                self._kernel = _lane_kernel(terms, left.point, right.columns(), p)
             bits = self._known[u] = self._kernel(u)
         return bits
 
     def __iter__(self):
-        return map(self.__getitem__, range(len(self._known)))
+        return map(self.__getitem__, range(len(self)))
 
     def transpose(self) -> "_AdjacencyRows":
         """Entry j: the bitset of the left vertices adjacent to right j."""
-        terms, left_coords, right_coords, p = self._args
+        terms, left, right, p = self._args
         swapped = [(c, ye, xe) for c, xe, ye in terms]
-        return _AdjacencyRows(swapped, right_coords, left_coords, p)
+        return _AdjacencyRows(swapped, right, left, p)
 
 
 def _carries_form(form, m) -> bool:
@@ -375,25 +513,25 @@ def _image(M, coords, p) -> list:
         if len(terms) == 1 and terms[0][0] == 1:
             image.append(terms[0][1])
             continue
-        (a, col), *more = terms
-        acc = col if a == 1 else [a * v for v in col]
-        for a, col in more:
-            acc = [u + a * v for u, v in zip(acc, col)]
-        image.append([u % p for u in acc])
+        acc = None
+        for a, col in terms[:-1]:
+            acc = [a * v for v in col] if acc is None else [u + a * v for u, v in zip(acc, col)]
+        a, col = terms[-1]
+        if acc is None:
+            image.append([a * v % p for v in col])
+        else:
+            image.append([(u + a * v) % p for u, v in zip(acc, col)])
     return image
 
 
-def symmetry_permutations(
-    form, maps: list, left: list, right: list, p: int, affine: bool, right_perm: bool = True
-) -> list:
+def symmetry_permutations(form, maps: list, left, right, right_perm: bool = True) -> list:
     """For each candidate MatrixPair (M_x, M_y) of `maps`, the pair (left
-    permutation, right permutation) of vertex indices by which it acts on
-    the graph of `form` between the vertex lists `left` and `right`, or
-    None when it is not verified to be an automorphism of that graph.
+    permutation, right permutation), arrays of vertex indices, by which it
+    acts on the graph of `form` between the vertex sequences `left` and
+    `right` (`ChartPoints` of one chart), or None when it is
+    not verified to be an automorphism of that graph.
 
-    The vertices are residue tuples of P^s in the canonical representatives
-    of `chart_points` (the affine chart when `affine`).  A candidate is
-    kept when all of these hold:
+    A candidate is kept when all of these hold:
     - both matrices are (s+1) x (s+1); on the affine chart the row of x0 in
       M_x, and of y0 in M_y, is (1, 0, ..., 0), so that the map is an
       affine map of the chart (an arithmetic test, made before any point
@@ -403,60 +541,45 @@ def symmetry_permutations(
     - M_x maps `left` onto itself and M_y maps `right` onto itself.
     The last test maps every vertex at once, column by column, scales each
     image to first nonzero coordinate 1 and indexes it arithmetically
-    (`chart_codes`); a side that is not the whole chart is then indexed
-    through a position table, and a vertex whose image is not on it
-    rejects the map.  An invertible map is injective, so onto follows.  A
-    right side that is the whole chart is mapped onto itself by every map
-    that passes the first two tests; with `right_perm` false such a side is
-    not mapped, and its permutation is given as None."""
-    n = len(left[0])
+    (`chart_codes`); an image's index is its vertex index on a side that is
+    the whole chart, and a side that is not is indexed through a position
+    table, where a vertex whose image is not on it rejects the map.  An
+    invertible map is injective, so onto follows.  A right side that is the
+    whole chart is mapped onto itself by every map that passes the first
+    two tests; with `right_perm` false such a side is not mapped, and its
+    permutation is given as None."""
+    p, n = left.p, left.s + 1
     field = form.poly.field
-    size = p ** (n - 1) if affine else (p**n - 1) // (p - 1)
+    tables = {}  # id(side) -> position table of a side that is not the whole chart
 
-    sides = {}
-
-    def side(k):
-        """(coordinate columns, position table) of left (k = 0) or right
-        (k = 1), made on first use; the table is None for the whole chart
-        in chart order, where a code is its own index."""
-        if k not in sides:
-            coords = list(zip(*(left, right)[k]))
-            codes = chart_codes(coords, p)
-            position = None
-            if codes != list(range(size)):
-                position = [-1] * size
-                for i, c in enumerate(codes):
-                    position[c] = i
-            sides[k] = coords, position
-        return sides[k]
+    def permutation(M, side):
+        """perm[k] = the index in `side` of M times its vertex k; None when
+        an image is not on the side."""
+        codes = chart_codes(_image(M, side.columns(), p), p)
+        if side.codes is None:
+            return array("q", codes)
+        if id(side) not in tables:
+            table = tables[id(side)] = [-1] * side.size
+            for i, c in enumerate(side.codes):
+                table[c] = i
+        perm = array("q", map(tables[id(side)].__getitem__, codes))
+        return None if -1 in perm else perm
 
     # a map that passes the chart and rank tests maps the whole chart onto
     # itself, so such a right side needs no mapping unless its permutation
     # is asked for
-    skip_right = not right_perm and len(right) == size
+    skip_right = not right_perm and right.codes is None
     out = []
     for m in maps:
         pair = None
-        if _invertible_on_chart(m, n, p, field, affine) and _carries_form(form, m):
-            lp = _permutation(m[0], side(0), p)
+        if _invertible_on_chart(m, n, p, field, left.affine) and _carries_form(form, m):
+            lp = permutation(m[0], left)
             if lp is not None:
-                rp = None if skip_right else _permutation(m[1], side(1), p)
+                rp = None if skip_right else permutation(m[1], right)
                 if skip_right or rp is not None:
                     pair = (lp, rp)
         out.append(pair)
     return out
-
-
-def _permutation(M, side, p: int) -> list | None:
-    """perm[k] = the index in a vertex list of M times its vertex k, from
-    the list's `side` (coordinate columns, position table); None when an
-    image is not in the list."""
-    coords, position = side
-    codes = chart_codes(_image(M, coords, p), p)
-    if position is None:
-        return codes
-    perm = list(map(position.__getitem__, codes))
-    return None if -1 in perm else perm
 
 
 def _invertible_on_chart(m, n: int, p: int, field, affine: bool) -> bool:
@@ -471,15 +594,54 @@ def _invertible_on_chart(m, n: int, p: int, field, affine: bool) -> bool:
     return all(matrix_rank(M, field) == n for M in m)
 
 
-def _open_points(U: OpenSet, pts: list, p: int) -> list:
-    """The points of `pts` (residue tuples) where no excluded form of U, a
-    form over F_p, vanishes: each form is one `_lane_kernel` row, with the
-    one left vertex () and `pts` on the right."""
-    on = 0
+def _known_orbits(maps: list, left: ChartPoints) -> _Orbits | None:
+    """The orbits of `left` under the group that the verified MatrixPairs
+    `maps` generate, when elementary transvections among them show it
+    without a walk; None otherwise.  M_x = I + c e_a e_b^T (c != 0, a != b)
+    is x_a -> x_a + c x_b, and the maps of each pair (a, b) generate all of
+    its multiples.
+    - Translations, (a, 0) for every axis a = 1..s of the affine chart,
+      move any point to any other: one orbit.
+    - The pairs (a, b) of distinct coordinates among those the chart lets
+      move, 0..s on the projective chart and 1..s (s >= 2) on the affine
+      one, generate SL of them, which is transitive on P^s and on the
+      nonzero vectors of F_p^s: one orbit, or on the affine chart the
+      origin apart when every map fixes it.
+    Each map keeps `left`, so `left` is a union of these orbits; the origin
+    has the lowest chart index, so it is vertex 0 when it is a vertex."""
+    p, s, n = left.p, left.s, len(left)
+    pairs = set()
+    for M, _ in maps:
+        moved = [(a, b) for a, row in enumerate(M) for b, c in enumerate(row) if c % p != (a == b)]
+        if len(moved) == 1 and moved[0][0] != moved[0][1]:
+            pairs.add(moved[0])
+    first = 1 if left.affine else 0
+    coords = range(first, s + 1)
+    if left.affine and {(a, 0) for a in coords} <= pairs:
+        return _Orbits([0] * n, {0: n})
+    if len(coords) < 2 or not {(a, b) for a in coords for b in coords if a != b} <= pairs:
+        return None
+    fixed = left.affine and all(M[a][0] % p == 0 for M, _ in maps for a in coords)
+    if fixed and n > 1 and (left.codes is None or left.codes[0] == 0):
+        return _Orbits([0] + [1] * (n - 1), {0: 1, 1: n - 1})
+    return _Orbits([0] * n, {0: n})
+
+
+# flag character of a point after `_open_points`' kernel row -> 1 if kept
+_KEEP = bytes.maketrans(b"01", b"\x01\x00")
+
+
+def _open_points(U: OpenSet, chart: ChartPoints) -> array:
+    """The indices, ascending, of the points of the whole `chart` where no
+    excluded form of U, a form over F_p, vanishes: each form is one
+    `_lane_kernel` row, with one left vertex, (), and the chart's columns
+    on the right."""
+    on, cols = 0, chart.columns()
     for f in U.excluded:
-        on |= _lane_kernel([(c, (), e) for e, c in f.terms.items()], [()], pts, p)(0)
-    flags = format(on, f"0{len(pts)}b")[::-1]  # flags[j]: bit j of `on`
-    return [pt for pt, flag in zip(pts, flags) if flag == "0"]
+        terms = [(c, (), e) for e, c in f.terms.items()]
+        on |= _lane_kernel(terms, lambda u: (), cols, chart.p)(0)
+    flags = format(on, f"0{len(chart)}b")[::-1]  # flags[j]: bit j of `on`
+    return array("q", compress(range(len(chart)), flags.encode().translate(_KEEP)))
 
 
 def build_graph(
@@ -493,50 +655,49 @@ def build_graph(
     """Vertices are the F_p-points of the chosen chart inside X and Y;
     edges by exact evaluation of the defining form.
 
-    Each side keeps the chart's residue tuples (`chart_points`, affine or
-    projective) where no excluded form of its open set, reduced mod p,
-    vanishes (`_open_points`); EmptySide is raised when a side is left with
-    no point.  A chart with more points than the enumeration budget is
-    refused before it is listed.
+    Each side is a `ChartPoints` of the chart, affine or projective, which
+    decodes a vertex from its index when it is read.  A side whose open set
+    excludes no form is the whole chart, and no point of it is listed or
+    tested.  Otherwise the side keeps the indices of the points where no
+    excluded form, reduced mod p, vanishes (`_open_points`); EmptySide is
+    raised when a side is left with no point.  A chart with more points
+    than the enumeration budget is refused before anything is computed.
 
     The graph is a description: nothing that a scan may not need is
     computed here.  Its rows and columns are computed on first read
     (`_AdjacencyRows`), and so are its symmetries: `symmetries` lists
     candidate MatrixPairs (`hypersurfaces.family_symmetries`), and on the
-    first read of the graph's `symmetries` or `orbit_labels` the maps that
+    first read of the graph's `symmetries` or orbits the maps that
     `symmetry_permutations` verifies on the form mod p and on both vertex
-    lists, on either chart and under any open sets, become the left-index
-    permutations that the scan and the edge count prune by.  So a scan
-    that the budget refuses costs the point listing alone.  The adjacency
-    kernel and the symmetry test share one reduction of H mod p."""
+    sequences, on either chart and under any open sets, become the
+    left-index permutations that the scan and the edge count prune by.
+    When those maps include a translation along every axis of the affine
+    chart, or the elementary transvections that generate SL, the orbits of
+    the left side are known without a walk (`_known_orbits`).  So a scan
+    that the budget refuses costs nothing that grows with the chart.  The
+    adjacency kernel and the symmetry test share one reduction of H mod p."""
     s = H.s
-    pts = chart_points(GF(p), s, chart)
+    whole = ChartPoints(p, s, chart)
     Xp = (X or OpenSet.full(s)).reduce_mod(p)
     Yp = (Y or OpenSet.full(s)).reduce_mod(p)
     for f in Xp.excluded + Yp.excluded:
-        if len(f.vars) != len(pts[0]):
+        if len(f.vars) != s + 1:
             raise UnknownVariable("point length does not match variables")
-    left, right = _open_points(Xp, pts, p), _open_points(Yp, pts, p)
+    left, right = (
+        ChartPoints(p, s, chart, _open_points(U, whole)) if U.excluded else whole
+        for U in (Xp, Yp)
+    )
     if not left or not right:
         raise EmptySide("open-set filters removed a whole side")
     Hp = reduce_hypersurface_mod(H, p)
     rows = _AdjacencyRows(_terms_int(Hp), left, right, p)
-    display = left if chart == "projective" else [u[1:] for u in left]
-    display_r = right if chart == "projective" else [v[1:] for v in right]
 
     def kept():
-        verified = symmetry_permutations(
-            Hp.form, symmetries, left, right, p, chart == "affine", right_perm=False
-        )
-        return [perms[0] for perms in verified if perms]
+        verified = symmetry_permutations(Hp.form, symmetries, left, right, right_perm=False)
+        maps = [m for m, pair in zip(symmetries, verified) if pair]
+        return [pair[0] for pair in verified if pair], _known_orbits(maps, left)
 
-    return BipartiteGraph(
-        display,
-        display_r,
-        rows,
-        rows.transpose(),
-        kept if symmetries else None,
-    )
+    return BipartiteGraph(left, right, rows, rows.transpose(), kept if symmetries else None)
 
 
 def _check_budget(n: int, s: int):
@@ -547,22 +708,28 @@ def _check_budget(n: int, s: int):
         )
 
 
-def _orbit_labels(n: int, perms: list) -> list:
-    """labels[i] = the smallest index in the orbit of i under the group that
-    the permutations `perms` of range(n) generate."""
+def _orbits(n: int, perms: list) -> _Orbits:
+    """The `_Orbits` of range(n) under the group that the permutations
+    `perms` of range(n) generate.  Each orbit is walked from its smallest
+    index, the lowest one not yet labelled, a layer at a time: the next
+    layer is the unlabelled images of this one under every generator."""
     labels = [-1] * n
+    sizes = {}
     for i in range(n):
         if labels[i] < 0:
             labels[i] = i
-            stack = [i]
-            while stack:
-                v = stack.pop()
+            layer, size = [i], 1
+            while layer:
+                new = []
                 for g in perms:
-                    w = g[v]
-                    if labels[w] < 0:
-                        labels[w] = i
-                        stack.append(w)
-    return labels
+                    for w in map(g.__getitem__, layer):
+                        if labels[w] < 0:
+                            labels[w] = i
+                            new.append(w)
+                size += len(new)
+                layer = new
+            sizes[i] = size
+    return _Orbits(labels, sizes)
 
 
 def _scan(G: BipartiteGraph, s: int, floor: int, first: bool):
@@ -602,7 +769,7 @@ def _scan(G: BipartiteGraph, s: int, floor: int, first: bool):
         if not fixing:
             return None
         if fixing not in stabilisers:
-            stabilisers[fixing] = _orbit_labels(n, [gens[k] for k in fixing])
+            stabilisers[fixing] = _orbits(n, [gens[k] for k in fixing]).labels
         return stabilisers[fixing]
 
     def last(start, inter, chosen):
@@ -650,22 +817,24 @@ def _scan(G: BipartiteGraph, s: int, floor: int, first: bool):
         floor = ni.bit_count()
         return False
 
-    def rec(start, depth, inter, chosen, labels):
-        # labels: orbit labels that this depth's vertex must be minimal in
+    def rec(start, depth, inter, chosen, candidates):
+        # candidates: the vertices this depth tries, ascending from start
         if depth + 1 == s:
             return last(start, inter, chosen)
-        for i in range(start, n - (s - depth) + 1):
-            if labels is not None and labels[i] != i:
-                continue
+        for i in candidates:
             ni = inter & rows[i]
             if ni.bit_count() <= floor:
                 continue
-            below = stabiliser_labels(i) if depth == 0 and s > 2 else None
-            if rec(i + 1, depth + 1, ni, chosen + [i], below):
+            later = range(i + 1, n - (s - depth) + 2)
+            labels = stabiliser_labels(i) if depth == 0 and s > 2 else None
+            if labels is not None:
+                later = (j for j in later if labels[j] == j)
+            if rec(i + 1, depth + 1, ni, chosen + [i], later):
                 return True
         return False
 
-    rec(0, 0, (1 << len(G.right)) - 1, [], G.orbit_labels)
+    top = (i for i in G.orbit_minima if i <= n - s)
+    rec(0, 0, (1 << len(G.right)) - 1, [], top)
     return hit
 
 

@@ -63,25 +63,31 @@ class ProjPoint:
         return "(" + ":".join(self.field.coeff_str(c) for c in self.raw) + ")"
 
 
+def chart_size(q: int, s: int, chart: str) -> int:
+    """The number of points of the affine (x0 = 1) or projective chart of
+    P^s(F_q), counted against the enumeration budget: more points than the
+    budget raise BudgetExceeded."""
+    if chart not in ("affine", "projective"):
+        raise ParameterOutOfRange(f"unknown chart {chart!r}")
+    count = sum(q ** (s - lead) for lead in range(1 if chart == "affine" else s + 1))
+    limit = enumeration_budget()
+    if count > limit:
+        raise BudgetExceeded(
+            f"the {chart} chart of P^{s}(F_{q}) has {count} points, over budget {limit}"
+        )
+    return count
+
+
 def chart_points(field: Field, s: int, chart: str = "projective") -> list:
     """The points of P^s over a finite field (chart "projective") as tuples
     of raw values, in canonical representatives (first nonzero coordinate
     1) and lexicographic in the order of `field.elements()`, or of its
     affine chart x0 = 1, the first q^s of them.  Counted first: more points
     than the enumeration budget raise BudgetExceeded before any is listed."""
-    if chart not in ("affine", "projective"):
-        raise ParameterOutOfRange(f"unknown chart {chart!r}")
-    q = field.characteristic ** getattr(field, "s", 1)
-    leads = range(1 if chart == "affine" else s + 1)
-    count = sum(q ** (s - lead) for lead in leads)
-    limit = enumeration_budget()
-    if count > limit:
-        raise BudgetExceeded(
-            f"the {chart} chart of P^{s}(F_{q}) has {count} points, over budget {limit}"
-        )
+    chart_size(field.characteristic ** getattr(field, "s", 1), s, chart)
     elems = [x.val for x in field.elements()]
     pts = []
-    for lead in leads:
+    for lead in range(1 if chart == "affine" else s + 1):
         head = (field._zero(),) * lead + (field._one(),)
         pts += [head + tail for tail in product(elems, repeat=s - lead)]
     return pts
@@ -102,10 +108,12 @@ def chart_codes(cols, p: int) -> list:
     if first.count(1) == len(first):
         # affine chart points, or their images under an affine map: no
         # scaling, which cuts the affine 1a graph's build by about a third
-        codes = list(rest[0]) if rest else [0] * len(first)
+        if not rest:
+            return [0] * len(first)
+        codes = rest[0]
         for col in rest[1:]:
             codes = [c * p + u for c, u in zip(codes, col)]
-        return codes
+        return list(codes) if codes is rest[0] else codes
     inv = {a: pow(a, -1, p) if a else 0 for a in set(first)}
     scale = [inv[a] for a in first]
     codes = [0] * len(first)

@@ -284,17 +284,18 @@ class MultiPoly:
         return self._scale(self.field._inv(c))
 
     def __pow__(self, n: int):
-        """Square-and-multiply for a nonnegative int exponent."""
+        """Square-and-multiply for a nonnegative int exponent: no product
+        with the constant 1, and no square past the top bit."""
         if n < 0:
             raise ValueError("negative power")
-        result = MultiPoly.constant(self.field, self.vars, 1)
-        base = self
+        result, base = None, self
         while n:
             if n & 1:
-                result = result * base
-            base = base * base
+                result = base if result is None else result * base
             n >>= 1
-        return result
+            if n:
+                base = base * base
+        return MultiPoly.constant(self.field, self.vars, 1) if result is None else result
 
     def __eq__(self, other):
         if not isinstance(other, MultiPoly):

@@ -11,6 +11,7 @@ from gridlab.errors import EmptySide
 from gridlab.fields import GF, QQ
 from gridlab.gridcheck import (
     BipartiteGraph,
+    ChartPoints,
     _AdjacencyRows,
     _monomial_values,
     _terms_int,
@@ -23,6 +24,7 @@ from gridlab.hypersurfaces import (
     Hypersurface,
     OpenSet,
     ProjPoint,
+    chart_codes,
     chart_points,
     construct,
     family_symmetries,
@@ -34,6 +36,28 @@ from gridlab.poly import BiHomPoly, MultiPoly, xy_vars
 def proj_points(field, s: int) -> list:
     """The points of P^s over a finite field as ProjPoints, in chart order."""
     return [ProjPoint(field, pt) for pt in chart_points(field, s)]
+
+
+class PointList(list):
+    """Residue tuples, any ones, with what `_AdjacencyRows` reads of a point
+    sequence: `point(i)` and the coordinate columns."""
+
+    def point(self, i):
+        return self[i]
+
+    def columns(self):
+        return [list(col) for col in zip(*self)]
+
+
+def chart_side(points, p: int, chart: str = "projective") -> ChartPoints:
+    """The homogeneous chart points `points` of P^s(F_p), in their order, as
+    the index sequence build_graph makes."""
+    return ChartPoints(p, len(points[0]) - 1, chart, chart_codes(list(zip(*points)), p))
+
+
+def columns_of(points, nvars: int) -> list:
+    """The coordinate columns of `points`, also when there are none."""
+    return [[pt[k] for pt in points] for k in range(nvars)]
 
 
 def reference_rows(terms, left_coords, right_coords, p):
@@ -205,8 +229,50 @@ def test_vertices_match_point_membership(data, p, s, chart):
             build_graph(H, p, X, Y, chart=chart)
         return
     G = build_graph(H, p, X, Y, chart=chart)
-    assert G.left == left
-    assert G.right == right
+    assert list(G.left) == left
+    assert list(G.right) == right
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    st.data(),
+    st.sampled_from([2, 3, 5, 7, 11]),
+    st.integers(1, 3),
+    st.sampled_from(["affine", "projective"]),
+)
+def test_index_sides_match_the_listing(data, p, s, chart):
+    # build_graph's sides hold chart indices and decode a vertex when it is
+    # read: entries, homogeneous points and coordinate columns must be the
+    # listed chart points that the open set contains, in the listing's order
+    vars = xy_vars(s)
+    H = Hypersurface(BiHomPoly(MultiPoly.parse(QQ, vars, "x0*y0"), vars[: s + 1], vars[s + 1 :]))
+    X, Y = (
+        OpenSet(s, data.draw(st.lists(excluded_forms(p, s, name), max_size=2)))
+        for name in "xy"
+    )
+    listed = chart_points(GF(p), s, chart)
+
+    def inside(U):
+        Up = U.reduce_mod(p)
+        return [pt for pt in listed if Up.contains(ProjPoint(GF(p), pt))]
+
+    want = inside(X), inside(Y)
+    if not all(want):
+        with pytest.raises(EmptySide):
+            build_graph(H, p, X, Y, chart=chart)
+        return
+    G = build_graph(H, p, X, Y, chart=chart)
+    for side, points in zip((G.left, G.right), want):
+        assert isinstance(side, ChartPoints) and len(side) == len(points)
+        assert [side.point(i) for i in range(len(side))] == points
+        assert list(side) == (points if chart == "projective" else [pt[1:] for pt in points])
+        assert [list(col) for col in side.columns()] == columns_of(points, s + 1)
+        i = data.draw(st.integers(-len(points), len(points) - 1))
+        assert side[i] == list(side)[i]
+        with pytest.raises(IndexError):
+            side[len(points)]
+    if not (X.excluded or Y.excluded):
+        assert G.left is G.right and G.left.codes is None
 
 
 def scan_answers(G, s, ts):
@@ -288,7 +354,7 @@ def test_kernel_matches_reference_on_raw_terms(data, p):
     terms = data.draw(st.lists(term, min_size=1, max_size=12))
     left = data.draw(st.lists(st.tuples(*[residue] * nx), min_size=1, max_size=8))
     right = data.draw(st.lists(st.tuples(*[residue] * ny), min_size=1, max_size=40))
-    rows = _AdjacencyRows(terms, left, right, p)
+    rows = _AdjacencyRows(terms, PointList(left), PointList(right), p)
     cols = rows.transpose()
     expected = reference_rows(terms, left, right, p)
     columns = transpose(expected, len(right))
@@ -338,7 +404,7 @@ def test_one_vertex_right_side(p):
     terms = [(1, (1, 0), (0, 1)), (p - 1, (0, 1), (1, 0))]  # x0*y1 - x1*y0
     left = [(1, a) for a in range(p)] + [(0, 1)]
     for v in [(1, 0), (1, p - 1), (0, 1)]:
-        rows = list(_AdjacencyRows(terms, left, [v], p))
+        rows = list(_AdjacencyRows(terms, chart_side(left, p), chart_side([v], p), p))
         assert rows == reference_rows(terms, left, [v], p)
         assert sum(rows) == 1  # the one left point equal to v
 
@@ -370,17 +436,18 @@ def test_monomial_values_match_per_point_loop(data, p, nvars):
     exps = data.draw(st.lists(st.tuples(*[st.integers(0, 2 * p + 1)] * nvars), max_size=6))
     exps.append((0,) * nvars)
     points = data.draw(st.lists(st.tuples(*[st.integers(0, p - 1)] * nvars), max_size=20))
-    assert _monomial_values(points, exps, p) == reference_monomial_values(points, exps, p)
+    columns = columns_of(points, nvars)
+    assert _monomial_values(columns, exps, p) == reference_monomial_values(points, exps, p)
     f = MultiPoly(GF(p), tuple(f"z{k}" for k in range(nvars)),
                   {e: data.draw(st.integers(1, p - 1)) for e in exps})
     want = [f.evaluate(list(pt)).val for pt in points]
-    assert _values_mod(f, points, p) == want
+    assert _values_mod(f, columns, p) == want
 
 
 def test_monomial_values_edge_cases():
-    assert _monomial_values([], [(0, 0), (2, 1)], 5) == [[], []]
-    assert _monomial_values([(1, 2), (3, 4)], [], 5) == []
-    assert _monomial_values([(1, 2), (3, 4)], [(0, 0)], 5) == [[1, 1]]
+    assert _monomial_values([[], []], [(0, 0), (2, 1)], 5) == [[], []]
+    assert _monomial_values([[1, 3], [2, 4]], [], 5) == []
+    assert _monomial_values([[1, 3], [2, 4]], [(0, 0)], 5) == [[1, 1]]
     # x^7 = x^3 on F_5 (exponent >= p), and 0^0 = 1
-    pts = [(a, 0) for a in range(5)]
+    pts = columns_of([(a, 0) for a in range(5)], 2)
     assert _monomial_values(pts, [(7, 0), (3, 0)], 5) == [[0, 1, 3, 2, 4]] * 2

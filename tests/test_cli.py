@@ -517,10 +517,26 @@ def test_norm_poly_check_counts_its_pairs(monkeypatch):
 
     monkeypatch.setenv("GRIDLAB_BUDGET", "1000")
     (res,) = [r for r in run_sweep([101])["results"] if r["check"] == "norm-poly"]
-    assert not res["pass"] and res["error"].startswith("BudgetExceeded: ")
+    assert res["pass"] and res["skipped"].startswith("budget: the affine chart of P^2(F_101)")
     monkeypatch.setattr(hypersurfaces, "norm_poly", unreachable)
     with pytest.raises(BudgetExceeded):
         cli._check_norm_poly(101)
+
+
+def test_budget_refusals_are_counted_skips(capsys, monkeypatch):
+    # a check that the budget refuses did not fail: it is skipped, with the
+    # refusal's message, and the summary counts it apart from all_pass
+    monkeypatch.setenv("GRIDLAB_BUDGET", "1000")
+    code, report = run_json(capsys, "sweep", "--primes", "101")
+    assert code == 0 and report["all_pass"] is True
+    skipped = {r["check"]: r["skipped"] for r in report["results"] if "skipped" in r}
+    assert report["skipped"] == len(skipped) == 6
+    assert skipped.pop("family-1b") == "sphere check restricted to p = 3 mod 4"
+    assert sorted(skipped) == ["cremona-transport", "family-1a", "family-1c", "family-1d",
+                               "norm-poly"]
+    assert all(why.startswith("budget: the ") and why.endswith("over budget 1000")
+               for why in skipped.values())
+    assert all(r["pass"] is True and "error" not in r for r in report["results"])
 
 
 def _construct_outputs():

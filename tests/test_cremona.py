@@ -35,7 +35,7 @@ from gridlab.cremona import (
     nagata,
     standard_quadratic,
 )
-from test_adjacency import proj_points, transpose
+from test_adjacency import PointList, chart_side, proj_points, transpose
 
 V6 = ("x0", "x1", "x2", "y0", "y1", "y2")
 
@@ -317,8 +317,8 @@ def reference_transport(H, sigma_y, p, s, t):
     left = [u.raw for u in pts]
     right_orig = [w.raw for _, w in pairs]
     right_pull = [v.raw for v, _ in pairs]
-    rows_orig = list(_AdjacencyRows(_terms_int(Hp), left, right_orig, p))
-    rows_pull = list(_AdjacencyRows(_terms_int(Hpulled), left, right_pull, p))
+    rows_orig = list(_AdjacencyRows(_terms_int(Hp), PointList(left), PointList(right_orig), p))
+    rows_pull = list(_AdjacencyRows(_terms_int(Hpulled), PointList(left), PointList(right_pull), p))
     w1 = find_grid(BipartiteGraph(left, right_orig, rows_orig, transpose(rows_orig, len(pairs))), s, t)
     w2 = find_grid(BipartiteGraph(left, right_pull, rows_pull, transpose(rows_pull, len(pairs))), s, t)
     return {
@@ -451,9 +451,10 @@ def test_map_that_moves_the_right_sample_is_dropped(monkeypatch):
     shear = MatrixPair(A, A_inv_T)
     Hp = reduce_hypersurface_mod(H(H0), p)
     pts = chart_points(GF(p), 2)
-    off_triangle = [v for v in pts if all(v)]
-    assert symmetry_permutations(Hp.form, [shear], pts, pts, p, False)[0] is not None
-    assert symmetry_permutations(Hp.form, [shear], pts, off_triangle, p, False) == [None]
+    off_triangle = chart_side([v for v in pts if all(v)], p)
+    whole = chart_side(pts, p)
+    assert symmetry_permutations(Hp.form, [shear], whole, whole)[0] is not None
+    assert symmetry_permutations(Hp.form, [shear], whole, off_triangle) == [None]
     (_, pulled), _ = torus(p)
     rep = {}
     run = lambda: rep.update(grid_transport_check(H(H0), sigma, p, 2, 2, symmetries=[(shear, pulled)]))

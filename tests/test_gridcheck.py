@@ -372,8 +372,8 @@ def test_affine_enumeration_matches_open_set_path(p, s):
     X = OpenSet(s, [MultiPoly.parse(QQ, vars[: s + 1], "x0")])
     Y = OpenSet(s, [MultiPoly.parse(QQ, vars[s + 1 :], "y0")])
     fast, filtered = build_graph(H, p), build_graph(H, p, X, Y)
-    assert fast.left == filtered.left == [u for u in product(range(p), repeat=s)]
-    assert fast.right == filtered.right == fast.left
+    assert list(fast.left) == list(filtered.left) == [u for u in product(range(p), repeat=s)]
+    assert list(fast.right) == list(filtered.right) == list(fast.left)
     assert list(fast.rows) == list(filtered.rows)
 
 
@@ -436,11 +436,11 @@ def test_budget_refusal_comes_before_adjacency(monkeypatch, tmp_path, capsys):
     monkeypatch.setattr(gridcheck, "_lane_kernel", never("adjacency kernel set up"))
     monkeypatch.setattr(gridcheck, "symmetry_permutations", never("symmetry verified"))
     monkeypatch.delenv("GRIDLAB_BUDGET", raising=False)
-    res = cli._check_1b(11)
-    assert res["pass"] is True
-    assert res["skipped"] == (
-        f"budget: C(1331,3) = {comb(1331, 3)} subset iterations exceed budget 100000000"
-    )
+    # the sweep records this refusal as the skip "budget: <message>"
+    message = f"C(1331,3) = {comb(1331, 3)} subset iterations exceed budget 100000000"
+    with pytest.raises(BudgetExceeded) as refusal:
+        cli._check_1b(11)
+    assert str(refusal.value) == message
     c = construct("1b", 11)
     G = build_graph(c.hypersurface, 11, symmetries=family_symmetries("1b", 11, 3))
     with pytest.raises(BudgetExceeded):
@@ -454,6 +454,30 @@ def test_budget_refusal_comes_before_adjacency(monkeypatch, tmp_path, capsys):
     assert capsys.readouterr().err.startswith("error: BudgetExceeded: C(1331,3)")
 
 
+def test_refused_scan_decodes_no_vertex(monkeypatch):
+    # 1a at p = 1009 has 1009^2 vertices a side: the graph's sides are
+    # chart indices, so building it and refusing its scan decode, list and
+    # transpose no point, and verify no map
+    from gridlab import gridcheck, hypersurfaces
+
+    def never(*args, **kwargs):
+        raise AssertionError("a vertex was decoded for a refused scan")
+
+    monkeypatch.setattr(hypersurfaces, "product", never)
+    for name in ("chart_point", "chart_columns", "symmetry_permutations"):
+        monkeypatch.setattr(gridcheck, name, never)
+    monkeypatch.delenv("GRIDLAB_BUDGET", raising=False)
+    p = 1009
+    c = construct("1a", p)
+    G = build_graph(c.hypersurface, p, symmetries=family_symmetries("1a", p, 2))
+    assert len(G.left) == len(G.right) == p * p
+    with pytest.raises(BudgetExceeded) as refusal:
+        find_grid(G, 2, 2)
+    assert str(refusal.value) == (
+        f"C({p * p},2) = {comb(p * p, 2)} subset iterations exceed budget 100000000"
+    )
+
+
 def test_reduction_follows_primitive_model():
     # stored monic, the form holds 1/3; its primitive model is x0*y0 mod 3
     vars = ("x0", "x1", "x2", "y0", "y1", "y2")
@@ -465,7 +489,7 @@ def test_reduction_follows_primitive_model():
     G = graph(QQ, "x0*y0 + 3*x1*y1")
     G3 = graph(GF(3), "x0*y0")
     assert list(G.rows) == list(G3.rows)
-    assert (G.left, G.right) == (G3.left, G3.right)
+    assert (list(G.left), list(G.right)) == (list(G3.left), list(G3.right))
 
 
 # -- recorded gridcheck and edges outputs -------------------------------------------

@@ -13,7 +13,8 @@ from gridlab.errors import BudgetExceeded, EmptySide
 from gridlab.fields import GF
 from gridlab.gridcheck import (
     BipartiteGraph,
-    _orbit_labels,
+    _known_orbits,
+    _orbits,
     build_graph,
     find_grid,
     max_common_neighborhood,
@@ -28,8 +29,10 @@ from gridlab.hypersurfaces import (
     family_symmetries,
     reduce_hypersurface_mod,
     reduce_poly_mod,
+    smallest_nonresidue,
 )
 from gridlab.poly import MultiPoly, bihomogenize
+from test_adjacency import chart_side
 from test_gridcheck import reference_find_grid, reference_max_common
 
 
@@ -251,7 +254,8 @@ def test_pruned_scan_matches_unpruned_on_invariant_forms(form, rng):
     # brute-force oracle accepts
     expected = [m for m in candidates if m in good or oracle_keeps(affine, d, p, m)]
     left, _ = full_points(G, "affine")
-    assert G.symmetries == [reference_permutation(m.mx, left, p) for m in expected]
+    kept = [list(g) for g in G.symmetries]
+    assert kept == [reference_permutation(m.mx, left, p) for m in expected]
     assert_automorphisms(G)
     ts = (1, 2, 3, p, p + 1)
     assert answers(G, (1, 2, 3), ts) == answers(plain, (1, 2, 3), ts)
@@ -307,7 +311,8 @@ def test_pruned_scans_match_reference_on_charts_and_open_sets(form, chart, data)
         and reference_permutation(m.mx, left, p) is not None
         and reference_permutation(m.my, right, p) is not None
     ]
-    assert G.symmetries == [reference_permutation(m.mx, left, p) for m in expected]
+    kept = [list(g) for g in G.symmetries]
+    assert kept == [reference_permutation(m.mx, left, p) for m in expected]
     assert_automorphisms(G)
     ts = (1, 2, p)
     assert answers(G, (1, 2, 3), ts) == reference_answers(plain, (1, 2, 3), ts)
@@ -483,7 +488,7 @@ def test_map_that_moves_an_open_set_is_dropped():
         assert len(G.symmetries) == len(candidates) == 3
         G = build_graph(c.hypersurface, 5, X=X, chart=chart, symmetries=candidates)
         left, _ = full_points(G, chart)
-        assert G.symmetries == [reference_permutation(candidates[1].mx, left, 5)]
+        assert [list(g) for g in G.symmetries] == [reference_permutation(candidates[1].mx, left, 5)]
         plain = build_graph(c.hypersurface, 5, X=X, chart=chart)
         assert answers(G, (2, 3), (2, 3)) == answers(plain, (2, 3), (2, 3))
         assert_counts_match(G, plain)
@@ -503,7 +508,9 @@ def test_permutations_follow_the_order_of_the_vertex_lists(chart):
     random.Random(4).shuffle(shuffled)
     maps = family_symmetries("1a", p, 2)
     for left, right in ((pts, shuffled), (shuffled, pts), (shuffled, shuffled[::-1])):
-        got = symmetry_permutations(Hp.form, maps, left, right, p, chart == "affine")
+        sides = chart_side(left, p, chart), chart_side(right, p, chart)
+        got = symmetry_permutations(Hp.form, maps, *sides)
+        got = [pair and tuple(map(list, pair)) for pair in got]
         want = [None if chart == "affine" and not keeps_affine_chart(m, p)
                 else (reference_permutation(m.mx, left, p), reference_permutation(m.my, right, p))
                 for m in maps]
@@ -537,12 +544,12 @@ def test_wrong_map_would_change_the_answer():
 def test_orbit_labels():
     # a 3-cycle and a transposition on disjoint points, one fixed point
     perms = [[1, 2, 0, 3, 4, 5], [0, 1, 2, 4, 3, 5]]
-    assert _orbit_labels(6, perms) == [0, 0, 0, 3, 3, 5]
-    assert _orbit_labels(4, []) == [0, 1, 2, 3]
+    assert _orbits(6, perms) == ([0, 0, 0, 3, 3, 5], {0: 3, 3: 2, 5: 1})
+    assert _orbits(4, []).labels == [0, 1, 2, 3]
     rng = random.Random(3)
     perm = list(range(30))
     rng.shuffle(perm)
-    labels = _orbit_labels(30, [perm])
+    labels = _orbits(30, [perm]).labels
     for i in range(30):
         assert labels[perm[i]] == labels[i] <= i
 
@@ -595,3 +602,72 @@ def test_counts_fall_back_when_no_candidate_is_kept():
     assert G.symmetries == [] and G.orbit_labels is None
     assert_counts_match(G, build_graph(c.hypersurface, 7))
     assert G.edge_count() == 7**3 - 7
+
+
+# -- orbits known without a walk ------------------------------------------------------
+
+FAMILY_GRAPHS = [
+    (f, p, s, chart)
+    for f, sizes in (("1a", (2,)), ("1b", (3,)), ("1c", (2, 3)), ("1d", (2, 3)))
+    for s in sizes
+    for p in (2, 3, 5, 7)
+    for chart in ("affine", "projective")
+    if not (f == "1b" and p == 2)
+]
+
+
+@pytest.mark.parametrize("family,p,dim,chart", FAMILY_GRAPHS)
+def test_known_orbits_match_the_walk(family, p, dim, chart):
+    # translations along every affine axis (1b, 1c) and transvections
+    # generating SL (1a) give the orbits without a walk; 1d needs the walk.
+    # x1^2 - n x2^2, n a non-residue, vanishes on F_p^2 at the origin alone:
+    # on the affine chart 1a's maps keep the other points, one orbit
+    c = construct(family, p, dim)
+    candidates = family_symmetries(family, p, c.s)
+    xs = tuple(f"x{i}" for i in range(c.s + 1))
+    opens = [None]
+    if p > 2:
+        anisotropic = f"x1**2 - {smallest_nonresidue(p)}*x2**2"
+        opens.append(OpenSet(c.s, [MultiPoly.parse(GF(p), xs, anisotropic)]))
+    form = reduce_hypersurface_mod(c.hypersurface, p).form
+    for X in opens:
+        G = build_graph(c.hypersurface, p, X=X, chart=chart, symmetries=candidates)
+        walked = _orbits(len(G.left), G.symmetries)
+        assert G.orbit_labels == walked.labels
+        assert list(G.orbit_minima) == list(walked.sizes)
+        assert G.edge_count() == build_graph(c.hypersurface, p, X=X, chart=chart).edge_count()
+        maps = [m for m in candidates if symmetry_permutations(form, [m], G.left, G.right)[0]]
+        known = _known_orbits(maps, G.left)
+        walk_free = (family == "1a" and (X is None or chart == "affine")
+                     or family in ("1b", "1c") and chart == "affine" and X is None)
+        assert (known is not None) == walk_free
+        if known is not None:
+            assert known == walked
+            two = family == "1a" and chart == "affine" and X is None
+            assert len(known.sizes) == (2 if two else 1)
+
+
+@pytest.mark.parametrize("family,p,dim,chart", [g for g in FAMILY_GRAPHS if g[1] in (3, 5)])
+def test_known_orbits_keep_witnesses_and_counts(family, p, dim, chart):
+    c = construct(family, p, dim)
+    G = build_graph(c.hypersurface, p, chart=chart, symmetries=family_symmetries(family, p, c.s))
+    plain = build_graph(c.hypersurface, p, chart=chart)
+    sizes = [2, 3] if c.s > 2 else [2]
+    assert answers(G, sizes, (2, 3, 7)) == answers(plain, sizes, (2, 3, 7))
+    assert_counts_match(G, plain)
+
+
+def test_known_orbits_need_every_generator():
+    # translations along one axis only, or transvections missing a pair,
+    # leave the orbits to the walk
+    p = 5
+    side = build_graph(construct("1a", p).hypersurface, p).left
+    x1_shift, x2_shift = translation(2, 0, 1, 1), translation(2, 1, 1, 1)
+    assert _known_orbits([x1_shift], side) is None
+    assert _known_orbits([x1_shift, x2_shift], side) == ([0] * p**2, {0: p**2})
+    e12 = linear(((1, 1), (0, 1)))
+    e21 = linear(((1, 0), (1, 1)))
+    assert _known_orbits([e12], side) is None
+    assert _known_orbits([e12, e21], side) == ([0] + [1] * (p**2 - 1), {0: 1, 1: p**2 - 1})
+    # a map that moves the origin joins it to the rest
+    assert _known_orbits([e12, e21, x1_shift], side).sizes == {0: p**2}
