@@ -13,7 +13,7 @@ import json
 import sys
 
 from . import classify_s1, cremona, curves, fields, gridcheck, hypersurfaces, poly
-from .errors import BudgetExceeded, GridlabError, UnknownSuite, UnsupportedParameters
+from .errors import BudgetExceeded, DimensionMismatch, GridlabError, UnknownSuite, UnsupportedParameters
 
 
 def __getattr__(name):
@@ -59,7 +59,12 @@ def _points_open_set(spec: str | None, field, vars) -> hypersurfaces.OpenSet:
     """Comma-separated "a:b" point list -> complement open set in P^1."""
     if not spec:
         return hypersurfaces.OpenSet.full(1)
-    pts = [hypersurfaces.ProjPoint.parse(field, part) for part in spec.split(",")]
+    pts = []
+    for part in spec.split(","):
+        pt = hypersurfaces.ProjPoint.parse(field, part)
+        if len(pt.coords) != 2:
+            raise DimensionMismatch(f"point {part!r} of P^1 needs 2 coordinates, not {len(pt.coords)}")
+        pts.append(pt)
     return hypersurfaces.OpenSet.complement_of_points(pts, vars[:2])
 
 

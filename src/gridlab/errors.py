@@ -35,7 +35,7 @@ class UnknownVariable(GridlabError):
 
 
 class MalformedExpression(GridlabError):
-    """A polynomial expression string does not parse."""
+    """A polynomial expression or coefficient string does not parse."""
 
 
 class ZeroPolynomial(GridlabError):

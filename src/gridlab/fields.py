@@ -25,6 +25,7 @@ from .errors import (
     CoefficientNotInPrimeField,
     DimensionMismatch,
     DivisionByZero,
+    MalformedExpression,
     MixedFields,
     UnsupportedParameters,
     WrongField,
@@ -195,6 +196,14 @@ class Field:
         return self.short_name()
 
 
+def _int_literal(s: str) -> int:
+    """The integer written `s`; MalformedExpression when it is none."""
+    try:
+        return int(s)
+    except ValueError:
+        raise MalformedExpression(f"coefficient {s!r} is not an integer") from None
+
+
 class Rationals(Field):
     kind = "rationals"
     characteristic = 0
@@ -238,7 +247,12 @@ class Rationals(Field):
         return f"{a.numerator}/{a.denominator}"
 
     def coeff_from_str(self, s: str) -> Fraction:
-        return Fraction(s)
+        try:
+            return Fraction(s)
+        except ZeroDivisionError:
+            raise MalformedExpression(f"coefficient {s!r} has a zero denominator") from None
+        except ValueError:
+            raise MalformedExpression(f"coefficient {s!r} is not a rational number") from None
 
     def descriptor(self):
         return {"kind": "rationals"}
@@ -304,7 +318,7 @@ class PrimeField(Field):
         return str(a)
 
     def coeff_from_str(self, s: str) -> int:
-        return int(s) % self.p
+        return _int_literal(s) % self.p
 
     def descriptor(self):
         return {"kind": "prime", "p": self.p}
@@ -564,7 +578,7 @@ class ExtensionField(Field):
         return ",".join(str(c) for c in a)
 
     def coeff_from_str(self, s: str) -> tuple:
-        return self.coerce([int(c) for c in s.split(",")])
+        return self.coerce([_int_literal(c) for c in s.split(",")])
 
     def descriptor(self):
         return {

@@ -10,17 +10,21 @@ zero-lane test, instead of a Python loop over the right side.  The rows of a
 `build_graph` graph are computed on demand (`_AdjacencyRows`): the kernel is
 set up on the first request, and each row is computed when it is first read
 and then cached.  Its columns come from the same kernel with the x and y
-roles swapped, so the scan never transposes and a pruned scan pays only for
-the rows and columns it reads.  A `build_graph` graph is a description:
-it verifies its symmetries on first use too (below), so the scan's budget
-check (`_check_budget`) comes before any row, column or map is computed.
+roles swapped, one at a time on first read, so a pruned scan pays only for
+the rows and columns it reads.  A scan without symmetries reads every row:
+once its first count at the last depth leaves it going, it takes the
+columns from the rows, transposed (`_transpose`), instead of running the
+kernel for each.  A witness found by that first count costs no transpose.
+A `build_graph` graph is a description: it verifies its symmetries on
+first use too (below), so the scan's budget check (`_check_budget`) comes
+before any row, column or map is computed.
 
 The vertices are indices.  Each side of a `build_graph` graph is a
 `ChartPoints`: the chart is counted against the enumeration
 budget, and a vertex is decoded from its index in the order of
 `hypersurfaces.chart_points` only when it is read.  The kernels read the
-chart's coordinate columns, which are built by arithmetic on ranges, and
-no list of coordinate tuples is made.  A side whose open set excludes no
+chart's coordinate columns, arrays of repeated digit runs, and no list of
+coordinate tuples is made.  A side whose open set excludes no
 form is the whole chart.  Otherwise it keeps the sorted indices of the
 points where no excluded form vanishes.  The test is the same kernel: an
 excluded form reduced mod p is a form with one left vertex, (), and the
@@ -70,14 +74,18 @@ orbits are known without a walk (`_known_orbits`): translations along every
 affine axis (1b, 1c) give one orbit, and transvections that generate SL
 (1a) give one orbit on P^2(F_p) and two on F_p^2, the origin and the rest.
 So 1a's count reads 2 rows, or 1.  Other maps are walked once
-(`_orbits`).  A graph without symmetries sums every row.
+(`_orbits`).  A graph without symmetries sums every row.  The count,
+`degree` and `orbit_minima` stop verifying candidates once the maps kept
+so far are known to act with one orbit, since no further map can merge
+orbits: 1c's count verifies its translations and not its norm-one map.
+The scan reads `symmetries`, which verifies the rest.
 
 The symmetries come from `build_graph(..., symmetries=...)` as candidate
 matrix pairs (M_x, M_y) mod p acting on homogeneous coordinates,
 (x, y) -> (M_x x, M_y y) (`hypersurfaces.MatrixPair`,
 `hypersurfaces.family_symmetries`); an affine map x -> A x + b of the
 chart x0 = 1 is [[1, 0], [b, A]].  They are verified on the first read of
-the graph's `symmetries` or orbits, once.  `symmetry_permutations`
+the graph's `symmetries` or orbits, each at most once.  `symmetry_permutations`
 keeps a candidate only when all of these hold:
 - both matrices are (s+1) x (s+1) and invertible mod p, and on the affine
   chart the rows of x0 and y0 are (1, 0, ..., 0), so the map is an affine
@@ -89,7 +97,7 @@ keeps a candidate only when all of these hold:
 Then the map sends edges to edges and non-edges to non-edges, on either
 chart and between any open sets: the last test is made on the vertices
 themselves, so no reasoning about the excluded forms is needed.  It maps
-all vertices at once, column by column, scales each image to first
+the vertices a chunk at a time, column by column, scales each image to first
 nonzero coordinate 1 and computes its index in the chart's order
 arithmetically (`hypersurfaces.chart_codes`).  That index is the vertex
 on a whole chart; a side with an open set is indexed through a position
@@ -101,9 +109,9 @@ from __future__ import annotations
 
 from array import array
 from collections import namedtuple
-from collections.abc import Sequence
+from collections.abc import Iterator, Sequence
 from functools import lru_cache
-from itertools import chain, compress, repeat
+from itertools import compress
 from math import comb
 
 from .errors import (
@@ -144,18 +152,22 @@ def chart_columns(p: int, s: int, affine: bool) -> tuple:
     projective chart of P^s(F_p) in the order of
     `hypersurfaces.chart_points`, built from repeated digit runs: in a block
     of p^k points, digit j of the index holds each residue for p^(k-1-j)
-    points in a row, p^j times over.  Tuples, kept for the last few charts,
-    which every side of a chart and every graph on it read."""
-    parts = [[] for _ in range(s + 1)]  # per column, its runs block by block
+    points in a row, p^j times over.  Arrays of the narrowest unsigned type
+    that holds a residue, built by C-level repetition and kept for the last
+    few charts, which every side of a chart and every graph on it read."""
+    code = "B" if p <= 1 << 8 else "H" if p <= 1 << 16 else "Q"
+    cols = [array(code) for _ in range(s + 1)]
     for lead in range(1 if affine else s + 1):
         k = s - lead
         for i in range(lead):
-            parts[i].append(repeat(0, p**k))
-        parts[lead].append(repeat(1, p**k))
+            cols[i] += array(code, [0]) * p**k
+        cols[lead] += array(code, [1]) * p**k
         for j in range(k):
-            digit = tuple(chain.from_iterable(repeat(a, p ** (k - 1 - j)) for a in range(p)))
-            parts[lead + 1 + j].append(chain.from_iterable(repeat(digit, p**j)))
-    return tuple(tuple(chain.from_iterable(runs)) for runs in parts)
+            digit = array(code)
+            for a in range(p):
+                digit += array(code, [a]) * p ** (k - 1 - j)
+            cols[lead + 1 + j] += digit * p**j
+    return tuple(cols)
 
 
 class ChartPoints(Sequence):
@@ -231,7 +243,10 @@ class BipartiteGraph:
     `ChartPoints` of `build_graph`, which decode a vertex
     when it is read.  `rows` and `cols` are int sequences: lists, or the
     on-demand `_AdjacencyRows` of `build_graph` and its `transpose()`.
-    Both are given; the graph never transposes its rows itself."""
+    Both are given.  Columns given as lists are read as they are; on-demand
+    columns are computed by their kernel one at a time, until a scan
+    without symmetries goes on past its first count at the last depth and
+    takes them all from the rows, transposed (`_scan`)."""
 
     def __init__(
         self,
@@ -239,7 +254,7 @@ class BipartiteGraph:
         right: Sequence,
         rows: Sequence,
         cols: Sequence,
-        symmetries: list | None = None,
+        symmetries: list | Iterator | None = None,
     ):
         if not left or not right:
             raise EmptySide("both sides need at least one vertex")
@@ -251,29 +266,46 @@ class BipartiteGraph:
         self.right = right
         self.rows = rows
         self.cols = cols
-        self._symmetries = symmetries or []
+        self._pending = symmetries if isinstance(symmetries, Iterator) else None
+        self._symmetries = [] if self._pending is not None else symmetries or []
         self._orbits = None
+
+    def _draw(self, one_orbit: bool):
+        """Draw the pending candidates: every one, or with `one_orbit` only
+        until the maps kept so far are known to act with one orbit."""
+        for perm, orbits in self._pending:
+            self._symmetries.append(perm)
+            self._orbits = orbits
+            if one_orbit and orbits is not None and len(orbits.sizes) == 1:
+                return
+        self._pending = None
 
     @property
     def symmetries(self) -> list:
         """Left-index permutations of verified graph automorphisms (each maps
         right vertices to right vertices too); the scan prunes by them and
-        the edge count reads one row per orbit.  They may be given as a
-        function, as `build_graph` does: it is called on the first read and
-        returns the list together with its orbits when they are known
-        without a walk (`_Orbits`), else None."""
-        if callable(self._symmetries):
-            self._symmetries, self._orbits = self._symmetries()
+        the edge count reads one row per orbit.  They may be given as an
+        iterator, as `build_graph` does, of (permutation, orbits) pairs: one
+        per kept candidate, verified when it is drawn, with the `_Orbits` of
+        the maps kept so far when they are known without a walk, else None.
+        Reading this draws every pair left."""
+        if self._pending is not None:
+            self._draw(False)
         return self._symmetries
 
     def _orbit_data(self):
         """The `_Orbits` of the left side under the group that `symmetries`
-        generate, found once; None without symmetries."""
-        gens = self.symmetries
-        if not gens:
+        generate, found once; None without symmetries.  Pending candidates
+        are drawn only until the maps kept are known to act with one orbit:
+        an automorphism maps each orbit onto an orbit, so more maps cannot
+        change one orbit, and the candidates left are not verified."""
+        if self._pending is not None and self._orbits is None:
+            # still pending after a draw only once one orbit is known
+            self._draw(True)
+        if not self._symmetries:
             return None
         if self._orbits is None:
-            self._orbits = _orbits(len(self.rows), gens)
+            self._orbits = _orbits(len(self.rows), self._symmetries)
         return self._orbits
 
     @property
@@ -367,6 +399,10 @@ def _values_mod(f, columns, p):
     return [v % p for v in vals]
 
 
+# bytes of lanes in one block of right vertices (`_lane_kernel`)
+_BLOCK_BYTES = 1 << 20
+
+
 def _lane_kernel(terms, left_point, right_columns, p):
     """row(u): bit j set iff the form vanishes at (left_point(u), right j)
     mod p, where the right points' coordinate columns are `right_columns`.
@@ -378,6 +414,9 @@ def _lane_kernel(terms, left_point, right_columns, p):
     costs a few big-int operations: the lane sums S = sum_i c_i(u) P_i, one
     Barrett reduction of every lane at once, a SWAR zero-lane test and a
     byte compaction of the lane flags.  Coordinates are residues in [0, p).
+    A right side with more than `_BLOCK_BYTES` of lanes is packed in blocks
+    of vertices, and a row is computed block by block, so that no big-int
+    temporary of a row outgrows a block.
     """
     nr = len(right_columns[0])
     if not nr:
@@ -396,23 +435,32 @@ def _lane_kernel(terms, left_point, right_columns, p):
     nbytes = -(-(r + bound.bit_length()) // 8)
     width = 8 * nbytes
     size = nbytes * nr
-
-    def packed(lane: int) -> int:
-        return int.from_bytes(lane.to_bytes(nbytes, "little") * nr, "little")
+    # the first vertex of each block, from the last block down, as the
+    # flags of a row run from vertex nr-1 down
+    per_block = max(1, _BLOCK_BYTES // nbytes)
+    starts = range(0, nr, per_block)[::-1]
 
     # a lane holds a residue below p in its low bytes, and zeros above them:
     # byte k of every lane is one strided slice, filled from a table
     low = [[v >> 8 * k & 255 for v in range(p)] for k in range(-(-(p - 1).bit_length() // 8))]
 
-    def lane_values(vals) -> int:
+    def lane_values(vals) -> list:
         buf = bytearray(size)
         for k, table in enumerate(low):
             buf[k::nbytes] = bytes(map(table.__getitem__, vals))
-        return int.from_bytes(buf, "little")
+        return [int.from_bytes(buf[lo * nbytes : (lo + per_block) * nbytes], "little") for lo in starts]
 
-    qmask = packed((1 << (width - r)) - 1)
-    high = packed(1 << (width - 1))
-    lanes = [lane_values(vals) for vals in _monomial_values(right_columns, yexps, p)]
+    def packed(lane: int, count: int) -> int:
+        return int.from_bytes(lane.to_bytes(nbytes, "little") * count, "little")
+
+    # per block: its bytes, (qmask, high) over its lanes, and its lanes
+    counts = [min(per_block, nr - lo) for lo in starts]
+    masks = {c: (packed((1 << (width - r)) - 1, c), packed(1 << (width - 1), c)) for c in set(counts)}
+    blocks = list(zip(
+        [count * nbytes for count in counts],
+        map(masks.__getitem__, counts),
+        zip(*[lane_values(vals) for vals in _monomial_values(right_columns, yexps, p)]),
+    ))
     xtables = _monomial_tables(xexps, p)
     ny = len(yexps)
 
@@ -427,15 +475,18 @@ def _lane_kernel(terms, left_point, right_columns, p):
         coeff = [0] * ny
         for c, a, i in plan:
             coeff[i] += c * xvals[a]
-        S = 0
-        for cf, P in zip(coeff, lanes):
-            cf %= p
-            if cf:
-                S += cf * P
-        R = S - ((S * m >> r) & qmask) * p
-        # a lane's top bit survives high - R iff the lane of R is zero; the
-        # big-endian bytes hold the lanes' top bytes from lane nr-1 down
-        flags = ((high - R) & high).to_bytes(size, "big")[::nbytes]
+        flags = b""
+        for block_size, (qmask, high), lanes in blocks:
+            S = 0
+            for cf, P in zip(coeff, lanes):
+                cf %= p
+                if cf:
+                    S += cf * P
+            R = S - ((S * m >> r) & qmask) * p
+            # a lane's top bit survives high - R iff the lane of R is zero;
+            # the big-endian bytes hold the lanes' top bytes from the last
+            # lane down
+            flags += ((high - R) & high).to_bytes(block_size, "big")[::nbytes]
         return int(flags.translate(_FLAG_DIGITS), 2)
 
     return row
@@ -451,14 +502,16 @@ class _AdjacencyRows(Sequence):
     The lane kernel (`_lane_kernel`) is set up on the first request; each
     entry is computed on its first request and cached, so a scan that reads
     a few rows pays for those alone.  `transpose()` gives the columns from
-    the same kernel with the x and y roles swapped."""
+    the same kernel with the x and y roles swapped, and keeps the rows
+    they transpose, for `fill`."""
 
-    __slots__ = ("_args", "_kernel", "_known")
+    __slots__ = ("_args", "_kernel", "_known", "_rows")
 
-    def __init__(self, terms, left, right, p):
+    def __init__(self, terms, left, right, p, rows=None):
         self._args = (terms, left, right, p)
         self._kernel = None
         self._known = {}
+        self._rows = rows
 
     def __len__(self) -> int:
         return len(self._args[1])
@@ -480,7 +533,38 @@ class _AdjacencyRows(Sequence):
         """Entry j: the bitset of the left vertices adjacent to right j."""
         terms, left, right, p = self._args
         swapped = [(c, ye, xe) for c, xe, ye in terms]
-        return _AdjacencyRows(swapped, right, left, p)
+        return _AdjacencyRows(swapped, right, left, p, self)
+
+    def fill(self) -> list:
+        """Every entry of the columns that `transpose()` made, as a list,
+        from their rows transposed (`_transpose`): each row not yet read is
+        computed once, and no column by the kernel."""
+        entries = _transpose(list(self._rows), len(self))
+        self._known.update(enumerate(entries))
+        return entries
+
+
+# a binary digit of `format` -> the byte 0 or 1
+_DIGIT_BYTES = bytes.maketrans(b"01", b"\x00\x01")
+
+
+def _transpose(rows: list, n: int) -> list:
+    """cols[j] = the bitset, bit i for rows[i], of the rows with bit j set,
+    for j < n: C-level byte work, no loop over bits.  Each row's binary
+    digits become bytes 0/1, one per column, read as an int; eight such
+    ints, shifted by 0..7, add up to one byte per column holding the bits
+    of those eight rows.  Those bytes, eight rows after eight rows, hold
+    column j as the strided slice from byte j, little-endian.  The buffer
+    has the size of the rows' bitsets."""
+    fmt = f"0{n}b"
+    buf = bytearray()
+    for g in range(0, len(rows), 8):
+        acc = 0
+        for k, r in enumerate(rows[g : g + 8]):
+            # the digits run from bit n-1 down, so byte j of the int is bit j
+            acc |= int.from_bytes(format(r, fmt).encode().translate(_DIGIT_BYTES), "big") << k
+        buf += acc.to_bytes(n, "little")
+    return [int.from_bytes(buf[j::n], "little") for j in range(n)]
 
 
 def _carries_form(form, m) -> bool:
@@ -524,6 +608,10 @@ def _image(M, coords, p) -> list:
     return image
 
 
+# vertices mapped at a time by `symmetry_permutations`
+_CHUNK = 1 << 16
+
+
 def symmetry_permutations(form, maps: list, left, right, right_perm: bool = True) -> list:
     """For each candidate MatrixPair (M_x, M_y) of `maps`, the pair (left
     permutation, right permutation), arrays of vertex indices, by which it
@@ -539,9 +627,9 @@ def symmetry_permutations(form, maps: list, left, right, right_perm: bool = True
     - both matrices are invertible mod p (`fields.matrix_rank`);
     - it carries the form mod p to λ·form, λ != 0 (`_carries_form`);
     - M_x maps `left` onto itself and M_y maps `right` onto itself.
-    The last test maps every vertex at once, column by column, scales each
-    image to first nonzero coordinate 1 and indexes it arithmetically
-    (`chart_codes`); an image's index is its vertex index on a side that is
+    The last test maps `_CHUNK` vertices at a time, column by column, scales
+    each image to first nonzero coordinate 1 and indexes it arithmetically
+    (`chart_codes`) into an array; an image's index is its vertex index on a side that is
     the whole chart, and a side that is not is indexed through a position
     table, where a vertex whose image is not on it rejects the map.  An
     invertible map is injective, so onto follows.  A right side that is the
@@ -554,16 +642,18 @@ def symmetry_permutations(form, maps: list, left, right, right_perm: bool = True
 
     def permutation(M, side):
         """perm[k] = the index in `side` of M times its vertex k; None when
-        an image is not on the side."""
-        codes = chart_codes(_image(M, side.columns(), p), p)
-        if side.codes is None:
-            return array("q", codes)
-        if id(side) not in tables:
-            table = tables[id(side)] = [-1] * side.size
+        an image is not on the side.  The vertices are mapped a chunk at a
+        time, straight into the array, so no list outgrows a chunk."""
+        cols, table = side.columns(), tables.get(id(side))
+        if table is None and side.codes is not None:
+            table = tables[id(side)] = array("q", [-1]) * side.size
             for i, c in enumerate(side.codes):
                 table[c] = i
-        perm = array("q", map(tables[id(side)].__getitem__, codes))
-        return None if -1 in perm else perm
+        perm = array("q")
+        for lo in range(0, len(side), _CHUNK):
+            codes = chart_codes(_image(M, [col[lo : lo + _CHUNK] for col in cols], p), p)
+            perm.fromlist(codes if table is None else [table[c] for c in codes])
+        return None if table is not None and -1 in perm else perm
 
     # a map that passes the chart and rank tests maps the whole chart onto
     # itself, so such a right side needs no mapping unless its permutation
@@ -665,17 +755,23 @@ def build_graph(
 
     The graph is a description: nothing that a scan may not need is
     computed here.  Its rows and columns are computed on first read
-    (`_AdjacencyRows`), and so are its symmetries: `symmetries` lists
-    candidate MatrixPairs (`hypersurfaces.family_symmetries`), and on the
-    first read of the graph's `symmetries` or orbits the maps that
+    (`_AdjacencyRows`); a scan without symmetries takes the columns from
+    the rows, transposed, once its first count at the last depth leaves it
+    going (`_scan`).  The symmetries are verified on demand too:
+    `symmetries` lists candidate MatrixPairs
+    (`hypersurfaces.family_symmetries`), and the maps that
     `symmetry_permutations` verifies on the form mod p and on both vertex
     sequences, on either chart and under any open sets, become the
     left-index permutations that the scan and the edge count prune by.
-    When those maps include a translation along every axis of the affine
-    chart, or the elementary transvections that generate SL, the orbits of
-    the left side are known without a walk (`_known_orbits`).  So a scan
-    that the budget refuses costs nothing that grows with the chart.  The
-    adjacency kernel and the symmetry test share one reduction of H mod p."""
+    Each candidate is verified when first drawn, in order, and at most
+    once.  When the maps kept include a translation along every axis of
+    the affine chart, or the elementary transvections that generate SL,
+    the orbits of the left side are known without a walk (`_known_orbits`);
+    the edge count, `degree` and `orbit_minima` draw candidates only until
+    those orbits are one, and the scan's read of `symmetries` draws the
+    rest.  So a scan that the budget refuses costs nothing that grows with
+    the chart.  The adjacency kernel and the symmetry test share one
+    reduction of H mod p."""
     s = H.s
     whole = ChartPoints(p, s, chart)
     Xp = (X or OpenSet.full(s)).reduce_mod(p)
@@ -693,11 +789,14 @@ def build_graph(
     rows = _AdjacencyRows(_terms_int(Hp), left, right, p)
 
     def kept():
-        verified = symmetry_permutations(Hp.form, symmetries, left, right, right_perm=False)
-        maps = [m for m, pair in zip(symmetries, verified) if pair]
-        return [pair[0] for pair in verified if pair], _known_orbits(maps, left)
+        maps = []
+        for m in symmetries:
+            pair = symmetry_permutations(Hp.form, [m], left, right, right_perm=False)[0]
+            if pair:
+                maps.append(m)
+                yield pair[0], _known_orbits(maps, left)
 
-    return BipartiteGraph(left, right, rows, rows.transpose(), kept if symmetries else None)
+    return BipartiteGraph(left, right, rows, rows.transpose(), kept() if symmetries else None)
 
 
 def _check_budget(n: int, s: int):
@@ -762,6 +861,10 @@ def _scan(G: BipartiteGraph, s: int, floor: int, first: bool):
     hit = None
     gens = G.symmetries
     stabilisers = {}
+    # without symmetries every row is read, so once the first count at the
+    # last depth leaves the scan going, on-demand columns come from the
+    # rows, transposed, rather than from their kernel one at a time
+    unfilled = not gens and isinstance(cols, _AdjacencyRows)
 
     def stabiliser_labels(v):
         """Orbit labels under the generators that fix v; None if none does."""
@@ -819,8 +922,13 @@ def _scan(G: BipartiteGraph, s: int, floor: int, first: bool):
 
     def rec(start, depth, inter, chosen, candidates):
         # candidates: the vertices this depth tries, ascending from start
+        nonlocal cols, unfilled
         if depth + 1 == s:
-            return last(start, inter, chosen)
+            if last(start, inter, chosen):
+                return True
+            if unfilled:
+                cols, unfilled = cols.fill(), False
+            return False
         for i in candidates:
             ni = inter & rows[i]
             if ni.bit_count() <= floor:

@@ -381,6 +381,19 @@ def test_constructions_match_reference(family, p, s, chart):
     assert_matches_reference(construct(family, p, s).hypersurface, p, chart=chart)
 
 
+@pytest.mark.parametrize("block_bytes", [1, 20, 300])
+@pytest.mark.parametrize(
+    "family,p,s,chart", [("1a", 7, None, "affine"), ("1d", 5, 2, "projective")]
+)
+def test_kernel_in_blocks_matches_reference(monkeypatch, block_bytes, family, p, s, chart):
+    # a right side with more lanes than `_BLOCK_BYTES` is packed in blocks,
+    # the last one short, and each row is computed block by block
+    from gridlab import gridcheck
+
+    monkeypatch.setattr(gridcheck, "_BLOCK_BYTES", block_bytes)
+    assert_matches_reference(construct(family, p, s).hypersurface, p, chart=chart)
+
+
 def test_single_y_monomial():
     vars = xy_vars(1)
     poly = MultiPoly.parse(GF(7), vars, "x0*y0**2 + 3*x1*y0**2")

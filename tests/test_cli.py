@@ -400,6 +400,76 @@ def test_top_level_list_exit_2(capsys, tmp_path):
         assert capsys.readouterr().err.startswith("error: MalformedJSON:")
 
 
+def _with_coefficient(data: dict, literal: str) -> dict:
+    """`data`, polynomial or hypersurface JSON, with its first coefficient
+    written `literal`."""
+    poly = data.get("poly", data)
+    poly["terms"][0]["c"] = literal
+    return data
+
+
+@pytest.mark.parametrize("literal", ["1/0", "x", "", "1/"])
+def test_bad_coefficient_exit_2(capsys, tmp_path, literal):
+    # a coefficient that is no field element is a typed error, not a
+    # traceback: exit 1 would read as "witness found"
+    from gridlab.fields import QQ
+    from gridlab.hypersurfaces import Hypersurface
+    from gridlab.poly import BiHomPoly, MultiPoly
+
+    V4 = ("x0", "x1", "y0", "y1")
+    form = MultiPoly.parse(QQ, V4, "x0*y1 - x1*y0")
+    s1 = tmp_path / "F.json"
+    s1.write_text(json.dumps(_with_coefficient(form.to_json(), literal)))
+    H = Hypersurface(BiHomPoly(form, V4[:2], V4[2:]))
+    h = tmp_path / "H.json"
+    h.write_text(json.dumps(_with_coefficient(H.to_json(), literal)))
+    for argv in (
+        ["s1", "classify", "--poly", str(s1)],
+        ["gridcheck", "--input", str(h), "--p", "5", "--s", "1", "--t", "2"],
+    ):
+        assert main(argv) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and err.startswith("error: MalformedExpression: ")
+
+
+@pytest.mark.parametrize("field", ["prime", "extension"])
+def test_bad_finite_field_coefficient_exit_2(capsys, h1a, tmp_path, field):
+    data = json.loads(open(h1a).read())
+    if field == "extension":
+        data["poly"]["field"] = {"kind": "extension", "p": 5, "s": 2, "modulus": [2, 0, 1]}
+        for t in data["poly"]["terms"]:
+            t["c"] = t["c"] + ",0"
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(_with_coefficient(data, "1/0" if field == "prime" else "1,x")))
+    code, err = _gridcheck_file(capsys, bad)
+    assert code == 2
+    assert err.startswith("error: MalformedExpression: ")
+
+
+@pytest.mark.parametrize(
+    "flag,points,error",
+    [
+        ("--exclude-x", "1:x", "MalformedExpression"),
+        ("--exclude-y", "1:", "MalformedExpression"),
+        ("--exclude-x", "1/0:1", "MalformedExpression"),
+        ("--exclude-x", "1:2:3", "DimensionMismatch"),
+        ("--exclude-y", "0:1,4", "DimensionMismatch"),
+    ],
+)
+def test_s1_bad_point_list_exit_2(capsys, tmp_path, flag, points, error):
+    from gridlab.fields import QQ
+    from gridlab.poly import MultiPoly
+
+    V4 = ("x0", "x1", "y0", "y1")
+    f = tmp_path / "F.json"
+    f.write_text(json.dumps(MultiPoly.parse(QQ, V4, "x0*y1 - x1*y0").to_json()))
+    assert main(["s1", "classify", "--poly", str(f), flag, points]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith(f"error: {error}: ")
+    if error == "DimensionMismatch":
+        assert "needs 2 coordinates" in err
+
+
 _JSON = st.recursive(
     st.none() | st.booleans() | st.integers(-3, 40) | st.text(max_size=3),
     lambda inner: st.lists(inner, max_size=3)

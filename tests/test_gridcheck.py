@@ -18,16 +18,24 @@ from gridlab.fields import GF, QQ
 from gridlab.gridcheck import (
     BipartiteGraph,
     _check_budget,
+    _terms_int,
     build_graph,
     edge_report,
     enumeration_budget,
     find_grid,
     max_common_neighborhood,
 )
-from gridlab.hypersurfaces import OpenSet, construct, family_symmetries
+from gridlab.hypersurfaces import OpenSet, construct, family_symmetries, reduce_hypersurface_mod
 from gridlab.poly import BiHomPoly, MultiPoly, xy_vars
 from gridlab.hypersurfaces import Hypersurface
-from test_adjacency import proj_points, transpose
+from test_adjacency import (
+    bihomogeneous_forms,
+    chart_coords,
+    open_sets,
+    proj_points,
+    reference_rows,
+    transpose,
+)
 
 
 def _common(rows, n_right, S):
@@ -588,10 +596,12 @@ def test_edges_match_recorded_outputs():
 def laziness_faults() -> list:
     """Where the on-demand graph computes more than it must, or the edge
     count less: build_graph computes no row or column and verifies no map,
-    find_grid, edge_count() and degree() verify the maps exactly once
-    between them, the pruned find_grid(G, 2, 2) on 1a at p = 53 computes
-    at most 2 rows and 53 columns, and edge_count() at most 2 rows with the
-    symmetries (one per orbit) and every row without them."""
+    find_grid, edge_count() and degree() verify each map exactly once
+    between them, in either order, the pruned find_grid(G, 2, 2) on 1a at
+    p = 53 computes at most 2 rows and 53 columns, and edge_count() at most
+    2 rows with the symmetries (one per orbit) and every row without them.
+    On 1c at p = 5, s = 2 edge_count() verifies the 2 translations alone,
+    and a later find_grid the third map."""
     from gridlab import gridcheck
 
     def computed(bitsets):
@@ -600,38 +610,65 @@ def laziness_faults() -> list:
     def counts(G):
         return f"{computed(G.rows)} rows and {computed(G.cols)} columns"
 
-    verified = []
+    verified = []  # every map verified, in order, one entry per verification
     original = gridcheck.symmetry_permutations
 
     def counting(form, maps, *args, **kwargs):
-        verified.append(len(maps))
+        verified.extend(maps)
         return original(form, maps, *args, **kwargs)
 
     p = 53
     c = construct("1a", p)
     symmetries = family_symmetries("1a", p, c.s)
     faults = []
+
+    def scan(G, when):
+        if find_grid(G, 2, 2) is not None:
+            faults.append(f"find_grid(G, 2, 2) {when} found a grid in family 1a")
+        if computed(G.rows) > 2 or computed(G.cols) > p:
+            faults.append(f"the pruned find_grid(G, 2, 2) {when} computed {counts(G)}")
+
+    def count(G, when):
+        if G.edge_count() != p**3 - p or computed(G.rows) > 2:
+            faults.append(f"the orbit-weighted edge_count() {when} computed {counts(G)}")
+
     gridcheck.symmetry_permutations = counting
     try:
-        G = build_graph(c.hypersurface, p, symmetries=symmetries)
-        if verified:
-            faults.append("build_graph verified a map")
-        if computed(G.rows) or computed(G.cols):
-            faults.append(f"build_graph computed {counts(G)}")
-        if find_grid(G, 2, 2) is not None:
-            faults.append("find_grid(G, 2, 2) found a grid in family 1a")
-        if computed(G.rows) > 2 or computed(G.cols) > p:
-            faults.append(f"the pruned find_grid(G, 2, 2) computed {counts(G)}")
-        if G.edge_count() != p**3 - p or computed(G.rows) > 2:
-            faults.append(f"the orbit-weighted edge_count() computed {counts(G)}")
-        if G.degree(p * p - 1) != p or computed(G.rows) > 2:
-            faults.append(f"degree() of the last vertex computed {counts(G)}")
+        for order in ("find_grid", "edge_count"):
+            verified.clear()
+            G = build_graph(c.hypersurface, p, symmetries=symmetries)
+            if verified:
+                faults.append("build_graph verified a map")
+            if computed(G.rows) or computed(G.cols):
+                faults.append(f"build_graph computed {counts(G)}")
+            if order == "find_grid":
+                scan(G, "first")
+                count(G, "after the scan")
+            else:
+                count(G, "first")
+                scan(G, "after the edge count")
+            if G.degree(p * p - 1) != p or computed(G.rows) > 2:
+                faults.append(f"degree() of the last vertex computed {counts(G)}")
+            if verified != symmetries:
+                faults.append(
+                    f"{order} first: find_grid, edge_count and degree did not verify"
+                    " each map exactly once between them"
+                )
+        # 1c's translations act with one orbit: the count verifies them
+        # alone, and a later scan the norm-one map, once
+        verified.clear()
+        norm = construct("1c", 5, 2)
+        candidates = family_symmetries("1c", 5, 2)
+        G = build_graph(norm.hypersurface, 5, symmetries=candidates)
+        G.edge_count()
+        if verified != candidates[:2]:
+            faults.append(f"edge_count() on 1c verified {len(verified)} maps, not the 2 translations")
+        find_grid(G, 2, 2)
+        G.edge_count()
+        if verified != candidates:
+            faults.append("edge_count, then find_grid did not verify each 1c map exactly once")
     finally:
         gridcheck.symmetry_permutations = original
-    if verified != [len(symmetries)]:
-        faults.append(
-            "find_grid, edge_count and degree did not verify the maps exactly once between them"
-        )
     plain = build_graph(c.hypersurface, p)
     if plain.edge_count() != p**3 - p or computed(plain.rows) != len(plain.rows):
         faults.append(f"edge_count() without symmetries computed {counts(plain)}")
@@ -640,6 +677,162 @@ def laziness_faults() -> list:
 
 def test_adjacency_is_computed_on_demand():
     assert laziness_faults() == []
+
+
+# -- columns from rows, orbits before the whole group ------------------------------
+
+
+def _open_set_off(var: str, a: int, b: int, c: int) -> OpenSet:
+    """P^2 minus {var0 = 0} and the line a var1 + b var2 + c var0 = 0."""
+    vars = tuple(f"{var}{i}" for i in range(3))
+    line = {(0, 1, 0): a, (0, 0, 1): b, (1, 0, 0): c}
+    return OpenSet(2, [MultiPoly(QQ, vars, {(1, 0, 0): 1}), MultiPoly(QQ, vars, line)])
+
+
+def recording_kernels(monkeypatch) -> list:
+    """kernels[k] = the vertices the k-th `_lane_kernel` set up from now on
+    computed, in order."""
+    from gridlab import gridcheck
+
+    kernels = []
+    original = gridcheck._lane_kernel
+
+    def recording(*args):
+        row, calls = original(*args), []
+        kernels.append(calls)
+
+        def counted(u):
+            calls.append(u)
+            return row(u)
+
+        return counted
+
+    monkeypatch.setattr(gridcheck, "_lane_kernel", recording)
+    return kernels
+
+
+def recording_verifications(monkeypatch) -> list:
+    """Every candidate map verified from now on, one entry per verification."""
+    from gridlab import gridcheck
+
+    verified = []
+    original = gridcheck.symmetry_permutations
+
+    def counting(form, maps, *args, **kwargs):
+        verified.extend(maps)
+        return original(form, maps, *args, **kwargs)
+
+    monkeypatch.setattr(gridcheck, "symmetry_permutations", counting)
+    return verified
+
+
+def test_unpruned_scan_takes_its_columns_from_its_rows(monkeypatch):
+    # the paper's (2,2) question for 1d on P^2 at p = 31 between open sets
+    # that neither candidate symmetry keeps: every row is read, so after the
+    # first count the columns come from the rows, not from their kernel
+    p = 31
+    c = construct("1d", p, 2)
+    X, Y = _open_set_off("x", 1, 2, 3), _open_set_off("y", 2, 1, -4)
+    G = build_graph(c.hypersurface, p, X, Y, chart="projective",
+                    symmetries=family_symmetries("1d", p, 2))
+    kernels = recording_kernels(monkeypatch)
+    assert find_grid(G, 2, 2) is None
+    assert G.symmetries == []
+    rows, columns = kernels  # row 0 is read before any column
+    assert sorted(rows) == list(range(len(G.left)))
+    assert len(set(columns)) == len(columns) <= G.rows[0].bit_count()
+    assert len(columns) < len(G.right) // 10
+    assert list(G.cols) == transpose(list(G.rows), len(G.right))
+    assert kernels == [rows, columns]
+
+
+def test_witness_at_the_first_count_costs_no_transpose(monkeypatch):
+    from gridlab import gridcheck
+
+    def never(*args):
+        raise AssertionError("the rows were transposed for a witness at the first count")
+
+    c = construct("1c", 7, 3)
+    G = build_graph(c.hypersurface, 7)
+    monkeypatch.setattr(gridcheck, "_transpose", never)
+    w = find_grid(G, 3, 3)
+    assert (len(G.rows._known), len(G.cols._known)) == (3, 7)
+    assert (w.S, w.T) == reference_find_grid(G, 3, 3)
+
+
+def test_edge_count_verifies_until_one_orbit(monkeypatch):
+    # 1c's four translations already act with one orbit on F_5^4, so the
+    # count does not verify the norm-one map; a later scan does, once
+    p, s = 5, 4
+    c = construct("1c", p, s)
+    symmetries = family_symmetries("1c", p, s)
+    verified = recording_verifications(monkeypatch)
+    G = build_graph(c.hypersurface, p, symmetries=symmetries)
+    n = p**s
+    assert G.edge_count() == n * (n - 1) // 4
+    assert len(symmetries) == 5 and verified == symmetries[:4]
+    for M, _ in verified:  # translations x -> x + a e_k of the affine chart
+        assert [(i, j) for i, row in enumerate(M) for j, a in enumerate(row)
+                if a % p != (i == j)] in ([(k, 0)] for k in range(1, s + 1))
+    assert G.degree(n - 1) == (n - 1) // 4 and list(G.orbit_minima) == [0]
+    assert verified == symmetries[:4]
+    assert max_common_neighborhood(G, 2) == reference_max_common(G, 2)
+    assert verified == symmetries and len(G.symmetries) == 5
+    G.edge_count()
+    find_grid(G, 2, 2)
+    assert verified == symmetries
+
+
+def test_pruned_scan_verifies_every_candidate_once(monkeypatch):
+    p, s = 7, 3
+    c = construct("1c", p, s)
+    symmetries = family_symmetries("1c", p, s)
+    verified = recording_verifications(monkeypatch)
+    G = build_graph(c.hypersurface, p, symmetries=symmetries)
+    assert find_grid(G, 3, 7) is None
+    assert len(symmetries) == 4 and verified == symmetries
+    G.edge_count()
+    assert verified == symmetries
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.data(),
+    bihomogeneous_forms([2, 3, 5, 7]),
+    st.sampled_from(["affine", "projective"]),
+    st.integers(1, 3),
+)
+def test_transposed_columns_and_scans_match_reference(data, form, chart, s):
+    # the columns a scan without symmetries takes from its rows, after some
+    # from the kernel, are the reference rows transposed, and the scans
+    # answer as the per-candidate reference scan does
+    p, H = form
+    X = data.draw(open_sets(p, H.s, "x"))
+    Y = data.draw(open_sets(p, H.s, "y"))
+
+    def graph():
+        return build_graph(H, p, X, Y, chart=chart)
+
+    try:
+        G = graph()
+    except EmptySide:  # the open sets removed a whole side
+        return
+    left, right = chart_coords(G, chart)
+    rows = reference_rows(_terms_int(reduce_hypersurface_mod(H, p)), left, right, p)
+    columns = transpose(rows, len(right))
+    for j in data.draw(st.lists(st.integers(0, len(right) - 1), max_size=3)):
+        assert G.cols[j] == columns[j]
+    assert G.cols.fill() == columns
+    assert list(G.cols) == columns and list(G.rows) == rows
+    if s > len(left) or comb(len(left), s) > 10**5:
+        return
+    ref = BipartiteGraph(G.left, G.right, rows, columns)
+    G = graph()
+    assert max_common_neighborhood(G, s) == reference_max_common(ref, s)
+    assert all(G.cols._known[j] == columns[j] for j in G.cols._known)
+    for t in (1, 2, 3, len(right)):
+        w = find_grid(G, s, t)
+        assert (None if w is None else (w.S, w.T)) == reference_find_grid(ref, s, t)
 
 
 if __name__ == "__main__":

@@ -33,7 +33,7 @@ from gridlab.hypersurfaces import (
 )
 from gridlab.poly import MultiPoly, bihomogenize
 from test_adjacency import chart_side
-from test_gridcheck import reference_find_grid, reference_max_common
+from test_gridcheck import recording_verifications, reference_find_grid, reference_max_common
 
 
 def identity(d):
@@ -415,9 +415,10 @@ def test_pruned_1b_p11_with_raised_budget(monkeypatch):
     assert max_common_neighborhood(G, 3) == (2, [0, 1, 13])
 
 
-def test_budget_counts_the_plain_subsets():
+def test_budget_counts_the_plain_subsets(monkeypatch):
     # the scan refuses C(1331, 3) subsets with and without symmetries, and
     # before it verifies any map
+    verified = recording_verifications(monkeypatch)
     c = construct("1b", 11)
     for symmetries in ([], family_symmetries("1b", 11, 3)):
         G = build_graph(c.hypersurface, 11, symmetries=symmetries)
@@ -425,7 +426,10 @@ def test_budget_counts_the_plain_subsets():
             max_common_neighborhood(G, 3)
         with pytest.raises(BudgetExceeded, match=r"C\(1331,3\)"):
             find_grid(G, 3, 3)
-        assert callable(G._symmetries) == bool(symmetries)
+        assert verified == []
+        assert bool(G.symmetries) == bool(symmetries)
+        assert verified == symmetries
+        verified.clear()
 
 
 def test_family_symmetries_degenerate_inputs():
