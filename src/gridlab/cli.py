@@ -239,7 +239,7 @@ def _check_1b(p: int) -> dict:
 def _check_1c(p: int) -> dict:
     c = hypersurfaces.construct("1c", p, 2)
     G = _family_graph(c)
-    degs = {G.degree(i) for i in G.orbit_minima}
+    degs = {G.rows[i].bit_count() for i in G.orbit_minima}
     best, _ = gridcheck.max_common_neighborhood(G, 2)
     ok = degs == {p + 1} and best <= 2
     return {"pass": ok, "degrees": sorted(degs), "max_common": best}
@@ -310,10 +310,13 @@ def run_sweep(primes: list) -> dict:
     """Run the built-in checks over each prime; failures carry witnesses
     and per-check errors are recorded rather than raised.  A check that the
     enumeration budget refuses is recorded as skipped, not failed, and the
-    summary counts the skipped checks apart from `all_pass`.  A non-prime
-    entry is refused (UnsupportedParameters) before any check runs.  The
+    summary counts the skipped checks apart from `all_pass`.  An empty list
+    or a non-prime entry is refused (UnsupportedParameters) before any
+    check runs, since a sweep of no check would claim `all_pass`.  The
     checks' prime-independent inputs, the s = 1 verdicts over Q and the
     transport's form and map, are built once per call."""
+    if not primes:
+        raise UnsupportedParameters("sweep needs at least one prime")
     bad = [p for p in primes if not fields.is_prime(p)]
     if bad:
         raise UnsupportedParameters(f"sweep primes must be prime, got {bad}")
@@ -358,7 +361,12 @@ def run_sweep(primes: list) -> dict:
 
 
 def cmd_sweep(args) -> int:
-    primes = [int(x) for x in args.primes.split(",")] if args.primes else []
+    try:
+        primes = [int(x) for x in args.primes.split(",")]
+    except ValueError:
+        raise UnsupportedParameters(
+            f"--primes takes comma-separated integers, got {args.primes!r}"
+        ) from None
     report = run_sweep(primes)
     _emit(report, args.pretty)
     return 0 if report["all_pass"] else 1

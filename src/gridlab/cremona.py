@@ -174,7 +174,7 @@ def grid_transport_check(
     `symmetries` lists candidate pairs (g, h) of MatrixPairs, g for the
     original graph and h for the pulled one, as `build_graph` takes
     `symmetries=`.  A pair is kept only when both maps are verified
-    automorphisms of their graphs (`gridcheck.symmetry_permutations`) and
+    automorphisms of their graphs (`gridcheck.symmetry_permutation`) and
     give the same left and the same right index permutation, (π, ρ).  Then
     rows_orig[π(u)] is rows_orig[u] with its bits moved by ρ, and so is
     rows_pull[π(u)] with rows_pull[u]: rows that agree at u agree at every
@@ -206,11 +206,11 @@ def grid_transport_check(
     rows_orig = gridcheck._AdjacencyRows(gridcheck._terms_int(Hp), chart, right_orig, p)
     rows_pull = gridcheck._AdjacencyRows(gridcheck._terms_int(Hpulled), chart, right_pull, p)
     perms = []
-    if symmetries:
-        verify = gridcheck.symmetry_permutations
-        orig = verify(Hp.form, [g for g, _ in symmetries], chart, right_orig)
-        pull = verify(Hpulled.form, [h for _, h in symmetries], chart, right_pull)
-        perms = [a[0] for a, b in zip(orig, pull) if a is not None and a == b]
+    verify = gridcheck.symmetry_permutation
+    for g, h in symmetries or ():
+        a = verify(Hp.form, g, chart, right_orig)
+        if a is not None and a == verify(Hpulled.form, h, chart, right_pull):
+            perms.append(a[0])
     G1 = gridcheck.BipartiteGraph(chart, right_orig, rows_orig, rows_orig.transpose(), perms)
     adjacency_match = all(rows_orig[u] == rows_pull[u] for u in G1.orbit_minima)
     w1 = gridcheck.find_grid(G1, s, t)

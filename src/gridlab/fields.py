@@ -16,7 +16,6 @@ from __future__ import annotations
 import os
 from fractions import Fraction
 from functools import lru_cache
-from itertools import product
 from math import gcd
 from operator import mul as _times
 
@@ -441,20 +440,32 @@ def _is_irreducible(m: tuple, p: int) -> bool:
     )
 
 
+def _residue_tuples(p: int, s: int, start: int = 0):
+    """The s-tuples of residues mod p in lexicographic order, from the one
+    whose base-p digits spell `start`: the tuple at index k is the digits
+    of k, most significant first.  Lazy, where itertools.product would
+    first turn range(p) into a tuple of p ints."""
+    for k in range(start, p**s):
+        digits = [0] * s
+        for i in range(s - 1, -1, -1):
+            k, digits[i] = divmod(k, p)
+        yield tuple(digits)
+
+
 def canonical_modulus(p: int, s: int) -> tuple:
     """Lexicographically smallest monic irreducible of degree s over F_p.
 
-    Coefficient tuples are compared low-degree-first, so the search order of
-    itertools.product matches the comparison order.  A candidate with
+    Coefficient tuples are compared low-degree-first, so the lexicographic
+    order of `_residue_tuples` is the comparison order.  A candidate with
     constant term 0 is divisible by b, so the search starts at constant
-    term 1; an irreducibility test larger than the budget refuses it
-    before any candidate is listed.
+    term 1, index p^(s-1); an irreducibility test larger than the budget
+    refuses it before any candidate is listed.
     """
     if s < 2:
         raise UnsupportedParameters("s must be at least 2")
     _check_irreducibility_test(p, s, f"the modulus search for F_{p}^{s}")
-    for tail in product(range(1, p), *[range(p)] * (s - 1)):
-        m = tuple(tail) + (1,)
+    for tail in _residue_tuples(p, s, p ** (s - 1)):
+        m = tail + (1,)
         if _is_irreducible(m, p):
             return m
     raise UnsupportedParameters(f"no irreducible of degree {s} over F_{p}")
@@ -568,7 +579,7 @@ class ExtensionField(Field):
         return all(c == 0 for c in a)
 
     def elements(self):
-        for vec in product(range(self.p), repeat=self.s):
+        for vec in _residue_tuples(self.p, self.s):
             yield FieldElem(self, vec)
 
     def prime_subfield(self) -> PrimeField:

@@ -68,25 +68,27 @@ budget still counts C(|left|, s), as for the plain graph.
 The edge count reads one row per orbit.  g maps N(v) onto N(g(v)), so the
 degree is constant on each orbit of left vertices, and by the
 orbit-stabiliser count |E| = sum over the orbits O of |O| * deg(min O).
-`BipartiteGraph` finds the orbits once, for this count, `degree` and the
-scan's first depth, which loop over the orbit minima alone.  Most families'
-orbits are known without a walk (`_known_orbits`): translations along every
-affine axis (1b, 1c) give one orbit, and transvections that generate SL
-(1a) give one orbit on P^2(F_p) and two on F_p^2, the origin and the rest.
-So 1a's count reads 2 rows, or 1.  Other maps are walked once
-(`_orbits`).  A graph without symmetries sums every row.  The count,
-`degree` and `orbit_minima` stop verifying candidates once the maps kept
-so far are known to act with one orbit, since no further map can merge
-orbits: 1c's count verifies its translations and not its norm-one map.
-The scan reads `symmetries`, which verifies the rest.
+`BipartiteGraph` finds the orbits once, as {minimum: size} in ascending
+order of the minima, for this count and the scan's first depth, which loop
+over the orbit minima alone.  Most families' orbits are known without a
+walk (`_known_orbits`): translations along every affine axis (1b, 1c) give
+one orbit, and transvections that generate SL (1a) give one orbit on
+P^2(F_p) and two on F_p^2, the origin and the rest.  So 1a's count reads 2
+rows, or 1.  Other maps are walked once (`_orbits`).  A graph without
+symmetries sums every row.  The count and `orbit_minima` stop verifying
+candidates once the maps kept so far are known to act with one orbit,
+since no further map can merge orbits: 1c's count verifies its
+translations and not its norm-one map.  The scan reads `symmetries`, which
+verifies the rest.
 
 The symmetries come from `build_graph(..., symmetries=...)` as candidate
 matrix pairs (M_x, M_y) mod p acting on homogeneous coordinates,
 (x, y) -> (M_x x, M_y y) (`hypersurfaces.MatrixPair`,
 `hypersurfaces.family_symmetries`); an affine map x -> A x + b of the
 chart x0 = 1 is [[1, 0], [b, A]].  They are verified on the first read of
-the graph's `symmetries` or orbits, each at most once.  `symmetry_permutations`
-keeps a candidate only when all of these hold:
+the graph's `symmetries` or orbits, each at most once and alone, by one
+`symmetry_permutation` call.  It keeps a candidate only when all of these
+hold:
 - both matrices are (s+1) x (s+1) and invertible mod p, and on the affine
   chart the rows of x0 and y0 are (1, 0, ..., 0), so the map is an affine
   map [[1, 0], [b, A]] of the chart;
@@ -101,14 +103,14 @@ the vertices a chunk at a time, column by column, scales each image to first
 nonzero coordinate 1 and computes its index in the chart's order
 arithmetically (`hypersurfaces.chart_codes`).  That index is the vertex
 on a whole chart; a side with an open set is indexed through a position
-table.  A wrong candidate is dropped, and a
+table.  A right side that is the whole chart is not mapped: the first test
+already shows that M_y keeps it.  A wrong candidate is dropped, and a
 missing one costs only speed.  No family label is trusted.
 """
 
 from __future__ import annotations
 
 from array import array
-from collections import namedtuple
 from collections.abc import Iterator, Sequence
 from functools import lru_cache
 from itertools import compress
@@ -276,7 +278,7 @@ class BipartiteGraph:
         for perm, orbits in self._pending:
             self._symmetries.append(perm)
             self._orbits = orbits
-            if one_orbit and orbits is not None and len(orbits.sizes) == 1:
+            if one_orbit and orbits is not None and len(orbits) == 1:
                 return
         self._pending = None
 
@@ -286,16 +288,17 @@ class BipartiteGraph:
         right vertices to right vertices too); the scan prunes by them and
         the edge count reads one row per orbit.  They may be given as an
         iterator, as `build_graph` does, of (permutation, orbits) pairs: one
-        per kept candidate, verified when it is drawn, with the `_Orbits` of
-        the maps kept so far when they are known without a walk, else None.
-        Reading this draws every pair left."""
+        per kept candidate, verified when it is drawn, with the orbits of the
+        maps kept so far ({minimum: size}) when they are known without a
+        walk, else None.  Reading this draws every pair left."""
         if self._pending is not None:
             self._draw(False)
         return self._symmetries
 
-    def _orbit_data(self):
-        """The `_Orbits` of the left side under the group that `symmetries`
-        generate, found once; None without symmetries.  Pending candidates
+    def _orbit_data(self) -> dict | None:
+        """The orbits of the left side under the group that `symmetries`
+        generate, as {smallest index: size} in ascending order of the
+        minima, found once; None without symmetries.  Pending candidates
         are drawn only until the maps kept are known to act with one orbit:
         an automorphism maps each orbit onto an orbit, so more maps cannot
         change one orbit, and the candidates left are not verified."""
@@ -309,19 +312,12 @@ class BipartiteGraph:
         return self._orbits
 
     @property
-    def orbit_labels(self) -> list | None:
-        """labels[i] = the smallest left index in the orbit of i under the
-        group that `symmetries` generate; None without symmetries."""
-        orbits = self._orbit_data()
-        return None if orbits is None else orbits.labels
-
-    @property
     def orbit_minima(self) -> Sequence:
         """The smallest left index of each orbit, ascending: every left index
         without symmetries.  A loop over all vertices of a property that the
         automorphisms keep reads these alone."""
         orbits = self._orbit_data()
-        return range(len(self.rows)) if orbits is None else list(orbits.sizes)
+        return range(len(self.rows)) if orbits is None else list(orbits)
 
     def edge_count(self) -> int:
         """|E|.  With symmetries, one row per orbit: an automorphism g maps
@@ -330,21 +326,7 @@ class BipartiteGraph:
         orbits = self._orbit_data()
         if orbits is None:
             return sum(r.bit_count() for r in self.rows)
-        return sum(size * self.rows[v].bit_count() for v, size in orbits.sizes.items())
-
-    def degree(self, i: int) -> int:
-        """The degree of left vertex i, read from the row of its orbit's
-        smallest vertex when the graph has symmetries."""
-        labels = self.orbit_labels
-        return self.rows[i if labels is None else labels[i]].bit_count()
-
-
-class _Orbits(namedtuple("_Orbits", "labels sizes")):
-    """The orbits of a graph's left side: labels[i] is the smallest index in
-    the orbit of i, and `sizes` maps each such minimum to its orbit's size,
-    in ascending order of the minima."""
-
-    __slots__ = ()
+        return sum(size * self.rows[v].bit_count() for v, size in orbits.items())
 
 
 def _terms_int(Hp: Hypersurface):
@@ -608,18 +590,18 @@ def _image(M, coords, p) -> list:
     return image
 
 
-# vertices mapped at a time by `symmetry_permutations`
+# vertices mapped at a time by `symmetry_permutation`
 _CHUNK = 1 << 16
 
 
-def symmetry_permutations(form, maps: list, left, right, right_perm: bool = True) -> list:
-    """For each candidate MatrixPair (M_x, M_y) of `maps`, the pair (left
-    permutation, right permutation), arrays of vertex indices, by which it
-    acts on the graph of `form` between the vertex sequences `left` and
-    `right` (`ChartPoints` of one chart), or None when it is
-    not verified to be an automorphism of that graph.
+def symmetry_permutation(form, m, left, right) -> tuple | None:
+    """The pair (left permutation, right permutation), arrays of vertex
+    indices, by which the candidate MatrixPair m = (M_x, M_y) acts on the
+    graph of `form` between the vertex sequences `left` and `right`
+    (`ChartPoints` of one chart); None when it is not verified to be an
+    automorphism of that graph.
 
-    A candidate is kept when all of these hold:
+    The candidate is kept when all of these hold:
     - both matrices are (s+1) x (s+1); on the affine chart the row of x0 in
       M_x, and of y0 in M_y, is (1, 0, ..., 0), so that the map is an
       affine map of the chart (an arithmetic test, made before any point
@@ -629,24 +611,25 @@ def symmetry_permutations(form, maps: list, left, right, right_perm: bool = True
     - M_x maps `left` onto itself and M_y maps `right` onto itself.
     The last test maps `_CHUNK` vertices at a time, column by column, scales
     each image to first nonzero coordinate 1 and indexes it arithmetically
-    (`chart_codes`) into an array; an image's index is its vertex index on a side that is
-    the whole chart, and a side that is not is indexed through a position
-    table, where a vertex whose image is not on it rejects the map.  An
-    invertible map is injective, so onto follows.  A right side that is the
-    whole chart is mapped onto itself by every map that passes the first
-    two tests; with `right_perm` false such a side is not mapped, and its
-    permutation is given as None."""
-    p, n = left.p, left.s + 1
-    field = form.poly.field
-    tables = {}  # id(side) -> position table of a side that is not the whole chart
+    (`chart_codes`) into an array; an image's index is its vertex index on a
+    side that is the whole chart, and a side that is not is indexed through
+    a position table, where a vertex whose image is not on it rejects the
+    map.  An invertible map is injective, so onto follows.  A map that
+    passes the first two tests maps the whole chart onto itself, so a right
+    side that is the whole chart is not mapped, and its permutation is
+    None."""
+    p = left.p
+    if not (_invertible_on_chart(m, left.s + 1, p, form.poly.field, left.affine)
+            and _carries_form(form, m)):
+        return None
 
     def permutation(M, side):
         """perm[k] = the index in `side` of M times its vertex k; None when
         an image is not on the side.  The vertices are mapped a chunk at a
         time, straight into the array, so no list outgrows a chunk."""
-        cols, table = side.columns(), tables.get(id(side))
-        if table is None and side.codes is not None:
-            table = tables[id(side)] = array("q", [-1]) * side.size
+        cols, table = side.columns(), None
+        if side.codes is not None:
+            table = array("q", [-1]) * side.size
             for i, c in enumerate(side.codes):
                 table[c] = i
         perm = array("q")
@@ -655,21 +638,13 @@ def symmetry_permutations(form, maps: list, left, right, right_perm: bool = True
             perm.fromlist(codes if table is None else [table[c] for c in codes])
         return None if table is not None and -1 in perm else perm
 
-    # a map that passes the chart and rank tests maps the whole chart onto
-    # itself, so such a right side needs no mapping unless its permutation
-    # is asked for
-    skip_right = not right_perm and right.codes is None
-    out = []
-    for m in maps:
-        pair = None
-        if _invertible_on_chart(m, n, p, field, left.affine) and _carries_form(form, m):
-            lp = permutation(m[0], left)
-            if lp is not None:
-                rp = None if skip_right else permutation(m[1], right)
-                if skip_right or rp is not None:
-                    pair = (lp, rp)
-        out.append(pair)
-    return out
+    lp = permutation(m[0], left)
+    if lp is None:
+        return None
+    if right.codes is None:
+        return lp, None
+    rp = permutation(m[1], right)
+    return None if rp is None else (lp, rp)
 
 
 def _invertible_on_chart(m, n: int, p: int, field, affine: bool) -> bool:
@@ -684,12 +659,12 @@ def _invertible_on_chart(m, n: int, p: int, field, affine: bool) -> bool:
     return all(matrix_rank(M, field) == n for M in m)
 
 
-def _known_orbits(maps: list, left: ChartPoints) -> _Orbits | None:
+def _known_orbits(maps: list, left: ChartPoints) -> dict | None:
     """The orbits of `left` under the group that the verified MatrixPairs
-    `maps` generate, when elementary transvections among them show it
-    without a walk; None otherwise.  M_x = I + c e_a e_b^T (c != 0, a != b)
-    is x_a -> x_a + c x_b, and the maps of each pair (a, b) generate all of
-    its multiples.
+    `maps` generate, as {smallest index: size}, when elementary
+    transvections among them show them without a walk; None otherwise.
+    M_x = I + c e_a e_b^T (c != 0, a != b) is x_a -> x_a + c x_b, and the
+    maps of each pair (a, b) generate all of its multiples.
     - Translations, (a, 0) for every axis a = 1..s of the affine chart,
       move any point to any other: one orbit.
     - The pairs (a, b) of distinct coordinates among those the chart lets
@@ -708,13 +683,13 @@ def _known_orbits(maps: list, left: ChartPoints) -> _Orbits | None:
     first = 1 if left.affine else 0
     coords = range(first, s + 1)
     if left.affine and {(a, 0) for a in coords} <= pairs:
-        return _Orbits([0] * n, {0: n})
+        return {0: n}
     if len(coords) < 2 or not {(a, b) for a in coords for b in coords if a != b} <= pairs:
         return None
     fixed = left.affine and all(M[a][0] % p == 0 for M, _ in maps for a in coords)
     if fixed and n > 1 and (left.codes is None or left.codes[0] == 0):
-        return _Orbits([0] + [1] * (n - 1), {0: 1, 1: n - 1})
-    return _Orbits([0] * n, {0: n})
+        return {0: 1, 1: n - 1}
+    return {0: n}
 
 
 # flag character of a point after `_open_points`' kernel row -> 1 if kept
@@ -760,18 +735,18 @@ def build_graph(
     going (`_scan`).  The symmetries are verified on demand too:
     `symmetries` lists candidate MatrixPairs
     (`hypersurfaces.family_symmetries`), and the maps that
-    `symmetry_permutations` verifies on the form mod p and on both vertex
+    `symmetry_permutation` verifies on the form mod p and on both vertex
     sequences, on either chart and under any open sets, become the
     left-index permutations that the scan and the edge count prune by.
-    Each candidate is verified when first drawn, in order, and at most
-    once.  When the maps kept include a translation along every axis of
-    the affine chart, or the elementary transvections that generate SL,
+    Each candidate is verified alone when first drawn, in order, and at
+    most once.  When the maps kept include a translation along every axis
+    of the affine chart, or the elementary transvections that generate SL,
     the orbits of the left side are known without a walk (`_known_orbits`);
-    the edge count, `degree` and `orbit_minima` draw candidates only until
-    those orbits are one, and the scan's read of `symmetries` draws the
-    rest.  So a scan that the budget refuses costs nothing that grows with
-    the chart.  The adjacency kernel and the symmetry test share one
-    reduction of H mod p."""
+    the edge count and `orbit_minima` draw candidates only until those
+    orbits are one, and the scan's read of `symmetries` draws the rest.
+    So a scan that the budget refuses costs nothing that grows with the
+    chart.  The adjacency kernel and the symmetry test share one reduction
+    of H mod p."""
     s = H.s
     whole = ChartPoints(p, s, chart)
     Xp = (X or OpenSet.full(s)).reduce_mod(p)
@@ -791,7 +766,7 @@ def build_graph(
     def kept():
         maps = []
         for m in symmetries:
-            pair = symmetry_permutations(Hp.form, [m], left, right, right_perm=False)[0]
+            pair = symmetry_permutation(Hp.form, m, left, right)
             if pair:
                 maps.append(m)
                 yield pair[0], _known_orbits(maps, left)
@@ -807,28 +782,29 @@ def _check_budget(n: int, s: int):
         )
 
 
-def _orbits(n: int, perms: list) -> _Orbits:
-    """The `_Orbits` of range(n) under the group that the permutations
-    `perms` of range(n) generate.  Each orbit is walked from its smallest
-    index, the lowest one not yet labelled, a layer at a time: the next
-    layer is the unlabelled images of this one under every generator."""
-    labels = [-1] * n
+def _orbits(n: int, perms: list) -> dict:
+    """The orbits of range(n) under the group that the permutations `perms`
+    of range(n) generate, as {smallest index: size} in ascending order of
+    the minima.  Each orbit is walked from its smallest index, the lowest
+    one not yet seen, a layer at a time: the next layer is the unseen
+    images of this one under every generator."""
+    seen = bytearray(n)
     sizes = {}
     for i in range(n):
-        if labels[i] < 0:
-            labels[i] = i
+        if not seen[i]:
+            seen[i] = 1
             layer, size = [i], 1
             while layer:
                 new = []
                 for g in perms:
                     for w in map(g.__getitem__, layer):
-                        if labels[w] < 0:
-                            labels[w] = i
+                        if not seen[w]:
+                            seen[w] = 1
                             new.append(w)
                 size += len(new)
                 layer = new
             sizes[i] = size
-    return _Orbits(labels, sizes)
+    return sizes
 
 
 def _scan(G: BipartiteGraph, s: int, floor: int, first: bool):
@@ -866,13 +842,14 @@ def _scan(G: BipartiteGraph, s: int, floor: int, first: bool):
     # rows, transposed, rather than from their kernel one at a time
     unfilled = not gens and isinstance(cols, _AdjacencyRows)
 
-    def stabiliser_labels(v):
-        """Orbit labels under the generators that fix v; None if none does."""
+    def stabiliser_minima(v):
+        """The orbit minima under the generators that fix v, as `_orbits`
+        gives them; None if no generator fixes v."""
         fixing = tuple(k for k, g in enumerate(gens) if g[v] == v)
         if not fixing:
             return None
         if fixing not in stabilisers:
-            stabilisers[fixing] = _orbits(n, [gens[k] for k in fixing]).labels
+            stabilisers[fixing] = _orbits(n, [gens[k] for k in fixing])
         return stabilisers[fixing]
 
     def last(start, inter, chosen):
@@ -934,9 +911,9 @@ def _scan(G: BipartiteGraph, s: int, floor: int, first: bool):
             if ni.bit_count() <= floor:
                 continue
             later = range(i + 1, n - (s - depth) + 2)
-            labels = stabiliser_labels(i) if depth == 0 and s > 2 else None
-            if labels is not None:
-                later = (j for j in later if labels[j] == j)
+            minima = stabiliser_minima(i) if depth == 0 and s > 2 else None
+            if minima is not None:
+                later = (j for j in later if j in minima)
             if rec(i + 1, depth + 1, ni, chosen + [i], later):
                 return True
         return False

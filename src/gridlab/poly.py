@@ -28,6 +28,7 @@ from fractions import Fraction
 
 from .errors import (
     BadCharacteristic,
+    BudgetExceeded,
     DivisionByZero,
     ExactDivisionError,
     MalformedExpression,
@@ -40,7 +41,16 @@ from .errors import (
     json_field,
     json_value,
 )
-from .fields import GF, QQ, DenseUnivariate, Field, FieldElem, field_from_descriptor, is_prime
+from .fields import (
+    GF,
+    QQ,
+    DenseUnivariate,
+    Field,
+    FieldElem,
+    enumeration_budget,
+    field_from_descriptor,
+    is_prime,
+)
 
 
 def _order_key(exps: tuple) -> tuple:
@@ -597,12 +607,19 @@ def _field_gcd(a: MultiPoly, b: MultiPoly) -> MultiPoly:
     scheme, on the variables that occur in a or b.  When F_q runs out of
     evaluation points, the same scheme runs over F_{q^k} for k = 2, 3, ...
     until one has enough: the monic gcd does not change under field
-    extension, so its coefficients lie in the image of F_q and map back."""
-    used = [
-        i
-        for i in range(len(a.vars))
-        if any(e[i] for e in a.terms) or any(e[i] for e in b.terms)
-    ]
+    extension, so its coefficients lie in the image of F_q and map back.
+    A variable of degree d takes dense lists of d + 1 entries, so one with
+    d + 1 over the enumeration budget is refused (BudgetExceeded) before
+    any is allocated."""
+    degrees = list(map(max, zip(*a.terms, *b.terms)))
+    used = [i for i, d in enumerate(degrees) if d]
+    limit = enumeration_budget()
+    for i in used:
+        if degrees[i] + 1 > limit:
+            raise BudgetExceeded(
+                f"degree {degrees[i]} in {a.vars[i]} needs {degrees[i] + 1} dense"
+                f" coefficients, over budget {limit}"
+            )
     if not used:
         return MultiPoly.constant(a.field, a.vars, 1)
     small = _DenseGcd(a.field)

@@ -82,7 +82,7 @@ def test_criterion_03_families_1c_1d():
         c = construct("1c", p, 2)
         G = build_graph(c.hypersurface, p)
         for i in range(len(G.left)):
-            assert G.degree(i) == p + 1  # (p^2 - 1)/(p - 1)
+            assert G.rows[i].bit_count() == p + 1  # (p^2 - 1)/(p - 1)
         best, _ = max_common_neighborhood(G, 2)
         assert best <= 2  # s! with s = 2
 

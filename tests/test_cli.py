@@ -2,6 +2,7 @@ import contextlib
 import io
 import json
 import os
+import subprocess
 import sys
 import tempfile
 from pathlib import Path
@@ -303,10 +304,10 @@ def test_cremona_nagata(capsys, tmp_path):
 
 
 def test_sweep_empty_primes(capsys):
-    code, data = run_json(capsys, "sweep", "--primes", "")
-    assert code == 0
-    assert data["all_pass"] is True
-    assert data["results"] == []
+    # a sweep of no check used to exit 0 with "all_pass": true
+    assert run(capsys, "sweep", "--primes", "") == (2, "")
+    with pytest.raises(UnsupportedParameters, match="at least one prime"):
+        run_sweep([])
 
 
 @pytest.mark.parametrize(
@@ -335,7 +336,7 @@ def test_pretty_before_or_after_subcommand(capsys, argv):
 def test_seed_is_a_usage_error(capsys, argv):
     # --seed had no effect and is gone, with the sweep's "seed" key
     assert run(capsys, *argv) == (2, "")
-    code, data = run_json(capsys, "sweep", "--primes", "")
+    code, data = run_json(capsys, "sweep", "--primes", "5")
     assert code == 0
     assert "seed" not in data
 
@@ -355,6 +356,15 @@ def test_sweep_refuses_non_prime_exit_2(capsys, primes):
     assert (code, out) == (2, "")
     with pytest.raises(UnsupportedParameters):
         run_sweep([int(x) for x in primes.split(",")])
+
+
+@pytest.mark.parametrize("primes", ["", ",", "5,,7", "5,", "5,x", "5.0"])
+def test_sweep_primes_parse_strictly(capsys, primes):
+    # an empty or non-integer entry escaped as an untyped ValueError
+    assert main(["sweep", "--primes", primes]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: UnsupportedParameters: ")
 
 
 def test_sweep_unknown_suite_exit_2(capsys):
@@ -689,3 +699,61 @@ if __name__ == "__main__":
     for name in mismatches:
         print(f"output differs from tests/data/algebra_golden.json: {name}", file=sys.stderr)
     sys.exit(1 if mismatches else 0)
+
+
+# -- inputs that exhausted memory, under an address-space cap ----------------------
+
+
+def _capped_cli(*argv):
+    """gridlab's CLI in a subprocess whose address space is capped at 1 GB,
+    so an input that would exhaust memory fails fast there."""
+    import resource
+
+    def cap():
+        resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    return subprocess.run(
+        [sys.executable, "-m", "gridlab.cli", *argv],
+        env=dict(os.environ, PYTHONPATH=src),
+        preexec_fn=cap,
+        capture_output=True,
+        text=True,
+        timeout=60,
+    )
+
+
+def _write_poly(path, field, vars, terms):
+    path.write_text(json.dumps({
+        "field": field,
+        "vars": vars,
+        "terms": [{"e": e, "c": c} for e, c in terms],
+    }))
+    return str(path)
+
+
+def test_extension_fields_of_a_large_prime_enumerate_lazily(tmp_path):
+    # F_p^2 at p = 99999971: the modulus search and the element listing fed
+    # range(p) to itertools.product, which holds it as a tuple of p ints
+    res = _capped_cli("construct", "--family", "1c", "--p", "99999971", "--s", "2")
+    assert res.returncode == 0, res.stderr
+    assert json.loads(res.stdout)["poly"]["field"] == {"kind": "prime", "p": 99999971}
+    field = {"kind": "extension", "p": 99999971, "s": 2, "modulus": [1, 0, 1]}
+    ys = ["y0", "y1", "y2"]
+    f = _write_poly(tmp_path / "f.json", field, ys, [([1, 1, 0], "1,0"), ([0, 0, 2], "1,0")])
+    g = _write_poly(tmp_path / "g.json", field, ys, [([1, 0, 1], "1,0"), ([0, 2, 0], "1,0")])
+    res = _capped_cli("curves", "imult", "--f", f, "--g", g, "--point", "1,0:0,0:0,0")
+    assert res.returncode == 0, res.stderr
+    assert json.loads(res.stdout)["multiplicity"] == 1
+
+
+def test_huge_degree_is_refused_before_the_dense_gcd_allocates(tmp_path):
+    # x0^N*y0 + x1^N*y1 with N = 10^12: the dense gcd would list N + 1
+    # coefficients of x0
+    N = 10**12
+    form = _write_poly(tmp_path / "form.json", {"kind": "prime", "p": 7}, ["x0", "x1", "y0", "y1"],
+                       [([N, 0, 1, 0], "1"), ([0, N, 0, 1], "1")])
+    res = _capped_cli("s1", "classify", "--poly", form)
+    assert res.returncode == 2
+    assert res.stdout == ""
+    assert res.stderr.startswith("error: BudgetExceeded: degree 1000000000000 in x0")

@@ -22,7 +22,7 @@ from gridlab.gridcheck import (
     _AdjacencyRows,
     _terms_int,
     find_grid,
-    symmetry_permutations,
+    symmetry_permutation,
 )
 from gridlab.cremona import (
     AffineAutomorphism,
@@ -453,8 +453,8 @@ def test_map_that_moves_the_right_sample_is_dropped(monkeypatch):
     pts = chart_points(GF(p), 2)
     off_triangle = chart_side([v for v in pts if all(v)], p)
     whole = chart_side(pts, p)
-    assert symmetry_permutations(Hp.form, [shear], whole, whole)[0] is not None
-    assert symmetry_permutations(Hp.form, [shear], whole, off_triangle) == [None]
+    assert symmetry_permutation(Hp.form, shear, whole, whole) is not None
+    assert symmetry_permutation(Hp.form, shear, whole, off_triangle) is None
     (_, pulled), _ = torus(p)
     rep = {}
     run = lambda: rep.update(grid_transport_check(H(H0), sigma, p, 2, 2, symmetries=[(shear, pulled)]))

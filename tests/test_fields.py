@@ -2,8 +2,9 @@ import json
 import os
 import subprocess
 import sys
+import tracemalloc
 from fractions import Fraction
-from itertools import product
+from itertools import islice, product
 from pathlib import Path
 
 import pytest
@@ -431,7 +432,7 @@ def test_oversized_extension_fields_are_refused_before_enumerating(monkeypatch):
     def enumerate_anyway(*args, **kwargs):
         raise AssertionError("enumerated before the budget check")
 
-    monkeypatch.setattr(fields, "product", enumerate_anyway)
+    monkeypatch.setattr(fields, "_residue_tuples", enumerate_anyway)
     with pytest.raises(BudgetExceeded):
         canonical_modulus(10**18 + 3, 2)
     # a given modulus is still tested for irreducibility: p divisors here
@@ -468,6 +469,32 @@ def reference_canonical_modulus(p: int, s: int) -> tuple:
 @pytest.mark.parametrize("p, s", ((2, 2), (2, 3), (2, 4), (3, 2), (3, 3), (3, 4), (5, 2), (5, 3), (7, 2)))
 def test_modulus_search_skips_constant_term_0(p, s):
     assert canonical_modulus(p, s) == reference_canonical_modulus(p, s)
+
+
+@pytest.mark.parametrize("p, s", ((2, 2), (2, 4), (3, 3), (5, 2), (7, 3)))
+def test_residue_tuples_follow_the_order_of_product(p, s):
+    want = list(product(range(p), repeat=s))
+    assert list(fields._residue_tuples(p, s)) == want
+    assert list(fields._residue_tuples(p, s, p ** (s - 1))) == want[p ** (s - 1):]
+    assert [a.val for a in GF(p, s).elements()] == want
+
+
+def test_extension_field_enumeration_is_lazy():
+    # itertools.product would first hold range(p) as a tuple of p ints,
+    # about 36 MB here (and at p = 99999971 exhaust a 2 GB address space);
+    # the base-p digits of an index cost nothing that grows with p
+    p = 1000003
+    tracemalloc.start()
+    try:
+        K = ExtensionField(p, 2, (1, 0, 1))
+        first = [a.val for a in islice(K.elements(), 3)]
+        modulus = canonical_modulus(p, 2)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert first == [(0, 0), (0, 1), (0, 2)]
+    assert modulus == (1, 0, 1)  # p = 3 mod 4, so -1 is a non-square
+    assert peak < 1 << 20
 
 
 def test_modulus_search_needs_degree_2():

@@ -442,7 +442,7 @@ def test_budget_refusal_comes_before_adjacency(monkeypatch, tmp_path, capsys):
         return fail
 
     monkeypatch.setattr(gridcheck, "_lane_kernel", never("adjacency kernel set up"))
-    monkeypatch.setattr(gridcheck, "symmetry_permutations", never("symmetry verified"))
+    monkeypatch.setattr(gridcheck, "symmetry_permutation", never("symmetry verified"))
     monkeypatch.delenv("GRIDLAB_BUDGET", raising=False)
     # the sweep records this refusal as the skip "budget: <message>"
     message = f"C(1331,3) = {comb(1331, 3)} subset iterations exceed budget 100000000"
@@ -472,7 +472,7 @@ def test_refused_scan_decodes_no_vertex(monkeypatch):
         raise AssertionError("a vertex was decoded for a refused scan")
 
     monkeypatch.setattr(hypersurfaces, "product", never)
-    for name in ("chart_point", "chart_columns", "symmetry_permutations"):
+    for name in ("chart_point", "chart_columns", "symmetry_permutation"):
         monkeypatch.setattr(gridcheck, name, never)
     monkeypatch.delenv("GRIDLAB_BUDGET", raising=False)
     p = 1009
@@ -596,7 +596,7 @@ def test_edges_match_recorded_outputs():
 def laziness_faults() -> list:
     """Where the on-demand graph computes more than it must, or the edge
     count less: build_graph computes no row or column and verifies no map,
-    find_grid, edge_count() and degree() verify each map exactly once
+    find_grid, edge_count() and orbit_minima verify each map exactly once
     between them, in either order, the pruned find_grid(G, 2, 2) on 1a at
     p = 53 computes at most 2 rows and 53 columns, and edge_count() at most
     2 rows with the symmetries (one per orbit) and every row without them.
@@ -611,11 +611,11 @@ def laziness_faults() -> list:
         return f"{computed(G.rows)} rows and {computed(G.cols)} columns"
 
     verified = []  # every map verified, in order, one entry per verification
-    original = gridcheck.symmetry_permutations
+    original = gridcheck.symmetry_permutation
 
-    def counting(form, maps, *args, **kwargs):
-        verified.extend(maps)
-        return original(form, maps, *args, **kwargs)
+    def counting(form, m, *args):
+        verified.append(m)
+        return original(form, m, *args)
 
     p = 53
     c = construct("1a", p)
@@ -632,7 +632,7 @@ def laziness_faults() -> list:
         if G.edge_count() != p**3 - p or computed(G.rows) > 2:
             faults.append(f"the orbit-weighted edge_count() {when} computed {counts(G)}")
 
-    gridcheck.symmetry_permutations = counting
+    gridcheck.symmetry_permutation = counting
     try:
         for order in ("find_grid", "edge_count"):
             verified.clear()
@@ -647,11 +647,11 @@ def laziness_faults() -> list:
             else:
                 count(G, "first")
                 scan(G, "after the edge count")
-            if G.degree(p * p - 1) != p or computed(G.rows) > 2:
-                faults.append(f"degree() of the last vertex computed {counts(G)}")
+            if list(G.orbit_minima) != [0, 1] or computed(G.rows) > 2:
+                faults.append(f"orbit_minima read {list(G.orbit_minima)[:3]} and computed {counts(G)}")
             if verified != symmetries:
                 faults.append(
-                    f"{order} first: find_grid, edge_count and degree did not verify"
+                    f"{order} first: find_grid, edge_count and orbit_minima did not verify"
                     " each map exactly once between them"
                 )
         # 1c's translations act with one orbit: the count verifies them
@@ -668,7 +668,7 @@ def laziness_faults() -> list:
         if verified != candidates:
             faults.append("edge_count, then find_grid did not verify each 1c map exactly once")
     finally:
-        gridcheck.symmetry_permutations = original
+        gridcheck.symmetry_permutation = original
     plain = build_graph(c.hypersurface, p)
     if plain.edge_count() != p**3 - p or computed(plain.rows) != len(plain.rows):
         faults.append(f"edge_count() without symmetries computed {counts(plain)}")
@@ -716,13 +716,13 @@ def recording_verifications(monkeypatch) -> list:
     from gridlab import gridcheck
 
     verified = []
-    original = gridcheck.symmetry_permutations
+    original = gridcheck.symmetry_permutation
 
-    def counting(form, maps, *args, **kwargs):
-        verified.extend(maps)
-        return original(form, maps, *args, **kwargs)
+    def counting(form, m, *args):
+        verified.append(m)
+        return original(form, m, *args)
 
-    monkeypatch.setattr(gridcheck, "symmetry_permutations", counting)
+    monkeypatch.setattr(gridcheck, "symmetry_permutation", counting)
     return verified
 
 
@@ -774,7 +774,7 @@ def test_edge_count_verifies_until_one_orbit(monkeypatch):
     for M, _ in verified:  # translations x -> x + a e_k of the affine chart
         assert [(i, j) for i, row in enumerate(M) for j, a in enumerate(row)
                 if a % p != (i == j)] in ([(k, 0)] for k in range(1, s + 1))
-    assert G.degree(n - 1) == (n - 1) // 4 and list(G.orbit_minima) == [0]
+    assert G.rows[0].bit_count() == (n - 1) // 4 and list(G.orbit_minima) == [0]
     assert verified == symmetries[:4]
     assert max_common_neighborhood(G, 2) == reference_max_common(G, 2)
     assert verified == symmetries and len(G.symmetries) == 5

@@ -13,6 +13,7 @@ from hypothesis import assume, example, given, settings, strategies as st
 
 from gridlab.errors import (
     BadCharacteristic,
+    BudgetExceeded,
     ExactDivisionError,
     MalformedExpression,
     MixedFields,
@@ -695,6 +696,21 @@ def test_dense_gcd_over_a_large_field_never_lifts(monkeypatch):
     assert gcd(a, b) == g
     assert gcd(b, a) == g
     assert degrees == []
+
+
+def test_dense_gcd_refuses_a_degree_over_the_budget(monkeypatch):
+    # a variable of degree d takes dense lists of d + 1 entries: at
+    # d = 10^12 they used to exhaust memory; d + 1 over the budget is refused
+    F7 = GF(7)
+    a = MultiPoly.parse(F7, XY, "x**100*y + y")
+    b = MultiPoly.parse(F7, XY, "x*y")
+    monkeypatch.setenv("GRIDLAB_BUDGET", "100")
+    with pytest.raises(BudgetExceeded, match="degree 100 in x needs 101 dense coefficients"):
+        gcd(a, b)
+    with pytest.raises(BudgetExceeded, match="degree 100 in x"):
+        gcd(b, a)
+    monkeypatch.setenv("GRIDLAB_BUDGET", "101")
+    assert gcd(a, b) == MultiPoly.parse(F7, XY, "y")
 
 
 @pytest.mark.parametrize("field", [GF(101), QQ])

@@ -3,6 +3,7 @@ the form and on the vertex lists, on either chart and under open sets, and
 the pruned scan gives the unpruned scan's S, T and argmax."""
 
 import random
+from collections import Counter
 from itertools import combinations, product
 from math import comb
 
@@ -18,7 +19,7 @@ from gridlab.gridcheck import (
     build_graph,
     find_grid,
     max_common_neighborhood,
-    symmetry_permutations,
+    symmetry_permutation,
 )
 from gridlab.hypersurfaces import (
     Hypersurface,
@@ -105,6 +106,32 @@ def reference_permutation(M, points, p):
             return None
         perm.append(j)
     return perm
+
+
+def union_find_labels(n, perms) -> list:
+    """labels[i] = the smallest index in the orbit of i under the group that
+    the permutations `perms` of range(n) generate, by union-find: each root
+    is the smallest index of its class, so the oracle of `_orbits` shares
+    no code with its layer walk."""
+    parent = list(range(n))
+
+    def find(i):
+        while parent[i] != i:
+            parent[i] = parent[parent[i]]
+            i = parent[i]
+        return i
+
+    for g in perms:
+        for i in range(n):
+            a, b = find(i), find(g[i])
+            if a != b:
+                parent[max(a, b)] = min(a, b)
+    return [find(i) for i in range(n)]
+
+
+def union_find_orbits(n, perms) -> dict:
+    """{smallest index: size} of each orbit, ascending, from the labels."""
+    return dict(sorted(Counter(union_find_labels(n, perms)).items()))
 
 
 def full_points(G, chart):
@@ -396,7 +423,7 @@ def test_1a_is_one_orbit_on_the_projective_plane():
     # the edge count reads one row, and the scan tries one first vertex
     c = construct("1a", 31)
     G = build_graph(c.hypersurface, 31, chart="projective", symmetries=family_symmetries("1a", 31, 2))
-    assert set(G.orbit_labels) == {0}
+    assert G._orbit_data() == {0: 31**2 + 31 + 1}
     assert G.edge_count() == (31**2 + 31 + 1) * 32
     assert sum(r is not None for r in G.rows._known) == 1
 
@@ -513,7 +540,7 @@ def test_permutations_follow_the_order_of_the_vertex_lists(chart):
     maps = family_symmetries("1a", p, 2)
     for left, right in ((pts, shuffled), (shuffled, pts), (shuffled, shuffled[::-1])):
         sides = chart_side(left, p, chart), chart_side(right, p, chart)
-        got = symmetry_permutations(Hp.form, maps, *sides)
+        got = [symmetry_permutation(Hp.form, m, *sides) for m in maps]
         got = [pair and tuple(map(list, pair)) for pair in got]
         want = [None if chart == "affine" and not keeps_affine_chart(m, p)
                 else (reference_permutation(m.mx, left, p), reference_permutation(m.my, right, p))
@@ -545,37 +572,47 @@ def test_wrong_map_would_change_the_answer():
     assert max_common_neighborhood(G, 2) == (1, [5, 6])
 
 
-def test_orbit_labels():
+def test_orbits_give_minima_and_sizes():
     # a 3-cycle and a transposition on disjoint points, one fixed point
     perms = [[1, 2, 0, 3, 4, 5], [0, 1, 2, 4, 3, 5]]
-    assert _orbits(6, perms) == ([0, 0, 0, 3, 3, 5], {0: 3, 3: 2, 5: 1})
-    assert _orbits(4, []).labels == [0, 1, 2, 3]
-    rng = random.Random(3)
-    perm = list(range(30))
-    rng.shuffle(perm)
-    labels = _orbits(30, [perm]).labels
-    for i in range(30):
-        assert labels[perm[i]] == labels[i] <= i
+    assert list(_orbits(6, perms).items()) == [(0, 3), (3, 2), (5, 1)]
+    assert _orbits(4, []) == {0: 1, 1: 1, 2: 1, 3: 1}
 
 
-def test_graph_orbit_labels_follow_its_symmetries():
+@settings(max_examples=150, deadline=None)
+@given(st.integers(1, 40).flatmap(
+    lambda n: st.tuples(st.just(n), st.lists(st.permutations(range(n)), max_size=4))))
+def test_orbits_match_union_find(case):
+    n, perms = case
+    got = _orbits(n, perms)
+    assert got == union_find_orbits(n, perms)
+    assert list(got) == sorted(got)
+    assert sum(got.values()) == n
+
+
+def test_graph_orbits_follow_its_symmetries():
     # 1a's maps act on F_p^2 with two orbits, {0} and the rest; the same
-    # rows and columns without symmetries have no labels
+    # rows and columns without symmetries have no orbit record
     c = construct("1a", 5)
     G = build_graph(c.hypersurface, 5, symmetries=family_symmetries("1a", 5, 2))
-    assert G.orbit_labels == [0] + [1] * 24
-    assert BipartiteGraph(G.left, G.right, G.rows, G.cols, []).orbit_labels is None
+    assert list(G._orbit_data().items()) == [(0, 1), (1, 24)]
+    assert list(G.orbit_minima) == [0, 1]
+    plain = BipartiteGraph(G.left, G.right, G.rows, G.cols, [])
+    assert plain._orbit_data() is None and plain.orbit_minima == range(25)
 
 
 # -- orbit-weighted edge counts -----------------------------------------------------
 
 
 def assert_counts_match(G, plain):
-    """edge_count() and every degree(i) of G equal the full row sums of
-    `plain`, the same form built without symmetries."""
+    """edge_count() of G equals the full row sum of `plain`, the same form
+    built without symmetries, and the row sums are constant on the orbits
+    of G's symmetries, whose minima G reads (union-find oracle)."""
     sums = [row.bit_count() for row in plain.rows]
     assert G.edge_count() == sum(sums)
-    assert [G.degree(i) for i in range(len(G.left))] == sums
+    labels = union_find_labels(len(G.left), G.symmetries)
+    assert [sums[labels[i]] for i in range(len(sums))] == sums
+    assert list(G.orbit_minima) == sorted(set(labels))
 
 
 @pytest.mark.parametrize(
@@ -603,7 +640,7 @@ def test_counts_fall_back_when_no_candidate_is_kept():
     c = construct("1a", 7)
     bad = [translation(2, 0, 1, -1), translation(2, 1, 3, 3), linear(((1, 1), (0, 1)))]
     G = build_graph(c.hypersurface, 7, symmetries=bad)
-    assert G.symmetries == [] and G.orbit_labels is None
+    assert G.symmetries == [] and G._orbit_data() is None
     assert_counts_match(G, build_graph(c.hypersurface, 7))
     assert G.edge_count() == 7**3 - 7
 
@@ -637,10 +674,10 @@ def test_known_orbits_match_the_walk(family, p, dim, chart):
     for X in opens:
         G = build_graph(c.hypersurface, p, X=X, chart=chart, symmetries=candidates)
         walked = _orbits(len(G.left), G.symmetries)
-        assert G.orbit_labels == walked.labels
-        assert list(G.orbit_minima) == list(walked.sizes)
+        assert G._orbit_data() == walked
+        assert list(G.orbit_minima) == list(walked)
         assert G.edge_count() == build_graph(c.hypersurface, p, X=X, chart=chart).edge_count()
-        maps = [m for m in candidates if symmetry_permutations(form, [m], G.left, G.right)[0]]
+        maps = [m for m in candidates if symmetry_permutation(form, m, G.left, G.right)]
         known = _known_orbits(maps, G.left)
         walk_free = (family == "1a" and (X is None or chart == "affine")
                      or family in ("1b", "1c") and chart == "affine" and X is None)
@@ -648,7 +685,7 @@ def test_known_orbits_match_the_walk(family, p, dim, chart):
         if known is not None:
             assert known == walked
             two = family == "1a" and chart == "affine" and X is None
-            assert len(known.sizes) == (2 if two else 1)
+            assert len(known) == (2 if two else 1)
 
 
 @pytest.mark.parametrize("family,p,dim,chart", [g for g in FAMILY_GRAPHS if g[1] in (3, 5)])
@@ -668,10 +705,10 @@ def test_known_orbits_need_every_generator():
     side = build_graph(construct("1a", p).hypersurface, p).left
     x1_shift, x2_shift = translation(2, 0, 1, 1), translation(2, 1, 1, 1)
     assert _known_orbits([x1_shift], side) is None
-    assert _known_orbits([x1_shift, x2_shift], side) == ([0] * p**2, {0: p**2})
+    assert _known_orbits([x1_shift, x2_shift], side) == {0: p**2}
     e12 = linear(((1, 1), (0, 1)))
     e21 = linear(((1, 0), (1, 1)))
     assert _known_orbits([e12], side) is None
-    assert _known_orbits([e12, e21], side) == ([0] + [1] * (p**2 - 1), {0: 1, 1: p**2 - 1})
+    assert _known_orbits([e12, e21], side) == {0: 1, 1: p**2 - 1}
     # a map that moves the origin joins it to the rest
-    assert _known_orbits([e12, e21, x1_shift], side).sizes == {0: p**2}
+    assert _known_orbits([e12, e21, x1_shift], side) == {0: p**2}
