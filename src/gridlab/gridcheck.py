@@ -15,9 +15,15 @@ the rows and columns it reads.  A scan without symmetries reads every row:
 once its first count at the last depth leaves it going, it takes the
 columns from the rows, transposed (`_transpose`), instead of running the
 kernel for each.  A witness found by that first count costs no transpose.
-A `build_graph` graph is a description: it verifies its symmetries on
-first use too (below), so the scan's budget check (`_check_budget`) comes
-before any row, column or map is computed.
+A graph whose verified symmetries include a translation of x and of y
+along every axis of a whole affine chart needs the kernel for row 0 and
+column 0 alone: row u is row 0 moved by the base-p digits of u, times the
+translations' steps, along each axis, and column w is column 0 moved by
+those of w (`_Translations`).  A move is two masked shifts of the bitset
+per axis, some microseconds where a kernel column over thousands of
+vertices costs hundreds.  A `build_graph` graph is a description: it
+verifies its symmetries on first use too (below), so the scan's budget
+check (`_admit`) comes before any row or column is computed.
 
 The vertices are indices.  Each side of a `build_graph` graph is a
 `ChartPoints`: the chart is counted against the enumeration
@@ -62,8 +68,19 @@ v0.  The scan therefore tries at depth 0 only the orbit minima of the group
 the symmetries generate.  When s >= 3, depth 1 then tries only the minima
 under those generators that fix the first vertex.  The last level is
 unchanged.  The scan still meets S, and it meets every subset it visits in
-the same order as before, so S, T and the argmax are byte-identical.  The
-budget still counts C(|left|, s), as for the plain graph.
+the same order as before, so S, T and the argmax are byte-identical.  When
+the generators that fix the first vertex are a sign change and the swaps
+of adjacent coordinates of a whole affine chart (1b's, at the origin),
+their minima are known, the points with 0 <= x1 <= ... <= xs <= (p-1)/2,
+and are listed without a walk (`_signed_minima`).
+
+The budget counts the subsets the scan visits with no floor (`_plan`):
+C(|left|, s) for a graph without symmetries, and with them the s-subsets
+whose first vertex is an orbit minimum and, for s >= 3, whose second is a
+minimum under the generators that fix the first.  1b at p = 11 visits
+62,930 subsets of C(1331, 3) = 3.9·10^8.  Verifying the candidates and
+walking their orbits comes first, and is bounded by n times the number of
+candidates (`_admit`).
 
 The edge count reads one row per orbit.  g maps N(v) onto N(g(v)), so the
 degree is constant on each orbit of left vertices, and by the
@@ -98,23 +115,26 @@ hold:
 - M_x maps the left vertices onto themselves and M_y the right ones.
 Then the map sends edges to edges and non-edges to non-edges, on either
 chart and between any open sets: the last test is made on the vertices
-themselves, so no reasoning about the excluded forms is needed.  It maps
-the vertices a chunk at a time, column by column, scales each image to first
-nonzero coordinate 1 and computes its index in the chart's order
-arithmetically (`hypersurfaces.chart_codes`).  That index is the vertex
-on a whole chart; a side with an open set is indexed through a position
-table.  A right side that is the whole chart is not mapped: the first test
-already shows that M_y keeps it.  A wrong candidate is dropped, and a
-missing one costs only speed.  No family label is trusted.
+themselves, so no reasoning about the excluded forms is needed.  On a
+side that is the whole chart it holds by the first test, and no vertex is
+mapped: the left permutation is a `_ChartMap`, which maps a vertex when
+one is read, and the whole side only when an orbit walk reads it all.  A
+side with an open set is mapped a chunk at a time, column by column, each
+image scaled to first nonzero coordinate 1, indexed in the chart's order
+arithmetically (`hypersurfaces.chart_codes`) and then through a position
+table.  A wrong candidate is dropped, and a missing one costs only speed.
+No family label is trusted.
 """
 
 from __future__ import annotations
 
 from array import array
+from bisect import bisect_right
 from collections.abc import Iterator, Sequence
-from functools import lru_cache
-from itertools import compress
+from functools import lru_cache, partial
+from itertools import accumulate, combinations_with_replacement, compress
 from math import comb
+from operator import length_hint
 
 from .errors import (
     BudgetExceeded,
@@ -271,14 +291,19 @@ class BipartiteGraph:
         self._pending = symmetries if isinstance(symmetries, Iterator) else None
         self._symmetries = [] if self._pending is not None else symmetries or []
         self._orbits = None
+        # how many symmetries were given, verified or pending
+        self.candidates = length_hint(symmetries or ())
 
     def _draw(self, one_orbit: bool):
-        """Draw the pending candidates: every one, or with `one_orbit` only
+        """Verify the pending candidates: every one, or with `one_orbit` only
         until the maps kept so far are known to act with one orbit."""
-        for perm, orbits in self._pending:
+        for verify in self._pending:
+            kept = verify()
+            if kept is None:
+                continue
+            perm, self._orbits = kept
             self._symmetries.append(perm)
-            self._orbits = orbits
-            if one_orbit and orbits is not None and len(orbits) == 1:
+            if one_orbit and self._orbits is not None and len(self._orbits) == 1:
                 return
         self._pending = None
 
@@ -287,10 +312,11 @@ class BipartiteGraph:
         """Left-index permutations of verified graph automorphisms (each maps
         right vertices to right vertices too); the scan prunes by them and
         the edge count reads one row per orbit.  They may be given as an
-        iterator, as `build_graph` does, of (permutation, orbits) pairs: one
-        per kept candidate, verified when it is drawn, with the orbits of the
+        iterator over the candidates' verifications, as `build_graph` does,
+        with a length hint: a call verifies one candidate and gives None, or
+        when it keeps the candidate, its permutation and the orbits of the
         maps kept so far ({minimum: size}) when they are known without a
-        walk, else None.  Reading this draws every pair left."""
+        walk, else None.  Reading this verifies every candidate left."""
         if self._pending is not None:
             self._draw(False)
         return self._symmetries
@@ -355,19 +381,28 @@ def _monomial_values(columns, exps, p):
 
     Column-wise: one residue column per (variable, exponent) by lookup in
     `_monomial_tables`, a monomial's column the product of its columns.  A
-    row may be one of `columns` itself, to be read, not changed."""
+    variable whose column is all 1, x0 on the affine chart, is a factor 1
+    and is skipped.  A row may be one of `columns` itself, to be read, not
+    changed."""
     n = len(columns[0])
+    ones = {}  # variable -> whether its column is all 1
     powers = {}  # (variable, exponent) -> its residue column
     values = []
     for e, cols in zip(exps, _monomial_tables(exps, p)):
-        row = None
+        row, unit = None, True  # unit: every factor so far is 1
         for k, pw in cols:
+            if k not in ones:
+                ones[k] = columns[k].count(1) == n
+            if ones[k]:
+                row = columns[k] if row is None else row
+                continue
             col = powers.get((k, e[k]))
             if col is None:
                 # x^1 = x on residues: the coordinate column itself
                 col = columns[k] if e[k] == 1 else list(map(pw.__getitem__, columns[k]))
                 powers[k, e[k]] = col
-            row = col if row is None else [x * y % p for x, y in zip(row, col)]
+            row = col if unit else [x * y % p for x, y in zip(row, col)]
+            unit = False
         values.append([1] * n if row is None else row)
     return values
 
@@ -474,6 +509,53 @@ def _lane_kernel(terms, left_point, right_columns, p):
     return row
 
 
+# bits of the masks a `_Translations` keeps (4 MB); past them, masks are rebuilt
+_MASK_BITS = 1 << 25
+
+
+class _Translations:
+    """Translations of the affine chart of P^s(F_p) acting on bitsets over
+    its points, bit i for the point of index i (base-p digits, x1 the most
+    significant).  `moved(bits, code, steps)` moves every point of `bits`
+    by step_a times digit a of `code` along each axis a, mod p.
+
+    Along axis a, of stride w = p^(s-a), a move by d shifts the points
+    whose digit a is below p - d up by d w and the others down by (p - d) w:
+    two masked shifts.  A mask, the points whose digit a is below some c,
+    is a run of c w ones repeated once per cycle of p w bits, doubled until
+    it spans the chart (its bits past the chart meet none of a bitset's).
+    Masks are kept once built, up to `_MASK_BITS` bits in all, which 1b
+    and 1c at the primes the budget admits for s = 3 stay under."""
+
+    __slots__ = ("p", "s", "n", "_masks")
+
+    def __init__(self, p: int, s: int):
+        self.p, self.s, self.n = p, s, p**s
+        self._masks = {}
+
+    def _below(self, a: int, c: int) -> int:
+        """The points whose digit along axis a (0-based) is below c."""
+        mask = self._masks.get((a, c))
+        if mask is None:
+            width = self.p ** (self.s - a)
+            mask = (1 << c * width // self.p) - 1
+            while width < self.n:
+                mask |= mask << width
+                width *= 2
+            if self.n * (len(self._masks) + 1) <= _MASK_BITS:
+                self._masks[a, c] = mask
+        return mask
+
+    def moved(self, bits: int, code: int, steps: tuple) -> int:
+        p, w = self.p, self.n
+        for a, step in enumerate(steps):
+            w //= p
+            d = code // w % p * step % p
+            if d:
+                bits = (bits & self._below(a, p - d)) << d * w | bits >> (p - d) * w & self._below(a, d)
+        return bits
+
+
 class _AdjacencyRows(Sequence):
     """The adjacency bitsets of a form between two point sequences, on
     demand: entry u has bit j set iff the form vanishes at (left u, right j)
@@ -485,15 +567,19 @@ class _AdjacencyRows(Sequence):
     entry is computed on its first request and cached, so a scan that reads
     a few rows pays for those alone.  `transpose()` gives the columns from
     the same kernel with the x and y roles swapped, and keeps the rows
-    they transpose, for `fill`."""
+    they transpose, for `fill`.  Once `translate` has been given verified
+    translations along every axis of a whole affine chart, an entry other
+    than 0 is entry 0 moved by them (`_Translations`), and the kernel
+    computes entry 0 alone."""
 
-    __slots__ = ("_args", "_kernel", "_known", "_rows")
+    __slots__ = ("_args", "_kernel", "_known", "_rows", "_moves")
 
     def __init__(self, terms, left, right, p, rows=None):
         self._args = (terms, left, right, p)
         self._kernel = None
         self._known = {}
         self._rows = rows
+        self._moves = None
 
     def __len__(self) -> int:
         return len(self._args[1])
@@ -502,11 +588,22 @@ class _AdjacencyRows(Sequence):
         bits = self._known.get(u)
         if bits is None:
             u = range(len(self))[u]
-            if self._kernel is None:
-                terms, left, right, p = self._args
-                self._kernel = _lane_kernel(terms, left.point, right.columns(), p)
-            bits = self._known[u] = self._kernel(u)
+            if self._moves is not None and u:
+                translations, steps = self._moves
+                bits = translations.moved(self[0], u, steps)
+            else:
+                if self._kernel is None:
+                    terms, left, right, p = self._args
+                    self._kernel = _lane_kernel(terms, left.point, right.columns(), p)
+                bits = self._kernel(u)
+            self._known[u] = bits
         return bits
+
+    def translate(self, translations: _Translations, steps: tuple):
+        """Derive every entry from entry 0 from now on: the graph keeps its
+        edges under x -> x + e_a, y -> y + step_a e_a for each axis a, so
+        entry u is entry 0 moved by step_a u_a along each axis."""
+        self._moves = translations, steps
 
     def __iter__(self):
         return map(self.__getitem__, range(len(self)))
@@ -590,12 +687,69 @@ def _image(M, coords, p) -> list:
     return image
 
 
-# vertices mapped at a time by `symmetry_permutation`
+# vertices mapped at a time by `_permutation`
 _CHUNK = 1 << 16
 
 
+def _permutation(M, side, p) -> array | None:
+    """perm[k] = the index in `side` (`ChartPoints`) of M times its vertex
+    k; None when an image is not on the side.  The vertices are mapped
+    `_CHUNK` at a time, column by column, each image scaled to first
+    nonzero coordinate 1 and indexed arithmetically (`chart_codes`) straight
+    into the array, so no list outgrows a chunk.  An image's index is its
+    vertex index on a side that is the whole chart; a side that is not is
+    indexed through a position table."""
+    cols, table = side.columns(), None
+    if side.codes is not None:
+        table = array("q", [-1]) * side.size
+        for i, c in enumerate(side.codes):
+            table[c] = i
+    perm = array("q")
+    for lo in range(0, len(side), _CHUNK):
+        codes = chart_codes(_image(M, [col[lo : lo + _CHUNK] for col in cols], p), p)
+        perm.fromlist(codes if table is None else [table[c] for c in codes])
+    return None if table is not None and -1 in perm else perm
+
+
+class _ChartMap(Sequence):
+    """The permutation of a whole chart (a `ChartPoints` with no codes) by
+    an invertible matrix `matrix` that keeps it: entry i is the index of
+    `matrix` times vertex i.  An entry read alone maps that one vertex; the
+    whole array (`table`) is computed once, when a walk or an iteration
+    reads it."""
+
+    __slots__ = ("matrix", "side", "_table")
+
+    def __init__(self, matrix, side: ChartPoints):
+        self.matrix, self.side, self._table = matrix, side, None
+
+    def __len__(self) -> int:
+        return len(self.side)
+
+    def __getitem__(self, i: int) -> int:
+        if self._table is not None:
+            return self._table[i]
+        side = self.side
+        point = side.point(range(len(side))[i])
+        return chart_codes(_image(self.matrix, [[c] for c in point], side.p), side.p)[0]
+
+    @property
+    def table(self) -> array:
+        if self._table is None:
+            self._table = _permutation(self.matrix, self.side, self.side.p)
+        return self._table
+
+    def __iter__(self):
+        return iter(self.table)
+
+    def __eq__(self, other) -> bool:
+        return list(self) == list(other)
+
+    __hash__ = None
+
+
 def symmetry_permutation(form, m, left, right) -> tuple | None:
-    """The pair (left permutation, right permutation), arrays of vertex
+    """The pair (left permutation, right permutation), sequences of vertex
     indices, by which the candidate MatrixPair m = (M_x, M_y) acts on the
     graph of `form` between the vertex sequences `left` and `right`
     (`ChartPoints` of one chart); None when it is not verified to be an
@@ -604,46 +758,27 @@ def symmetry_permutation(form, m, left, right) -> tuple | None:
     The candidate is kept when all of these hold:
     - both matrices are (s+1) x (s+1); on the affine chart the row of x0 in
       M_x, and of y0 in M_y, is (1, 0, ..., 0), so that the map is an
-      affine map of the chart (an arithmetic test, made before any point
-      is mapped);
+      affine map of the chart;
     - both matrices are invertible mod p (`fields.matrix_rank`);
     - it carries the form mod p to λ·form, λ != 0 (`_carries_form`);
     - M_x maps `left` onto itself and M_y maps `right` onto itself.
-    The last test maps `_CHUNK` vertices at a time, column by column, scales
-    each image to first nonzero coordinate 1 and indexes it arithmetically
-    (`chart_codes`) into an array; an image's index is its vertex index on a
-    side that is the whole chart, and a side that is not is indexed through
-    a position table, where a vertex whose image is not on it rejects the
-    map.  An invertible map is injective, so onto follows.  A map that
-    passes the first two tests maps the whole chart onto itself, so a right
-    side that is the whole chart is not mapped, and its permutation is
-    None."""
+    A map that passes the first two tests, arithmetic ones, maps the whole
+    chart onto itself, so the last test holds on a side that is the whole
+    chart and no vertex of it is mapped: its permutation is a `_ChartMap`,
+    which maps a vertex only when it is read, on the left, and None on the
+    right.  A side that is not the whole chart is mapped vertex by vertex
+    (`_permutation`), and a vertex whose image is not on it rejects the
+    map; an invertible map is injective, so onto follows."""
     p = left.p
     if not (_invertible_on_chart(m, left.s + 1, p, form.poly.field, left.affine)
             and _carries_form(form, m)):
         return None
-
-    def permutation(M, side):
-        """perm[k] = the index in `side` of M times its vertex k; None when
-        an image is not on the side.  The vertices are mapped a chunk at a
-        time, straight into the array, so no list outgrows a chunk."""
-        cols, table = side.columns(), None
-        if side.codes is not None:
-            table = array("q", [-1]) * side.size
-            for i, c in enumerate(side.codes):
-                table[c] = i
-        perm = array("q")
-        for lo in range(0, len(side), _CHUNK):
-            codes = chart_codes(_image(M, [col[lo : lo + _CHUNK] for col in cols], p), p)
-            perm.fromlist(codes if table is None else [table[c] for c in codes])
-        return None if table is not None and -1 in perm else perm
-
-    lp = permutation(m[0], left)
+    lp = _ChartMap(m[0], left) if left.codes is None else _permutation(m[0], left, p)
     if lp is None:
         return None
     if right.codes is None:
         return lp, None
-    rp = permutation(m[1], right)
+    rp = _permutation(m[1], right, p)
     return None if rp is None else (lp, rp)
 
 
@@ -657,6 +792,12 @@ def _invertible_on_chart(m, n: int, p: int, field, affine: bool) -> bool:
         if affine and tuple(a % p for a in M[0]) != x0:
             return False
     return all(matrix_rank(M, field) == n for M in m)
+
+
+def _moved(M, p: int) -> list:
+    """The positions (a, b) where the matrix M differs from the identity
+    mod p."""
+    return [(a, b) for a, row in enumerate(M) for b, c in enumerate(row) if c % p != (a == b)]
 
 
 def _known_orbits(maps: list, left: ChartPoints) -> dict | None:
@@ -677,7 +818,7 @@ def _known_orbits(maps: list, left: ChartPoints) -> dict | None:
     p, s, n = left.p, left.s, len(left)
     pairs = set()
     for M, _ in maps:
-        moved = [(a, b) for a, row in enumerate(M) for b, c in enumerate(row) if c % p != (a == b)]
+        moved = _moved(M, p)
         if len(moved) == 1 and moved[0][0] != moved[0][1]:
             pairs.add(moved[0])
     first = 1 if left.affine else 0
@@ -690,6 +831,20 @@ def _known_orbits(maps: list, left: ChartPoints) -> dict | None:
     if fixed and n > 1 and (left.codes is None or left.codes[0] == 0):
         return {0: 1, 1: n - 1}
     return {0: n}
+
+
+def _translation_steps(maps: list, p: int, s: int) -> tuple | None:
+    """(step_1, ..., step_s) when the MatrixPairs `maps` hold, for every axis
+    a of the affine chart, a translation x -> x + c e_a, y -> y + d e_a
+    (c, d != 0): the graph then keeps its edges under x -> x + e_a,
+    y -> y + (d / c) e_a, and step_a = d / c mod p.  None otherwise."""
+    steps = {}
+    for mx, my in maps:
+        moved = _moved(mx, p)
+        if len(moved) == 1 and moved[0][0] and not moved[0][1] and _moved(my, p) == moved:
+            a = moved[0][0]
+            steps.setdefault(a, my[a][0] * pow(mx[a][0], -1, p) % p)
+    return tuple(steps[a] for a in range(1, s + 1)) if len(steps) == s else None
 
 
 # flag character of a point after `_open_points`' kernel row -> 1 if kept
@@ -737,16 +892,23 @@ def build_graph(
     (`hypersurfaces.family_symmetries`), and the maps that
     `symmetry_permutation` verifies on the form mod p and on both vertex
     sequences, on either chart and under any open sets, become the
-    left-index permutations that the scan and the edge count prune by.
-    Each candidate is verified alone when first drawn, in order, and at
-    most once.  When the maps kept include a translation along every axis
-    of the affine chart, or the elementary transvections that generate SL,
+    left-index permutations that the scan and the edge count prune by.  On
+    a side that is the whole chart that test maps no vertex, and the
+    permutation maps one only when it is read (`_ChartMap`).  Each
+    candidate is verified alone when first drawn, in order, and at most
+    once.  When the maps kept include a translation along every axis of
+    the affine chart, or the elementary transvections that generate SL,
     the orbits of the left side are known without a walk (`_known_orbits`);
     the edge count and `orbit_minima` draw candidates only until those
     orbits are one, and the scan's read of `symmetries` draws the rest.
-    So a scan that the budget refuses costs nothing that grows with the
-    chart.  The adjacency kernel and the symmetry test share one reduction
-    of H mod p."""
+    When both sides are the whole affine chart and the maps kept include a
+    translation of x and of y along every axis (`_translation_steps`), the
+    kernel computes row 0 and column 0 alone, and every other row and
+    column is one of them moved by the translations (`_Translations`).  So
+    a scan that the budget refuses costs nothing that grows with the chart,
+    and a translation-invariant graph costs two kernel entries.  The
+    adjacency kernel and the symmetry test share one reduction of H mod
+    p."""
     s = H.s
     whole = ChartPoints(p, s, chart)
     Xp = (X or OpenSet.full(s)).reduce_mod(p)
@@ -762,16 +924,24 @@ def build_graph(
         raise EmptySide("open-set filters removed a whole side")
     Hp = reduce_hypersurface_mod(H, p)
     rows = _AdjacencyRows(_terms_int(Hp), left, right, p)
+    cols = rows.transpose()
+    translatable = left.affine and left.codes is None and right.codes is None
+    maps = []
 
-    def kept():
-        maps = []
-        for m in symmetries:
-            pair = symmetry_permutation(Hp.form, m, left, right)
-            if pair:
-                maps.append(m)
-                yield pair[0], _known_orbits(maps, left)
+    def verify(m):
+        pair = symmetry_permutation(Hp.form, m, left, right)
+        if not pair:
+            return None
+        maps.append(m)
+        steps = _translation_steps(maps, p, s) if translatable and rows._moves is None else None
+        if steps:
+            translations = _Translations(p, s)
+            rows.translate(translations, steps)
+            cols.translate(translations, tuple(pow(d, -1, p) for d in steps))
+        return pair[0], _known_orbits(maps, left)
 
-    return BipartiteGraph(left, right, rows, rows.transpose(), kept() if symmetries else None)
+    pending = iter([partial(verify, m) for m in symmetries]) if symmetries else None
+    return BipartiteGraph(left, right, rows, cols, pending)
 
 
 def _check_budget(n: int, s: int):
@@ -788,6 +958,7 @@ def _orbits(n: int, perms: list) -> dict:
     the minima.  Each orbit is walked from its smallest index, the lowest
     one not yet seen, a layer at a time: the next layer is the unseen
     images of this one under every generator."""
+    perms = [g.table if isinstance(g, _ChartMap) else g for g in perms]
     seen = bytearray(n)
     sizes = {}
     for i in range(n):
@@ -805,6 +976,110 @@ def _orbits(n: int, perms: list) -> dict:
                 layer = new
             sizes[i] = size
     return sizes
+
+
+def _signed_minima(matrices: list, side: ChartPoints) -> list | None:
+    """The orbit minima, ascending, of the whole affine chart `side` under
+    the group that `matrices` generate, when they are signed permutations
+    of x1..xs among which are a sign change and the swaps of adjacent
+    coordinates; None otherwise.  The group is then every signed
+    permutation, so the smallest index of an orbit sorts the coordinates'
+    absolute values (a or p - a, the smaller) ascending, x1 being the most
+    significant digit: the minima are the points with
+    0 <= x1 <= ... <= xs <= (p - 1)/2, listed directly."""
+    p, s = side.p, side.s
+    if p == 2 or not side.affine:
+        return None
+    sign, swaps = False, set()
+    for M in matrices:
+        entries = [[(b, a % p) for b, a in enumerate(row) if a % p] for row in M[1:]]
+        if any(len(e) != 1 or not e[0][0] or e[0][1] not in (1, p - 1) for e in entries):
+            return None
+        perm = [e[0][0] for e in entries]
+        if len(set(perm)) < s:
+            return None
+        values = [e[0][1] for e in entries]
+        moved = [a for a, b in enumerate(perm, 1) if a != b]
+        if not moved and values.count(p - 1) == 1:
+            sign = True
+        elif p - 1 not in values and len(moved) == 2 and moved[1] == moved[0] + 1:
+            swaps.add(moved[0])
+    if not sign or len(swaps) < s - 1:
+        return None
+    return [
+        sum(x * p ** (s - 1 - k) for k, x in enumerate(point))
+        for point in combinations_with_replacement(range((p + 1) // 2), s)
+    ]
+
+
+def _stabiliser_minima(perms: list, n: int) -> list:
+    """The orbit minima, ascending, of range(n) under the group that the
+    permutations `perms` generate: listed directly for the signed
+    permutations of a whole affine chart (`_signed_minima`), else walked
+    (`_orbits`)."""
+    if all(isinstance(g, _ChartMap) for g in perms):
+        minima = _signed_minima([g.matrix for g in perms], perms[0].side)
+        if minima is not None:
+            return minima
+    return list(_orbits(n, perms))
+
+
+def _plan(G: BipartiteGraph, s: int) -> tuple:
+    """(tops, seconds, count) for the scan of the s-subsets of G's left
+    side, pruned by its verified symmetries (`_scan`).  tops: the first
+    vertices it tries, the orbit minima up to n - s.  seconds, when s >= 3:
+    for each of those that some generators fix, the second vertices it may
+    try, the orbit minima under those generators up to n - s + 1 (those
+    above the first vertex are tried).  count: the s-subsets the scan visits
+    with no floor, the number of those whose first vertex is in tops and,
+    for s >= 3, whose second is in the first's seconds when it has them;
+    n for s = 1, whose only depth counts every vertex."""
+    n, gens = len(G.rows), G.symmetries
+    tops = [v for v in G.orbit_minima if v <= n - s]
+    seconds, count, stabilisers = {}, 0, {}
+    if s == 1:
+        return tops, seconds, n
+    for v in tops:
+        fixing = tuple(k for k, g in enumerate(gens) if g[v] == v) if s > 2 else ()
+        if not fixing:
+            count += comb(n - 1 - v, s - 1)
+            continue
+        if fixing not in stabilisers:
+            minima = _stabiliser_minima([gens[k] for k in fixing], n)
+            minima = minima[: bisect_right(minima, n - s + 1)]
+            # tails[k]: the subsets after a second vertex among minima[k:]
+            tails = list(accumulate(comb(n - 1 - w, s - 2) for w in reversed(minima)))
+            stabilisers[fixing] = minima, tails[::-1] + [0]
+        minima, tails = stabilisers[fixing]
+        seconds[v] = minima
+        count += tails[bisect_right(minima, v)]
+    return tops, seconds, count
+
+
+def _admit(G: BipartiteGraph, s: int) -> tuple:
+    """(tops, seconds) of `_plan` for the scan of G's s-subsets, once the
+    enumeration budget admits its work; BudgetExceeded before that work
+    otherwise.  A graph given no symmetry is refused when its C(n, s)
+    subsets exceed the budget.  One given candidates is refused first when
+    n times their number exceeds it, a bound on verifying them and walking
+    their orbits; then, when some are kept, when the pruned scan visits
+    more subsets than the budget (`_plan`), and when none is, by C(n, s)."""
+    n, limit = len(G.rows), enumeration_budget()
+    if G.candidates and n * G.candidates > limit:
+        raise BudgetExceeded(
+            f"{G.candidates} candidate symmetries on {n} vertices = {n * G.candidates}"
+            f" verification steps exceed budget {limit}"
+        )
+    if not G.symmetries:
+        _check_budget(n, s)
+        return range(n - s + 1), {}
+    tops, seconds, count = _plan(G, s)
+    if count > limit:
+        raise BudgetExceeded(
+            f"the pruned scan visits {count} {s}-subsets (C({n},{s}) = {comb(n, s)}),"
+            f" over budget {limit}"
+        )
+    return tops, seconds
 
 
 def _scan(G: BipartiteGraph, s: int, floor: int, first: bool):
@@ -828,29 +1103,18 @@ def _scan(G: BipartiteGraph, s: int, floor: int, first: bool):
 
     With `G.symmetries`, depth 0 tries only the smallest vertex of each orbit
     of the group they generate, and when s >= 3 depth 1 only the smallest of
-    each orbit under the generators that fix the first vertex.  The answer's
-    vertex at each depth is such a minimum (module docstring), so S, T and
-    the argmax do not change."""
+    each orbit under the generators that fix the first vertex (`_plan`).
+    The answer's vertex at each depth is such a minimum (module docstring),
+    so S, T and the argmax do not change.  The budget is checked first,
+    against the subsets this scan visits (`_admit`)."""
     n = len(G.rows)
-    _check_budget(n, s)
+    tops, seconds = _admit(G, s)
     rows, cols = G.rows, G.cols
     hit = None
-    gens = G.symmetries
-    stabilisers = {}
     # without symmetries every row is read, so once the first count at the
     # last depth leaves the scan going, on-demand columns come from the
     # rows, transposed, rather than from their kernel one at a time
-    unfilled = not gens and isinstance(cols, _AdjacencyRows)
-
-    def stabiliser_minima(v):
-        """The orbit minima under the generators that fix v, as `_orbits`
-        gives them; None if no generator fixes v."""
-        fixing = tuple(k for k, g in enumerate(gens) if g[v] == v)
-        if not fixing:
-            return None
-        if fixing not in stabilisers:
-            stabilisers[fixing] = _orbits(n, [gens[k] for k in fixing])
-        return stabilisers[fixing]
+    unfilled = not G.symmetries and isinstance(cols, _AdjacencyRows)
 
     def last(start, inter, chosen):
         nonlocal floor, hit
@@ -910,16 +1174,16 @@ def _scan(G: BipartiteGraph, s: int, floor: int, first: bool):
             ni = inter & rows[i]
             if ni.bit_count() <= floor:
                 continue
-            later = range(i + 1, n - (s - depth) + 2)
-            minima = stabiliser_minima(i) if depth == 0 and s > 2 else None
-            if minima is not None:
-                later = (j for j in later if j in minima)
+            minima = seconds.get(i) if depth == 0 else None
+            if minima is None:
+                later = range(i + 1, n - (s - depth) + 2)
+            else:
+                later = minima[bisect_right(minima, i) :]
             if rec(i + 1, depth + 1, ni, chosen + [i], later):
                 return True
         return False
 
-    top = (i for i in G.orbit_minima if i <= n - s)
-    rec(0, 0, (1 << len(G.right)) - 1, [], top)
+    rec(0, 0, (1 << len(G.right)) - 1, [], tops)
     return hit
 
 

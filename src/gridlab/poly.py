@@ -608,18 +608,19 @@ def _field_gcd(a: MultiPoly, b: MultiPoly) -> MultiPoly:
     evaluation points, the same scheme runs over F_{q^k} for k = 2, 3, ...
     until one has enough: the monic gcd does not change under field
     extension, so its coefficients lie in the image of F_q and map back.
-    A variable of degree d takes dense lists of d + 1 entries, so one with
-    d + 1 over the enumeration budget is refused (BudgetExceeded) before
-    any is allocated."""
+    Variables of degrees d_i span a dense grid of prod(d_i + 1)
+    coefficients, which the evaluation and interpolation fill, so a grid
+    over the enumeration budget is refused (BudgetExceeded) before any list
+    is allocated."""
     degrees = list(map(max, zip(*a.terms, *b.terms)))
     used = [i for i, d in enumerate(degrees) if d]
     limit = enumeration_budget()
-    for i in used:
-        if degrees[i] + 1 > limit:
-            raise BudgetExceeded(
-                f"degree {degrees[i]} in {a.vars[i]} needs {degrees[i] + 1} dense"
-                f" coefficients, over budget {limit}"
-            )
+    grid = math.prod(degrees[i] + 1 for i in used)
+    if grid > limit:
+        spans = ", ".join(f"{degrees[i]} in {a.vars[i]}" for i in used)
+        raise BudgetExceeded(
+            f"degree {spans}: a dense grid of {grid} coefficients, over budget {limit}"
+        )
     if not used:
         return MultiPoly.constant(a.field, a.vars, 1)
     small = _DenseGcd(a.field)

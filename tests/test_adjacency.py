@@ -464,3 +464,6 @@ def test_monomial_values_edge_cases():
     # x^7 = x^3 on F_5 (exponent >= p), and 0^0 = 1
     pts = columns_of([(a, 0) for a in range(5)], 2)
     assert _monomial_values(pts, [(7, 0), (3, 0)], 5) == [[0, 1, 3, 2, 4]] * 2
+    # a column of ones (x0 on the affine chart) is a factor 1
+    ones = [[1, 1, 1], [0, 2, 4]]
+    assert _monomial_values(ones, [(3, 1), (2, 0), (1, 2)], 5) == [[0, 2, 4], [1, 1, 1], [0, 4, 1]]

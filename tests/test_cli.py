@@ -5,6 +5,7 @@ import os
 import subprocess
 import sys
 import tempfile
+import time
 from pathlib import Path
 
 import pytest
@@ -631,9 +632,14 @@ def _construct_outputs():
 
 
 @pytest.mark.parametrize("family,p,s", _construct_outputs())
-def test_gridcheck_same_with_and_without_family(capsys, tmp_path, family, p, s):
+def test_gridcheck_same_with_and_without_family(capsys, tmp_path, monkeypatch, family, p, s):
     # the "family" key only adds candidate symmetries; unverified ones are
-    # dropped, so every answer is the plain scan's, byte for byte
+    # dropped, so every answer is the plain scan's, byte for byte.  The
+    # budget counts the subsets the pruned scan visits, so at p = 11 with
+    # s = 3 the family's scan answers where the plain one is refused: it is
+    # compared with the plain scan under a raised budget
+    from math import comb
+
     from gridlab.gridcheck import build_graph
     from gridlab.hypersurfaces import Hypersurface, family_symmetries
 
@@ -659,7 +665,14 @@ def test_gridcheck_same_with_and_without_family(capsys, tmp_path, family, p, s):
             f.write_text(json.dumps(doc))
             seen[name] = run(capsys, "gridcheck", "--input", str(f), "--p", str(p),
                              "--s", str(scan_s), "--t", str(t))
-        assert seen["family"] == seen["plain"] == seen["wrong"]
+        assert seen["plain"] == seen["wrong"]
+        if seen["plain"][0] == 2 and seen["family"][0] != 2:
+            assert (family, p, scan_s) in (("1b", 11, 3), ("1c", 11, 3), ("1d", 11, 3))
+            monkeypatch.setenv("GRIDLAB_BUDGET", str(comb(p**3, 3)))
+            seen["plain"] = run(capsys, "gridcheck", "--input", str(tmp_path / "plain.json"),
+                                "--p", str(p), "--s", str(scan_s), "--t", str(t))
+            monkeypatch.delenv("GRIDLAB_BUDGET")
+        assert seen["family"] == seen["plain"]
 
 
 # -- recorded algebra outputs ---------------------------------------------------------
@@ -757,3 +770,21 @@ def test_huge_degree_is_refused_before_the_dense_gcd_allocates(tmp_path):
     assert res.returncode == 2
     assert res.stdout == ""
     assert res.stderr.startswith("error: BudgetExceeded: degree 1000000000000 in x0")
+
+
+@pytest.mark.parametrize("N", [10**6, 99999999])
+def test_degree_pair_is_refused_by_its_dense_grid(tmp_path, N):
+    # each of x0^N and x1^N alone fits the budget, but together they span a
+    # dense grid of (N + 1)^2 coefficients: refused at once, where N = 10^6
+    # took seconds and N = 99999999 ran past 20 s
+    form = _write_poly(tmp_path / "form.json", {"kind": "prime", "p": 7}, ["x0", "x1", "y0", "y1"],
+                       [([N, 0, 1, 0], "1"), ([0, N, 0, 1], "1")])
+    start = time.monotonic()
+    res = _capped_cli("s1", "classify", "--poly", form)
+    assert time.monotonic() - start < 20
+    assert res.returncode == 2
+    assert res.stdout == ""
+    assert res.stderr == (
+        f"error: BudgetExceeded: degree {N} in x0, {N} in x1: a dense grid of {(N + 1) ** 2}"
+        " coefficients, over budget 100000000\n"
+    )

@@ -431,8 +431,11 @@ def test_witness_check_survives_python_O():
 
 
 def test_budget_refusal_comes_before_adjacency(monkeypatch, tmp_path, capsys):
-    # 1b at p = 11 has 1331 left vertices; C(1331, 3) exceeds the default
-    # budget, and the scan refuses before it sets up a kernel or verifies a map
+    # 1b at p = 11 has 1331 left vertices.  The plain graph's C(1331, 3)
+    # subsets exceed the default budget, and its scan refuses before it
+    # sets up a kernel.  With its symmetries the pruned scan visits 62,930
+    # and answers; 1c with s = 4 at p = 11 is refused by the pruned count
+    # itself, after verifying its maps and before any kernel
     from gridlab import cli, gridcheck
 
     def never(what):
@@ -442,30 +445,42 @@ def test_budget_refusal_comes_before_adjacency(monkeypatch, tmp_path, capsys):
         return fail
 
     monkeypatch.setattr(gridcheck, "_lane_kernel", never("adjacency kernel set up"))
-    monkeypatch.setattr(gridcheck, "symmetry_permutation", never("symmetry verified"))
     monkeypatch.delenv("GRIDLAB_BUDGET", raising=False)
-    # the sweep records this refusal as the skip "budget: <message>"
+    c = construct("1b", 11)
+    G = build_graph(c.hypersurface, 11)
     message = f"C(1331,3) = {comb(1331, 3)} subset iterations exceed budget 100000000"
     with pytest.raises(BudgetExceeded) as refusal:
-        cli._check_1b(11)
-    assert str(refusal.value) == message
-    c = construct("1b", 11)
-    G = build_graph(c.hypersurface, 11, symmetries=family_symmetries("1b", 11, 3))
-    with pytest.raises(BudgetExceeded):
         max_common_neighborhood(G, 3)
+    assert str(refusal.value) == message
     path = tmp_path / "h1b.json"
     construct_argv = ["construct", "--family", "1b", "--p", "11", "--out", str(path)]
     assert cli.main(construct_argv) == 0
-    argv = ["gridcheck", "--input", str(path), "--p", "11", "--s", "3", "--t", "3"]
+    plain = tmp_path / "h1b_plain.json"
+    data = json.loads(path.read_text())
+    del data["family"]
+    plain.write_text(json.dumps(data))
+    argv = ["gridcheck", "--input", str(plain), "--p", "11", "--s", "3", "--t", "3"]
     capsys.readouterr()
     assert cli.main(argv) == 2
-    assert capsys.readouterr().err.startswith("error: BudgetExceeded: C(1331,3)")
+    assert capsys.readouterr().err == f"error: BudgetExceeded: {message}\n"
+    n = 11**4
+    c = construct("1c", 11, 4)
+    G = build_graph(c.hypersurface, 11, symmetries=family_symmetries("1c", 11, 4))
+    with pytest.raises(BudgetExceeded) as refusal:
+        find_grid(G, 4, 25)
+    assert str(refusal.value) == (
+        f"the pruned scan visits 2127659305 4-subsets (C({n},4) = {comb(n, 4)}),"
+        " over budget 100000000"
+    )
+    assert len(G.symmetries) == 5
 
 
 def test_refused_scan_decodes_no_vertex(monkeypatch):
     # 1a at p = 1009 has 1009^2 vertices a side: the graph's sides are
     # chart indices, so building it and refusing its scan decode, list and
-    # transpose no point, and verify no map
+    # transpose no point.  The plain graph is refused by its C(n, 2)
+    # subsets; with the family's maps, a budget below n times their number
+    # refuses their verification before it starts
     from gridlab import gridcheck, hypersurfaces
 
     def never(*args, **kwargs):
@@ -476,13 +491,22 @@ def test_refused_scan_decodes_no_vertex(monkeypatch):
         monkeypatch.setattr(gridcheck, name, never)
     monkeypatch.delenv("GRIDLAB_BUDGET", raising=False)
     p = 1009
+    n = p * p
     c = construct("1a", p)
-    G = build_graph(c.hypersurface, p, symmetries=family_symmetries("1a", p, 2))
-    assert len(G.left) == len(G.right) == p * p
+    G = build_graph(c.hypersurface, p)
+    assert len(G.left) == len(G.right) == n
     with pytest.raises(BudgetExceeded) as refusal:
         find_grid(G, 2, 2)
     assert str(refusal.value) == (
-        f"C({p * p},2) = {comb(p * p, 2)} subset iterations exceed budget 100000000"
+        f"C({n},2) = {comb(n, 2)} subset iterations exceed budget 100000000"
+    )
+    monkeypatch.setenv("GRIDLAB_BUDGET", str(2 * n))  # the chart's n points pass
+    G = build_graph(c.hypersurface, p, symmetries=family_symmetries("1a", p, 2))
+    with pytest.raises(BudgetExceeded) as refusal:
+        find_grid(G, 2, 2)
+    assert str(refusal.value) == (
+        f"6 candidate symmetries on {n} vertices = {6 * n} verification steps"
+        f" exceed budget {2 * n}"
     )
 
 
@@ -793,6 +817,24 @@ def test_pruned_scan_verifies_every_candidate_once(monkeypatch):
     assert len(symmetries) == 4 and verified == symmetries
     G.edge_count()
     assert verified == symmetries
+
+
+def test_translation_invariant_scan_computes_two_kernel_entries(monkeypatch):
+    # 1b at p = 11 keeps a translation of x and y along every axis: the
+    # kernels compute row 0 and column 0 alone, every other row and column
+    # read is one of them moved, no map is applied to a vertex list, and
+    # the signed permutations that fix vertex 0 give their minima unwalked
+    from gridlab import cli, gridcheck
+
+    def never(*args):
+        raise AssertionError("a permutation array was built")
+
+    monkeypatch.setattr(gridcheck, "_permutation", never)
+    monkeypatch.setattr(gridcheck, "_orbits", never)
+    monkeypatch.delenv("GRIDLAB_BUDGET", raising=False)
+    kernels = recording_kernels(monkeypatch)
+    assert cli._check_1b(11) == {"pass": True, "max_common": 2, "argmax": [0, 1, 13]}
+    assert kernels == [[0], [0]]
 
 
 @settings(max_examples=60, deadline=None)

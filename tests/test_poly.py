@@ -698,18 +698,38 @@ def test_dense_gcd_over_a_large_field_never_lifts(monkeypatch):
     assert degrees == []
 
 
+def test_dense_gcd_counts_its_whole_grid(monkeypatch):
+    # each variable alone fits the budget, but the grid of the two does not:
+    # x^N*y + x*y^N spans (N + 1)^2 coefficients
+    F7 = GF(7)
+    a = MultiPoly.parse(F7, XY, "x**30*y + x*y**30")
+    b = MultiPoly.parse(F7, XY, "x*y")
+    monkeypatch.setenv("GRIDLAB_BUDGET", "960")
+    with pytest.raises(BudgetExceeded, match="^degree 30 in x, 30 in y: a dense grid of 961 "):
+        gcd(a, b)
+    monkeypatch.setenv("GRIDLAB_BUDGET", "961")
+    assert gcd(a, b) == b
+
+
 def test_dense_gcd_refuses_a_degree_over_the_budget(monkeypatch):
     # a variable of degree d takes dense lists of d + 1 entries: at
-    # d = 10^12 they used to exhaust memory; d + 1 over the budget is refused
+    # d = 10^12 they used to exhaust memory.  The grid of x^100 and y^1 has
+    # 101 * 2 entries, and a grid over the budget is refused
     F7 = GF(7)
     a = MultiPoly.parse(F7, XY, "x**100*y + y")
     b = MultiPoly.parse(F7, XY, "x*y")
     monkeypatch.setenv("GRIDLAB_BUDGET", "100")
-    with pytest.raises(BudgetExceeded, match="degree 100 in x needs 101 dense coefficients"):
+    with pytest.raises(BudgetExceeded) as refusal:
         gcd(a, b)
+    assert str(refusal.value) == (
+        "degree 100 in x, 1 in y: a dense grid of 202 coefficients, over budget 100"
+    )
     with pytest.raises(BudgetExceeded, match="degree 100 in x"):
         gcd(b, a)
-    monkeypatch.setenv("GRIDLAB_BUDGET", "101")
+    monkeypatch.setenv("GRIDLAB_BUDGET", "201")
+    with pytest.raises(BudgetExceeded, match="dense grid of 202 coefficients"):
+        gcd(a, b)
+    monkeypatch.setenv("GRIDLAB_BUDGET", "202")
     assert gcd(a, b) == MultiPoly.parse(F7, XY, "y")
 
 

@@ -14,8 +14,12 @@ from gridlab.errors import BudgetExceeded, EmptySide
 from gridlab.fields import GF
 from gridlab.gridcheck import (
     BipartiteGraph,
+    ChartPoints,
     _known_orbits,
     _orbits,
+    _plan,
+    _signed_minima,
+    _translation_steps,
     build_graph,
     find_grid,
     max_common_neighborhood,
@@ -34,7 +38,12 @@ from gridlab.hypersurfaces import (
 )
 from gridlab.poly import MultiPoly, bihomogenize
 from test_adjacency import chart_side
-from test_gridcheck import recording_verifications, reference_find_grid, reference_max_common
+from test_gridcheck import (
+    recording_kernels,
+    recording_verifications,
+    reference_find_grid,
+    reference_max_common,
+)
 
 
 def identity(d):
@@ -443,20 +452,53 @@ def test_pruned_1b_p11_with_raised_budget(monkeypatch):
 
 
 def test_budget_counts_the_plain_subsets(monkeypatch):
-    # the scan refuses C(1331, 3) subsets with and without symmetries, and
-    # before it verifies any map
+    # a graph given no symmetry is refused by its C(1331, 3) subsets, and a
+    # graph given only maps that are dropped falls back to that count: no
+    # kernel is set up either way
+    from gridlab import gridcheck
+
+    kernels = recording_kernels(monkeypatch)
     verified = recording_verifications(monkeypatch)
+    monkeypatch.delenv("GRIDLAB_BUDGET", raising=False)
     c = construct("1b", 11)
-    for symmetries in ([], family_symmetries("1b", 11, 3)):
+    for symmetries in ([], family_symmetries("1a", 11, 3)):
         G = build_graph(c.hypersurface, 11, symmetries=symmetries)
-        with pytest.raises(BudgetExceeded, match=r"C\(1331,3\)"):
+        with pytest.raises(BudgetExceeded, match=r"^C\(1331,3\) = \d+ subset iterations"):
             max_common_neighborhood(G, 3)
-        with pytest.raises(BudgetExceeded, match=r"C\(1331,3\)"):
+        with pytest.raises(BudgetExceeded, match=r"^C\(1331,3\) = \d+ subset iterations"):
             find_grid(G, 3, 3)
-        assert verified == []
-        assert bool(G.symmetries) == bool(symmetries)
-        assert verified == symmetries
+        assert verified == symmetries and G.symmetries == []
         verified.clear()
+    assert kernels == []
+
+
+def test_budget_counts_the_pruned_subsets(monkeypatch):
+    # with verified symmetries the budget counts the subsets the pruned
+    # scan visits: 1b at p = 11 visits 62,930 and answers under the default
+    # budget, and under a budget just below that count it is refused after
+    # verifying its maps, naming both counts, before any kernel
+    kernels = recording_kernels(monkeypatch)
+    c = construct("1b", 11)
+    symmetries = family_symmetries("1b", 11, 3)
+    G = build_graph(c.hypersurface, 11, symmetries=symmetries)
+    assert _plan(G, 3)[2] == 62930
+    monkeypatch.setenv("GRIDLAB_BUDGET", str(62929))
+    with pytest.raises(BudgetExceeded) as refusal:
+        max_common_neighborhood(G, 3)
+    assert str(refusal.value) == (
+        f"the pruned scan visits 62930 3-subsets (C(1331,3) = {comb(1331, 3)}), over budget 62929"
+    )
+    assert kernels == [] and len(G.symmetries) == len(symmetries)
+    monkeypatch.setenv("GRIDLAB_BUDGET", str(62930))
+    assert max_common_neighborhood(G, 3) == (2, [0, 1, 13])
+    assert kernels == [[0], [0]]  # row 0 and column 0; the rest are moved
+    # 1d with s = 3 at p = 31 is still refused at the default budget
+    monkeypatch.delenv("GRIDLAB_BUDGET")
+    c = construct("1d", 31, 3)
+    G = build_graph(c.hypersurface, 31, symmetries=family_symmetries("1d", 31, 3))
+    with pytest.raises(BudgetExceeded, match=r"^the pruned scan visits \d+ 3-subsets \(C\(29791,3\) = "):
+        find_grid(G, 3, 3)
+    assert kernels == [[0], [0]]
 
 
 def test_family_symmetries_degenerate_inputs():
@@ -712,3 +754,159 @@ def test_known_orbits_need_every_generator():
     assert _known_orbits([e12, e21], side) == {0: 1, 1: p**2 - 1}
     # a map that moves the origin joins it to the rest
     assert _known_orbits([e12, e21, x1_shift], side) == {0: p**2}
+
+
+# -- translation-derived adjacency, the pruned count and known stabilisers ----------
+
+
+@settings(max_examples=80, deadline=None)
+@given(invariant_forms(), st.randoms(use_true_random=False))
+def test_translated_rows_and_pruned_scans_match_the_plain_graph(form, rng):
+    # the good maps of P(x + sign y) include a translation of x and of y
+    # along every axis: once they are verified, every row and column but
+    # the first is moved from row 0 or column 0, and equals the kernel's;
+    # the pruned scans answer as the reference scan of the plain graph
+    p, d, affine, good, other = form
+    H = hypersurface(affine, d)
+    candidates = good + other
+    rng.shuffle(candidates)
+    G = build_graph(H, p, symmetries=candidates)
+    assert G.symmetries and G.rows._moves is not None and G.cols._moves is not None
+    plain = build_graph(H, p)
+    order = list(range(len(G.left)))
+    rng.shuffle(order)
+    assert [G.rows[u] for u in order] == [plain.rows[u] for u in order]
+    assert [G.cols[j] for j in order] == [plain.cols[j] for j in order]
+    ts = (1, 2, 3, p, p + 1)
+    G = build_graph(H, p, symmetries=candidates)
+    assert answers(G, (1, 2, 3), ts) == reference_answers(plain, (1, 2, 3), ts)
+
+
+@pytest.mark.parametrize("mask_bits", [0, 1 << 25])
+@pytest.mark.parametrize("family,p,dim", [("1b", 5, 3), ("1c", 7, 2), ("1c", 3, 4)])
+def test_translated_rows_of_constructions(monkeypatch, mask_bits, family, p, dim):
+    # with every mask kept, and with none kept (each rebuilt on use)
+    from gridlab import gridcheck
+
+    monkeypatch.setattr(gridcheck, "_MASK_BITS", mask_bits)
+    c = construct(family, p, dim)
+    G = build_graph(c.hypersurface, p, symmetries=family_symmetries(family, p, c.s))
+    assert G.symmetries and G.rows._moves is not None
+    plain = build_graph(c.hypersurface, p)
+    assert list(G.rows) == list(plain.rows) and list(G.cols) == list(plain.cols)
+    assert len(G.rows._moves[0]._masks) == (0 if mask_bits == 0 else c.s * (p - 1))
+
+
+def test_translations_need_both_sides_on_every_axis():
+    # x + e_1 with y fixed is no translation pair; the steps are d / c
+    p = 5
+    pair = translation(2, 0, 2, 3)
+    assert _translation_steps([pair], p, 2) is None
+    assert _translation_steps([pair, translation(2, 1, 1, 0)], p, 2) is None
+    assert _translation_steps([pair, translation(2, 1, 1, 1)], p, 2) == (3 * pow(2, -1, p) % p, 1)
+    assert _translation_steps([pair, linear(((0, 1), (1, 0))), translation(2, 1, 4, 1)], p, 2) == (
+        4, 4)
+
+
+def enumerated_subsets(G, s) -> int:
+    """The s-subsets of G's left side whose first vertex is the smallest of
+    its orbit and, for s >= 3, whose second is the smallest of its orbit
+    under the generators fixing the first, counted one by one with
+    union-find orbits: the subsets the scan visits with no floor."""
+    n, gens = len(G.left), [list(g) for g in G.symmetries]
+    if s == 1:
+        return n
+    labels = union_find_labels(n, gens)
+    count = 0
+    stabiliser = {}
+    for S in combinations(range(n), s):
+        v = S[0]
+        if labels[v] != v:
+            continue
+        if s >= 3:
+            fixing = [g for g in gens if g[v] == v]
+            if fixing:
+                if v not in stabiliser:
+                    stabiliser[v] = union_find_labels(n, fixing)
+                if stabiliser[v][S[1]] != S[1]:
+                    continue
+        count += 1
+    return count
+
+
+@pytest.mark.parametrize(
+    "family,p,dim,chart",
+    [("1a", 5, 2, "affine"), ("1a", 3, 2, "projective"), ("1b", 3, 3, "affine"),
+     ("1b", 3, 3, "projective"), ("1c", 3, 3, "affine"), ("1c", 5, 2, "projective"),
+     ("1d", 3, 3, "affine"), ("1d", 5, 2, "affine")],
+)
+def test_pruned_count_is_the_unfloored_enumeration(family, p, dim, chart):
+    c = construct(family, p, dim)
+    G = build_graph(c.hypersurface, p, chart=chart, symmetries=family_symmetries(family, p, c.s))
+    assert G.symmetries
+    for s in (1, 2, 3):
+        assert _plan(G, s)[2] == enumerated_subsets(G, s)
+
+
+@settings(max_examples=40, deadline=None)
+@given(invariant_forms())
+def test_pruned_count_on_invariant_forms(form):
+    p, d, affine, good, other = form
+    G = build_graph(hypersurface(affine, d), p, symmetries=good + other)
+    for s in (2, 3):
+        if s <= len(G.left):
+            assert _plan(G, s)[2] == enumerated_subsets(G, s)
+
+
+@pytest.mark.parametrize("p", [3, 5, 7, 11, 19])
+def test_signed_permutation_minima_match_the_walk(p):
+    # 1b's maps that fix the origin are the sign change of x1 and the swaps
+    # of adjacent coordinates: their minima are listed, not walked
+    c = construct("1b", p)
+    G = build_graph(c.hypersurface, p, symmetries=family_symmetries("1b", p, 3))
+    fixing = [g for g in G.symmetries if g[0] == 0]
+    assert len(fixing) == 3
+    listed = _signed_minima([g.matrix for g in fixing], G.left)
+    assert listed == list(_orbits(len(G.left), fixing))
+    assert all(g._table is None for g in G.symmetries[:3])  # the translations
+    assert len(listed) == comb((p + 1) // 2 + 2, 3)
+    # without a swap, or with a map that is no signed permutation, it walks
+    assert _signed_minima([g.matrix for g in fixing[:2]], G.left) is None
+    shear = ((1, 0, 0, 0), (0, 1, 1, 0), (0, 0, 1, 0), (0, 0, 0, 1))
+    assert _signed_minima([g.matrix for g in fixing] + [shear], G.left) is None
+
+
+@pytest.mark.parametrize("p", [3, 5, 7])
+@pytest.mark.parametrize("s", [1, 2])
+def test_signed_minima_in_low_dimensions(p, s):
+    side = ChartPoints(p, s, "affine")
+    points = [(1,) + pt for pt in side]
+    sign = tuple(tuple(p - 1 if i == j == 1 else int(i == j) for j in range(s + 1))
+                 for i in range(s + 1))
+    maps = [sign] + [swap_matrix(s + 1, i) for i in range(1, s)]
+    perms = [reference_permutation(M, points, p) for M in maps]
+    assert _signed_minima(maps, side) == list(_orbits(len(side), perms))
+    assert _signed_minima([identity(s + 1)] + maps[1:], side) is None
+    assert _signed_minima(maps, ChartPoints(p, s, "projective")) is None
+
+
+def swap_matrix(n, i):
+    """The n x n identity with rows i and i + 1 swapped."""
+    rows = [list(row) for row in identity(n)]
+    rows[i], rows[i + 1] = rows[i + 1], rows[i]
+    return tuple(map(tuple, rows))
+
+
+@pytest.mark.parametrize("chart", ["affine", "projective"])
+def test_chart_maps_read_one_vertex_at_a_time(chart):
+    # a whole-chart permutation maps the one vertex read, and its table is
+    # the reference permutation
+    p = 7
+    c = construct("1a", p)
+    G = build_graph(c.hypersurface, p, chart=chart, symmetries=family_symmetries("1a", p, 2))
+    left, _ = full_points(G, chart)
+    for g in G.symmetries:
+        want = reference_permutation(g.matrix, left, p)
+        assert [g[i] for i in (0, 1, len(left) - 1, -1)] == [want[i] for i in (0, 1, -1, -1)]
+        assert g._table is None
+        assert list(g) == want and g == want and g._table is not None
