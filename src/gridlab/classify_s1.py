@@ -10,15 +10,16 @@ is ever performed.
 The binary forms f and g enter only through their roots.  `_binary_roots`
 tests candidate points in one fixed order, which is the printed order of
 `g_roots_in_Y`.  Over F_q the candidates are the points of P^1(F_q) in the
-order of `hypersurfaces.chart_points`, and a point is made a `ProjPoint`
-only when it is a root.
+chart's order, decoded by index (`hypersurfaces.chart_point`), and a point
+is made a `ProjPoint` only when it is a root.
 Over Q, with z the integer coefficient list of form(1,t)/t^lo, they are
 (0:1) when form(1,t) has lower degree than the form, (1:0) when lo > 0,
 and then (1 : a/den) for num | z[0] and den | z[-1], both ascending, with
-a = +num before -num.  Those divisors come from trial division, which the
-enumeration budget refuses up front when isqrt|z[0]| + isqrt|z[-1]|
-exceeds it; over F_q the listing refuses up front when the q + 1 points
-exceed it, with the chart's message.
+a = +num before -num.  Those divisors come from trial division, once for
+each end, which the enumeration budget refuses up front when
+isqrt|z[0]| + isqrt|z[-1]| exceeds it; the d(z[0]) d(z[-1]) divisor pairs
+are counted against it before any is tried.  Over F_q the scan refuses up
+front when the q + 1 points exceed the budget, with the chart's message.
 
 What is left over Q once every rational root is divided out has its roots
 in the algebraic closure; those not excluded by the open set are counted
@@ -32,8 +33,8 @@ import math
 from fractions import Fraction
 
 from . import gridcheck
-from .errors import BudgetExceeded, EmptySide, NonSplitForm, WrongDimension
-from .fields import enumeration_budget
+from .errors import EmptySide, NonSplitForm, WrongDimension
+from .fields import check_budget
 from .poly import (
     BiHomPoly,
     MultiPoly,
@@ -42,7 +43,7 @@ from .poly import (
     split_group_contents,
     squarefree_in_vars,
 )
-from .hypersurfaces import Hypersurface, OpenSet, ProjPoint, chart_points, linear_form
+from .hypersurfaces import Hypersurface, OpenSet, ProjPoint, chart_point, chart_size, linear_form
 
 XVARS = ("x0", "x1")
 YVARS = ("y0", "y1")
@@ -106,14 +107,13 @@ def _rational_roots(fld, z: list) -> list:
     if n == 0:
         return []
     need = math.isqrt(abs(z[0])) + math.isqrt(abs(z[-1]))
-    limit = enumeration_budget()
-    if need > limit:
-        raise BudgetExceeded(
-            f"rational-root test needs {need} trial divisions, over budget {limit}"
-        )
+    check_budget(need, f"rational-root test needs {need} trial divisions")
+    nums, dens = _divisors(z[0]), _divisors(z[-1])
+    pairs = len(nums) * len(dens)
+    check_budget(pairs, f"rational-root test tries {pairs} divisor pairs")
     roots = []
-    for num in _divisors(z[0]):
-        for den in _divisors(z[-1]):
+    for num in nums:
+        for den in dens:
             if math.gcd(num, den) > 1:
                 continue
             for a in (num, -num):
@@ -131,7 +131,8 @@ def _binary_roots(form: MultiPoly, vars2: tuple):
     binary = form.with_vars(vars2)
     one = MultiPoly.constant(fld, vars2, 1)
     if fld.characteristic:
-        pts = chart_points(fld, 1)
+        p, k = fld.characteristic, getattr(fld, "s", 1)
+        pts = (chart_point(i, p, 1, k) for i in range(chart_size(p**k, 1, "projective")))
         return [ProjPoint(fld, pt) for pt in pts if binary.evaluate(pt).is_zero()], one
     # binary(1, t) = t^lo * z(t) / scale, with z integral and z(0) != 0
     coeffs = {e[1]: c for e, c in binary.terms.items()}

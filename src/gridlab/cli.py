@@ -258,7 +258,7 @@ def _check_norm_poly(p: int) -> dict:
     P^2(F_p), read as its x1 and x2 columns, so they are counted against
     the budget first."""
     K = fields.GF(p, 2)
-    pairs = gridcheck.ChartPoints(p, 2, "affine").columns()[1:]
+    pairs = hypersurfaces.ChartPoints(p, 2, "affine").columns()[1:]
     want = gridcheck._values_mod(hypersurfaces.norm_poly(p, 2), pairs, p)
     bad = sum(fields.norm(fields.pi_s(K, a)).val != w for a, w in zip(zip(*pairs), want))
     return {"pass": bad == 0, "mismatches": bad, "inputs": p * p}

@@ -5,9 +5,7 @@ automorphism."""
 
 from __future__ import annotations
 
-from bisect import bisect_right
 from collections import Counter
-from itertools import accumulate
 
 from . import gridcheck
 from .errors import (
@@ -27,7 +25,9 @@ from .poly import (
     split_group_contents,
 )
 from .hypersurfaces import (
+    ChartPoints,
     Hypersurface,
+    chart_block,
     chart_codes,
     reduce_hypersurface_mod,
     reduce_polys_mod,
@@ -161,8 +161,8 @@ def grid_transport_check(
     off the base and exceptional loci, the pulled-back graph must coincide
     with the original graph under v -> sigma_y(v).
 
-    Points are the indices of P^s(F_p) in the order of `chart_points`
-    (`gridcheck.ChartPoints`).  sigma_y's components and the removed
+    Points are the indices of P^s(F_p) in the chart's order
+    (`hypersurfaces.ChartPoints`).  sigma_y's components and the removed
     y-content are evaluated at every point at once, on the chart's
     coordinate columns; each image is scaled to first nonzero coordinate 1
     and indexed in the same order (`hypersurfaces.chart_codes`), and the
@@ -185,7 +185,7 @@ def grid_transport_check(
     Hp = reduce_hypersurface_mod(H, p)
     sig = sigma_y.reduce_mod(p)
     Hpulled, _, cy = apply_with_contents(sig, Hp)
-    chart = gridcheck.ChartPoints(p, Hp.s)
+    chart = ChartPoints(p, Hp.s)
     cols = chart.columns()
     codes = chart_codes([gridcheck._values_mod(c, cols, p) for c in sig.components], p)
     off = gridcheck._values_mod(cy.with_vars(sig.vars), cols, p)
@@ -194,15 +194,13 @@ def grid_transport_check(
     usable = [(v, w) for v, (w, o) in enumerate(zip(codes, off)) if w >= 0 and o]
     hits = Counter(w for _, w in usable)
     # in the tuple order of v: a point with more leading zero coordinates
-    # comes first, and the chart order is the tuple order within the block
-    # of points with as many, which starts[lead - 1] begins
-    starts = list(accumulate(p ** (Hp.s - lead) for lead in range(Hp.s)))
+    # comes first, and the chart's order is the tuple order within a block
     pairs = sorted(((v, w) for v, w in usable if hits[w] == 1),
-                   key=lambda vw: -bisect_right(starts, vw[0]))
+                   key=lambda vw: -chart_block(vw[0], p, Hp.s)[0])
     if len(pairs) < t:
         raise SampleTooSmall(f"only {len(pairs)} usable sample points")
-    right_orig = gridcheck.ChartPoints(p, Hp.s, codes=[w for _, w in pairs])
-    right_pull = gridcheck.ChartPoints(p, Hp.s, codes=[v for v, _ in pairs])
+    right_orig = ChartPoints(p, Hp.s, codes=[w for _, w in pairs])
+    right_pull = ChartPoints(p, Hp.s, codes=[v for v, _ in pairs])
     rows_orig = gridcheck._AdjacencyRows(gridcheck._terms_int(Hp), chart, right_orig, p)
     rows_pull = gridcheck._AdjacencyRows(gridcheck._terms_int(Hpulled), chart, right_pull, p)
     perms = []

@@ -40,6 +40,15 @@ def enumeration_budget() -> int:
     return int(os.environ.get("GRIDLAB_BUDGET", DEFAULT_BUDGET))
 
 
+def check_budget(count: int, what: str) -> int:
+    """`count` when the enumeration budget admits it; otherwise
+    BudgetExceeded, "<what>, over budget <limit>"."""
+    limit = enumeration_budget()
+    if count > limit:
+        raise BudgetExceeded(f"{what}, over budget {limit}")
+    return count
+
+
 # Miller-Rabin to the first 13 prime bases proves primality below this bound
 # (Sorenson and Webster, "Strong pseudoprimes to twelve prime bases", 2015).
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
@@ -407,21 +416,19 @@ class DenseUnivariate:
         return self.monic(f)
 
 
-def _check_irreducibility_test(p: int, deg: int, what: str):
-    """Refuse `what` when trial division by the p + ... + p^(deg//2) monic
-    polynomials of degree 1..deg//2 would be larger than the budget."""
-    count, limit = sum(p**d for d in range(1, deg // 2 + 1)), enumeration_budget()
-    if count > limit:
-        raise BudgetExceeded(f"{what} tries {count} candidates, over budget {limit}")
+def _rabin_cost(p: int, deg: int) -> int:
+    """The coefficient multiplications of `_is_irreducible` on a modulus of
+    degree `deg` over F_p: deg powerings by p of bit_length(p) squarings and
+    bit_count(p) multiplications, each a product and a reduction of deg^2
+    coefficient multiplications."""
+    return 2 * deg**3 * (p.bit_length() + p.bit_count())
 
 
 def _is_irreducible(m: tuple, p: int) -> bool:
     """Rabin's test of m, of degree n >= 2: m is irreducible over F_p iff
     x^(p^n) = x mod m and gcd(x^(p^(n/q)) - x, m) = 1 for each prime q | n,
-    at about n log2(p) products mod m.  Refused up front by the trial
-    division count of `_check_irreducibility_test`."""
+    at the cost of `_rabin_cost`, which its callers charge to the budget."""
     n = len(m) - 1
-    _check_irreducibility_test(p, n, "the irreducibility test")
     ring, m, x = DenseUnivariate(GF(p)), list(m), [0, 1]
 
     def times(f, g):
@@ -440,32 +447,34 @@ def _is_irreducible(m: tuple, p: int) -> bool:
     )
 
 
-def _residue_tuples(p: int, s: int, start: int = 0):
-    """The s-tuples of residues mod p in lexicographic order, from the one
-    whose base-p digits spell `start`: the tuple at index k is the digits
-    of k, most significant first.  Lazy, where itertools.product would
-    first turn range(p) into a tuple of p ints."""
-    for k in range(start, p**s):
-        digits = [0] * s
-        for i in range(s - 1, -1, -1):
-            k, digits[i] = divmod(k, p)
-        yield tuple(digits)
+def base_digits(k: int, p: int, s: int) -> tuple:
+    """The s base-p digits of 0 <= k < p^s, most significant first: the
+    s-tuple of residues mod p at index k in lexicographic order.  The one
+    numbering of field elements (`ExtensionField.elements`), modulus
+    candidates (`canonical_modulus`) and chart points
+    (`hypersurfaces.chart_point`)."""
+    digits = [0] * s
+    for i in range(s - 1, -1, -1):
+        k, digits[i] = divmod(k, p)
+    return tuple(digits)
 
 
 def canonical_modulus(p: int, s: int) -> tuple:
     """Lexicographically smallest monic irreducible of degree s over F_p.
 
-    Coefficient tuples are compared low-degree-first, so the lexicographic
-    order of `_residue_tuples` is the comparison order.  A candidate with
-    constant term 0 is divisible by b, so the search starts at constant
-    term 1, index p^(s-1); an irreducibility test larger than the budget
-    refuses it before any candidate is listed.
-    """
+    Coefficient tuples are compared low-degree-first, so the order of
+    `base_digits` is the comparison order.  A candidate with constant term
+    0 is divisible by b, so the search starts at constant term 1, index
+    p^(s-1).  Each candidate's test is charged to the budget before the
+    candidate is decoded: a search is refused when the tests so far would
+    exceed it, and before any candidate when one test would."""
     if s < 2:
         raise UnsupportedParameters("s must be at least 2")
-    _check_irreducibility_test(p, s, f"the modulus search for F_{p}^{s}")
-    for tail in _residue_tuples(p, s, p ** (s - 1)):
-        m = tail + (1,)
+    cost = _rabin_cost(p, s)
+    for tried, k in enumerate(range(p ** (s - 1), p**s), 1):
+        check_budget(tried * cost, f"the modulus search for F_{p}^{s} needs {tried * cost}"
+                     f" coefficient multiplications by candidate {tried}")
+        m = base_digits(k, p, s) + (1,)
         if _is_irreducible(m, p):
             return m
     raise UnsupportedParameters(f"no irreducible of degree {s} over F_{p}")
@@ -484,6 +493,13 @@ class ExtensionField(Field):
         self.p = p
         self.s = s
         self.characteristic = p
+        # the tables below take s - 1 reductions of at most s^2 coefficient
+        # multiplications, then b^p by square-and-multiply and s - 1 more
+        # products in F_{p^s}, each 2 s^2; charged with one irreducibility
+        # test before either, and a modulus search is charged by itself
+        cost = s * s * (3 * s + 2 * (p.bit_length() + p.bit_count())) + _rabin_cost(p, s)
+        check_budget(cost, f"F_{p}^{s} needs {cost} coefficient multiplications for its"
+                     " tables and one irreducibility test")
         if modulus is None:
             modulus = canonical_modulus(p, s)
         else:
@@ -579,8 +595,9 @@ class ExtensionField(Field):
         return all(c == 0 for c in a)
 
     def elements(self):
-        for vec in _residue_tuples(self.p, self.s):
-            yield FieldElem(self, vec)
+        p, s = self.p, self.s
+        for k in range(p**s):
+            yield FieldElem(self, base_digits(k, p, s))
 
     def prime_subfield(self) -> PrimeField:
         return GF(self.p)

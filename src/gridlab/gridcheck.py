@@ -26,9 +26,9 @@ verifies its symmetries on first use too (below), so the scan's budget
 check (`_admit`) comes before any row or column is computed.
 
 The vertices are indices.  Each side of a `build_graph` graph is a
-`ChartPoints`: the chart is counted against the enumeration
-budget, and a vertex is decoded from its index in the order of
-`hypersurfaces.chart_points` only when it is read.  The kernels read the
+`hypersurfaces.ChartPoints`: the chart is counted against the enumeration
+budget, and a vertex is decoded from its index in the chart's order
+(`hypersurfaces.chart_point`) only when it is read.  The kernels read the
 chart's coordinate columns, arrays of repeated digit runs, and no list of
 coordinate tuples is made.  A side whose open set excludes no
 form is the whole chart.  Otherwise it keeps the sorted indices of the
@@ -131,7 +131,7 @@ from __future__ import annotations
 from array import array
 from bisect import bisect_right
 from collections.abc import Iterator, Sequence
-from functools import lru_cache, partial
+from functools import partial
 from itertools import accumulate, combinations_with_replacement, compress
 from math import comb
 from operator import length_hint
@@ -143,94 +143,9 @@ from .errors import (
     ParameterOutOfRange,
     UnknownVariable,
 )
-from .fields import enumeration_budget, matrix_rank
-from .hypersurfaces import Hypersurface, OpenSet, chart_codes, chart_size, reduce_hypersurface_mod
+from .fields import base_digits, check_budget, enumeration_budget, matrix_rank
+from .hypersurfaces import ChartPoints, Hypersurface, OpenSet, chart_codes, reduce_hypersurface_mod
 from .poly import MultiPoly
-
-# -- chart points by index ---------------------------------------------------------
-
-
-def chart_point(code: int, p: int, s: int) -> tuple:
-    """The point of P^s(F_p) with index `code` in the order of
-    `hypersurfaces.chart_points`, as a residue tuple: the inverse of
-    `hypersurfaces.chart_codes`.  The first p^s indices are (1, t) with t
-    the base-p digits of the index, the next p^(s-1) are (0, 1, t), and so
-    on."""
-    lead, block = 0, p**s
-    while code >= block:
-        code -= block
-        block //= p
-        lead += 1
-    digits = []
-    for _ in range(s - lead):
-        code, d = divmod(code, p)
-        digits.append(d)
-    return (0,) * lead + (1,) + tuple(reversed(digits))
-
-
-@lru_cache(maxsize=4)
-def chart_columns(p: int, s: int, affine: bool) -> tuple:
-    """The s+1 homogeneous coordinate columns of the affine (x0 = 1) or
-    projective chart of P^s(F_p) in the order of
-    `hypersurfaces.chart_points`, built from repeated digit runs: in a block
-    of p^k points, digit j of the index holds each residue for p^(k-1-j)
-    points in a row, p^j times over.  Arrays of the narrowest unsigned type
-    that holds a residue, built by C-level repetition and kept for the last
-    few charts, which every side of a chart and every graph on it read."""
-    code = "B" if p <= 1 << 8 else "H" if p <= 1 << 16 else "Q"
-    cols = [array(code) for _ in range(s + 1)]
-    for lead in range(1 if affine else s + 1):
-        k = s - lead
-        for i in range(lead):
-            cols[i] += array(code, [0]) * p**k
-        cols[lead] += array(code, [1]) * p**k
-        for j in range(k):
-            digit = array(code)
-            for a in range(p):
-                digit += array(code, [a]) * p ** (k - 1 - j)
-            cols[lead + 1 + j] += digit * p**j
-    return tuple(cols)
-
-
-class ChartPoints(Sequence):
-    """Points of the affine or projective chart of P^s(F_p), held as their
-    indices in the order of `hypersurfaces.chart_points` and decoded when
-    read: the whole chart when `codes` is None, else the chart points with
-    indices `codes`, in that order (sorted for an open set).  The chart is
-    counted against the enumeration budget first
-    (`hypersurfaces.chart_size`); nothing is listed.
-
-    Entry i is a residue tuple: the chart coordinates x1..xs on the affine
-    chart, all of x0..xs on the projective one.  `point(i)` gives the
-    homogeneous coordinates on either chart, and `columns()` the
-    homogeneous coordinate columns of all the points, from `chart_columns`."""
-
-    __slots__ = ("p", "s", "affine", "size", "codes")
-
-    def __init__(self, p: int, s: int, chart: str = "projective", codes=None):
-        self.size = chart_size(p, s, chart)  # of the whole chart
-        self.p, self.s, self.affine, self.codes = p, s, chart == "affine", codes
-
-    def __len__(self) -> int:
-        return self.size if self.codes is None else len(self.codes)
-
-    def point(self, i: int) -> tuple:
-        """The homogeneous coordinates of vertex i, 0 <= i < len(self)."""
-        return chart_point(i if self.codes is None else self.codes[i], self.p, self.s)
-
-    def __getitem__(self, i: int) -> tuple:
-        pt = self.point(range(len(self))[i])
-        return pt[1:] if self.affine else pt
-
-    def __iter__(self):
-        return map(self.__getitem__, range(len(self)))
-
-    def columns(self) -> tuple:
-        cols = chart_columns(self.p, self.s, self.affine)
-        if self.codes is None:
-            return cols
-        return [list(map(col.__getitem__, self.codes)) for col in cols]
-
 
 # -- graphs --------------------------------------------------------------------------
 
@@ -548,9 +463,9 @@ class _Translations:
 
     def moved(self, bits: int, code: int, steps: tuple) -> int:
         p, w = self.p, self.n
-        for a, step in enumerate(steps):
+        for a, (digit, step) in enumerate(zip(base_digits(code, p, self.s), steps)):
             w //= p
-            d = code // w % p * step % p
+            d = digit * step % p
             if d:
                 bits = (bits & self._below(a, p - d)) << d * w | bits >> (p - d) * w & self._below(a, d)
         return bits
@@ -1074,11 +989,7 @@ def _admit(G: BipartiteGraph, s: int) -> tuple:
         _check_budget(n, s)
         return range(n - s + 1), {}
     tops, seconds, count = _plan(G, s)
-    if count > limit:
-        raise BudgetExceeded(
-            f"the pruned scan visits {count} {s}-subsets (C({n},{s}) = {comb(n, s)}),"
-            f" over budget {limit}"
-        )
+    check_budget(count, f"the pruned scan visits {count} {s}-subsets (C({n},{s}) = {comb(n, s)})")
     return tops, seconds
 
 
@@ -1243,15 +1154,8 @@ def edge_report(G: BipartiteGraph, s: int, t: int) -> dict:
     root = _nth_root_floor(power, s)
     exact_power = root**s == power
     scale = 10**_PREC
-    n_pow_scaled = (
-        root * scale if exact_power else _nth_root_floor(power * scale**s, s)
-    )
-    base = t - s + 1
-    broot = _nth_root_floor(base, s)
-    exact_base = broot**s == base
-    base_scaled = (
-        broot * scale if exact_base else _nth_root_floor(base * scale**s, s)
-    )
+    n_pow_scaled = _nth_root_floor(power * scale**s, s)
+    base_scaled = _nth_root_floor((t - s + 1) * scale**s, s)
     furedi_scaled = base_scaled * n_pow_scaled // (2 * scale)
     ratio_scaled = 0 if m == 0 else m * scale**2 // n_pow_scaled
     report = {

@@ -1,17 +1,18 @@
-"""Hypersurfaces in P^s x P^s, their sections, the budgeted listing of the
-points of P^s over a finite field, and the classical K_{s,t}-free
+"""Hypersurfaces in P^s x P^s, their sections, the points of P^s over a
+finite field by index in one budgeted order, and the classical K_{s,t}-free
 constructions over prime fields with the norm forms they rest on."""
 
 from __future__ import annotations
 
+from array import array
 from collections import namedtuple
-from itertools import product
+from collections.abc import Sequence
+from functools import lru_cache
 from math import comb
 
 from .errors import (
     BadCharacteristic,
     BadReduction,
-    BudgetExceeded,
     CoefficientNotInPrimeField,
     DimensionMismatch,
     MalformedJSON,
@@ -19,7 +20,7 @@ from .errors import (
     UnsupportedParameters,
     json_field,
 )
-from .fields import GF, QQ, Field, FieldElem, enumeration_budget, is_prime, primitive_root
+from .fields import GF, QQ, Field, FieldElem, base_digits, check_budget, is_prime, primitive_root
 from .poly import BiHomPoly, MultiPoly, bihomogenize, primitive_integral_model
 
 
@@ -70,40 +71,46 @@ def chart_size(q: int, s: int, chart: str) -> int:
     if chart not in ("affine", "projective"):
         raise ParameterOutOfRange(f"unknown chart {chart!r}")
     count = sum(q ** (s - lead) for lead in range(1 if chart == "affine" else s + 1))
-    limit = enumeration_budget()
-    if count > limit:
-        raise BudgetExceeded(
-            f"the {chart} chart of P^{s}(F_{q}) has {count} points, over budget {limit}"
-        )
-    return count
+    return check_budget(count, f"the {chart} chart of P^{s}(F_{q}) has {count} points")
 
 
-def chart_points(field: Field, s: int, chart: str = "projective") -> list:
-    """The points of P^s over a finite field (chart "projective") as tuples
-    of raw values, in canonical representatives (first nonzero coordinate
-    1) and lexicographic in the order of `field.elements()`, or of its
-    affine chart x0 = 1, the first q^s of them.  Counted first: more points
-    than the enumeration budget raise BudgetExceeded before any is listed."""
-    chart_size(field.characteristic ** getattr(field, "s", 1), s, chart)
-    elems = [x.val for x in field.elements()]
-    pts = []
-    for lead in range(1 if chart == "affine" else s + 1):
-        head = (field._zero(),) * lead + (field._one(),)
-        pts += [head + tail for tail in product(elems, repeat=s - lead)]
-    return pts
+def chart_block(code: int, q: int, s: int) -> tuple:
+    """(lead, rest) for the point of P^s(F_q) with index `code` in the
+    chart's order: the point is (0, ..., 0, 1, t) with `lead` zeros and t
+    the s - lead base-q digits of `rest`.  The order lists the q^s points
+    (1, t) first, then the q^(s-1) points (0, 1, t), and so on, each block
+    in the order of t: a point with more leading zeros comes later, and the
+    affine chart x0 = 1 is the first block."""
+    lead, block = 0, q**s
+    while code >= block:
+        code -= block
+        block //= q
+        lead += 1
+    return lead, code
+
+
+def chart_point(code: int, p: int, s: int, k: int = 1) -> tuple:
+    """The point of P^s(F_{p^k}) with index `code` in the chart's order
+    (`chart_block`), as a tuple of the field's raw values with first
+    nonzero coordinate 1; over F_p the inverse of `chart_codes`.  Each
+    coordinate is a base-p^k digit of the index, and over F_{p^k}, k > 1,
+    the element with that index in `ExtensionField.elements()`, whose
+    coefficients are its base-p digits: 1 has index p^(k-1)."""
+    q = p**k
+    lead, rest = chart_block(code, q, s)
+    point = (0,) * lead + (p ** (k - 1),) + base_digits(rest, q, s - lead)
+    return point if k == 1 else tuple(base_digits(i, p, k) for i in point)
 
 
 def chart_codes(cols, p: int) -> list:
-    """codes[k] = the index, in the order of `chart_points` over F_p, of the
-    point whose coordinates are (cols[0][k], ..., cols[s][k]), residues mod
-    p, once it is scaled to first nonzero coordinate 1; -1 for the zero
-    vector.
+    """codes[k] = the index, in the chart's order over F_p (`chart_block`),
+    of the point whose coordinates are (cols[0][k], ..., cols[s][k]),
+    residues mod p, once it is scaled to first nonzero coordinate 1; -1 for
+    the zero vector: the inverse of `chart_point`.
 
-    That order lists (1, t) for t in F_p^s lexicographically, then (0, q)
-    for q in P^(s-1): a point with a nonzero first coordinate a has the
-    code of t = a^-1 (u1, ..., us) in base p, and one with first coordinate
-    0 has p^s plus its code in P^(s-1).  The affine chart's points are
-    therefore the first p^s of that order, in the affine chart's order."""
+    A point with a nonzero first coordinate a has the code of
+    t = a^-1 (u1, ..., us) in base p, and one with first coordinate 0 has
+    p^s plus its code in P^(s-1)."""
     first, rest = cols[0], cols[1:]
     if first.count(1) == len(first):
         # affine chart points, or their images under an affine map: no
@@ -129,6 +136,70 @@ def chart_codes(cols, p: int) -> list:
         for k, c in zip(at_infinity, tail):
             codes[k] = size + c if c >= 0 else -1
     return codes
+
+
+@lru_cache(maxsize=4)
+def chart_columns(p: int, s: int, affine: bool) -> tuple:
+    """The s+1 homogeneous coordinate columns of the affine (x0 = 1) or
+    projective chart of P^s(F_p) in the chart's order (`chart_block`),
+    built from repeated digit runs: in a block of p^k points, digit j of
+    the index holds each residue for p^(k-1-j) points in a row, p^j times
+    over.  Arrays of the narrowest unsigned type that holds a residue,
+    built by C-level repetition and kept for the last few charts, which
+    every side of a chart and every graph on it read."""
+    code = "B" if p <= 1 << 8 else "H" if p <= 1 << 16 else "Q"
+    cols = [array(code) for _ in range(s + 1)]
+    for lead in range(1 if affine else s + 1):
+        k = s - lead
+        for i in range(lead):
+            cols[i] += array(code, [0]) * p**k
+        cols[lead] += array(code, [1]) * p**k
+        for j in range(k):
+            digit = array(code)
+            for a in range(p):
+                digit += array(code, [a]) * p ** (k - 1 - j)
+            cols[lead + 1 + j] += digit * p**j
+    return tuple(cols)
+
+
+class ChartPoints(Sequence):
+    """Points of the affine or projective chart of P^s(F_p), held as their
+    indices in the chart's order and decoded when read (`chart_point`):
+    the whole chart when `codes` is None, else the chart points with
+    indices `codes`, in that order (sorted for an open set).  The chart is
+    counted against the enumeration budget first (`chart_size`); nothing
+    is listed.
+
+    Entry i is a residue tuple: the chart coordinates x1..xs on the affine
+    chart, all of x0..xs on the projective one.  `point(i)` gives the
+    homogeneous coordinates on either chart, and `columns()` the
+    homogeneous coordinate columns of all the points, from `chart_columns`."""
+
+    __slots__ = ("p", "s", "affine", "size", "codes")
+
+    def __init__(self, p: int, s: int, chart: str = "projective", codes=None):
+        self.size = chart_size(p, s, chart)  # of the whole chart
+        self.p, self.s, self.affine, self.codes = p, s, chart == "affine", codes
+
+    def __len__(self) -> int:
+        return self.size if self.codes is None else len(self.codes)
+
+    def point(self, i: int) -> tuple:
+        """The homogeneous coordinates of vertex i, 0 <= i < len(self)."""
+        return chart_point(i if self.codes is None else self.codes[i], self.p, self.s)
+
+    def __getitem__(self, i: int) -> tuple:
+        pt = self.point(range(len(self))[i])
+        return pt[1:] if self.affine else pt
+
+    def __iter__(self):
+        return map(self.__getitem__, range(len(self)))
+
+    def columns(self) -> tuple:
+        cols = chart_columns(self.p, self.s, self.affine)
+        if self.codes is None:
+            return cols
+        return [list(map(col.__getitem__, self.codes)) for col in cols]
 
 
 def linear_form(pt: ProjPoint, vars2: tuple) -> MultiPoly:
@@ -314,12 +385,12 @@ def norm_poly(p: int, s: int) -> MultiPoly:
 def _check_norm_expansion(family: str, k: int):
     """Refuse a 1c or 1d construction before its norm form in k variables
     is expanded: with z_j -> x_j + y_j substituted it is a form of degree k
-    in 2k variables, so it has at most C(3k-1, k) terms."""
-    count, limit = comb(3 * k - 1, k), enumeration_budget()
-    if count > limit:
-        raise BudgetExceeded(
-            f"family {family} expands a norm form into up to {count} terms, over budget {limit}"
-        )
+    in 2k variables, so it has at most C(3k-1, k) terms, and each term is
+    2k exponents that the expansion computes and stores.  The budget counts
+    the exponents."""
+    terms = comb(3 * k - 1, k)
+    check_budget(2 * k * terms, f"family {family} expands a norm form into up to {terms}"
+                 f" terms of {2 * k} exponents = {2 * k * terms}")
 
 
 def construct(family: str, p: int, s: int | None = None) -> Construction:

@@ -28,7 +28,6 @@ from fractions import Fraction
 
 from .errors import (
     BadCharacteristic,
-    BudgetExceeded,
     DivisionByZero,
     ExactDivisionError,
     MalformedExpression,
@@ -47,7 +46,7 @@ from .fields import (
     DenseUnivariate,
     Field,
     FieldElem,
-    enumeration_budget,
+    check_budget,
     field_from_descriptor,
     is_prime,
 )
@@ -614,13 +613,9 @@ def _field_gcd(a: MultiPoly, b: MultiPoly) -> MultiPoly:
     is allocated."""
     degrees = list(map(max, zip(*a.terms, *b.terms)))
     used = [i for i, d in enumerate(degrees) if d]
-    limit = enumeration_budget()
     grid = math.prod(degrees[i] + 1 for i in used)
-    if grid > limit:
-        spans = ", ".join(f"{degrees[i]} in {a.vars[i]}" for i in used)
-        raise BudgetExceeded(
-            f"degree {spans}: a dense grid of {grid} coefficients, over budget {limit}"
-        )
+    spans = ", ".join(f"{degrees[i]} in {a.vars[i]}" for i in used)
+    check_budget(grid, f"degree {spans}: a dense grid of {grid} coefficients")
     if not used:
         return MultiPoly.constant(a.field, a.vars, 1)
     small = _DenseGcd(a.field)

@@ -8,10 +8,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from gridlab.errors import EmptySide
-from gridlab.fields import GF, QQ
+from gridlab.fields import GF, QQ, is_prime
 from gridlab.gridcheck import (
     BipartiteGraph,
-    ChartPoints,
     _AdjacencyRows,
     _monomial_values,
     _terms_int,
@@ -21,16 +20,33 @@ from gridlab.gridcheck import (
     max_common_neighborhood,
 )
 from gridlab.hypersurfaces import (
+    ChartPoints,
     Hypersurface,
     OpenSet,
     ProjPoint,
     chart_codes,
-    chart_points,
+    chart_point,
+    chart_size,
     construct,
     family_symmetries,
     reduce_hypersurface_mod,
 )
 from gridlab.poly import BiHomPoly, MultiPoly, xy_vars
+
+
+def chart_points(field, s: int, chart: str = "projective") -> list:
+    """The points of P^s over a finite field (chart "projective") as tuples
+    of raw values, in canonical representatives (first nonzero coordinate
+    1) and lexicographic in the order of `field.elements()`, or of its
+    affine chart x0 = 1, the first q^s of them: the listing that
+    `hypersurfaces.chart_point` decodes by index, counted first as it is."""
+    chart_size(field.characteristic ** getattr(field, "s", 1), s, chart)
+    elems = [x.val for x in field.elements()]
+    pts = []
+    for lead in range(1 if chart == "affine" else s + 1):
+        head = (field._zero(),) * lead + (field._one(),)
+        pts += [head + tail for tail in product(elems, repeat=s - lead)]
+    return pts
 
 
 def proj_points(field, s: int) -> list:
@@ -273,6 +289,38 @@ def test_index_sides_match_the_listing(data, p, s, chart):
             side[len(points)]
     if not (X.excluded or Y.excluded):
         assert G.left is G.right and G.left.codes is None
+
+
+# (p, k, largest s) for each field GF(p, k) with p^k <= 125: s <= 3, and
+# charts of at most 125^2 points a block, so the listing stays small
+FIELDS_UP_TO_125 = [
+    (p, k, max(s for s in range(4) if (p**k) ** s <= 125**2))
+    for p in range(2, 126)
+    if is_prime(p)
+    for k in range(1, 7)
+    if p**k <= 125
+]
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.sampled_from(FIELDS_UP_TO_125).flatmap(
+        lambda pks: st.tuples(st.just(pks[:2]), st.integers(0, pks[2]))
+    ),
+    st.sampled_from(["affine", "projective"]),
+)
+def test_index_sides_match_the_listing_over_every_finite_field(field_s, chart):
+    # one decoder for P^s(F_q): index i is listed point i over GF(p, k),
+    # each base-q digit the field element with that index, and over F_p the
+    # whole chart's entries, points and columns are the listed ones
+    (p, k), s = field_s
+    listed = chart_points(GF(p, k), s, chart)
+    assert [chart_point(i, p, s, k) for i in range(len(listed))] == listed
+    if k == 1:
+        side = ChartPoints(p, s, chart)
+        assert [side.point(i) for i in range(len(side))] == listed
+        assert list(side) == (listed if chart == "projective" else [pt[1:] for pt in listed])
+        assert [list(col) for col in side.columns()] == columns_of(listed, s + 1)
 
 
 def scan_answers(G, s, ts):

@@ -447,12 +447,35 @@ def test_rational_root_test_refused_before_trial_division(monkeypatch):
         s1_reduce(large)
 
 
+def test_rational_root_test_lists_each_divisor_set_once(monkeypatch):
+    # each end coefficient's divisors are found once per call, not once per
+    # divisor of the other end, and the d(z0) d(zn) candidate pairs are
+    # counted against the budget before any is tried: d(720) = 30
+    calls, real = [], classify_s1._divisors
+    monkeypatch.setattr(classify_s1, "_divisors", lambda n: calls.append(n) or real(n))
+    roots = classify_s1._rational_roots(QQ, [6, -5, 1])  # (t - 2)(t - 3)
+    assert [repr(r) for r in roots] == ["(1:2)", "(1:3)"]
+    assert calls == [6, 1]
+    calls.clear()
+    assert classify_s1._rational_roots(QQ, [720, 1, 720]) == []
+    assert calls == [720, 720]
+    calls.clear()
+    monkeypatch.setenv("GRIDLAB_BUDGET", "899")
+    with pytest.raises(BudgetExceeded, match="rational-root test tries 900 divisor pairs, over budget 899"):
+        classify_s1._rational_roots(QQ, [720, 1, 720])
+    assert calls == [720, 720]
+
+
 def test_root_search_over_F_q_refused_before_enumeration(monkeypatch):
     # P^1(F_q) has q + 1 points
     monkeypatch.setenv("GRIDLAB_BUDGET", "25")
     form = "y0*(x0*y1 - x1*y0)"
     assert [repr(r) for r in s1_classify(F(form, GF(23))).g_roots_in_Y] == ["(0:1)"]
-    monkeypatch.setattr(hypersurfaces, "product", None)
+
+    def no_decoding(*args):
+        raise AssertionError("a point of P^1(F_q) was decoded after the budget refused it")
+
+    monkeypatch.setattr(hypersurfaces, "base_digits", no_decoding)
     with pytest.raises(BudgetExceeded, match=r"P\^1\(F_25\) has 26 points, over budget 25"):
         s1_classify(F(form, GF(5, 2)))
     with pytest.raises(BudgetExceeded):

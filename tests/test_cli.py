@@ -760,6 +760,23 @@ def test_extension_fields_of_a_large_prime_enumerate_lazily(tmp_path):
     assert json.loads(res.stdout)["multiplicity"] == 1
 
 
+def test_huge_extension_degree_is_refused_before_its_tables(tmp_path):
+    # F_(2^2000) from a JSON descriptor: its tables and one irreducibility
+    # test take about 7 * 10^10 coefficient multiplications, refused before
+    # the field is built; a count of Rabin's products alone admitted it
+    field = {"kind": "extension", "p": 2, "s": 2000}
+    form = _write_poly(tmp_path / "form.json", field, ["x0", "x1", "y0", "y1"], [([1, 0, 1, 0], "1")])
+    start = time.monotonic()
+    res = _capped_cli("s1", "classify", "--poly", form)
+    assert time.monotonic() - start < 20
+    assert res.returncode == 2
+    assert res.stdout == ""
+    assert res.stderr == (
+        "error: BudgetExceeded: F_2^2000 needs 72024000000 coefficient multiplications for its"
+        " tables and one irreducibility test, over budget 100000000\n"
+    )
+
+
 def test_huge_degree_is_refused_before_the_dense_gcd_allocates(tmp_path):
     # x0^N*y0 + x1^N*y1 with N = 10^12: the dense gcd would list N + 1
     # coefficients of x0

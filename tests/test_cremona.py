@@ -13,7 +13,6 @@ from gridlab.hypersurfaces import (
     Hypersurface,
     MatrixPair,
     ProjPoint,
-    chart_points,
     reduce_hypersurface_mod,
 )
 from gridlab import cli, gridcheck
@@ -35,7 +34,7 @@ from gridlab.cremona import (
     nagata,
     standard_quadratic,
 )
-from test_adjacency import PointList, chart_side, proj_points, transpose
+from test_adjacency import PointList, chart_points, chart_side, proj_points, transpose
 
 V6 = ("x0", "x1", "x2", "y0", "y1", "y2")
 

@@ -425,37 +425,75 @@ def test_inverse_of_zero_is_a_typed_error(field):
         field.zero.inv()
 
 
-# -- extension fields too large to search -------------------------------------------
+# -- extension fields whose irreducibility tests exceed the budget ------------------
 
 
 def test_oversized_extension_fields_are_refused_before_enumerating(monkeypatch):
+    # Rabin's test of a degree-2 modulus over F_p makes 2 (bit_length(p) +
+    # bit_count(p)) products of 2 * 2^2 coefficient multiplications: 1376
+    # for p = 10^18 + 3.  A budget below one test refuses the search before
+    # any candidate is decoded.  A given modulus is refused before it is
+    # tested when its test and the tables of F_(p^2), 4 (3 * 2 + 2 * 46)
+    # multiplications for p = 10^9 + 7, exceed the budget: 736 + 392
     def enumerate_anyway(*args, **kwargs):
         raise AssertionError("enumerated before the budget check")
 
-    monkeypatch.setattr(fields, "_residue_tuples", enumerate_anyway)
-    with pytest.raises(BudgetExceeded):
+    monkeypatch.setattr(fields, "base_digits", enumerate_anyway)
+    monkeypatch.setenv("GRIDLAB_BUDGET", "1375")
+    with pytest.raises(BudgetExceeded, match="F_1000000000000000003\\^2 needs 1376 coefficient"
+                       " multiplications by candidate 1, over budget 1375"):
         canonical_modulus(10**18 + 3, 2)
-    # a given modulus is still tested for irreducibility: p divisors here
-    with pytest.raises(BudgetExceeded):
+    real = fields._is_irreducible
+    monkeypatch.setattr(fields, "_is_irreducible", enumerate_anyway)
+    monkeypatch.setenv("GRIDLAB_BUDGET", "1127")
+    with pytest.raises(BudgetExceeded, match="F_1000000007\\^2 needs 1128 coefficient multiplications"
+                       " for its tables and one irreducibility test"):
         ExtensionField(10**9 + 7, 2, (1, 0, 1))
+    monkeypatch.setattr(fields, "_is_irreducible", real)
+    monkeypatch.setenv("GRIDLAB_BUDGET", "1128")
+    assert ExtensionField(10**9 + 7, 2, (1, 0, 1)).modulus == (1, 0, 1)
 
 
 def test_extension_field_budget_boundary(monkeypatch):
-    # degree 3 over F_7: an irreducibility test tries the 7 monic linear
-    # divisors, and the modulus search, which starts at constant term 1, is
-    # refused when one test is (GF is cached, so the field is built directly)
+    # degree 3 over F_7: one irreducibility test makes 3 (3 + 3) products of
+    # 2 * 3^2 coefficient multiplications, 324, and the search, which starts
+    # at constant term 1, tests 1 + b^3 (reducible) and then 1 + b^2 + b^3:
+    # 648.  The tables of F_(7^3) take 9 (3 * 3 + 2 * 6) = 189, charged with
+    # one test: 513.  GF is cached, so the field is built directly
     canonical = canonical_modulus(7, 3)
-    monkeypatch.setenv("GRIDLAB_BUDGET", "6")
-    with pytest.raises(BudgetExceeded):
+    assert canonical == (1, 0, 1, 1)
+    monkeypatch.setenv("GRIDLAB_BUDGET", "647")
+    with pytest.raises(BudgetExceeded, match="needs 648 coefficient multiplications by candidate 2,"
+                       " over budget 647"):
         canonical_modulus(7, 3)
     with pytest.raises(BudgetExceeded):
         ExtensionField(7, 3)
-    with pytest.raises(BudgetExceeded):
+    monkeypatch.setenv("GRIDLAB_BUDGET", "512")
+    with pytest.raises(BudgetExceeded, match="F_7\\^3 needs 513 coefficient multiplications"):
         ExtensionField(7, 3, canonical)
-    monkeypatch.setenv("GRIDLAB_BUDGET", "7")
+    monkeypatch.setenv("GRIDLAB_BUDGET", "513")
+    assert ExtensionField(7, 3, canonical).modulus == canonical
+    monkeypatch.setenv("GRIDLAB_BUDGET", "648")
     assert canonical_modulus(7, 3) == canonical
     assert ExtensionField(7, 3).modulus == canonical
-    assert ExtensionField(7, 3, canonical).modulus == canonical
+
+
+def test_modulus_search_is_charged_per_candidate(monkeypatch):
+    # F_10007^4 was refused for 10007 + 10007^2 trial divisions that
+    # Rabin's test does not make; each of its tests makes 4 (14 + 8) = 88
+    # products of 2 * 4^2 coefficient multiplications, 2816, and the search
+    # is charged for the tests it runs
+    monkeypatch.delenv("GRIDLAB_BUDGET", raising=False)
+    tested, real = [], fields._is_irreducible
+    monkeypatch.setattr(fields, "_is_irreducible", lambda m, p: tested.append(m) or real(m, p))
+    m = canonical_modulus(10007, 4)
+    n = len(tested)
+    assert tested[-1] == m
+    monkeypatch.setenv("GRIDLAB_BUDGET", str(2816 * n))
+    assert canonical_modulus(10007, 4) == m
+    monkeypatch.setenv("GRIDLAB_BUDGET", str(2816 * n - 1))
+    with pytest.raises(BudgetExceeded, match=f"needs {2816 * n} coefficient multiplications by candidate {n},"):
+        canonical_modulus(10007, 4)
 
 
 def reference_canonical_modulus(p: int, s: int) -> tuple:
@@ -473,10 +511,15 @@ def test_modulus_search_skips_constant_term_0(p, s):
 
 @pytest.mark.parametrize("p, s", ((2, 2), (2, 4), (3, 3), (5, 2), (7, 3)))
 def test_residue_tuples_follow_the_order_of_product(p, s):
+    # the one digit decoder: index k is the k-th tuple of itertools.product,
+    # and the field's elements and the modulus candidates follow it
     want = list(product(range(p), repeat=s))
-    assert list(fields._residue_tuples(p, s)) == want
-    assert list(fields._residue_tuples(p, s, p ** (s - 1))) == want[p ** (s - 1):]
+    assert [fields.base_digits(k, p, s) for k in range(p**s)] == want
     assert [a.val for a in GF(p, s).elements()] == want
+    first = p ** (s - 1)
+    assert canonical_modulus(p, s)[:-1] == next(
+        t for t in want[first:] if fields._is_irreducible(t + (1,), p)
+    )
 
 
 def test_extension_field_enumeration_is_lazy():

@@ -311,9 +311,10 @@ def test_chart_over_budget_is_refused_before_listing(monkeypatch):
     assert len(build_graph(c.hypersurface, 5).left) == 25
 
     def no_listing(*args, **kwargs):
-        raise AssertionError("chart listed after the budget refused it")
+        raise AssertionError("chart decoded after the budget refused it")
 
-    monkeypatch.setattr(hypersurfaces, "product", no_listing)
+    for name in ("base_digits", "chart_point", "chart_columns"):
+        monkeypatch.setattr(hypersurfaces, name, no_listing)
     with pytest.raises(BudgetExceeded, match=r"P\^2\(F_5\) has 31 points, over budget 30"):
         build_graph(c.hypersurface, 5, chart="projective")
     monkeypatch.delenv("GRIDLAB_BUDGET")
@@ -322,7 +323,7 @@ def test_chart_over_budget_is_refused_before_listing(monkeypatch):
         with pytest.raises(BudgetExceeded, match=f"the {chart} chart .* has {count} points"):
             build_graph(c.hypersurface, HUGE_PRIME, chart=chart)
     with pytest.raises(BudgetExceeded):
-        hypersurfaces.chart_points(GF(HUGE_PRIME), 1)
+        hypersurfaces.ChartPoints(HUGE_PRIME, 1)
     vars = xy_vars(2)
     H0 = Hypersurface(BiHomPoly(MultiPoly.parse(QQ, vars, "x0*y0 + x1*y1 + x2*y2"), vars[:3], vars[3:]))
     with pytest.raises(BudgetExceeded):
@@ -486,9 +487,9 @@ def test_refused_scan_decodes_no_vertex(monkeypatch):
     def never(*args, **kwargs):
         raise AssertionError("a vertex was decoded for a refused scan")
 
-    monkeypatch.setattr(hypersurfaces, "product", never)
-    for name in ("chart_point", "chart_columns", "symmetry_permutation"):
-        monkeypatch.setattr(gridcheck, name, never)
+    for name in ("base_digits", "chart_point", "chart_columns"):
+        monkeypatch.setattr(hypersurfaces, name, never)
+    monkeypatch.setattr(gridcheck, "symmetry_permutation", never)
     monkeypatch.delenv("GRIDLAB_BUDGET", raising=False)
     p = 1009
     n = p * p

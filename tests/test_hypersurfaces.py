@@ -16,13 +16,14 @@ from gridlab.errors import (
 )
 from gridlab.fields import GF, QQ
 from gridlab.poly import BiHomPoly, MultiPoly
-from test_adjacency import proj_points
+from test_adjacency import chart_points, proj_points
 from gridlab.hypersurfaces import (
+    ChartPoints,
     Hypersurface,
     OpenSet,
     ProjPoint,
     chart_codes,
-    chart_points,
+    chart_size,
     construct,
     reduce_hypersurface_mod,
     reduce_poly_mod,
@@ -112,9 +113,18 @@ def test_chart_points_match_the_references(field):
 
 def test_chart_points_are_counted_before_listing(monkeypatch):
     monkeypatch.setenv("GRIDLAB_BUDGET", "25")
-    assert len(chart_points(GF(5, 2), 1, "affine")) == 25
+    assert chart_size(25, 1, "affine") == 25
     with pytest.raises(BudgetExceeded, match=r"the projective chart of P\^1\(F_25\) has 26 points"):
-        chart_points(GF(5, 2), 1)
+        chart_size(25, 1, "projective")
+
+    def no_decoding(*args):
+        raise AssertionError("a chart point was decoded after the budget refused the chart")
+
+    monkeypatch.setattr(hypersurfaces, "chart_point", no_decoding)
+    monkeypatch.setattr(hypersurfaces, "chart_columns", no_decoding)
+    assert len(ChartPoints(5, 2, "affine")) == 25
+    with pytest.raises(BudgetExceeded, match=r"the projective chart of P\^2\(F_5\) has 31 points"):
+        ChartPoints(5, 2)
 
 
 # -- open sets -----------------------------------------------------------------------
@@ -253,21 +263,35 @@ def test_construct_1d_shape():
 
 def test_norm_expansion_is_counted_before_the_norm_form(monkeypatch):
     # the norm form in k = 3 variables, z_j -> x_j + y_j substituted, is a
-    # form of degree 3 in 6 variables: at most C(8, 3) = 56 terms
+    # form of degree 3 in 6 variables: at most C(8, 3) = 56 terms of 6
+    # exponents each, 336 exponents
     c1, d1 = construct("1c", 3, 3), construct("1d", 3, 4)
-    monkeypatch.setenv("GRIDLAB_BUDGET", "56")
+    monkeypatch.setenv("GRIDLAB_BUDGET", "336")
     assert construct("1c", 3, 3).affine == c1.affine
     assert construct("1d", 3, 4).affine == d1.affine
 
     def no_expansion(*args):
         raise AssertionError("norm form expanded after the budget refused it")
 
-    monkeypatch.setenv("GRIDLAB_BUDGET", "55")
+    monkeypatch.setenv("GRIDLAB_BUDGET", "335")
     monkeypatch.setattr(hypersurfaces, "norm_poly", no_expansion)
-    with pytest.raises(BudgetExceeded, match="1c expands a norm form into up to 56 terms, over budget 55"):
+    want = "1c expands a norm form into up to 56 terms of 6 exponents = 336, over budget 335"
+    with pytest.raises(BudgetExceeded, match=want):
         construct("1c", 3, 3)
-    with pytest.raises(BudgetExceeded, match="1d expands a norm form into up to 56 terms"):
+    with pytest.raises(BudgetExceeded, match="1d expands a norm form into up to 56 terms of 6 exponents"):
         construct("1d", 3, 4)
+
+
+def test_norm_expansion_bound_admits_s_8_and_refuses_s_10(monkeypatch):
+    # a term costs its 2k exponents: s = 8 (490314 terms of 16, about 4 s
+    # and 260 MB) builds under the default budget, and s = 10 (20030010
+    # terms of 20, gigabytes) is refused before the norm form is expanded
+    monkeypatch.delenv("GRIDLAB_BUDGET", raising=False)
+    hypersurfaces._check_norm_expansion("1c", 8)
+    monkeypatch.setattr(hypersurfaces, "norm_poly", None)
+    want = "20030010 terms of 20 exponents = 400600200, over budget 100000000"
+    with pytest.raises(BudgetExceeded, match=want):
+        construct("1c", 3, 10)
 
 
 def test_construct_1c_at_s_11_exits_2():

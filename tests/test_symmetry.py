@@ -14,7 +14,6 @@ from gridlab.errors import BudgetExceeded, EmptySide
 from gridlab.fields import GF
 from gridlab.gridcheck import (
     BipartiteGraph,
-    ChartPoints,
     _known_orbits,
     _orbits,
     _plan,
@@ -26,10 +25,10 @@ from gridlab.gridcheck import (
     symmetry_permutation,
 )
 from gridlab.hypersurfaces import (
+    ChartPoints,
     Hypersurface,
     MatrixPair,
     OpenSet,
-    chart_points,
     construct,
     family_symmetries,
     reduce_hypersurface_mod,
@@ -37,7 +36,7 @@ from gridlab.hypersurfaces import (
     smallest_nonresidue,
 )
 from gridlab.poly import MultiPoly, bihomogenize
-from test_adjacency import chart_side
+from test_adjacency import chart_points, chart_side
 from test_gridcheck import (
     recording_kernels,
     recording_verifications,
