@@ -15,8 +15,8 @@ from importlib.util import LazyLoader, find_spec, module_from_spec
 # it.  Importer first, a module runs, and binds the original, before the
 # defining module's binding is replaced, so its binding is replaced and
 # restored too; the other way round it would bind the wrapper and keep it.
-for _name in ("cremona", "classify_s1", "curves", "gridcheck", "hypersurfaces", "poly", "fields",
-              "errors"):
+for _name in ("sweep", "cremona", "classify_s1", "curves", "gridcheck", "hypersurfaces", "poly",
+              "ring", "fields", "errors"):
     _spec = find_spec(f"{__name__}.{_name}")
     _spec.loader = LazyLoader(_spec.loader)
     sys.modules[_spec.name] = globals()[_name] = module_from_spec(_spec)
@@ -24,7 +24,8 @@ for _name in ("cremona", "classify_s1", "curves", "gridcheck", "hypersurfaces", 
 
 _EXPORTS = {
     "fields": ("GF", "QQ", "canonical_modulus", "norm", "pi_s"),
-    "poly": ("BiHomPoly", "MultiPoly", "bihomogenize", "exact_div", "gcd", "squarefree_part"),
+    "ring": ("BiHomPoly", "MultiPoly", "bihomogenize"),
+    "poly": ("exact_div", "gcd", "squarefree_part"),
     "hypersurfaces": ("Hypersurface", "OpenSet", "ProjPoint", "construct", "norm_poly"),
     "gridcheck": ("BipartiteGraph", "build_graph", "edge_report", "find_grid",
                   "max_common_neighborhood"),

@@ -35,14 +35,8 @@ from fractions import Fraction
 from . import gridcheck
 from .errors import EmptySide, NonSplitForm, WrongDimension
 from .fields import check_budget
-from .poly import (
-    BiHomPoly,
-    MultiPoly,
-    exact_div,
-    gcd,
-    split_group_contents,
-    squarefree_in_vars,
-)
+from .ring import BiHomPoly, MultiPoly
+from .poly import exact_div, gcd, split_group_contents, squarefree_in_vars
 from .hypersurfaces import Hypersurface, OpenSet, ProjPoint, chart_point, chart_size, linear_form
 
 XVARS = ("x0", "x1")

@@ -16,14 +16,8 @@ from .errors import (
     json_field,
 )
 from .fields import Field
-from .poly import (
-    BiHomPoly,
-    MultiPoly,
-    content,
-    exact_div,
-    group_degree,
-    split_group_contents,
-)
+from .ring import BiHomPoly, MultiPoly, group_degree
+from .poly import content, exact_div, split_group_contents
 from .hypersurfaces import (
     ChartPoints,
     Hypersurface,

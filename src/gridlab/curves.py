@@ -18,7 +18,8 @@ from .errors import (
     ZeroSection,
 )
 from .fields import Field, matrix_rank
-from .poly import MultiPoly, exact_div, gcd, group_degree
+from .ring import MultiPoly, group_degree
+from .poly import exact_div, gcd
 from .hypersurfaces import Hypersurface, ProjPoint
 
 INFINITE = math.inf

@@ -16,12 +16,13 @@ once its first count at the last depth leaves it going, it takes the
 columns from the rows, transposed (`_transpose`), instead of running the
 kernel for each.  A witness found by that first count costs no transpose.
 A graph whose verified symmetries include a translation of x and of y
-along every axis of a whole affine chart needs the kernel for row 0 and
-column 0 alone: row u is row 0 moved by the base-p digits of u, times the
-translations' steps, along each axis, and column w is column 0 moved by
-those of w (`_Translations`).  A move is two masked shifts of the bitset
-per axis, some microseconds where a kernel column over thousands of
-vertices costs hundreds.  A `build_graph` graph is a description: it
+along every axis of a whole affine chart needs the kernel for row 0
+alone: row u is row 0 moved by the base-p digits of u, times the
+translations' steps, along each axis, column 0 holds the points -step∘v
+for the points v of row 0, and column w is column 0 moved by the digits
+of w (`_Translations`).  A move is two masked shifts of the bitset per
+axis, some microseconds where a kernel column over thousands of vertices
+costs hundreds.  A `build_graph` graph is a description: it
 verifies its symmetries on first use too (below), so the scan's budget
 check (`_admit`) comes before any row or column is computed.
 
@@ -145,7 +146,7 @@ from .errors import (
 )
 from .fields import base_digits, check_budget, enumeration_budget, matrix_rank
 from .hypersurfaces import ChartPoints, Hypersurface, OpenSet, chart_codes, reduce_hypersurface_mod
-from .poly import MultiPoly
+from .ring import MultiPoly
 
 # -- graphs --------------------------------------------------------------------------
 
@@ -432,7 +433,8 @@ class _Translations:
     """Translations of the affine chart of P^s(F_p) acting on bitsets over
     its points, bit i for the point of index i (base-p digits, x1 the most
     significant).  `moved(bits, code, steps)` moves every point of `bits`
-    by step_a times digit a of `code` along each axis a, mod p.
+    by step_a times digit a of `code` along each axis a, mod p, and
+    `negated(bits, steps)` takes each point v of `bits` to -step∘v.
 
     Along axis a, of stride w = p^(s-a), a move by d shifts the points
     whose digit a is below p - d up by d w and the others down by (p - d) w:
@@ -470,6 +472,21 @@ class _Translations:
                 bits = (bits & self._below(a, p - d)) << d * w | bits >> (p - d) * w & self._below(a, d)
         return bits
 
+    def negated(self, bits: int, steps: tuple) -> int:
+        """The points (-step_1 v_1, ..., -step_s v_s) mod p of the points v
+        of `bits`: the diagonal map applied to their coordinate columns
+        (`_image`) and indexed (`chart_codes`), one pass over the set bits."""
+        p, n = self.p, self.n
+        on = format(bits, f"0{n}b").encode().translate(_DIGIT_BYTES)[::-1]  # byte v: bit v
+        points = list(compress(range(n), on))
+        coords = [[col[v] for v in points] for col in ChartPoints(p, self.s, "affine").columns()]
+        scale = (1,) + tuple(-d for d in steps)
+        diagonal = [[c if i == j else 0 for j in range(len(scale))] for i, c in enumerate(scale)]
+        digits = bytearray(b"0") * n  # binary, bit n-1 first
+        for c in chart_codes(_image(diagonal, coords, p), p):
+            digits[n - 1 - c] = ord("1")
+        return int(digits, 2)
+
 
 class _AdjacencyRows(Sequence):
     """The adjacency bitsets of a form between two point sequences, on
@@ -485,7 +502,8 @@ class _AdjacencyRows(Sequence):
     they transpose, for `fill`.  Once `translate` has been given verified
     translations along every axis of a whole affine chart, an entry other
     than 0 is entry 0 moved by them (`_Translations`), and the kernel
-    computes entry 0 alone."""
+    computes entry 0 of the rows alone: entry 0 of the columns is read off
+    it."""
 
     __slots__ = ("_args", "_kernel", "_known", "_rows", "_moves")
 
@@ -506,6 +524,12 @@ class _AdjacencyRows(Sequence):
             if self._moves is not None and u:
                 translations, steps = self._moves
                 bits = translations.moved(self[0], u, steps)
+            elif self._moves is not None and self._rows is not None:
+                # row u is row 0 moved by σ∘u, so right vertex 0 is adjacent
+                # to left u iff -σ∘u is in row 0: u = -τ∘v for v in row 0,
+                # with τ = σ^-1 the steps of these columns
+                translations, steps = self._moves
+                bits = translations.negated(self._rows[0], steps)
             else:
                 if self._kernel is None:
                     terms, left, right, p = self._args
@@ -818,12 +842,12 @@ def build_graph(
     orbits are one, and the scan's read of `symmetries` draws the rest.
     When both sides are the whole affine chart and the maps kept include a
     translation of x and of y along every axis (`_translation_steps`), the
-    kernel computes row 0 and column 0 alone, and every other row and
-    column is one of them moved by the translations (`_Translations`).  So
-    a scan that the budget refuses costs nothing that grows with the chart,
-    and a translation-invariant graph costs two kernel entries.  The
-    adjacency kernel and the symmetry test share one reduction of H mod
-    p."""
+    kernel computes row 0 alone, column 0 is read off it, and every other
+    row and column is one of them moved by the translations
+    (`_Translations`).  So a scan that the budget refuses costs nothing that
+    grows with the chart, and a translation-invariant graph costs one
+    kernel entry.  The adjacency kernel and the symmetry test share one
+    reduction of H mod p."""
     s = H.s
     whole = ChartPoints(p, s, chart)
     Xp = (X or OpenSet.full(s)).reduce_mod(p)

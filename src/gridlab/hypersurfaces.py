@@ -21,7 +21,7 @@ from .errors import (
     json_field,
 )
 from .fields import GF, QQ, Field, FieldElem, base_digits, check_budget, is_prime, primitive_root
-from .poly import BiHomPoly, MultiPoly, bihomogenize, primitive_integral_model
+from .ring import BiHomPoly, MultiPoly, bihomogenize, primitive_integral_model
 
 
 class ProjPoint:
@@ -309,7 +309,7 @@ def reduce_polys_mod(polys: list, p: int) -> list:
     """Reduce polynomials over Q or F_p to F_p coefficients.
 
     Over Q the whole list is first scaled to its primitive integral model
-    (`poly.primitive_integral_model`), one factor for all the polynomials.
+    (`ring.primitive_integral_model`), one factor for all the polynomials.
     One common factor keeps each zero set and the map that a list of
     components defines; whenever plain coefficient reduction works, the
     factor is a unit mod p."""
@@ -382,15 +382,23 @@ def norm_poly(p: int, s: int) -> MultiPoly:
     return MultiPoly(GF(p), zvars, out_terms)
 
 
+# 8-byte words of peak memory per exponent of an expanded norm form: 1c at
+# s = 9, 56,241,900 exponents, peaked at 1311 MB, about 23 bytes each
+_EXPONENT_WORDS = 3
+
+
 def _check_norm_expansion(family: str, k: int):
     """Refuse a 1c or 1d construction before its norm form in k variables
     is expanded: with z_j -> x_j + y_j substituted it is a form of degree k
     in 2k variables, so it has at most C(3k-1, k) terms, and each term is
     2k exponents that the expansion computes and stores.  The budget counts
-    the exponents."""
+    the memory they take, `_EXPONENT_WORDS` words per exponent: s = 8 is
+    admitted under the default budget and s = 9 refused."""
     terms = comb(3 * k - 1, k)
-    check_budget(2 * k * terms, f"family {family} expands a norm form into up to {terms}"
-                 f" terms of {2 * k} exponents = {2 * k * terms}")
+    exponents = 2 * k * terms
+    words = _EXPONENT_WORDS * exponents
+    check_budget(words, f"family {family} expands a norm form into up to {terms} terms of"
+                 f" {2 * k} exponents = {exponents}, {words} words")
 
 
 def construct(family: str, p: int, s: int | None = None) -> Construction:

@@ -10,7 +10,7 @@ import sympy
 
 from gridlab.errors import BudgetExceeded
 from gridlab.fields import GF, QQ, norm, pi_s
-from gridlab.poly import BiHomPoly, MultiPoly
+from gridlab.ring import BiHomPoly, MultiPoly
 from gridlab.hypersurfaces import Hypersurface, ProjPoint, construct, norm_poly
 from gridlab.gridcheck import build_graph, find_grid, max_common_neighborhood
 from gridlab.curves import (
@@ -34,7 +34,7 @@ from gridlab.cremona import (
     nagata,
     standard_quadratic,
 )
-from gridlab.cli import run_sweep
+from gridlab.sweep import run_sweep
 from test_adjacency import proj_points
 from test_cremona import nagata_invariant
 

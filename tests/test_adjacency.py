@@ -31,7 +31,7 @@ from gridlab.hypersurfaces import (
     family_symmetries,
     reduce_hypersurface_mod,
 )
-from gridlab.poly import BiHomPoly, MultiPoly, xy_vars
+from gridlab.ring import BiHomPoly, MultiPoly, xy_vars
 
 
 def chart_points(field, s: int, chart: str = "projective") -> list:

@@ -17,7 +17,8 @@ from gridlab.errors import (
     WrongDimension,
 )
 from gridlab.fields import GF, QQ
-from gridlab.poly import BiHomPoly, MultiPoly, exact_div, gcd
+from gridlab.poly import exact_div, gcd
+from gridlab.ring import BiHomPoly, MultiPoly
 from gridlab.hypersurfaces import OpenSet, ProjPoint, reduce_poly_mod
 from gridlab.classify_s1 import (
     P1_VARS,

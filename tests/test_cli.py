@@ -11,8 +11,9 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from gridlab import cli, hypersurfaces
-from gridlab.cli import main, run_sweep
+from gridlab import hypersurfaces, sweep
+from gridlab.cli import main
+from gridlab.sweep import run_sweep
 from gridlab.errors import BudgetExceeded, UnsupportedParameters
 from gridlab.fields import GF, pi_s
 from gridlab.hypersurfaces import norm_poly
@@ -62,7 +63,7 @@ def test_gridcheck_open_set_with_wrong_variable_count_exit_2(
 ):
     # family 1a has s = 2: its points have 3 coordinates
     from gridlab.fields import QQ
-    from gridlab.poly import MultiPoly
+    from gridlab.ring import MultiPoly
 
     vars = tuple(f"z{i}" for i in range(nvars))
     form = MultiPoly.parse(QQ, vars, " + ".join(vars))
@@ -75,7 +76,7 @@ def test_gridcheck_open_set_with_wrong_variable_count_exit_2(
 def test_gridcheck_witness_exit_1(capsys, tmp_path):
     # a rank-2 bilinear form on P^2 x P^2 has (2,2)-grids
     from gridlab.fields import QQ
-    from gridlab.poly import BiHomPoly, MultiPoly
+    from gridlab.ring import BiHomPoly, MultiPoly
     from gridlab.hypersurfaces import Hypersurface
 
     vars = ("x0", "x1", "x2", "y0", "y1", "y2")
@@ -140,7 +141,7 @@ def test_curves_moura_golden(capsys):
 
 def test_curves_imult(capsys, tmp_path):
     from gridlab.fields import QQ
-    from gridlab.poly import MultiPoly
+    from gridlab.ring import MultiPoly
 
     Y3 = ("y0", "y1", "y2")
     conic = tmp_path / "conic.json"
@@ -157,7 +158,7 @@ def test_curves_imult(capsys, tmp_path):
 
 def test_curves_common(capsys, tmp_path):
     from gridlab.fields import QQ
-    from gridlab.poly import MultiPoly
+    from gridlab.ring import MultiPoly
 
     Y3 = ("y0", "y1", "y2")
     a = tmp_path / "a.json"
@@ -178,7 +179,7 @@ def test_curves_common(capsys, tmp_path):
 
 def test_curves_common_on_hypersurfaces(capsys, tmp_path):
     from gridlab.fields import QQ
-    from gridlab.poly import BiHomPoly, MultiPoly
+    from gridlab.ring import BiHomPoly, MultiPoly
     from gridlab.hypersurfaces import Hypersurface
 
     vars = ("x0", "x1", "x2", "y0", "y1", "y2")
@@ -201,7 +202,7 @@ def test_curves_common_on_hypersurfaces(capsys, tmp_path):
 @pytest.mark.parametrize("action", ["conic", "imult", "common"])
 def test_curves_off_the_plane_exit_2(capsys, tmp_path, action, vars):
     from gridlab.fields import QQ
-    from gridlab.poly import MultiPoly
+    from gridlab.ring import MultiPoly
 
     f = tmp_path / "f.json"
     f.write_text(json.dumps(MultiPoly.parse(QQ, vars, "y0*y1").to_json()))
@@ -240,7 +241,7 @@ def test_curves_missing_flag_is_usage_error(capsys, action):
 
 def test_s1_classify_and_reduce(capsys, tmp_path):
     from gridlab.fields import QQ
-    from gridlab.poly import MultiPoly
+    from gridlab.ring import MultiPoly
 
     V4 = ("x0", "x1", "y0", "y1")
     f = tmp_path / "F.json"
@@ -264,7 +265,7 @@ def test_s1_classify_and_reduce(capsys, tmp_path):
 
 def test_cremona_apply_golden(capsys, h1a, tmp_path):
     from gridlab.fields import QQ
-    from gridlab.poly import BiHomPoly, MultiPoly
+    from gridlab.ring import BiHomPoly, MultiPoly
     from gridlab.hypersurfaces import Hypersurface
 
     vars = ("x0", "x1", "x2", "y0", "y1", "y2")
@@ -289,7 +290,7 @@ def test_cremona_apply_golden(capsys, h1a, tmp_path):
 
 def test_cremona_nagata(capsys, tmp_path):
     from gridlab.fields import QQ
-    from gridlab.poly import MultiPoly
+    from gridlab.ring import MultiPoly
 
     vars = ("x1", "x2", "x3")
     delta = tmp_path / "delta.json"
@@ -425,7 +426,7 @@ def test_bad_coefficient_exit_2(capsys, tmp_path, literal):
     # traceback: exit 1 would read as "witness found"
     from gridlab.fields import QQ
     from gridlab.hypersurfaces import Hypersurface
-    from gridlab.poly import BiHomPoly, MultiPoly
+    from gridlab.ring import BiHomPoly, MultiPoly
 
     V4 = ("x0", "x1", "y0", "y1")
     form = MultiPoly.parse(QQ, V4, "x0*y1 - x1*y0")
@@ -469,7 +470,7 @@ def test_bad_finite_field_coefficient_exit_2(capsys, h1a, tmp_path, field):
 )
 def test_s1_bad_point_list_exit_2(capsys, tmp_path, flag, points, error):
     from gridlab.fields import QQ
-    from gridlab.poly import MultiPoly
+    from gridlab.ring import MultiPoly
 
     V4 = ("x0", "x1", "y0", "y1")
     f = tmp_path / "F.json"
@@ -584,10 +585,10 @@ def reference_check_norm_poly(p: int) -> dict:
 
 @pytest.mark.parametrize("p", [2, 3, 5, 7])
 def test_check_norm_poly_matches_element_loop(p, monkeypatch):
-    assert cli._check_norm_poly(p) == reference_check_norm_poly(p)
+    assert sweep._check_norm_poly(p) == reference_check_norm_poly(p)
     # a wrong polynomial is caught at every pair with a nonzero norm
     monkeypatch.setattr(hypersurfaces, "norm_poly", lambda p, s: norm_poly(p, s) * 2)
-    got = cli._check_norm_poly(p)
+    got = sweep._check_norm_poly(p)
     assert got["mismatches"] == p * p - 1 and got["inputs"] == p * p
 
 
@@ -601,7 +602,7 @@ def test_norm_poly_check_counts_its_pairs(monkeypatch):
     assert res["pass"] and res["skipped"].startswith("budget: the affine chart of P^2(F_101)")
     monkeypatch.setattr(hypersurfaces, "norm_poly", unreachable)
     with pytest.raises(BudgetExceeded):
-        cli._check_norm_poly(101)
+        sweep._check_norm_poly(101)
 
 
 def test_budget_refusals_are_counted_skips(capsys, monkeypatch):

@@ -8,14 +8,14 @@ from gridlab.errors import (
     ZeroPullback,
 )
 from gridlab.fields import GF, QQ
-from gridlab.poly import BiHomPoly, MultiPoly
+from gridlab.ring import BiHomPoly, MultiPoly
 from gridlab.hypersurfaces import (
     Hypersurface,
     MatrixPair,
     ProjPoint,
     reduce_hypersurface_mod,
 )
-from gridlab import cli, gridcheck
+from gridlab import gridcheck, sweep
 from gridlab.gridcheck import (
     BipartiteGraph,
     _AdjacencyRows,
@@ -418,7 +418,7 @@ def test_sweep_transport_reads_one_row_per_torus_orbit(monkeypatch):
     # rows are compared at their minima and the scan starts only there
     sigma = standard_quadratic(QQ)
     rep = {}
-    assert rows_computed(monkeypatch, lambda: rep.update(cli._check_transport(19, H(H0), sigma))) == [7, 7]
+    assert rows_computed(monkeypatch, lambda: rep.update(sweep._check_transport(19, H(H0), sigma))) == [7, 7]
     assert rep["report"] == reference_transport(H(H0), sigma, 19, 2, 2)
 
 

@@ -15,7 +15,7 @@ from gridlab.errors import (
     ZeroSection,
 )
 from gridlab.fields import GF, QQ, FieldElem, matrix_rank
-from gridlab.poly import BiHomPoly, MultiPoly
+from gridlab.ring import BiHomPoly, MultiPoly
 from gridlab.hypersurfaces import Hypersurface, ProjPoint
 from gridlab.curves import (
     INFINITE,

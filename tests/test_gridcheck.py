@@ -26,7 +26,7 @@ from gridlab.gridcheck import (
     max_common_neighborhood,
 )
 from gridlab.hypersurfaces import OpenSet, construct, family_symmetries, reduce_hypersurface_mod
-from gridlab.poly import BiHomPoly, MultiPoly, xy_vars
+from gridlab.ring import BiHomPoly, MultiPoly, xy_vars
 from gridlab.hypersurfaces import Hypersurface
 from test_adjacency import (
     bihomogeneous_forms,
@@ -820,12 +820,13 @@ def test_pruned_scan_verifies_every_candidate_once(monkeypatch):
     assert verified == symmetries
 
 
-def test_translation_invariant_scan_computes_two_kernel_entries(monkeypatch):
+def test_translation_invariant_scan_computes_one_kernel_entry(monkeypatch):
     # 1b at p = 11 keeps a translation of x and y along every axis: the
-    # kernels compute row 0 and column 0 alone, every other row and column
-    # read is one of them moved, no map is applied to a vertex list, and
-    # the signed permutations that fix vertex 0 give their minima unwalked
-    from gridlab import cli, gridcheck
+    # kernel computes row 0 alone, column 0 is read off it, every other row
+    # and column read is one of them moved, no map is applied to a vertex
+    # list, and the signed permutations that fix vertex 0 give their minima
+    # unwalked
+    from gridlab import gridcheck, sweep
 
     def never(*args):
         raise AssertionError("a permutation array was built")
@@ -834,8 +835,21 @@ def test_translation_invariant_scan_computes_two_kernel_entries(monkeypatch):
     monkeypatch.setattr(gridcheck, "_orbits", never)
     monkeypatch.delenv("GRIDLAB_BUDGET", raising=False)
     kernels = recording_kernels(monkeypatch)
-    assert cli._check_1b(11) == {"pass": True, "max_common": 2, "argmax": [0, 1, 13]}
-    assert kernels == [[0], [0]]
+    assert sweep._check_1b(11) == {"pass": True, "max_common": 2, "argmax": [0, 1, 13]}
+    assert kernels == [[0]]
+
+
+@pytest.mark.parametrize("family, p, s", [("1b", 7, 3), ("1b", 11, 3), ("1b", 19, 3),
+                                          ("1c", 7, 2), ("1c", 5, 3)])
+def test_column_0_under_translations_is_the_kernel_column(family, p, s):
+    # right vertex 0 is adjacent to left u iff -step∘u is in row 0; the
+    # column is that set, with no kernel set up for the columns
+    c = construct(family, p, s)
+    kernel_column = build_graph(c.hypersurface, p).cols[0]
+    G = build_graph(c.hypersurface, p, symmetries=family_symmetries(family, p, s))
+    assert G.symmetries and G.cols._moves is not None
+    assert G.cols[0] == kernel_column
+    assert G.cols._kernel is None
 
 
 @settings(max_examples=60, deadline=None)

@@ -15,7 +15,7 @@ from gridlab.errors import (
     UnsupportedParameters,
 )
 from gridlab.fields import GF, QQ
-from gridlab.poly import BiHomPoly, MultiPoly
+from gridlab.ring import BiHomPoly, MultiPoly
 from test_adjacency import chart_points, proj_points
 from gridlab.hypersurfaces import (
     ChartPoints,
@@ -264,18 +264,18 @@ def test_construct_1d_shape():
 def test_norm_expansion_is_counted_before_the_norm_form(monkeypatch):
     # the norm form in k = 3 variables, z_j -> x_j + y_j substituted, is a
     # form of degree 3 in 6 variables: at most C(8, 3) = 56 terms of 6
-    # exponents each, 336 exponents
+    # exponents each, 336 exponents of 3 words, 1008 words
     c1, d1 = construct("1c", 3, 3), construct("1d", 3, 4)
-    monkeypatch.setenv("GRIDLAB_BUDGET", "336")
+    monkeypatch.setenv("GRIDLAB_BUDGET", "1008")
     assert construct("1c", 3, 3).affine == c1.affine
     assert construct("1d", 3, 4).affine == d1.affine
 
     def no_expansion(*args):
         raise AssertionError("norm form expanded after the budget refused it")
 
-    monkeypatch.setenv("GRIDLAB_BUDGET", "335")
+    monkeypatch.setenv("GRIDLAB_BUDGET", "1007")
     monkeypatch.setattr(hypersurfaces, "norm_poly", no_expansion)
-    want = "1c expands a norm form into up to 56 terms of 6 exponents = 336, over budget 335"
+    want = "1c expands a norm form into up to 56 terms of 6 exponents = 336, 1008 words, over budget 1007"
     with pytest.raises(BudgetExceeded, match=want):
         construct("1c", 3, 3)
     with pytest.raises(BudgetExceeded, match="1d expands a norm form into up to 56 terms of 6 exponents"):
@@ -283,13 +283,17 @@ def test_norm_expansion_is_counted_before_the_norm_form(monkeypatch):
 
 
 def test_norm_expansion_bound_admits_s_8_and_refuses_s_10(monkeypatch):
-    # a term costs its 2k exponents: s = 8 (490314 terms of 16, about 4 s
-    # and 260 MB) builds under the default budget, and s = 10 (20030010
-    # terms of 20, gigabytes) is refused before the norm form is expanded
+    # a term costs its 2k exponents, 3 words each: s = 8 (490314 terms of
+    # 16, about 3 s and 115 MB) builds under the default budget, and s = 9
+    # (3124550 terms of 18, 45 s and 1311 MB) and s = 10 (20030010 terms of
+    # 20, gigabytes) are refused before the norm form is expanded
     monkeypatch.delenv("GRIDLAB_BUDGET", raising=False)
     hypersurfaces._check_norm_expansion("1c", 8)
     monkeypatch.setattr(hypersurfaces, "norm_poly", None)
-    want = "20030010 terms of 20 exponents = 400600200, over budget 100000000"
+    want = "3124550 terms of 18 exponents = 56241900, 168725700 words, over budget 100000000"
+    with pytest.raises(BudgetExceeded, match=want):
+        construct("1c", 3, 9)
+    want = "20030010 terms of 20 exponents = 400600200, 1201800600 words, over budget 100000000"
     with pytest.raises(BudgetExceeded, match=want):
         construct("1c", 3, 10)
 

@@ -23,19 +23,16 @@ from gridlab.errors import (
 from gridlab.fields import GF, QQ
 import gridlab.poly
 from gridlab.poly import (
-    MultiPoly,
     _DenseGcd,
     _rational,
     _word_primes,
-    bihomogenize,
     divides,
     exact_div,
     gcd,
-    group_degree,
-    homogenize,
     squarefree_in_vars,
     squarefree_part,
 )
+from gridlab.ring import MultiPoly, bihomogenize, group_degree, homogenize
 
 XY = ("x", "y")
 XYZ = ("x", "y", "z")

@@ -13,7 +13,7 @@ import pytest
 
 import gridlab
 from gridlab.fields import QQ
-from gridlab.poly import MultiPoly
+from gridlab.ring import MultiPoly
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "gridlab"
 
@@ -103,7 +103,12 @@ ran = [n for n, m in sys.modules.items() if n.split(".")[0] == "gridlab" and typ
 print(code, *sorted(ran))
 """
 
-BASE = ("cli", "errors", "fields", "hypersurfaces", "poly")
+BASE = ("cli", "errors", "fields", "hypersurfaces", "ring")
+
+# graph commands run no gcd and no sweep; algebra commands no graph and no sweep
+NOT_RUN = {"construct": ("poly", "sweep"), "gridcheck": ("poly", "sweep"), "edges": ("poly", "sweep"),
+           "s1": ("gridcheck", "sweep"), "curves": ("gridcheck", "sweep"),
+           "cremona": ("gridcheck", "sweep"), "sweep": ()}
 
 
 @pytest.fixture(scope="module")
@@ -126,22 +131,24 @@ def inputs(tmp_path_factory):
     "argv, extra",
     [
         (["construct", "--family", "1a", "--p", "5"], ()),
-        (["s1", "classify", "--poly", "s1.json"], ("classify_s1",)),
-        (["curves", "imult", "--f", "f.json", "--g", "g.json", "--point", "1:0:0"], ("curves",)),
-        (["cremona", "apply", "--sigma", "quadratic", "--input", "h.json"], ("cremona",)),
+        (["s1", "classify", "--poly", "s1.json"], ("classify_s1", "poly")),
+        (["curves", "imult", "--f", "f.json", "--g", "g.json", "--point", "1:0:0"], ("curves", "poly")),
+        (["cremona", "apply", "--sigma", "quadratic", "--input", "h.json"], ("cremona", "poly")),
         (["gridcheck", "--input", "h.json", "--p", "5", "--s", "2", "--t", "2"], ("gridcheck",)),
-        (["sweep", "--primes", "5"], ("classify_s1", "cremona", "gridcheck")),
+        (["sweep", "--primes", "5"], ("classify_s1", "cremona", "gridcheck", "poly", "sweep")),
+        (["edges", "--input", "h.json", "--p", "5", "--s", "2", "--t", "2"], ("gridcheck",)),
     ],
 )
 def test_each_command_executes_only_the_modules_it_runs(inputs, argv, extra):
     code, *ran = run_child(EXECUTED, *argv, cwd=inputs).split()
     assert code == "0"
+    assert {f"gridlab.{m}" for m in NOT_RUN[argv[0]]} & set(ran) == set()
     assert ran == sorted(["gridlab"] + [f"gridlab.{m}" for m in BASE + extra])
 
 
 # gridlab's layers, lowest first; the modules of one tuple share a layer
-LAYERS = (("errors",), ("fields",), ("poly",), ("hypersurfaces",), ("gridcheck",),
-          ("classify_s1", "curves", "cremona"), ("cli",))
+LAYERS = (("errors",), ("fields",), ("ring",), ("poly",), ("hypersurfaces",), ("gridcheck",),
+          ("classify_s1", "curves", "cremona"), ("sweep",), ("cli",))
 LAYER = {module: rank for rank, layer in enumerate(LAYERS) for module in layer}
 
 
@@ -170,6 +177,8 @@ def test_every_import_points_down_the_layers():
     upward = [f"{m} -> {d}" for m in sorted(imports) for d in sorted(imports[m])
               if LAYER[d] >= LAYER[m]]
     assert upward == []
+    # the graph layers take the polynomial representation alone, no gcd
+    assert "poly" not in imports["hypersurfaces"] | imports["gridcheck"]
     # importer first, as the comment in __init__.py says: every module is
     # registered before each module it imports from
     order = registration_order()
@@ -243,14 +252,15 @@ def test_wrapping_in_module_order_leaves_no_wrapper_behind():
     # modules are registered importer first, so each importer runs, and
     # binds the originals, before the functions it imports are wrapped
     targets = cross_module_functions()
-    assert ("gridlab.poly", "gcd") in targets
+    assert {("gridlab.poly", "gcd"), ("gridlab.ring", "bihomogenize")} <= set(targets)
     assert json.loads(run_child(WRAP_AND_RESTORE, json.dumps(targets))) == []
 
 
 # the public names of the package, by defining module
 EXPORTS = {
     "fields": ["GF", "QQ", "canonical_modulus", "norm", "pi_s"],
-    "poly": ["BiHomPoly", "MultiPoly", "bihomogenize", "exact_div", "gcd", "squarefree_part"],
+    "ring": ["BiHomPoly", "MultiPoly", "bihomogenize"],
+    "poly": ["exact_div", "gcd", "squarefree_part"],
     "hypersurfaces": ["Hypersurface", "OpenSet", "ProjPoint", "construct", "norm_poly"],
     "gridcheck": ["BipartiteGraph", "build_graph", "edge_report", "find_grid",
                   "max_common_neighborhood"],
