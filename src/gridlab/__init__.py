@@ -16,17 +16,19 @@ from importlib.util import LazyLoader, find_spec, module_from_spec
 # defining module's binding is replaced, so its binding is replaced and
 # restored too; the other way round it would bind the wrapper and keep it.
 for _name in ("sweep", "cremona", "classify_s1", "curves", "gridcheck", "hypersurfaces", "poly",
-              "ring", "fields", "errors"):
+              "projective", "ring", "fields", "extfields", "primefields", "errors"):
     _spec = find_spec(f"{__name__}.{_name}")
     _spec.loader = LazyLoader(_spec.loader)
     sys.modules[_spec.name] = globals()[_name] = module_from_spec(_spec)
     _spec.loader.exec_module(globals()[_name])
 
 _EXPORTS = {
-    "fields": ("GF", "QQ", "canonical_modulus", "norm", "pi_s"),
+    "fields": ("GF", "QQ"),
+    "extfields": ("canonical_modulus", "norm", "pi_s"),
     "ring": ("BiHomPoly", "MultiPoly", "bihomogenize"),
+    "projective": ("Hypersurface", "OpenSet", "ProjPoint"),
     "poly": ("exact_div", "gcd", "squarefree_part"),
-    "hypersurfaces": ("Hypersurface", "OpenSet", "ProjPoint", "construct", "norm_poly"),
+    "hypersurfaces": ("construct", "norm_poly"),
     "gridcheck": ("BipartiteGraph", "build_graph", "edge_report", "find_grid",
                   "max_common_neighborhood"),
     "curves": ("PlaneCurve", "common_component_rank_test", "conic_classify",

@@ -10,7 +10,7 @@ is ever performed.
 The binary forms f and g enter only through their roots.  `_binary_roots`
 tests candidate points in one fixed order, which is the printed order of
 `g_roots_in_Y`.  Over F_q the candidates are the points of P^1(F_q) in the
-chart's order, decoded by index (`hypersurfaces.chart_point`), and a point
+chart's order, decoded by index (`projective.chart_point`), and a point
 is made a `ProjPoint` only when it is a root.
 Over Q, with z the integer coefficient list of form(1,t)/t^lo, they are
 (0:1) when form(1,t) has lower degree than the form, (1:0) when lo > 0,
@@ -34,10 +34,10 @@ from fractions import Fraction
 
 from . import gridcheck
 from .errors import EmptySide, NonSplitForm, WrongDimension
-from .fields import check_budget
+from .primefields import check_budget
 from .ring import BiHomPoly, MultiPoly
+from .projective import Hypersurface, OpenSet, ProjPoint, chart_point, chart_size, linear_form
 from .poly import exact_div, gcd, split_group_contents, squarefree_in_vars
-from .hypersurfaces import Hypersurface, OpenSet, ProjPoint, chart_point, chart_size, linear_form
 
 XVARS = ("x0", "x1")
 YVARS = ("y0", "y1")
@@ -48,9 +48,15 @@ class S1Verdict:
     """Everything Theorem-style (1,t) classification produces.
 
     M = m + sum d_i; grid-free for t iff f misses X and M < t.
-    Over the rationals, roots of non-split factors live in the algebraic
-    closure; they are counted (they cannot be excluded by rational points)
-    but carry no coordinates, hence `closure_roots`.
+    sum_di, and with it M, counts roots over the algebraic closure of the
+    coefficient field: d_i is the ȳ-degree of h_i, the number of roots of
+    a section h_i(u, ȳ) there, whether or not they have coordinates in the
+    field.  Over the rationals, roots of g's non-split factors live in the
+    algebraic closure too; they are counted (they cannot be excluded by
+    rational points) but carry no coordinates, hence `closure_roots`.
+    A row of the graph on P^1(F_p) x P^1(F_p) holds F_p-points only, so
+    its largest row (`s1_max_row`, the sweep's sample) is only a lower
+    bound for M.
     """
 
     __slots__ = ("f_meets_X", "g_roots_in_Y", "closure_roots", "sum_di")
@@ -201,7 +207,9 @@ def s1_reduce(F: BiHomPoly, Y: OpenSet | None = None) -> BiHomPoly:
 def s1_max_row(
     F: BiHomPoly, X: OpenSet | None, Y: OpenSet | None, p: int
 ) -> int:
-    """Largest neighborhood size over left vertices of the F_p sample."""
+    """Largest neighborhood size over left vertices of the F_p sample:
+    when f misses X, a lower bound for the verdict's M, which counts roots
+    over the algebraic closure."""
     _check_p1(F)
     try:
         G = gridcheck.build_graph(Hypersurface(F), p, X, Y, chart="projective")

@@ -2,7 +2,9 @@
 the P^1 x P^1 classifier, curve analysis, birational maps and the
 multi-prime sweep (`gridlab.sweep`).  A command compiles and runs only the
 modules it calls: `construct`, `gridcheck` and `edges` run no gcd
-(`gridlab.poly`) and no sweep.
+(`gridlab.poly`) and no sweep; `s1`, `curves` and `cremona apply` run no
+graph code, no chart enumeration or construction (`gridlab.hypersurfaces`)
+and, over Q or F_p, no extension field (`gridlab.extfields`).
 
 Exit codes: 0 = success / grid-free, 1 = witness or failing sweep,
 2 = usage or data error.  Data on stdout, diagnostics on stderr.
@@ -14,8 +16,14 @@ import argparse
 import json
 import sys
 
-from . import classify_s1, cremona, curves, gridcheck, hypersurfaces, ring, sweep
-from .errors import DimensionMismatch, GridlabError, UnknownSuite, UnsupportedParameters
+from . import classify_s1, cremona, curves, gridcheck, hypersurfaces, projective, ring, sweep
+from .errors import (
+    DimensionMismatch,
+    GridlabError,
+    ParameterOutOfRange,
+    UnknownSuite,
+    UnsupportedParameters,
+)
 
 
 def __getattr__(name):
@@ -39,35 +47,35 @@ def _load_json(path: str) -> dict:
         return json.load(fh)
 
 
-def _load_hypersurface(path: str) -> hypersurfaces.Hypersurface:
-    return hypersurfaces.Hypersurface.from_json(_load_json(path))
+def _load_hypersurface(path: str) -> projective.Hypersurface:
+    return projective.Hypersurface.from_json(_load_json(path))
 
 
 def _load_section_source(path: str):
     """A hypersurface file (it has a "poly" key) or a plain polynomial file."""
     data = _load_json(path)
     if isinstance(data, dict) and "poly" in data:
-        return hypersurfaces.Hypersurface.from_json(data)
+        return projective.Hypersurface.from_json(data)
     return ring.MultiPoly.from_json(data)
 
 
-def _load_open_set(path: str | None, dim: int) -> hypersurfaces.OpenSet:
+def _load_open_set(path: str | None, dim: int) -> projective.OpenSet:
     if path is None:
-        return hypersurfaces.OpenSet.full(dim)
-    return hypersurfaces.OpenSet.from_json(_load_json(path))
+        return projective.OpenSet.full(dim)
+    return projective.OpenSet.from_json(_load_json(path))
 
 
-def _points_open_set(spec: str | None, field, vars) -> hypersurfaces.OpenSet:
+def _points_open_set(spec: str | None, field, vars) -> projective.OpenSet:
     """Comma-separated "a:b" point list -> complement open set in P^1."""
     if not spec:
-        return hypersurfaces.OpenSet.full(1)
+        return projective.OpenSet.full(1)
     pts = []
     for part in spec.split(","):
-        pt = hypersurfaces.ProjPoint.parse(field, part)
+        pt = projective.ProjPoint.parse(field, part)
         if len(pt.coords) != 2:
             raise DimensionMismatch(f"point {part!r} of P^1 needs 2 coordinates, not {len(pt.coords)}")
         pts.append(pt)
-    return hypersurfaces.OpenSet.complement_of_points(pts, vars[:2])
+    return projective.OpenSet.complement_of_points(pts, vars[:2])
 
 
 # -- subcommands --------------------------------------------------------------------
@@ -91,7 +99,7 @@ def _input_graph(args, exclude_x=None, exclude_y=None):
     candidates that build_graph verifies on the form, so they speed the scan
     and the edge count up only."""
     data = _load_json(args.input)
-    H = hypersurfaces.Hypersurface.from_json(data)
+    H = projective.Hypersurface.from_json(data)
     X = _load_open_set(exclude_x, H.s)
     Y = _load_open_set(exclude_y, H.s)
     symmetries = hypersurfaces.family_symmetries(data.get("family"), args.p, H.s)
@@ -126,6 +134,8 @@ def cmd_edges(args) -> int:
 
 
 def cmd_s1(args) -> int:
+    if args.t is not None and args.t < 1:
+        raise ParameterOutOfRange(f"t={args.t}: must be at least 1")
     data = _load_json(args.poly)
     form = ring.MultiPoly.from_json(data)
     xvars, yvars = classify_s1.XVARS, classify_s1.YVARS
@@ -159,7 +169,7 @@ def cmd_curves(args) -> int:
     if args.action == "imult":
         f = curves.PlaneCurve(ring.MultiPoly.from_json(_load_json(args.f)))
         g = curves.PlaneCurve(ring.MultiPoly.from_json(_load_json(args.g)))
-        v = hypersurfaces.ProjPoint.parse(f.form.field, args.point)
+        v = projective.ProjPoint.parse(f.form.field, args.point)
         m = curves.intersection_multiplicity(f, g, v)
         _emit(
             {"point": args.point, "multiplicity": "inf" if m == curves.INFINITE else m},
@@ -168,7 +178,7 @@ def cmd_curves(args) -> int:
         return 0
     if args.action == "common":
         h1, h2 = (_load_section_source(path) for path in (args.h1, args.h2))
-        u = hypersurfaces.ProjPoint.parse(h1.field, args.u)
+        u = projective.ProjPoint.parse(h1.field, args.u)
         report = curves.common_component_rank_test(h1, h2, u)
         _emit(report.to_json(), args.pretty)
         return 0

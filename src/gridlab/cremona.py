@@ -7,7 +7,7 @@ from __future__ import annotations
 
 from collections import Counter
 
-from . import gridcheck
+from . import gridcheck, hypersurfaces
 from .errors import (
     DegreeTooHigh,
     NotInvertibleShape,
@@ -15,17 +15,10 @@ from .errors import (
     ZeroPullback,
     json_field,
 )
-from .fields import Field
+from .primefields import Field
 from .ring import BiHomPoly, MultiPoly, group_degree
+from .projective import Hypersurface, chart_block
 from .poly import content, exact_div, split_group_contents
-from .hypersurfaces import (
-    ChartPoints,
-    Hypersurface,
-    chart_block,
-    chart_codes,
-    reduce_hypersurface_mod,
-    reduce_polys_mod,
-)
 
 
 class RationalMap:
@@ -50,7 +43,7 @@ class RationalMap:
         self.degree = degs.pop()
 
     def reduce_mod(self, p: int) -> "RationalMap":
-        return RationalMap(reduce_polys_mod(self.components, p))
+        return RationalMap(hypersurfaces.reduce_polys_mod(self.components, p))
 
     def to_json(self) -> dict:
         return {"components": [c.to_json() for c in self.components]}
@@ -176,12 +169,13 @@ def grid_transport_check(
     vertex of each orbit of the group the kept pairs generate.  Both scans
     are pruned by the same permutations, on on-demand rows and kernel
     columns.  A wrong or missing candidate costs speed only."""
-    Hp = reduce_hypersurface_mod(H, p)
+    Hp = hypersurfaces.reduce_hypersurface_mod(H, p)
     sig = sigma_y.reduce_mod(p)
     Hpulled, _, cy = apply_with_contents(sig, Hp)
-    chart = ChartPoints(p, Hp.s)
+    chart = hypersurfaces.ChartPoints(p, Hp.s)
     cols = chart.columns()
-    codes = chart_codes([gridcheck._values_mod(c, cols, p) for c in sig.components], p)
+    values = [gridcheck._values_mod(c, cols, p) for c in sig.components]
+    codes = hypersurfaces.chart_codes(values, p)
     off = gridcheck._values_mod(cy.with_vars(sig.vars), cols, p)
     # keep v where sigma is defined, injective on the sample, and off the
     # exceptional locus of the content removal; v and w are chart indices
@@ -193,8 +187,8 @@ def grid_transport_check(
                    key=lambda vw: -chart_block(vw[0], p, Hp.s)[0])
     if len(pairs) < t:
         raise SampleTooSmall(f"only {len(pairs)} usable sample points")
-    right_orig = ChartPoints(p, Hp.s, codes=[w for _, w in pairs])
-    right_pull = ChartPoints(p, Hp.s, codes=[v for v, _ in pairs])
+    right_orig = hypersurfaces.ChartPoints(p, Hp.s, codes=[w for _, w in pairs])
+    right_pull = hypersurfaces.ChartPoints(p, Hp.s, codes=[v for v, _ in pairs])
     rows_orig = gridcheck._AdjacencyRows(gridcheck._terms_int(Hp), chart, right_orig, p)
     rows_pull = gridcheck._AdjacencyRows(gridcheck._terms_int(Hpulled), chart, right_pull, p)
     perms = []

@@ -17,10 +17,10 @@ from .errors import (
     WrongDimension,
     ZeroSection,
 )
-from .fields import Field, matrix_rank
+from .primefields import Field, matrix_rank
 from .ring import MultiPoly, group_degree
+from .projective import Hypersurface, ProjPoint
 from .poly import exact_div, gcd
-from .hypersurfaces import Hypersurface, ProjPoint
 
 INFINITE = math.inf
 

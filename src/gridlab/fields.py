@@ -1,626 +1,19 @@
-"""Exact coefficient fields: Q, prime fields F_p, and extension fields F_{p^s}.
+"""Coefficient fields by name: `QQ`, `GF(p, s)` and the JSON field
+descriptor.
 
-Extension fields are realized as F_p[b]/(modulus), where the modulus is by
-default the canonical one: the lexicographically smallest monic irreducible
-polynomial of degree s over F_p, coefficients compared low-degree-first.
-Elements are coefficient vectors in the basis 1, b, ..., b^(s-1), which is
-exactly the basis the linear isomorphism pi_s uses.
-Each extension field keeps the matrix of the F_p-linear Frobenius map
-a -> a^p: the norm is the product of the conjugates a, a^p, ..., a^(p^(s-1))
-(the power formula's value) and an inverse is the product of all but a over
-the norm, at s-1 matrix applications each instead of ~2 s log2(p) products.
+Q and the prime fields are `gridlab.primefields`', the extension fields
+F_{p^s}, s >= 2, `gridlab.extfields`'.  `GF` reaches the extension module
+only for s >= 2, so a process over Q or F_p compiles no extension-field
+code.
 """
 
 from __future__ import annotations
 
-import os
-from fractions import Fraction
 from functools import lru_cache
-from math import gcd
-from operator import mul as _times
 
-from .errors import (
-    BudgetExceeded,
-    CoefficientNotInPrimeField,
-    DimensionMismatch,
-    DivisionByZero,
-    MalformedExpression,
-    MixedFields,
-    UnsupportedParameters,
-    WrongField,
-    json_field,
-    json_value,
-)
-
-
-DEFAULT_BUDGET = 10**8
-
-
-def enumeration_budget() -> int:
-    return int(os.environ.get("GRIDLAB_BUDGET", DEFAULT_BUDGET))
-
-
-def check_budget(count: int, what: str) -> int:
-    """`count` when the enumeration budget admits it; otherwise
-    BudgetExceeded, "<what>, over budget <limit>"."""
-    limit = enumeration_budget()
-    if count > limit:
-        raise BudgetExceeded(f"{what}, over budget {limit}")
-    return count
-
-
-# Miller-Rabin to the first 13 prime bases proves primality below this bound
-# (Sorenson and Webster, "Strong pseudoprimes to twelve prime bases", 2015).
-_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
-_MR_BOUND = 3317044064679887385961981
-
-
-def is_prime(n: int) -> bool:
-    """Deterministic primality test; UnsupportedParameters above the bound
-    where the fixed bases are proven to decide."""
-    if n < 2:
-        return False
-    for q in _MR_BASES:
-        if n % q == 0:
-            return n == q
-    if n >= _MR_BOUND:
-        raise UnsupportedParameters(
-            f"{n} is beyond the proven range of the primality test"
-        )
-    d, r = n - 1, 0
-    while d % 2 == 0:
-        d, r = d // 2, r + 1
-    for a in _MR_BASES:
-        x = pow(a, d, n)
-        if x == 1 or x == n - 1:
-            continue
-        for _ in range(r - 1):
-            x = x * x % n
-            if x == n - 1:
-                break
-        else:
-            return False
-    return True
-
-
-class FieldElem:
-    """An element of a field, in canonical reduced form.
-
-    Immutable; arithmetic delegates to the owning field object. Mixing
-    elements of different fields raises MixedFields.
-    """
-
-    __slots__ = ("field", "val")
-
-    def __init__(self, field: "Field", val):
-        self.field = field
-        self.val = val
-
-    def _check(self, other) -> "FieldElem":
-        if not isinstance(other, FieldElem):
-            return self.field.elem(other)
-        if other.field != self.field:
-            raise MixedFields(f"{self.field} vs {other.field}")
-        return other
-
-    def __add__(self, other):
-        other = self._check(other)
-        return FieldElem(self.field, self.field._add(self.val, other.val))
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        other = self._check(other)
-        return FieldElem(self.field, self.field._sub(self.val, other.val))
-
-    def __rsub__(self, other):
-        return self._check(other) - self
-
-    def __mul__(self, other):
-        other = self._check(other)
-        return FieldElem(self.field, self.field._mul(self.val, other.val))
-
-    __rmul__ = __mul__
-
-    def __neg__(self):
-        return FieldElem(self.field, self.field._neg(self.val))
-
-    def __truediv__(self, other):
-        other = self._check(other)
-        return self * other.inv()
-
-    def __rtruediv__(self, other):
-        return self._check(other) / self
-
-    def inv(self) -> "FieldElem":
-        return FieldElem(self.field, self.field._inv(self.val))
-
-    def __pow__(self, e: int) -> "FieldElem":
-        """Square-and-multiply on the raw values, wrapped once at the end."""
-        if e < 0:
-            return self.inv() ** (-e)
-        field, base = self.field, self.val
-        mul, result = field._mul, field._one()
-        while True:
-            if e & 1:
-                result = mul(result, base)
-            e >>= 1
-            if not e:
-                return FieldElem(field, result)
-            base = mul(base, base)
-
-    def is_zero(self) -> bool:
-        return self.field._is_zero(self.val)
-
-    def __eq__(self, other):
-        if not isinstance(other, FieldElem):
-            return NotImplemented
-        return self.field == other.field and self.val == other.val
-
-    def __hash__(self):
-        return hash((id(self.field.__class__), self.field.descriptor_key(), self.val))
-
-    def __repr__(self):
-        return f"{self.field.short_name()}({self.field.coeff_str(self.val)})"
-
-
-class Field:
-    """Common surface of the three coefficient domains."""
-
-    kind: str
-    characteristic: int
-
-    def elem(self, x) -> FieldElem:
-        return FieldElem(self, self.coerce(x))
-
-    @property
-    def zero(self) -> FieldElem:
-        return FieldElem(self, self._zero())
-
-    @property
-    def one(self) -> FieldElem:
-        return FieldElem(self, self._one())
-
-    def elements(self):
-        """Iterate over all field elements (finite fields only)."""
-        raise WrongField("infinite field")
-
-    def descriptor(self) -> dict:
-        raise NotImplementedError
-
-    def descriptor_key(self):
-        raise NotImplementedError
-
-    def __eq__(self, other):
-        return self is other or (
-            isinstance(other, Field)
-            and self.descriptor_key() == other.descriptor_key()
-        )
-
-    def __hash__(self):
-        return hash(self.descriptor_key())
-
-    def __repr__(self):
-        return self.short_name()
-
-
-def _int_literal(s: str) -> int:
-    """The integer written `s`; MalformedExpression when it is none."""
-    try:
-        return int(s)
-    except ValueError:
-        raise MalformedExpression(f"coefficient {s!r} is not an integer") from None
-
-
-class Rationals(Field):
-    kind = "rationals"
-    characteristic = 0
-
-    def coerce(self, x) -> Fraction:
-        if isinstance(x, FieldElem):
-            if x.field != self:
-                raise MixedFields("cannot coerce from another field")
-            return x.val
-        return Fraction(x)
-
-    def _zero(self):
-        return Fraction(0)
-
-    def _one(self):
-        return Fraction(1)
-
-    def _add(self, a, b):
-        return a + b
-
-    def _sub(self, a, b):
-        return a - b
-
-    def _mul(self, a, b):
-        return a * b
-
-    def _neg(self, a):
-        return -a
-
-    def _inv(self, a):
-        if not a:
-            raise DivisionByZero("inverse of zero")
-        return 1 / a
-
-    def _is_zero(self, a):
-        return a == 0
-
-    def coeff_str(self, a: Fraction) -> str:
-        if a.denominator == 1:
-            return str(a.numerator)
-        return f"{a.numerator}/{a.denominator}"
-
-    def coeff_from_str(self, s: str) -> Fraction:
-        try:
-            return Fraction(s)
-        except ZeroDivisionError:
-            raise MalformedExpression(f"coefficient {s!r} has a zero denominator") from None
-        except ValueError:
-            raise MalformedExpression(f"coefficient {s!r} is not a rational number") from None
-
-    def descriptor(self):
-        return {"kind": "rationals"}
-
-    def descriptor_key(self):
-        return ("rationals",)
-
-    def short_name(self):
-        return "QQ"
-
-
-class PrimeField(Field):
-    kind = "prime"
-
-    def __init__(self, p: int):
-        if not is_prime(p):
-            raise UnsupportedParameters(f"{p} is not prime")
-        self.p = p
-        self.characteristic = p
-
-    def coerce(self, x) -> int:
-        if isinstance(x, FieldElem):
-            if x.field != self:
-                raise MixedFields("cannot coerce from another field")
-            return x.val
-        if isinstance(x, Fraction):
-            if x.denominator % self.p == 0:
-                raise DivisionByZero("denominator divisible by p")
-            return x.numerator * pow(x.denominator, -1, self.p) % self.p
-        return int(x) % self.p
-
-    def _zero(self):
-        return 0
-
-    def _one(self):
-        return 1
-
-    def _add(self, a, b):
-        return (a + b) % self.p
-
-    def _sub(self, a, b):
-        return (a - b) % self.p
-
-    def _mul(self, a, b):
-        return (a * b) % self.p
-
-    def _neg(self, a):
-        return -a % self.p
-
-    def _inv(self, a):
-        if not a:
-            raise DivisionByZero("inverse of zero")
-        return pow(a, -1, self.p)
-
-    def _is_zero(self, a):
-        return a == 0
-
-    def elements(self):
-        for a in range(self.p):
-            yield FieldElem(self, a)
-
-    def coeff_str(self, a: int) -> str:
-        return str(a)
-
-    def coeff_from_str(self, s: str) -> int:
-        return _int_literal(s) % self.p
-
-    def descriptor(self):
-        return {"kind": "prime", "p": self.p}
-
-    def descriptor_key(self):
-        return ("prime", self.p)
-
-    def short_name(self):
-        return f"F{self.p}"
-
-
-class DenseUnivariate:
-    """Dense univariate polynomials over `field`: lists of its raw values,
-    low degree first, with no trailing zero."""
-
-    def __init__(self, field: Field):
-        self.field = field
-        self.add, self.sub, self.mul = field._add, field._sub, field._mul
-        self.inv, self.is_zero = field._inv, field._is_zero
-        self.zero, self.one = field._zero(), field._one()
-
-    def trim(self, f: list) -> list:
-        is_zero = self.is_zero
-        while f and is_zero(f[-1]):
-            f.pop()
-        return f
-
-    def value(self, f: list, x):
-        """f(x) by Horner."""
-        add, mul = self.add, self.mul
-        acc = self.zero
-        for c in reversed(f):
-            acc = add(mul(acc, x), c)
-        return acc
-
-    def scale(self, f: list, c) -> list:
-        mul = self.mul
-        return [mul(k, c) for k in f]
-
-    def plus(self, f: list, g: list) -> list:
-        if len(f) < len(g):
-            f, g = g, f
-        add = self.add
-        out = f[:]
-        for i, c in enumerate(g):
-            out[i] = add(out[i], c)
-        return self.trim(out)
-
-    def product(self, f: list, g: list) -> list:
-        if not f or not g:
-            return []
-        add, mul = self.add, self.mul
-        out = [self.zero] * (len(f) + len(g) - 1)
-        for i, fi in enumerate(f):
-            for j, gj in enumerate(g):
-                out[i + j] = add(out[i + j], mul(fi, gj))
-        return self.trim(out)
-
-    def divmod(self, f: list, g: list) -> tuple:
-        """Quotient and remainder of f by a nonzero g."""
-        sub, mul, is_zero = self.sub, self.mul, self.is_zero
-        r = f[:]
-        dg = len(g) - 1
-        if len(r) <= dg:
-            return [], r
-        lead_inv = self.inv(g[-1])
-        q = [self.zero] * (len(r) - dg)
-        for i in range(len(q) - 1, -1, -1):
-            c = r[i + dg]
-            if is_zero(c):
-                continue
-            c = q[i] = mul(c, lead_inv)
-            for j in range(dg):
-                r[i + j] = sub(r[i + j], mul(c, g[j]))
-        del r[dg:]
-        return q, self.trim(r)
-
-    def monic(self, f: list) -> list:
-        if not f or f[-1] == self.one:
-            return f
-        return self.scale(f, self.inv(f[-1]))
-
-    def ugcd(self, f: list, g: list) -> list:
-        """Monic gcd of two lists by Euclid; [] only when both are zero."""
-        while g:
-            f, g = g, self.divmod(f, g)[1]
-        return self.monic(f)
-
-
-def _rabin_cost(p: int, deg: int) -> int:
-    """The coefficient multiplications of `_is_irreducible` on a modulus of
-    degree `deg` over F_p: deg powerings by p of bit_length(p) squarings and
-    bit_count(p) multiplications, each a product and a reduction of deg^2
-    coefficient multiplications."""
-    return 2 * deg**3 * (p.bit_length() + p.bit_count())
-
-
-def _is_irreducible(m: tuple, p: int) -> bool:
-    """Rabin's test of m, of degree n >= 2: m is irreducible over F_p iff
-    x^(p^n) = x mod m and gcd(x^(p^(n/q)) - x, m) = 1 for each prime q | n,
-    at the cost of `_rabin_cost`, which its callers charge to the budget."""
-    n = len(m) - 1
-    ring, m, x = DenseUnivariate(GF(p)), list(m), [0, 1]
-
-    def times(f, g):
-        return ring.divmod(ring.product(f, g), m)[1]
-
-    frob = [x]  # frob[k] = x^(p^k) mod m
-    for _ in range(n):
-        acc, base, e = [1], frob[-1], p
-        while e:
-            if e & 1:
-                acc = times(acc, base)
-            base, e = times(base, base), e >> 1
-        frob.append(acc)
-    return frob[n] == x and all(
-        len(ring.ugcd(ring.plus(frob[n // q], [0, p - 1]), m)) == 1 for q in _prime_factors(n)
-    )
-
-
-def base_digits(k: int, p: int, s: int) -> tuple:
-    """The s base-p digits of 0 <= k < p^s, most significant first: the
-    s-tuple of residues mod p at index k in lexicographic order.  The one
-    numbering of field elements (`ExtensionField.elements`), modulus
-    candidates (`canonical_modulus`) and chart points
-    (`hypersurfaces.chart_point`)."""
-    digits = [0] * s
-    for i in range(s - 1, -1, -1):
-        k, digits[i] = divmod(k, p)
-    return tuple(digits)
-
-
-def canonical_modulus(p: int, s: int) -> tuple:
-    """Lexicographically smallest monic irreducible of degree s over F_p.
-
-    Coefficient tuples are compared low-degree-first, so the order of
-    `base_digits` is the comparison order.  A candidate with constant term
-    0 is divisible by b, so the search starts at constant term 1, index
-    p^(s-1).  Each candidate's test is charged to the budget before the
-    candidate is decoded: a search is refused when the tests so far would
-    exceed it, and before any candidate when one test would."""
-    if s < 2:
-        raise UnsupportedParameters("s must be at least 2")
-    cost = _rabin_cost(p, s)
-    for tried, k in enumerate(range(p ** (s - 1), p**s), 1):
-        check_budget(tried * cost, f"the modulus search for F_{p}^{s} needs {tried * cost}"
-                     f" coefficient multiplications by candidate {tried}")
-        m = base_digits(k, p, s) + (1,)
-        if _is_irreducible(m, p):
-            return m
-    raise UnsupportedParameters(f"no irreducible of degree {s} over F_{p}")
-
-
-class ExtensionField(Field):
-    """F_{p^s} = F_p[b]/(modulus); elements are length-s coefficient tuples."""
-
-    kind = "extension"
-
-    def __init__(self, p: int, s: int, modulus: tuple | None = None):
-        if not is_prime(p):
-            raise UnsupportedParameters(f"{p} is not prime")
-        if s < 2:
-            raise UnsupportedParameters("s must be at least 2; GF(p) is the prime field")
-        self.p = p
-        self.s = s
-        self.characteristic = p
-        # the tables below take s - 1 reductions of at most s^2 coefficient
-        # multiplications, then b^p by square-and-multiply and s - 1 more
-        # products in F_{p^s}, each 2 s^2; charged with one irreducibility
-        # test before either, and a modulus search is charged by itself
-        cost = s * s * (3 * s + 2 * (p.bit_length() + p.bit_count())) + _rabin_cost(p, s)
-        check_budget(cost, f"F_{p}^{s} needs {cost} coefficient multiplications for its"
-                     " tables and one irreducibility test")
-        if modulus is None:
-            modulus = canonical_modulus(p, s)
-        else:
-            modulus = tuple(c % p for c in modulus)
-            if len(modulus) != s + 1 or modulus[-1] != 1:
-                raise UnsupportedParameters("modulus must be monic of degree s")
-            if not _is_irreducible(modulus, p):
-                raise UnsupportedParameters("modulus is reducible")
-        self.modulus = modulus
-        # reduction table: _red[k] = b^(s+k) in the power basis, k = 0..s-2
-        ring, self._red = DenseUnivariate(GF(p)), []
-        for k in range(s - 1):
-            r = ring.divmod([0] * (s + k) + [1], list(modulus))[1]
-            self._red.append(tuple(r) + (0,) * (s - len(r)))
-        # the Frobenius matrix by columns: _frob[k][j] = coordinate k of
-        # (b^j)^p = (b^p)^j
-        bp = (self.generator ** p).val
-        rows = [self._one()]
-        for _ in range(s - 1):
-            rows.append(self._mul(rows[-1], bp))
-        self._frob = tuple(zip(*rows))
-
-    def coerce(self, x) -> tuple:
-        if isinstance(x, FieldElem):
-            if x.field == self:
-                return x.val
-            if isinstance(x.field, PrimeField) and x.field.p == self.p:
-                return (x.val,) + (0,) * (self.s - 1)
-            raise MixedFields("cannot coerce from another field")
-        if isinstance(x, (tuple, list)):
-            if len(x) != self.s:
-                raise DimensionMismatch(f"need {self.s} coordinates")
-            return tuple(int(c) % self.p for c in x)
-        return (int(x) % self.p,) + (0,) * (self.s - 1)
-
-    @property
-    def generator(self) -> FieldElem:
-        return FieldElem(self, (0, 1) + (0,) * (self.s - 2))
-
-    def _zero(self):
-        return (0,) * self.s
-
-    def _one(self):
-        return (1,) + (0,) * (self.s - 1)
-
-    def _add(self, a, b):
-        p = self.p
-        return tuple((x + y) % p for x, y in zip(a, b))
-
-    def _sub(self, a, b):
-        p = self.p
-        return tuple((x - y) % p for x, y in zip(a, b))
-
-    def _neg(self, a):
-        p = self.p
-        return tuple(-x % p for x in a)
-
-    def _mul(self, a, b):
-        p, s = self.p, self.s
-        prod = [0] * (2 * s - 1)
-        for i, ai in enumerate(a):
-            if ai:
-                for j, bj in enumerate(b):
-                    prod[i + j] += ai * bj
-        out = [c % p for c in prod[:s]]
-        for k in range(s, 2 * s - 1):
-            c = prod[k] % p
-            if c:
-                red = self._red[k - s]
-                for i in range(s):
-                    out[i] = (out[i] + c * red[i]) % p
-        return tuple(out)
-
-    def _conjugates(self, a):
-        """Frob(a) * Frob^2(a) * ... * Frob^(s-1)(a), the conjugates of a
-        other than a itself; a times it is the norm of a."""
-        p, frob = self.p, self._frob
-        prod = None
-        for _ in range(self.s - 1):
-            a = tuple([sum(map(_times, a, col)) % p for col in frob])
-            prod = a if prod is None else self._mul(prod, a)
-        return prod
-
-    def _inv(self, a):
-        rest = self._conjugates(a)
-        n = self._mul(a, rest)[0]
-        if not n:
-            raise DivisionByZero("inverse of zero")
-        n = pow(n, -1, self.p)
-        return tuple([c * n % self.p for c in rest])
-
-    def _is_zero(self, a):
-        return all(c == 0 for c in a)
-
-    def elements(self):
-        p, s = self.p, self.s
-        for k in range(p**s):
-            yield FieldElem(self, base_digits(k, p, s))
-
-    def prime_subfield(self) -> PrimeField:
-        return GF(self.p)
-
-    def coeff_str(self, a: tuple) -> str:
-        return ",".join(str(c) for c in a)
-
-    def coeff_from_str(self, s: str) -> tuple:
-        return self.coerce([_int_literal(c) for c in s.split(",")])
-
-    def descriptor(self):
-        return {
-            "kind": "extension",
-            "p": self.p,
-            "s": self.s,
-            "modulus": list(self.modulus),
-        }
-
-    def descriptor_key(self):
-        return ("extension", self.p, self.s, self.modulus)
-
-    def short_name(self):
-        return f"F{self.p}^{self.s}"
+from . import extfields
+from .errors import UnsupportedParameters, json_field, json_value
+from .primefields import Field, PrimeField, Rationals
 
 
 QQ = Rationals()
@@ -631,7 +24,7 @@ def GF(p: int, s: int = 1, modulus: tuple | None = None) -> Field:
     """Finite field with p^s elements (prime field when s == 1)."""
     if s == 1:
         return PrimeField(p)
-    return ExtensionField(p, s, modulus)
+    return extfields.ExtensionField(p, s, modulus)
 
 
 def field_from_descriptor(d: dict) -> Field:
@@ -650,105 +43,3 @@ def field_from_descriptor(d: dict) -> Field:
         p, s = (json_field(d, key, int, "field") for key in ("p", "s"))
         return GF(p, s, modulus)
     raise UnsupportedParameters(f"unknown field kind {kind!r}")
-
-
-# -- linear algebra over a field -----------------------------------------------
-
-def matrix_rank(rows: list, field: Field) -> int:
-    """Exact rank by forward elimination over the coefficient field; the
-    entries are field elements or anything `field.coerce` accepts."""
-    m = [[field.coerce(c) for c in row] for row in rows]
-    is_zero, mul, sub = field._is_zero, field._mul, field._sub
-    rank = 0
-    for col in range(len(m[0]) if m else 0):
-        pivot = next(
-            (i for i in range(rank, len(m)) if not is_zero(m[i][col])), None
-        )
-        if pivot is None:
-            continue
-        m[rank], m[pivot] = m[pivot], m[rank]
-        top = m[rank]
-        inv = field._inv(top[col])
-        for row in m[rank + 1 :]:
-            # entries left of `col` are already zero below the pivot
-            if not is_zero(row[col]):
-                factor = mul(row[col], inv)
-                row[col:] = [
-                    sub(c, mul(factor, d)) for c, d in zip(row[col:], top[col:])
-                ]
-        rank += 1
-        if rank == len(m):
-            break
-    return rank
-
-
-def _rho_factor(n: int) -> int:
-    """A proper factor of a composite n with no factor below 100, by
-    Pollard's rho: x -> x^2 + c from x = 2, for c = 1, 2, ... until one
-    splits n."""
-    c = 0
-    while True:
-        c += 1
-        x = y = 2
-        d = 1
-        while d == 1:
-            x = (x * x + c) % n
-            y = (y * y + c) % n
-            y = (y * y + c) % n
-            d = gcd(x - y, n)
-        if d != n:
-            return d
-
-
-def _prime_factors(n: int) -> set:
-    """The prime factors of n >= 1: those below 100 by trial division, then
-    each part proved prime by `is_prime` or split by `_rho_factor`.  Rho's
-    cost grows with the square root of a part's smallest prime factor, so a
-    large prime factor costs one primality test."""
-    factors = set()
-    for q in range(2, 100):
-        if n % q == 0:
-            factors.add(q)
-            while n % q == 0:
-                n //= q
-    parts = [n] if n > 1 else []
-    while parts:
-        m = parts.pop()
-        if is_prime(m):
-            factors.add(m)
-        else:
-            d = _rho_factor(m)
-            parts += [d, m // d]
-    return factors
-
-
-def primitive_root(p: int) -> int:
-    """The smallest generator of F_p^*, p prime."""
-    factors = _prime_factors(p - 1)
-    return next(g for g in range(1, p) if all(pow(g, (p - 1) // q, p) != 1 for q in factors))
-
-
-# -- norm and pi_s -------------------------------------------------------------
-
-def norm(alpha: FieldElem) -> FieldElem:
-    """Field norm F_{p^s} -> F_p: the product of the Frobenius conjugates
-    alpha, alpha^p, ..., alpha^(p^(s-1)), which is the value of the power
-    formula alpha^((p^s-1)/(p-1))."""
-    F = alpha.field
-    if not isinstance(F, ExtensionField):
-        raise WrongField("norm needs an extension-field element")
-    val = F._mul(alpha.val, F._conjugates(alpha.val))
-    if any(val[1:]):
-        raise CoefficientNotInPrimeField("norm left the prime subfield")
-    return FieldElem(F.prime_subfield(), val[0])
-
-
-def pi_s(F: ExtensionField, u) -> FieldElem:
-    """The F_p-linear isomorphism F_p^s -> F_{p^s}, u -> sum u_i b^(i-1)."""
-    if not isinstance(F, ExtensionField):
-        raise WrongField("pi_s needs an extension field")
-    p = F.p
-    coords = tuple((c.val if isinstance(c, FieldElem) else int(c)) % p for c in u)
-    if len(coords) != F.s:
-        raise DimensionMismatch(f"need {F.s} coordinates")
-    return FieldElem(F, coords)

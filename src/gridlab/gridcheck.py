@@ -29,7 +29,7 @@ check (`_admit`) comes before any row or column is computed.
 The vertices are indices.  Each side of a `build_graph` graph is a
 `hypersurfaces.ChartPoints`: the chart is counted against the enumeration
 budget, and a vertex is decoded from its index in the chart's order
-(`hypersurfaces.chart_point`) only when it is read.  The kernels read the
+(`projective.chart_point`) only when it is read.  The kernels read the
 chart's coordinate columns, arrays of repeated digit runs, and no list of
 coordinate tuples is made.  A side whose open set excludes no
 form is the whole chart.  Otherwise it keeps the sorted indices of the
@@ -144,8 +144,9 @@ from .errors import (
     ParameterOutOfRange,
     UnknownVariable,
 )
-from .fields import base_digits, check_budget, enumeration_budget, matrix_rank
-from .hypersurfaces import ChartPoints, Hypersurface, OpenSet, chart_codes, reduce_hypersurface_mod
+from .hypersurfaces import ChartPoints, chart_codes, reduce_hypersurface_mod, reduce_open_set_mod
+from .primefields import base_digits, check_budget, enumeration_budget, matrix_rank
+from .projective import Hypersurface, OpenSet
 from .ring import MultiPoly
 
 # -- graphs --------------------------------------------------------------------------
@@ -698,7 +699,7 @@ def symmetry_permutation(form, m, left, right) -> tuple | None:
     - both matrices are (s+1) x (s+1); on the affine chart the row of x0 in
       M_x, and of y0 in M_y, is (1, 0, ..., 0), so that the map is an
       affine map of the chart;
-    - both matrices are invertible mod p (`fields.matrix_rank`);
+    - both matrices are invertible mod p (`primefields.matrix_rank`);
     - it carries the form mod p to λ·form, λ != 0 (`_carries_form`);
     - M_x maps `left` onto itself and M_y maps `right` onto itself.
     A map that passes the first two tests, arithmetic ones, maps the whole
@@ -850,8 +851,8 @@ def build_graph(
     reduction of H mod p."""
     s = H.s
     whole = ChartPoints(p, s, chart)
-    Xp = (X or OpenSet.full(s)).reduce_mod(p)
-    Yp = (Y or OpenSet.full(s)).reduce_mod(p)
+    Xp = reduce_open_set_mod(X or OpenSet.full(s), p)
+    Yp = reduce_open_set_mod(Y or OpenSet.full(s), p)
     for f in Xp.excluded + Yp.excluded:
         if len(f.vars) != s + 1:
             raise UnknownVariable("point length does not match variables")

@@ -22,7 +22,8 @@ import math
 from fractions import Fraction
 
 from .errors import BadCharacteristic, ExactDivisionError, UnsupportedParameters, ZeroPolynomial
-from .fields import GF, QQ, DenseUnivariate, Field, check_budget, is_prime
+from .fields import GF, QQ
+from .primefields import DenseUnivariate, Field, check_budget, is_prime
 from .ring import MultiPoly, _order_key, primitive_integral_model
 
 
@@ -163,7 +164,7 @@ class _DenseGcd(DenseUnivariate):
     exact division once degree bound + 1 points agree, or earlier when a
     point leaves the interpolant unchanged; one that divides both inputs is
     the gcd, since its leading monomial is no smaller than the gcd's.  The
-    dense-list arithmetic is `fields.DenseUnivariate`'s.
+    dense-list arithmetic is `primefields.DenseUnivariate`'s.
     """
 
     def points(self):

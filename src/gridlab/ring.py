@@ -31,7 +31,8 @@ from .errors import (
     json_field,
     json_value,
 )
-from .fields import Field, FieldElem, field_from_descriptor
+from .fields import field_from_descriptor
+from .primefields import Field, FieldElem
 
 
 def _order_key(exps: tuple) -> tuple:
@@ -463,6 +464,11 @@ class MultiPoly:
             json_value(v, str, "poly.vars entry")
             for v in json_field(data, "vars", list, "poly")
         )
+        # two columns of one name would be merged by `with_vars`, which
+        # keeps one of the colliding terms and drops the others
+        repeated = sorted({v for v in vars if vars.count(v) > 1})
+        if repeated:
+            raise MalformedJSON(f"poly.vars names {', '.join(repeated)} more than once")
         terms = {}
         for t in json_field(data, "terms", list, "poly"):
             e = tuple(

@@ -8,7 +8,8 @@ it checks and `cli`.
 
 from __future__ import annotations
 
-from . import classify_s1, cremona, fields, gridcheck, hypersurfaces, ring
+from . import (classify_s1, cremona, extfields, fields, gridcheck, hypersurfaces, primefields,
+               projective, ring)
 from .errors import BudgetExceeded, GridlabError, UnsupportedParameters
 
 
@@ -65,7 +66,7 @@ def _check_norm_poly(p: int) -> dict:
     K = fields.GF(p, 2)
     pairs = hypersurfaces.ChartPoints(p, 2, "affine").columns()[1:]
     want = gridcheck._values_mod(hypersurfaces.norm_poly(p, 2), pairs, p)
-    bad = sum(fields.norm(fields.pi_s(K, a)).val != w for a, w in zip(zip(*pairs), want))
+    bad = sum(extfields.norm(extfields.pi_s(K, a)).val != w for a, w in zip(zip(*pairs), want))
     return {"pass": bad == 0, "mismatches": bad, "inputs": p * p}
 
 
@@ -91,7 +92,7 @@ def _check_s1(p: int, verdicts: list) -> dict:
     return {"pass": not disagreements, "disagreements": disagreements}
 
 
-def _check_transport(p: int, H0: hypersurfaces.Hypersurface, sigma) -> dict:
+def _check_transport(p: int, H0: projective.Hypersurface, sigma) -> dict:
     """The transport of x0*y0 + x1*y1 + x2*y2 by the standard quadratic map,
     pruned by the diagonal torus: sigma(D y) = det D * D^-1 sigma(y), so
     (D, D^-1) keeps the original form and (D, D) the pulled one, for
@@ -101,7 +102,7 @@ def _check_transport(p: int, H0: hypersurfaces.Hypersurface, sigma) -> dict:
         """The 3 x 3 identity with a at (k, k)."""
         return tuple(tuple(a if i == j == k else int(i == j) for j in range(3)) for i in range(3))
 
-    g = fields.primitive_root(p)
+    g = primefields.primitive_root(p)
     pairs = []
     for k in (1, 2):
         D = diag(k, g)
@@ -122,7 +123,7 @@ def run_sweep(primes: list) -> dict:
     transport's form and map, are built once per call."""
     if not primes:
         raise UnsupportedParameters("sweep needs at least one prime")
-    bad = [p for p in primes if not fields.is_prime(p)]
+    bad = [p for p in primes if not primefields.is_prime(p)]
     if bad:
         raise UnsupportedParameters(f"sweep primes must be prime, got {bad}")
     QQ, verdicts = fields.QQ, []
@@ -132,7 +133,7 @@ def run_sweep(primes: list) -> dict:
         verdicts.append((text, F, classify_s1.s1_classify(F)))
     vars = ("x0", "x1", "x2", "y0", "y1", "y2")
     F0 = ring.MultiPoly.parse(QQ, vars, "x0*y0 + x1*y1 + x2*y2")
-    H0 = hypersurfaces.Hypersurface(ring.BiHomPoly(F0, vars[:3], vars[3:]))
+    H0 = projective.Hypersurface(ring.BiHomPoly(F0, vars[:3], vars[3:]))
     sigma = cremona.standard_quadratic(QQ)
     checks = (
         ("family-1a", _check_1a),

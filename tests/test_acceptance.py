@@ -9,9 +9,11 @@ import pytest
 import sympy
 
 from gridlab.errors import BudgetExceeded
-from gridlab.fields import GF, QQ, norm, pi_s
+from gridlab.extfields import norm, pi_s
+from gridlab.fields import GF, QQ
 from gridlab.ring import BiHomPoly, MultiPoly
-from gridlab.hypersurfaces import Hypersurface, ProjPoint, construct, norm_poly
+from gridlab.hypersurfaces import construct, norm_poly
+from gridlab.projective import Hypersurface, ProjPoint
 from gridlab.gridcheck import build_graph, find_grid, max_common_neighborhood
 from gridlab.curves import (
     PlaneCurve,

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from gridlab.errors import EmptySide
-from gridlab.fields import GF, QQ, is_prime
+from gridlab.fields import GF, QQ
 from gridlab.gridcheck import (
     BipartiteGraph,
     _AdjacencyRows,
@@ -21,16 +21,14 @@ from gridlab.gridcheck import (
 )
 from gridlab.hypersurfaces import (
     ChartPoints,
-    Hypersurface,
-    OpenSet,
-    ProjPoint,
     chart_codes,
-    chart_point,
-    chart_size,
     construct,
     family_symmetries,
     reduce_hypersurface_mod,
+    reduce_open_set_mod,
 )
+from gridlab.primefields import is_prime
+from gridlab.projective import Hypersurface, OpenSet, ProjPoint, chart_point, chart_size
 from gridlab.ring import BiHomPoly, MultiPoly, xy_vars
 
 
@@ -235,7 +233,7 @@ def test_vertices_match_point_membership(data, p, s, chart):
         pts = chart_points(GF(p), s)
 
     def inside(U):
-        Up = U.reduce_mod(p)
+        Up = reduce_open_set_mod(U, p)
         kept = [pt for pt in pts if Up.contains(ProjPoint(GF(p), pt))]
         return kept if chart == "projective" else [pt[1:] for pt in kept]
 
@@ -269,7 +267,7 @@ def test_index_sides_match_the_listing(data, p, s, chart):
     listed = chart_points(GF(p), s, chart)
 
     def inside(U):
-        Up = U.reduce_mod(p)
+        Up = reduce_open_set_mod(U, p)
         return [pt for pt in listed if Up.contains(ProjPoint(GF(p), pt))]
 
     want = inside(X), inside(Y)

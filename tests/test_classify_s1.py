@@ -9,7 +9,7 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from gridlab import classify_s1, hypersurfaces
+from gridlab import classify_s1, projective
 from gridlab.errors import (
     BudgetExceeded,
     ExactDivisionError,
@@ -19,7 +19,8 @@ from gridlab.errors import (
 from gridlab.fields import GF, QQ
 from gridlab.poly import exact_div, gcd
 from gridlab.ring import BiHomPoly, MultiPoly
-from gridlab.hypersurfaces import OpenSet, ProjPoint, reduce_poly_mod
+from gridlab.hypersurfaces import reduce_open_set_mod, reduce_poly_mod
+from gridlab.projective import OpenSet, ProjPoint
 from gridlab.classify_s1 import (
     P1_VARS,
     XVARS,
@@ -109,8 +110,8 @@ def reference_max_row(F, X, Y, p):
     Y = Y or OpenSet.full(1)
     Fp = GF(p)
     poly = reduce_poly_mod(F.poly, p)
-    Xp = X.reduce_mod(p)
-    Yp = Y.reduce_mod(p)
+    Xp = reduce_open_set_mod(X, p)
+    Yp = reduce_open_set_mod(Y, p)
     left = [u for u in proj_points(Fp, 1) if Xp.contains(u)]
     right = [v for v in proj_points(Fp, 1) if Yp.contains(v)]
     worst = 0
@@ -476,7 +477,7 @@ def test_root_search_over_F_q_refused_before_enumeration(monkeypatch):
     def no_decoding(*args):
         raise AssertionError("a point of P^1(F_q) was decoded after the budget refused it")
 
-    monkeypatch.setattr(hypersurfaces, "base_digits", no_decoding)
+    monkeypatch.setattr(projective, "base_digits", no_decoding)
     with pytest.raises(BudgetExceeded, match=r"P\^1\(F_25\) has 26 points, over budget 25"):
         s1_classify(F(form, GF(5, 2)))
     with pytest.raises(BudgetExceeded):

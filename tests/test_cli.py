@@ -15,7 +15,8 @@ from gridlab import hypersurfaces, sweep
 from gridlab.cli import main
 from gridlab.sweep import run_sweep
 from gridlab.errors import BudgetExceeded, UnsupportedParameters
-from gridlab.fields import GF, pi_s
+from gridlab.extfields import pi_s
+from gridlab.fields import GF
 from gridlab.hypersurfaces import norm_poly
 
 
@@ -77,7 +78,7 @@ def test_gridcheck_witness_exit_1(capsys, tmp_path):
     # a rank-2 bilinear form on P^2 x P^2 has (2,2)-grids
     from gridlab.fields import QQ
     from gridlab.ring import BiHomPoly, MultiPoly
-    from gridlab.hypersurfaces import Hypersurface
+    from gridlab.projective import Hypersurface
 
     vars = ("x0", "x1", "x2", "y0", "y1", "y2")
     H = Hypersurface(
@@ -180,7 +181,7 @@ def test_curves_common(capsys, tmp_path):
 def test_curves_common_on_hypersurfaces(capsys, tmp_path):
     from gridlab.fields import QQ
     from gridlab.ring import BiHomPoly, MultiPoly
-    from gridlab.hypersurfaces import Hypersurface
+    from gridlab.projective import Hypersurface
 
     vars = ("x0", "x1", "x2", "y0", "y1", "y2")
     paths = []
@@ -266,7 +267,7 @@ def test_s1_classify_and_reduce(capsys, tmp_path):
 def test_cremona_apply_golden(capsys, h1a, tmp_path):
     from gridlab.fields import QQ
     from gridlab.ring import BiHomPoly, MultiPoly
-    from gridlab.hypersurfaces import Hypersurface
+    from gridlab.projective import Hypersurface
 
     vars = ("x0", "x1", "x2", "y0", "y1", "y2")
     H0 = Hypersurface(
@@ -425,7 +426,7 @@ def test_bad_coefficient_exit_2(capsys, tmp_path, literal):
     # a coefficient that is no field element is a typed error, not a
     # traceback: exit 1 would read as "witness found"
     from gridlab.fields import QQ
-    from gridlab.hypersurfaces import Hypersurface
+    from gridlab.projective import Hypersurface
     from gridlab.ring import BiHomPoly, MultiPoly
 
     V4 = ("x0", "x1", "y0", "y1")
@@ -480,6 +481,37 @@ def test_s1_bad_point_list_exit_2(capsys, tmp_path, flag, points, error):
     assert out == "" and err.startswith(f"error: {error}: ")
     if error == "DimensionMismatch":
         assert "needs 2 coordinates" in err
+
+
+def test_repeated_variable_names_exit_2(capsys, tmp_path):
+    # x0 y1 - x0' y1 + x0' y0 with both x-columns named x0: merging the
+    # columns kept one of the colliding terms, and `s1 reduce` printed
+    # y1 - y0 with exit 0
+    data = {"field": {"kind": "rationals"}, "vars": ["x0", "x0", "y0", "y1"],
+            "terms": [{"e": [1, 0, 0, 1], "c": "1"}, {"e": [0, 1, 0, 1], "c": "-1"},
+                      {"e": [0, 1, 1, 0], "c": "1"}]}
+    f = tmp_path / "F.json"
+    f.write_text(json.dumps(data))
+    for action in ("reduce", "classify"):
+        assert main(["s1", action, "--poly", str(f)]) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and err == "error: MalformedJSON: poly.vars names x0 more than once\n"
+
+
+@pytest.mark.parametrize("t", [0, -3])
+def test_s1_classify_t_below_one_exit_2(capsys, tmp_path, t):
+    # as gridcheck refuses t < 1; the verdict read "grid_free": false
+    from gridlab.fields import QQ
+    from gridlab.ring import MultiPoly
+
+    f = tmp_path / "F.json"
+    form = MultiPoly.parse(QQ, ("x0", "x1", "y0", "y1"), "x0*y1 - x1*y0")
+    f.write_text(json.dumps(form.to_json()))
+    assert main(["s1", "classify", "--poly", str(f), "--t", str(t)]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("error: ParameterOutOfRange: ")
+    assert main(["s1", "classify", "--poly", str(f), "--t", "1"]) == 0
+    assert json.loads(capsys.readouterr().out)["t"] == 1
 
 
 _JSON = st.recursive(
@@ -642,7 +674,8 @@ def test_gridcheck_same_with_and_without_family(capsys, tmp_path, monkeypatch, f
     from math import comb
 
     from gridlab.gridcheck import build_graph
-    from gridlab.hypersurfaces import Hypersurface, family_symmetries
+    from gridlab.hypersurfaces import family_symmetries
+    from gridlab.projective import Hypersurface
 
     path = tmp_path / "h.json"
     argv = ["construct", "--family", family, "--p", str(p), "--out", str(path)]

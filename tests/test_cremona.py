@@ -9,12 +9,8 @@ from gridlab.errors import (
 )
 from gridlab.fields import GF, QQ
 from gridlab.ring import BiHomPoly, MultiPoly
-from gridlab.hypersurfaces import (
-    Hypersurface,
-    MatrixPair,
-    ProjPoint,
-    reduce_hypersurface_mod,
-)
+from gridlab.hypersurfaces import MatrixPair, reduce_hypersurface_mod
+from gridlab.projective import Hypersurface, ProjPoint
 from gridlab import gridcheck, sweep
 from gridlab.gridcheck import (
     BipartiteGraph,

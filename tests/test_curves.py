@@ -14,9 +14,10 @@ from gridlab.errors import (
     WrongDimension,
     ZeroSection,
 )
-from gridlab.fields import GF, QQ, FieldElem, matrix_rank
+from gridlab.fields import GF, QQ
+from gridlab.primefields import FieldElem, matrix_rank
 from gridlab.ring import BiHomPoly, MultiPoly
-from gridlab.hypersurfaces import Hypersurface, ProjPoint
+from gridlab.projective import Hypersurface, ProjPoint
 from gridlab.curves import (
     INFINITE,
     PlaneCurve,

@@ -10,7 +10,7 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from gridlab import fields
+from gridlab import extfields, primefields
 from gridlab.errors import (
     BudgetExceeded,
     CoefficientNotInPrimeField,
@@ -19,18 +19,9 @@ from gridlab.errors import (
     UnsupportedParameters,
     WrongField,
 )
-from gridlab.fields import (
-    GF,
-    QQ,
-    ExtensionField,
-    FieldElem,
-    canonical_modulus,
-    field_from_descriptor,
-    is_prime,
-    norm,
-    pi_s,
-    primitive_root,
-)
+from gridlab.extfields import ExtensionField, canonical_modulus, norm, pi_s
+from gridlab.fields import GF, QQ, field_from_descriptor
+from gridlab.primefields import FieldElem, is_prime, primitive_root
 from gridlab.hypersurfaces import norm_poly
 
 
@@ -127,7 +118,7 @@ def test_canonical_modulus_f9():
 
 
 def test_canonical_modulus_is_irreducible():
-    from gridlab.fields import _is_irreducible
+    from gridlab.extfields import _is_irreducible
 
     for p, s in ((2, 2), (2, 3), (3, 2), (3, 3), (5, 2), (7, 2)):
         m = canonical_modulus(p, s)
@@ -156,7 +147,7 @@ EXHAUSTIVE = [(p, n) for p in (2, 3, 5, 7) for n in range(2, 7) if p**n <= 3125]
 def test_irreducibility_test_matches_trial_division_exhaustively(p, n):
     for tail in product(range(p), repeat=n):
         m = tail + (1,)
-        assert fields._is_irreducible(m, p) == reference_is_irreducible(m, p), m
+        assert extfields._is_irreducible(m, p) == reference_is_irreducible(m, p), m
 
 
 @settings(max_examples=200, deadline=None)
@@ -164,7 +155,7 @@ def test_irreducibility_test_matches_trial_division_exhaustively(p, n):
 def test_irreducibility_test_matches_trial_division(p, data):
     n = data.draw(st.integers(2, 6 if p <= 13 else 4))
     m = tuple(data.draw(st.lists(st.integers(0, p - 1), min_size=n, max_size=n))) + (1,)
-    assert fields._is_irreducible(m, p) == reference_is_irreducible(m, p)
+    assert extfields._is_irreducible(m, p) == reference_is_irreducible(m, p)
 
 
 def test_modulus_search_at_large_primes():
@@ -438,18 +429,18 @@ def test_oversized_extension_fields_are_refused_before_enumerating(monkeypatch):
     def enumerate_anyway(*args, **kwargs):
         raise AssertionError("enumerated before the budget check")
 
-    monkeypatch.setattr(fields, "base_digits", enumerate_anyway)
+    monkeypatch.setattr(extfields, "base_digits", enumerate_anyway)
     monkeypatch.setenv("GRIDLAB_BUDGET", "1375")
     with pytest.raises(BudgetExceeded, match="F_1000000000000000003\\^2 needs 1376 coefficient"
                        " multiplications by candidate 1, over budget 1375"):
         canonical_modulus(10**18 + 3, 2)
-    real = fields._is_irreducible
-    monkeypatch.setattr(fields, "_is_irreducible", enumerate_anyway)
+    real = extfields._is_irreducible
+    monkeypatch.setattr(extfields, "_is_irreducible", enumerate_anyway)
     monkeypatch.setenv("GRIDLAB_BUDGET", "1127")
     with pytest.raises(BudgetExceeded, match="F_1000000007\\^2 needs 1128 coefficient multiplications"
                        " for its tables and one irreducibility test"):
         ExtensionField(10**9 + 7, 2, (1, 0, 1))
-    monkeypatch.setattr(fields, "_is_irreducible", real)
+    monkeypatch.setattr(extfields, "_is_irreducible", real)
     monkeypatch.setenv("GRIDLAB_BUDGET", "1128")
     assert ExtensionField(10**9 + 7, 2, (1, 0, 1)).modulus == (1, 0, 1)
 
@@ -484,8 +475,8 @@ def test_modulus_search_is_charged_per_candidate(monkeypatch):
     # products of 2 * 4^2 coefficient multiplications, 2816, and the search
     # is charged for the tests it runs
     monkeypatch.delenv("GRIDLAB_BUDGET", raising=False)
-    tested, real = [], fields._is_irreducible
-    monkeypatch.setattr(fields, "_is_irreducible", lambda m, p: tested.append(m) or real(m, p))
+    tested, real = [], extfields._is_irreducible
+    monkeypatch.setattr(extfields, "_is_irreducible", lambda m, p: tested.append(m) or real(m, p))
     m = canonical_modulus(10007, 4)
     n = len(tested)
     assert tested[-1] == m
@@ -500,7 +491,7 @@ def reference_canonical_modulus(p: int, s: int) -> tuple:
     """The search over every monic candidate, constant term 0 included."""
     for tail in product(range(p), repeat=s):
         m = tuple(tail) + (1,)
-        if fields._is_irreducible(m, p):
+        if extfields._is_irreducible(m, p):
             return m
 
 
@@ -514,11 +505,11 @@ def test_residue_tuples_follow_the_order_of_product(p, s):
     # the one digit decoder: index k is the k-th tuple of itertools.product,
     # and the field's elements and the modulus candidates follow it
     want = list(product(range(p), repeat=s))
-    assert [fields.base_digits(k, p, s) for k in range(p**s)] == want
+    assert [primefields.base_digits(k, p, s) for k in range(p**s)] == want
     assert [a.val for a in GF(p, s).elements()] == want
     first = p ** (s - 1)
     assert canonical_modulus(p, s)[:-1] == next(
-        t for t in want[first:] if fields._is_irreducible(t + (1,), p)
+        t for t in want[first:] if extfields._is_irreducible(t + (1,), p)
     )
 
 
@@ -572,7 +563,7 @@ def reference_upoly_mod(a: tuple, m: tuple, p: int) -> tuple:
 @given(p=st.sampled_from((2, 3, 5, 7, 101)), data=st.data())
 def test_dense_division_matches_reference(p, data):
     # the lists have no trailing zero, as `DenseUnivariate` requires
-    ring = fields.DenseUnivariate(GF(p))
+    ring = primefields.DenseUnivariate(GF(p))
     coeffs = st.integers(0, p - 1)
     a = ring.trim(data.draw(st.lists(coeffs, max_size=9)))
     m = data.draw(st.lists(coeffs, max_size=5)) + [data.draw(st.integers(1, p - 1))]
@@ -611,7 +602,7 @@ def test_primitive_root_with_large_prime_factors():
     for p in (10**9 + 7, 10**18 + 3, 1000000000000007243, 2**61 - 1):
         assert primitive_root(p) == sympy.primitive_root(p)
     a, b = sympy.nextprime(2**20), sympy.nextprime(2**31)
-    assert fields._prime_factors(2 * 3 * a * a * b) == {2, 3, a, b}
+    assert primefields._prime_factors(2 * 3 * a * a * b) == {2, 3, a, b}
 
 
 def _assert_budget_refusal(res):

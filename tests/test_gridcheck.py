@@ -25,9 +25,9 @@ from gridlab.gridcheck import (
     find_grid,
     max_common_neighborhood,
 )
-from gridlab.hypersurfaces import OpenSet, construct, family_symmetries, reduce_hypersurface_mod
+from gridlab.hypersurfaces import construct, family_symmetries, reduce_hypersurface_mod
+from gridlab.projective import Hypersurface, OpenSet
 from gridlab.ring import BiHomPoly, MultiPoly, xy_vars
-from gridlab.hypersurfaces import Hypersurface
 from test_adjacency import (
     bihomogeneous_forms,
     chart_coords,
@@ -302,7 +302,7 @@ HUGE_PRIME = 1000000000000000003
 
 def test_chart_over_budget_is_refused_before_listing(monkeypatch):
     # the affine chart of P^2(F_5) has 25 points and P^2(F_5) has 31
-    from gridlab import cremona, hypersurfaces
+    from gridlab import cremona, hypersurfaces, projective
 
     c = construct("1a", 5)
     monkeypatch.setenv("GRIDLAB_BUDGET", "31")
@@ -313,7 +313,8 @@ def test_chart_over_budget_is_refused_before_listing(monkeypatch):
     def no_listing(*args, **kwargs):
         raise AssertionError("chart decoded after the budget refused it")
 
-    for name in ("base_digits", "chart_point", "chart_columns"):
+    monkeypatch.setattr(projective, "base_digits", no_listing)
+    for name in ("chart_point", "chart_columns"):
         monkeypatch.setattr(hypersurfaces, name, no_listing)
     with pytest.raises(BudgetExceeded, match=r"P\^2\(F_5\) has 31 points, over budget 30"):
         build_graph(c.hypersurface, 5, chart="projective")
@@ -482,12 +483,13 @@ def test_refused_scan_decodes_no_vertex(monkeypatch):
     # transpose no point.  The plain graph is refused by its C(n, 2)
     # subsets; with the family's maps, a budget below n times their number
     # refuses their verification before it starts
-    from gridlab import gridcheck, hypersurfaces
+    from gridlab import gridcheck, hypersurfaces, projective
 
     def never(*args, **kwargs):
         raise AssertionError("a vertex was decoded for a refused scan")
 
-    for name in ("base_digits", "chart_point", "chart_columns"):
+    monkeypatch.setattr(projective, "base_digits", never)
+    for name in ("chart_point", "chart_columns"):
         monkeypatch.setattr(hypersurfaces, name, never)
     monkeypatch.setattr(gridcheck, "symmetry_permutation", never)
     monkeypatch.delenv("GRIDLAB_BUDGET", raising=False)

@@ -19,17 +19,15 @@ from gridlab.ring import BiHomPoly, MultiPoly
 from test_adjacency import chart_points, proj_points
 from gridlab.hypersurfaces import (
     ChartPoints,
-    Hypersurface,
-    OpenSet,
-    ProjPoint,
     chart_codes,
-    chart_size,
     construct,
     reduce_hypersurface_mod,
+    reduce_open_set_mod,
     reduce_poly_mod,
     reduce_polys_mod,
     smallest_nonresidue,
 )
+from gridlab.projective import Hypersurface, OpenSet, ProjPoint, chart_size
 
 V4 = ("x0", "x1", "y0", "y1")
 
@@ -148,7 +146,7 @@ def test_open_set_json_roundtrip():
 
 def test_open_set_reduce_mod():
     X = OpenSet(1, [MultiPoly.parse(QQ, ("x0", "x1"), "x0 - x1")])
-    Xp = X.reduce_mod(5)
+    Xp = reduce_open_set_mod(X, 5)
     assert not Xp.contains(ProjPoint(GF(5), [1, 1]))
     assert Xp.contains(ProjPoint(GF(5), [1, 2]))
 

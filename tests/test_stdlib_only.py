@@ -12,7 +12,7 @@ from pathlib import Path
 import pytest
 
 import gridlab
-from gridlab.fields import QQ
+from gridlab.fields import GF, QQ
 from gridlab.ring import MultiPoly
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "gridlab"
@@ -103,40 +103,59 @@ ran = [n for n, m in sys.modules.items() if n.split(".")[0] == "gridlab" and typ
 print(code, *sorted(ran))
 """
 
-BASE = ("cli", "errors", "fields", "hypersurfaces", "ring")
+BASE = ("cli", "errors", "fields", "primefields", "projective", "ring")
 
-# graph commands run no gcd and no sweep; algebra commands no graph and no sweep
+# graph commands run no gcd and no sweep; algebra commands no graph, no
+# chart enumeration or construction (`hypersurfaces`) and no sweep
 NOT_RUN = {"construct": ("poly", "sweep"), "gridcheck": ("poly", "sweep"), "edges": ("poly", "sweep"),
-           "s1": ("gridcheck", "sweep"), "curves": ("gridcheck", "sweep"),
-           "cremona": ("gridcheck", "sweep"), "sweep": ()}
+           "s1": ("gridcheck", "hypersurfaces", "sweep"),
+           "curves": ("gridcheck", "hypersurfaces", "sweep"),
+           "cremona": ("gridcheck", "hypersurfaces", "sweep"), "sweep": ()}
 
 
 @pytest.fixture(scope="module")
 def inputs(tmp_path_factory):
     d = tmp_path_factory.mktemp("inputs")
     forms = {
-        "h.json": None,
-        "s1.json": (("x0", "x1", "y0", "y1"), "x0*y0 + x1*y1"),
-        "f.json": (("x0", "x1", "x2"), "x1**2 - x0*x2"),
-        "g.json": (("x0", "x1", "x2"), "x1"),
+        "s1.json": (QQ, ("x0", "x1", "y0", "y1"), "x0*y0 + x1*y1"),
+        "s1_f7.json": (GF(7), ("x0", "x1", "y0", "y1"), "x0*y0 + x1*y1"),
+        "f.json": (QQ, ("x0", "x1", "x2"), "x1**2 - x0*x2"),
+        "g.json": (QQ, ("x0", "x1", "x2"), "x1"),
+        "f7.json": (GF(7), ("x0", "x1", "x2"), "x1**2 - x0*x2"),
+        "g7.json": (GF(7), ("x0", "x1", "x2"), "x1"),
+        "f25.json": (GF(5, 2), ("x0", "x1", "x2"), "x1**2 - x0*x2"),
+        "g25.json": (GF(5, 2), ("x0", "x1", "x2"), "x1"),
     }
     for name, form in forms.items():
-        if form is not None:
-            (d / name).write_text(json.dumps(MultiPoly.parse(QQ, *form).to_json()))
+        (d / name).write_text(json.dumps(MultiPoly.parse(*form).to_json()))
     run_child(EXECUTED, "construct", "--family", "1a", "--p", "5", "--out", "h.json", cwd=d)
+    run_child(EXECUTED, "construct", "--family", "1c", "--p", "5", "--s", "2", "--out", "h1c.json", cwd=d)
     return d
 
 
 @pytest.mark.parametrize(
     "argv, extra",
     [
-        (["construct", "--family", "1a", "--p", "5"], ()),
+        (["construct", "--family", "1a", "--p", "5"], ("hypersurfaces",)),
         (["s1", "classify", "--poly", "s1.json"], ("classify_s1", "poly")),
         (["curves", "imult", "--f", "f.json", "--g", "g.json", "--point", "1:0:0"], ("curves", "poly")),
         (["cremona", "apply", "--sigma", "quadratic", "--input", "h.json"], ("cremona", "poly")),
-        (["gridcheck", "--input", "h.json", "--p", "5", "--s", "2", "--t", "2"], ("gridcheck",)),
-        (["sweep", "--primes", "5"], ("classify_s1", "cremona", "gridcheck", "poly", "sweep")),
-        (["edges", "--input", "h.json", "--p", "5", "--s", "2", "--t", "2"], ("gridcheck",)),
+        (["gridcheck", "--input", "h.json", "--p", "5", "--s", "2", "--t", "2"],
+         ("gridcheck", "hypersurfaces")),
+        (["sweep", "--primes", "5"],
+         ("classify_s1", "cremona", "extfields", "gridcheck", "hypersurfaces", "poly", "sweep")),
+        (["edges", "--input", "h.json", "--p", "5", "--s", "2", "--t", "2"],
+         ("gridcheck", "hypersurfaces")),
+        # over F_p the algebra commands run no extension field either; an
+        # input over F_{5^2} and the 1c construction and graph do
+        (["s1", "classify", "--poly", "s1_f7.json", "--t", "2"], ("classify_s1", "poly")),
+        (["s1", "reduce", "--poly", "s1_f7.json"], ("classify_s1", "poly")),
+        (["curves", "imult", "--f", "f7.json", "--g", "g7.json", "--point", "1:0:0"], ("curves", "poly")),
+        (["curves", "imult", "--f", "f25.json", "--g", "g25.json", "--point", "1,0:0,0:0,0"],
+         ("curves", "extfields", "poly")),
+        (["construct", "--family", "1c", "--p", "5", "--s", "2"], ("extfields", "hypersurfaces")),
+        (["gridcheck", "--input", "h1c.json", "--p", "5", "--s", "2", "--t", "3"],
+         ("extfields", "gridcheck", "hypersurfaces")),
     ],
 )
 def test_each_command_executes_only_the_modules_it_runs(inputs, argv, extra):
@@ -147,8 +166,9 @@ def test_each_command_executes_only_the_modules_it_runs(inputs, argv, extra):
 
 
 # gridlab's layers, lowest first; the modules of one tuple share a layer
-LAYERS = (("errors",), ("fields",), ("ring",), ("poly",), ("hypersurfaces",), ("gridcheck",),
-          ("classify_s1", "curves", "cremona"), ("sweep",), ("cli",))
+LAYERS = (("errors",), ("primefields",), ("extfields",), ("fields",), ("ring",), ("projective",),
+          ("poly",), ("hypersurfaces",), ("gridcheck",), ("classify_s1", "curves", "cremona"),
+          ("sweep",), ("cli",))
 LAYER = {module: rank for rank, layer in enumerate(LAYERS) for module in layer}
 
 
@@ -159,6 +179,13 @@ def relative_imports(path: Path) -> set:
         if isinstance(node, ast.ImportFrom) and node.level == 1:
             out |= {node.module} if node.module else {alias.name for alias in node.names}
     return out
+
+
+def name_imports(path: Path) -> set:
+    """The gridlab modules that the module at `path` imports names from,
+    by `from .<module> import <name>`."""
+    return {node.module for node in ast.walk(ast.parse(path.read_text(), str(path)))
+            if isinstance(node, ast.ImportFrom) and node.level == 1 and node.module}
 
 
 def registration_order() -> list:
@@ -179,6 +206,16 @@ def test_every_import_points_down_the_layers():
     assert upward == []
     # the graph layers take the polynomial representation alone, no gcd
     assert "poly" not in imports["hypersurfaces"] | imports["gridcheck"]
+    # the extension fields, and the graph side of `hypersurfaces` below the
+    # graph layers, are reached through the module (`from . import
+    # extfields`), which runs on first use: by `fields` for s >= 2, and by
+    # `cremona` in the sampled transport
+    named = {path.stem: name_imports(path) for path in SRC.glob("*.py")}
+    assert sorted(m for m in imports if "extfields" in imports[m]) == ["fields", "sweep"]
+    assert "extfields" not in named["fields"] | named["sweep"]
+    assert sorted(m for m in imports if "hypersurfaces" in imports[m]) == [
+        "cli", "cremona", "gridcheck", "sweep"]
+    assert "hypersurfaces" not in named["cremona"]
     # importer first, as the comment in __init__.py says: every module is
     # registered before each module it imports from
     order = registration_order()
@@ -258,10 +295,12 @@ def test_wrapping_in_module_order_leaves_no_wrapper_behind():
 
 # the public names of the package, by defining module
 EXPORTS = {
-    "fields": ["GF", "QQ", "canonical_modulus", "norm", "pi_s"],
+    "fields": ["GF", "QQ"],
+    "extfields": ["canonical_modulus", "norm", "pi_s"],
     "ring": ["BiHomPoly", "MultiPoly", "bihomogenize"],
+    "projective": ["Hypersurface", "OpenSet", "ProjPoint"],
     "poly": ["exact_div", "gcd", "squarefree_part"],
-    "hypersurfaces": ["Hypersurface", "OpenSet", "ProjPoint", "construct", "norm_poly"],
+    "hypersurfaces": ["construct", "norm_poly"],
     "gridcheck": ["BipartiteGraph", "build_graph", "edge_report", "find_grid",
                   "max_common_neighborhood"],
     "curves": ["PlaneCurve", "common_component_rank_test", "conic_classify",

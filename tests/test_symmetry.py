@@ -26,15 +26,14 @@ from gridlab.gridcheck import (
 )
 from gridlab.hypersurfaces import (
     ChartPoints,
-    Hypersurface,
     MatrixPair,
-    OpenSet,
     construct,
     family_symmetries,
     reduce_hypersurface_mod,
     reduce_poly_mod,
     smallest_nonresidue,
 )
+from gridlab.projective import Hypersurface, OpenSet
 from gridlab.ring import MultiPoly, bihomogenize
 from test_adjacency import chart_points, chart_side
 from test_gridcheck import (
