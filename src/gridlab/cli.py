@@ -20,6 +20,7 @@ from . import classify_s1, cremona, curves, gridcheck, hypersurfaces, projective
 from .errors import (
     DimensionMismatch,
     GridlabError,
+    MalformedExpression,
     ParameterOutOfRange,
     UnknownSuite,
     UnsupportedParameters,
@@ -193,7 +194,12 @@ def _parse_sigma(spec: str, field):
         return cremona.standard_quadratic(field)
     if spec.startswith("line:"):
         parts = spec[len("line:") :].split(",")
-        d = int(parts[0])
+        try:
+            d = int(parts[0])
+        except ValueError:
+            raise MalformedExpression(
+                f"--sigma line: needs an integer degree first, got {parts[0]!r}"
+            ) from None
         coeffs = [field.coeff_from_str(c) for c in parts[1:]]
         return cremona.example_line_map(field, d, coeffs)
     if spec.startswith("file:"):

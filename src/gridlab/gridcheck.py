@@ -18,11 +18,12 @@ kernel for each.  A witness found by that first count costs no transpose.
 A graph whose verified symmetries include a translation of x and of y
 along every axis of a whole affine chart needs the kernel for row 0
 alone: row u is row 0 moved by the base-p digits of u, times the
-translations' steps, along each axis, column 0 holds the points -step∘v
-for the points v of row 0, and column w is column 0 moved by the digits
-of w (`_Translations`).  A move is two masked shifts of the bitset per
-axis, some microseconds where a kernel column over thousands of vertices
-costs hundreds.  A `build_graph` graph is a description: it
+translations' steps, along each axis, and column w is column 0 moved by
+the digits of w (`_Translations`).  A move is two masked shifts of the
+bitset per axis, some microseconds where a kernel column over thousands
+of vertices costs hundreds.  Column 0 is the image of row 0 under the
+chart map diag(1, -step) (`_ChartMap.moved`), the one vertex map below.
+A `build_graph` graph is a description: it
 verifies its symmetries on first use too (below), so the scan's budget
 check (`_admit`) comes before any row or column is computed.
 
@@ -81,7 +82,13 @@ whose first vertex is an orbit minimum and, for s >= 3, whose second is a
 minimum under the generators that fix the first.  1b at p = 11 visits
 62,930 subsets of C(1331, 3) = 3.9·10^8.  Verifying the candidates and
 walking their orbits comes first, and is bounded by n times the number of
-candidates (`_admit`).
+candidates (`_admit`).  Both refusals are worded by
+`primefields.check_budget`, as every other budget refusal is.
+
+When s = 1 the first depth is also the last, and it reads rows, not
+columns: each vertex it tries (the orbit minima, or every vertex) is one
+row whose popcount is compared with the floor.  The degree is constant on
+an orbit, so the first vertex of a degree is an orbit minimum.
 
 The edge count reads one row per orbit.  g maps N(v) onto N(g(v)), so the
 degree is constant on each orbit of left vertices, and by the
@@ -116,15 +123,19 @@ hold:
 - M_x maps the left vertices onto themselves and M_y the right ones.
 Then the map sends edges to edges and non-edges to non-edges, on either
 chart and between any open sets: the last test is made on the vertices
-themselves, so no reasoning about the excluded forms is needed.  On a
-side that is the whole chart it holds by the first test, and no vertex is
-mapped: the left permutation is a `_ChartMap`, which maps a vertex when
-one is read, and the whole side only when an orbit walk reads it all.  A
-side with an open set is mapped a chunk at a time, column by column, each
-image scaled to first nonzero coordinate 1, indexed in the chart's order
-arithmetically (`hypersurfaces.chart_codes`) and then through a position
-table.  A wrong candidate is dropped, and a missing one costs only speed.
-No family label is trusted.
+themselves, so no reasoning about the excluded forms is needed.  Each
+verified map is a `_ChartMap` on either kind of side, and every vertex it
+moves goes through one method (`_ChartMap.indices`): the matrix applied
+to coordinate columns (`_image`), each image scaled to first nonzero
+coordinate 1 and indexed in the chart's order arithmetically
+(`hypersurfaces.chart_codes`), then, on a side with an open set, through
+a position table.  An entry read alone maps one vertex, the whole table
+is mapped `_CHUNK` vertices at a time, and a bitset is mapped through its
+set bits.  On a side that is the whole chart the last test holds by the
+first, and no vertex is mapped until one is read; a side with an open set
+is mapped whole, and an image off it rejects the candidate.  A wrong
+candidate is dropped, and a missing one costs only speed.  No family
+label is trusted.
 """
 
 from __future__ import annotations
@@ -137,15 +148,9 @@ from itertools import accumulate, combinations_with_replacement, compress
 from math import comb
 from operator import length_hint
 
-from .errors import (
-    BudgetExceeded,
-    EmptySide,
-    InvalidWitness,
-    ParameterOutOfRange,
-    UnknownVariable,
-)
+from .errors import EmptySide, InvalidWitness, ParameterOutOfRange, UnknownVariable
 from .hypersurfaces import ChartPoints, chart_codes, reduce_hypersurface_mod, reduce_open_set_mod
-from .primefields import base_digits, check_budget, enumeration_budget, matrix_rank
+from .primefields import PrimeField, base_digits, check_budget, matrix_rank
 from .projective import Hypersurface, OpenSet
 from .ring import MultiPoly
 
@@ -434,8 +439,7 @@ class _Translations:
     """Translations of the affine chart of P^s(F_p) acting on bitsets over
     its points, bit i for the point of index i (base-p digits, x1 the most
     significant).  `moved(bits, code, steps)` moves every point of `bits`
-    by step_a times digit a of `code` along each axis a, mod p, and
-    `negated(bits, steps)` takes each point v of `bits` to -step∘v.
+    by step_a times digit a of `code` along each axis a, mod p.
 
     Along axis a, of stride w = p^(s-a), a move by d shifts the points
     whose digit a is below p - d up by d w and the others down by (p - d) w:
@@ -472,21 +476,6 @@ class _Translations:
             if d:
                 bits = (bits & self._below(a, p - d)) << d * w | bits >> (p - d) * w & self._below(a, d)
         return bits
-
-    def negated(self, bits: int, steps: tuple) -> int:
-        """The points (-step_1 v_1, ..., -step_s v_s) mod p of the points v
-        of `bits`: the diagonal map applied to their coordinate columns
-        (`_image`) and indexed (`chart_codes`), one pass over the set bits."""
-        p, n = self.p, self.n
-        on = format(bits, f"0{n}b").encode().translate(_DIGIT_BYTES)[::-1]  # byte v: bit v
-        points = list(compress(range(n), on))
-        coords = [[col[v] for v in points] for col in ChartPoints(p, self.s, "affine").columns()]
-        scale = (1,) + tuple(-d for d in steps)
-        diagonal = [[c if i == j else 0 for j in range(len(scale))] for i, c in enumerate(scale)]
-        digits = bytearray(b"0") * n  # binary, bit n-1 first
-        for c in chart_codes(_image(diagonal, coords, p), p):
-            digits[n - 1 - c] = ord("1")
-        return int(digits, 2)
 
 
 class _AdjacencyRows(Sequence):
@@ -528,9 +517,11 @@ class _AdjacencyRows(Sequence):
             elif self._moves is not None and self._rows is not None:
                 # row u is row 0 moved by σ∘u, so right vertex 0 is adjacent
                 # to left u iff -σ∘u is in row 0: u = -τ∘v for v in row 0,
-                # with τ = σ^-1 the steps of these columns
-                translations, steps = self._moves
-                bits = translations.negated(self._rows[0], steps)
+                # with τ = σ^-1 the steps of these columns: the chart map
+                # diag(1, -τ) moves row 0 onto entry 0
+                scale = (1,) + tuple(-d for d in self._moves[1])
+                diagonal = [[c * (i == j) for j in range(len(scale))] for i, c in enumerate(scale)]
+                bits = _ChartMap(diagonal, self._args[1]).moved(self._rows[0])
             else:
                 if self._kernel is None:
                     terms, left, right, p = self._args
@@ -627,41 +618,38 @@ def _image(M, coords, p) -> list:
     return image
 
 
-# vertices mapped at a time by `_permutation`
+# vertices mapped at a time by `_ChartMap.table`
 _CHUNK = 1 << 16
 
 
-def _permutation(M, side, p) -> array | None:
-    """perm[k] = the index in `side` (`ChartPoints`) of M times its vertex
-    k; None when an image is not on the side.  The vertices are mapped
-    `_CHUNK` at a time, column by column, each image scaled to first
-    nonzero coordinate 1 and indexed arithmetically (`chart_codes`) straight
-    into the array, so no list outgrows a chunk.  An image's index is its
-    vertex index on a side that is the whole chart; a side that is not is
-    indexed through a position table."""
-    cols, table = side.columns(), None
-    if side.codes is not None:
-        table = array("q", [-1]) * side.size
-        for i, c in enumerate(side.codes):
-            table[c] = i
-    perm = array("q")
-    for lo in range(0, len(side), _CHUNK):
-        codes = chart_codes(_image(M, [col[lo : lo + _CHUNK] for col in cols], p), p)
-        perm.fromlist(codes if table is None else [table[c] for c in codes])
-    return None if table is not None and -1 in perm else perm
-
-
 class _ChartMap(Sequence):
-    """The permutation of a whole chart (a `ChartPoints` with no codes) by
-    an invertible matrix `matrix` that keeps it: entry i is the index of
-    `matrix` times vertex i.  An entry read alone maps that one vertex; the
-    whole array (`table`) is computed once, when a walk or an iteration
-    reads it."""
+    """The map of the vertices of `side`, a `ChartPoints`, by an invertible
+    matrix `matrix`: entry i is the index in `side` of `matrix` times vertex
+    i, -1 when that image is not on the side.  Every read maps its vertices
+    by `indices`: an entry read alone maps that one vertex, the whole array
+    (`table`) is computed once, when a walk, an iteration or a check of a
+    side with an open set reads it, and `moved` maps a bitset of vertices."""
 
-    __slots__ = ("matrix", "side", "_table")
+    __slots__ = ("matrix", "side", "_table", "_positions")
 
     def __init__(self, matrix, side: ChartPoints):
-        self.matrix, self.side, self._table = matrix, side, None
+        self.matrix, self.side, self._table, self._positions = matrix, side, None, None
+
+    def indices(self, coords) -> list:
+        """The side indices of `matrix` times the points whose homogeneous
+        coordinate columns are `coords`: each image is scaled to first
+        nonzero coordinate 1 and indexed in the chart's order arithmetically
+        (`chart_codes`), which is its index on a side that is the whole
+        chart; a side that is not is indexed through a position table."""
+        side = self.side
+        codes = chart_codes(_image(self.matrix, coords, side.p), side.p)
+        if side.codes is None:
+            return codes
+        if self._positions is None:
+            self._positions = array("q", [-1]) * side.size
+            for i, c in enumerate(side.codes):
+                self._positions[c] = i
+        return list(map(self._positions.__getitem__, codes))
 
     def __len__(self) -> int:
         return len(self.side)
@@ -669,15 +657,28 @@ class _ChartMap(Sequence):
     def __getitem__(self, i: int) -> int:
         if self._table is not None:
             return self._table[i]
-        side = self.side
-        point = side.point(range(len(side))[i])
-        return chart_codes(_image(self.matrix, [[c] for c in point], side.p), side.p)[0]
+        return self.indices([[c] for c in self.side.point(range(len(self))[i])])[0]
 
     @property
     def table(self) -> array:
+        """Every entry, mapped `_CHUNK` vertices at a time, column by column,
+        so that no list outgrows a chunk."""
         if self._table is None:
-            self._table = _permutation(self.matrix, self.side, self.side.p)
+            table, cols = array("q"), self.side.columns()
+            for lo in range(0, len(self), _CHUNK):
+                table.fromlist(self.indices([col[lo : lo + _CHUNK] for col in cols]))
+            self._table = table
         return self._table
+
+    def moved(self, bits: int) -> int:
+        """The bitset of the images of the vertices in the bitset `bits`."""
+        n = len(self)
+        on = format(bits, f"0{n}b").encode().translate(_DIGIT_BYTES)[::-1]  # byte v: bit v
+        vertices = list(compress(range(n), on))
+        digits = bytearray(b"0") * n  # binary, bit n-1 first
+        for c in self.indices([[col[v] for v in vertices] for col in self.side.columns()]):
+            digits[n - 1 - c] = ord("1")
+        return int(digits, 2)
 
     def __iter__(self):
         return iter(self.table)
@@ -689,9 +690,9 @@ class _ChartMap(Sequence):
 
 
 def symmetry_permutation(form, m, left, right) -> tuple | None:
-    """The pair (left permutation, right permutation), sequences of vertex
-    indices, by which the candidate MatrixPair m = (M_x, M_y) acts on the
-    graph of `form` between the vertex sequences `left` and `right`
+    """The pair (left permutation, right permutation), `_ChartMap`s of
+    vertex indices, by which the candidate MatrixPair m = (M_x, M_y) acts on
+    the graph of `form` between the vertex sequences `left` and `right`
     (`ChartPoints` of one chart); None when it is not verified to be an
     automorphism of that graph.
 
@@ -704,22 +705,15 @@ def symmetry_permutation(form, m, left, right) -> tuple | None:
     - M_x maps `left` onto itself and M_y maps `right` onto itself.
     A map that passes the first two tests, arithmetic ones, maps the whole
     chart onto itself, so the last test holds on a side that is the whole
-    chart and no vertex of it is mapped: its permutation is a `_ChartMap`,
-    which maps a vertex only when it is read, on the left, and None on the
-    right.  A side that is not the whole chart is mapped vertex by vertex
-    (`_permutation`), and a vertex whose image is not on it rejects the
-    map; an invertible map is injective, so onto follows."""
-    p = left.p
-    if not (_invertible_on_chart(m, left.s + 1, p, form.poly.field, left.affine)
+    chart and no vertex of it is mapped: its map maps a vertex only when it
+    is read.  A side that is not the whole chart is mapped whole (`table`),
+    and a vertex whose image is not on it rejects the map; an invertible
+    map is injective, so onto follows."""
+    if not (_invertible_on_chart(m, left.s + 1, left.p, form.poly.field, left.affine)
             and _carries_form(form, m)):
         return None
-    lp = _ChartMap(m[0], left) if left.codes is None else _permutation(m[0], left, p)
-    if lp is None:
-        return None
-    if right.codes is None:
-        return lp, None
-    rp = _permutation(m[1], right, p)
-    return None if rp is None else (lp, rp)
+    pair = _ChartMap(m[0], left), _ChartMap(m[1], right)
+    return None if any(g.side.codes is not None and -1 in g.table for g in pair) else pair
 
 
 def _invertible_on_chart(m, n: int, p: int, field, affine: bool) -> bool:
@@ -850,6 +844,7 @@ def build_graph(
     kernel entry.  The adjacency kernel and the symmetry test share one
     reduction of H mod p."""
     s = H.s
+    PrimeField(p)  # refuses a p that is not prime before the chart is counted
     whole = ChartPoints(p, s, chart)
     Xp = reduce_open_set_mod(X or OpenSet.full(s), p)
     Yp = reduce_open_set_mod(Y or OpenSet.full(s), p)
@@ -882,14 +877,6 @@ def build_graph(
 
     pending = iter([partial(verify, m) for m in symmetries]) if symmetries else None
     return BipartiteGraph(left, right, rows, cols, pending)
-
-
-def _check_budget(n: int, s: int):
-    limit = enumeration_budget()
-    if comb(n, s) > limit:
-        raise BudgetExceeded(
-            f"C({n},{s}) = {comb(n, s)} subset iterations exceed budget {limit}"
-        )
 
 
 def _orbits(n: int, perms: list) -> dict:
@@ -928,7 +915,7 @@ def _signed_minima(matrices: list, side: ChartPoints) -> list | None:
     significant digit: the minima are the points with
     0 <= x1 <= ... <= xs <= (p - 1)/2, listed directly."""
     p, s = side.p, side.s
-    if p == 2 or not side.affine:
+    if p == 2 or not side.affine or side.codes is not None:
         return None
     sign, swaps = False, set()
     for M in matrices:
@@ -973,12 +960,12 @@ def _plan(G: BipartiteGraph, s: int) -> tuple:
     above the first vertex are tried).  count: the s-subsets the scan visits
     with no floor, the number of those whose first vertex is in tops and,
     for s >= 3, whose second is in the first's seconds when it has them;
-    n for s = 1, whose only depth counts every vertex."""
+    C(n, s) without symmetries, whose scan tries every vertex."""
     n, gens = len(G.rows), G.symmetries
+    if not gens:
+        return range(n - s + 1), {}, comb(n, s)
     tops = [v for v in G.orbit_minima if v <= n - s]
     seconds, count, stabilisers = {}, 0, {}
-    if s == 1:
-        return tops, seconds, n
     for v in tops:
         fixing = tuple(k for k, g in enumerate(gens) if g[v] == v) if s > 2 else ()
         if not fixing:
@@ -999,22 +986,16 @@ def _plan(G: BipartiteGraph, s: int) -> tuple:
 def _admit(G: BipartiteGraph, s: int) -> tuple:
     """(tops, seconds) of `_plan` for the scan of G's s-subsets, once the
     enumeration budget admits its work; BudgetExceeded before that work
-    otherwise.  A graph given no symmetry is refused when its C(n, s)
-    subsets exceed the budget.  One given candidates is refused first when
-    n times their number exceeds it, a bound on verifying them and walking
-    their orbits; then, when some are kept, when the pruned scan visits
-    more subsets than the budget (`_plan`), and when none is, by C(n, s)."""
-    n, limit = len(G.rows), enumeration_budget()
-    if G.candidates and n * G.candidates > limit:
-        raise BudgetExceeded(
-            f"{G.candidates} candidate symmetries on {n} vertices = {n * G.candidates}"
-            f" verification steps exceed budget {limit}"
-        )
-    if not G.symmetries:
-        _check_budget(n, s)
-        return range(n - s + 1), {}
+    otherwise.  A graph given candidate symmetries is refused first when n
+    times their number exceeds the budget, a bound on verifying them and
+    walking their orbits; then any graph is refused when its scan visits
+    more subsets than the budget (`_plan`): C(n, s) when no map is kept."""
+    n = len(G.rows)
+    steps = n * G.candidates
+    check_budget(steps, f"{G.candidates} candidate symmetries on {n} vertices = {steps} verification steps")
     tops, seconds, count = _plan(G, s)
-    check_budget(count, f"the pruned scan visits {count} {s}-subsets (C({n},{s}) = {comb(n, s)})")
+    scan = f"pruned scan visits {count}" if G.symmetries else "scan visits all"
+    check_budget(count, f"the {scan} {s}-subsets (C({n},{s}) = {comb(n, s)})")
     return tops, seconds
 
 
@@ -1035,7 +1016,9 @@ def _scan(G: BipartiteGraph, s: int, floor: int, first: bool):
     the survivors are narrowed from the top plane down to those of maximum
     count; the lowest of those is the last hit the loop would have kept,
     since it replaced its hit only on a strictly larger count.  So S, T and
-    the argmax are those of the plain lexicographic scan.
+    the argmax are those of the plain lexicographic scan.  When s = 1 the
+    first depth is the last, and it tries each candidate's row in turn, as
+    the depths above it do, rather than counting every column.
 
     With `G.symmetries`, depth 0 tries only the smallest vertex of each orbit
     of the group they generate, and when s >= 3 depth 1 only the smallest of
@@ -1052,8 +1035,13 @@ def _scan(G: BipartiteGraph, s: int, floor: int, first: bool):
     # rows, transposed, rather than from their kernel one at a time
     unfilled = not G.symmetries and isinstance(cols, _AdjacencyRows)
 
-    def last(start, inter, chosen):
+    def record(S, common):
+        # a hit: `first` stops the scan, else the floor rises to its count
         nonlocal floor, hit
+        hit, floor = (S, common), common.bit_count()
+        return first
+
+    def last(start, inter, chosen):
         planes = []
         x = inter
         while x:
@@ -1090,17 +1078,12 @@ def _scan(G: BipartiteGraph, s: int, floor: int, first: bool):
                 if top:
                     alive = top
         i = start + (alive & -alive).bit_length() - 1
-        ni = inter & rows[i]
-        hit = chosen + [i], ni
-        if first:
-            return True
-        floor = ni.bit_count()
-        return False
+        return record(chosen + [i], inter & rows[i])
 
     def rec(start, depth, inter, chosen, candidates):
         # candidates: the vertices this depth tries, ascending from start
         nonlocal cols, unfilled
-        if depth + 1 == s:
+        if depth and depth + 1 == s:
             if last(start, inter, chosen):
                 return True
             if unfilled:
@@ -1109,6 +1092,10 @@ def _scan(G: BipartiteGraph, s: int, floor: int, first: bool):
         for i in candidates:
             ni = inter & rows[i]
             if ni.bit_count() <= floor:
+                continue
+            if s == 1:
+                if record([i], ni):
+                    return True
                 continue
             minima = seconds.get(i) if depth == 0 else None
             if minima is None:
@@ -1133,7 +1120,10 @@ def find_grid(G: BipartiteGraph, s: int, t: int) -> GridWitness | None:
     if hit is None:
         return None
     S, common = hit
-    T = [j for j in range(len(G.right)) if common >> j & 1][:t]
+    T = []
+    for _ in range(t):  # the t lowest set bits, each cleared once taken
+        T.append((common & -common).bit_length() - 1)
+        common &= common - 1
     return GridWitness.checked(S, T, G.rows)
 
 

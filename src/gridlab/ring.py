@@ -477,6 +477,9 @@ class MultiPoly:
             )
             if min(e, default=0) < 0:
                 raise MalformedJSON("poly.terms exponent must be nonnegative")
+            # a dict keeps the last of two terms with one exponent and drops the other
+            if e in terms:
+                raise MalformedJSON(f"poly.terms exponent {list(e)} appears more than once")
             terms[e] = field.coeff_from_str(json_field(t, "c", str, "poly.terms entry"))
         return cls(field, vars, terms)
 

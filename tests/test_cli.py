@@ -498,6 +498,46 @@ def test_repeated_variable_names_exit_2(capsys, tmp_path):
         assert out == "" and err == "error: MalformedJSON: poly.vars names x0 more than once\n"
 
 
+def test_repeated_exponent_exit_2(capsys, tmp_path):
+    # two terms x0*y1: the second replaced the first, and `s1 reduce`
+    # printed x0*y1 - x1*y0 with exit 0
+    data = {"field": {"kind": "rationals"}, "vars": ["x0", "x1", "y0", "y1"],
+            "terms": [{"e": [1, 0, 0, 1], "c": "1"}, {"e": [1, 0, 0, 1], "c": "1"},
+                      {"e": [0, 1, 1, 0], "c": "-1"}]}
+    f = tmp_path / "F.json"
+    f.write_text(json.dumps(data))
+    assert main(["s1", "reduce", "--poly", str(f)]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == "error: MalformedJSON: poly.terms exponent [1, 0, 0, 1] appears more than once\n"
+
+
+@pytest.mark.parametrize("spec", ["line:", "line:x,1"])
+def test_cremona_line_degree_not_an_integer_exit_2(capsys, h1a, tmp_path, spec):
+    degree = spec[len("line:"):].split(",")[0]
+    assert main(["cremona", "apply", "--sigma", spec, "--input", h1a]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == (f"error: MalformedExpression: --sigma line: needs an integer degree first,"
+                   f" got {degree!r}\n")
+
+
+@pytest.mark.parametrize("command", ["gridcheck", "edges"])
+@pytest.mark.parametrize("chart", ["affine", "projective"])
+@pytest.mark.parametrize("p", [-5, 0, 1, 4])
+def test_graph_commands_refuse_a_p_that_is_not_prime(capsys, tmp_path, command, chart, p):
+    # on P^3, -5 failed in counting the chart with a built-in ValueError,
+    # and 0 on the affine chart with EmptySide
+    for family in ("1a", "1b"):
+        path = tmp_path / f"{family}.json"
+        assert main(["construct", "--family", family, "--p", "5", "--out", str(path)]) == 0
+        capsys.readouterr()
+        argv = [command, "--input", str(path), "--p", str(p), "--s", "1", "--t", "1", "--chart", chart]
+        assert main(argv) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and err == f"error: UnsupportedParameters: {p} is not prime\n"
+
+
 @pytest.mark.parametrize("t", [0, -3])
 def test_s1_classify_t_below_one_exit_2(capsys, tmp_path, t):
     # as gridcheck refuses t < 1; the verdict read "grid_free": false

@@ -17,15 +17,14 @@ from gridlab.errors import BudgetExceeded, EmptySide, ParameterOutOfRange
 from gridlab.fields import GF, QQ
 from gridlab.gridcheck import (
     BipartiteGraph,
-    _check_budget,
     _terms_int,
     build_graph,
     edge_report,
-    enumeration_budget,
     find_grid,
     max_common_neighborhood,
 )
 from gridlab.hypersurfaces import construct, family_symmetries, reduce_hypersurface_mod
+from gridlab.primefields import check_budget, enumeration_budget
 from gridlab.projective import Hypersurface, OpenSet
 from gridlab.ring import BiHomPoly, MultiPoly, xy_vars
 from test_adjacency import (
@@ -66,7 +65,7 @@ def reference_scan(G, s, floor, first):
     `gridcheck._scan` replaced: every depth, the last included, tries each
     candidate vertex in turn.  Same contract as `_scan`."""
     n = len(G.rows)
-    _check_budget(n, s)
+    check_budget(comb(n, s), f"the reference scan visits C({n},{s}) subsets")
     rows = G.rows
     hit = None
 
@@ -450,7 +449,7 @@ def test_budget_refusal_comes_before_adjacency(monkeypatch, tmp_path, capsys):
     monkeypatch.delenv("GRIDLAB_BUDGET", raising=False)
     c = construct("1b", 11)
     G = build_graph(c.hypersurface, 11)
-    message = f"C(1331,3) = {comb(1331, 3)} subset iterations exceed budget 100000000"
+    message = f"the scan visits all 3-subsets (C(1331,3) = {comb(1331, 3)}), over budget 100000000"
     with pytest.raises(BudgetExceeded) as refusal:
         max_common_neighborhood(G, 3)
     assert str(refusal.value) == message
@@ -501,15 +500,15 @@ def test_refused_scan_decodes_no_vertex(monkeypatch):
     with pytest.raises(BudgetExceeded) as refusal:
         find_grid(G, 2, 2)
     assert str(refusal.value) == (
-        f"C({n},2) = {comb(n, 2)} subset iterations exceed budget 100000000"
+        f"the scan visits all 2-subsets (C({n},2) = {comb(n, 2)}), over budget 100000000"
     )
     monkeypatch.setenv("GRIDLAB_BUDGET", str(2 * n))  # the chart's n points pass
     G = build_graph(c.hypersurface, p, symmetries=family_symmetries("1a", p, 2))
     with pytest.raises(BudgetExceeded) as refusal:
         find_grid(G, 2, 2)
     assert str(refusal.value) == (
-        f"6 candidate symmetries on {n} vertices = {6 * n} verification steps"
-        f" exceed budget {2 * n}"
+        f"6 candidate symmetries on {n} vertices = {6 * n} verification steps,"
+        f" over budget {2 * n}"
     )
 
 
@@ -833,7 +832,7 @@ def test_translation_invariant_scan_computes_one_kernel_entry(monkeypatch):
     def never(*args):
         raise AssertionError("a permutation array was built")
 
-    monkeypatch.setattr(gridcheck, "_permutation", never)
+    monkeypatch.setattr(gridcheck._ChartMap, "table", property(never))
     monkeypatch.setattr(gridcheck, "_orbits", never)
     monkeypatch.delenv("GRIDLAB_BUDGET", raising=False)
     kernels = recording_kernels(monkeypatch)

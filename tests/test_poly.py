@@ -16,6 +16,7 @@ from gridlab.errors import (
     BudgetExceeded,
     ExactDivisionError,
     MalformedExpression,
+    MalformedJSON,
     MixedFields,
     NotHomogeneous,
     UnknownVariable,
@@ -546,6 +547,17 @@ def test_json_roundtrip():
         MultiPoly.parse(GF(3, 2), XY, "x*y + 2"),
     ):
         assert MultiPoly.from_json(f.to_json()) == f
+
+
+def test_json_repeated_exponent_is_refused():
+    # a dict of terms kept the last of x0*y1, x0*y1 and read x0*y1 - x1*y0
+    data = {"field": {"kind": "rationals"}, "vars": ["x0", "x1", "y0", "y1"],
+            "terms": [{"e": [1, 0, 0, 1], "c": "1"}, {"e": [1, 0, 0, 1], "c": "1"},
+                      {"e": [0, 1, 1, 0], "c": "-1"}]}
+    with pytest.raises(MalformedJSON, match=r"^poly.terms exponent \[1, 0, 0, 1\] appears more than once$"):
+        MultiPoly.from_json(data)
+    del data["terms"][1]
+    assert MultiPoly.from_json(data) == MultiPoly.parse(QQ, data["vars"], "x0*y1 - x1*y0")
 
 
 # -- properties over F_7 and F_{5^2} in two and three variables ---------------------

@@ -14,6 +14,7 @@ from gridlab.errors import BudgetExceeded, EmptySide
 from gridlab.fields import GF
 from gridlab.gridcheck import (
     BipartiteGraph,
+    _ChartMap,
     _known_orbits,
     _orbits,
     _plan,
@@ -34,7 +35,8 @@ from gridlab.hypersurfaces import (
     smallest_nonresidue,
 )
 from gridlab.projective import Hypersurface, OpenSet
-from gridlab.ring import MultiPoly, bihomogenize
+from gridlab.primefields import matrix_rank
+from gridlab.ring import BiHomPoly, MultiPoly, bihomogenize, xy_vars
 from test_adjacency import chart_points, chart_side
 from test_gridcheck import (
     recording_kernels,
@@ -459,11 +461,12 @@ def test_budget_counts_the_plain_subsets(monkeypatch):
     verified = recording_verifications(monkeypatch)
     monkeypatch.delenv("GRIDLAB_BUDGET", raising=False)
     c = construct("1b", 11)
+    refusal = r"^the scan visits all 3-subsets \(C\(1331,3\) = \d+\), over budget 100000000$"
     for symmetries in ([], family_symmetries("1a", 11, 3)):
         G = build_graph(c.hypersurface, 11, symmetries=symmetries)
-        with pytest.raises(BudgetExceeded, match=r"^C\(1331,3\) = \d+ subset iterations"):
+        with pytest.raises(BudgetExceeded, match=refusal):
             max_common_neighborhood(G, 3)
-        with pytest.raises(BudgetExceeded, match=r"^C\(1331,3\) = \d+ subset iterations"):
+        with pytest.raises(BudgetExceeded, match=refusal):
             find_grid(G, 3, 3)
         assert verified == symmetries and G.symmetries == []
         verified.clear()
@@ -812,8 +815,6 @@ def enumerated_subsets(G, s) -> int:
     under the generators fixing the first, counted one by one with
     union-find orbits: the subsets the scan visits with no floor."""
     n, gens = len(G.left), [list(g) for g in G.symmetries]
-    if s == 1:
-        return n
     labels = union_find_labels(n, gens)
     count = 0
     stabiliser = {}
@@ -874,6 +875,23 @@ def test_signed_permutation_minima_match_the_walk(p):
     assert _signed_minima([g.matrix for g in fixing] + [shear], G.left) is None
 
 
+@pytest.mark.parametrize("p", [5, 7])
+def test_signed_minima_need_the_whole_chart(p):
+    # the open set x1^2 + x2^2 + x3^2 != x0^2 keeps the origin and 1b's
+    # signed permutations, which fix it, and drops its translations: the
+    # minima under those maps are walked on its indices, not listed as
+    # the whole chart's
+    c = construct("1b", p)
+    xs = tuple(f"x{i}" for i in range(4))
+    X = OpenSet(3, [MultiPoly.parse(GF(p), xs, "x1**2 + x2**2 + x3**2 - x0**2")])
+    G = build_graph(c.hypersurface, p, X=X, symmetries=family_symmetries("1b", p, 3))
+    fixing = [g for g in G.symmetries if g[0] == 0]
+    assert len(fixing) == 3 == len(G.symmetries) and G.left.codes is not None
+    assert _signed_minima([g.matrix for g in fixing], G.left) is None
+    assert _plan(G, 3)[2] == enumerated_subsets(G, 3)
+    assert answers(G, [3], [2, 3]) == reference_answers(G, [3], [2, 3])
+
+
 @pytest.mark.parametrize("p", [3, 5, 7])
 @pytest.mark.parametrize("s", [1, 2])
 def test_signed_minima_in_low_dimensions(p, s):
@@ -896,15 +914,94 @@ def swap_matrix(n, i):
 
 
 @pytest.mark.parametrize("chart", ["affine", "projective"])
-def test_chart_maps_read_one_vertex_at_a_time(chart):
+def test_chart_maps_read_one_vertex_at_a_time(chart, monkeypatch):
     # a whole-chart permutation maps the one vertex read, and its table is
     # the reference permutation
+    from gridlab import gridcheck
+
+    def never(*args):
+        raise AssertionError("a permutation array was built")
+
     p = 7
     c = construct("1a", p)
     G = build_graph(c.hypersurface, p, chart=chart, symmetries=family_symmetries("1a", p, 2))
     left, _ = full_points(G, chart)
+    table = gridcheck._ChartMap.table
     for g in G.symmetries:
         want = reference_permutation(g.matrix, left, p)
+        monkeypatch.setattr(gridcheck._ChartMap, "table", property(never))
         assert [g[i] for i in (0, 1, len(left) - 1, -1)] == [want[i] for i in (0, 1, -1, -1)]
+        monkeypatch.setattr(gridcheck._ChartMap, "table", table)
         assert g._table is None
         assert list(g) == want and g == want and g._table is not None
+
+
+@st.composite
+def chart_maps(draw):
+    """(p, s, chart, M, codes): an invertible matrix M mod p, an affine map
+    of the chart x0 = 1 on the affine chart, and the codes of a side: None
+    for the whole chart, else a sorted set of chart indices, a random one or
+    a union of M's orbits, which M keeps."""
+    p = draw(st.sampled_from([3, 5, 7]))
+    s = draw(st.sampled_from([1, 2]))
+    chart = draw(st.sampled_from(["affine", "projective"]))
+    row = st.lists(st.integers(0, p - 1), min_size=s + 1, max_size=s + 1)
+    M = draw(st.lists(row, min_size=s + 1, max_size=s + 1))
+    if chart == "affine":
+        M[0] = [1] + [0] * s
+    assume(matrix_rank(M, GF(p)) == s + 1)
+    whole = ChartPoints(p, s, chart)
+    n = len(whole)
+    kind = draw(st.sampled_from(["whole", "random", "orbits"]))
+    if kind == "whole":
+        return p, s, chart, M, None
+    seeds = draw(st.sets(st.integers(0, n - 1), min_size=1))
+    if kind == "orbits":
+        perm = reference_permutation(M, [whole.point(i) for i in range(n)], p)
+        for i in list(seeds):
+            j = perm[i]
+            while j != i:
+                seeds.add(j)
+                j = perm[j]
+    return p, s, chart, M, sorted(seeds)
+
+
+@settings(max_examples=150, deadline=None)
+@given(chart_maps(), st.data())
+def test_one_chart_map_matches_the_reference(case, data):
+    # the lone-vertex reads, the table and the bitset image all equal the
+    # reference permutation, and a map that moves a vertex off a side with
+    # an open set is rejected
+    p, s, chart, M, codes = case
+    side = ChartPoints(p, s, chart, codes)
+    n = len(side)
+    want = reference_permutation(M, [side.point(i) for i in range(n)], p)
+    # a form in y alone is carried by (M, I), so the sides decide
+    vars = xy_vars(s)
+    form = BiHomPoly(MultiPoly(GF(p), vars, {unit(2 * s + 2, s + 1, 1): 1}), vars[: s + 1], vars[s + 1 :])
+    pair = symmetry_permutation(form, (M, identity(s + 1)), side, ChartPoints(p, s, chart))
+    if want is None:
+        assert codes is not None and pair is None
+        return
+    g = _ChartMap(M, side)
+    reads = data.draw(st.lists(st.integers(-n, n - 1), max_size=6))
+    assert [g[i] for i in reads] == [want[i] for i in reads]
+    subset = data.draw(st.sets(st.integers(0, n - 1)))
+    assert g.moved(sum(1 << i for i in subset)) == sum(1 << want[i] for i in subset)
+    assert g._table is None
+    assert list(g.table) == want and list(pair[0]) == want
+
+
+@pytest.mark.parametrize("family, p, dim, chart", [
+    ("1a", 7, 2, "affine"), ("1a", 5, 2, "projective"), ("1b", 5, 3, "affine"),
+    ("1c", 5, 2, "affine"), ("1d", 5, 2, "projective"),
+])
+def test_s1_scan_reads_rows_and_no_column(family, p, dim, chart):
+    # the only depth of an s = 1 scan is its last: it reads the rows of the
+    # vertices it tries, with or without symmetries, and computes no column
+    c = construct(family, p, dim)
+    for symmetries in (None, family_symmetries(family, p, c.s)):
+        G = build_graph(c.hypersurface, p, chart=chart, symmetries=symmetries)
+        ts = sorted({1, 2, p, G.rows[0].bit_count() + 1, len(G.right)})
+        assert answers(G, [1], ts) == reference_answers(G, [1], ts)
+        assert G.cols._kernel is None and not G.cols._known
