@@ -16,7 +16,7 @@ from importlib.util import LazyLoader, find_spec, module_from_spec
 # defining module's binding is replaced, so its binding is replaced and
 # restored too; the other way round it would bind the wrapper and keep it.
 for _name in ("sweep", "cremona", "classify_s1", "curves", "gridcheck", "hypersurfaces", "poly",
-              "projective", "ring", "fields", "extfields", "primefields", "errors"):
+              "projective", "ring", "fields", "extfields", "rationals", "primefields", "errors"):
     _spec = find_spec(f"{__name__}.{_name}")
     _spec.loader = LazyLoader(_spec.loader)
     sys.modules[_spec.name] = globals()[_name] = module_from_spec(_spec)

@@ -30,9 +30,8 @@ the F_q-points, and a factor without F_q-roots adds no vertex to any row.
 from __future__ import annotations
 
 import math
-from fractions import Fraction
 
-from . import gridcheck
+from . import gridcheck, rationals
 from .errors import EmptySide, NonSplitForm, WrongDimension
 from .primefields import check_budget
 from .ring import BiHomPoly, MultiPoly
@@ -118,7 +117,7 @@ def _rational_roots(fld, z: list) -> list:
                 continue
             for a in (num, -num):
                 if sum(c * a**k * den ** (n - k) for k, c in enumerate(z)) == 0:
-                    roots.append(ProjPoint(fld, [1, Fraction(a, den)]))
+                    roots.append(ProjPoint(fld, [1, rationals.Fraction(a, den)]))
     return roots
 
 

@@ -4,7 +4,10 @@ multi-prime sweep (`gridlab.sweep`).  A command compiles and runs only the
 modules it calls: `construct`, `gridcheck` and `edges` run no gcd
 (`gridlab.poly`) and no sweep; `s1`, `curves` and `cremona apply` run no
 graph code, no chart enumeration or construction (`gridlab.hypersurfaces`)
-and, over Q or F_p, no extension field (`gridlab.extfields`).
+and, over Q or F_p, no extension field (`gridlab.extfields`); a command
+over a finite field runs no rational arithmetic (`gridlab.rationals`).  A
+process builds the argument parser of its own command only
+(`build_parser`).
 
 Exit codes: 0 = success / grid-free, 1 = witness or failing sweep,
 2 = usage or data error.  Data on stdout, diagnostics on stderr.
@@ -19,8 +22,10 @@ import sys
 from . import classify_s1, cremona, curves, gridcheck, hypersurfaces, projective, ring, sweep
 from .errors import (
     DimensionMismatch,
+    FileAccessError,
     GridlabError,
     MalformedExpression,
+    MalformedJSON,
     ParameterOutOfRange,
     UnknownSuite,
     UnsupportedParameters,
@@ -38,14 +43,27 @@ def __getattr__(name):
 def _emit(obj, pretty: bool, out_path: str | None = None):
     text = json.dumps(obj, indent=2 if pretty else None, sort_keys=False)
     if out_path:
-        with open(out_path, "w") as fh:
-            fh.write(text + "\n")
-    print(text)
+        try:
+            with open(out_path, "w") as fh:
+                fh.write(text + "\n")
+        except OSError as exc:
+            raise FileAccessError(f"cannot write {out_path!r}: {exc.strerror or exc}") from None
+    try:
+        print(text)
+    except OSError as exc:  # a closed pipe, say
+        raise FileAccessError(f"cannot write to stdout: {exc.strerror or exc}") from None
 
 
 def _load_json(path: str) -> dict:
-    with open(path) as fh:
-        return json.load(fh)
+    try:
+        with open(path, "rb") as fh:
+            data = fh.read()
+    except OSError as exc:
+        raise FileAccessError(f"cannot read {path!r}: {exc.strerror or exc}") from None
+    try:
+        return json.loads(data)
+    except ValueError as exc:  # not UTF-8, -16 or -32 text, or not JSON
+        raise MalformedJSON(f"{path!r} is not JSON: {exc}") from None
 
 
 def _load_hypersurface(path: str) -> projective.Hypersurface:
@@ -237,55 +255,36 @@ def cmd_sweep(args) -> int:
 # -- argument parsing ---------------------------------------------------------------
 
 
-def build_parser() -> argparse.ArgumentParser:
-    ap = argparse.ArgumentParser(prog="gridlab")
-    ap.add_argument("--pretty", action="store_true", help="indented JSON output")
-    # the copy every subcommand (and curves action) accepts after its
-    # name; SUPPRESS keeps it from resetting a value given before it
-    late = argparse.ArgumentParser(add_help=False)
-    late.add_argument(
-        "--pretty", action="store_true", default=argparse.SUPPRESS, help="indented JSON output"
-    )
-    sub = ap.add_subparsers(dest="command", required=True)
-
-    def add_parser(name):
-        return sub.add_parser(name, parents=[late])
-
-    c = add_parser("construct")
+def _construct_args(c, late):
     c.add_argument("--family", required=True, choices=["1a", "1b", "1c", "1d"])
     c.add_argument("--p", type=int, required=True)
     c.add_argument("--s", type=int, default=None)
     c.add_argument("--out", default=None)
-    c.set_defaults(fn=cmd_construct)
 
-    g = add_parser("gridcheck")
+
+def _graph_args(g, late):
     g.add_argument("--input", required=True)
     g.add_argument("--p", type=int, required=True)
     g.add_argument("--s", type=int, required=True)
     g.add_argument("--t", type=int, required=True)
     g.add_argument("--chart", choices=["affine", "projective"], default="affine")
+
+
+def _gridcheck_args(g, late):
+    _graph_args(g, late)
     g.add_argument("--exclude-x", default=None)
     g.add_argument("--exclude-y", default=None)
-    g.set_defaults(fn=cmd_gridcheck)
 
-    e = add_parser("edges")
-    e.add_argument("--input", required=True)
-    e.add_argument("--p", type=int, required=True)
-    e.add_argument("--s", type=int, required=True)
-    e.add_argument("--t", type=int, required=True)
-    e.add_argument("--chart", choices=["affine", "projective"], default="affine")
-    e.set_defaults(fn=cmd_edges)
 
-    s1 = add_parser("s1")
+def _s1_args(s1, late):
     s1.add_argument("action", choices=["classify", "reduce"])
     s1.add_argument("--poly", required=True)
     s1.add_argument("--t", type=int, default=None)
     s1.add_argument("--exclude-x", default=None, help='points "a:b,c:d"')
     s1.add_argument("--exclude-y", default=None)
-    s1.set_defaults(fn=cmd_s1)
 
-    cv = add_parser("curves")
-    cv.set_defaults(fn=cmd_curves)
+
+def _curves_args(cv, late):
     actions = cv.add_subparsers(dest="action", required=True)
     for action, flags, kind in (
         ("imult", ("--f", "--g", "--point"), str),
@@ -297,21 +296,62 @@ def build_parser() -> argparse.ArgumentParser:
         for flag in flags:
             a.add_argument(flag, required=True, type=kind)
 
-    cr = add_parser("cremona")
+
+def _cremona_args(cr, late):
     cr.add_argument("action", choices=["apply"])
     cr.add_argument("--sigma", required=True)
     cr.add_argument("--input", required=True)
-    cr.set_defaults(fn=cmd_cremona)
 
-    sw = add_parser("sweep")
+
+def _sweep_args(sw, late):
     sw.add_argument("--primes", default="5,7,11,13")
-    sw.set_defaults(fn=cmd_sweep)
 
+
+# each command's entry point and the function that adds its arguments, in
+# the order that usage and help list the commands
+COMMANDS = {
+    "construct": (cmd_construct, _construct_args),
+    "gridcheck": (cmd_gridcheck, _gridcheck_args),
+    "edges": (cmd_edges, _graph_args),
+    "s1": (cmd_s1, _s1_args),
+    "curves": (cmd_curves, _curves_args),
+    "cremona": (cmd_cremona, _cremona_args),
+    "sweep": (cmd_sweep, _sweep_args),
+}
+
+
+def build_parser(argv: list) -> argparse.ArgumentParser:
+    """The parser of `gridlab argv`.  When the first argument other than
+    `--pretty` names a command, it holds that command's parser alone, and
+    lists every command in its usage as the full parser does; otherwise
+    (no command, an unknown one, `-h`) it holds all of them.  Either way
+    help, usage errors and exit codes are the full parser's."""
+    ap = argparse.ArgumentParser(prog="gridlab")
+    ap.add_argument("--pretty", action="store_true", help="indented JSON output")
+    # the copy every subcommand (and curves action) accepts after its
+    # name; SUPPRESS keeps it from resetting a value given before it
+    late = argparse.ArgumentParser(add_help=False)
+    late.add_argument(
+        "--pretty", action="store_true", default=argparse.SUPPRESS, help="indented JSON output"
+    )
+    command = next((arg for arg in argv if arg != "--pretty"), None)
+    names = [command] if command in COMMANDS else list(COMMANDS)
+    # one subparser alone would list only its own name in the usage that
+    # an "unrecognized arguments" error prints
+    metavar = "{" + ",".join(COMMANDS) + "}" if len(names) == 1 else None
+    sub = ap.add_subparsers(dest="command", required=True, metavar=metavar)
+    for name in names:
+        fn, add_arguments = COMMANDS[name]
+        parser = sub.add_parser(name, parents=[late])
+        add_arguments(parser, late)
+        parser.set_defaults(fn=fn)
     return ap
 
 
 def main(argv=None) -> int:
-    ap = build_parser()
+    if argv is None:
+        argv = sys.argv[1:]
+    ap = build_parser(argv)
     try:
         args = ap.parse_args(argv)
     except SystemExit as exc:
@@ -321,7 +361,7 @@ def main(argv=None) -> int:
     except GridlabError as exc:
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 2
-    except (OSError, json.JSONDecodeError, KeyError, ValueError) as exc:
+    except (KeyError, ValueError) as exc:
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 2
 

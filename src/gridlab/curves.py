@@ -5,7 +5,6 @@ sections and conic classification."""
 from __future__ import annotations
 
 import math
-from fractions import Fraction
 from math import comb
 
 from .errors import (
@@ -61,10 +60,6 @@ def moura_max(d1: int, d2: int) -> int:
     return d1 * d2 - (d1 * d1 - 3 * d1 + 2) // 2
 
 
-def _magnitude(v):
-    return abs(v) if isinstance(v, Fraction) else v
-
-
 def _embed_poly(F: MultiPoly, field: Field) -> MultiPoly:
     if F.field == field:
         return F
@@ -84,7 +79,7 @@ def _local_pair(f: MultiPoly, g: MultiPoly, v: ProjPoint):
     coords = v.raw
     chart = max(
         (i for i, c in enumerate(coords) if not field._is_zero(c)),
-        key=lambda i: _magnitude(coords[i]),
+        key=lambda i: coords[i] if field.characteristic else abs(coords[i]),
     )
     vars3 = f.vars
     inv = field._inv(coords[chart])

@@ -129,7 +129,12 @@ class SampleTooSmall(GridlabError):
 # -- input --------------------------------------------------------------------
 
 class MalformedJSON(GridlabError):
-    """Input JSON lacks a key or holds a value of the wrong type."""
+    """Input JSON does not decode, lacks a key or holds a value of the
+    wrong type."""
+
+
+class FileAccessError(GridlabError):
+    """A file named on the command line cannot be read or written."""
 
 
 _JSON_TYPES = {dict: "an object", list: "an array", str: "a string", int: "an integer"}

@@ -1,22 +1,29 @@
 """Coefficient fields by name: `QQ`, `GF(p, s)` and the JSON field
 descriptor.
 
-Q and the prime fields are `gridlab.primefields`', the extension fields
-F_{p^s}, s >= 2, `gridlab.extfields`'.  `GF` reaches the extension module
-only for s >= 2, so a process over Q or F_p compiles no extension-field
-code.
+The prime fields are `gridlab.primefields`', Q is `gridlab.rationals`' and
+the extension fields F_{p^s}, s >= 2, are `gridlab.extfields`'.  Both
+modules are bound here as modules and read on first use: `GF` reaches
+`extfields` only for s >= 2, and the descriptor of Q, or `fields.QQ`,
+reaches `rationals`.  So a process over F_p compiles no extension-field
+code and imports no `fractions`.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
 
-from . import extfields
+from . import extfields, rationals
 from .errors import UnsupportedParameters, json_field, json_value
-from .primefields import Field, PrimeField, Rationals
+from .primefields import Field, PrimeField
 
 
-QQ = Rationals()
+def __getattr__(name):
+    # `fields.QQ` stays the public name of Q without running `rationals`
+    # when `fields` runs
+    if name == "QQ":
+        return rationals.QQ
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 @lru_cache(maxsize=None)
@@ -30,7 +37,7 @@ def GF(p: int, s: int = 1, modulus: tuple | None = None) -> Field:
 def field_from_descriptor(d: dict) -> Field:
     kind = json_field(d, "kind", str, "field")
     if kind == "rationals":
-        return QQ
+        return rationals.QQ
     if kind == "prime":
         return GF(json_field(d, "p", int, "field"))
     if kind == "extension":

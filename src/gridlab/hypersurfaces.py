@@ -18,7 +18,7 @@ from .errors import (
     CoefficientNotInPrimeField,
     UnsupportedParameters,
 )
-from .fields import GF, QQ
+from .fields import GF
 from .primefields import check_budget, is_prime, primitive_root
 from .projective import Hypersurface, OpenSet, chart_point, chart_size
 from .ring import BiHomPoly, MultiPoly, bihomogenize, primitive_integral_model
@@ -135,9 +135,10 @@ def reduce_polys_mod(polys: list, p: int) -> list:
     factor is a unit mod p."""
     Fp = GF(p)
     for F in polys:
-        if F.field != Fp and F.field != QQ:
+        if F.field != Fp and F.field.characteristic:
             raise BadReduction(f"cannot reduce {F.field} mod {p}")
-    models = iter(primitive_integral_model([F for F in polys if F.field == QQ]))
+    # Q is the one field of characteristic 0
+    models = iter(primitive_integral_model([F for F in polys if not F.field.characteristic]))
     return [F if F.field == Fp else MultiPoly(Fp, F.vars, next(models)) for F in polys]
 
 

@@ -19,10 +19,10 @@ contents are monic in `ring`'s monomial order.
 from __future__ import annotations
 
 import math
-from fractions import Fraction
 
 from .errors import BadCharacteristic, ExactDivisionError, UnsupportedParameters, ZeroPolynomial
-from .fields import GF, QQ
+from . import rationals
+from .fields import GF
 from .primefields import DenseUnivariate, Field, check_budget, is_prime
 from .ring import MultiPoly, _order_key, primitive_integral_model
 
@@ -306,7 +306,7 @@ def _rational(u: int, m: int):
         r0, r1, s0, s1 = r1, r0 - q * r1, s1, s0 - q * s1
     if abs(s1) > bound or math.gcd(r1, s1) != 1:
         return None
-    return Fraction(r1, s1)
+    return rationals.Fraction(r1, s1)
 
 
 def _modular_gcd(a: MultiPoly, b: MultiPoly) -> MultiPoly:
@@ -336,7 +336,7 @@ def _modular_gcd(a: MultiPoly, b: MultiPoly) -> MultiPoly:
         image = _field_gcd(a_p, b_p)
         exps, _ = image._lead()
         if sum(exps) == 0:
-            return MultiPoly.constant(QQ, a.vars, 1)
+            return MultiPoly.constant(rationals.QQ, a.vars, 1)
         key = _order_key(exps)
         if key > best:
             continue  # p is unlucky
@@ -356,7 +356,7 @@ def _modular_gcd(a: MultiPoly, b: MultiPoly) -> MultiPoly:
             if c:
                 lifted[e] = c
         else:
-            g = MultiPoly._raw(QQ, a.vars, lifted)
+            g = MultiPoly._raw(rationals.QQ, a.vars, lifted)
             if divides(g, a) and divides(g, b):
                 return g
     raise UnsupportedParameters("ran out of word-size primes")

@@ -1,17 +1,17 @@
-"""The bottom layer of the coefficient fields: Q and the prime fields F_p.
+"""The bottom layer of the coefficient fields: the prime fields F_p.
 
 Field elements, the common `Field` surface, dense univariate polynomials
 over any field, the enumeration budget, a deterministic primality test,
 the base-p digits that number field elements and points, exact rank and
-primitive roots.  Extension fields F_{p^s} are `gridlab.extfields`', and
-`gridlab.fields` names a field by its descriptor; a process over Q or F_p
-compiles no extension-field code.
+primitive roots.  Q is `gridlab.rationals`', the extension fields F_{p^s}
+are `gridlab.extfields`', and `gridlab.fields` names a field by its
+descriptor; a process over F_p compiles neither, and imports no
+`fractions`.
 """
 
 from __future__ import annotations
 
 import os
-from fractions import Fraction
 from math import gcd
 
 from .errors import (
@@ -203,66 +203,6 @@ def _int_literal(s: str) -> int:
         raise MalformedExpression(f"coefficient {s!r} is not an integer") from None
 
 
-class Rationals(Field):
-    kind = "rationals"
-    characteristic = 0
-
-    def coerce(self, x) -> Fraction:
-        if isinstance(x, FieldElem):
-            if x.field != self:
-                raise MixedFields("cannot coerce from another field")
-            return x.val
-        return Fraction(x)
-
-    def _zero(self):
-        return Fraction(0)
-
-    def _one(self):
-        return Fraction(1)
-
-    def _add(self, a, b):
-        return a + b
-
-    def _sub(self, a, b):
-        return a - b
-
-    def _mul(self, a, b):
-        return a * b
-
-    def _neg(self, a):
-        return -a
-
-    def _inv(self, a):
-        if not a:
-            raise DivisionByZero("inverse of zero")
-        return 1 / a
-
-    def _is_zero(self, a):
-        return a == 0
-
-    def coeff_str(self, a: Fraction) -> str:
-        if a.denominator == 1:
-            return str(a.numerator)
-        return f"{a.numerator}/{a.denominator}"
-
-    def coeff_from_str(self, s: str) -> Fraction:
-        try:
-            return Fraction(s)
-        except ZeroDivisionError:
-            raise MalformedExpression(f"coefficient {s!r} has a zero denominator") from None
-        except ValueError:
-            raise MalformedExpression(f"coefficient {s!r} is not a rational number") from None
-
-    def descriptor(self):
-        return {"kind": "rationals"}
-
-    def descriptor_key(self):
-        return ("rationals",)
-
-    def short_name(self):
-        return "QQ"
-
-
 class PrimeField(Field):
     kind = "prime"
 
@@ -277,11 +217,12 @@ class PrimeField(Field):
             if x.field != self:
                 raise MixedFields("cannot coerce from another field")
             return x.val
-        if isinstance(x, Fraction):
-            if x.denominator % self.p == 0:
-                raise DivisionByZero("denominator divisible by p")
-            return x.numerator * pow(x.denominator, -1, self.p) % self.p
-        return int(x) % self.p
+        den = getattr(x, "denominator", 1)  # a fraction's, read without naming its type
+        if den == 1:
+            return int(x) % self.p
+        if den % self.p == 0:
+            raise DivisionByZero("denominator divisible by p")
+        return x.numerator * pow(den, -1, self.p) % self.p
 
     def _zero(self):
         return 0

@@ -9,7 +9,7 @@ it checks and `cli`.
 from __future__ import annotations
 
 from . import (classify_s1, cremona, extfields, fields, gridcheck, hypersurfaces, primefields,
-               projective, ring)
+               projective, rationals, ring)
 from .errors import BudgetExceeded, GridlabError, UnsupportedParameters
 
 
@@ -126,7 +126,7 @@ def run_sweep(primes: list) -> dict:
     bad = [p for p in primes if not primefields.is_prime(p)]
     if bad:
         raise UnsupportedParameters(f"sweep primes must be prime, got {bad}")
-    QQ, verdicts = fields.QQ, []
+    QQ, verdicts = rationals.QQ, []
     for text in _S1_SWEEP_FORMS:
         form = ring.MultiPoly.parse(QQ, classify_s1.P1_VARS, text)
         F = ring.BiHomPoly(form, classify_s1.XVARS, classify_s1.YVARS)

@@ -1,3 +1,4 @@
+import argparse
 import contextlib
 import io
 import json
@@ -11,7 +12,7 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from gridlab import hypersurfaces, sweep
+from gridlab import cli, hypersurfaces, sweep
 from gridlab.cli import main
 from gridlab.sweep import run_sweep
 from gridlab.errors import BudgetExceeded, UnsupportedParameters
@@ -614,6 +615,101 @@ def test_mangled_hypersurface_never_crashes(data):
 def test_usage_error_exit_2(capsys):
     assert main(["gridcheck"]) == 2
     assert main(["construct", "--family", "9z", "--p", "5"]) == 2
+
+
+# -- one parser per command -----------------------------------------------------------
+
+GRIDCHECK = ["gridcheck", "--input", "h.json", "--p", "5", "--s", "2", "--t", "2"]
+MOURA = ["curves", "moura", "--d1", "3", "--d2", "2"]
+
+PARSER_ARGV = [
+    ["-h"], ["--help"], [], ["nope"], ["nope", "--p", "5"], ["--pretty"], ["--pretty", "-h"],
+    ["--pretty", *GRIDCHECK], [*GRIDCHECK, "--pretty"], ["--pretty", "--pretty", *GRIDCHECK],
+    ["--pretty=1", *GRIDCHECK], [*GRIDCHECK, "--pretty=1"], ["--", *GRIDCHECK], [*GRIDCHECK, "--"],
+    ["curves", "--pretty", *MOURA[1:]], [*MOURA, "--pretty"], ["--pre", *MOURA],
+    *([command, "-h"] for command in cli.COMMANDS),
+    *(["curves", action, "-h"] for action in ("imult", "common", "moura", "conic")),
+    ["curves"], ["curves", "nope"], ["s1", "nope", "--poly", "f.json"],
+    ["gridcheck", "--input", "h.json"], ["curves", "moura", "--d1", "3"],
+    ["construct", "--family", "9z", "--p", "5"], ["construct", "--family", "1a", "--p", "x"],
+    ["gridcheck", "--inp", "h.json", "--p", "5", "--s", "2", "--t", "2"],
+    [*GRIDCHECK, "--bogus"], [*GRIDCHECK, "gridcheck"], ["sweep", "--seed", "5"],
+    ["cremona", "apply", "--sigma", "quadratic", "--input", "h.json"],
+]
+
+
+def _parse(parser, argv):
+    """(exit code, stdout, stderr, parsed arguments or None) of parsing argv."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            parsed, code = vars(parser.parse_args(argv)), 0
+        except SystemExit as exc:
+            parsed, code = None, exc.code
+    return code, out.getvalue(), err.getvalue(), parsed
+
+
+@pytest.mark.parametrize("argv", PARSER_ARGV, ids=" ".join)
+def test_a_command_parser_reads_as_the_full_parser(monkeypatch, argv):
+    # the same interpreter builds both, so argparse's wording, which differs
+    # between Python versions, is the same on both sides
+    monkeypatch.setenv("COLUMNS", "80")
+    assert _parse(cli.build_parser(argv), argv) == _parse(cli.build_parser([]), argv)
+
+
+def _commands(parser) -> list:
+    (sub,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    return list(sub.choices)
+
+
+def test_a_command_builds_only_its_own_parser():
+    everything = ["construct", "gridcheck", "edges", "s1", "curves", "cremona", "sweep"]
+    assert _commands(cli.build_parser([])) == everything
+    assert _commands(cli.build_parser(["--pretty", "-h"])) == everything
+    assert _commands(cli.build_parser(["nope", "gridcheck"])) == everything
+    for command in everything:
+        assert _commands(cli.build_parser(["--pretty", command, "--pretty"])) == [command]
+
+
+@pytest.mark.parametrize(
+    "argv, error",
+    [
+        (["gridcheck", "--input", "{d}/nope.json", "--p", "5", "--s", "2", "--t", "2"],
+         "FileAccessError: cannot read '{d}/nope.json': No such file or directory"),
+        (["gridcheck", "--input", "{d}", "--p", "5", "--s", "2", "--t", "2"],
+         "FileAccessError: cannot read '{d}': Is a directory"),
+        (["cremona", "apply", "--sigma", "file:{d}/nope.json", "--input", "{d}/h.json"],
+         "FileAccessError: cannot read '{d}/nope.json': No such file or directory"),
+        (["construct", "--family", "1a", "--p", "5", "--out", "{d}/nope/h.json"],
+         "FileAccessError: cannot write '{d}/nope/h.json': No such file or directory"),
+        (["gridcheck", "--input", "{d}/bad.json", "--p", "5", "--s", "2", "--t", "2"],
+         "MalformedJSON: '{d}/bad.json' is not JSON: Expecting property name"),
+        (["s1", "classify", "--poly", "{d}/latin1.json"],
+         "MalformedJSON: '{d}/latin1.json' is not JSON: 'utf-8' codec can't decode"),
+    ],
+    ids=["missing", "directory", "missing-map", "unwritable-out", "not-json", "not-utf-8"],
+)
+def test_unreadable_input_is_a_typed_error(capsys, h1a, tmp_path, argv, error):
+    # these printed "error: FileNotFoundError: [Errno 2] ..." or
+    # "error: JSONDecodeError: ..."
+    (tmp_path / "bad.json").write_text("{not json")
+    (tmp_path / "latin1.json").write_bytes(b'{"c": "\xe9"}')
+    d = str(tmp_path)
+    assert main([arg.format(d=d) for arg in argv]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("error: " + error.format(d=d))
+
+
+def test_closed_stdout_is_a_typed_error(capsys, monkeypatch):
+    # `gridlab sweep | head -c 1` must not end in a traceback and exit 1
+    class ClosedPipe(io.StringIO):
+        def write(self, text):
+            raise BrokenPipeError(32, "Broken pipe")
+
+    monkeypatch.setattr(sys, "stdout", ClosedPipe())
+    assert main(["curves", "moura", "--d1", "3", "--d2", "2"]) == 2
+    assert capsys.readouterr().err == "error: FileAccessError: cannot write to stdout: Broken pipe\n"
 
 
 def test_byte_identical_output(capsys, h1a):

@@ -92,8 +92,9 @@ def run_child(code: str, *argv, cwd=None) -> str:
     return proc.stdout
 
 
-# the gridlab modules a command's process executes; a lazily registered
-# module is a plain ModuleType only once it has run
+# the gridlab modules a command's process executes, a lazily registered
+# module being a plain ModuleType only once it has run, and then which of
+# the rational-arithmetic modules it imported
 EXECUTED = """
 import contextlib, io, sys, types
 import gridlab.cli
@@ -101,6 +102,7 @@ with contextlib.redirect_stdout(io.StringIO()):
     code = gridlab.cli.main(sys.argv[1:])
 ran = [n for n, m in sys.modules.items() if n.split(".")[0] == "gridlab" and type(m) is types.ModuleType]
 print(code, *sorted(ran))
+print(*[n for n in ("decimal", "fractions") if n in sys.modules])
 """
 
 BASE = ("cli", "errors", "fields", "primefields", "projective", "ring")
@@ -119,6 +121,7 @@ def inputs(tmp_path_factory):
     forms = {
         "s1.json": (QQ, ("x0", "x1", "y0", "y1"), "x0*y0 + x1*y1"),
         "s1_f7.json": (GF(7), ("x0", "x1", "y0", "y1"), "x0*y0 + x1*y1"),
+        "s1_f25.json": (GF(5, 2), ("x0", "x1", "y0", "y1"), "x0*y0 + x1*y1"),
         "f.json": (QQ, ("x0", "x1", "x2"), "x1**2 - x0*x2"),
         "g.json": (QQ, ("x0", "x1", "x2"), "x1"),
         "f7.json": (GF(7), ("x0", "x1", "x2"), "x1**2 - x0*x2"),
@@ -137,13 +140,16 @@ def inputs(tmp_path_factory):
     "argv, extra",
     [
         (["construct", "--family", "1a", "--p", "5"], ("hypersurfaces",)),
-        (["s1", "classify", "--poly", "s1.json"], ("classify_s1", "poly")),
-        (["curves", "imult", "--f", "f.json", "--g", "g.json", "--point", "1:0:0"], ("curves", "poly")),
+        # Q is `rationals`', and only a process over Q imports `fractions`
+        (["s1", "classify", "--poly", "s1.json"], ("classify_s1", "poly", "rationals")),
+        (["curves", "imult", "--f", "f.json", "--g", "g.json", "--point", "1:0:0"],
+         ("curves", "poly", "rationals")),
         (["cremona", "apply", "--sigma", "quadratic", "--input", "h.json"], ("cremona", "poly")),
         (["gridcheck", "--input", "h.json", "--p", "5", "--s", "2", "--t", "2"],
          ("gridcheck", "hypersurfaces")),
         (["sweep", "--primes", "5"],
-         ("classify_s1", "cremona", "extfields", "gridcheck", "hypersurfaces", "poly", "sweep")),
+         ("classify_s1", "cremona", "extfields", "gridcheck", "hypersurfaces", "poly", "rationals",
+          "sweep")),
         (["edges", "--input", "h.json", "--p", "5", "--s", "2", "--t", "2"],
          ("gridcheck", "hypersurfaces")),
         # over F_p the algebra commands run no extension field either; an
@@ -156,19 +162,25 @@ def inputs(tmp_path_factory):
         (["construct", "--family", "1c", "--p", "5", "--s", "2"], ("extfields", "hypersurfaces")),
         (["gridcheck", "--input", "h1c.json", "--p", "5", "--s", "2", "--t", "3"],
          ("extfields", "gridcheck", "hypersurfaces")),
+        (["edges", "--input", "h1c.json", "--p", "5", "--s", "2", "--t", "3"],
+         ("extfields", "gridcheck", "hypersurfaces")),
+        (["s1", "classify", "--poly", "s1_f25.json", "--t", "2"], ("classify_s1", "extfields", "poly")),
     ],
 )
 def test_each_command_executes_only_the_modules_it_runs(inputs, argv, extra):
-    code, *ran = run_child(EXECUTED, *argv, cwd=inputs).split()
+    executed, imported = run_child(EXECUTED, *argv, cwd=inputs).split("\n")[:2]
+    code, *ran = executed.split()
     assert code == "0"
     assert {f"gridlab.{m}" for m in NOT_RUN[argv[0]]} & set(ran) == set()
     assert ran == sorted(["gridlab"] + [f"gridlab.{m}" for m in BASE + extra])
+    # `fractions` brings `decimal` along; over F_p and F_{p^s} neither loads
+    assert imported.split() == (["decimal", "fractions"] if "rationals" in extra else [])
 
 
 # gridlab's layers, lowest first; the modules of one tuple share a layer
-LAYERS = (("errors",), ("primefields",), ("extfields",), ("fields",), ("ring",), ("projective",),
-          ("poly",), ("hypersurfaces",), ("gridcheck",), ("classify_s1", "curves", "cremona"),
-          ("sweep",), ("cli",))
+LAYERS = (("errors",), ("primefields",), ("extfields", "rationals"), ("fields",), ("ring",),
+          ("projective",), ("poly",), ("hypersurfaces",), ("gridcheck",),
+          ("classify_s1", "curves", "cremona"), ("sweep",), ("cli",))
 LAYER = {module: rank for rank, layer in enumerate(LAYERS) for module in layer}
 
 
@@ -206,13 +218,16 @@ def test_every_import_points_down_the_layers():
     assert upward == []
     # the graph layers take the polynomial representation alone, no gcd
     assert "poly" not in imports["hypersurfaces"] | imports["gridcheck"]
-    # the extension fields, and the graph side of `hypersurfaces` below the
-    # graph layers, are reached through the module (`from . import
-    # extfields`), which runs on first use: by `fields` for s >= 2, and by
-    # `cremona` in the sampled transport
+    # the extension fields, Q, and the graph side of `hypersurfaces` below
+    # the graph layers, are reached through the module (`from . import
+    # extfields`), which runs on first use: by `fields` for s >= 2, on the
+    # Q paths only, and by `cremona` in the sampled transport
     named = {path.stem: name_imports(path) for path in SRC.glob("*.py")}
     assert sorted(m for m in imports if "extfields" in imports[m]) == ["fields", "sweep"]
     assert "extfields" not in named["fields"] | named["sweep"]
+    assert sorted(m for m in imports if "rationals" in imports[m]) == [
+        "classify_s1", "fields", "poly", "sweep"]
+    assert [m for m in named if "rationals" in named[m]] == []
     assert sorted(m for m in imports if "hypersurfaces" in imports[m]) == [
         "cli", "cremona", "gridcheck", "sweep"]
     assert "hypersurfaces" not in named["cremona"]
@@ -320,3 +335,10 @@ def test_public_names_resolve_to_the_defining_module(module, name):
 def test_unknown_package_name_is_an_attribute_error():
     with pytest.raises(AttributeError):
         gridlab.no_such_name
+
+
+def test_fields_names_q_of_the_rationals_module():
+    # `fields.QQ` resolves on access, so running `fields` runs no `rationals`
+    assert gridlab.fields.QQ is gridlab.rationals.QQ
+    with pytest.raises(AttributeError):
+        gridlab.fields.no_such_name
