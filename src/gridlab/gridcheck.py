@@ -70,11 +70,8 @@ v0.  The scan therefore tries at depth 0 only the orbit minima of the group
 the symmetries generate.  When s >= 3, depth 1 then tries only the minima
 under those generators that fix the first vertex.  The last level is
 unchanged.  The scan still meets S, and it meets every subset it visits in
-the same order as before, so S, T and the argmax are byte-identical.  When
-the generators that fix the first vertex are a sign change and the swaps
-of adjacent coordinates of a whole affine chart (1b's, at the origin),
-their minima are known, the points with 0 <= x1 <= ... <= xs <= (p-1)/2,
-and are listed without a walk (`_signed_minima`).
+the same order as before, so S, T and the argmax are byte-identical.  Both
+depths take their orbits from `_orbits` (below).
 
 The budget counts the subsets the scan visits with no floor (`_plan`):
 C(|left|, s) for a graph without symmetries, and with them the s-subsets
@@ -93,25 +90,37 @@ an orbit, so the first vertex of a degree is an orbit minimum.
 The edge count reads one row per orbit.  g maps N(v) onto N(g(v)), so the
 degree is constant on each orbit of left vertices, and by the
 orbit-stabiliser count |E| = sum over the orbits O of |O| * deg(min O).
-`BipartiteGraph` finds the orbits once, as {minimum: size} in ascending
-order of the minima, for this count and the scan's first depth, which loop
-over the orbit minima alone.  Most families' orbits are known without a
-walk (`_known_orbits`): translations along every affine axis (1b, 1c) give
-one orbit, and transvections that generate SL (1a) give one orbit on
-P^2(F_p) and two on F_p^2, the origin and the rest.  So 1a's count reads 2
-rows, or 1.  Other maps are walked once (`_orbits`).  A graph without
-symmetries sums every row.  The count and `orbit_minima` stop verifying
-candidates once the maps kept so far are known to act with one orbit,
-since no further map can merge orbits: 1c's count verifies its
-translations and not its norm-one map.  The scan reads `symmetries`, which
-verifies the rest.
+It charges the rows it reads, times the right side, to the budget first;
+a graph without symmetries reads every row.
+
+One function answers every orbit question, `_orbits(maps, n)`, as
+{minimum: size} in ascending order of the minima: the graph's orbits,
+found once for the edge count, `orbit_minima` and the scan's first depth,
+and the orbits of the maps that fix each first vertex, for the scan's
+second.  When the maps are verified `_ChartMap`s it reads their matrices
+for three closed forms: translations along every affine axis (1b, 1c)
+give one orbit; transvections that generate SL (1a) give one orbit on
+P^2(F_p) and two on F_p^2, the origin and the rest; a sign change and the
+swaps of adjacent coordinates of a whole affine chart (1b's maps that fix
+the origin) give the minima 0 <= x1 <= ... <= xs <= (p-1)/2, each orbit's
+size counted from its coordinates.  So 1a's count reads 2 rows, or 1, and
+1b's scan maps no vertex list.  Any other group (1d, the transport's
+torus) is walked once, a layer of images at a time, after its n times
+|maps| steps are charged to the budget.  The count and `orbit_minima`
+stop verifying candidates once the closed forms show one orbit, since no
+further map can merge orbits: 1c's count verifies its translations and
+not its norm-one map.  The scan reads `symmetries`, which verifies the
+rest.
 
 The symmetries come from `build_graph(..., symmetries=...)` as candidate
 matrix pairs (M_x, M_y) mod p acting on homogeneous coordinates,
 (x, y) -> (M_x x, M_y y) (`hypersurfaces.MatrixPair`,
 `hypersurfaces.family_symmetries`); an affine map x -> A x + b of the
-chart x0 = 1 is [[1, 0], [b, A]].  They are verified on the first read of
-the graph's `symmetries` or orbits, each at most once and alone, by one
+chart x0 = 1 is [[1, 0], [b, A]].  The graph holds the candidate list and
+a verifier that gives a candidate's left `_ChartMap`, or None; a graph
+built from maps already verified, as the transport's, holds them alone.
+The candidates are verified on the first read of the graph's
+`symmetries` or orbits, each at most once and alone, by one
 `symmetry_permutation` call.  It keeps a candidate only when all of these
 hold:
 - both matrices are (s+1) x (s+1) and invertible mod p, and on the affine
@@ -142,15 +151,13 @@ from __future__ import annotations
 
 from array import array
 from bisect import bisect_right
-from collections.abc import Iterator, Sequence
-from functools import partial
-from itertools import accumulate, combinations_with_replacement, compress
-from math import comb
-from operator import length_hint
+from collections.abc import Sequence
+from itertools import accumulate, combinations_with_replacement, compress, groupby
+from math import comb, factorial, log10
 
 from .errors import EmptySide, InvalidWitness, ParameterOutOfRange, UnknownVariable
 from .hypersurfaces import ChartPoints, chart_codes, reduce_hypersurface_mod, reduce_open_set_mod
-from .primefields import PrimeField, base_digits, check_budget, matrix_rank
+from .primefields import PrimeField, base_digits, check_budget, enumeration_budget, matrix_rank
 from .projective import Hypersurface, OpenSet
 from .ring import MultiPoly
 
@@ -190,7 +197,13 @@ class BipartiteGraph:
     Both are given.  Columns given as lists are read as they are; on-demand
     columns are computed by their kernel one at a time, until a scan
     without symmetries goes on past its first count at the last depth and
-    takes them all from the rows, transposed (`_scan`)."""
+    takes them all from the rows, transposed (`_scan`).
+
+    `symmetries` lists verified automorphisms, as left-index permutations;
+    with `verify`, it lists candidates instead, and `verify(candidate)`
+    gives a candidate's permutation once it is verified, None when it is
+    not.  Each candidate is verified on first need, in order, at most
+    once."""
 
     def __init__(
         self,
@@ -198,7 +211,8 @@ class BipartiteGraph:
         right: Sequence,
         rows: Sequence,
         cols: Sequence,
-        symmetries: list | Iterator | None = None,
+        symmetries: list | None = None,
+        verify=None,
     ):
         if not left or not right:
             raise EmptySide("both sides need at least one vertex")
@@ -210,22 +224,24 @@ class BipartiteGraph:
         self.right = right
         self.rows = rows
         self.cols = cols
-        self._pending = symmetries if isinstance(symmetries, Iterator) else None
-        self._symmetries = [] if self._pending is not None else symmetries or []
+        symmetries = symmetries or []
+        # how many symmetries were given, verified or candidates
+        self.candidates = len(symmetries)
+        self._verify = verify
+        self._pending = iter(symmetries) if verify else None
+        self._symmetries = [] if verify else symmetries
         self._orbits = None
-        # how many symmetries were given, verified or pending
-        self.candidates = length_hint(symmetries or ())
 
     def _draw(self, one_orbit: bool):
         """Verify the pending candidates: every one, or with `one_orbit` only
-        until the maps kept so far are known to act with one orbit."""
-        for verify in self._pending:
-            kept = verify()
-            if kept is None:
+        until the closed forms of `_orbits` (with n = 0, nothing is walked)
+        show that the maps kept so far act with one orbit."""
+        for candidate in self._pending:
+            g = self._verify(candidate)
+            if g is None:
                 continue
-            perm, self._orbits = kept
-            self._symmetries.append(perm)
-            if one_orbit and self._orbits is not None and len(self._orbits) == 1:
+            self._symmetries.append(g)
+            if one_orbit and len(_orbits(self._symmetries, 0)) == 1:
                 return
         self._pending = None
 
@@ -233,30 +249,24 @@ class BipartiteGraph:
     def symmetries(self) -> list:
         """Left-index permutations of verified graph automorphisms (each maps
         right vertices to right vertices too); the scan prunes by them and
-        the edge count reads one row per orbit.  They may be given as an
-        iterator over the candidates' verifications, as `build_graph` does,
-        with a length hint: a call verifies one candidate and gives None, or
-        when it keeps the candidate, its permutation and the orbits of the
-        maps kept so far ({minimum: size}) when they are known without a
-        walk, else None.  Reading this verifies every candidate left."""
+        the edge count reads one row per orbit.  Reading this verifies every
+        candidate left."""
         if self._pending is not None:
             self._draw(False)
         return self._symmetries
 
     def _orbit_data(self) -> dict | None:
         """The orbits of the left side under the group that `symmetries`
-        generate, as {smallest index: size} in ascending order of the
-        minima, found once; None without symmetries.  Pending candidates
-        are drawn only until the maps kept are known to act with one orbit:
-        an automorphism maps each orbit onto an orbit, so more maps cannot
-        change one orbit, and the candidates left are not verified."""
-        if self._pending is not None and self._orbits is None:
-            # still pending after a draw only once one orbit is known
-            self._draw(True)
-        if not self._symmetries:
-            return None
+        generate (`_orbits`), found once; None without symmetries.  Pending
+        candidates are drawn only until the maps kept are known to act with
+        one orbit: an automorphism maps each orbit onto an orbit, so more
+        maps cannot change one orbit, and the candidates left are not
+        verified."""
         if self._orbits is None:
-            self._orbits = _orbits(len(self.rows), self._symmetries)
+            if self._pending is not None:
+                self._draw(True)
+            if self._symmetries:
+                self._orbits = _orbits(self._symmetries, len(self.rows))
         return self._orbits
 
     @property
@@ -270,8 +280,13 @@ class BipartiteGraph:
     def edge_count(self) -> int:
         """|E|.  With symmetries, one row per orbit: an automorphism g maps
         N(i) onto N(g(i)), so the degree is constant on each orbit O of left
-        vertices and |E| = sum over the orbits of |O| * deg(min O)."""
+        vertices and |E| = sum over the orbits of |O| * deg(min O).  The
+        rows it reads, times the right side, are charged to the budget
+        before the first is read."""
         orbits = self._orbit_data()
+        reads, width = len(self.rows) if orbits is None else len(orbits), len(self.right)
+        bits = reads * width
+        check_budget(bits, f"the edge count reads {reads} rows of {width} vertices = {bits} adjacency bits")
         if orbits is None:
             return sum(r.bit_count() for r in self.rows)
         return sum(size * self.rows[v].bit_count() for v, size in orbits.items())
@@ -734,39 +749,6 @@ def _moved(M, p: int) -> list:
     return [(a, b) for a, row in enumerate(M) for b, c in enumerate(row) if c % p != (a == b)]
 
 
-def _known_orbits(maps: list, left: ChartPoints) -> dict | None:
-    """The orbits of `left` under the group that the verified MatrixPairs
-    `maps` generate, as {smallest index: size}, when elementary
-    transvections among them show them without a walk; None otherwise.
-    M_x = I + c e_a e_b^T (c != 0, a != b) is x_a -> x_a + c x_b, and the
-    maps of each pair (a, b) generate all of its multiples.
-    - Translations, (a, 0) for every axis a = 1..s of the affine chart,
-      move any point to any other: one orbit.
-    - The pairs (a, b) of distinct coordinates among those the chart lets
-      move, 0..s on the projective chart and 1..s (s >= 2) on the affine
-      one, generate SL of them, which is transitive on P^s and on the
-      nonzero vectors of F_p^s: one orbit, or on the affine chart the
-      origin apart when every map fixes it.
-    Each map keeps `left`, so `left` is a union of these orbits; the origin
-    has the lowest chart index, so it is vertex 0 when it is a vertex."""
-    p, s, n = left.p, left.s, len(left)
-    pairs = set()
-    for M, _ in maps:
-        moved = _moved(M, p)
-        if len(moved) == 1 and moved[0][0] != moved[0][1]:
-            pairs.add(moved[0])
-    first = 1 if left.affine else 0
-    coords = range(first, s + 1)
-    if left.affine and {(a, 0) for a in coords} <= pairs:
-        return {0: n}
-    if len(coords) < 2 or not {(a, b) for a in coords for b in coords if a != b} <= pairs:
-        return None
-    fixed = left.affine and all(M[a][0] % p == 0 for M, _ in maps for a in coords)
-    if fixed and n > 1 and (left.codes is None or left.codes[0] == 0):
-        return {0: 1, 1: n - 1}
-    return {0: n}
-
-
 def _translation_steps(maps: list, p: int, s: int) -> tuple | None:
     """(step_1, ..., step_s) when the MatrixPairs `maps` hold, for every axis
     a of the affine chart, a translation x -> x + c e_a, y -> y + d e_a
@@ -830,11 +812,10 @@ def build_graph(
     a side that is the whole chart that test maps no vertex, and the
     permutation maps one only when it is read (`_ChartMap`).  Each
     candidate is verified alone when first drawn, in order, and at most
-    once.  When the maps kept include a translation along every axis of
-    the affine chart, or the elementary transvections that generate SL,
-    the orbits of the left side are known without a walk (`_known_orbits`);
-    the edge count and `orbit_minima` draw candidates only until those
-    orbits are one, and the scan's read of `symmetries` draws the rest.
+    once: the graph holds the candidate list and the verifier, which gives
+    the left map of a kept candidate.  The edge count and `orbit_minima`
+    draw candidates only until the closed forms of `_orbits` show one
+    orbit, and the scan's read of `symmetries` draws the rest.
     When both sides are the whole affine chart and the maps kept include a
     translation of x and of y along every axis (`_translation_steps`), the
     kernel computes row 0 alone, column 0 is read off it, and every other
@@ -873,19 +854,79 @@ def build_graph(
             translations = _Translations(p, s)
             rows.translate(translations, steps)
             cols.translate(translations, tuple(pow(d, -1, p) for d in steps))
-        return pair[0], _known_orbits(maps, left)
+        return pair[0]
 
-    pending = iter([partial(verify, m) for m in symmetries]) if symmetries else None
-    return BipartiteGraph(left, right, rows, cols, pending)
+    return BipartiteGraph(left, right, rows, cols, symmetries, verify)
 
 
-def _orbits(n: int, perms: list) -> dict:
-    """The orbits of range(n) under the group that the permutations `perms`
+def _orbits(maps: list, n: int) -> dict:
+    """The orbits of range(n) under the group that the permutations `maps`
     of range(n) generate, as {smallest index: size} in ascending order of
-    the minima.  Each orbit is walked from its smallest index, the lowest
-    one not yet seen, a layer at a time: the next layer is the unseen
-    images of this one under every generator."""
-    perms = [g.table if isinstance(g, _ChartMap) else g for g in perms]
+    the minima.
+
+    When every map is a verified `_ChartMap` of one side, their matrices
+    are read once for three closed forms.  M = I + c e_a e_b^T (c != 0,
+    a != b) is x_a -> x_a + c x_b, and the maps of each pair (a, b)
+    generate all of its multiples.
+    - Translations, (a, 0) for every axis a = 1..s of the affine chart,
+      move any point to any other: one orbit.
+    - The pairs (a, b) of distinct coordinates among those the chart lets
+      move, 0..s on the projective chart and 1..s (s >= 2) on the affine
+      one, generate SL of them, which is transitive on P^s and on the
+      nonzero vectors of F_p^s: one orbit, or on the affine chart the
+      origin apart when every map fixes it.
+    - Signed permutations of x1..xs, among them a sign change x_a -> -x_a
+      and a swap, signed or not, of each pair of adjacent coordinates,
+      generate every signed permutation.  On a whole affine chart with p
+      odd, the smallest index of an orbit sorts the coordinates' absolute
+      values (a or p - a, the smaller) ascending, x1 being the most
+      significant digit: the minima are the points with
+      0 <= x1 <= ... <= xs <= (p - 1)/2, and the orbit of one with m
+      nonzero coordinates is 2^m s! / (k_1! k_2! ...) points, k_i the
+      multiplicity of each value.
+    Each map keeps its side, so the side is a union of these orbits; the
+    origin has the lowest chart index, so it is vertex 0 when it is a
+    vertex.
+
+    Otherwise, and for plain permutation lists, each orbit is walked from
+    its smallest index, the lowest one not yet seen, a layer at a time: the
+    next layer is the unseen images of this one under every map.  The walk
+    reads every map's table, so its n times len(maps) steps are charged to
+    the budget before any table is built.  With n = 0 nothing is walked:
+    `_orbits(maps, 0)` gives the closed forms alone, {} when none holds."""
+    if maps and all(isinstance(g, _ChartMap) for g in maps):
+        side = maps[0].side
+        p, s, points = side.p, side.s, len(side)
+        matrices = [g.matrix for g in maps]
+        moved = [_moved(M, p) for M in matrices]
+        pairs = {m[0] for m in moved if len(m) == 1 and m[0][0] != m[0][1]}
+        coords = range(1 if side.affine else 0, s + 1)
+        if side.affine and {(a, 0) for a in coords} <= pairs:
+            return {0: points}
+        if len(coords) > 1 and {(a, b) for a in coords for b in coords if a != b} <= pairs:
+            fixed = side.affine and all(M[a][0] % p == 0 for M in matrices for a in coords)
+            if fixed and points > 1 and (side.codes is None or side.codes[0] == 0):
+                return {0: 1, 1: points - 1}
+            return {0: points}
+        # rows 1..s of a signed permutation: one entry, 1 or -1, off x0
+        signed = p > 2 and side.affine and side.codes is None and all(
+            row[0] % p == 0 and sorted(a % p for a in row)[-2:] in ([0, 1], [0, p - 1])
+            for M in matrices for row in M[1:])
+        # then a sign change moves one entry, and a swap of a, a + 1 four
+        swaps = {m[0][0] for m in moved if len(m) == 4 and m[3][0] == m[0][0] + 1}
+        if signed and any(len(m) == 1 for m in moved) and len(swaps) == s - 1:
+            orbits = {}
+            for point in combinations_with_replacement(range((p + 1) // 2), s):
+                count = factorial(s) << s - point.count(0)
+                for _, run in groupby(point):
+                    count //= factorial(len(list(run)))
+                orbits[sum(x * p ** (s - 1 - k) for k, x in enumerate(point))] = count
+            return orbits
+    if not n:
+        return {}
+    steps = n * len(maps)
+    check_budget(steps, f"the orbit walk of {len(maps)} maps on {n} vertices = {steps} steps")
+    perms = [g.table if isinstance(g, _ChartMap) else g for g in maps]
     seen = bytearray(n)
     sizes = {}
     for i in range(n):
@@ -903,52 +944,6 @@ def _orbits(n: int, perms: list) -> dict:
                 layer = new
             sizes[i] = size
     return sizes
-
-
-def _signed_minima(matrices: list, side: ChartPoints) -> list | None:
-    """The orbit minima, ascending, of the whole affine chart `side` under
-    the group that `matrices` generate, when they are signed permutations
-    of x1..xs among which are a sign change and the swaps of adjacent
-    coordinates; None otherwise.  The group is then every signed
-    permutation, so the smallest index of an orbit sorts the coordinates'
-    absolute values (a or p - a, the smaller) ascending, x1 being the most
-    significant digit: the minima are the points with
-    0 <= x1 <= ... <= xs <= (p - 1)/2, listed directly."""
-    p, s = side.p, side.s
-    if p == 2 or not side.affine or side.codes is not None:
-        return None
-    sign, swaps = False, set()
-    for M in matrices:
-        entries = [[(b, a % p) for b, a in enumerate(row) if a % p] for row in M[1:]]
-        if any(len(e) != 1 or not e[0][0] or e[0][1] not in (1, p - 1) for e in entries):
-            return None
-        perm = [e[0][0] for e in entries]
-        if len(set(perm)) < s:
-            return None
-        values = [e[0][1] for e in entries]
-        moved = [a for a, b in enumerate(perm, 1) if a != b]
-        if not moved and values.count(p - 1) == 1:
-            sign = True
-        elif p - 1 not in values and len(moved) == 2 and moved[1] == moved[0] + 1:
-            swaps.add(moved[0])
-    if not sign or len(swaps) < s - 1:
-        return None
-    return [
-        sum(x * p ** (s - 1 - k) for k, x in enumerate(point))
-        for point in combinations_with_replacement(range((p + 1) // 2), s)
-    ]
-
-
-def _stabiliser_minima(perms: list, n: int) -> list:
-    """The orbit minima, ascending, of range(n) under the group that the
-    permutations `perms` generate: listed directly for the signed
-    permutations of a whole affine chart (`_signed_minima`), else walked
-    (`_orbits`)."""
-    if all(isinstance(g, _ChartMap) for g in perms):
-        minima = _signed_minima([g.matrix for g in perms], perms[0].side)
-        if minima is not None:
-            return minima
-    return list(_orbits(n, perms))
 
 
 def _plan(G: BipartiteGraph, s: int) -> tuple:
@@ -972,7 +967,7 @@ def _plan(G: BipartiteGraph, s: int) -> tuple:
             count += comb(n - 1 - v, s - 1)
             continue
         if fixing not in stabilisers:
-            minima = _stabiliser_minima([gens[k] for k in fixing], n)
+            minima = list(_orbits([gens[k] for k in fixing], n))
             minima = minima[: bisect_right(minima, n - s + 1)]
             # tails[k]: the subsets after a second vertex among minima[k:]
             tails = list(accumulate(comb(n - 1 - w, s - 2) for w in reversed(minima)))
@@ -989,14 +984,23 @@ def _admit(G: BipartiteGraph, s: int) -> tuple:
     otherwise.  A graph given candidate symmetries is refused first when n
     times their number exceeds the budget, a bound on verifying them and
     walking their orbits; then any graph is refused when its scan visits
-    more subsets than the budget (`_plan`): C(n, s) when no map is kept."""
+    more subsets than the budget (`_plan`): C(n, s) when no map is kept.
+    That refusal is worded only when it is made, so a scan the budget
+    admits computes no C(n, s)."""
     n = len(G.rows)
     steps = n * G.candidates
     check_budget(steps, f"{G.candidates} candidate symmetries on {n} vertices = {steps} verification steps")
     tops, seconds, count = _plan(G, s)
-    scan = f"pruned scan visits {count}" if G.symmetries else "scan visits all"
-    check_budget(count, f"the {scan} {s}-subsets (C({n},{s}) = {comb(n, s)})")
+    if count > enumeration_budget():
+        scan = f"pruned scan visits {_decimal(count)}" if G.symmetries else "scan visits all"
+        check_budget(count, f"the {scan} {s}-subsets (C({n},{s}) = {_decimal(comb(n, s))})")
     return tops, seconds
+
+
+def _decimal(x: int) -> str:
+    """x in decimal, or ~10^k past 100 digits: an int of more than 4300
+    digits is no string by default (`sys.set_int_max_str_digits`)."""
+    return str(x) if x < 10**100 else f"~10^{int(log10(x))}"
 
 
 def _scan(G: BipartiteGraph, s: int, floor: int, first: bool):

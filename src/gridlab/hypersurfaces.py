@@ -19,7 +19,7 @@ from .errors import (
     UnsupportedParameters,
 )
 from .fields import GF
-from .primefields import check_budget, is_prime, primitive_root
+from .primefields import check_budget, enumeration_budget, is_prime, primitive_root
 from .projective import Hypersurface, OpenSet, chart_point, chart_size
 from .ring import BiHomPoly, MultiPoly, bihomogenize, primitive_integral_model
 
@@ -219,7 +219,12 @@ def _check_norm_expansion(family: str, k: int):
     in 2k variables, so it has at most C(3k-1, k) terms, and each term is
     2k exponents that the expansion computes and stores.  The budget counts
     the memory they take, `_EXPONENT_WORDS` words per exponent: s = 8 is
-    admitted under the default budget and s = 9 refused."""
+    admitted under the default budget and s = 9 refused.  C(3k-1, k) >= 2^k,
+    so a k of at least the budget's bit length is refused by that bound
+    before `comb` is computed."""
+    bits = enumeration_budget().bit_length()
+    if k >= bits:
+        check_budget(1 << bits, f"family {family} expands a norm form into at least 2^{k} terms")
     terms = comb(3 * k - 1, k)
     exponents = 2 * k * terms
     words = _EXPONENT_WORDS * exponents
@@ -259,12 +264,12 @@ def construct(family: str, p: int, s: int | None = None) -> Construction:
     elif family in ("1c", "1d"):
         if s is None or s < 2:
             raise UnsupportedParameters(f"family {family} needs s >= 2")
-        vars = tuple(f"x{i}" for i in range(1, s + 1)) + tuple(
-            f"y{i}" for i in range(1, s + 1)
-        )
         # 1c substitutes z_j -> x_j + y_j, 1d z_j -> x_(j+1) + y_(j+1)
         k = s if family == "1c" else s - 1
         _check_norm_expansion(family, k)
+        vars = tuple(f"x{i}" for i in range(1, s + 1)) + tuple(
+            f"y{i}" for i in range(1, s + 1)
+        )
         sub = {
             f"z{j}": MultiPoly.parse(Fp, vars, f"x{j + s - k} + y{j + s - k}")
             for j in range(1, k + 1)

@@ -19,6 +19,7 @@ from .errors import (
     DivisionByZero,
     MalformedExpression,
     MixedFields,
+    ParameterOutOfRange,
     UnsupportedParameters,
     WrongField,
 )
@@ -28,7 +29,13 @@ DEFAULT_BUDGET = 10**8
 
 
 def enumeration_budget() -> int:
-    return int(os.environ.get("GRIDLAB_BUDGET", DEFAULT_BUDGET))
+    """The `GRIDLAB_BUDGET` environment variable, an integer as `int` reads
+    it (default 10^8); ParameterOutOfRange, naming it, when it is none."""
+    value = os.environ.get("GRIDLAB_BUDGET", DEFAULT_BUDGET)
+    try:
+        return int(value)
+    except ValueError:
+        raise ParameterOutOfRange(f"GRIDLAB_BUDGET must be an integer, not {value!r}") from None
 
 
 def check_budget(count: int, what: str) -> int:

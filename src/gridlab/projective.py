@@ -186,12 +186,19 @@ class Hypersurface:
 
     @classmethod
     def from_json(cls, data: dict) -> "Hypersurface":
+        """The form of `poly` in x0..x{sx}, y0..y{sy}, read by variable
+        name: its terms are reordered to that order, whatever the order of
+        `poly.vars`.  sx and sy that need more names than `poly.vars` holds
+        are refused before any name is built."""
         poly = MultiPoly.from_json(json_field(data, "poly", dict, "hypersurface"))
         sx = _json_dim(data, "sx", "hypersurface")
         sy = _json_dim(data, "sy", "hypersurface")
+        if sx + sy + 2 > len(poly.vars):
+            raise DimensionMismatch(
+                f"hypersurface.sx and sy name more variables than the {len(poly.vars)} of poly.vars")
         xg = tuple(f"x{i}" for i in range(sx + 1))
         yg = tuple(f"y{i}" for i in range(sy + 1))
-        return cls(BiHomPoly(poly, xg, yg))
+        return cls(BiHomPoly(poly.with_vars(xg + yg), xg, yg))
 
     def __repr__(self):
         return f"Hypersurface{self.bidegree}[{self.form.poly!r}]"

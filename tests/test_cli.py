@@ -975,3 +975,116 @@ def test_degree_pair_is_refused_by_its_dense_grid(tmp_path, N):
         f"error: BudgetExceeded: degree {N} in x0, {N} in x1: a dense grid of {(N + 1) ** 2}"
         " coefficients, over budget 100000000\n"
     )
+
+
+# -- inputs read by variable name, and refusals that failed before refusing ---------
+
+
+def run_refused(capsys, *argv):
+    """(exit code, stdout, stderr) of the CLI in-process."""
+    code = main(list(argv))
+    captured = capsys.readouterr()
+    return code, captured.out, captured.err
+
+
+def _hypersurface_file(path, vars, terms, sx=1, sy=1):
+    poly = {"field": {"kind": "prime", "p": 5}, "vars": vars,
+            "terms": [{"e": e, "c": "1"} for e in terms]}
+    path.write_text(json.dumps({"poly": poly, "sx": sx, "sy": sy, "bidegree": [1, 2]}))
+    return str(path)
+
+
+def test_hypersurface_is_read_by_variable_name(capsys, tmp_path):
+    # x0*y0^2 + x1*y1^2 over F_5, its variables listed x-first and y-first:
+    # read by name, both are the same form, with the same witness
+    xfirst = _hypersurface_file(tmp_path / "x.json", ["x0", "x1", "y0", "y1"], [[1, 0, 2, 0], [0, 1, 0, 2]])
+    yfirst = _hypersurface_file(tmp_path / "y.json", ["y0", "y1", "x0", "x1"], [[2, 0, 1, 0], [0, 2, 0, 1]])
+    outs = []
+    for path in (xfirst, yfirst):
+        code, out = run(capsys, "gridcheck", "--input", path, "--p", "5", "--s", "1", "--t", "2",
+                        "--chart", "projective")
+        assert code == 1
+        outs.append(out)
+    assert outs[0] == outs[1]
+    assert json.loads(outs[0])["witness"] == {"S": [1], "T": [2, 3]}
+
+
+@pytest.mark.parametrize("argv", [
+    ["edges", "--input", "{h}", "--p", "5", "--s", "1", "--t", "2"],
+    ["cremona", "apply", "--sigma", "standard", "--input", "{h}"],
+])
+def test_dimensions_past_the_variables_are_refused_before_any_name(tmp_path, argv):
+    # sx = 10^11 would list 10^11 variable names before the form is read
+    h = _hypersurface_file(tmp_path / "h.json", ["x0", "x1", "y0", "y1"], [[1, 0, 2, 0], [0, 1, 0, 2]],
+                           sx=10**11)
+    start = time.monotonic()
+    res = _capped_cli(*[a.format(h=h) for a in argv])
+    assert time.monotonic() - start < 20
+    assert res.returncode == 2 and res.stdout == ""
+    assert res.stderr.startswith("error: DimensionMismatch: hypersurface.sx and sy name more variables")
+
+
+@pytest.mark.parametrize("s", [100000, 1000000000])
+def test_a_huge_norm_form_is_refused_by_a_cheap_bound(s):
+    # C(3k-1, k) >= 2^k: no comb of a huge k is computed, and no count past
+    # the int-to-string limit is worded
+    start = time.monotonic()
+    res = _capped_cli("construct", "--family", "1c", "--p", "3", "--s", str(s))
+    assert time.monotonic() - start < 20
+    assert res.returncode == 2 and res.stdout == ""
+    assert res.stderr == (
+        f"error: BudgetExceeded: family 1c expands a norm form into at least 2^{s} terms,"
+        " over budget 100000000\n"
+    )
+
+
+def test_a_scan_of_huge_count_is_refused_in_words(capsys, tmp_path):
+    # 1a at p = 401 with s = 2000: C(160801, 2000) has about 4670 digits,
+    # past the int-to-string limit, so the refusal gives its magnitude
+    path = tmp_path / "h.json"
+    assert run(capsys, "construct", "--family", "1a", "--p", "401", "--out", str(path))[0] == 0
+    start = time.monotonic()
+    code, out, err = run_refused(capsys, "gridcheck", "--input", str(path), "--p", "401", "--s", "2000",
+                                 "--t", "2")
+    assert time.monotonic() - start < 20
+    assert code == 2 and out == ""
+    assert err.startswith("error: BudgetExceeded: the pruned scan visits ~10^")
+    assert "2000-subsets (C(160801,2000) = ~10^" in err
+
+
+def test_a_budget_that_is_no_integer_is_a_typed_error(capsys, h1a, monkeypatch):
+    monkeypatch.setenv("GRIDLAB_BUDGET", "abc")
+    code, out, err = run_refused(capsys, "gridcheck", "--input", h1a, "--p", "5", "--s", "2", "--t", "2")
+    assert code == 2 and out == ""
+    assert err == (
+        "error: ParameterOutOfRange: GRIDLAB_BUDGET must be an integer, not 'abc'\n"
+    )
+
+
+def test_edges_is_charged_before_its_work(capsys, tmp_path, monkeypatch):
+    # the orbit walk of 1d's two maps, and the rows of a count without
+    # symmetries, are refused before they are made, as gridcheck's are
+    h1d = tmp_path / "h1d.json"
+    assert run(capsys, "construct", "--family", "1d", "--p", "41", "--s", "2", "--out", str(h1d))[0] == 0
+    monkeypatch.setenv("GRIDLAB_BUDGET", "2000")
+    code, out, err = run_refused(capsys, "edges", "--input", str(h1d), "--p", "41", "--s", "2", "--t", "2")
+    assert code == 2 and out == ""
+    assert err == (
+        "error: BudgetExceeded: the orbit walk of 2 maps on 1681 vertices = 3362 steps,"
+        " over budget 2000\n"
+    )
+    monkeypatch.delenv("GRIDLAB_BUDGET")
+    h1a = tmp_path / "h1a.json"
+    assert run(capsys, "construct", "--family", "1a", "--p", "1009", "--out", str(h1a))[0] == 0
+    data = json.loads(h1a.read_text())
+    del data["family"]
+    h1a.write_text(json.dumps(data))
+    start = time.monotonic()
+    code, out, err = run_refused(capsys, "edges", "--input", str(h1a), "--p", "1009", "--s", "2", "--t", "2")
+    assert time.monotonic() - start < 10
+    assert code == 2 and out == ""
+    n = 1009**2
+    assert err == (
+        f"error: BudgetExceeded: the edge count reads {n} rows of {n} vertices = {n * n}"
+        " adjacency bits, over budget 100000000\n"
+    )

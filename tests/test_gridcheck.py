@@ -826,14 +826,22 @@ def test_translation_invariant_scan_computes_one_kernel_entry(monkeypatch):
     # kernel computes row 0 alone, column 0 is read off it, every other row
     # and column read is one of them moved, no map is applied to a vertex
     # list, and the signed permutations that fix vertex 0 give their minima
-    # unwalked
+    # unwalked: every orbit question over vertices is answered by the
+    # closed forms, which `_orbits` gives alone over no vertex
     from gridlab import gridcheck, sweep
 
     def never(*args):
         raise AssertionError("a permutation array was built")
 
+    orbits = gridcheck._orbits
+
+    def unwalked(maps, n):
+        closed = orbits(maps, 0)
+        assert closed or not n, "an orbit walk ran"
+        return closed
+
     monkeypatch.setattr(gridcheck._ChartMap, "table", property(never))
-    monkeypatch.setattr(gridcheck, "_orbits", never)
+    monkeypatch.setattr(gridcheck, "_orbits", unwalked)
     monkeypatch.delenv("GRIDLAB_BUDGET", raising=False)
     kernels = recording_kernels(monkeypatch)
     assert sweep._check_1b(11) == {"pass": True, "max_common": 2, "argmax": [0, 1, 13]}

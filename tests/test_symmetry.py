@@ -4,6 +4,7 @@ the pruned scan gives the unpruned scan's S, T and argmax."""
 
 import random
 from collections import Counter
+from functools import lru_cache
 from itertools import combinations, product
 from math import comb
 
@@ -15,10 +16,8 @@ from gridlab.fields import GF
 from gridlab.gridcheck import (
     BipartiteGraph,
     _ChartMap,
-    _known_orbits,
     _orbits,
     _plan,
-    _signed_minima,
     _translation_steps,
     build_graph,
     find_grid,
@@ -618,8 +617,8 @@ def test_wrong_map_would_change_the_answer():
 def test_orbits_give_minima_and_sizes():
     # a 3-cycle and a transposition on disjoint points, one fixed point
     perms = [[1, 2, 0, 3, 4, 5], [0, 1, 2, 4, 3, 5]]
-    assert list(_orbits(6, perms).items()) == [(0, 3), (3, 2), (5, 1)]
-    assert _orbits(4, []) == {0: 1, 1: 1, 2: 1, 3: 1}
+    assert list(_orbits(perms, 6).items()) == [(0, 3), (3, 2), (5, 1)]
+    assert _orbits([], 4) == {0: 1, 1: 1, 2: 1, 3: 1}
 
 
 @settings(max_examples=150, deadline=None)
@@ -627,7 +626,7 @@ def test_orbits_give_minima_and_sizes():
     lambda n: st.tuples(st.just(n), st.lists(st.permutations(range(n)), max_size=4))))
 def test_orbits_match_union_find(case):
     n, perms = case
-    got = _orbits(n, perms)
+    got = _orbits(perms, n)
     assert got == union_find_orbits(n, perms)
     assert list(got) == sorted(got)
     assert sum(got.values()) == n
@@ -705,7 +704,9 @@ def test_known_orbits_match_the_walk(family, p, dim, chart):
     # translations along every affine axis (1b, 1c) and transvections
     # generating SL (1a) give the orbits without a walk; 1d needs the walk.
     # x1^2 - n x2^2, n a non-residue, vanishes on F_p^2 at the origin alone:
-    # on the affine chart 1a's maps keep the other points, one orbit
+    # on the affine chart 1a's maps keep the other points, one orbit.  The
+    # walk is `_orbits` on the maps' tables as plain lists, which it always
+    # walks; over no vertex, `_orbits` gives the closed forms alone
     c = construct(family, p, dim)
     candidates = family_symmetries(family, p, c.s)
     xs = tuple(f"x{i}" for i in range(c.s + 1))
@@ -713,19 +714,18 @@ def test_known_orbits_match_the_walk(family, p, dim, chart):
     if p > 2:
         anisotropic = f"x1**2 - {smallest_nonresidue(p)}*x2**2"
         opens.append(OpenSet(c.s, [MultiPoly.parse(GF(p), xs, anisotropic)]))
-    form = reduce_hypersurface_mod(c.hypersurface, p).form
     for X in opens:
         G = build_graph(c.hypersurface, p, X=X, chart=chart, symmetries=candidates)
-        walked = _orbits(len(G.left), G.symmetries)
+        walked = _orbits([list(g) for g in G.symmetries], len(G.left))
+        assert walked == union_find_orbits(len(G.left), G.symmetries)
         assert G._orbit_data() == walked
         assert list(G.orbit_minima) == list(walked)
         assert G.edge_count() == build_graph(c.hypersurface, p, X=X, chart=chart).edge_count()
-        maps = [m for m in candidates if symmetry_permutation(form, m, G.left, G.right)]
-        known = _known_orbits(maps, G.left)
+        known = _orbits(G.symmetries, 0)
         walk_free = (family == "1a" and (X is None or chart == "affine")
                      or family in ("1b", "1c") and chart == "affine" and X is None)
-        assert (known is not None) == walk_free
-        if known is not None:
+        assert bool(known) == walk_free
+        if known:
             assert known == walked
             two = family == "1a" and chart == "affine" and X is None
             assert len(known) == (2 if two else 1)
@@ -743,18 +743,94 @@ def test_known_orbits_keep_witnesses_and_counts(family, p, dim, chart):
 
 def test_known_orbits_need_every_generator():
     # translations along one axis only, or transvections missing a pair,
-    # leave the orbits to the walk
+    # leave the orbits to the walk: over no vertex, it finds none
     p = 5
     side = build_graph(construct("1a", p).hypersurface, p).left
+
+    def closed(*pairs):
+        return _orbits([_ChartMap(m.mx, side) for m in pairs], 0)
+
     x1_shift, x2_shift = translation(2, 0, 1, 1), translation(2, 1, 1, 1)
-    assert _known_orbits([x1_shift], side) is None
-    assert _known_orbits([x1_shift, x2_shift], side) == {0: p**2}
+    assert closed(x1_shift) == {}
+    assert closed(x1_shift, x2_shift) == {0: p**2}
     e12 = linear(((1, 1), (0, 1)))
     e21 = linear(((1, 0), (1, 1)))
-    assert _known_orbits([e12], side) is None
-    assert _known_orbits([e12, e21], side) == {0: 1, 1: p**2 - 1}
+    assert closed(e12) == {}
+    assert closed(e12, e21) == {0: 1, 1: p**2 - 1}
     # a map that moves the origin joins it to the rest
-    assert _known_orbits([e12, e21, x1_shift], side) == {0: p**2}
+    assert closed(e12, e21, x1_shift) == {0: p**2}
+    # each answer is the walk's
+    for maps in ((x1_shift, x2_shift), (e12, e21), (e12, e21, x1_shift)):
+        perms = [list(_ChartMap(m.mx, side)) for m in maps]
+        assert closed(*maps) == _orbits(perms, p**2) == union_find_orbits(p**2, perms)
+
+
+@lru_cache(maxsize=None)
+def family_graph(family, p, dim, chart, opened):
+    """A family's graph with its candidate maps verified, cached across
+    examples; with `opened`, X is the complement of x1^2 - n x2^2 = 0, n a
+    non-residue, which on the affine chart drops the origin alone."""
+    c = construct(family, p, dim)
+    X = None
+    if opened:
+        xs = tuple(f"x{i}" for i in range(c.s + 1))
+        anisotropic = f"x1**2 - {smallest_nonresidue(p)}*x2**2"
+        X = OpenSet(c.s, [MultiPoly.parse(GF(p), xs, anisotropic)])
+    G = build_graph(c.hypersurface, p, X=X, chart=chart, symmetries=family_symmetries(family, p, c.s))
+    G.symmetries  # verify every candidate
+    return G
+
+
+ORBIT_CASES = [
+    (f, p, s, chart, opened)
+    for f, sizes in (("1a", (2,)), ("1b", (3,)), ("1c", (2, 3)), ("1d", (2, 3)))
+    for s in sizes
+    for p in (3, 5, 7)
+    for chart in ("affine", "projective")
+    for opened in (False, True)
+]
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.sampled_from(ORBIT_CASES), st.data())
+def test_orbits_of_verified_map_subsets_match_union_find(case, data):
+    # any subset of a family's verified maps, on either chart, with and
+    # without an open set: the closed forms where they hold, else the walk,
+    # give the union-find orbits of the maps' tables, sizes included
+    G = family_graph(*case)
+    n = len(G.left)
+    chosen = data.draw(st.sets(st.sampled_from(range(len(G.symmetries))))) if G.symmetries else set()
+    maps = [G.symmetries[k] for k in sorted(chosen)]
+    got = _orbits(maps, n)
+    assert got == union_find_orbits(n, [list(g) for g in maps])
+    assert list(got) == sorted(got) and sum(got.values()) == n
+
+
+def test_closed_forms_build_no_table(monkeypatch):
+    # the edge counts of 1a (SL, on both charts) and 1c (translations), and
+    # 1b's stabiliser minima (signed permutations) at p = 11, map no
+    # vertex list
+    from gridlab import gridcheck
+
+    def never(*args):
+        raise AssertionError("a permutation array was built")
+
+    p = 11
+    graphs = {}
+    for family, dim, chart in (("1a", 2, "affine"), ("1a", 2, "projective"), ("1c", 2, "affine"),
+                               ("1b", 3, "affine")):
+        c = construct(family, p, dim)
+        graphs[family, chart] = (
+            build_graph(c.hypersurface, p, chart=chart, symmetries=family_symmetries(family, p, c.s)),
+            build_graph(c.hypersurface, p, chart=chart).edge_count(),
+        )
+    monkeypatch.setattr(gridcheck._ChartMap, "table", property(never))
+    for (family, chart), (G, edges) in graphs.items():
+        assert G.edge_count() == edges
+        two = (family, chart) == ("1a", "affine")  # the origin and the rest
+        assert G.symmetries and list(G.orbit_minima) == ([0, 1] if two else [0])
+    tops, seconds, count = _plan(graphs["1b", "affine"][0], 3)
+    assert tops == [0] and len(seconds[0]) == comb(6 + 2, 3) and count == 62930
 
 
 # -- translation-derived adjacency, the pruned count and known stabilisers ----------
@@ -865,14 +941,14 @@ def test_signed_permutation_minima_match_the_walk(p):
     G = build_graph(c.hypersurface, p, symmetries=family_symmetries("1b", p, 3))
     fixing = [g for g in G.symmetries if g[0] == 0]
     assert len(fixing) == 3
-    listed = _signed_minima([g.matrix for g in fixing], G.left)
-    assert listed == list(_orbits(len(G.left), fixing))
-    assert all(g._table is None for g in G.symmetries[:3])  # the translations
-    assert len(listed) == comb((p + 1) // 2 + 2, 3)
+    listed = _orbits(fixing, len(G.left))
+    assert all(g._table is None for g in G.symmetries)  # nothing was walked
+    assert listed == _orbits([list(g) for g in fixing], len(G.left))
+    assert list(listed) == sorted(listed) and len(listed) == comb((p + 1) // 2 + 2, 3)
     # without a swap, or with a map that is no signed permutation, it walks
-    assert _signed_minima([g.matrix for g in fixing[:2]], G.left) is None
+    assert _orbits(fixing[:2], 0) == {}
     shear = ((1, 0, 0, 0), (0, 1, 1, 0), (0, 0, 1, 0), (0, 0, 0, 1))
-    assert _signed_minima([g.matrix for g in fixing] + [shear], G.left) is None
+    assert _orbits(fixing + [_ChartMap(shear, G.left)], 0) == {}
 
 
 @pytest.mark.parametrize("p", [5, 7])
@@ -887,7 +963,7 @@ def test_signed_minima_need_the_whole_chart(p):
     G = build_graph(c.hypersurface, p, X=X, symmetries=family_symmetries("1b", p, 3))
     fixing = [g for g in G.symmetries if g[0] == 0]
     assert len(fixing) == 3 == len(G.symmetries) and G.left.codes is not None
-    assert _signed_minima([g.matrix for g in fixing], G.left) is None
+    assert _orbits(fixing, 0) == {}
     assert _plan(G, 3)[2] == enumerated_subsets(G, 3)
     assert answers(G, [3], [2, 3]) == reference_answers(G, [3], [2, 3])
 
@@ -901,9 +977,16 @@ def test_signed_minima_in_low_dimensions(p, s):
                  for i in range(s + 1))
     maps = [sign] + [swap_matrix(s + 1, i) for i in range(1, s)]
     perms = [reference_permutation(M, points, p) for M in maps]
-    assert _signed_minima(maps, side) == list(_orbits(len(side), perms))
-    assert _signed_minima([identity(s + 1)] + maps[1:], side) is None
-    assert _signed_minima(maps, ChartPoints(p, s, "projective")) is None
+    walked = union_find_orbits(len(side), perms)
+    assert _orbits([_ChartMap(M, side) for M in maps], 0) == walked == _orbits(perms, len(side))
+    # a signed swap, x_i -> x_(i+1) and x_(i+1) -> -x_i, generates the
+    # same group: column i of the swap negated
+    signed = [sign] + [tuple(tuple(-a if k == i else a for k, a in enumerate(row))
+                             for row in swap_matrix(s + 1, i)) for i in range(1, s)]
+    assert _orbits([_ChartMap(M, side) for M in signed], 0) == walked
+    assert _orbits([_ChartMap(M, side) for M in [identity(s + 1)] + maps[1:]], 0) == {}
+    projective = ChartPoints(p, s, "projective")
+    assert _orbits([_ChartMap(M, projective) for M in maps], 0) == {}
 
 
 def swap_matrix(n, i):
