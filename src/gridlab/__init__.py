@@ -25,7 +25,7 @@ for _name in ("sweep", "cremona", "classify_s1", "curves", "gridcheck", "hypersu
 _EXPORTS = {
     "fields": ("GF", "QQ"),
     "extfields": ("canonical_modulus", "norm", "pi_s"),
-    "ring": ("BiHomPoly", "MultiPoly", "bihomogenize"),
+    "ring": ("MultiPoly", "bihomogenize"),
     "projective": ("Hypersurface", "OpenSet", "ProjPoint"),
     "poly": ("exact_div", "gcd", "squarefree_part"),
     "hypersurfaces": ("construct", "norm_poly"),

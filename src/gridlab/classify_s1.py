@@ -1,5 +1,6 @@
 """Complete decision and reduction procedure for (1,t)-grid-freeness on
-P^1 x P^1.
+P^1 x P^1.  The form is a `projective.Hypersurface` with sx = sy = 1, in
+x0, x1, y0, y1, and the reduced form is one too.
 
 The verdict needs only content extraction and squarefree parts: with
 F = f(x̄) g(ȳ) h_1^{r_1} ... h_n^{r_n} and d_i = deg_ȳ h_i, the sum of the
@@ -34,14 +35,9 @@ import math
 from . import gridcheck, rationals
 from .errors import EmptySide, NonSplitForm, WrongDimension
 from .primefields import check_budget
-from .ring import BiHomPoly, MultiPoly
+from .ring import MultiPoly
 from .projective import Hypersurface, OpenSet, ProjPoint, chart_point, chart_size, linear_form
 from .poly import exact_div, gcd, split_group_contents, squarefree_in_vars
-
-XVARS = ("x0", "x1")
-YVARS = ("y0", "y1")
-P1_VARS = XVARS + YVARS
-
 
 class S1Verdict:
     """Everything Theorem-style (1,t) classification produces.
@@ -88,8 +84,8 @@ class S1Verdict:
         }
 
 
-def _check_p1(F: BiHomPoly):
-    if tuple(F.xvars) != XVARS or tuple(F.yvars) != YVARS:
+def _check_p1(F: Hypersurface):
+    if (F.sx, F.sy) != (1, 1):
         raise WrongDimension("s=1 classification needs variables x0,x1,y0,y1")
 
 
@@ -168,27 +164,27 @@ def _roots_in(form: MultiPoly, open_set: OpenSet, vars2: tuple):
     return inside, rest.degree()
 
 
-def _analyse(F: BiHomPoly, Y: OpenSet | None):
+def _analyse(F: Hypersurface, Y: OpenSet | None):
     """(f, squarefree core, g-roots inside Y, closure roots of g in Y); the
     verdict also needs f's roots in X, the reduced form does not."""
     _check_p1(F)
-    f, g, core = split_group_contents(F.poly, XVARS, YVARS)
-    sqcore = squarefree_in_vars(core, YVARS)
-    g_roots, closure = _roots_in(g, Y or OpenSet.full(1), YVARS)
+    f, g, core = split_group_contents(F.poly, F.xvars, F.yvars)
+    sqcore = squarefree_in_vars(core, F.yvars)
+    g_roots, closure = _roots_in(g, Y or OpenSet.full(1), F.yvars)
     return f, sqcore, g_roots, closure
 
 
 def s1_classify(
-    F: BiHomPoly, X: OpenSet | None = None, Y: OpenSet | None = None
+    F: Hypersurface, X: OpenSet | None = None, Y: OpenSet | None = None
 ) -> S1Verdict:
     """Classify (1,t)-grid-freeness data of F on X x Y in P^1 x P^1."""
     f, sqcore, g_roots, closure = _analyse(F, Y)
-    f_roots, f_closure = _roots_in(f, X or OpenSet.full(1), XVARS)
+    f_roots, f_closure = _roots_in(f, X or OpenSet.full(1), F.xvars)
     f_meets = bool(f_roots) or f_closure > 0
-    return S1Verdict(f_meets, g_roots, closure, sqcore.degree_in_vars(YVARS))
+    return S1Verdict(f_meets, g_roots, closure, sqcore.degree_in_vars(F.yvars))
 
 
-def s1_reduce(F: BiHomPoly, Y: OpenSet | None = None) -> BiHomPoly:
+def s1_reduce(F: Hypersurface, Y: OpenSet | None = None) -> Hypersurface:
     """The degree-reduced form: the product of the linear forms at g's roots
     inside Y with the squarefree core.  f, the x̄-only factor, is dropped,
     so X plays no part."""
@@ -199,19 +195,17 @@ def s1_reduce(F: BiHomPoly, Y: OpenSet | None = None) -> BiHomPoly:
             "cannot be realized as rational linear forms"
         )
     for v in g_roots:
-        result = result * linear_form(v, YVARS).with_vars(F.poly.vars)
-    return BiHomPoly(result.monic(), XVARS, YVARS)
+        result = result * linear_form(v, F.yvars).with_vars(F.poly.vars)
+    return Hypersurface(result, 1, 1)
 
 
-def s1_max_row(
-    F: BiHomPoly, X: OpenSet | None, Y: OpenSet | None, p: int
-) -> int:
+def s1_max_row(F: Hypersurface, X: OpenSet | None, Y: OpenSet | None, p: int) -> int:
     """Largest neighborhood size over left vertices of the F_p sample:
     when f misses X, a lower bound for the verdict's M, which counts roots
     over the algebraic closure."""
     _check_p1(F)
     try:
-        G = gridcheck.build_graph(Hypersurface(F), p, X, Y, chart="projective")
+        G = gridcheck.build_graph(F, p, X, Y, chart="projective")
     except EmptySide:
         return 0
     return max(row.bit_count() for row in G.rows)

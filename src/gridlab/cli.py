@@ -119,9 +119,9 @@ def _input_graph(args, exclude_x=None, exclude_y=None):
     and the edge count up only."""
     data = _load_json(args.input)
     H = projective.Hypersurface.from_json(data)
-    X = _load_open_set(exclude_x, H.s)
-    Y = _load_open_set(exclude_y, H.s)
-    symmetries = hypersurfaces.family_symmetries(data.get("family"), args.p, H.s)
+    X = _load_open_set(exclude_x, H.sx)
+    Y = _load_open_set(exclude_y, H.sy)
+    symmetries = hypersurfaces.family_symmetries(data.get("family"), args.p, H.sx)
     return gridcheck.build_graph(H, args.p, X, Y, chart=args.chart, symmetries=symmetries)
 
 
@@ -155,13 +155,9 @@ def cmd_edges(args) -> int:
 def cmd_s1(args) -> int:
     if args.t is not None and args.t < 1:
         raise ParameterOutOfRange(f"t={args.t}: must be at least 1")
-    data = _load_json(args.poly)
-    form = ring.MultiPoly.from_json(data)
-    xvars, yvars = classify_s1.XVARS, classify_s1.YVARS
-    F = ring.BiHomPoly(form.with_vars(classify_s1.P1_VARS), xvars, yvars)
-    field = form.field
-    X = _points_open_set(args.exclude_x, field, xvars)
-    Y = _points_open_set(args.exclude_y, field, yvars)
+    F = projective.Hypersurface(ring.MultiPoly.from_json(_load_json(args.poly)), 1, 1)
+    X = _points_open_set(args.exclude_x, F.field, F.xvars)
+    Y = _points_open_set(args.exclude_y, F.field, F.yvars)
     if args.action == "classify":
         verdict = classify_s1.s1_classify(F, X, Y)
         payload = verdict.to_json()

@@ -16,7 +16,7 @@ from .errors import (
     json_field,
 )
 from .primefields import Field
-from .ring import BiHomPoly, MultiPoly, group_degree
+from .ring import MultiPoly, group_degree
 from .projective import Hypersurface, chart_block
 from .poly import content, exact_div, split_group_contents
 
@@ -94,15 +94,14 @@ def apply_map(sigma_y: RationalMap, H: Hypersurface) -> Hypersurface:
 def apply_with_contents(sigma_y, H: Hypersurface):
     """Like apply_map but also returns the removed x- and y-group contents
     (needed to recognize the exceptional locus of the substitution)."""
-    form = H.form
-    if len(sigma_y.components) != len(form.yvars):
+    if len(sigma_y.components) != len(H.yvars):
         raise NotInvertibleShape("y-map does not match the y-group")
-    comps = [c.with_vars(form.poly.vars) for c in sigma_y.components]
-    pulled = form.poly.substitute(dict(zip(form.yvars, comps)), new_vars=form.poly.vars)
+    comps = [c.with_vars(H.poly.vars) for c in sigma_y.components]
+    pulled = H.poly.substitute(dict(zip(H.yvars, comps)), new_vars=H.poly.vars)
     if pulled.is_zero():
         raise ZeroPullback("the hypersurface contains the image of the map")
-    cx, cy, pulled = split_group_contents(pulled, form.xvars, form.yvars)
-    return Hypersurface(BiHomPoly(pulled, form.xvars, form.yvars)), cx, cy
+    cx, cy, pulled = split_group_contents(pulled, H.xvars, H.yvars)
+    return Hypersurface(pulled, H.sx, H.sy), cx, cy
 
 
 # -- affine automorphisms ----------------------------------------------------------
@@ -169,10 +168,11 @@ def grid_transport_check(
     vertex of each orbit of the group the kept pairs generate.  Both scans
     are pruned by the same permutations, on on-demand rows and kernel
     columns.  A wrong or missing candidate costs speed only."""
+    dim = gridcheck.graph_dim(H)
     Hp = hypersurfaces.reduce_hypersurface_mod(H, p)
     sig = sigma_y.reduce_mod(p)
     Hpulled, _, cy = apply_with_contents(sig, Hp)
-    chart = hypersurfaces.ChartPoints(p, Hp.s)
+    chart = hypersurfaces.ChartPoints(p, dim)
     cols = chart.columns()
     values = [gridcheck._values_mod(c, cols, p) for c in sig.components]
     codes = hypersurfaces.chart_codes(values, p)
@@ -184,18 +184,18 @@ def grid_transport_check(
     # in the tuple order of v: a point with more leading zero coordinates
     # comes first, and the chart's order is the tuple order within a block
     pairs = sorted(((v, w) for v, w in usable if hits[w] == 1),
-                   key=lambda vw: -chart_block(vw[0], p, Hp.s)[0])
+                   key=lambda vw: -chart_block(vw[0], p, dim)[0])
     if len(pairs) < t:
         raise SampleTooSmall(f"only {len(pairs)} usable sample points")
-    right_orig = hypersurfaces.ChartPoints(p, Hp.s, codes=[w for _, w in pairs])
-    right_pull = hypersurfaces.ChartPoints(p, Hp.s, codes=[v for v, _ in pairs])
+    right_orig = hypersurfaces.ChartPoints(p, dim, codes=[w for _, w in pairs])
+    right_pull = hypersurfaces.ChartPoints(p, dim, codes=[v for v, _ in pairs])
     rows_orig = gridcheck._AdjacencyRows(gridcheck._terms_int(Hp), chart, right_orig, p)
     rows_pull = gridcheck._AdjacencyRows(gridcheck._terms_int(Hpulled), chart, right_pull, p)
     perms = []
     verify = gridcheck.symmetry_permutation
     for g, h in symmetries or ():
-        a = verify(Hp.form, g, chart, right_orig)
-        if a is not None and a == verify(Hpulled.form, h, chart, right_pull):
+        a = verify(Hp, g, chart, right_orig)
+        if a is not None and a == verify(Hpulled, h, chart, right_pull):
             perms.append(a[0])
     G1 = gridcheck.BipartiteGraph(chart, right_orig, rows_orig, rows_orig.transpose(), perms)
     adjacency_match = all(rows_orig[u] == rows_pull[u] for u in G1.orbit_minima)

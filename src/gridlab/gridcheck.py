@@ -152,10 +152,11 @@ from __future__ import annotations
 from array import array
 from bisect import bisect_right
 from collections.abc import Sequence
-from itertools import accumulate, combinations_with_replacement, compress, groupby
+from itertools import combinations_with_replacement, compress, groupby
 from math import comb, factorial, log10
 
-from .errors import EmptySide, InvalidWitness, ParameterOutOfRange, UnknownVariable
+from .errors import (DimensionMismatch, EmptySide, InvalidWitness, ParameterOutOfRange,
+                     UnknownVariable)
 from .hypersurfaces import ChartPoints, chart_codes, reduce_hypersurface_mod, reduce_open_set_mod
 from .primefields import PrimeField, base_digits, check_budget, enumeration_budget, matrix_rank
 from .projective import Hypersurface, OpenSet
@@ -295,8 +296,8 @@ class BipartiteGraph:
 def _terms_int(Hp: Hypersurface):
     """The terms of a form over F_p as (coeff, x-exps, y-exps) integer
     triples."""
-    nx = len(Hp.form.xvars)
-    return [(c, e[:nx], e[nx:]) for e, c in Hp.form.poly.terms.items()]
+    nx = len(Hp.xvars)
+    return [(c, e[:nx], e[nx:]) for e, c in Hp.poly.terms.items()]
 
 
 # flag byte of a lane after the zero test -> ASCII binary digit
@@ -592,17 +593,17 @@ def _transpose(rows: list, n: int) -> list:
     return [int.from_bytes(buf[j::n], "little") for j in range(n)]
 
 
-def _carries_form(form, m) -> bool:
-    """Whether x -> M_x x and y -> M_y y carry `form`, a monic bihomogeneous
-    form over F_p, to λ·form with λ != 0: then the map sends edges to edges
-    and non-edges to non-edges.  One `MultiPoly.substitute`; a variable
-    that the map fixes is left out, so substitute skips it."""
-    poly = form.poly
+def _carries_form(Hp: Hypersurface, m) -> bool:
+    """Whether x -> M_x x and y -> M_y y carry the form of Hp, over F_p and
+    monic, to λ·form with λ != 0: then the map sends edges to edges and
+    non-edges to non-edges.  One `MultiPoly.substitute`; a variable that
+    the map fixes is left out, so substitute skips it."""
+    poly = Hp.poly
     vars = poly.vars
     unit = [tuple(int(i == k) for i in range(len(vars))) for k in range(len(vars))]
     p = poly.field.characteristic
     images = {}
-    for group, M in zip((form.xvars, form.yvars), m):
+    for group, M in zip((Hp.xvars, Hp.yvars), m):
         at = [vars.index(v) for v in group]
         for i, row in enumerate(M):
             if any(a % p != (i == j) for j, a in enumerate(row)):
@@ -704,10 +705,10 @@ class _ChartMap(Sequence):
     __hash__ = None
 
 
-def symmetry_permutation(form, m, left, right) -> tuple | None:
+def symmetry_permutation(Hp: Hypersurface, m, left, right) -> tuple | None:
     """The pair (left permutation, right permutation), `_ChartMap`s of
     vertex indices, by which the candidate MatrixPair m = (M_x, M_y) acts on
-    the graph of `form` between the vertex sequences `left` and `right`
+    the graph of Hp, over F_p, between the vertex sequences `left` and `right`
     (`ChartPoints` of one chart); None when it is not verified to be an
     automorphism of that graph.
 
@@ -724,8 +725,8 @@ def symmetry_permutation(form, m, left, right) -> tuple | None:
     is read.  A side that is not the whole chart is mapped whole (`table`),
     and a vertex whose image is not on it rejects the map; an invertible
     map is injective, so onto follows."""
-    if not (_invertible_on_chart(m, left.s + 1, left.p, form.poly.field, left.affine)
-            and _carries_form(form, m)):
+    if not (_invertible_on_chart(m, left.s + 1, left.p, Hp.field, left.affine)
+            and _carries_form(Hp, m)):
         return None
     pair = _ChartMap(m[0], left), _ChartMap(m[1], right)
     return None if any(g.side.codes is not None and -1 in g.table for g in pair) else pair
@@ -780,6 +781,14 @@ def _open_points(U: OpenSet, chart: ChartPoints) -> array:
     return array("q", compress(range(len(chart)), flags.encode().translate(_KEEP)))
 
 
+def graph_dim(H: Hypersurface) -> int:
+    """s for a form on P^s x P^s, whose graph joins two charts of P^s;
+    DimensionMismatch for one with sx != sy."""
+    if H.sx != H.sy:
+        raise DimensionMismatch(f"a graph needs sx = sy, not {H.sx} and {H.sy}")
+    return H.sx
+
+
 def build_graph(
     H: Hypersurface,
     p: int,
@@ -823,8 +832,9 @@ def build_graph(
     (`_Translations`).  So a scan that the budget refuses costs nothing that
     grows with the chart, and a translation-invariant graph costs one
     kernel entry.  The adjacency kernel and the symmetry test share one
-    reduction of H mod p."""
-    s = H.s
+    reduction of H mod p.  A form with sx != sy is refused first
+    (`graph_dim`)."""
+    s = graph_dim(H)
     PrimeField(p)  # refuses a p that is not prime before the chart is counted
     whole = ChartPoints(p, s, chart)
     Xp = reduce_open_set_mod(X or OpenSet.full(s), p)
@@ -845,7 +855,7 @@ def build_graph(
     maps = []
 
     def verify(m):
-        pair = symmetry_permutation(Hp.form, m, left, right)
+        pair = symmetry_permutation(Hp, m, left, right)
         if not pair:
             return None
         maps.append(m)
@@ -947,21 +957,28 @@ def _orbits(maps: list, n: int) -> dict:
 
 
 def _plan(G: BipartiteGraph, s: int) -> tuple:
-    """(tops, seconds, count) for the scan of the s-subsets of G's left
-    side, pruned by its verified symmetries (`_scan`).  tops: the first
+    """(tops, seconds, count, partial) for the scan of the s-subsets of G's
+    left side, pruned by its verified symmetries (`_scan`).  tops: the first
     vertices it tries, the orbit minima up to n - s.  seconds, when s >= 3:
     for each of those that some generators fix, the second vertices it may
     try, the orbit minima under those generators up to n - s + 1 (those
     above the first vertex are tried).  count: the s-subsets the scan visits
     with no floor, the number of those whose first vertex is in tops and,
     for s >= 3, whose second is in the first's seconds when it has them;
-    C(n, s) without symmetries, whose scan tries every vertex."""
+    C(n, s) without symmetries, whose scan tries every vertex.  A count past
+    100 digits is worded by its magnitude alone, so the sum ends once it
+    passes both the budget and 10^100, and partial is True when it ended
+    early: count is then a lower bound that the budget refuses, and tops and
+    seconds are not all there.  So a huge s costs a few of its binomials."""
     n, gens = len(G.rows), G.symmetries
+    stop = max(enumeration_budget(), 10**100)
     if not gens:
-        return range(n - s + 1), {}, comb(n, s)
+        return range(n - s + 1), {}, comb(n, s), False
     tops = [v for v in G.orbit_minima if v <= n - s]
     seconds, count, stabilisers = {}, 0, {}
     for v in tops:
+        if count > stop:
+            return tops, seconds, count, True
         fixing = tuple(k for k, g in enumerate(gens) if g[v] == v) if s > 2 else ()
         if not fixing:
             count += comb(n - 1 - v, s - 1)
@@ -969,13 +986,21 @@ def _plan(G: BipartiteGraph, s: int) -> tuple:
         if fixing not in stabilisers:
             minima = list(_orbits([gens[k] for k in fixing], n))
             minima = minima[: bisect_right(minima, n - s + 1)]
-            # tails[k]: the subsets after a second vertex among minima[k:]
-            tails = list(accumulate(comb(n - 1 - w, s - 2) for w in reversed(minima)))
-            stabilisers[fixing] = minima, tails[::-1] + [0]
-        minima, tails = stabilisers[fixing]
+            # sums[j]: the subsets after a second vertex among the last j
+            # minima, summed from the last one down until a sum passes `stop`
+            sums = [0]
+            for w in reversed(minima):
+                if sums[-1] > stop:
+                    break
+                sums.append(sums[-1] + comb(n - 1 - w, s - 2))
+            stabilisers[fixing] = minima, sums
+        minima, sums = stabilisers[fixing]
         seconds[v] = minima
-        count += tails[bisect_right(minima, v)]
-    return tops, seconds, count
+        later = len(minima) - bisect_right(minima, v)
+        if later >= len(sums):
+            return tops, seconds, count + sums[-1], True
+        count += sums[later]
+    return tops, seconds, count, False
 
 
 def _admit(G: BipartiteGraph, s: int) -> tuple:
@@ -986,13 +1011,14 @@ def _admit(G: BipartiteGraph, s: int) -> tuple:
     walking their orbits; then any graph is refused when its scan visits
     more subsets than the budget (`_plan`): C(n, s) when no map is kept.
     That refusal is worded only when it is made, so a scan the budget
-    admits computes no C(n, s)."""
+    admits computes no C(n, s).  A partial count is worded "at least"."""
     n = len(G.rows)
     steps = n * G.candidates
     check_budget(steps, f"{G.candidates} candidate symmetries on {n} vertices = {steps} verification steps")
-    tops, seconds, count = _plan(G, s)
+    tops, seconds, count, partial = _plan(G, s)
     if count > enumeration_budget():
-        scan = f"pruned scan visits {_decimal(count)}" if G.symmetries else "scan visits all"
+        least = "at least " if partial else ""
+        scan = f"pruned scan visits {least}{_decimal(count)}" if G.symmetries else "scan visits all"
         check_budget(count, f"the {scan} {s}-subsets (C({n},{s}) = {_decimal(comb(n, s))})")
     return tops, seconds
 
@@ -1162,11 +1188,15 @@ def _fmt_scaled(scaled: int) -> str:
 
 
 def edge_report(G: BipartiteGraph, s: int, t: int) -> dict:
-    """Edge count versus the Füredi leading term (1/2)(t-s+1)^(1/s) n^(2-1/s)."""
+    """Edge count versus the Füredi leading term (1/2)(t-s+1)^(1/s) n^(2-1/s).
+    An s above |left| is refused as `find_grid` refuses it, before the
+    count and the s-th roots, whose integers grow with s."""
     if s < 1 or t < 1:
         raise ParameterOutOfRange(f"(s,t)=({s},{t}): both must be at least 1")
     if t - s + 1 < 0:
         raise ParameterOutOfRange(f"(s,t)=({s},{t}): the leading term needs t >= s - 1")
+    if s > len(G.left):
+        raise ParameterOutOfRange(f"(s,t)=({s},{t}) with |left|={len(G.left)}")
     n = len(G.left) + len(G.right)
     m = G.edge_count()
     power = n ** (2 * s - 1)

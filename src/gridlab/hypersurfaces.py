@@ -21,7 +21,7 @@ from .errors import (
 from .fields import GF
 from .primefields import check_budget, enumeration_budget, is_prime, primitive_root
 from .projective import Hypersurface, OpenSet, chart_point, chart_size
-from .ring import BiHomPoly, MultiPoly, bihomogenize, primitive_integral_model
+from .ring import MultiPoly, bihomogenize, primitive_integral_model
 
 
 def chart_codes(cols, p: int) -> list:
@@ -149,8 +149,7 @@ def reduce_poly_mod(F: MultiPoly, p: int) -> MultiPoly:
 
 
 def reduce_hypersurface_mod(H: Hypersurface, p: int) -> Hypersurface:
-    poly = reduce_poly_mod(H.form.poly, p)
-    return Hypersurface(BiHomPoly(poly, H.form.xvars, H.form.yvars))
+    return Hypersurface(reduce_poly_mod(H.poly, p), H.sx, H.sy)
 
 
 def reduce_open_set_mod(U: OpenSet, p: int) -> OpenSet:
@@ -278,7 +277,7 @@ def construct(family: str, p: int, s: int | None = None) -> Construction:
         affine -= 1 if family == "1c" else MultiPoly.parse(Fp, vars, "x1*y1")
     else:
         raise UnsupportedParameters(f"unknown family {family!r}")
-    return Construction(family, p, s, affine, Hypersurface(bihomogenize(affine, s)))
+    return Construction(family, p, s, affine, Hypersurface(bihomogenize(affine, s), s, s))
 
 
 class MatrixPair(namedtuple("MatrixPair", "mx my")):

@@ -1,9 +1,10 @@
 """Points, open sets and hypersurfaces of projective space: `ProjPoint`,
 the numbering of P^s(F_q) by index (`chart_size`, `chart_block`,
-`chart_point`), `OpenSet`, `Hypersurface` in P^s x P^s with its sections,
-and `linear_form`.  The algebra commands read their inputs through this
-module alone; chart enumeration, reduction mod p and the constructions
-are `gridlab.hypersurfaces`'."""
+`chart_point`), `OpenSet`, `Hypersurface`, the one type of a
+bihomogeneous form on P^sx x P^sy, with its sections, and `linear_form`.
+The algebra commands read their inputs through this module alone; chart
+enumeration, reduction mod p and the constructions are
+`gridlab.hypersurfaces`'."""
 
 from __future__ import annotations
 
@@ -15,7 +16,7 @@ from .errors import (
     json_field,
 )
 from .primefields import Field, FieldElem, base_digits, check_budget
-from .ring import BiHomPoly, MultiPoly
+from .ring import MultiPoly, group_degree
 
 
 class ProjPoint:
@@ -149,56 +150,59 @@ class OpenSet:
 
 
 class Hypersurface:
-    """Nonzero bihomogeneous form up to scalar; stored monic."""
+    """A nonzero bihomogeneous form F(x̄, ȳ) on P^sx x P^sy up to scalar, the
+    one type of such a form: `poly` over x0..x{sx}, y0..y{sy} (`xvars` and
+    `yvars`, in that order), stored monic, with its `bidegree`.  The
+    variables of the `poly` given are matched by name, whatever their
+    order; a variable outside both groups raises UnknownVariable when it
+    occurs, and a form not homogeneous in a group NotHomogeneous."""
 
-    __slots__ = ("form",)
+    __slots__ = ("poly", "xvars", "yvars", "bidegree")
 
-    def __init__(self, form: BiHomPoly):
-        self.form = form.monic()
+    def __init__(self, poly: MultiPoly, sx: int, sy: int):
+        self.xvars = tuple(f"x{i}" for i in range(sx + 1))
+        self.yvars = tuple(f"y{i}" for i in range(sy + 1))
+        self.poly = poly.with_vars(self.xvars + self.yvars).monic()
+        self.bidegree = (group_degree(self.poly, self.xvars), group_degree(self.poly, self.yvars))
 
     @property
-    def s(self) -> int:
-        return len(self.form.xvars) - 1
+    def sx(self) -> int:
+        return len(self.xvars) - 1
 
     @property
-    def bidegree(self) -> tuple:
-        return self.form.bidegree
+    def sy(self) -> int:
+        return len(self.yvars) - 1
 
     @property
     def field(self) -> Field:
-        return self.form.poly.field
+        return self.poly.field
 
     def section(self, u: ProjPoint) -> MultiPoly:
         """F(u, ȳ): homogeneous in ȳ of degree <= d_y; returned raw so the
-        caller can observe degree drops.  Zero signals {u} x P^s inside H."""
-        if len(u.coords) != len(self.form.xvars):
+        caller can observe degree drops.  Zero signals {u} x P^sy inside H."""
+        if len(u.coords) != len(self.xvars):
             raise DimensionMismatch("point does not match the x-group")
-        mapping = {v: c for v, c in zip(self.form.xvars, u.coords)}
-        return self.form.poly.substitute(mapping, new_vars=self.form.yvars)
+        return self.poly.substitute(dict(zip(self.xvars, u.coords)), new_vars=self.yvars)
 
     def to_json(self) -> dict:
-        return {
-            "poly": self.form.poly.to_json(),
-            "sx": len(self.form.xvars) - 1,
-            "sy": len(self.form.yvars) - 1,
-            "bidegree": list(self.form.bidegree),
-        }
+        return {"poly": self.poly.to_json(), "sx": self.sx, "sy": self.sy,
+                "bidegree": list(self.bidegree)}
 
     @classmethod
     def from_json(cls, data: dict) -> "Hypersurface":
-        """The form of `poly` in x0..x{sx}, y0..y{sy}, read by variable
-        name: its terms are reordered to that order, whatever the order of
-        `poly.vars`.  sx and sy that need more names than `poly.vars` holds
-        are refused before any name is built."""
+        """The form of `poly` in dimensions `sx` and `sy`.  sx and sy that
+        need more names than `poly.vars` holds are refused before any name
+        is built."""
         poly = MultiPoly.from_json(json_field(data, "poly", dict, "hypersurface"))
         sx = _json_dim(data, "sx", "hypersurface")
         sy = _json_dim(data, "sy", "hypersurface")
         if sx + sy + 2 > len(poly.vars):
             raise DimensionMismatch(
                 f"hypersurface.sx and sy name more variables than the {len(poly.vars)} of poly.vars")
-        xg = tuple(f"x{i}" for i in range(sx + 1))
-        yg = tuple(f"y{i}" for i in range(sy + 1))
-        return cls(BiHomPoly(poly.with_vars(xg + yg), xg, yg))
+        return cls(poly, sx, sy)
+
+    def __eq__(self, other):
+        return isinstance(other, Hypersurface) and self.poly == other.poly
 
     def __repr__(self):
-        return f"Hypersurface{self.bidegree}[{self.form.poly!r}]"
+        return f"Hypersurface{self.bidegree}[{self.poly!r}]"

@@ -3,10 +3,10 @@ the representation every other module shares.
 
 `MultiPoly` holds a polynomial as a map from exponent vectors to raw field
 values, with its ring arithmetic, substitution, derivatives, evaluation,
-views by variable group, the expression parser and JSON.  `BiHomPoly`,
-`homogenize`, `bihomogenize` and `group_degree` give the bihomogeneous
-forms on P^s x P^s, and `primitive_integral_model` the integer model of
-forms over Q that reduction mod p follows.  Exact division, contents,
+views by variable group, the expression parser and JSON.  `homogenize`,
+`bihomogenize` and `group_degree` make and check the bihomogeneous forms
+that `projective.Hypersurface` holds, and `primitive_integral_model` gives
+the integer model of forms over Q that reduction mod p follows.  Exact division, contents,
 GCDs and squarefree parts are `gridlab.poly`'s, which a graph command
 never runs.  The monomial order is graded lex with the variable tuple's
 later entries more significant; the leading coefficient in that order is
@@ -546,45 +546,13 @@ def group_degree(F: MultiPoly, group: tuple):
     return degs.pop() if degs else 0
 
 
-class BiHomPoly:
-    """A bihomogeneous polynomial with its bidegree, over groups (x̄, ȳ)."""
-
-    __slots__ = ("poly", "xvars", "yvars", "bidegree")
-
-    def __init__(self, poly: MultiPoly, xvars: tuple, yvars: tuple):
-        self.poly = poly
-        self.xvars = tuple(xvars)
-        self.yvars = tuple(yvars)
-        dx = group_degree(poly, self.xvars)
-        dy = group_degree(poly, self.yvars)
-        self.bidegree = (dx, dy)
-
-    def __eq__(self, other):
-        return isinstance(other, BiHomPoly) and self.poly == other.poly
-
-    def monic(self) -> "BiHomPoly":
-        return BiHomPoly(self.poly.monic(), self.xvars, self.yvars)
-
-    def __repr__(self):
-        return f"BiHom{self.bidegree}[{self.poly!r}]"
-
-
-def xy_vars(s: int) -> tuple:
-    """Standard variable tuple (x0..xs, y0..ys) for P^s x P^s."""
-    return tuple(f"x{i}" for i in range(s + 1)) + tuple(
-        f"y{i}" for i in range(s + 1)
-    )
-
-
-def bihomogenize(affine: MultiPoly, s: int) -> BiHomPoly:
-    """Bihomogenize a polynomial in x1..xs, y1..ys with x0 and y0.
+def bihomogenize(affine: MultiPoly, s: int) -> MultiPoly:
+    """Bihomogenize a polynomial in x1..xs, y1..ys with x0 and y0, over the
+    variables x0..xs, y0..ys.
 
     The target bidegree is (max x-degree, max y-degree) over the terms.
     """
-    full = xy_vars(s)
-    F = affine.with_vars(full)
     xg = tuple(f"x{i}" for i in range(s + 1))
     yg = tuple(f"y{i}" for i in range(s + 1))
-    F = homogenize(F, xg, "x0")
-    F = homogenize(F, yg, "y0")
-    return BiHomPoly(F, xg, yg)
+    F = homogenize(affine.with_vars(xg + yg), xg, "x0")
+    return homogenize(F, yg, "y0")

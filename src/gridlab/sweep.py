@@ -128,12 +128,11 @@ def run_sweep(primes: list) -> dict:
         raise UnsupportedParameters(f"sweep primes must be prime, got {bad}")
     QQ, verdicts = rationals.QQ, []
     for text in _S1_SWEEP_FORMS:
-        form = ring.MultiPoly.parse(QQ, classify_s1.P1_VARS, text)
-        F = ring.BiHomPoly(form, classify_s1.XVARS, classify_s1.YVARS)
+        form = ring.MultiPoly.parse(QQ, ("x0", "x1", "y0", "y1"), text)
+        F = projective.Hypersurface(form, 1, 1)
         verdicts.append((text, F, classify_s1.s1_classify(F)))
-    vars = ("x0", "x1", "x2", "y0", "y1", "y2")
-    F0 = ring.MultiPoly.parse(QQ, vars, "x0*y0 + x1*y1 + x2*y2")
-    H0 = projective.Hypersurface(ring.BiHomPoly(F0, vars[:3], vars[3:]))
+    F0 = ring.MultiPoly.parse(QQ, ("x0", "x1", "x2", "y0", "y1", "y2"), "x0*y0 + x1*y1 + x2*y2")
+    H0 = projective.Hypersurface(F0, 2, 2)
     sigma = cremona.standard_quadratic(QQ)
     checks = (
         ("family-1a", _check_1a),

@@ -11,7 +11,7 @@ import sympy
 from gridlab.errors import BudgetExceeded
 from gridlab.extfields import norm, pi_s
 from gridlab.fields import GF, QQ
-from gridlab.ring import BiHomPoly, MultiPoly
+from gridlab.ring import MultiPoly
 from gridlab.hypersurfaces import construct, norm_poly
 from gridlab.projective import Hypersurface, ProjPoint
 from gridlab.gridcheck import build_graph, find_grid, max_common_neighborhood
@@ -21,14 +21,7 @@ from gridlab.curves import (
     intersection_multiplicity,
     moura_max,
 )
-from gridlab.classify_s1 import (
-    P1_VARS,
-    XVARS,
-    YVARS,
-    s1_classify,
-    s1_max_row,
-    s1_reduce,
-)
+from gridlab.classify_s1 import s1_classify, s1_max_row, s1_reduce
 from gridlab.cremona import (
     apply_map,
     example_line_map,
@@ -42,11 +35,12 @@ from test_cremona import nagata_invariant
 
 V6 = ("x0", "x1", "x2", "y0", "y1", "y2")
 Y3 = ("y0", "y1", "y2")
+XVARS = ("x0", "x1")
+P1_VARS = XVARS + ("y0", "y1")
 
 
 def bihom1(expr):
-    poly = MultiPoly.parse(QQ, P1_VARS, expr)
-    return BiHomPoly(poly, XVARS, YVARS)
+    return Hypersurface(MultiPoly.parse(QQ, P1_VARS, expr), 1, 1)
 
 
 def test_criterion_01_family_1a_edges_and_grid_free():
@@ -297,13 +291,9 @@ def test_criterion_09_rank_test_random_instances():
 
 def test_criterion_10_cremona_reproductions():
     start = time.monotonic()
-    H0 = Hypersurface(
-        BiHomPoly(
-            MultiPoly.parse(QQ, V6, "x0*y0 + x1*y1 + x2*y2"), V6[:3], V6[3:]
-        )
-    )
+    H0 = Hypersurface(MultiPoly.parse(QQ, V6, "x0*y0 + x1*y1 + x2*y2"), 2, 2)
     got = apply_map(standard_quadratic(QQ), H0)
-    assert got.form.poly == MultiPoly.parse(
+    assert got.poly == MultiPoly.parse(
         QQ, V6, "x0*y1*y2 + x1*y0*y2 + x2*y0*y1"
     ).monic()
 
@@ -316,7 +306,7 @@ def test_criterion_10_cremona_reproductions():
             V6,
             f"x0*y0**{d} + x1*y0**{d - 1}*y1 + x2*(y0**{d - 1}*y2 + y1**{d})",
         )
-        assert moved.form.poly == expected.monic()
+        assert moved.poly == expected.monic()
 
     rep = grid_transport_check(H0, standard_quadratic(QQ), 7, 2, 2)
     assert rep["consistent"]

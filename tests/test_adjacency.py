@@ -29,7 +29,12 @@ from gridlab.hypersurfaces import (
 )
 from gridlab.primefields import is_prime
 from gridlab.projective import Hypersurface, OpenSet, ProjPoint, chart_point, chart_size
-from gridlab.ring import BiHomPoly, MultiPoly, xy_vars
+from gridlab.ring import MultiPoly
+
+
+def xy_vars(s: int) -> tuple:
+    """x0..xs, y0..ys, the variables of a form on P^s x P^s."""
+    return tuple(f"x{i}" for i in range(s + 1)) + tuple(f"y{i}" for i in range(s + 1))
 
 
 def chart_points(field, s: int, chart: str = "projective") -> list:
@@ -147,7 +152,7 @@ def bihomogeneous_forms(draw, primes, max_s=2, max_deg=3):
     )
     vars = xy_vars(s)
     poly = MultiPoly(GF(p), vars, {xe + ye: c for (xe, ye), c in terms.items()})
-    return p, Hypersurface(BiHomPoly(poly, vars[: s + 1], vars[s + 1 :]))
+    return p, Hypersurface(poly, s, s)
 
 
 @st.composite
@@ -176,8 +181,8 @@ def test_rows_match_reference_small_primes(data, form, chart, opens):
     # rows and columns are computed one at a time on first read, by two
     # kernels; read them in a random order, the columns first or last
     p, H = form
-    X = data.draw(open_sets(p, H.s, "x")) if opens else None
-    Y = data.draw(open_sets(p, H.s, "y")) if opens else None
+    X = data.draw(open_sets(p, H.sx, "x")) if opens else None
+    Y = data.draw(open_sets(p, H.sy, "y")) if opens else None
     try:
         G = build_graph(H, p, X, Y, chart=chart)
     except EmptySide:  # the open sets removed a whole side
@@ -222,7 +227,7 @@ def excluded_forms(draw, p, s, name):
 def test_vertices_match_point_membership(data, p, s, chart):
     vars = xy_vars(s)
     poly = MultiPoly.parse(QQ, vars, "x0*y0")
-    H = Hypersurface(BiHomPoly(poly, vars[: s + 1], vars[s + 1 :]))
+    H = Hypersurface(poly, s, s)
     X, Y = (
         OpenSet(s, data.draw(st.lists(excluded_forms(p, s, name), max_size=2)))
         for name in "xy"
@@ -259,7 +264,7 @@ def test_index_sides_match_the_listing(data, p, s, chart):
     # read: entries, homogeneous points and coordinate columns must be the
     # listed chart points that the open set contains, in the listing's order
     vars = xy_vars(s)
-    H = Hypersurface(BiHomPoly(MultiPoly.parse(QQ, vars, "x0*y0"), vars[: s + 1], vars[s + 1 :]))
+    H = Hypersurface(MultiPoly.parse(QQ, vars, "x0*y0"), s, s)
     X, Y = (
         OpenSet(s, data.draw(st.lists(excluded_forms(p, s, name), max_size=2)))
         for name in "xy"
@@ -443,7 +448,7 @@ def test_kernel_in_blocks_matches_reference(monkeypatch, block_bytes, family, p,
 def test_single_y_monomial():
     vars = xy_vars(1)
     poly = MultiPoly.parse(GF(7), vars, "x0*y0**2 + 3*x1*y0**2")
-    H = Hypersurface(BiHomPoly(poly, vars[:2], vars[2:]))
+    H = Hypersurface(poly, 1, 1)
     assert len({ye for _, _, ye in _terms_int(reduce_hypersurface_mod(H, 7))}) == 1
     assert_matches_reference(H, 7, chart="projective")
 
@@ -452,7 +457,7 @@ def test_zero_coefficient_vector_gives_full_row():
     # x1*(y0 + y1): every coefficient vanishes at x1 = 0
     vars = xy_vars(1)
     poly = MultiPoly.parse(GF(5), vars, "x1*y0 + x1*y1")
-    H = Hypersurface(BiHomPoly(poly, vars[:2], vars[2:]))
+    H = Hypersurface(poly, 1, 1)
     G = build_graph(H, 5)
     assert G.rows[0] == (1 << len(G.right)) - 1  # left vertex x1 = 0
     assert_matches_reference(H, 5)

@@ -18,23 +18,19 @@ from gridlab.errors import (
 )
 from gridlab.fields import GF, QQ
 from gridlab.poly import exact_div, gcd
-from gridlab.ring import BiHomPoly, MultiPoly
+from gridlab.ring import MultiPoly
 from gridlab.hypersurfaces import reduce_open_set_mod, reduce_poly_mod
-from gridlab.projective import OpenSet, ProjPoint
-from gridlab.classify_s1 import (
-    P1_VARS,
-    XVARS,
-    YVARS,
-    s1_classify,
-    s1_max_row,
-    s1_reduce,
-)
+from gridlab.projective import Hypersurface, OpenSet, ProjPoint
+from gridlab.classify_s1 import s1_classify, s1_max_row, s1_reduce
 from test_adjacency import proj_points
+
+XVARS = ("x0", "x1")
+YVARS = ("y0", "y1")
+P1_VARS = XVARS + YVARS
 
 
 def F(expr, field=QQ):
-    poly = MultiPoly.parse(field, P1_VARS, expr)
-    return BiHomPoly(poly, XVARS, YVARS)
+    return Hypersurface(MultiPoly.parse(field, P1_VARS, expr), 1, 1)
 
 
 # every factor splits over Q, so the F_p oracle sees the same picture
@@ -251,7 +247,7 @@ def test_f_closure_roots_meet_X():
 def test_wrong_dimension():
     vars = ("x0", "x1", "x2", "y0", "y1", "y2")
     poly = MultiPoly.parse(QQ, vars, "x0*y0 + x1*y1 + x2*y2")
-    form = BiHomPoly(poly, vars[:3], vars[3:])
+    form = Hypersurface(poly, 2, 2)
     with pytest.raises(WrongDimension):
         s1_classify(form)
 

@@ -1,6 +1,7 @@
 import argparse
 import contextlib
 import io
+import itertools
 import json
 import os
 import subprocess
@@ -78,13 +79,11 @@ def test_gridcheck_open_set_with_wrong_variable_count_exit_2(
 def test_gridcheck_witness_exit_1(capsys, tmp_path):
     # a rank-2 bilinear form on P^2 x P^2 has (2,2)-grids
     from gridlab.fields import QQ
-    from gridlab.ring import BiHomPoly, MultiPoly
+    from gridlab.ring import MultiPoly
     from gridlab.projective import Hypersurface
 
     vars = ("x0", "x1", "x2", "y0", "y1", "y2")
-    H = Hypersurface(
-        BiHomPoly(MultiPoly.parse(QQ, vars, "x0*y0 + x1*y1"), vars[:3], vars[3:])
-    )
+    H = Hypersurface(MultiPoly.parse(QQ, vars, "x0*y0 + x1*y1"), 2, 2)
     path = tmp_path / "degenerate.json"
     path.write_text(json.dumps(H.to_json()))
     code, data = run_json(
@@ -181,13 +180,13 @@ def test_curves_common(capsys, tmp_path):
 
 def test_curves_common_on_hypersurfaces(capsys, tmp_path):
     from gridlab.fields import QQ
-    from gridlab.ring import BiHomPoly, MultiPoly
+    from gridlab.ring import MultiPoly
     from gridlab.projective import Hypersurface
 
     vars = ("x0", "x1", "x2", "y0", "y1", "y2")
     paths = []
     for name, expr in (("a", "x0*y0 + x1*y1 + x2*y2"), ("b", "x0*y0*y1 + x1*y2**2")):
-        H = Hypersurface(BiHomPoly(MultiPoly.parse(QQ, vars, expr), vars[:3], vars[3:]))
+        H = Hypersurface(MultiPoly.parse(QQ, vars, expr), 2, 2)
         paths.append(tmp_path / f"{name}.json")
         paths[-1].write_text(json.dumps(H.to_json()))
     # at u = (1:0:0) the sections are y0 and y0*y1
@@ -267,15 +266,11 @@ def test_s1_classify_and_reduce(capsys, tmp_path):
 
 def test_cremona_apply_golden(capsys, h1a, tmp_path):
     from gridlab.fields import QQ
-    from gridlab.ring import BiHomPoly, MultiPoly
+    from gridlab.ring import MultiPoly
     from gridlab.projective import Hypersurface
 
     vars = ("x0", "x1", "x2", "y0", "y1", "y2")
-    H0 = Hypersurface(
-        BiHomPoly(
-            MultiPoly.parse(QQ, vars, "x0*y0 + x1*y1 + x2*y2"), vars[:3], vars[3:]
-        )
-    )
+    H0 = Hypersurface(MultiPoly.parse(QQ, vars, "x0*y0 + x1*y1 + x2*y2"), 2, 2)
     path = tmp_path / "h0.json"
     path.write_text(json.dumps(H0.to_json()))
     code, data = run_json(
@@ -286,7 +281,7 @@ def test_cremona_apply_golden(capsys, h1a, tmp_path):
     expected = MultiPoly.parse(
         QQ, vars, "x0*y1*y2 + x1*y0*y2 + x2*y0*y1"
     ).monic()
-    assert got.form.poly == expected
+    assert got.poly == expected
     assert data["bidegree"] == [1, 2]
 
 
@@ -428,13 +423,13 @@ def test_bad_coefficient_exit_2(capsys, tmp_path, literal):
     # traceback: exit 1 would read as "witness found"
     from gridlab.fields import QQ
     from gridlab.projective import Hypersurface
-    from gridlab.ring import BiHomPoly, MultiPoly
+    from gridlab.ring import MultiPoly
 
     V4 = ("x0", "x1", "y0", "y1")
     form = MultiPoly.parse(QQ, V4, "x0*y1 - x1*y0")
     s1 = tmp_path / "F.json"
     s1.write_text(json.dumps(_with_coefficient(form.to_json(), literal)))
-    H = Hypersurface(BiHomPoly(form, V4[:2], V4[2:]))
+    H = Hypersurface(form, 1, 1)
     h = tmp_path / "H.json"
     h.write_text(json.dumps(_with_coefficient(H.to_json(), literal)))
     for argv in (
@@ -826,7 +821,7 @@ def test_gridcheck_same_with_and_without_family(capsys, tmp_path, monkeypatch, f
                 "wrong": {**data, "family": wrong}}
     if family != "1a":
         H = Hypersurface.from_json(data)
-        G = build_graph(H, p, symmetries=family_symmetries(wrong, p, H.s))
+        G = build_graph(H, p, symmetries=family_symmetries(wrong, p, H.sx))
         assert G.symmetries == []
     for scan_s, t in ((2, 2), (3, 3)):
         seen = {}
@@ -1048,7 +1043,7 @@ def test_a_scan_of_huge_count_is_refused_in_words(capsys, tmp_path):
                                  "--t", "2")
     assert time.monotonic() - start < 20
     assert code == 2 and out == ""
-    assert err.startswith("error: BudgetExceeded: the pruned scan visits ~10^")
+    assert err.startswith("error: BudgetExceeded: the pruned scan visits at least ~10^")
     assert "2000-subsets (C(160801,2000) = ~10^" in err
 
 
@@ -1088,3 +1083,96 @@ def test_edges_is_charged_before_its_work(capsys, tmp_path, monkeypatch):
         f"error: BudgetExceeded: the edge count reads {n} rows of {n} vertices = {n * n}"
         " adjacency bits, over budget 100000000\n"
     )
+
+
+# -- one form type: sx != sy, timed refusals, variable order --------------------------
+
+
+@pytest.mark.parametrize("command", ["gridcheck", "edges"])
+@pytest.mark.parametrize("sx, sy", [(1, 2), (2, 1)])
+def test_graph_commands_refuse_different_dimensions(capsys, tmp_path, command, sx, sy):
+    # a graph joins two charts of one P^s: (1, 2) used to die in an
+    # IndexError, exit 1, and (2, 1) to count P^2 twice
+    from gridlab.fields import GF
+    from gridlab.projective import Hypersurface
+    from gridlab.ring import MultiPoly
+
+    vars = tuple(f"x{i}" for i in range(sx + 1)) + tuple(f"y{i}" for i in range(sy + 1))
+    H = Hypersurface(MultiPoly.parse(GF(5), vars, "x0*y0 + x1*y1"), sx, sy)
+    path = tmp_path / "h.json"
+    path.write_text(json.dumps(H.to_json()))
+    for chart in ("affine", "projective"):
+        argv = [command, "--input", str(path), "--p", "5", "--s", "2", "--t", "2", "--chart", chart]
+        code, out, err = run_refused(capsys, *argv)
+        assert (code, out) == (2, "")
+        assert err == f"error: DimensionMismatch: a graph needs sx = sy, not {sx} and {sy}\n"
+
+
+def test_huge_s_is_refused_within_two_seconds(capsys, tmp_path):
+    # the pruned count stops once it passes the budget and 10^100, so
+    # s = 20000 costs a few binomials; edges refuses an s above |left|
+    # before its s-th roots
+    big, small = tmp_path / "h401.json", tmp_path / "h5.json"
+    assert run(capsys, "construct", "--family", "1a", "--p", "401", "--out", str(big))[0] == 0
+    assert run(capsys, "construct", "--family", "1a", "--p", "5", "--out", str(small))[0] == 0
+    for argv, refusal in (
+        (["gridcheck", "--input", str(big), "--p", "401", "--s", "20000", "--t", "2"],
+         "error: BudgetExceeded: the pruned scan visits at least ~10^"),
+        (["edges", "--input", str(small), "--p", "5", "--s", "10000", "--t", "10000"],
+         "error: ParameterOutOfRange: (s,t)=(10000,10000) with |left|=25\n"),
+    ):
+        start = time.monotonic()
+        code, out, err = run_refused(capsys, *argv)
+        assert time.monotonic() - start < 2
+        assert (code, out) == (2, "")
+        assert err.startswith(refusal)
+
+
+@st.composite
+def shuffled_forms(draw):
+    """(poly, sx, sy, the same poly over its variables shuffled): a random
+    bihomogeneous form over Q on P^sx x P^sy, sx and sy at most 2."""
+    from gridlab.fields import QQ
+    from gridlab.ring import MultiPoly
+
+    sx, sy = draw(st.integers(1, 2)), draw(st.integers(1, 2))
+    dx, dy = draw(st.integers(1, 2)), draw(st.integers(1, 2))
+
+    def exps(n, d):
+        # every exponent vector of n variables and degree d, listed, not filtered
+        return st.sampled_from([e for e in itertools.product(range(d + 1), repeat=n) if sum(e) == d])
+
+    terms = draw(st.dictionaries(st.tuples(exps(sx + 1, dx), exps(sy + 1, dy)),
+                                 st.sampled_from((-3, -2, -1, 1, 2, 3)), min_size=1, max_size=4))
+    vars = tuple(f"x{i}" for i in range(sx + 1)) + tuple(f"y{i}" for i in range(sy + 1))
+    poly = MultiPoly(QQ, vars, {tuple(xe + ye): c for (xe, ye), c in terms.items()})
+    return poly, sx, sy, poly.with_vars(draw(st.permutations(vars)))
+
+
+@settings(max_examples=25, deadline=None)
+@given(shuffled_forms())
+def test_variable_order_gives_one_hypersurface(tmp_path_factory, form):
+    # every entry reads a form by variable name: from_json, the constructor,
+    # s1 classify and reduce and cremona apply answer alike for any order
+    from gridlab.projective import Hypersurface
+
+    poly, sx, sy, shuffled = form
+    H = Hypersurface(poly, sx, sy)
+    assert Hypersurface(shuffled, sx, sy) == H
+    assert Hypersurface.from_json({"poly": shuffled.to_json(), "sx": sx, "sy": sy}) == H
+    tmp = tmp_path_factory.mktemp("order")
+    outputs = []
+    for name, F in (("ordered", poly), ("shuffled", shuffled)):
+        plain, hyp = tmp / f"{name}.json", tmp / f"{name}_h.json"
+        plain.write_text(json.dumps(F.to_json()))
+        hyp.write_text(json.dumps({"poly": F.to_json(), "sx": sx, "sy": sy}))
+        commands = [["cremona", "apply", "--sigma", "quadratic", "--input", str(hyp)]] if sy == 2 else []
+        if (sx, sy) == (1, 1):
+            commands += [["s1", action, "--poly", str(plain)] for action in ("classify", "reduce")]
+        runs = []
+        for argv in commands:
+            out, err = io.StringIO(), io.StringIO()
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                runs.append((main(argv), out.getvalue(), err.getvalue()))
+        outputs.append(runs)
+    assert outputs[0] == outputs[1]

@@ -8,7 +8,7 @@ from gridlab.errors import (
     ZeroPullback,
 )
 from gridlab.fields import GF, QQ
-from gridlab.ring import BiHomPoly, MultiPoly
+from gridlab.ring import MultiPoly
 from gridlab.hypersurfaces import MatrixPair, reduce_hypersurface_mod
 from gridlab.projective import Hypersurface, ProjPoint
 from gridlab import gridcheck, sweep
@@ -84,7 +84,7 @@ def nagata_invariant(field) -> MultiPoly:
 
 def H(expr):
     poly = MultiPoly.parse(QQ, V6, expr)
-    return Hypersurface(BiHomPoly(poly, V6[:3], V6[3:]))
+    return Hypersurface(poly, 2, 2)
 
 
 H0 = "x0*y0 + x1*y1 + x2*y2"
@@ -158,20 +158,20 @@ def test_rational_map_json_roundtrip():
 
 def test_apply_quadratic_reproduces_h2():
     got = apply_map(standard_quadratic(QQ), H(H0))
-    assert got.form.poly == MultiPoly.parse(QQ, V6, H2).monic()
+    assert got.poly == MultiPoly.parse(QQ, V6, H2).monic()
     assert got.bidegree == (1, 2)
 
 
 def test_apply_identity_fixed_point():
     h = H(H2)
-    assert apply_map(identity_map(QQ), h).form.poly == h.form.poly
+    assert apply_map(identity_map(QQ), h).poly == h.poly
 
 
 def test_apply_twice_returns_h0():
     sq = standard_quadratic(QQ)
     once = apply_map(sq, H(H0))
     twice = apply_map(sq, once)
-    assert twice.form.poly == H(H0).form.poly
+    assert twice.poly == H(H0).poly
 
 
 @pytest.mark.parametrize("d", range(2, 7))
@@ -185,7 +185,7 @@ def test_line_map_raises_y_degree(d):
         V6,
         f"x0*y0**{d} + x1*y0**{d - 1}*y1 + x2*(y0**{d - 1}*y2 + y1**{d})",
     )
-    assert got.form.poly == expected.monic()
+    assert got.poly == expected.monic()
 
 
 def test_apply_content_removed():
@@ -294,7 +294,7 @@ def reference_transport(H, sigma_y, p, s, t):
     Hp = reduce_hypersurface_mod(H, p)
     sig = sigma_y.reduce_mod(p)
     Hpulled, _, cy = apply_with_contents(sig, Hp)
-    pts = list(proj_points(Fp, Hp.s))
+    pts = list(proj_points(Fp, Hp.sy))
     seen = {}
     for v in pts:
         w = apply_point(sig, v)
@@ -448,8 +448,8 @@ def test_map_that_moves_the_right_sample_is_dropped(monkeypatch):
     pts = chart_points(GF(p), 2)
     off_triangle = chart_side([v for v in pts if all(v)], p)
     whole = chart_side(pts, p)
-    assert symmetry_permutation(Hp.form, shear, whole, whole) is not None
-    assert symmetry_permutation(Hp.form, shear, whole, off_triangle) is None
+    assert symmetry_permutation(Hp, shear, whole, whole) is not None
+    assert symmetry_permutation(Hp, shear, whole, off_triangle) is None
     (_, pulled), _ = torus(p)
     rep = {}
     run = lambda: rep.update(grid_transport_check(H(H0), sigma, p, 2, 2, symmetries=[(shear, pulled)]))

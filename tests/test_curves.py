@@ -16,7 +16,7 @@ from gridlab.errors import (
 )
 from gridlab.fields import GF, QQ
 from gridlab.primefields import FieldElem, matrix_rank
-from gridlab.ring import BiHomPoly, MultiPoly
+from gridlab.ring import MultiPoly
 from gridlab.projective import Hypersurface, ProjPoint
 from gridlab.curves import (
     INFINITE,
@@ -184,7 +184,7 @@ def test_imult_point_field_mismatch():
 def _section_hypersurface(exprs):
     vars = ("x0", "x1", "x2") + Y3
     F = MultiPoly.parse(QQ, vars, exprs)
-    return Hypersurface(BiHomPoly(F, vars[:3], vars[3:]))
+    return Hypersurface(F, 2, 2)
 
 
 def test_rank_test_dimensions():
@@ -218,8 +218,8 @@ def test_rank_test_on_sections():
     vars = ("x0", "x1", "x2") + Y3
     F1 = MultiPoly.parse(QQ, vars, "x0*y0*y1 + x1*y2**2 + x2*y0*y2")
     F2 = MultiPoly.parse(QQ, vars, "x0*y1**2 + x1*y0*y2")
-    h1 = Hypersurface(BiHomPoly(F1, vars[:3], vars[3:]))
-    h2 = Hypersurface(BiHomPoly(F2, vars[:3], vars[3:]))
+    h1 = Hypersurface(F1, 2, 2)
+    h2 = Hypersurface(F2, 2, 2)
     rep = common_component_rank_test(h1, h2, pt(1, 1, 1))
     assert rep.M == 10 and rep.N == 6
 
@@ -234,7 +234,7 @@ def test_rank_test_needs_plane_sections():
     # sections of a hypersurface in P^2 x P^1 are binary forms
     vars = ("x0", "x1", "x2", "y0", "y1")
     F = MultiPoly.parse(QQ, vars, "x0*y0 + x1*y1")
-    H = Hypersurface(BiHomPoly(F, vars[:3], vars[3:]))
+    H = Hypersurface(F, 2, 1)
     with pytest.raises(WrongDimension):
         common_component_rank_test(H, H, pt(1, 0, 0))
 
@@ -322,7 +322,7 @@ def section_pairs(draw):
         def hypersurface(h):
             r = c * form(h.degree() - e)
             F = x0 * h.with_vars(vars) + x1 * r.with_vars(vars)
-            return Hypersurface(BiHomPoly(F, vars[:3], vars[3:]))
+            return Hypersurface(F, 2, 2)
 
         h1, h2 = hypersurface(h1), hypersurface(h2)
         assume(all(not h.section(u).is_zero() for h in (h1, h2)))

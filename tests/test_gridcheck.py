@@ -26,8 +26,9 @@ from gridlab.gridcheck import (
 from gridlab.hypersurfaces import construct, family_symmetries, reduce_hypersurface_mod
 from gridlab.primefields import check_budget, enumeration_budget
 from gridlab.projective import Hypersurface, OpenSet
-from gridlab.ring import BiHomPoly, MultiPoly, xy_vars
+from gridlab.ring import MultiPoly
 from test_adjacency import (
+    xy_vars,
     bihomogeneous_forms,
     chart_coords,
     open_sets,
@@ -325,7 +326,7 @@ def test_chart_over_budget_is_refused_before_listing(monkeypatch):
     with pytest.raises(BudgetExceeded):
         hypersurfaces.ChartPoints(HUGE_PRIME, 1)
     vars = xy_vars(2)
-    H0 = Hypersurface(BiHomPoly(MultiPoly.parse(QQ, vars, "x0*y0 + x1*y1 + x2*y2"), vars[:3], vars[3:]))
+    H0 = Hypersurface(MultiPoly.parse(QQ, vars, "x0*y0 + x1*y1 + x2*y2"), 2, 2)
     with pytest.raises(BudgetExceeded):
         cremona.grid_transport_check(H0, cremona.standard_quadratic(QQ), HUGE_PRIME, 2, 2)
 
@@ -355,7 +356,7 @@ def test_gridcheck_at_a_huge_prime_exits_2(tmp_path):
 def test_adjacency_agrees_with_direct_evaluation():
     vars = ("x0", "x1", "y0", "y1")
     F = MultiPoly.parse(QQ, vars, "x0*y1**2 - x1*y0**2 + x1*y0*y1")
-    H = Hypersurface(BiHomPoly(F, vars[:2], vars[2:]))
+    H = Hypersurface(F, 1, 1)
     p = 5
     G = build_graph(H, p, chart="projective")
     from gridlab.hypersurfaces import reduce_hypersurface_mod
@@ -377,7 +378,7 @@ def test_affine_enumeration_matches_open_set_path(p, s):
     vars = xy_vars(s)
     form = " + ".join(f"{k + 1}*x{k}*y{s - k}" for k in range(s + 1))
     F = MultiPoly.parse(QQ, vars, form)
-    H = Hypersurface(BiHomPoly(F, vars[: s + 1], vars[s + 1 :]))
+    H = Hypersurface(F, s, s)
     X = OpenSet(s, [MultiPoly.parse(QQ, vars[: s + 1], "x0")])
     Y = OpenSet(s, [MultiPoly.parse(QQ, vars[s + 1 :], "y0")])
     fast, filtered = build_graph(H, p), build_graph(H, p, X, Y)
@@ -518,7 +519,7 @@ def test_reduction_follows_primitive_model():
 
     def graph(field, text):
         poly = MultiPoly.parse(field, vars, text)
-        return build_graph(Hypersurface(BiHomPoly(poly, vars[:3], vars[3:])), 3)
+        return build_graph(Hypersurface(poly, 2, 2), 3)
 
     G = graph(QQ, "x0*y0 + 3*x1*y1")
     G3 = graph(GF(3), "x0*y0")
@@ -873,8 +874,8 @@ def test_transposed_columns_and_scans_match_reference(data, form, chart, s):
     # from the kernel, are the reference rows transposed, and the scans
     # answer as the per-candidate reference scan does
     p, H = form
-    X = data.draw(open_sets(p, H.s, "x"))
-    Y = data.draw(open_sets(p, H.s, "y"))
+    X = data.draw(open_sets(p, H.sx, "x"))
+    Y = data.draw(open_sets(p, H.sy, "y"))
 
     def graph():
         return build_graph(H, p, X, Y, chart=chart)

@@ -15,7 +15,7 @@ from gridlab.errors import (
     UnsupportedParameters,
 )
 from gridlab.fields import GF, QQ
-from gridlab.ring import BiHomPoly, MultiPoly
+from gridlab.ring import MultiPoly
 from test_adjacency import chart_points, proj_points
 from gridlab.hypersurfaces import (
     ChartPoints,
@@ -32,14 +32,9 @@ from gridlab.projective import Hypersurface, OpenSet, ProjPoint, chart_size
 V4 = ("x0", "x1", "y0", "y1")
 
 
-def bihom(expr, field=QQ, vars=V4):
-    poly = MultiPoly.parse(field, vars, expr)
-    half = len(vars) // 2
-    return BiHomPoly(poly, vars[:half], vars[half:])
-
-
 def H(expr, field=QQ, vars=V4):
-    return Hypersurface(bihom(expr, field, vars))
+    s = len(vars) // 2 - 1
+    return Hypersurface(MultiPoly.parse(field, vars, expr), s, s)
 
 
 # -- points ------------------------------------------------------------------------
@@ -157,8 +152,8 @@ def test_open_set_reduce_mod():
 def test_hypersurface_monic_and_bidegree():
     h = H("2*x0*y0 + 2*x1*y1")
     assert h.bidegree == (1, 1)
-    assert h.s == 1
-    assert h.form.poly == bihom("x0*y0 + x1*y1").poly
+    assert (h.sx, h.sy) == (1, 1)
+    assert h.poly == MultiPoly.parse(QQ, V4, "x0*y0 + x1*y1")
 
 
 def test_section():
@@ -178,7 +173,7 @@ def test_section_degree_drop_visible():
 def test_hypersurface_json_roundtrip():
     h = H("x0*y1**2 - x1*y0**2 + 3*x0*y0*y1")
     h2 = Hypersurface.from_json(h.to_json())
-    assert h2.form.poly == h.form.poly
+    assert h2.poly == h.poly
     assert h2.bidegree == h.bidegree
 
 
@@ -211,8 +206,8 @@ def test_reduce_polys_mod_shares_one_factor():
 
 def test_reduce_hypersurface_clears_denominator():
     h = H("x0*y1 + 1/5*x0*y0")  # primitive model 5*x0*y1 + x0*y0
-    assert reduce_hypersurface_mod(h, 5).form == H("x0*y0", GF(5)).form
-    assert reduce_hypersurface_mod(h, 7).form == H("x0*y1 + 3*x0*y0", GF(7)).form
+    assert reduce_hypersurface_mod(h, 5) == H("x0*y0", GF(5))
+    assert reduce_hypersurface_mod(h, 7) == H("x0*y1 + 3*x0*y0", GF(7))
 
 
 # -- constructions -------------------------------------------------------------------
@@ -249,7 +244,7 @@ def test_construct_guards():
 def test_construct_1c_degree():
     c = construct("1c", 3, 2)
     assert c.affine.degree() <= 2
-    assert c.hypersurface.s == 2
+    assert (c.hypersurface.sx, c.hypersurface.sy) == (2, 2)
 
 
 def test_construct_1d_shape():

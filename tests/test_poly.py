@@ -531,13 +531,13 @@ def test_bihomogenize():
     vars = ("x1", "x2", "y1", "y2")
     affine = MultiPoly.parse(QQ, vars, "x1*y1 + x2*y2 - 1")
     B = bihomogenize(affine, 2)
-    assert B.bidegree == (1, 1)
     expected = MultiPoly.parse(
         QQ,
         ("x0", "x1", "x2", "y0", "y1", "y2"),
         "x1*y1 + x2*y2 - x0*y0",
     )
-    assert B.poly == expected
+    assert B == expected
+    assert (group_degree(B, expected.vars[:3]), group_degree(B, expected.vars[3:])) == (1, 1)
 
 
 def test_json_roundtrip():

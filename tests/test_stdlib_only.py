@@ -312,7 +312,7 @@ def test_wrapping_in_module_order_leaves_no_wrapper_behind():
 EXPORTS = {
     "fields": ["GF", "QQ"],
     "extfields": ["canonical_modulus", "norm", "pi_s"],
-    "ring": ["BiHomPoly", "MultiPoly", "bihomogenize"],
+    "ring": ["MultiPoly", "bihomogenize"],
     "projective": ["Hypersurface", "OpenSet", "ProjPoint"],
     "poly": ["exact_div", "gcd", "squarefree_part"],
     "hypersurfaces": ["construct", "norm_poly"],

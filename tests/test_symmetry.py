@@ -35,8 +35,8 @@ from gridlab.hypersurfaces import (
 )
 from gridlab.projective import Hypersurface, OpenSet
 from gridlab.primefields import matrix_rank
-from gridlab.ring import BiHomPoly, MultiPoly, bihomogenize, xy_vars
-from test_adjacency import chart_points, chart_side
+from gridlab.ring import MultiPoly, bihomogenize
+from test_adjacency import chart_points, chart_side, xy_vars
 from test_gridcheck import (
     recording_kernels,
     recording_verifications,
@@ -90,7 +90,7 @@ def xy(d):
 
 
 def hypersurface(affine: MultiPoly, d: int) -> Hypersurface:
-    return Hypersurface(bihomogenize(affine, d))
+    return Hypersurface(bihomogenize(affine, d), d, d)
 
 
 def normalised(v, p):
@@ -218,11 +218,11 @@ def oracle_carries(H: Hypersurface, p: int, m: MatrixPair) -> bool:
     images are parsed from text, each side's bijection found by brute
     force."""
     Fp = GF(p)
-    form = reduce_poly_mod(H.form.poly, p)
-    n = len(H.form.xvars)
+    form = reduce_poly_mod(H.poly, p)
+    n = len(H.xvars)
     pts = chart_points(Fp, n - 1)
     sub = {}
-    for group, M in zip((H.form.xvars, H.form.yvars), m):
+    for group, M in zip((H.xvars, H.yvars), m):
         if len(M) != n or reference_permutation(M, pts, p) is None:
             return False
         for v, row in zip(group, M):
@@ -582,7 +582,7 @@ def test_permutations_follow_the_order_of_the_vertex_lists(chart):
     maps = family_symmetries("1a", p, 2)
     for left, right in ((pts, shuffled), (shuffled, pts), (shuffled, shuffled[::-1])):
         sides = chart_side(left, p, chart), chart_side(right, p, chart)
-        got = [symmetry_permutation(Hp.form, m, *sides) for m in maps]
+        got = [symmetry_permutation(Hp, m, *sides) for m in maps]
         got = [pair and tuple(map(list, pair)) for pair in got]
         want = [None if chart == "affine" and not keeps_affine_chart(m, p)
                 else (reference_permutation(m.mx, left, p), reference_permutation(m.my, right, p))
@@ -829,7 +829,7 @@ def test_closed_forms_build_no_table(monkeypatch):
         assert G.edge_count() == edges
         two = (family, chart) == ("1a", "affine")  # the origin and the rest
         assert G.symmetries and list(G.orbit_minima) == ([0, 1] if two else [0])
-    tops, seconds, count = _plan(graphs["1b", "affine"][0], 3)
+    tops, seconds, count, _ = _plan(graphs["1b", "affine"][0], 3)
     assert tops == [0] and len(seconds[0]) == comb(6 + 2, 3) and count == 62930
 
 
@@ -1061,7 +1061,7 @@ def test_one_chart_map_matches_the_reference(case, data):
     want = reference_permutation(M, [side.point(i) for i in range(n)], p)
     # a form in y alone is carried by (M, I), so the sides decide
     vars = xy_vars(s)
-    form = BiHomPoly(MultiPoly(GF(p), vars, {unit(2 * s + 2, s + 1, 1): 1}), vars[: s + 1], vars[s + 1 :])
+    form = Hypersurface(MultiPoly(GF(p), vars, {unit(2 * s + 2, s + 1, 1): 1}), s, s)
     pair = symmetry_permutation(form, (M, identity(s + 1)), side, ChartPoints(p, s, chart))
     if want is None:
         assert codes is not None and pair is None
